@@ -58,7 +58,6 @@ from .schedules import (
     check_alpha3_conditions,
     check_fast_rate_conditions,
     check_strong_conv_conditions,
-    condition_grid,
     energy_descent_start,
     eval_schedule,
     polynomial_schedule,

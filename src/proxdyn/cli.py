@@ -17,7 +17,8 @@ import numpy as np
 
 from . import csvio
 from .errors import (DivergenceError, InfeasibleError, InsufficientDataError,
-                     ParameterDomainError, UnsupportedOracleError, ValidationError)
+                     ParameterDomainError, StepSizeError, UnsupportedOracleError,
+                     ValidationError)
 from .runconfig import (build_system, config_from_flat, execute_run, parse_config_file,
                         parse_overrides, preset_runs, run_from_flat, _CHECKERS)
 from .selftest import run_prox_selftest
@@ -215,6 +216,9 @@ def main(argv=None) -> int:
         return 1
     except DivergenceError as exc:
         print(f"divergence: {exc} (last good t = {exc.t_last})", file=sys.stderr)
+        return 2
+    except StepSizeError as exc:
+        print(f"step control failed: {exc}", file=sys.stderr)
         return 2
     except SystemExit:
         raise

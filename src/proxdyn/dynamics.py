@@ -268,7 +268,7 @@ def integrate(cfg: SystemConfig, settings: IntegratorSettings = None) -> Traject
     ks = [k1] + [np.empty_like(u) for _ in range(6)]
     while t < T:
         if stats.accepted + stats.rejected >= settings.max_steps:
-            raise StepSizeError(f"step budget exhausted at t = {t:.6g}")
+            raise StepSizeError(f"step budget exhausted at t = {t:.6g}, h = {h:.3g}")
         h = min(h, T - t)
         for i in range(6):
             ui = u + h * sum(a * ks[j] for j, a in enumerate(_DP_A[i]) if a != 0.0)

@@ -2,10 +2,12 @@
 
 A :class:`Schedule` carries the time scaling b(t), the smoothing index
 lambda(t) and the Tikhonov weight eps(t) together with their derivatives.
-The checkers certify the hypotheses behind the fast-rate, strong-convergence
-and critical-damping (alpha = 3) regimes: each condition is evaluated on a
-geometric grid, on a sparse far grid, and, for polynomial families, through
-the sign of the asymptotically dominant monomial.
+The checkers certify the fast-rate, strong-convergence and critical-damping
+(alpha = 3) regimes from one condition table, ``_FAMILIES``: per regime, its
+rules in report order, each mapping a per-report ``_Context`` to a Verdict.
+A condition that regimes share is one rule builder fed each regime's
+constants.  Pointwise conditions use a geometric grid, a sparse far grid
+and, for polynomial families, the sign of the dominant monomial.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ __all__ = [
     "ConditionReport",
     "polynomial_schedule",
     "eval_schedule",
-    "condition_grid",
     "check_fast_rate_conditions",
     "check_strong_conv_conditions",
     "check_alpha3_conditions",
@@ -236,9 +237,7 @@ class ConditionQuery:
 
 
 def _as_query(cfg: Union[SystemConfig, ConditionQuery]) -> ConditionQuery:
-    if isinstance(cfg, ConditionQuery):
-        return cfg
-    return cfg.query()
+    return cfg if isinstance(cfg, ConditionQuery) else cfg.query()
 
 
 @dataclass
@@ -287,190 +286,356 @@ class ConditionReport:
         return "\n".join(lines)
 
 
-def condition_grid(t0: float, span: float = 100.0, npts: int = 512) -> np.ndarray:
+def _condition_grid(t0: float, span: float = 100.0, npts: int = 512) -> np.ndarray:
     """Geometric grid on [t0, span * t0] used for pointwise condition checks."""
     return np.geomspace(t0, span * t0, npts)
 
 
-def _far_grid(t0: float) -> np.ndarray:
-    return np.geomspace(100.0 * t0, 1e6 * t0, 64)
+class _Context:
+    """One query and what its conditions share, evaluated once per report.
+
+    ``ts`` is the near grid on [t0, 100 t0], then the far grid up to 1e6 t0.
+    Rules fill ``feasible_a`` (eps_decay_speed) and ``warnings``.
+    """
+
+    def __init__(self, q: ConditionQuery):
+        self.q = q
+        self.s = s = q.schedule
+        self.poly = s.poly
+        self.b0 = float(s.b(q.t0))
+        self.near = _condition_grid(q.t0)
+        self.ts = np.concatenate([self.near, np.geomspace(100.0 * q.t0, 1e6 * q.t0, 64)])
+        if s.poly is not None:
+            self.eps_zero = s.poly.eps_coeff == 0.0
+        else:
+            eps = np.asarray(s.eps(_condition_grid(q.t0, npts=64)))
+            self.eps_zero = bool(np.max(np.abs(eps)) == 0.0)
+        self.feasible_a = None
+        self.warnings = []
 
 
-def _dominant_monomial(monomials):
-    """Aggregate [(coef, exponent)] and return the dominant (coef, exponent)."""
-    agg = {}
-    for c, e in monomials:
-        agg[e] = agg.get(e, 0.0) + c
-    scale = max([abs(c) for c in agg.values()] + [1.0])
-    items = [(e, c) for e, c in agg.items() if abs(c) > 1e-13 * scale]
-    if not items:
-        return None
-    e, c = max(items)
-    return c, e
-
-
-def _tail_state(monomials, sense: str):
-    """Whether the monomial sum eventually satisfies the inequality sense."""
-    dom = _dominant_monomial(monomials)
-    if dom is None:
-        return True, "expression vanishes asymptotically"
-    c, e = dom
-    ok = c > 0 if sense == "ge" else c < 0
-    return ok, f"dominant term {c:.6g} * t^{e:.6g}"
-
-
-def _pointwise_verdict(cond: str, query: ConditionQuery, values_fn, sense: str,
+def _pointwise_verdict(c: _Context, cond: str, vals, sense: str,
                        monomials=None, detail: str = "") -> Verdict:
-    """Check values_fn(t) >= 0 (sense 'ge') or <= 0 ('le') for all t >= t0."""
-    ts = np.concatenate([condition_grid(query.t0), _far_grid(query.t0)])
-    vals = np.asarray(values_fn(ts), dtype=float)
+    """Check vals >= 0 (sense 'ge') or <= 0 ('le'), where vals holds the
+    condition's values on c.ts.  Given [(coef, exponent)] monomials of the
+    condition, the sign of the dominant one decides the tail."""
+    vals = np.asarray(vals, dtype=float)
     signed = vals if sense == "ge" else -vals
     k = int(np.argmin(signed))
     margin = float(signed[k])
     tol = _DUST * max(1.0, float(np.max(np.abs(vals))))
     ok = margin >= -tol
     notes = [detail] if detail else []
-    if monomials is not None:
-        tail_ok, tail_note = _tail_state(monomials, sense)
-        notes.append("tail: " + tail_note)
-        ok = ok and tail_ok
-    else:
+    if monomials is None:
         notes.append("tail checked numerically up to 1e6 * t0")
-    return Verdict(cond, bool(ok), margin, float(ts[k]), "; ".join(notes))
+    else:
+        agg = {}
+        for coef, e in monomials:
+            agg[e] = agg.get(e, 0.0) + coef
+        scale = max([abs(a) for a in agg.values()] + [1.0])
+        items = [(e, a) for e, a in agg.items() if abs(a) > 1e-13 * scale]
+        if items:
+            e, a = max(items)
+            ok = ok and (a > 0 if sense == "ge" else a < 0)
+            notes.append(f"tail: dominant term {a:.6g} * t^{e:.6g}")
+        else:
+            notes.append("tail: expression vanishes asymptotically")
+    return Verdict(cond, bool(ok), margin, float(c.ts[k]), "; ".join(notes))
 
 
-def _eps_is_zero(query: ConditionQuery) -> bool:
-    s = query.schedule
-    if s.poly is not None:
-        return s.poly.eps_coeff == 0.0
-    ts = condition_grid(query.t0, npts=64)
-    return bool(np.max(np.abs(np.asarray(s.eps(ts)))) == 0.0)
+def _alpha_above_3(c: _Context) -> Verdict:
+    a = c.q.alpha
+    return Verdict("alpha_above_3", a > 3.0, a - 3.0, None, f"alpha = {a:.6g}")
 
 
-def _feasible_a(query: ConditionQuery):
+def _alpha_is_3(c: _Context) -> Verdict:
+    a = c.q.alpha
+    return Verdict("alpha_is_3", abs(a - 3.0) <= 1e-12, -abs(a - 3.0), None, f"alpha = {a:.6g}")
+
+
+def _cap_terms(c: _Context, third: bool):
+    """Values on c.ts and monomials of the growth cap c1 t b - t^2 b_dot + c0:
+    (alpha - 3) t b - t^2 b_dot + beta (2 - alpha), or with third set its
+    alpha/3 form (alpha/3 - 1) t b - t^2 b_dot + alpha beta / 3."""
+    a, beta, ts, s, p = c.q.alpha, c.q.beta, c.ts, c.s, c.poly
+    c1, c0 = (a / 3.0 - 1.0, a * beta / 3.0) if third else (a - 3.0, beta * (2.0 - a))
+    vals = c1 * ts * np.asarray(s.b(ts)) - ts ** 2 * np.asarray(s.b_dot(ts)) + c0
+    monos = None if p is None else [(p.b_coeff * (c1 - p.n), p.n + 1.0), (c0, 0.0)]
+    return vals, monos
+
+
+def _cap(third: bool):
+    """The growth cap >= 0 for all t >= t0."""
+    def rule(c: _Context) -> Verdict:
+        vals, monos = _cap_terms(c, third)
+        return _pointwise_verdict(c, "b_growth_cap_third" if third else "b_growth_cap",
+                                  vals, "ge", monos)
+    return rule
+
+
+def _b_growth_margin(c: _Context) -> Verdict:
+    """Strict cap: the plain cap is >= delta t b(t) for some delta in (0, alpha - 3)."""
+    alpha, p, ts = c.q.alpha, c.poly, c.ts
+    tb = ts * np.asarray(c.s.b(ts))
+    rel = _cap_terms(c, third=False)[0] / np.where(tb > 0, tb, np.inf)
+    k = int(np.argmin(rel))
+    delta_sup = float(rel[k])
+    if p is not None and p.n > 0:
+        # relative margin tends to alpha - 3 - n; the grid minimum rules the infimum
+        delta_sup = min(delta_sup, alpha - 3.0 - p.n)
+    strict_ok = delta_sup > _DUST and alpha > 3.0
+    delta_pick = min(delta_sup, alpha - 3.0) * (1.0 - 1e-9) if strict_ok else 0.0
+    return Verdict("b_growth_margin", bool(strict_ok), delta_sup, float(ts[k]),
+                   f"largest usable margin delta = {delta_pick:.6g}")
+
+
+def _feasible_a(c: _Context):
     """Interval of a >= 1 with 2 * eps_dot <= -a * beta * eps^2 and b(t0) > 1/a.
 
     Returns (interval_or_None, detail, margin).  The upper endpoint is inf
     when beta = 0 or eps is identically zero.
     """
-    s = query.schedule
-    b0 = float(s.b(query.t0))
+    q, s = c.q, c.s
     a_lo = 1.0
-    if b0 <= 1.0:
-        a_lo = (1.0 / b0) * (1.0 + 1e-12)  # keep b(t0) > 1/a strict
-    if query.beta == 0.0 or _eps_is_zero(query):
-        ts = condition_grid(query.t0)
-        if np.max(np.asarray(s.eps_dot(ts))) > _DUST:
+    if c.b0 <= 1.0:
+        a_lo = (1.0 / c.b0) * (1.0 + 1e-12)  # keep b(t0) > 1/a strict
+    if q.beta == 0.0 or c.eps_zero:
+        if np.max(np.asarray(s.eps_dot(c.near))) > _DUST:
             return None, "eps must be nonincreasing", -1.0
         return (a_lo, math.inf), "any a works: the quadratic decay bound is inactive", math.inf
     if s.poly is not None:
         E, d = s.poly.eps_coeff, s.poly.d
         if d < 1.0:
             return None, "eps decays too slowly: admissible a shrinks to zero", -1.0
-        denom = query.beta * E
+        denom = q.beta * E
         if denom == 0.0:  # underflow of a denormal product
             return (a_lo, math.inf), "quadratic decay bound is numerically inactive", math.inf
-        a_hi = (2.0 * d / denom) * query.t0 ** (d - 1.0)
+        a_hi = (2.0 * d / denom) * q.t0 ** (d - 1.0)
     else:
-        ts = np.concatenate([condition_grid(query.t0), _far_grid(query.t0)])
-        ee = np.asarray(s.eps(ts))
-        ed = np.asarray(s.eps_dot(ts))
+        ee = np.asarray(s.eps(c.ts))
+        ed = np.asarray(s.eps_dot(c.ts))
         mask = ee > 0.0
         if not np.any(mask):
             return (a_lo, math.inf), "eps vanishes on the grid", math.inf
-        a_hi = float(np.min(-2.0 * ed[mask] / (query.beta * ee[mask] ** 2)))
+        a_hi = float(np.min(-2.0 * ed[mask] / (q.beta * ee[mask] ** 2)))
     if a_hi < a_lo:
         return None, f"empty interval: upper bound {a_hi:.6g} below lower bound {a_lo:.6g}", a_hi - a_lo
     return (a_lo, a_hi), f"a in [{a_lo:.6g}, {a_hi:.6g}]", a_hi - a_lo
 
 
-def _lambda_bounded_verdict(query: ConditionQuery) -> Verdict:
-    s = query.schedule
-    if s.poly is not None:
-        form = s.poly.lam
+def _eps_decay_speed(c: _Context) -> Verdict:
+    interval, detail, margin = _feasible_a(c)
+    c.feasible_a = interval
+    return Verdict("eps_decay_speed", interval is not None, margin, None, detail)
+
+
+def _b0_at_least(name: str, offset: float, label: str):
+    """Floor b(t0) >= offset + beta / t0; label names the right-hand side."""
+    def rule(c: _Context) -> Verdict:
+        need = offset + c.q.beta / c.q.t0
+        return Verdict(name, c.b0 >= need - _DUST, c.b0 - need, c.q.t0,
+                       f"b(t0) = {c.b0:.6g}, {label} = {need:.6g}")
+    return rule
+
+
+def _lambda_bounded(c: _Context) -> Verdict:
+    if c.poly is not None:
+        form = c.poly.lam
         ok = form.bounded()
-        detail = f"lambda family {form.kind!r}"
-        return Verdict("lambda_bounded", ok, 1.0 if ok else -1.0, None, detail)
-    lam_mid = float(s.lam(100.0 * query.t0))
-    lam_far = float(s.lam(1e6 * query.t0))
+        return Verdict("lambda_bounded", ok, 1.0 if ok else -1.0, None,
+                       f"lambda family {form.kind!r}")
+    lam_mid = float(c.s.lam(100.0 * c.q.t0))
+    lam_far = float(c.s.lam(1e6 * c.q.t0))
     ratio = lam_far / max(lam_mid, 1e-300)
     ok = ratio <= 1.05
     return Verdict("lambda_bounded", bool(ok), 1.05 - ratio, None,
                    f"numeric growth proxy lambda(1e6 t0)/lambda(100 t0) = {ratio:.4g}")
 
 
-def _integral_tail_verdict(cond: str, query: ConditionQuery, integrand_fn,
-                           poly_pass, poly_margin, poly_detail) -> Verdict:
-    """Integrability of integrand over [t0, inf).
-
-    Polynomial families are decided exactly; custom schedules fall back to a
-    doubling-window decay test of the running integral.
-    """
-    s = query.schedule
-    if _eps_is_zero(query):
-        return Verdict(cond, True, math.inf, None, "eps is identically zero")
-    if s.poly is not None:
-        return Verdict(cond, bool(poly_pass), poly_margin, None, poly_detail)
-    increments = []
-    lo = 10.0 * query.t0
-    for _ in range(7):
-        ts = np.geomspace(lo, 2.0 * lo, 128)
-        increments.append(float(np.trapezoid(integrand_fn(ts), ts)))
-        lo *= 2.0
-    decaying = all(b <= a * (1.0 + _DUST) for a, b in zip(increments, increments[1:]))
-    shrunk = increments[-1] < 0.2 * max(increments[0], 1e-300)
-    ok = decaying and shrunk
-    return Verdict(cond, bool(ok), increments[0] - increments[-1], None,
-                   "numeric doubling-window integrability test")
+def _b_constant(c: _Context) -> Verdict:
+    p = c.poly
+    if p is not None:
+        return Verdict("b_constant", p.n == 0.0, -p.n, None, f"n = {p.n:.6g}")
+    bd = float(np.max(np.abs(np.asarray(c.s.b_dot(c.near)))))
+    return Verdict("b_constant", bd <= _DUST, -bd, None, "numeric: max |b_dot| on the grid")
 
 
-def _eps_tail_ratio_verdict(query: ConditionQuery, power: float, warnings: list) -> Verdict:
-    """Vanishing of  beta / (t^power eps(t)) * integral of s^power eps(s)^2  as t grows."""
-    cond = "eps_tail_ratio"
-    s = query.schedule
-    if query.beta == 0.0:
-        return Verdict(cond, True, math.inf, None, "beta = 0 makes the ratio vanish")
-    if _eps_is_zero(query):
-        return Verdict(cond, True, math.inf, None, "eps is identically zero")
-    if s.poly is not None:
-        d = s.poly.d
-        if d < 1.0:
-            return Verdict(cond, False, d - 1.0, None,
-                           "polynomial rule: requires d >= 1")
-        if abs(d - 1.0) <= 1e-12:
-            warnings.append(
-                "d = 1 with beta > 0: the weighted tail average converges to a positive "
-                "constant, so the vanishing-ratio certificate needs beta = 0; treating "
-                "this as a flagged pass"
-            )
-        return Verdict(cond, True, d - 1.0, None, "polynomial rule: d >= 1")
-    # numeric fallback: cumulative ratio at doubling horizons
-    t_hi = 1e4 * query.t0
-    ts = np.geomspace(query.t0, t_hi, 4096)
-    integrand = ts ** power * np.asarray(s.eps(ts)) ** 2
-    cums = np.concatenate([[0.0], np.cumsum(np.diff(ts) * 0.5 * (integrand[1:] + integrand[:-1]))])
-    ratios = []
-    for T in query.t0 * np.array([100.0, 400.0, 1600.0, 6400.0]):
-        k = int(np.searchsorted(ts, T))
-        k = min(k, ts.size - 1)
-        denom = ts[k] ** power * float(s.eps(ts[k]))
-        ratios.append(query.beta * cums[k] / max(denom, 1e-300))
-    ok = all(b <= a * (1.0 + 1e-6) for a, b in zip(ratios, ratios[1:])) and ratios[-1] < 1e-3
-    return Verdict(cond, bool(ok), 1e-3 - ratios[-1], None,
-                   f"numeric ratio sequence {', '.join(f'{r:.3g}' for r in ratios)}")
+def _integrable(name: str, integrand, slack, rule: str):
+    """Integrability of integrand(schedule, t) over [t0, inf): exact for
+    polynomial families, which pass when slack(poly) > 0 (the stated rule),
+    else a doubling-window decay test of the running integral."""
+    def check(c: _Context) -> Verdict:
+        if c.eps_zero:
+            return Verdict(name, True, math.inf, None, "eps is identically zero")
+        if c.poly is not None:
+            margin = slack(c.poly)
+            return Verdict(name, bool(margin > 0.0), margin, None,
+                           f"polynomial rule: requires {rule}")
+        increments = []
+        lo = 10.0 * c.q.t0
+        for _ in range(7):
+            ts = np.geomspace(lo, 2.0 * lo, 128)
+            increments.append(float(np.trapezoid(integrand(c.s, ts), ts)))
+            lo *= 2.0
+        decaying = all(b <= a * (1.0 + _DUST) for a, b in zip(increments, increments[1:]))
+        shrunk = increments[-1] < 0.2 * max(increments[0], 1e-300)
+        return Verdict(name, bool(decaying and shrunk), increments[0] - increments[-1], None,
+                       "numeric doubling-window integrability test")
+    return check
 
 
-def _b_growth_monomials(query: ConditionQuery, third: bool):
-    p = query.schedule.poly
-    if p is None:
-        return None
-    a, beta = query.alpha, query.beta
-    if third:
-        return [(p.b_coeff * (a / 3.0 - 1.0 - p.n), p.n + 1.0), (a * beta / 3.0, 0.0)]
-    return [(p.b_coeff * (a - 3.0 - p.n), p.n + 1.0), (beta * (2.0 - a), 0.0)]
+def _strong_floor(alpha: float, beta: float) -> float:
+    """The floor on 9 t^2 eps(t) in the strong-convergence regime."""
+    return 2.0 * alpha * (alpha - 3.0) + 6.0 * alpha * beta
 
 
-def check_fast_rate_conditions(cfg, grid=None) -> ConditionReport:
+def _t2_eps_floor(c: _Context) -> Verdict:
+    floor = _strong_floor(c.q.alpha, c.q.beta)
+    p = c.poly
+    vals = 9.0 * c.ts ** 2 * np.asarray(c.s.eps(c.ts)) - floor
+    monos = None if p is None else [(9.0 * p.eps_coeff, 2.0 - p.d), (-floor, 0.0)]
+    return _pointwise_verdict(c, "t2_eps_floor", vals, "ge", monos,
+                              detail=f"needs 9 t^2 eps(t) >= {floor:.6g}")
+
+
+def _t2_eps_diverges(c: _Context) -> Verdict:
+    cond, p, s, t0 = "t2_eps_diverges", c.poly, c.s, c.q.t0
+    if p is not None:
+        if p.eps_coeff == 0.0:
+            return Verdict(cond, False, -1.0, None, "eps is identically zero")
+        return Verdict(cond, p.d < 2.0, 2.0 - p.d, None, "polynomial rule: requires d < 2")
+    lo = float(t0 ** 2 * s.eps(t0))
+    hi = float((1e4 * t0) ** 2 * s.eps(1e4 * t0))
+    ok = hi > 1.2 * max(lo, 1e-300)
+    return Verdict(cond, bool(ok), hi - lo, None, "numeric growth of t^2 eps(t)")
+
+
+def _damping_balance(k: float, const):
+    """2k beta t + k beta lam_dot - k t b (lam_dot + 2 beta) + const(alpha, beta) <= 0."""
+    def rule(c: _Context) -> Verdict:
+        beta, ts, s, p = c.q.beta, c.ts, c.s, c.poly
+        cst = const(c.q.alpha, beta)
+        ld = np.asarray(s.lam_dot(ts))
+        vals = 2.0 * k * beta * ts + k * beta * ld \
+            - k * ts * np.asarray(s.b(ts)) * (ld + 2.0 * beta) + cst
+        monos = None
+        if p is not None:
+            monos = [(2.0 * k * beta, 1.0), (-2.0 * k * beta * p.b_coeff, p.n + 1.0), (cst, 0.0)]
+            for coef, e in p.lam.dot_monomials():
+                monos += [(k * beta * coef, e), (-k * p.b_coeff * coef, p.n + e)]
+        return _pointwise_verdict(c, "damping_balance", vals, "le", monos)
+    return rule
+
+
+def _eps_tail_ratio(power):
+    """Vanishing of  beta / (t^w eps(t)) * integral of s^w eps(s)^2  as t grows,
+    with weight w = power(alpha)."""
+    def rule(c: _Context) -> Verdict:
+        cond, q, s = "eps_tail_ratio", c.q, c.s
+        if q.beta == 0.0:
+            return Verdict(cond, True, math.inf, None, "beta = 0 makes the ratio vanish")
+        if c.eps_zero:
+            return Verdict(cond, True, math.inf, None, "eps is identically zero")
+        if s.poly is not None:
+            d = s.poly.d
+            if d < 1.0:
+                return Verdict(cond, False, d - 1.0, None, "polynomial rule: requires d >= 1")
+            if abs(d - 1.0) <= 1e-12:
+                c.warnings.append(
+                    "d = 1 with beta > 0: the weighted tail average converges to a positive "
+                    "constant, so the vanishing-ratio certificate needs beta = 0; treating "
+                    "this as a flagged pass"
+                )
+            return Verdict(cond, True, d - 1.0, None, "polynomial rule: d >= 1")
+        # numeric fallback: cumulative ratio at doubling horizons
+        w = power(q.alpha)
+        ts = np.geomspace(q.t0, 1e4 * q.t0, 4096)
+        integrand = ts ** w * np.asarray(s.eps(ts)) ** 2
+        steps = np.diff(ts) * 0.5 * (integrand[1:] + integrand[:-1])
+        cums = np.concatenate([[0.0], np.cumsum(steps)])
+        ratios = []
+        for T in q.t0 * np.array([100.0, 400.0, 1600.0, 6400.0]):
+            k = min(int(np.searchsorted(ts, T)), ts.size - 1)
+            denom = ts[k] ** w * float(s.eps(ts[k]))
+            ratios.append(q.beta * cums[k] / max(denom, 1e-300))
+        ok = all(b <= a * (1.0 + 1e-6) for a, b in zip(ratios, ratios[1:])) and ratios[-1] < 1e-3
+        return Verdict(cond, bool(ok), 1e-3 - ratios[-1], None,
+                       f"numeric ratio sequence {', '.join(f'{r:.3g}' for r in ratios)}")
+    return rule
+
+
+def _exponent_box(slacks, strict_hi: bool):
+    """Polynomial exponent box: the family's slacks(poly, alpha), then d >= 1,
+    d >= beta eps_coeff / 2 and d <= 2 (strictly when strict_hi).  The
+    smallest slack binds."""
+    def rule(c: _Context):
+        p = c.poly
+        if p is None:
+            return None
+        box = slacks(p, c.q.alpha)
+        box["d >= 1"] = p.d - 1.0
+        box["d >= beta*eps_coeff/2"] = p.d - c.q.beta * p.eps_coeff / 2.0
+        box["d < 2" if strict_hi else "d <= 2"] = 2.0 - p.d
+        worst = min(box, key=box.get)
+        ok = box[worst] >= -_DUST
+        if strict_hi:
+            ok = ok and p.d < 2.0
+        return Verdict("poly_exponent_box", ok, box[worst], None, f"binding: {worst}")
+    return rule
+
+
+# Each regime's conditions, in report order.
+_FAMILIES = {
+    "fast": (
+        _alpha_above_3,
+        _cap(third=False),
+        _b_growth_margin,
+        _eps_decay_speed,
+        _b0_at_least("b0_vs_beta", 0.0, "beta/t0"),
+        _integrable("t_eps_integrable", lambda s, ts: ts * np.asarray(s.eps(ts)),
+                    lambda p: p.d - 2.0, "d > 2"),
+    ),
+    "strong": (
+        _alpha_above_3,
+        _lambda_bounded,
+        _b0_at_least("b0_half_plus_beta", 0.5, "1/2 + beta/t0"),
+        _cap(third=False),
+        _cap(third=True),
+        _eps_decay_speed,
+        _integrable("eps_over_tb_integrable",
+                    lambda s, ts: np.asarray(s.eps(ts)) / (ts * np.asarray(s.b(ts))),
+                    lambda p: p.n + p.d, "n + d > 0"),
+        _t2_eps_floor,
+        _damping_balance(9.0, lambda alpha, beta:
+                         3.0 * (alpha + 3.0) * beta ** 2 + alpha ** 2 * beta),
+        _eps_tail_ratio(lambda a: a / 3.0 + 1.0),
+        _exponent_box(lambda p, a: {"n >= 0": p.n, "n <= (alpha-3)/3": (a - 3.0) / 3.0 - p.n},
+                      strict_hi=False),
+    ),
+    "alpha3": (
+        _alpha_is_3,
+        _b_constant,
+        _b0_at_least("b0_half_plus_beta", 0.5, "1/2 + beta/t0"),
+        _lambda_bounded,
+        _eps_decay_speed,
+        _integrable("eps_over_t_integrable", lambda s, ts: np.asarray(s.eps(ts)) / ts,
+                    lambda p: p.d, "d > 0"),
+        _t2_eps_diverges,
+        _damping_balance(1.0, lambda alpha, beta: 2.0 * beta ** 2 + beta),
+        _eps_tail_ratio(lambda a: 2.0),
+        _exponent_box(lambda p, a: {"b_coeff >= 1": p.b_coeff - 1.0}, strict_hi=True),
+    ),
+}
+
+
+def _check(setting: str, cfg) -> ConditionReport:
+    """Evaluate one regime of the condition table."""
+    c = _Context(_as_query(cfg))
+    verdicts = [v for v in (rule(c) for rule in _FAMILIES[setting]) if v is not None]
+    return ConditionReport(setting, verdicts, feasible_a=c.feasible_a, warnings=c.warnings)
+
+
+def check_fast_rate_conditions(cfg) -> ConditionReport:
     """Certify the hypotheses for the fast value-gap and velocity rates.
 
     Requires alpha > 3, a cap on the growth of the time scale relative to
@@ -478,224 +643,17 @@ def check_fast_rate_conditions(cfg, grid=None) -> ConditionReport:
     least quadratic against beta, integrability of t * eps(t), and a floor
     on b(t0).
     """
-    q = _as_query(cfg)
-    s = q.schedule
-    alpha, beta, t0 = q.alpha, q.beta, q.t0
-    warnings: list = []
-    verdicts = []
-
-    verdicts.append(Verdict("alpha_above_3", alpha > 3.0, alpha - 3.0, None,
-                            f"alpha = {alpha:.6g}"))
-
-    def cap_vals(ts):
-        ts = np.asarray(ts, dtype=float)
-        return (alpha - 3.0) * ts * np.asarray(s.b(ts)) - ts ** 2 * np.asarray(s.b_dot(ts)) \
-            + beta * (2.0 - alpha)
-
-    verdicts.append(_pointwise_verdict(
-        "b_growth_cap", q, cap_vals, "ge", _b_growth_monomials(q, third=False)))
-
-    # strict margin variant: cap_vals >= delta * t * b(t) for some delta in (0, alpha - 3)
-    ts_all = np.concatenate([condition_grid(t0), _far_grid(t0)])
-    tb = ts_all * np.asarray(s.b(ts_all))
-    rel = cap_vals(ts_all) / np.where(tb > 0, tb, np.inf)
-    k = int(np.argmin(rel))
-    delta_sup = float(rel[k])
-    if s.poly is not None:
-        # relative margin tends to alpha - 3 - n; the grid minimum rules the infimum
-        delta_sup = min(delta_sup, alpha - 3.0 - s.poly.n) if s.poly.n > 0 else delta_sup
-    strict_ok = delta_sup > _DUST and alpha > 3.0
-    delta_pick = min(delta_sup, alpha - 3.0) * (1.0 - 1e-9) if strict_ok else 0.0
-    verdicts.append(Verdict("b_growth_margin", bool(strict_ok), delta_sup, float(ts_all[k]),
-                            f"largest usable margin delta = {delta_pick:.6g}"))
-
-    interval, detail, margin = _feasible_a(q)
-    verdicts.append(Verdict("eps_decay_speed", interval is not None, margin, None, detail))
-
-    b0 = float(s.b(t0))
-    verdicts.append(Verdict("b0_vs_beta", b0 >= beta / t0 - _DUST, b0 - beta / t0, t0,
-                            f"b(t0) = {b0:.6g}, beta/t0 = {beta / t0:.6g}"))
-
-    p = s.poly
-    verdicts.append(_integral_tail_verdict(
-        "t_eps_integrable", q, lambda ts: ts * np.asarray(s.eps(ts)),
-        poly_pass=(p is None or p.eps_coeff == 0.0 or p.d > 2.0),
-        poly_margin=(math.inf if (p is None or p.eps_coeff == 0.0) else p.d - 2.0),
-        poly_detail="polynomial rule: requires d > 2"))
-
-    return ConditionReport("fast", verdicts, feasible_a=interval, warnings=warnings)
+    return _check("fast", cfg)
 
 
-def check_strong_conv_conditions(cfg, grid=None) -> ConditionReport:
+def check_strong_conv_conditions(cfg) -> ConditionReport:
     """Certify the hypotheses for strong convergence to the least-norm minimizer."""
-    q = _as_query(cfg)
-    s = q.schedule
-    alpha, beta, t0 = q.alpha, q.beta, q.t0
-    warnings: list = []
-    verdicts = []
-
-    verdicts.append(Verdict("alpha_above_3", alpha > 3.0, alpha - 3.0, None,
-                            f"alpha = {alpha:.6g}"))
-    verdicts.append(_lambda_bounded_verdict(q))
-
-    b0 = float(s.b(t0))
-    need = 0.5 + beta / t0
-    verdicts.append(Verdict("b0_half_plus_beta", b0 >= need - _DUST, b0 - need, t0,
-                            f"b(t0) = {b0:.6g}, 1/2 + beta/t0 = {need:.6g}"))
-
-    def cap_vals(ts):
-        ts = np.asarray(ts, dtype=float)
-        return (alpha - 3.0) * ts * np.asarray(s.b(ts)) - ts ** 2 * np.asarray(s.b_dot(ts)) \
-            + beta * (2.0 - alpha)
-
-    verdicts.append(_pointwise_verdict(
-        "b_growth_cap", q, cap_vals, "ge", _b_growth_monomials(q, third=False)))
-
-    def cap3_vals(ts):
-        ts = np.asarray(ts, dtype=float)
-        return (alpha / 3.0 - 1.0) * ts * np.asarray(s.b(ts)) - ts ** 2 * np.asarray(s.b_dot(ts)) \
-            + alpha * beta / 3.0
-
-    verdicts.append(_pointwise_verdict(
-        "b_growth_cap_third", q, cap3_vals, "ge", _b_growth_monomials(q, third=True)))
-
-    interval, detail, margin = _feasible_a(q)
-    verdicts.append(Verdict("eps_decay_speed", interval is not None, margin, None, detail))
-
-    p = s.poly
-    verdicts.append(_integral_tail_verdict(
-        "eps_over_tb_integrable", q,
-        lambda ts: np.asarray(s.eps(ts)) / (ts * np.asarray(s.b(ts))),
-        poly_pass=(p is None or p.eps_coeff == 0.0 or p.n + p.d > 0.0),
-        poly_margin=(math.inf if (p is None or p.eps_coeff == 0.0) else p.n + p.d),
-        poly_detail="polynomial rule: requires n + d > 0"))
-
-    floor = 2.0 * alpha * (alpha - 3.0) + 6.0 * alpha * beta
-
-    def floor_vals(ts):
-        ts = np.asarray(ts, dtype=float)
-        return 9.0 * ts ** 2 * np.asarray(s.eps(ts)) - floor
-
-    floor_monos = None
-    if p is not None:
-        floor_monos = [(9.0 * p.eps_coeff, 2.0 - p.d), (-floor, 0.0)]
-    verdicts.append(_pointwise_verdict(
-        "t2_eps_floor", q, floor_vals, "ge", floor_monos,
-        detail=f"needs 9 t^2 eps(t) >= {floor:.6g}"))
-
-    const = 3.0 * (alpha + 3.0) * beta ** 2 + alpha ** 2 * beta
-
-    def balance_vals(ts):
-        ts = np.asarray(ts, dtype=float)
-        ld = np.asarray(s.lam_dot(ts))
-        return 18.0 * beta * ts + 9.0 * beta * ld \
-            - 9.0 * ts * np.asarray(s.b(ts)) * (ld + 2.0 * beta) + const
-
-    balance_monos = None
-    if p is not None:
-        balance_monos = [(18.0 * beta, 1.0), (-18.0 * beta * p.b_coeff, p.n + 1.0), (const, 0.0)]
-        for c, e in p.lam.dot_monomials():
-            balance_monos.append((9.0 * beta * c, e))
-            balance_monos.append((-9.0 * p.b_coeff * c, p.n + e))
-    verdicts.append(_pointwise_verdict("damping_balance", q, balance_vals, "le", balance_monos))
-
-    verdicts.append(_eps_tail_ratio_verdict(q, alpha / 3.0 + 1.0, warnings))
-
-    if p is not None:
-        slacks = {
-            "n >= 0": p.n,
-            "n <= (alpha-3)/3": (alpha - 3.0) / 3.0 - p.n,
-            "d >= 1": p.d - 1.0,
-            "d >= beta*eps_coeff/2": p.d - beta * p.eps_coeff / 2.0,
-            "d <= 2": 2.0 - p.d,
-        }
-        worst = min(slacks, key=slacks.get)
-        verdicts.append(Verdict("poly_exponent_box", slacks[worst] >= -_DUST,
-                                slacks[worst], None, f"binding: {worst}"))
-
-    return ConditionReport("strong", verdicts, feasible_a=interval, warnings=warnings)
+    return _check("strong", cfg)
 
 
-def check_alpha3_conditions(cfg, grid=None) -> ConditionReport:
+def check_alpha3_conditions(cfg) -> ConditionReport:
     """Certify the critical-damping regime alpha = 3 with constant time scale."""
-    q = _as_query(cfg)
-    s = q.schedule
-    alpha, beta, t0 = q.alpha, q.beta, q.t0
-    warnings: list = []
-    verdicts = []
-
-    verdicts.append(Verdict("alpha_is_3", abs(alpha - 3.0) <= 1e-12, -abs(alpha - 3.0),
-                            None, f"alpha = {alpha:.6g}"))
-
-    p = s.poly
-    if p is not None:
-        ok = p.n == 0.0
-        verdicts.append(Verdict("b_constant", ok, -p.n, None, f"n = {p.n:.6g}"))
-    else:
-        ts = condition_grid(t0)
-        bd = float(np.max(np.abs(np.asarray(s.b_dot(ts)))))
-        verdicts.append(Verdict("b_constant", bd <= _DUST, -bd, None,
-                                "numeric: max |b_dot| on the grid"))
-
-    b0 = float(s.b(t0))
-    need = 0.5 + beta / t0
-    verdicts.append(Verdict("b0_half_plus_beta", b0 >= need - _DUST, b0 - need, t0,
-                            f"b(t0) = {b0:.6g}, 1/2 + beta/t0 = {need:.6g}"))
-    verdicts.append(_lambda_bounded_verdict(q))
-
-    interval, detail, margin = _feasible_a(q)
-    verdicts.append(Verdict("eps_decay_speed", interval is not None, margin, None, detail))
-
-    verdicts.append(_integral_tail_verdict(
-        "eps_over_t_integrable", q, lambda ts: np.asarray(s.eps(ts)) / ts,
-        poly_pass=(p is None or p.eps_coeff == 0.0 or p.d > 0.0),
-        poly_margin=(math.inf if (p is None or p.eps_coeff == 0.0) else p.d),
-        poly_detail="polynomial rule: requires d > 0"))
-
-    if p is not None:
-        if p.eps_coeff == 0.0:
-            verdicts.append(Verdict("t2_eps_diverges", False, -1.0, None,
-                                    "eps is identically zero"))
-        else:
-            verdicts.append(Verdict("t2_eps_diverges", p.d < 2.0, 2.0 - p.d, None,
-                                    "polynomial rule: requires d < 2"))
-    else:
-        lo = float(t0 ** 2 * s.eps(t0))
-        hi = float((1e4 * t0) ** 2 * s.eps(1e4 * t0))
-        ok = hi > 1.2 * max(lo, 1e-300)
-        verdicts.append(Verdict("t2_eps_diverges", bool(ok), hi - lo, None,
-                                "numeric growth of t^2 eps(t)"))
-
-    const = 2.0 * beta ** 2 + beta
-
-    def balance_vals(ts):
-        ts = np.asarray(ts, dtype=float)
-        ld = np.asarray(s.lam_dot(ts))
-        return 2.0 * beta * ts + beta * ld - ts * np.asarray(s.b(ts)) * (ld + 2.0 * beta) + const
-
-    balance_monos = None
-    if p is not None:
-        balance_monos = [(2.0 * beta, 1.0), (-2.0 * beta * p.b_coeff, p.n + 1.0), (const, 0.0)]
-        for c, e in p.lam.dot_monomials():
-            balance_monos.append((beta * c, e))
-            balance_monos.append((-p.b_coeff * c, p.n + e))
-    verdicts.append(_pointwise_verdict("damping_balance", q, balance_vals, "le", balance_monos))
-
-    verdicts.append(_eps_tail_ratio_verdict(q, 2.0, warnings))
-
-    if p is not None:
-        slacks = {
-            "b_coeff >= 1": p.b_coeff - 1.0,
-            "d >= 1": p.d - 1.0,
-            "d >= beta*eps_coeff/2": p.d - beta * p.eps_coeff / 2.0,
-            "d < 2": 2.0 - p.d,
-        }
-        worst = min(slacks, key=slacks.get)
-        ok = slacks[worst] >= -_DUST and p.d < 2.0  # the upper bound is strict
-        verdicts.append(Verdict("poly_exponent_box", ok,
-                                slacks[worst], None, f"binding: {worst}"))
-
-    return ConditionReport("alpha3", verdicts, feasible_a=interval, warnings=warnings)
+    return _check("alpha3", cfg)
 
 
 def energy_descent_start(cfg, q: float, a: float) -> float:
@@ -722,7 +680,7 @@ def energy_descent_start(cfg, q: float, a: float) -> float:
         # t^2 b(t) - coef * t >= 0  <=>  t >= (coef / b_coeff)^(1/(n+1))
         t_settle = max(t0, (coef / s.poly.b_coeff) ** (1.0 / (s.poly.n + 1.0)))
     else:
-        ts = condition_grid(t0, span=1e4, npts=2048)
+        ts = _condition_grid(t0, span=1e4, npts=2048)
         vals = ts ** 2 * np.asarray(s.b(ts)) - coef * ts
         bad = np.nonzero(vals < 0.0)[0]
         if bad.size and bad[-1] == ts.size - 1:
@@ -786,7 +744,7 @@ def suggest_t0_strong(params: PolyParams, alpha: float, beta: float) -> float:
     B, n, E, d = params.b_coeff, params.n, params.eps_coeff, params.d
     if E == 0.0:
         raise InfeasibleError("strong-convergence certificate needs eps > 0")
-    floor = 2.0 * alpha * (alpha - 3.0) + 6.0 * alpha * beta
+    floor = _strong_floor(alpha, beta)
     cands = [1.0]
     if params.lam.kind == "bounded":
         cands.append(1.05)
@@ -808,7 +766,7 @@ def suggest_t0_alpha3(params: PolyParams, beta: float) -> float:
     if beta > 0.0:
         if B <= 0.5:
             raise InfeasibleError("needs b > 1/2 + beta/t0, impossible for b <= 1/2")
-        cands.append(beta / (B - 0.5) if B > 0.5 else 1.0)
+        cands.append(beta / (B - 0.5))
         if B > 1.0:
             cands.append(max(beta / B, (2.0 * beta ** 2 + beta) / (2.0 * beta * (B - 1.0))))
     return _escalate(params, 3.0, beta, check_alpha3_conditions, max(cands))

@@ -155,6 +155,16 @@ def test_exit_code_divergence(tmp_path, capsys):
     assert "last good t" in capsys.readouterr().err
 
 
+def test_exit_code_step_size_collapse(tmp_path, capsys):
+    # a step cap below the controller's minimum step fails on the first step
+    cfg = write_config(tmp_path, FAST_CONFIG + "integrator.max_step = 1e-14\n")
+    code = cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "s")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "step size collapsed" in err
+    assert "internal error" not in err
+
+
 def test_exit_code_internal_error(tmp_path, monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise RuntimeError("synthetic failure")

@@ -154,7 +154,7 @@ def test_divergence_guard_reports_last_good_time():
 
 def test_step_budget_guard():
     cfg = make_cfg()
-    with pytest.raises(StepSizeError):
+    with pytest.raises(StepSizeError, match=r"at t = .*, h = "):
         integrate(cfg, IntegratorSettings(max_steps=10))
 
 

@@ -33,6 +33,18 @@ def fast_example_query(t0=1.4):
     return ConditionQuery(10.0, 1.0, t0, polynomial_schedule(p, t0))
 
 
+def strong_example_query():
+    p = PolyParams(b_coeff=1.0, n=0.7, eps_coeff=1.0, d=1.5, lam=LambdaForm("bounded", 1.0))
+    t0 = suggest_t0_strong(p, 6.0, 0.1)
+    return ConditionQuery(6.0, 0.1, t0, polynomial_schedule(p, t0))
+
+
+def alpha3_example_query():
+    p = PolyParams(b_coeff=1.5, n=0.0, eps_coeff=1.0, d=1.5)
+    t0 = suggest_t0_alpha3(p, 0.0)
+    return ConditionQuery(3.0, 0.0, t0, polynomial_schedule(p, t0))
+
+
 def as_custom(s: Schedule) -> Schedule:
     """Strip the polynomial tag so the checkers take the numeric-only path."""
     return Schedule(t0=s.t0, b=s.b, b_dot=s.b_dot, lam=s.lam, lam_dot=s.lam_dot,
@@ -98,6 +110,27 @@ def test_schedule_derivatives_match_finite_differences(b_coeff, n, eps_coeff, d,
         assert float(dfn(t)) == pytest.approx(fd, abs=1e-5 * scale)
 
 
+# ------------------------------------------------------------ custom schedules
+
+
+@pytest.mark.parametrize("checker, example", [
+    (check_fast_rate_conditions, fast_example_query),
+    (check_strong_conv_conditions, strong_example_query),
+    (check_alpha3_conditions, alpha3_example_query),
+], ids=["fast", "strong", "alpha3"])
+def test_custom_schedule_path_agrees(checker, example):
+    q = example()
+    poly = checker(q)
+    rep = checker(ConditionQuery(q.alpha, q.beta, q.t0, as_custom(q.schedule)))
+    assert rep.all_pass, rep.format()
+    # the box verdict is polynomial-only; every other condition is checked numerically
+    assert [v.condition for v in rep.verdicts] == \
+        [v.condition for v in poly.verdicts if v.condition != "poly_exponent_box"]
+    assert not any("polynomial rule" in v.detail for v in rep.verdicts)
+    assert rep.feasible_a[0] == pytest.approx(poly.feasible_a[0])
+    assert rep.feasible_a[1] == pytest.approx(poly.feasible_a[1], rel=1e-3)
+
+
 # ---------------------------------------------------------------- fast checker
 
 
@@ -113,15 +146,6 @@ def test_fast_checker_reference_configuration_passes():
     # 2 d / (beta eps_coeff) * t0^(d-1) at t0 = 1.4, d = 3
     assert hi == pytest.approx(11.76)
     assert "all conditions hold" in rep.format()
-
-
-def test_fast_checker_custom_schedule_path_agrees():
-    q = fast_example_query()
-    rep = check_fast_rate_conditions(
-        ConditionQuery(q.alpha, q.beta, q.t0, as_custom(q.schedule)))
-    assert rep.all_pass
-    lo, hi = rep.feasible_a
-    assert hi == pytest.approx(11.76, rel=1e-3)
 
 
 def test_fast_checker_flags_excessive_time_scale_growth():
@@ -251,9 +275,7 @@ def test_energy_descent_start_custom_schedule():
 
 
 def test_strong_checker_reference_configuration_passes():
-    p = PolyParams(b_coeff=1.0, n=0.7, eps_coeff=1.0, d=1.5, lam=LambdaForm("bounded", 1.0))
-    t0 = suggest_t0_strong(p, 6.0, 0.1)
-    rep = check_strong_conv_conditions(ConditionQuery(6.0, 0.1, t0, polynomial_schedule(p, t0)))
+    rep = check_strong_conv_conditions(strong_example_query())
     assert rep.all_pass, rep.format()
     assert rep.setting == "strong"
     assert not rep.warnings
@@ -262,16 +284,6 @@ def test_strong_checker_reference_configuration_passes():
                      "b_growth_cap", "b_growth_cap_third", "eps_decay_speed",
                      "eps_over_tb_integrable", "t2_eps_floor", "damping_balance",
                      "eps_tail_ratio", "poly_exponent_box"]
-
-
-def test_strong_checker_custom_schedule_path_agrees():
-    p = PolyParams(b_coeff=1.0, n=0.7, eps_coeff=1.0, d=1.5, lam=LambdaForm("bounded", 1.0))
-    t0 = suggest_t0_strong(p, 6.0, 0.1)
-    rep = check_strong_conv_conditions(
-        ConditionQuery(6.0, 0.1, t0, as_custom(polynomial_schedule(p, t0))))
-    # the box verdict is polynomial-only; everything numeric must still pass
-    assert rep.all_pass, rep.format()
-    assert "poly_exponent_box" not in [v.condition for v in rep.verdicts]
 
 
 def test_strong_checker_rejects_unbounded_smoothing():
@@ -323,9 +335,7 @@ def test_suggest_t0_strong_rejects_zero_eps():
 
 
 def test_alpha3_checker_reference_configuration_passes():
-    p = PolyParams(b_coeff=1.5, n=0.0, eps_coeff=1.0, d=1.5)
-    t0 = suggest_t0_alpha3(p, 0.0)
-    rep = check_alpha3_conditions(ConditionQuery(3.0, 0.0, t0, polynomial_schedule(p, t0)))
+    rep = check_alpha3_conditions(alpha3_example_query())
     assert rep.all_pass, rep.format()
     assert rep.setting == "alpha3"
 
