@@ -18,13 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import Observables, compute_observables, energy_q_series, unanchored_energy_series
-from .dynamics import Trajectory
+from .diagnostics import Observables
+# unused here; perfbench/tracing.py patches these module bindings by name
+from .diagnostics import compute_observables, energy_q_series, unanchored_energy_series  # noqa: F401
 from .errors import ValidationError
 
 __all__ = ["TrajectoryTable", "table_from_trajectory", "write_csv", "read_csv"]
 
-_SCALAR_COLUMNS = Observables.FIELDS + ("energy_q", "psi")
+_SCALAR_COLUMNS = Observables.FIELDS
 
 
 @dataclass
@@ -57,26 +58,11 @@ class TrajectoryTable:
             yield row
 
 
-def table_from_trajectory(traj: Trajectory, q: float | None = None) -> TrajectoryTable:
-    """Assemble the CSV columns for a finished run.
-
-    The energy_q column uses q = alpha - 1 unless another admissible q is
-    given; psi is the unanchored energy.
-    """
-    obs = compute_observables(traj)
-    defaulted = q is None
-    if defaulted:
-        q = traj.cfg.alpha - 1.0
-    scalars = {name: getattr(obs, name) for name in Observables.FIELDS}
-    if defaulted and not 2.0 <= q:
-        # alpha < 3 leaves no admissible q; the energy columns are undefined
-        nan = np.full(len(traj.ts), np.nan)
-        scalars["energy_q"] = nan
-        scalars["psi"] = nan.copy()
-    else:
-        scalars["energy_q"] = energy_q_series(traj, q)
-        scalars["psi"] = unanchored_energy_series(traj, q)
-    return TrajectoryTable(ts=traj.ts, xs=traj.xs, xdots=traj.xdots, scalars=scalars)
+def table_from_trajectory(obs: Observables) -> TrajectoryTable:
+    """Assemble the CSV columns of a finished run from its observables."""
+    traj = obs.traj
+    return TrajectoryTable(ts=traj.ts, xs=traj.xs, xdots=traj.xdots,
+                           scalars={name: getattr(obs, name) for name in _SCALAR_COLUMNS})
 
 
 def write_csv(path, table: TrajectoryTable) -> None:

@@ -1,22 +1,24 @@
 """Energies, rate fits and convergence metrics along trajectories.
 
-Everything here is pure post-processing: the trajectory provides exact
-state and reconstructed velocity at each sample, and these routines evaluate
-the anchored energy, its unanchored companion, the scaled two-index energy,
-and the observable bundle that feeds the CSV contract.
+Everything here is pure post-processing of the exact state and reconstructed
+velocity at each sample.  compute_observables makes one prox call over all
+samples, plus one for the Tikhonov centers, and yields every scalar CSV
+column; the descent check and the strong-convergence metrics read those
+columns, and the single-sample energies are one-row batches of the same code.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
 
 from .errors import InsufficientDataError, ParameterDomainError, ValidationError
-from .objectives import Objective, prox, tikhonov_center
-from .schedules import SystemConfig, energy_descent_start
+from .objectives import Objective, as_point, tikhonov_center
+from .schedules import SystemConfig, _check_energy_index, energy_descent_start
 from .dynamics import Trajectory
 
 __all__ = [
@@ -39,9 +41,14 @@ __all__ = [
 
 @dataclass
 class Observables:
-    """Per-sample scalar diagnostics; arrays share the trajectory's length."""
+    """Per-sample scalar diagnostics of one trajectory; arrays share its length.
 
-    ts: np.ndarray
+    energy_q and psi use the energy index q; q is None and both columns are
+    NaN when alpha < 3 leaves no admissible default.
+    """
+
+    traj: Trajectory
+    q: Optional[float]
     moreau_gap: np.ndarray
     function_gap: np.ndarray
     grad_norm: np.ndarray
@@ -49,14 +56,16 @@ class Observables:
     velocity_combo: np.ndarray
     dist_to_xstar: np.ndarray
     tikhonov_gap: np.ndarray
+    energy_q: np.ndarray
+    psi: np.ndarray
 
+    # the scalar CSV columns, in file order
     FIELDS = ("moreau_gap", "function_gap", "grad_norm", "prox_dist",
-              "velocity_combo", "dist_to_xstar", "tikhonov_gap")
+              "velocity_combo", "dist_to_xstar", "tikhonov_gap", "energy_q", "psi")
 
-    def series(self, name: str):
-        if name not in self.FIELDS:
-            raise KeyError(name)
-        return self.ts, getattr(self, name)
+    @property
+    def ts(self) -> np.ndarray:
+        return self.traj.ts
 
 
 def _require_targets(obj: Objective):
@@ -66,101 +75,105 @@ def _require_targets(obj: Objective):
     return float(obj.phi_star), np.asarray(obj.x_star, dtype=float)
 
 
-def _envelope_parts(obj: Objective, lam: float, x: np.ndarray):
-    """One prox call shared by gap, gradient and distance observables."""
-    p = prox(obj, lam, x)
-    moreau = float(obj.value(p)) + float(np.dot(x - p, x - p)) / (2.0 * lam)
-    g = (x - p) / lam
-    return p, moreau, g
+def _sq(v: np.ndarray) -> np.ndarray:
+    return np.sum(v * v, axis=-1)
 
 
-def compute_observables(traj: Trajectory) -> Observables:
-    """Evaluate the observable bundle at every sample of the trajectory."""
-    cfg = traj.cfg
+def _norm(v: np.ndarray) -> np.ndarray:
+    return np.sqrt(_sq(v))
+
+
+def _anchored(env, q: float) -> np.ndarray:
+    """The rows q (x - x*) + t (xdot + beta grad)."""
+    return q * (env.xs - env.x_star) + env.ts[:, None] * env.w
+
+
+def _envelope(cfg: SystemConfig, ts, xs, xdots) -> SimpleNamespace:
+    """Schedule values, prox points, envelope gap and gradient g, and
+    w = xdot + beta g at N samples, from one prox call over the (N, m) array."""
     obj = cfg.objective
     phi_star, x_star = _require_targets(obj)
     s = cfg.schedule
-    n = len(traj)
-    if n == 0:
+    lam = np.asarray(s.lam(ts), dtype=float)
+    p = obj.prox(lam[:, None], xs)
+    value = obj.value(p)
+    g = (xs - p) / lam[:, None]
+    return SimpleNamespace(
+        ts=ts, xs=xs, x_star=x_star, lam=lam, p=p, g=g, w=xdots + cfg.beta * g,
+        b=np.asarray(s.b(ts), dtype=float), eps=np.asarray(s.eps(ts), dtype=float),
+        function_gap=value - phi_star, gap=value + _sq(xs - p) / (2.0 * lam) - phi_star)
+
+
+def _columns(cfg: SystemConfig, ts, xs, xdots, q: Optional[float]) -> dict:
+    """Every scalar CSV column at a batch of samples: two prox calls in all."""
+    env = _envelope(cfg, ts, xs, xdots)
+    on = env.eps > 0.0
+    tikhonov_gap = np.full(ts.size, math.nan)
+    centers = tikhonov_center(cfg.objective, env.lam[on, None], env.eps[on, None])
+    tikhonov_gap[on] = _norm(xs[on] - centers)
+    cols = {
+        "moreau_gap": env.gap,
+        "function_gap": env.function_gap,
+        "grad_norm": _norm(env.g),
+        "prox_dist": _norm(xs - env.p),
+        "velocity_combo": _norm(env.w),
+        "dist_to_xstar": _norm(xs - env.x_star),
+        "tikhonov_gap": tikhonov_gap,
+    }
+    if q is None:
+        return dict(cols, energy_q=np.full(ts.size, math.nan), psi=np.full(ts.size, math.nan))
+    _check_energy_index(q, cfg.alpha)
+    t, alpha = ts, cfg.alpha
+    # prefactor and Tikhonov terms, shared by both energies (see energy_q)
+    common = ((t ** 2 * env.b - cfg.beta * (q + 2.0 - alpha) * t) * env.gap
+              + 0.5 * t ** 2 * env.eps * _sq(xs))
+    cols["energy_q"] = (common + 0.5 * _sq(_anchored(env, q))
+                        + 0.5 * q * (alpha - 1.0 - q) * _sq(xs - env.x_star))
+    cols["psi"] = common + 0.5 * t ** 2 * _sq(env.w)
+    return cols
+
+
+def compute_observables(traj: Trajectory, q: Optional[float] = None) -> Observables:
+    """Evaluate every scalar CSV column at every sample of the trajectory.
+
+    The energy columns use q = alpha - 1 unless another q in [2, alpha - 1]
+    is given.
+    """
+    if len(traj) == 0:
         raise InsufficientDataError("empty trajectory")
-    out = {name: np.empty(n) for name in Observables.FIELDS}
-    eps_all = np.asarray(s.eps(traj.ts), dtype=float)
-    lam_all = np.asarray(s.lam(traj.ts), dtype=float)
-    for i in range(n):
-        x = traj.xs[i]
-        lam = float(lam_all[i])
-        p, moreau, g = _envelope_parts(obj, lam, x)
-        out["moreau_gap"][i] = moreau - phi_star
-        out["function_gap"][i] = float(obj.value(p)) - phi_star
-        out["grad_norm"][i] = float(np.linalg.norm(g))
-        out["prox_dist"][i] = float(np.linalg.norm(x - p))
-        out["velocity_combo"][i] = float(np.linalg.norm(traj.xdots[i] + cfg.beta * g))
-        out["dist_to_xstar"][i] = float(np.linalg.norm(x - x_star))
-        eps = float(eps_all[i])
-        if eps > 0.0:
-            center = tikhonov_center(obj, lam, eps)
-            out["tikhonov_gap"][i] = float(np.linalg.norm(x - center))
-        else:
-            out["tikhonov_gap"][i] = math.nan
-    return Observables(ts=traj.ts.copy(), **out)
+    cfg = traj.cfg
+    if q is None and cfg.alpha - 1.0 >= 2.0:
+        q = cfg.alpha - 1.0
+    return Observables(traj=traj, q=q, **_columns(cfg, traj.ts, traj.xs, traj.xdots, q))
 
 
-def _as_sample(sample):
+def _one_sample(sample, cfg: SystemConfig):
+    """A (t, x, xdot) sample as a batch of one row."""
     t, x, xdot = sample
-    return float(t), np.asarray(x, dtype=float), np.asarray(xdot, dtype=float)
+    dim = cfg.objective.dim
+    return np.array([float(t)]), as_point(x, dim)[None], as_point(xdot, dim)[None]
 
 
-def energy_q(sample, q: float, cfg: SystemConfig, x_star=None) -> float:
-    """Anchored energy with index q in [2, alpha - 1].
+def energy_q(sample, q: float, cfg: SystemConfig) -> float:
+    """Anchored energy with index q in [2, alpha - 1] at one (t, x, xdot).
 
     (t^2 b - beta (q+2-alpha) t) (envelope gap) + (t^2 eps / 2) |x|^2
     + 1/2 |q (x - x*) + t (xdot + beta grad)|^2
     + (q (alpha-1-q) / 2) |x - x*|^2.
     """
-    if not 2.0 <= q <= cfg.alpha - 1.0:
-        raise ParameterDomainError(
-            f"q must lie in [2, alpha - 1] = [2, {cfg.alpha - 1.0:.6g}]")
-    t, x, xdot = _as_sample(sample)
-    phi_star, xs = _require_targets(cfg.objective)
-    if x_star is not None:
-        xs = np.asarray(x_star, dtype=float)
-    s = cfg.schedule
-    b, lam, eps = float(s.b(t)), float(s.lam(t)), float(s.eps(t))
-    _, moreau, g = _envelope_parts(cfg.objective, lam, x)
-    gap = moreau - phi_star
-    v = q * (x - xs) + t * (xdot + cfg.beta * g)
-    return (
-        (t ** 2 * b - cfg.beta * (q + 2.0 - cfg.alpha) * t) * gap
-        + 0.5 * t ** 2 * eps * float(np.dot(x, x))
-        + 0.5 * float(np.dot(v, v))
-        + 0.5 * q * (cfg.alpha - 1.0 - q) * float(np.dot(x - xs, x - xs))
-    )
+    return float(_columns(cfg, *_one_sample(sample, cfg), q)["energy_q"][0])
 
 
-def unanchored_energy(sample, q: float, cfg: SystemConfig, x_star=None) -> float:
+def unanchored_energy(sample, q: float, cfg: SystemConfig) -> float:
     """The companion energy without anchor terms; same prefactor as energy_q.
 
     Differs from energy_q by exactly
     q t <xdot + beta grad, x - x*> + q (alpha - 1) / 2 |x - x*|^2.
     """
-    if not 2.0 <= q <= cfg.alpha - 1.0:
-        raise ParameterDomainError(
-            f"q must lie in [2, alpha - 1] = [2, {cfg.alpha - 1.0:.6g}]")
-    t, x, xdot = _as_sample(sample)
-    phi_star, _ = _require_targets(cfg.objective)
-    s = cfg.schedule
-    b, lam, eps = float(s.b(t)), float(s.lam(t)), float(s.eps(t))
-    _, moreau, g = _envelope_parts(cfg.objective, lam, x)
-    gap = moreau - phi_star
-    w = xdot + cfg.beta * g
-    return (
-        (t ** 2 * b - cfg.beta * (q + 2.0 - cfg.alpha) * t) * gap
-        + 0.5 * t ** 2 * eps * float(np.dot(x, x))
-        + 0.5 * t ** 2 * float(np.dot(w, w))
-    )
+    return float(_columns(cfg, *_one_sample(sample, cfg), q)["psi"][0])
 
 
-def energy_pq(sample, p: float, q: float, cfg: SystemConfig, x_star=None) -> float:
+def energy_pq(sample, p: float, q: float, cfg: SystemConfig) -> float:
     """Two-index scaled energy used for the strong-convergence argument.
 
     t^(p+1) (t b + beta (alpha-p-q-2)) (envelope gap)
@@ -168,20 +181,12 @@ def energy_pq(sample, p: float, q: float, cfg: SystemConfig, x_star=None) -> flo
     """
     if p < 0.0 or q < 0.0:
         raise ParameterDomainError("p and q must be nonnegative")
-    t, x, xdot = _as_sample(sample)
-    phi_star, xs = _require_targets(cfg.objective)
-    if x_star is not None:
-        xs = np.asarray(x_star, dtype=float)
-    s = cfg.schedule
-    b, lam, eps = float(s.b(t)), float(s.lam(t)), float(s.eps(t))
-    _, moreau, g = _envelope_parts(cfg.objective, lam, x)
-    gap = moreau - phi_star
-    v = q * (x - xs) + t * (xdot + cfg.beta * g)
-    return (
-        t ** (p + 1.0) * (t * b + cfg.beta * (cfg.alpha - p - q - 2.0)) * gap
-        + 0.5 * eps * t ** (p + 2.0) * (float(np.dot(x, x)) - float(np.dot(xs, xs)))
-        + 0.5 * t ** p * float(np.dot(v, v))
-    )
+    env = _envelope(cfg, *_one_sample(sample, cfg))
+    t = env.ts
+    E = (t ** (p + 1.0) * (t * env.b + cfg.beta * (cfg.alpha - p - q - 2.0)) * env.gap
+         + 0.5 * env.eps * t ** (p + 2.0) * (_sq(env.xs) - _sq(env.x_star))
+         + 0.5 * t ** p * _sq(_anchored(env, q)))
+    return float(E[0])
 
 
 def canonical_pq(alpha: float):
@@ -190,19 +195,11 @@ def canonical_pq(alpha: float):
 
 
 def energy_q_series(traj: Trajectory, q: float) -> np.ndarray:
-    cfg = traj.cfg
-    return np.array([
-        energy_q((traj.ts[i], traj.xs[i], traj.xdots[i]), q, cfg)
-        for i in range(len(traj))
-    ])
+    return compute_observables(traj, q).energy_q
 
 
 def unanchored_energy_series(traj: Trajectory, q: float) -> np.ndarray:
-    cfg = traj.cfg
-    return np.array([
-        unanchored_energy((traj.ts[i], traj.xs[i], traj.xdots[i]), q, cfg)
-        for i in range(len(traj))
-    ])
+    return compute_observables(traj, q).psi
 
 
 @dataclass
@@ -224,27 +221,27 @@ class DescentReport:
                 f"(allowance {self.excess_allowance:.3g})")
 
 
-def check_energy_descent(traj: Trajectory, q: float, a: float,
+def check_energy_descent(obs: Observables, a: float,
                          tol_fraction: float = 0.01) -> DescentReport:
-    """Discrete check that the anchored energy decreases up to the Tikhonov
-    source term (q t eps(t) / 2) |x*|^2 past the descent start time.
+    """Discrete check that the anchored energy column decreases up to the
+    Tikhonov source term (q t eps(t) / 2) |x*|^2 past the descent start time.
 
     Tolerates a tol_fraction share of violating intervals, each within a
     discretization allowance of 1e-6 * max(1, max |E|).
     """
-    cfg = traj.cfg
+    if obs.q is None:
+        raise ParameterDomainError("alpha < 3 leaves no admissible energy index q")
+    cfg = obs.traj.cfg
+    q = obs.q
     t_start = energy_descent_start(cfg, q=q, a=a)
     _, x_star = _require_targets(cfg.objective)
-    mask = traj.ts >= t_start * (1.0 - 1e-12)
+    mask = obs.ts >= t_start * (1.0 - 1e-12)
     if int(np.count_nonzero(mask)) < 3:
         raise InsufficientDataError(
-            f"trajectory ends at {traj.ts[-1]:.6g}, too close to the descent "
+            f"trajectory ends at {obs.ts[-1]:.6g}, too close to the descent "
             f"start {t_start:.6g}")
-    idx = np.nonzero(mask)[0]
-    ts = traj.ts[idx]
-    E = np.array([
-        energy_q((traj.ts[i], traj.xs[i], traj.xdots[i]), q, cfg) for i in idx
-    ])
+    ts = obs.ts[mask]
+    E = obs.energy_q[mask]
     xs_sq = float(np.dot(x_star, x_star))
     eps_ts = np.asarray(cfg.schedule.eps(ts), dtype=float)
     bound = 0.5 * q * ts * eps_ts * xs_sq
@@ -332,17 +329,16 @@ class StrongConvReport:
                 f"{self.classification} ({self.crossings} crossings)")
 
 
-def strong_convergence_metrics(traj: Trajectory) -> StrongConvReport:
+def strong_convergence_metrics(obs: Observables) -> StrongConvReport:
     """Distance metrics to the least-norm minimizer plus the norm-ball
     classification (trajectory outside, inside, or crossing |x*|)."""
-    cfg = traj.cfg
-    _, x_star = _require_targets(cfg.objective)
-    obs = compute_observables(traj)
+    traj = obs.traj
+    _, x_star = _require_targets(traj.cfg.objective)
     final_dist = float(obs.dist_to_xstar[-1])
     min_dist = float(np.min(obs.dist_to_xstar))
     tik = obs.tikhonov_gap[np.isfinite(obs.tikhonov_gap)]
     final_tik = float(tik[-1]) if tik.size else math.nan
-    norms = np.array([float(np.linalg.norm(x)) for x in traj.xs])
+    norms = _norm(traj.xs)
     ref = float(np.linalg.norm(x_star))
     rel = norms - ref
     dust = 1e-12 * max(1.0, float(np.max(norms)))

@@ -72,13 +72,17 @@ class Objective:
 
     value maps a point (1-D array of length ``dim``) to a float, possibly
     ``inf`` for indicator functions.  prox(lam, x) is the closed-form proximal
-    map of index lam > 0.  phi_star is the minimal value and x_star the
-    least-norm minimizer.  coordinate_value(i, u) is the scalar piece of a
-    separable objective, used by the oracle for dim > 1.  kink_points(lam)
-    lists per-coordinate points where the envelope gradient loses smoothness,
-    and lambda_switches(u) lists lambda values at which the prox formula
-    switches branch for a fixed coordinate u; both exist so finite-difference
-    checks can keep away from them.
+    map of index lam > 0.  Both also take an ``(N, dim)`` batch of rows: value
+    reads coordinates as ``x[..., i]`` and reduces over ``axis=-1``, and prox
+    broadcasts lam, a scalar or an ``(N, 1)`` column, against the rows; each
+    batch row of a built-in equals its single-point result bit for bit.
+    phi_star is the minimal value and x_star the least-norm minimizer.
+    coordinate_value(i, u) is the scalar piece of a separable objective, used
+    by the oracle for dim > 1.  kink_points(lam) lists per-coordinate points
+    where the envelope gradient loses smoothness, and lambda_switches(u) lists
+    lambda values at which the prox formula switches branch for a fixed
+    coordinate u; both exist so finite-difference checks can keep away from
+    them.
     """
 
     name: str
@@ -270,19 +274,20 @@ def envelope_of_envelope_check(obj: Objective, lam: float, mu: float, x,
     return float(left), float(right)
 
 
-def tikhonov_center(obj: Objective, lam: float, eps: float) -> np.ndarray:
+def tikhonov_center(obj: Objective, lam, eps) -> np.ndarray:
     """Unique zero of grad_envelope(.) + eps * Id, namely
 
         prox(lam + 1/eps, 0) / (lam * eps + 1).
 
     Its norm never exceeds ||x_star|| and it converges to the least-norm
-    minimizer as eps -> 0 (with lam * eps -> 0).
+    minimizer as eps -> 0 (with lam * eps -> 0).  lam and eps may also be
+    ``(N, 1)`` columns, giving the ``(N, dim)`` centers in one prox call.
     """
-    lam = _require_lam(lam)
-    eps = float(eps)
-    if not math.isfinite(eps) or eps <= 0.0:
-        raise ParameterDomainError(f"eps must be a positive real, got {eps!r}")
-    zero = np.zeros(obj.dim)
+    lam, eps = np.asarray(lam, dtype=float), np.asarray(eps, dtype=float)
+    for name, v in (("lam", lam), ("eps", eps)):
+        if not np.all(np.isfinite(v) & (v > 0.0)):
+            raise ParameterDomainError(f"{name} must be a positive real, got {v}")
+    zero = np.zeros(np.broadcast_shapes(lam.shape, (obj.dim,)))
     return obj.prox(lam + 1.0 / eps, zero) / (lam * eps + 1.0)
 
 
@@ -294,7 +299,7 @@ def abs_plus_quad() -> Objective:
     """Scalar |x| + x^2/2; minimizer 0, optimal value 0."""
 
     def value(x):
-        u = x[0]
+        u = x[..., 0]
         return abs(u) + 0.5 * u * u
 
     def prx(lam, x):
@@ -318,7 +323,7 @@ def dist_to_interval() -> Objective:
     """Distance to the interval [-1, 1]; flat minimum, least-norm solution 0."""
 
     def value(x):
-        return float(np.maximum(np.abs(x[0]) - 1.0, 0.0))
+        return np.maximum(np.abs(x[..., 0]) - 1.0, 0.0)
 
     def prx(lam, x):
         out = np.where(x > 1.0 + lam, x - lam, np.where(x > 1.0, 1.0, x))
@@ -345,7 +350,7 @@ def l1_norm(dim: int = 1) -> Objective:
         raise ParameterDomainError("dim must be >= 1")
 
     def value(x):
-        return float(np.sum(np.abs(x)))
+        return np.sum(np.abs(x), axis=-1)
 
     def prx(lam, x):
         return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
@@ -372,7 +377,7 @@ def scaled_shifted_quadratic(c: float = 1.0, z=4.0) -> Objective:
     zarr = as_point(z)
 
     def value(x):
-        return float(0.5 * c * np.sum((x - zarr) ** 2))
+        return 0.5 * c * np.sum((x - zarr) ** 2, axis=-1)
 
     def prx(lam, x):
         return (x + lam * c * zarr) / (1.0 + lam * c)
@@ -398,7 +403,7 @@ def box_indicator(lo: float = -1.0, hi: float = 1.0, dim: int = 1) -> Objective:
         raise ParameterDomainError("dim must be >= 1")
 
     def value(x):
-        return 0.0 if np.all((x >= lo) & (x <= hi)) else math.inf
+        return np.where(np.all((x >= lo) & (x <= hi), axis=-1), 0.0, math.inf)[()]
 
     def prx(lam, x):
         return np.clip(x, lo, hi)

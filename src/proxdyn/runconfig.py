@@ -24,15 +24,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# execute_run calls through these bindings: perfbench/tracing.py patches them by name
 from . import csvio, svgplot
 from .diagnostics import (check_energy_descent, compute_observables, fit_rate_slope,
                           strong_convergence_metrics)
 from .dynamics import IntegratorSettings, integrate
 from .errors import InsufficientDataError, ParameterDomainError, ValidationError
 from .objectives import BUILTIN_NAMES, make_objective
-from .schedules import (LambdaForm, PolyParams, SystemConfig, check_alpha3_conditions,
-                        check_fast_rate_conditions, check_strong_conv_conditions,
-                        polynomial_schedule)
+from .schedules import (LambdaForm, PolyParams, SystemConfig, _check_energy_index,
+                        check_alpha3_conditions, check_fast_rate_conditions,
+                        check_strong_conv_conditions, polynomial_schedule)
 
 __all__ = [
     "RunConfig",
@@ -245,6 +246,8 @@ def build_system(rc: RunConfig):
                        t0=rc.t0, x0=rc.x0, xdot0=rc.xdot0, horizon=rc.horizon,
                        lambda_floor=rc.lambda_floor)
     cfg.validate()
+    if rc.energy_q is not None:
+        _check_energy_index(rc.energy_q, rc.alpha)
     settings = IntegratorSettings(method=rc.method, rtol=rc.rtol, atol=rc.atol,
                                   fixed_step=rc.fixed_step, sample_stride=rc.sample_stride,
                                   max_step=rc.max_step)
@@ -314,8 +317,8 @@ def execute_run(rc: RunConfig, outdir, svg: bool = True) -> RunSummary:
     start = time.perf_counter()
     traj = integrate(cfg, settings)
     report = _CHECKERS[rc.setting](cfg.query())
-    obs = compute_observables(traj)
-    table = csvio.table_from_trajectory(traj, q=rc.energy_q)
+    obs = compute_observables(traj, rc.energy_q)
+    table = csvio.table_from_trajectory(obs)
 
     final = {"t": "%.17g" % traj.ts[-1]}
     final["x"] = ", ".join("%.17g" % v for v in traj.xs[-1])
@@ -331,15 +334,14 @@ def execute_run(rc: RunConfig, outdir, svg: bool = True) -> RunSummary:
         if fit is not None:
             fits.append(fit)
 
-    q = rc.energy_q if rc.energy_q is not None else rc.alpha - 1.0
-    if q >= 2.0:
+    if obs.q is not None:
         try:
-            descent_text = check_energy_descent(traj, q, rc.descent_a).format()
+            descent_text = check_energy_descent(obs, rc.descent_a).format()
         except InsufficientDataError as exc:
             descent_text = f"(not checked: {exc})"
     else:
         descent_text = "(not defined: alpha leaves no admissible q)"
-    strong_text = strong_convergence_metrics(traj).format()
+    strong_text = strong_convergence_metrics(obs).format()
     wall = time.perf_counter() - start
 
     run_dir = os.path.join(os.fspath(outdir), rc.label)

@@ -656,6 +656,11 @@ def check_alpha3_conditions(cfg) -> ConditionReport:
     return _check("alpha3", cfg)
 
 
+def _check_energy_index(q: float, alpha: float) -> None:
+    if not 2.0 <= q <= alpha - 1.0:
+        raise ParameterDomainError(f"q must lie in [2, alpha - 1] = [2, {alpha - 1.0:.6g}], got {q:.6g}")
+
+
 def energy_descent_start(cfg, q: float, a: float) -> float:
     """First time past which the anchored energy with index q is nonincreasing
     up to the Tikhonov source term.
@@ -668,8 +673,7 @@ def energy_descent_start(cfg, q: float, a: float) -> float:
     alpha, beta, t0 = query.alpha, query.beta, query.t0
     if a < 1.0:
         raise ParameterDomainError("a must be >= 1")
-    if not 2.0 <= q <= alpha - 1.0:
-        raise ParameterDomainError(f"q must lie in [2, alpha - 1] = [2, {alpha - 1.0:.6g}]")
+    _check_energy_index(q, alpha)
     b0 = float(s.b(t0))
     if b0 * a <= 1.0:
         raise InfeasibleError(f"need b(t0) > 1/a, got b(t0) = {b0:.6g}, 1/a = {1.0 / a:.6g}")

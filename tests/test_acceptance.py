@@ -222,8 +222,8 @@ def test_criterion_3_fast_rate_slopes(fast_runs, capsys):
 def test_criterion_4_energy_descent(fast_runs, capsys):
     lines = []
     ok = True
-    for (n, l), (traj, _, _) in sorted(fast_runs.items()):
-        rep = check_energy_descent(traj, q=traj.cfg.alpha - 1.0, a=2.0)
+    for (n, l), (_, obs, _) in sorted(fast_runs.items()):
+        rep = check_energy_descent(obs, a=2.0)  # q = alpha - 1
         ok = ok and rep.passed
         lines.append(f"(n={n},l={l}) {rep.violations}/{rep.intervals} "
                      f"worst {rep.worst_excess:.1e}")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from proxdyn import cli
+from proxdyn import cli, runconfig
 from proxdyn.csvio import read_csv
 
 FAST_CONFIG = """
@@ -123,6 +123,21 @@ def test_sweep_fail_fast_runs_nothing(tmp_path):
             "--set", "system.horizon=5", "--out", str(tmp_path / "x")]
     assert cli.main(args) == 1
     assert not (tmp_path / "x").exists()
+
+
+def test_bad_energy_index_fails_before_integrating(tmp_path, monkeypatch, capsys):
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrate must not run")
+
+    monkeypatch.setattr(runconfig, "integrate", no_integration)
+    bad = ["--preset", "fig1", "--set", "diagnostics.energy_q=20"]
+    sim = ["simulate", *bad, "--out", str(tmp_path / "s")]
+    swp = ["sweep", *bad, "--param", "d", "--values", "2.5,3", "--out", str(tmp_path / "w")]
+    for args in (sim, swp):
+        assert cli.main(args) == 1
+        assert "q must lie in [2, alpha - 1]" in capsys.readouterr().err
+    assert not any((tmp_path / "s").iterdir())
+    assert not (tmp_path / "w").exists()
 
 
 def test_sweep_l_requires_exponent_form(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from proxdyn.csvio import read_csv, table_from_trajectory, write_csv
-from proxdyn.diagnostics import energy_q_series
+from proxdyn.diagnostics import compute_observables, energy_q_series
 from proxdyn.dynamics import IntegratorSettings, integrate
 from proxdyn.errors import ValidationError
 from proxdyn.runconfig import build_system, config_from_flat, preset_runs
@@ -21,7 +21,7 @@ def small_run(extra=None, preset="fig1", idx=0):
 @pytest.fixture(scope="module")
 def run_pair(tmp_path_factory):
     traj, cfg = small_run()
-    table = table_from_trajectory(traj)
+    table = table_from_trajectory(compute_observables(traj))
     path = tmp_path_factory.mktemp("csv") / "trajectory.csv"
     write_csv(path, table)
     return table, read_csv(path), traj
@@ -53,7 +53,7 @@ def test_energy_column_uses_alpha_minus_one(run_pair):
 
 def test_tikhonov_column_nan_when_unregularized(tmp_path):
     traj, _ = small_run({"schedule.eps_coeff": "0"})
-    table = table_from_trajectory(traj)
+    table = table_from_trajectory(compute_observables(traj))
     assert np.all(np.isnan(table.scalars["tikhonov_gap"]))
     path = tmp_path / "t.csv"
     write_csv(path, table)
@@ -64,7 +64,7 @@ def test_tikhonov_column_nan_when_unregularized(tmp_path):
 
 def test_small_alpha_leaves_energy_undefined():
     traj, _ = small_run({"system.alpha": "2.5", "diagnostics.setting": "fast"})
-    table = table_from_trajectory(traj)
+    table = table_from_trajectory(compute_observables(traj))
     assert np.all(np.isnan(table.scalars["energy_q"]))
     assert np.all(np.isnan(table.scalars["psi"]))
 
@@ -72,7 +72,7 @@ def test_small_alpha_leaves_energy_undefined():
 def test_vector_state_columns(tmp_path):
     traj, _ = small_run({"objective.name": "l1_norm", "objective.dim": "2",
                          "system.x0": "3,-2", "system.xdot0": "0,0"})
-    table = table_from_trajectory(traj)
+    table = table_from_trajectory(compute_observables(traj))
     assert table.header()[1:5] == ["x_0", "x_1", "xdot_0", "xdot_1"]
     path = tmp_path / "v.csv"
     write_csv(path, table)

@@ -18,6 +18,7 @@ from proxdyn import (
     integrate,
     l1_norm,
     moreau_gradient,
+    moreau_value,
     polynomial_schedule,
     scaled_shifted_quadratic,
 )
@@ -115,6 +116,28 @@ def test_unanchored_identity_along_trajectory(reference_run):
         assert psi[i] == pytest.approx(expected, abs=1e-9 * max(1.0, abs(E[i])))
 
 
+def test_single_sample_energies_match_batched_columns(reference_run):
+    traj = reference_run
+    cfg, s, q = traj.cfg, traj.cfg.schedule, 9.0
+    obs = compute_observables(traj)
+    assert obs.q == q
+    for i in range(0, len(traj), 50):
+        t, x, xdot = float(traj.ts[i]), traj.xs[i], traj.xdots[i]
+        # per-sample reference from the scalar envelope calculus (x* = 0, beta = 0)
+        lam, b, eps = float(s.lam(t)), float(s.b(t)), float(s.eps(t))
+        gap = moreau_value(cfg.objective, lam, x)
+        v = q * x + t * xdot
+        lead = t ** 2 * b * gap + 0.5 * t ** 2 * eps * float(np.dot(x, x))
+        E_ref = lead + 0.5 * float(np.dot(v, v)) + 0.5 * q * (cfg.alpha - 1.0 - q) * float(np.dot(x, x))
+        psi_ref = lead + 0.5 * t ** 2 * float(np.dot(xdot, xdot))
+        for scalar, column, ref in ((energy_q, obs.energy_q, E_ref),
+                                    (unanchored_energy, obs.psi, psi_ref)):
+            E = scalar((t, x, xdot), q, cfg)
+            tol = 1e-15 * max(1.0, abs(E))
+            assert abs(E - column[i]) <= tol, (scalar.__name__, i)
+            assert abs(ref - column[i]) <= tol, (scalar.__name__, i)
+
+
 def test_unanchored_energy_decays_on_tail(reference_run):
     traj = reference_run
     psi = unanchored_energy_series(traj, 9.0)
@@ -161,19 +184,11 @@ def test_tikhonov_gap_is_nan_without_regularization():
     assert np.all(np.isfinite(obs.moreau_gap))
 
 
-def test_observables_series_accessor(reference_run):
-    obs = compute_observables(reference_run)
-    ts, vals = obs.series("grad_norm")
-    assert vals.shape == ts.shape
-    with pytest.raises(KeyError):
-        obs.series("no_such_quantity")
-
-
 # -------------------------------------------------------------- energy descent
 
 
 def test_energy_descent_holds_on_reference_run(reference_run):
-    rep = check_energy_descent(reference_run, q=9.0, a=2.0)
+    rep = check_energy_descent(compute_observables(reference_run, 9.0), a=2.0)
     assert isinstance(rep, DescentReport)
     assert rep.passed, rep.format()
     assert rep.violations == 0
@@ -184,7 +199,7 @@ def test_energy_descent_detects_ascent(reference_run):
     traj = reference_run
     backwards = Trajectory(ts=traj.ts, xs=traj.xs[::-1], auxs=traj.auxs[::-1],
                            xdots=traj.xdots[::-1], stats=traj.stats, cfg=traj.cfg)
-    rep = check_energy_descent(backwards, q=9.0, a=2.0)
+    rep = check_energy_descent(compute_observables(backwards, 9.0), a=2.0)
     assert not rep.passed
     assert rep.violations > 0.5 * rep.intervals
 
@@ -197,7 +212,7 @@ def test_energy_descent_needs_horizon_past_start():
     traj = integrate(cfg, IntegratorSettings(sample_stride=50))
     # descent start for (q=9, a=2) is t = 2, beyond all but the last samples
     with pytest.raises(InsufficientDataError):
-        check_energy_descent(traj, q=9.0, a=2.0)
+        check_energy_descent(compute_observables(traj, 9.0), a=2.0)
 
 
 # ------------------------------------------------------------------- rate fits
@@ -243,7 +258,7 @@ def test_strong_metrics_on_stationary_run():
         schedule=polynomial_schedule(PolyParams(1.0, 0.0, 1.0, 3.0), 1.4),
         alpha=10.0, beta=1.0, t0=1.4, x0=0.0, xdot0=0.0, horizon=14.0)
     traj = integrate(cfg, IntegratorSettings(sample_stride=10))
-    rep = strong_convergence_metrics(traj)
+    rep = strong_convergence_metrics(compute_observables(traj))
     assert rep.final_dist == 0.0
     assert rep.min_dist == 0.0
     assert rep.crossings == 0
@@ -259,7 +274,7 @@ def test_strong_metrics_classifies_ball_crossing():
     xs = np.linspace(6.0, 2.0, 31).reshape(-1, 1)
     traj = Trajectory(ts=ts, xs=xs, auxs=np.zeros_like(xs),
                       xdots=np.zeros_like(xs), stats=StepStats(), cfg=cfg)
-    rep = strong_convergence_metrics(traj)
+    rep = strong_convergence_metrics(compute_observables(traj))
     assert rep.classification == "crossing"
     assert rep.crossings == 1
     assert rep.final_dist == pytest.approx(2.0)
@@ -267,7 +282,7 @@ def test_strong_metrics_classifies_ball_crossing():
 
 
 def test_strong_metrics_outside_classification(reference_run):
-    rep = strong_convergence_metrics(reference_run)
+    rep = strong_convergence_metrics(compute_observables(reference_run))
     assert rep.classification == "outside"
     assert rep.crossings == 0
     assert rep.final_dist <= 1e-5

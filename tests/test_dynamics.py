@@ -1,10 +1,15 @@
 """Reformulation right-hand sides, integrators and the residual validator."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import proxdyn
 from proxdyn import (
     DivergenceError,
     InsufficientDataError,
@@ -156,6 +161,48 @@ def test_step_budget_guard():
     cfg = make_cfg()
     with pytest.raises(StepSizeError, match=r"at t = .*, h = "):
         integrate(cfg, IntegratorSettings(max_steps=10))
+
+
+def test_lambda_floor_guard_survives_optimize():
+    # lambda dips below its floor strictly between two of the 512 points that
+    # SystemConfig.validate samples, so only the per-call guard can catch it;
+    # under python -O an assert would be stripped and the run would finish
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from proxdyn import Schedule, SystemConfig, ValidationError, abs_plus_quad
+        from proxdyn.dynamics import IntegratorSettings, integrate
+
+        grid = np.geomspace(1.0, 2.0, 512)
+        lo, hi = grid[255], grid[256]
+        lo, hi = lo + 0.25 * (hi - lo), hi - 0.25 * (hi - lo)
+
+        def lam(t):
+            t = np.asarray(t, dtype=float)
+            return np.where((t > lo) & (t < hi), 1e-9, 1.0)
+
+        one = lambda t: np.ones_like(np.asarray(t, dtype=float))
+        zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
+        cfg = SystemConfig(
+            objective=abs_plus_quad(),
+            schedule=Schedule(t0=1.0, b=one, b_dot=zero, lam=lam, lam_dot=zero,
+                              eps=zero, eps_dot=zero),
+            alpha=3.0, beta=0.0, t0=1.0, x0=10.0, xdot0=0.0, horizon=2.0)
+        cfg.validate()
+        try:
+            integrate(cfg, IntegratorSettings(method="rk4_fixed", fixed_step=2e-4))
+        except ValidationError as exc:
+            print(f"optimize={sys.flags.optimize} raised: {exc}")
+        else:
+            print(f"optimize={sys.flags.optimize} finished")
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(proxdyn.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.startswith("optimize=1 raised: lambda(t) = 1e-09 fell below"), res.stdout
 
 
 def test_integrator_settings_validation():

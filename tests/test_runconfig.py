@@ -1,9 +1,12 @@
 """Flat config parsing, presets and run execution."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from proxdyn.errors import ValidationError
+from proxdyn import runconfig
+from proxdyn.errors import ParameterDomainError, ValidationError
 from proxdyn.runconfig import (PRESETS, build_system, config_from_flat, execute_run,
                                parse_config_text, parse_overrides, preset_runs,
                                run_from_flat)
@@ -155,6 +158,43 @@ def test_summary_flags_assumption_note(tmp_path):
     flat["system.horizon"] = "10"
     summary = execute_run(config_from_flat(flat), tmp_path)
     assert "assumption" in summary.to_text()
+
+
+def test_build_system_rejects_energy_index_outside_range():
+    for q in ("1.5", "20"):
+        with pytest.raises(ParameterDomainError, match=r"q must lie in \[2, alpha - 1\]"):
+            build_system(config_from_flat(dict(MINIMAL, **{"diagnostics.energy_q": q})))
+
+
+def test_execute_run_makes_one_prox_pass(tmp_path, monkeypatch):
+    # count every prox evaluation, the integrator's included, by wrapping the
+    # objective where execute_run builds it
+    calls = []
+    make = runconfig.make_objective
+
+    def counting_objective(*args, **kwargs):
+        obj = make(*args, **kwargs)
+
+        def prox(lam, x):
+            calls.append(1)
+            return obj.prox(lam, x)
+
+        return dataclasses.replace(obj, prox=prox)
+
+    trajs = []
+    integrate = runconfig.integrate
+
+    def recording_integrate(*args):
+        trajs.append(integrate(*args))
+        return trajs[-1]
+
+    monkeypatch.setattr(runconfig, "make_objective", counting_objective)
+    monkeypatch.setattr(runconfig, "integrate", recording_integrate)
+    # beta > 0 and eps > 0: the initial auxiliary value and the Tikhonov
+    # centers need prox calls of their own
+    flat = dict(preset_runs("fig4")[1], **{"system.horizon": "10"})
+    execute_run(config_from_flat(flat), tmp_path, svg=False)
+    assert len(calls) <= trajs[0].stats.nfev + 3
 
 
 def test_run_from_flat_roundtrip(tmp_path):
