@@ -19,8 +19,9 @@ from . import csvio
 from .errors import (DivergenceError, InfeasibleError, InsufficientDataError,
                      ParameterDomainError, StepSizeError, UnsupportedOracleError,
                      ValidationError)
-from .runconfig import (build_system, config_from_flat, execute_run, parse_config_file,
-                        parse_overrides, preset_runs, run_from_flat, _CHECKERS)
+from .runconfig import (build_run, build_system, config_from_flat, execute_run,
+                        parse_config_file, parse_overrides, preset_runs, run_from_flat,
+                        _CHECKERS)
 from .selftest import run_prox_selftest
 
 __all__ = ["main"]
@@ -138,7 +139,7 @@ def _sweep_configs(args):
         flats.append(flat)
     # fail fast: every swept config must validate before any run starts
     for flat in flats:
-        build_system(config_from_flat(flat))
+        build_run(config_from_flat(flat))
     return values, flats
 
 

@@ -49,14 +49,6 @@ class TrajectoryTable:
         cols += list(_SCALAR_COLUMNS)
         return cols
 
-    def rows(self):
-        for k in range(len(self.ts)):
-            row = [self.ts[k]]
-            row.extend(self.xs[k])
-            row.extend(self.xdots[k])
-            row.extend(self.scalars[name][k] for name in _SCALAR_COLUMNS)
-            yield row
-
 
 def table_from_trajectory(obs: Observables) -> TrajectoryTable:
     """Assemble the CSV columns of a finished run from its observables."""
@@ -66,11 +58,13 @@ def table_from_trajectory(obs: Observables) -> TrajectoryTable:
 
 
 def write_csv(path, table: TrajectoryTable) -> None:
+    header = table.header()
+    columns = [table.ts, table.xs, table.xdots] + [table.scalars[name] for name in _SCALAR_COLUMNS]
+    # one format string per row, with the \r\n line ends of csv.writer
+    row = ",".join(["%.17g"] * len(header)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(table.header())
-        for row in table.rows():
-            writer.writerow("%.17g" % v for v in row)
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(row % tuple(values) for values in np.column_stack(columns).tolist())
 
 
 def read_csv(path) -> TrajectoryTable:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InsufficientDataError, ParameterDomainError, ValidationError
 from .objectives import Objective, as_point, tikhonov_center
-from .schedules import SystemConfig, _check_energy_index, energy_descent_start
+from .schedules import SystemConfig, _check_energy_index, _energy_index, energy_descent_start
 from .dynamics import Trajectory
 
 __all__ = [
@@ -142,8 +142,7 @@ def compute_observables(traj: Trajectory, q: Optional[float] = None) -> Observab
     if len(traj) == 0:
         raise InsufficientDataError("empty trajectory")
     cfg = traj.cfg
-    if q is None and cfg.alpha - 1.0 >= 2.0:
-        q = cfg.alpha - 1.0
+    q = _energy_index(q, cfg.alpha)
     return Observables(traj=traj, q=q, **_columns(cfg, traj.ts, traj.xs, traj.xdots, q))
 
 

@@ -32,8 +32,9 @@ from .dynamics import IntegratorSettings, integrate
 from .errors import InsufficientDataError, ParameterDomainError, ValidationError
 from .objectives import BUILTIN_NAMES, make_objective
 from .schedules import (LambdaForm, PolyParams, SystemConfig, _check_energy_index,
-                        check_alpha3_conditions, check_fast_rate_conditions,
-                        check_strong_conv_conditions, polynomial_schedule)
+                        _energy_index, check_alpha3_conditions, check_fast_rate_conditions,
+                        check_strong_conv_conditions, energy_descent_start,
+                        polynomial_schedule)
 
 __all__ = [
     "RunConfig",
@@ -44,6 +45,7 @@ __all__ = [
     "parse_overrides",
     "config_from_flat",
     "build_system",
+    "build_run",
     "execute_run",
     "run_from_flat",
     "preset_runs",
@@ -255,6 +257,18 @@ def build_system(rc: RunConfig):
     return cfg, settings
 
 
+def build_run(rc: RunConfig):
+    """build_system plus what only a simulation needs: the energy-descent
+    check's start time must exist for diagnostics.descent_a (a >= 1 and
+    b(t0) a > 1), so a bad a fails before integrating, not after.  Condition
+    checks build with build_system alone, since a is not part of them."""
+    cfg, settings = build_system(rc)
+    q = _energy_index(rc.energy_q, rc.alpha)
+    if q is not None:
+        energy_descent_start(cfg, q, rc.descent_a)
+    return cfg, settings
+
+
 _CHECKERS = {
     "fast": check_fast_rate_conditions,
     "strong": check_strong_conv_conditions,
@@ -313,7 +327,7 @@ def _grad_theory_slope(rc: RunConfig) -> float:
 
 def execute_run(rc: RunConfig, outdir, svg: bool = True) -> RunSummary:
     """Integrate one config and write csv/summary/svg files under outdir/label."""
-    cfg, settings = build_system(rc)
+    cfg, settings = build_run(rc)
     start = time.perf_counter()
     traj = integrate(cfg, settings)
     report = _CHECKERS[rc.setting](cfg.query())

@@ -656,6 +656,14 @@ def check_alpha3_conditions(cfg) -> ConditionReport:
     return _check("alpha3", cfg)
 
 
+def _energy_index(q: Optional[float], alpha: float) -> Optional[float]:
+    """The energy index in use: q when given, else alpha - 1 when that is at
+    least 2, else None (alpha < 3 leaves no admissible default)."""
+    if q is None and alpha - 1.0 >= 2.0:
+        return alpha - 1.0
+    return q
+
+
 def _check_energy_index(q: float, alpha: float) -> None:
     if not 2.0 <= q <= alpha - 1.0:
         raise ParameterDomainError(f"q must lie in [2, alpha - 1] = [2, {alpha - 1.0:.6g}], got {q:.6g}")

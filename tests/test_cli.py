@@ -1,9 +1,11 @@
 """CLI subcommands and the exit-code contract."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from proxdyn import cli, runconfig
+from proxdyn import cli, objectives, runconfig
 from proxdyn.csvio import read_csv
 
 FAST_CONFIG = """
@@ -140,6 +142,22 @@ def test_bad_energy_index_fails_before_integrating(tmp_path, monkeypatch, capsys
     assert not (tmp_path / "w").exists()
 
 
+def test_bad_descent_a_fails_before_integrating(tmp_path, monkeypatch, capsys):
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrate must not run")
+
+    monkeypatch.setattr(runconfig, "integrate", no_integration)
+    # a < 1, then b(t0) a <= 1 with b(t0) = 1
+    for a, message in (("0.5", "a must be >= 1"), ("1", "need b(t0) > 1/a")):
+        for cmd in (["simulate"], ["sweep", "--param", "d", "--values", "2.5,3"]):
+            args = [*cmd, "--preset", "fig1", "--set", f"diagnostics.descent_a={a}",
+                    "--out", str(tmp_path / cmd[0])]
+            assert cli.main(args) == 1
+            assert message in capsys.readouterr().err
+    assert not any((tmp_path / "simulate").iterdir())
+    assert not (tmp_path / "sweep").exists()
+
+
 def test_sweep_l_requires_exponent_form(tmp_path):
     args = ["sweep", "--preset", "fig1", "--param", "l", "--values", "0,1",
             "--out", str(tmp_path)]
@@ -168,6 +186,22 @@ def test_exit_code_divergence(tmp_path, capsys):
     code = cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "d")])
     assert code == 2
     assert "last good t" in capsys.readouterr().err
+
+
+def test_exit_code_non_finite_stage(tmp_path, monkeypatch, capsys):
+    # the prox turns NaN once the run leaves |x| <= 5: a divergence, not a bad config
+    def make_objective(name, **params):
+        obj = objectives.make_objective(name, **params)
+        nan_outside = lambda lam, x: np.where(np.abs(x) > 5.0, np.nan, obj.prox(lam, x))
+        return dataclasses.replace(obj, prox=nan_outside)
+
+    monkeypatch.setattr(runconfig, "make_objective", make_objective)
+    cfg = write_config(tmp_path, FAST_CONFIG.replace("system.x0 = 10", "system.x0 = 4")
+                       + "system.xdot0 = 10\n")
+    code = cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "n")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "non-finite stage" in err and "h = " in err
 
 
 def test_exit_code_step_size_collapse(tmp_path, capsys):

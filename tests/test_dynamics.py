@@ -1,5 +1,6 @@
 """Reformulation right-hand sides, integrators and the residual validator."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -155,6 +156,32 @@ def test_divergence_guard_reports_last_good_time():
     with pytest.raises(DivergenceError) as exc:
         integrate(cfg, IntegratorSettings())
     assert 1.0 <= exc.value.t_last < 1e5
+
+
+def nan_outside_five(obj):
+    """obj with a prox that returns NaN wherever |x| > 5."""
+    def prox(lam, x):
+        return np.where(np.abs(x) > 5.0, np.nan, obj.prox(lam, x))
+    return dataclasses.replace(obj, prox=prox)
+
+
+def test_non_finite_stage_is_a_divergence():
+    # starts inside |x| <= 5 and runs out of it, so a stage turns NaN mid-run
+    cfg = make_cfg(objective=nan_outside_five(abs_plus_quad()), beta=0.0, x0=4.0,
+                   xdot0=10.0, horizon=14.0)
+    with pytest.raises(DivergenceError, match=r"at t = .*, h = ") as exc:
+        integrate(cfg)
+    assert cfg.t0 <= exc.value.t_last < cfg.horizon
+
+
+def test_divergence_guard_bounds_the_auxiliary_state():
+    # y = xdot starts at 50 while x stays below 5 up to the horizon
+    cfg = make_cfg(objective=l1_norm(), beta=0.0, t0=1.0, horizon=1.1, x0=0.0, xdot0=50.0)
+    free = integrate(cfg)
+    assert float(np.max(np.abs(free.xs))) < 20.0 < float(np.max(np.abs(free.auxs)))
+    with pytest.raises(DivergenceError) as exc:
+        integrate(cfg, IntegratorSettings(divergence_threshold=20.0))
+    assert exc.value.t_last == cfg.t0
 
 
 def test_step_budget_guard():
