@@ -93,6 +93,5 @@ from .runconfig import (
     parse_config_file,
     parse_config_text,
     preset_runs,
-    run_from_flat,
 )
 from .svgplot import line_chart

@@ -1,14 +1,17 @@
 """Command-line front end.
 
 Subcommands: simulate, check, sweep, prox-selftest. Exit codes: 0 success
-or all checks passed, 1 validation/usage/condition failure, 2 divergence,
-3 internal error.
+or all checks passed, 1 validation/usage/condition failure, 2 divergence
+or failed step control, 3 internal error; _status maps each exception to
+its code and stderr message.  A sweep validates every variant, then runs
+them in worker processes and keeps the finished ones when another fails:
+every variant gets a summary line, and the sweep exits with the largest
+code among the failed variants, 0 when none failed.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -20,8 +23,7 @@ from .errors import (DivergenceError, InfeasibleError, InsufficientDataError,
                      ParameterDomainError, StepSizeError, UnsupportedOracleError,
                      ValidationError)
 from .runconfig import (build_run, build_system, config_from_flat, execute_run,
-                        parse_config_file, parse_overrides, preset_runs, run_from_flat,
-                        _CHECKERS)
+                        parse_config_file, parse_overrides, preset_runs, _CHECKERS)
 from .selftest import run_prox_selftest
 
 __all__ = ["main"]
@@ -131,61 +133,65 @@ def _sweep_configs(args):
         raise ValidationError(f"--values must be numbers, got {args.values!r}") from None
     if not values:
         raise ValidationError("--values is empty")
-    flats = []
+    if len(set(values)) < len(values):
+        # 3 and 3.0 would share one label and one output directory
+        raise ValidationError(f"--values repeats a value: {args.values!r}")
+    # fail fast: every swept config must validate before any run starts
+    variants = {}
     for v in values:
         flat = dict(base)
         flat[key] = repr(v)
         flat["label"] = f"{args.param}_{repr(v).replace('.', '_')}"
-        flats.append(flat)
-    # fail fast: every swept config must validate before any run starts
-    for flat in flats:
-        build_run(config_from_flat(flat))
-    return values, flats
+        variants[v] = config_from_flat(flat)
+        build_run(variants[v])
+    return variants
 
 
-def _combined_csv(path, param, values, tables):
-    """Merge per-run tables onto a shared log-spaced grid, long format."""
+def _combined_csv(path, param, finished):
+    """Merge the tables of the finished runs onto a shared log-spaced grid, long format."""
+    tables = list(finished.values())
     t_lo = max(table.ts[0] for table in tables)
     t_hi = min(table.ts[-1] for table in tables)
     grid = np.geomspace(t_lo, t_hi, 256)
-    scalar_names = list(tables[0].scalars)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([param, "t"] + scalar_names)
-        for value, table in zip(values, tables):
-            cols = [np.interp(grid, table.ts, table.scalars[name])
-                    for name in scalar_names]
-            for i, t in enumerate(grid):
-                row = [value, t] + [col[i] for col in cols]
-                writer.writerow("%.17g" % v for v in row)
+    names = list(tables[0].scalars)
+    columns = [np.repeat(list(finished), grid.size), np.tile(grid, len(tables))]
+    columns += [np.concatenate([np.interp(grid, table.ts, table.scalars[name])
+                                for table in tables]) for name in names]
+    csvio._write_rows(path, [param, "t"] + names, columns)
 
 
 def cmd_sweep(args) -> int:
-    values, flats = _sweep_configs(args)
+    variants = _sweep_configs(args)
     outdir = args.out
     os.makedirs(outdir, exist_ok=True)
     svg = args.svg == "on"
-    workers = min(len(flats), os.cpu_count() or 1)
+    workers = min(len(variants), os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(run_from_flat, flats, [outdir] * len(flats),
-                                [svg] * len(flats)))
-    tables, lines = [], []
-    for flat, res in zip(flats, results):
-        table = csvio.read_csv(os.path.join(outdir, flat["label"], "trajectory.csv"))
-        tables.append(table)
-        lines.append(f"{flat['label']}: {args.param} = {flat[_SWEEP_KEYS[args.param]]}, "
+        futures = [pool.submit(execute_run, rc, outdir, svg) for rc in variants.values()]
+    finished, lines, code = {}, [], 0
+    for (value, rc), future in zip(variants.items(), futures):
+        head = f"{rc.label}: {args.param} = {value!r}"
+        try:
+            summary = future.result()
+        except Exception as exc:
+            failed, message = _status(exc)
+            code = max(code, failed)
+            lines.append(f"{head}, FAILED (exit {failed}): {message}")
+            continue
+        table = finished[value] = summary.table
+        lines.append(f"{head}, "
                      f"final moreau_gap = {table.scalars['moreau_gap'][-1]:.6g}, "
                      f"final grad_norm = {table.scalars['grad_norm'][-1]:.6g}, "
                      f"final dist_to_xstar = {table.scalars['dist_to_xstar'][-1]:.6g}, "
-                     f"{res['wall_time']:.2f} s")
-    combined = os.path.join(outdir, f"sweep_{args.param}.csv")
-    _combined_csv(combined, args.param, values, tables)
-    summary_path = os.path.join(outdir, f"sweep_{args.param}_summary.txt")
-    with open(summary_path, "w") as fh:
+                     f"{summary.wall_time:.2f} s")
+    with open(os.path.join(outdir, f"sweep_{args.param}_summary.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
     print("\n".join(lines))
-    print(f"combined table: {combined}")
-    return 0
+    if finished:
+        combined = os.path.join(outdir, f"sweep_{args.param}.csv")
+        _combined_csv(combined, args.param, finished)
+        print(f"combined table: {combined}")
+    return code
 
 
 def cmd_prox_selftest(args) -> int:
@@ -206,28 +212,27 @@ _DISPATCH = {
 }
 
 
+def _status(exc: Exception):
+    """The documented exit code of a failure and its stderr message."""
+    if isinstance(exc, (ValidationError, ParameterDomainError, InfeasibleError,
+                        UnsupportedOracleError, InsufficientDataError)):
+        return 1, f"error: {exc}"
+    if isinstance(exc, DivergenceError):
+        return 2, f"divergence: {exc} (last good t = {exc.t_last})"
+    if isinstance(exc, StepSizeError):
+        return 2, f"step control failed: {exc}"
+    return 3, f"internal error: {type(exc).__name__}: {exc}"
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         return _DISPATCH[args.command](args)
-    except (ValidationError, ParameterDomainError, InfeasibleError,
-            UnsupportedOracleError, InsufficientDataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DivergenceError as exc:
-        print(f"divergence: {exc} (last good t = {exc.t_last})", file=sys.stderr)
-        return 2
-    except StepSizeError as exc:
-        print(f"step control failed: {exc}", file=sys.stderr)
-        return 2
-    except SystemExit:
-        raise
-    except KeyboardInterrupt:
-        raise
     except Exception as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        code, message = _status(exc)
+        print(message, file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -57,14 +57,17 @@ def table_from_trajectory(obs: Observables) -> TrajectoryTable:
                            scalars={name: getattr(obs, name) for name in _SCALAR_COLUMNS})
 
 
-def write_csv(path, table: TrajectoryTable) -> None:
-    header = table.header()
-    columns = [table.ts, table.xs, table.xdots] + [table.scalars[name] for name in _SCALAR_COLUMNS]
-    # one format string per row, with the \r\n line ends of csv.writer
+def _write_rows(path, header, columns) -> None:
+    """Write header, then np.column_stack(columns) as %.17g rows, CRLF-ended like csv.writer."""
     row = ",".join(["%.17g"] * len(header)) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         fh.writelines(row % tuple(values) for values in np.column_stack(columns).tolist())
+
+
+def write_csv(path, table: TrajectoryTable) -> None:
+    _write_rows(path, table.header(), [table.ts, table.xs, table.xdots]
+                + [table.scalars[name] for name in _SCALAR_COLUMNS])
 
 
 def read_csv(path) -> TrajectoryTable:

@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import InsufficientDataError, ParameterDomainError, ValidationError
 from .objectives import Objective, as_point, tikhonov_center
-from .schedules import SystemConfig, _check_energy_index, _energy_index, energy_descent_start
+from .schedules import (SystemConfig, _check_energy_index, _energy_index, _sample,
+                        energy_descent_start)
 from .dynamics import Trajectory
 
 __all__ = [
@@ -94,13 +95,13 @@ def _envelope(cfg: SystemConfig, ts, xs, xdots) -> SimpleNamespace:
     obj = cfg.objective
     phi_star, x_star = _require_targets(obj)
     s = cfg.schedule
-    lam = np.asarray(s.lam(ts), dtype=float)
+    lam = _sample(s.lam, ts)
     p = obj.prox(lam[:, None], xs)
     value = obj.value(p)
     g = (xs - p) / lam[:, None]
     return SimpleNamespace(
         ts=ts, xs=xs, x_star=x_star, lam=lam, p=p, g=g, w=xdots + cfg.beta * g,
-        b=np.asarray(s.b(ts), dtype=float), eps=np.asarray(s.eps(ts), dtype=float),
+        b=_sample(s.b, ts), eps=_sample(s.eps, ts),
         function_gap=value - phi_star, gap=value + _sq(xs - p) / (2.0 * lam) - phi_star)
 
 

@@ -41,7 +41,7 @@ from .errors import (
     StepSizeError,
     ValidationError,
 )
-from .schedules import SystemConfig
+from .schedules import SystemConfig, _sample
 
 __all__ = [
     "IntegratorSettings",
@@ -71,12 +71,14 @@ class IntegratorSettings:
     def validate(self) -> None:
         if self.method not in ("rk45_adaptive", "rk4_fixed"):
             raise ValidationError(f"unknown integrator method {self.method!r}")
-        if self.rtol <= 0.0 or self.atol <= 0.0:
-            raise ValidationError("tolerances must be positive")
-        if self.fixed_step <= 0.0 or self.min_step <= 0.0 or self.max_step <= 0.0:
-            raise ValidationError("step sizes must be positive")
-        if self.initial_step < 0.0:
-            raise ValidationError("initial_step must be >= 0")
+        if not (0.0 < self.rtol < math.inf and 0.0 < self.atol < math.inf):
+            raise ValidationError("tolerances must be positive reals")
+        # max_step alone may be inf: no cap
+        if not (0.0 < self.fixed_step < math.inf and 0.0 < self.min_step < math.inf
+                and self.max_step > 0.0):
+            raise ValidationError("step sizes must be positive reals")
+        if not 0.0 <= self.initial_step < math.inf:
+            raise ValidationError("initial_step must be a real >= 0")
         if self.sample_stride < 1:
             raise ValidationError("sample_stride must be a positive integer")
         if self.max_steps < 1:
@@ -114,13 +116,6 @@ def _check_floor(lam_min: float, floor: float) -> None:
     # validation samples lambda on a grid, so a dip between grid points lands here
     if lam_min < floor * (1.0 - 1e-9):
         raise ValidationError(f"lambda(t) = {lam_min:.3g} fell below its floor {floor:.3g}")
-
-
-def _column(values, shape) -> np.ndarray:
-    """A schedule's values as floats of the given shape; a custom schedule may
-    return a scalar."""
-    values = np.asarray(values, dtype=float)
-    return values if values.shape == shape else np.broadcast_to(values, shape)
 
 
 def _core(cfg: SystemConfig):
@@ -163,7 +158,7 @@ class _Stepper:
         self.values = []
 
     def schedule(self, ts: np.ndarray) -> None:
-        cols = [_column(fn(ts), ts.shape).tolist() for fn in self.fns]
+        cols = [_sample(fn, ts).tolist() for fn in self.fns]
         _check_floor(min(cols[1]), self.floor)
         if len(cols) == 3:
             cols.append([0.0] * ts.size)  # b_dot, unused when beta = 0
@@ -377,7 +372,7 @@ def residual_second_order(traj: Trajectory, cfg: SystemConfig) -> float:
     if float(np.max(np.abs(hs - h))) > 1e-8 * max(h, 1.0):
         raise InsufficientDataError("samples must be uniformly spaced")
     s = cfg.schedule
-    b, lam, eps = (_column(fn(ts), ts.shape)[:, None] for fn in (s.b, s.lam, s.eps))
+    b, lam, eps = (_sample(fn, ts)[:, None] for fn in (s.b, s.lam, s.eps))
     _check_floor(float(lam.min()), cfg.lambda_floor)
     xs, mid = traj.xs, slice(1, -1)
     grads = _grad(cfg.objective.prox, lam, xs)

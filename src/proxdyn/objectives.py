@@ -10,6 +10,7 @@ the proximal map for cross-checking the closed forms.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -372,8 +373,8 @@ def l1_norm(dim: int = 1) -> Objective:
 def scaled_shifted_quadratic(c: float = 1.0, z=4.0) -> Objective:
     """Quadratic (c/2) ||x - z||^2 with unique minimizer z."""
     c = float(c)
-    if c <= 0.0:
-        raise ParameterDomainError("c must be positive")
+    if not 0.0 < c < math.inf:
+        raise ParameterDomainError("c must be a positive real")
     zarr = as_point(z)
 
     def value(x):
@@ -431,6 +432,10 @@ _BUILTINS = {
 
 BUILTIN_NAMES = tuple(sorted(_BUILTINS))
 
+# the keyword parameters of each factory, read once rather than per call
+_PARAMETERS = {name: tuple(inspect.signature(factory).parameters)
+               for name, factory in _BUILTINS.items()}
+
 
 def make_objective(name: str, **params) -> Objective:
     """Instantiate a built-in objective by registry name."""
@@ -440,4 +445,9 @@ def make_objective(name: str, **params) -> Objective:
         raise ParameterDomainError(
             f"unknown objective {name!r}; known: {', '.join(BUILTIN_NAMES)}"
         ) from None
+    unknown = sorted(set(params) - set(_PARAMETERS[name]))
+    if unknown:
+        raise ParameterDomainError(
+            f"objective {name!r} does not take {', '.join(unknown)}; "
+            f"it takes {', '.join(_PARAMETERS[name]) or 'none'}")
     return factory(**params)

@@ -13,7 +13,7 @@ A run is described by a flat text config with dotted section prefixes::
 Unknown keys are rejected. Presets bundle the figure experiments as lists
 of such flat dicts; execute_run integrates one config and writes its
 trajectory CSV, summary document and optional SVG charts into a per-label
-directory. run_from_flat is the picklable entry point sweep workers use.
+directory.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ __all__ = [
     "build_system",
     "build_run",
     "execute_run",
-    "run_from_flat",
     "preset_runs",
 ]
 
@@ -278,7 +277,8 @@ _CHECKERS = {
 
 @dataclass
 class RunSummary:
-    """Everything a completed run reports, serialized by to_text."""
+    """Everything a completed run reports, serialized by to_text, plus the
+    table it wrote to trajectory.csv."""
 
     label: str
     config_echo: dict
@@ -288,6 +288,7 @@ class RunSummary:
     descent_text: str
     strong_text: str
     wall_time: float
+    table: csvio.TrajectoryTable
     notes: tuple = ()
 
     def to_text(self) -> str:
@@ -363,7 +364,8 @@ def execute_run(rc: RunConfig, outdir, svg: bool = True) -> RunSummary:
     csvio.write_csv(os.path.join(run_dir, "trajectory.csv"), table)
     summary = RunSummary(label=rc.label, config_echo=_echo(rc), condition_report=report,
                          final=final, rate_fits=fits, descent_text=descent_text,
-                         strong_text=strong_text, wall_time=wall, notes=rc.notes)
+                         strong_text=strong_text, wall_time=wall, table=table,
+                         notes=rc.notes)
     with open(os.path.join(run_dir, "summary.txt"), "w") as fh:
         fh.write(summary.to_text())
     if svg:
@@ -392,13 +394,6 @@ def _echo(rc: RunConfig) -> dict:
                 "%g" % v for v in value)
         echo[key] = value
     return echo
-
-
-def run_from_flat(flat: dict, outdir, svg: bool = True) -> dict:
-    """Picklable worker entry: parse, run, and report where files landed."""
-    rc = config_from_flat(flat)
-    summary = execute_run(rc, outdir, svg=svg)
-    return {"label": rc.label, "wall_time": summary.wall_time}
 
 
 # experiment presets; each is a list of flat configs, one per run

@@ -13,6 +13,7 @@ and, for polynomial families, the sign of the dominant monomial.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -54,6 +55,8 @@ class LambdaForm:
         if self.kind not in ("constant", "power", "bounded"):
             raise ParameterDomainError(f"unknown lambda form {self.kind!r}")
         v = float(self.value)
+        if not math.isfinite(v):
+            raise ParameterDomainError("lambda value must be finite")
         if self.kind == "constant" and v <= 0.0:
             raise ParameterDomainError("constant lambda must be positive")
         if self.kind == "power" and v < 0.0:
@@ -99,14 +102,14 @@ class PolyParams:
     lam: LambdaForm = field(default_factory=LambdaForm)
 
     def __post_init__(self):
-        if self.b_coeff <= 0.0:
-            raise ParameterDomainError("b_coeff must be positive")
-        if self.n < 0.0:
-            raise ParameterDomainError("n must be >= 0")
-        if self.eps_coeff < 0.0:
-            raise ParameterDomainError("eps_coeff must be >= 0")
-        if self.d <= 0.0:
-            raise ParameterDomainError("d must be positive")
+        if not 0.0 < self.b_coeff < math.inf:
+            raise ParameterDomainError("b_coeff must be a positive real")
+        if not 0.0 <= self.n < math.inf:
+            raise ParameterDomainError("n must be a real >= 0")
+        if not 0.0 <= self.eps_coeff < math.inf:
+            raise ParameterDomainError("eps_coeff must be a real >= 0")
+        if not 0.0 < self.d < math.inf:
+            raise ParameterDomainError("d must be a positive real")
 
 
 @dataclass(frozen=True)
@@ -122,6 +125,13 @@ class Schedule:
     eps_dot: Callable
     family: str = "custom"
     poly: Optional[PolyParams] = None
+
+
+def _sample(fn: Callable, ts: np.ndarray) -> np.ndarray:
+    """A schedule callable's values at the array ts, as floats of ts's shape;
+    a custom schedule may return a scalar."""
+    values = np.asarray(fn(ts), dtype=float)
+    return values if values.shape == ts.shape else np.broadcast_to(values, ts.shape)
 
 
 def polynomial_schedule(params: PolyParams, t0: float) -> Schedule:
@@ -201,20 +211,20 @@ class SystemConfig:
             raise ValidationError("t0 must be positive")
         if not (math.isfinite(self.horizon) and self.horizon > self.t0):
             raise ValidationError("horizon must exceed t0")
-        if self.lambda_floor <= 0.0:
-            raise ValidationError("lambda_floor must be positive")
+        if not 0.0 < self.lambda_floor < math.inf:
+            raise ValidationError("lambda_floor must be a positive real")
         if self.schedule.t0 > self.t0 * (1.0 + 1e-12):
             raise ValidationError("schedule starts after the system t0")
         ts = np.geomspace(self.t0, self.horizon, 512)
-        lam = np.asarray(self.schedule.lam(ts))
+        lam = _sample(self.schedule.lam, ts)
         if np.min(lam) < self.lambda_floor:
             raise ValidationError(
                 f"lambda(t) dips to {np.min(lam):.3g} below the floor {self.lambda_floor:.3g}"
             )
-        bb = np.asarray(self.schedule.b(ts))
+        bb = _sample(self.schedule.b, ts)
         if np.min(bb) <= 0.0:
             raise ValidationError("b(t) must stay positive on [t0, horizon]")
-        ee = np.asarray(self.schedule.eps(ts))
+        ee = _sample(self.schedule.eps, ts)
         if np.min(ee) < 0.0:
             raise ValidationError("eps(t) must be nonnegative")
         if np.any(np.diff(ee) > 1e-12 * max(1.0, float(np.max(ee)))):
@@ -679,8 +689,8 @@ def energy_descent_start(cfg, q: float, a: float) -> float:
     query = _as_query(cfg)
     s = query.schedule
     alpha, beta, t0 = query.alpha, query.beta, query.t0
-    if a < 1.0:
-        raise ParameterDomainError("a must be >= 1")
+    if not 1.0 <= a < math.inf:
+        raise ParameterDomainError(f"a must be >= 1 and finite, got {a:.6g}")
     _check_energy_index(q, alpha)
     b0 = float(s.b(t0))
     if b0 * a <= 1.0:
@@ -724,8 +734,9 @@ def suggest_t0(params: PolyParams, alpha: float, beta: float, slack: float = 0.0
         (beta * (alpha - 2.0) / (B * (alpha - 3.0 - n))) ** (1.0 / (n + 1.0)),
     ]
     t0 = max(cands)
-    if beta == 0.0:
-        t0 = max(t0, 1.0)
+    if t0 * t0 < sys.float_info.min:
+        # beta = 0, or so small that t0 (or t0^2) underflows: start at 1
+        t0 = 1.0
     if beta > 0.0 and E > 0.0:
         # raise t0 until the admissible-a interval [a_lo, 2d/(beta E) t0^(d-1)]
         # is nonempty; a no-op whenever the base value already qualifies

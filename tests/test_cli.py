@@ -97,6 +97,7 @@ def test_sweep_writes_runs_and_combined(tmp_path):
             "--set", "system.horizon=5", "--svg", "off", "--out", str(tmp_path)]
     assert cli.main(args) == 0
     assert (tmp_path / "d_2_5" / "trajectory.csv").exists()
+    assert (tmp_path / "d_2_5" / "summary.txt").exists()
     assert (tmp_path / "d_3_5" / "trajectory.csv").exists()
     combined = (tmp_path / "sweep_d.csv").read_text().splitlines()
     assert combined[0].startswith("d,t,moreau_gap")
@@ -120,11 +121,29 @@ def test_sweep_single_value_matches_simulate(tmp_path):
 
 
 def test_sweep_fail_fast_runs_nothing(tmp_path):
-    # second value is invalid (d <= 0), so no run directory may appear
-    args = ["sweep", "--preset", "fig1", "--param", "d", "--values", "3,-1",
-            "--set", "system.horizon=5", "--out", str(tmp_path / "x")]
-    assert cli.main(args) == 1
-    assert not (tmp_path / "x").exists()
+    # an invalid second value (d <= 0), or one that repeats the first under
+    # another spelling: no run directory may appear
+    for values in ("3,-1", "3,3.0"):
+        args = ["sweep", "--preset", "fig1", "--param", "d", "--values", values,
+                "--set", "system.horizon=5", "--out", str(tmp_path / "x")]
+        assert cli.main(args) == 1
+        assert not (tmp_path / "x").exists()
+
+
+def test_sweep_keeps_variants_when_one_diverges(tmp_path, capsys):
+    cfg = write_config(tmp_path, RUNAWAY_CONFIG)
+    out = tmp_path / "w"
+    args = ["sweep", "--config", cfg, "--param", "alpha", "--values", "10,0.5,12",
+            "--svg", "off", "--out", str(out)]
+    assert cli.main(args) == 2
+    assert "alpha_0_5: alpha = 0.5, FAILED (exit 2)" in capsys.readouterr().out
+    combined = (out / "sweep_alpha.csv").read_text().splitlines()
+    assert {line.split(",")[0] for line in combined[1:]} == {"10", "12"}
+    lines = (out / "sweep_alpha_summary.txt").read_text().splitlines()
+    assert [line.split(":")[0] for line in lines] == ["alpha_10_0", "alpha_0_5", "alpha_12_0"]
+    assert lines[1].startswith("alpha_0_5: alpha = 0.5, FAILED (exit 2): divergence:")
+    assert "last good t" in lines[1]
+    assert not (out / "alpha_0_5").exists()
 
 
 def test_bad_energy_index_fails_before_integrating(tmp_path, monkeypatch, capsys):
@@ -156,6 +175,41 @@ def test_bad_descent_a_fails_before_integrating(tmp_path, monkeypatch, capsys):
             assert message in capsys.readouterr().err
     assert not any((tmp_path / "simulate").iterdir())
     assert not (tmp_path / "sweep").exists()
+
+
+@pytest.mark.parametrize("overrides", [
+    ["schedule.d=nan"],
+    ["schedule.n=nan"],
+    ["schedule.eps_coeff=nan"],
+    ["schedule.lambda_value=nan"],
+    ["schedule.b_coeff=inf"],
+    ["integrator.rtol=nan"],
+    ["integrator.atol=nan"],
+    ["integrator.method=rk4_fixed", "integrator.fixed_step=nan"],
+    ["system.lambda_floor=nan"],
+    ["integrator.max_step=nan"],
+    ["diagnostics.descent_a=nan"],
+    ["objective.name=scaled_shifted_quadratic", "objective.c=nan"],
+], ids=" ".join)
+def test_non_finite_config_fails_before_integrating(tmp_path, monkeypatch, capsys, overrides):
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrate must not run")
+
+    monkeypatch.setattr(runconfig, "integrate", no_integration)
+    cfg = write_config(tmp_path, FAST_CONFIG)
+    sets = [arg for pair in overrides for arg in ("--set", pair)]
+    assert cli.main(["simulate", "--config", cfg, *sets, "--out", str(tmp_path / "s")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_objective_parameter_it_does_not_take(tmp_path, capsys):
+    args = ["simulate", "--preset", "fig4", "--set", "objective.lo=-2", "--out", str(tmp_path)]
+    assert cli.main(args) == 1
+    assert "'dist_to_interval' does not take lo" in capsys.readouterr().err
+    args = ["check", "--preset", "fig1", "--set", "objective.name=box_indicator",
+            "--set", "objective.c=2"]
+    assert cli.main(args) == 1
+    assert "does not take c; it takes lo, hi, dim" in capsys.readouterr().err
 
 
 def test_sweep_l_requires_exponent_form(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from proxdyn import (
     InsufficientDataError,
     IntegratorSettings,
+    Observables,
     ParameterDomainError,
     PolyParams,
     Schedule,
@@ -43,6 +44,17 @@ def const_schedule(t0=1.0):
     zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
     return Schedule(t0=t0, b=one, b_dot=zero, lam=one, lam_dot=zero,
                     eps=one, eps_dot=zero, family="custom")
+
+
+def constant_schedule(b, lam, as_array):
+    """Constant b and lam, eps = 0, through callables that return arrays
+    shaped like t or plain scalars."""
+    if as_array:
+        const = lambda value: lambda t: np.full(np.shape(t), value)
+    else:
+        const = lambda value: lambda t: value
+    return Schedule(t0=1.0, b=const(b), b_dot=const(0.0), lam=const(lam),
+                    lam_dot=const(0.0), eps=const(0.0), eps_dot=const(0.0))
 
 
 def unit_cfg(alpha=10.0, beta=0.0, objective=None):
@@ -299,3 +311,16 @@ def test_scaled_gap_running_max_stabilizes(reference_run):
     running = np.maximum.accumulate(scaled)
     k = int(np.searchsorted(traj.ts, traj.ts[-1] / 10.0))
     assert running[-1] <= 1.05 * running[k]
+
+
+def test_scalar_schedule_observables_match_array_schedule():
+    # validation, integration and the observables broadcast scalar schedule values
+    obs = []
+    for as_array in (True, False):
+        cfg = SystemConfig(objective=abs_plus_quad(), schedule=constant_schedule(2.0, 0.5, as_array),
+                           alpha=10.0, beta=0.5, t0=1.0, x0=3.0, xdot0=0.0, horizon=5.0)
+        obs.append(compute_observables(integrate(cfg)))
+    arrays, scalars = obs
+    assert scalars.ts.tobytes() == arrays.ts.tobytes()
+    for name in Observables.FIELDS:
+        assert getattr(scalars, name).tobytes() == getattr(arrays, name).tobytes(), name

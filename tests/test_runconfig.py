@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from proxdyn import runconfig
+from proxdyn.csvio import read_csv
 from proxdyn.errors import ParameterDomainError, ValidationError
 from proxdyn.runconfig import (PRESETS, build_system, config_from_flat, execute_run,
-                               parse_config_text, parse_overrides, preset_runs,
-                               run_from_flat)
+                               parse_config_text, parse_overrides, preset_runs)
 
 MINIMAL = {
     "system.alpha": "10",
@@ -142,6 +142,10 @@ def test_execute_run_writes_artifacts(tmp_path):
                     "energy descent", "strong convergence", "wall time"):
         assert section in text, section
     assert summary.condition_report.all_pass
+    # the summary carries the table trajectory.csv holds
+    back = read_csv(run_dir / "trajectory.csv")
+    assert back.ts.tobytes() == summary.table.ts.tobytes()
+    assert back.scalars["psi"].tobytes() == summary.table.scalars["psi"].tobytes()
 
 
 def test_execute_run_svg_off(tmp_path):
@@ -195,10 +199,3 @@ def test_execute_run_makes_one_prox_pass(tmp_path, monkeypatch):
     flat = dict(preset_runs("fig4")[1], **{"system.horizon": "10"})
     execute_run(config_from_flat(flat), tmp_path, svg=False)
     assert len(calls) <= trajs[0].stats.nfev + 3
-
-
-def test_run_from_flat_roundtrip(tmp_path):
-    flat = dict(MINIMAL, label="worker", **{"system.horizon": "5"})
-    out = run_from_flat(flat, tmp_path, svg=False)
-    assert out["label"] == "worker"
-    assert (tmp_path / "worker" / "summary.txt").exists()

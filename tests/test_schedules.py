@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from proxdyn import (
     ConditionQuery,
@@ -232,6 +232,9 @@ def test_suggest_t0_rejects_bad_exponents():
     eps_coeff=st.floats(0.0, 2.0),
     d=st.floats(2.1, 6.0),
 )
+# beta / b_coeff underflows to t0 = 0; a subnormal t0^2 breaks b_growth_margin
+@example(alpha=12.0, beta=5e-324, b_coeff=5.0, n_frac=0.0, eps_coeff=0.0, d=2.1)
+@example(alpha=4.0, beta=1e-300, b_coeff=1.0, n_frac=0.8, eps_coeff=0.0, d=2.1)
 def test_suggested_time_certifies_fast_rates(alpha, beta, b_coeff, n_frac, eps_coeff, d):
     if eps_coeff > 0 and d < beta * eps_coeff / 2.0:
         d = beta * eps_coeff / 2.0 + 0.1
