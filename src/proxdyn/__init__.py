@@ -20,7 +20,6 @@ from .errors import (
 from .objectives import (
     BUILTIN_NAMES,
     Objective,
-    ProxOracleSettings,
     abs_plus_quad,
     as_point,
     box_indicator,

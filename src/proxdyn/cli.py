@@ -3,7 +3,9 @@
 Subcommands: simulate, check, sweep, prox-selftest. Exit codes: 0 success
 or all checks passed, 1 validation/usage/condition failure, 2 divergence
 or failed step control, 3 internal error; _status maps each exception to
-its code and stderr message.  A sweep validates every variant, then runs
+its code and stderr message.  Bad or repeated run labels and output paths
+that cannot be written exit 1.  simulate validates every run before the
+first one integrates.  A sweep validates every variant, then runs
 them in worker processes and keeps the finished ones when another fails:
 every variant gets a summary line, and the sweep exits with the largest
 code among the failed variants, 0 when none failed.
@@ -64,7 +66,7 @@ def _build_parser() -> _Parser:
 
     p_chk = sub.add_parser("check", help="evaluate parameter conditions")
     add_source_flags(p_chk)
-    p_chk.add_argument("--setting", choices=("fast", "strong", "alpha3"),
+    p_chk.add_argument("--setting", choices=tuple(_CHECKERS),
                        help="condition family (default: the config's diagnostics.setting)")
 
     p_swp = sub.add_parser("sweep", help="run one config across a parameter range")
@@ -98,8 +100,15 @@ def _gather_runs(args) -> list:
 def cmd_simulate(args) -> int:
     outdir = args.out
     os.makedirs(outdir, exist_ok=True)
+    # fail fast: every run must validate, under its own label, before any run starts
+    configs = {}
     for flat in _gather_runs(args):
         rc = config_from_flat(flat)
+        build_run(rc)
+        if rc.label in configs:
+            raise ValidationError(f"label {rc.label!r} names more than one run")
+        configs[rc.label] = rc
+    for rc in configs.values():
         summary = execute_run(rc, outdir, svg=args.svg == "on")
         status = "pass" if summary.condition_report.all_pass else "FAIL"
         print(f"{rc.label}: wrote {os.path.join(outdir, rc.label)} "
@@ -214,8 +223,9 @@ _DISPATCH = {
 
 def _status(exc: Exception):
     """The documented exit code of a failure and its stderr message."""
+    # an OSError is an output path that cannot be written, not a program bug
     if isinstance(exc, (ValidationError, ParameterDomainError, InfeasibleError,
-                        UnsupportedOracleError, InsufficientDataError)):
+                        UnsupportedOracleError, InsufficientDataError, OSError)):
         return 1, f"error: {exc}"
     if isinstance(exc, DivergenceError):
         return 2, f"divergence: {exc} (last good t = {exc.t_last})"

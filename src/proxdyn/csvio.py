@@ -28,6 +28,12 @@ __all__ = ["TrajectoryTable", "table_from_trajectory", "write_csv", "read_csv"]
 _SCALAR_COLUMNS = Observables.FIELDS
 
 
+def _header(m: int) -> list:
+    """The column names of a trajectory CSV for state dimension m."""
+    return (["t"] + [f"x_{i}" for i in range(m)] + [f"xdot_{i}" for i in range(m)]
+            + list(_SCALAR_COLUMNS))
+
+
 @dataclass
 class TrajectoryTable:
     """Columns of a trajectory CSV, ready to write or just read back."""
@@ -42,12 +48,7 @@ class TrajectoryTable:
         return self.xs.shape[1]
 
     def header(self):
-        m = self.dim
-        cols = ["t"]
-        cols += [f"x_{i}" for i in range(m)]
-        cols += [f"xdot_{i}" for i in range(m)]
-        cols += list(_SCALAR_COLUMNS)
-        return cols
+        return _header(self.dim)
 
 
 def table_from_trajectory(obs: Observables) -> TrajectoryTable:
@@ -81,10 +82,8 @@ def read_csv(path) -> TrajectoryTable:
         data = [[float(v) for v in row] for row in reader]
     if not data:
         raise ValidationError(f"{path}: csv has a header but no rows")
-    xcols = [c for c in header if c.startswith("x_")]
-    m = len(xcols)
-    expected = ["t"] + [f"x_{i}" for i in range(m)] + [f"xdot_{i}" for i in range(m)] + list(_SCALAR_COLUMNS)
-    if header != expected:
+    m = sum(c.startswith("x_") for c in header)
+    if header != _header(m):
         raise ValidationError(f"{path}: unexpected csv columns {header}")
     arr = np.asarray(data, dtype=float)
     ts = arr[:, 0]

@@ -221,12 +221,14 @@ class DescentReport:
                 f"(allowance {self.excess_allowance:.3g})")
 
 
-def check_energy_descent(obs: Observables, a: float,
-                         tol_fraction: float = 0.01) -> DescentReport:
+_DESCENT_TOL_FRACTION = 0.01  # share of sample intervals allowed to violate descent
+
+
+def check_energy_descent(obs: Observables, a: float) -> DescentReport:
     """Discrete check that the anchored energy column decreases up to the
     Tikhonov source term (q t eps(t) / 2) |x*|^2 past the descent start time.
 
-    Tolerates a tol_fraction share of violating intervals, each within a
+    Tolerates violations on 1% of the intervals, each within a
     discretization allowance of 1e-6 * max(1, max |E|).
     """
     if obs.q is None:
@@ -252,7 +254,7 @@ def check_energy_descent(obs: Observables, a: float,
     bad = excess > dust
     violations = int(np.count_nonzero(bad))
     worst = float(np.max(excess[bad])) if violations else 0.0
-    passed = (violations <= tol_fraction * excess.size) and worst <= allowance
+    passed = (violations <= _DESCENT_TOL_FRACTION * excess.size) and worst <= allowance
     return DescentReport(q=q, a=a, start_time=t_start, intervals=int(excess.size),
                          violations=violations, worst_excess=worst,
                          excess_allowance=allowance, passed=bool(passed))

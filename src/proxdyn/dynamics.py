@@ -12,7 +12,9 @@ derivatives; with beta = 0 the auxiliary variable is plain velocity.
 
 The steppers are deliberately self-contained: an embedded Dormand-Prince
 5(4) pair with FSAL and a PI-free step controller, plus classical fixed-step
-RK4 for order studies.  The envelope gradient is 1/lambda-Lipschitz, so
+RK4 for order studies.  The adaptive stepper's first step is
+min((T - t0)/100, 1), capped by max_step; a step below 1e-13 raises
+StepSizeError.  The envelope gradient is 1/lambda-Lipschitz, so
 stiffness is capped by the lambda floor and explicit methods are adequate.
 
 Both steppers share one _Stepper per run.  Validation happens once, in
@@ -55,13 +57,15 @@ __all__ = [
 ]
 
 
+_METHODS = ("rk45_adaptive", "rk4_fixed")
+_MIN_STEP = 1e-13  # an adaptive step below this raises StepSizeError
+
+
 @dataclass
 class IntegratorSettings:
-    method: str = "rk45_adaptive"  # or "rk4_fixed"
+    method: str = _METHODS[0]
     rtol: float = 1e-8
     atol: float = 1e-10
-    initial_step: float = 0.0  # 0 means pick automatically
-    min_step: float = 1e-13
     max_step: float = math.inf
     fixed_step: float = 1e-3
     sample_stride: int = 1
@@ -69,16 +73,13 @@ class IntegratorSettings:
     divergence_threshold: float = 1e12
 
     def validate(self) -> None:
-        if self.method not in ("rk45_adaptive", "rk4_fixed"):
+        if self.method not in _METHODS:
             raise ValidationError(f"unknown integrator method {self.method!r}")
         if not (0.0 < self.rtol < math.inf and 0.0 < self.atol < math.inf):
             raise ValidationError("tolerances must be positive reals")
         # max_step alone may be inf: no cap
-        if not (0.0 < self.fixed_step < math.inf and 0.0 < self.min_step < math.inf
-                and self.max_step > 0.0):
+        if not (0.0 < self.fixed_step < math.inf and self.max_step > 0.0):
             raise ValidationError("step sizes must be positive reals")
-        if not 0.0 <= self.initial_step < math.inf:
-            raise ValidationError("initial_step must be a real >= 0")
         if self.sample_stride < 1:
             raise ValidationError("sample_stride must be a positive integer")
         if self.max_steps < 1:
@@ -316,8 +317,7 @@ def integrate(cfg: SystemConfig, settings: IntegratorSettings = None) -> Traject
         return sampler.build(stats, cfg)
 
     # rk45_adaptive
-    h = settings.initial_step or min((T - t) / 100.0, 1.0)
-    h = min(h, settings.max_step, T - t)
+    h = min((T - t) / 100.0, 1.0, settings.max_step)
     while t < T:
         if stats.accepted + stats.rejected >= settings.max_steps:
             raise StepSizeError(f"step budget exhausted at t = {t:.6g}, h = {h:.3g}")
@@ -352,7 +352,7 @@ def integrate(cfg: SystemConfig, settings: IntegratorSettings = None) -> Traject
         factor = 0.9 * err_norm ** -0.2 if err_norm > 0.0 else 5.0
         h *= min(5.0, max(0.2, factor))
         h = min(h, settings.max_step)
-        if h < settings.min_step:
+        if h < _MIN_STEP:
             raise StepSizeError(f"step size collapsed to {h:.3g} at t = {t:.6g}")
     return sampler.build(stats, cfg)
 

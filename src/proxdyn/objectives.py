@@ -5,7 +5,9 @@ proximal map, its optimal value and its least-norm minimizer.  The module
 operations compute Moreau envelope values, gradients and lambda-derivatives,
 smoothing compositions, and Tikhonov-regularized centers.  A derivative-free
 golden-section oracle (:func:`prox_oracle`) provides an independent route to
-the proximal map for cross-checking the closed forms.
+the proximal map for cross-checking the closed forms.  The oracle has one
+fixed setting: a bracket half-width of at least 1, a stopping length of
+1e-10 and at most 200 golden-section iterations.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .errors import ParameterDomainError, UnsupportedOracleError
 
 __all__ = [
     "Objective",
-    "ProxOracleSettings",
     "as_point",
     "prox",
     "prox_oracle",
@@ -54,20 +55,6 @@ def as_point(x, dim: Optional[int] = None) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ProxOracleSettings:
-    """Controls for the golden-section prox oracle.
-
-    bracket_halfwidth is a lower bound on the search half-width; the oracle
-    widens it from the query point and a local slope estimate so the bracket
-    always contains the proximal point.
-    """
-
-    bracket_halfwidth: float = 1.0
-    tolerance: float = 1e-10
-    max_iterations: int = 200
-
-
-@dataclass(frozen=True)
 class Objective:
     """A proper convex function with proximal-map metadata.
 
@@ -95,7 +82,6 @@ class Objective:
     coordinate_value: Optional[Callable[[int, float], float]] = None
     kink_points: Callable[[float], tuple] = field(default=lambda lam: ())
     lambda_switches: Callable[[float], tuple] = field(default=lambda u: ())
-    description: str = ""
 
 
 def _require_lam(lam: float) -> float:
@@ -111,20 +97,24 @@ def prox(obj: Objective, lam: float, x) -> np.ndarray:
     return obj.prox(lam, as_point(x, obj.dim))
 
 
-# golden-section constants
+# the oracle's setting (the least bracket half-width, the bracket length to
+# stop at, the iteration cap) and the golden-section constants
+_BRACKET_HALFWIDTH = 1.0
+_TOLERANCE = 1e-10
+_MAX_ITERATIONS = 200
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 
-def _golden_min(fn, lo: float, hi: float, tol: float, max_iter: int) -> float:
+def _golden_min(fn, lo: float, hi: float) -> float:
     """Golden-section argmin of a unimodal function on [lo, hi]."""
     a, b = lo, hi
     h = b - a
     c = a + _INVPHI2 * h
     d = a + _INVPHI * h
     fc, fd = fn(c), fn(d)
-    for _ in range(max_iter):
-        if h <= tol:
+    for _ in range(_MAX_ITERATIONS):
+        if h <= _TOLERANCE:
             break
         if fc < fd:
             b, d, fd = d, c, fc
@@ -176,35 +166,39 @@ def _slope_proxy(piece, i: int, u: float) -> float:
     return min(abs(max(finite) - min(finite)), 1e6)
 
 
-def _prox_1d(piece, i: int, lam: float, xi: float, settings: ProxOracleSettings) -> float:
-    half = max(settings.bracket_halfwidth, abs(xi) + lam * (1.0 + _slope_proxy(piece, i, xi)))
+def _bracket(piece, i: int, index: float, xi: float):
+    half = max(_BRACKET_HALFWIDTH, abs(xi) + index * (1.0 + _slope_proxy(piece, i, xi)))
+    return xi - half, xi + half
 
+
+def _prox_1d(piece, i: int, lam: float, xi: float) -> float:
     def fn(u):
         return piece(i, u) + (u - xi) ** 2 / (2.0 * lam)
 
-    lo, hi = _localize(fn, xi - half, xi + half)
-    return _golden_min(fn, lo, hi, settings.tolerance, settings.max_iterations)
+    return _golden_min(fn, *_localize(fn, *_bracket(piece, i, lam, xi)))
 
 
-def prox_oracle(obj: Objective, lam: float, x, settings: Optional[ProxOracleSettings] = None) -> np.ndarray:
+def prox_oracle(obj: Objective, lam: float, x) -> np.ndarray:
     """Proximal point by per-coordinate golden-section search.
 
     Independent of the closed-form prox: only objective values are used.
     Requires dim == 1 or a coordinate decomposition (separable objective).
+    The search half-width is at least 1 and widens from the query point and
+    a local slope estimate, so the bracket always contains the proximal
+    point.
 
     Positional accuracy is limited by comparing function values in double
-    precision: at a kink the error tracks settings.tolerance, but where the
+    precision: at a kink the error tracks the 1e-10 tolerance, but where the
     minimum is smooth the values near it differ by O(h^2 / lam) and the
     search stalls around sqrt(eps) * scale, roughly 1e-7. Comparisons
     against a closed form should allow for that floor.
     """
     lam = _require_lam(lam)
-    settings = settings or ProxOracleSettings()
     x = as_point(x, obj.dim)
     piece = _coordinate_piece(obj)
     out = np.empty(obj.dim)
     for i in range(obj.dim):
-        out[i] = _prox_1d(piece, i, lam, float(x[i]), settings)
+        out[i] = _prox_1d(piece, i, lam, float(x[i]))
     return out
 
 
@@ -242,8 +236,7 @@ def envelope_composition_prox(obj: Objective, lam: float, mu: float, x) -> np.nd
     return (1.0 - w) * x + w * obj.prox(lam + mu, x)
 
 
-def envelope_of_envelope_check(obj: Objective, lam: float, mu: float, x,
-                               settings: Optional[ProxOracleSettings] = None):
+def envelope_of_envelope_check(obj: Objective, lam: float, mu: float, x):
     """Both sides of the smoothing composition identity.
 
     Returns ``(left, right)`` where left is the mu-envelope of the
@@ -253,7 +246,6 @@ def envelope_of_envelope_check(obj: Objective, lam: float, mu: float, x,
     """
     lam = _require_lam(lam)
     mu = _require_lam(mu)
-    settings = settings or ProxOracleSettings()
     x = as_point(x, obj.dim)
     piece = _coordinate_piece(obj)
     left = 0.0
@@ -261,16 +253,13 @@ def envelope_of_envelope_check(obj: Objective, lam: float, mu: float, x,
         xi = float(x[i])
 
         def env_piece(u, i=i):
-            w = _prox_1d(piece, i, lam, u, settings)
+            w = _prox_1d(piece, i, lam, u)
             return piece(i, w) + (w - u) ** 2 / (2.0 * lam)
 
         def outer(u, i=i, xi=xi):
             return env_piece(u, i) + (u - xi) ** 2 / (2.0 * mu)
 
-        half = max(settings.bracket_halfwidth, abs(xi) + mu * (1.0 + _slope_proxy(piece, i, xi)))
-        lo, hi = _localize(outer, xi - half, xi + half)
-        u_star = _golden_min(outer, lo, hi, settings.tolerance, settings.max_iterations)
-        left += outer(u_star)
+        left += outer(_golden_min(outer, *_localize(outer, *_bracket(piece, i, mu, xi))))
     right = moreau_value(obj, lam + mu, x)
     return float(left), float(right)
 
@@ -316,7 +305,6 @@ def abs_plus_quad() -> Objective:
         coordinate_value=lambda i, u: abs(u) + 0.5 * u * u,
         kink_points=lambda lam: (-lam, 0.0, lam),
         lambda_switches=lambda u: (abs(u),),
-        description="absolute value plus half square",
     )
 
 
@@ -341,7 +329,6 @@ def dist_to_interval() -> Objective:
         coordinate_value=lambda i, u: max(abs(u) - 1.0, 0.0),
         kink_points=lambda lam: (-1.0 - lam, -1.0, 1.0, 1.0 + lam),
         lambda_switches=lambda u: (abs(u) - 1.0,) if abs(u) > 1.0 else (),
-        description="distance to [-1, 1]",
     )
 
 
@@ -366,7 +353,6 @@ def l1_norm(dim: int = 1) -> Objective:
         coordinate_value=lambda i, u: abs(u),
         kink_points=lambda lam: (-lam, 0.0, lam),
         lambda_switches=lambda u: (abs(u),),
-        description="l1 norm",
     )
 
 
@@ -391,7 +377,6 @@ def scaled_shifted_quadratic(c: float = 1.0, z=4.0) -> Objective:
         phi_star=0.0,
         x_star=zarr.copy(),
         coordinate_value=lambda i, u: 0.5 * c * (u - zarr[i]) ** 2,
-        description="scaled shifted quadratic",
     )
 
 
@@ -418,7 +403,6 @@ def box_indicator(lo: float = -1.0, hi: float = 1.0, dim: int = 1) -> Objective:
         x_star=np.full(dim, min(max(0.0, lo), hi)),
         coordinate_value=lambda i, u: 0.0 if lo <= u <= hi else math.inf,
         kink_points=lambda lam: (lo, hi),
-        description=f"indicator of [{lo}, {hi}]^{dim}",
     )
 
 

@@ -22,19 +22,17 @@ import os
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 # execute_run calls through these bindings: perfbench/tracing.py patches them by name
 from . import csvio, svgplot
 from .diagnostics import (check_energy_descent, compute_observables, fit_rate_slope,
                           strong_convergence_metrics)
-from .dynamics import IntegratorSettings, integrate
-from .errors import InsufficientDataError, ParameterDomainError, ValidationError
+from .dynamics import _METHODS, IntegratorSettings, integrate
+from .errors import InsufficientDataError, ValidationError
 from .objectives import BUILTIN_NAMES, make_objective
-from .schedules import (LambdaForm, PolyParams, SystemConfig, _check_energy_index,
-                        _energy_index, check_alpha3_conditions, check_fast_rate_conditions,
-                        check_strong_conv_conditions, energy_descent_start,
-                        polynomial_schedule)
+from .schedules import (_LAMBDA_KINDS, LambdaForm, PolyParams, SystemConfig,
+                        _check_energy_index, _energy_index, check_alpha3_conditions,
+                        check_fast_rate_conditions, check_strong_conv_conditions,
+                        energy_descent_start, polynomial_schedule)
 
 __all__ = [
     "RunConfig",
@@ -50,7 +48,11 @@ __all__ = [
     "preset_runs",
 ]
 
-_SETTINGS = ("fast", "strong", "alpha3")
+_CHECKERS = {
+    "fast": check_fast_rate_conditions,
+    "strong": check_strong_conv_conditions,
+    "alpha3": check_alpha3_conditions,
+}
 
 
 def parse_config_text(text: str) -> dict:
@@ -93,43 +95,22 @@ def parse_overrides(pairs) -> dict:
     return flat
 
 
-def _as_float(key):
-    def conv(s):
-        try:
-            return float(s)
-        except ValueError:
-            raise ValidationError(f"{key}: expected a number, got {s!r}") from None
-    return conv
-
-
-def _as_int(key):
-    def conv(s):
-        try:
-            return int(s)
-        except ValueError:
-            raise ValidationError(f"{key}: expected an integer, got {s!r}") from None
-    return conv
-
-
-def _as_vector(key):
-    def conv(s):
-        try:
-            return tuple(float(part) for part in s.split(","))
-        except ValueError:
-            raise ValidationError(f"{key}: expected comma-separated numbers, got {s!r}") from None
-    return conv
-
-
-def _as_choice(key, choices):
-    def conv(s):
-        if s not in choices:
-            raise ValidationError(f"{key}: expected one of {choices}, got {s!r}")
-        return s
-    return conv
-
-
-def _as_str(key):
-    return lambda s: s
+def _parse_value(key: str, kind, text: str):
+    """The value of config key from its text.  kind is float, int, str,
+    "vector" (comma-separated numbers), "notes" (;-separated) or a tuple of
+    the allowed strings."""
+    if isinstance(kind, tuple):
+        if text not in kind:
+            raise ValidationError(f"{key}: expected one of {kind}, got {text!r}")
+        return text
+    if kind == "notes":
+        return tuple(part.strip() for part in text.split(";") if part.strip())
+    try:
+        return tuple(float(part) for part in text.split(",")) if kind == "vector" else kind(text)
+    except ValueError:
+        expected = {float: "a number", int: "an integer",
+                    "vector": "comma-separated numbers"}[kind]
+        raise ValidationError(f"{key}: expected {expected}, got {text!r}") from None
 
 
 @dataclass
@@ -149,57 +130,57 @@ class RunConfig:
     horizon: float = None
     x0: tuple = None
     xdot0: tuple = None
-    lambda_floor: float = 1e-8
-    b_coeff: float = 1.0
-    n: float = 0.0
-    eps_coeff: float = 1.0
-    d: float = 3.0
-    lambda_form: str = "constant"
-    lambda_value: float = 1.0
-    method: str = "rk45_adaptive"
-    rtol: float = 1e-8
-    atol: float = 1e-10
-    fixed_step: float = 1e-3
-    sample_stride: int = 1
-    max_step: float = np.inf
+    lambda_floor: float = SystemConfig.lambda_floor
+    b_coeff: float = PolyParams.b_coeff
+    n: float = PolyParams.n
+    eps_coeff: float = PolyParams.eps_coeff
+    d: float = PolyParams.d
+    lambda_form: str = LambdaForm.kind
+    lambda_value: float = LambdaForm.value
+    method: str = IntegratorSettings.method
+    rtol: float = IntegratorSettings.rtol
+    atol: float = IntegratorSettings.atol
+    fixed_step: float = IntegratorSettings.fixed_step
+    sample_stride: int = IntegratorSettings.sample_stride
+    max_step: float = IntegratorSettings.max_step
     energy_q: float = None
     descent_a: float = 2.0
     setting: str = "fast"
     notes: tuple = ()
 
 
-# config key -> (RunConfig attribute, converter factory)
+# config key -> (RunConfig attribute, kind for _parse_value)
 _KEYS = {
-    "label": ("label", _as_str),
-    "notes": ("notes", lambda key: lambda s: tuple(part.strip() for part in s.split(";") if part.strip())),
-    "objective.name": ("objective_name", lambda key: _as_choice(key, BUILTIN_NAMES)),
-    "objective.dim": ("objective_dim", _as_int),
-    "objective.c": ("objective_c", _as_float),
-    "objective.z": ("objective_z", _as_vector),
-    "objective.lo": ("objective_lo", _as_float),
-    "objective.hi": ("objective_hi", _as_float),
-    "system.alpha": ("alpha", _as_float),
-    "system.beta": ("beta", _as_float),
-    "system.t0": ("t0", _as_float),
-    "system.horizon": ("horizon", _as_float),
-    "system.x0": ("x0", _as_vector),
-    "system.xdot0": ("xdot0", _as_vector),
-    "system.lambda_floor": ("lambda_floor", _as_float),
-    "schedule.b_coeff": ("b_coeff", _as_float),
-    "schedule.n": ("n", _as_float),
-    "schedule.eps_coeff": ("eps_coeff", _as_float),
-    "schedule.d": ("d", _as_float),
-    "schedule.lambda_form": ("lambda_form", lambda key: _as_choice(key, ("constant", "power", "bounded"))),
-    "schedule.lambda_value": ("lambda_value", _as_float),
-    "integrator.method": ("method", lambda key: _as_choice(key, ("rk45_adaptive", "rk4_fixed"))),
-    "integrator.rtol": ("rtol", _as_float),
-    "integrator.atol": ("atol", _as_float),
-    "integrator.fixed_step": ("fixed_step", _as_float),
-    "integrator.sample_stride": ("sample_stride", _as_int),
-    "integrator.max_step": ("max_step", _as_float),
-    "diagnostics.energy_q": ("energy_q", _as_float),
-    "diagnostics.descent_a": ("descent_a", _as_float),
-    "diagnostics.setting": ("setting", lambda key: _as_choice(key, _SETTINGS)),
+    "label": ("label", str),
+    "notes": ("notes", "notes"),
+    "objective.name": ("objective_name", BUILTIN_NAMES),
+    "objective.dim": ("objective_dim", int),
+    "objective.c": ("objective_c", float),
+    "objective.z": ("objective_z", "vector"),
+    "objective.lo": ("objective_lo", float),
+    "objective.hi": ("objective_hi", float),
+    "system.alpha": ("alpha", float),
+    "system.beta": ("beta", float),
+    "system.t0": ("t0", float),
+    "system.horizon": ("horizon", float),
+    "system.x0": ("x0", "vector"),
+    "system.xdot0": ("xdot0", "vector"),
+    "system.lambda_floor": ("lambda_floor", float),
+    "schedule.b_coeff": ("b_coeff", float),
+    "schedule.n": ("n", float),
+    "schedule.eps_coeff": ("eps_coeff", float),
+    "schedule.d": ("d", float),
+    "schedule.lambda_form": ("lambda_form", _LAMBDA_KINDS),
+    "schedule.lambda_value": ("lambda_value", float),
+    "integrator.method": ("method", _METHODS),
+    "integrator.rtol": ("rtol", float),
+    "integrator.atol": ("atol", float),
+    "integrator.fixed_step": ("fixed_step", float),
+    "integrator.sample_stride": ("sample_stride", int),
+    "integrator.max_step": ("max_step", float),
+    "diagnostics.energy_q": ("energy_q", float),
+    "diagnostics.descent_a": ("descent_a", float),
+    "diagnostics.setting": ("setting", tuple(_CHECKERS)),
 }
 
 _REQUIRED = ("system.alpha", "system.t0", "system.horizon", "system.x0")
@@ -213,9 +194,9 @@ def config_from_flat(flat: dict) -> RunConfig:
     if missing:
         raise ValidationError(f"missing required config keys: {', '.join(missing)}")
     rc = RunConfig()
-    for key, value in flat.items():
-        attr, conv_factory = _KEYS[key]
-        setattr(rc, attr, conv_factory(key)(value))
+    for key, text in flat.items():
+        attr, kind = _KEYS[key]
+        setattr(rc, attr, _parse_value(key, kind, text))
     if rc.xdot0 is None:
         rc.xdot0 = tuple(0.0 for _ in rc.x0)
     return rc
@@ -223,17 +204,10 @@ def config_from_flat(flat: dict) -> RunConfig:
 
 def _objective_of(rc: RunConfig):
     params = {}
-    if rc.objective_dim is not None:
-        params["dim"] = rc.objective_dim
-    if rc.objective_c is not None:
-        params["c"] = rc.objective_c
-    if rc.objective_z is not None:
-        z = rc.objective_z
-        params["z"] = z[0] if len(z) == 1 else z
-    if rc.objective_lo is not None:
-        params["lo"] = rc.objective_lo
-    if rc.objective_hi is not None:
-        params["hi"] = rc.objective_hi
+    for name in ("dim", "c", "z", "lo", "hi"):
+        value = getattr(rc, f"objective_{name}")
+        if value is not None:
+            params[name] = value[0] if name == "z" and len(value) == 1 else value
     return make_objective(rc.objective_name, **params)
 
 
@@ -257,22 +231,20 @@ def build_system(rc: RunConfig):
 
 
 def build_run(rc: RunConfig):
-    """build_system plus what only a simulation needs: the energy-descent
+    """build_system plus what only a simulation needs: the label must name
+    one directory inside the output directory, and the energy-descent
     check's start time must exist for diagnostics.descent_a (a >= 1 and
     b(t0) a > 1), so a bad a fails before integrating, not after.  Condition
-    checks build with build_system alone, since a is not part of them."""
+    checks build with build_system alone, since neither is part of them."""
+    if rc.label in ("", ".", "..") or any(sep and sep in rc.label
+                                          for sep in ("/", os.sep, os.altsep)):
+        raise ValidationError(
+            f"label must be a single path component, got {rc.label!r}")
     cfg, settings = build_system(rc)
     q = _energy_index(rc.energy_q, rc.alpha)
     if q is not None:
         energy_descent_start(cfg, q, rc.descent_a)
     return cfg, settings
-
-
-_CHECKERS = {
-    "fast": check_fast_rate_conditions,
-    "strong": check_strong_conv_conditions,
-    "alpha3": check_alpha3_conditions,
-}
 
 
 @dataclass
@@ -434,13 +406,12 @@ _TIKHONOV_BASE = {
 }
 
 
+# bounded increasing smoothing 1 - 1/t
+_BOUNDED = {"schedule.lambda_form": "bounded", "schedule.lambda_value": "1"}
+
+
 def _runs(base, variations):
-    out = []
-    for extra in variations:
-        flat = dict(base)
-        flat.update(extra)
-        out.append(flat)
-    return out
+    return [{**base, **extra} for extra in variations]
 
 
 PRESETS = {
@@ -452,46 +423,35 @@ PRESETS = {
     ]),
     # smoothing growth sweep; the ordering is a transient, visible early on,
     # so this preset uses a short horizon
-    "fig2": _runs(_FAST_BASE, [
-        {"label": "l0", "schedule.n": "0", "system.horizon": "7",
-         "schedule.lambda_form": "power", "schedule.lambda_value": "0",
-         "notes": "horizon 7 keeps the comparison inside the window where the "
-                  "smoothing-growth ordering is visible"},
-        {"label": "l1", "schedule.n": "0", "system.horizon": "7",
-         "schedule.lambda_form": "power", "schedule.lambda_value": "1",
-         "notes": "horizon 7 keeps the comparison inside the window where the "
-                  "smoothing-growth ordering is visible"},
-        {"label": "l2", "schedule.n": "0", "system.horizon": "7",
-         "schedule.lambda_form": "power", "schedule.lambda_value": "2",
-         "notes": "horizon 7 keeps the comparison inside the window where the "
-                  "smoothing-growth ordering is visible"},
+    "fig2": _runs({**_FAST_BASE, "schedule.n": "0", "system.horizon": "7",
+                   "schedule.lambda_form": "power",
+                   "notes": "horizon 7 keeps the comparison inside the window where the "
+                            "smoothing-growth ordering is visible"}, [
+        {"label": "l0", "schedule.lambda_value": "0"},
+        {"label": "l1", "schedule.lambda_value": "1"},
+        {"label": "l2", "schedule.lambda_value": "2"},
     ]),
     # regularization decay sweep: d barely moves the envelope gap
-    "fig3": _runs(_FAST_BASE, [
-        {"label": "d2_5", "schedule.n": "0", "schedule.d": "2.5"},
-        {"label": "d3", "schedule.n": "0", "schedule.d": "3"},
-        {"label": "d3_5", "schedule.n": "0", "schedule.d": "3.5"},
+    "fig3": _runs({**_FAST_BASE, "schedule.n": "0"}, [
+        {"label": "d2_5", "schedule.d": "2.5"},
+        {"label": "d3", "schedule.d": "3"},
+        {"label": "d3_5", "schedule.d": "3.5"},
     ]),
     # with and without the vanishing-regularization term, constant smoothing
-    "fig4": _runs(_TIKHONOV_BASE, [
-        {"label": "no_tikhonov", "schedule.eps_coeff": "0", "schedule.d": "1.5"},
-        {"label": "tikhonov", "schedule.eps_coeff": "1", "schedule.d": "1.5"},
+    "fig4": _runs({**_TIKHONOV_BASE, "schedule.d": "1.5"}, [
+        {"label": "no_tikhonov", "schedule.eps_coeff": "0"},
+        {"label": "tikhonov", "schedule.eps_coeff": "1"},
     ]),
-    # same comparison under bounded increasing smoothing 1 - 1/t
-    "fig5": _runs(_TIKHONOV_BASE, [
-        {"label": "no_tikhonov", "schedule.eps_coeff": "0", "schedule.d": "1.5",
-         "schedule.lambda_form": "bounded", "schedule.lambda_value": "1"},
-        {"label": "tikhonov", "schedule.eps_coeff": "1", "schedule.d": "1.5",
-         "schedule.lambda_form": "bounded", "schedule.lambda_value": "1"},
+    # same comparison under bounded increasing smoothing
+    "fig5": _runs({**_TIKHONOV_BASE, **_BOUNDED, "schedule.d": "1.5"}, [
+        {"label": "no_tikhonov", "schedule.eps_coeff": "0"},
+        {"label": "tikhonov", "schedule.eps_coeff": "1"},
     ]),
     # regularization decay sweep in the strong-convergence regime
-    "fig6": _runs(_TIKHONOV_BASE, [
-        {"label": "d1_1", "schedule.eps_coeff": "1", "schedule.d": "1.1",
-         "schedule.lambda_form": "bounded", "schedule.lambda_value": "1"},
-        {"label": "d1_5", "schedule.eps_coeff": "1", "schedule.d": "1.5",
-         "schedule.lambda_form": "bounded", "schedule.lambda_value": "1"},
-        {"label": "d1_9", "schedule.eps_coeff": "1", "schedule.d": "1.9",
-         "schedule.lambda_form": "bounded", "schedule.lambda_value": "1"},
+    "fig6": _runs({**_TIKHONOV_BASE, **_BOUNDED, "schedule.eps_coeff": "1"}, [
+        {"label": "d1_1", "schedule.d": "1.1"},
+        {"label": "d1_5", "schedule.d": "1.5"},
+        {"label": "d1_9", "schedule.d": "1.9"},
     ]),
 }
 

@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 _DUST = 1e-9  # relative slack for float dust on exact boundary cases
+_LAMBDA_KINDS = ("constant", "power", "bounded")  # the forms of LambdaForm.kind
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,7 @@ class LambdaForm:
     value: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("constant", "power", "bounded"):
+        if self.kind not in _LAMBDA_KINDS:
             raise ParameterDomainError(f"unknown lambda form {self.kind!r}")
         v = float(self.value)
         if not math.isfinite(v):
@@ -123,8 +124,7 @@ class Schedule:
     lam_dot: Callable
     eps: Callable
     eps_dot: Callable
-    family: str = "custom"
-    poly: Optional[PolyParams] = None
+    poly: Optional[PolyParams] = None  # the polynomial family's parameters; None if custom
 
 
 def _sample(fn: Callable, ts: np.ndarray) -> np.ndarray:
@@ -164,7 +164,6 @@ def polynomial_schedule(params: PolyParams, t0: float) -> Schedule:
         lam_dot=params.lam.dot,
         eps=eps,
         eps_dot=eps_dot,
-        family="polynomial",
         poly=params,
     )
 
@@ -272,12 +271,6 @@ class ConditionReport:
 
     def failed(self) -> list:
         return [v.condition for v in self.verdicts if not v.passed]
-
-    def verdict(self, condition: str) -> Verdict:
-        for v in self.verdicts:
-            if v.condition == condition:
-                return v
-        raise KeyError(condition)
 
     def format(self) -> str:
         lines = [f"setting: {self.setting}"]

@@ -110,7 +110,9 @@ def test_sweep_single_value_matches_simulate(tmp_path):
     args = ["sweep", "--preset", "fig1", "--param", "n", "--values", "0",
             "--set", "system.horizon=5", "--svg", "off", "--out", str(tmp_path / "s")]
     assert cli.main(args) == 0
-    sim = ["simulate", "--preset", "fig1", "--set", "system.horizon=5",
+    # the sweep's base run, fig1's first; the whole preset would repeat the label
+    base = "".join(f"{key} = {value}\n" for key, value in runconfig.preset_runs("fig1")[0].items())
+    sim = ["simulate", "--config", write_config(tmp_path, base), "--set", "system.horizon=5",
            "--set", "schedule.n=0", "--set", "label=n_0_0", "--svg", "off",
            "--out", str(tmp_path / "m")]
     assert cli.main(sim) == 0
@@ -146,10 +148,11 @@ def test_sweep_keeps_variants_when_one_diverges(tmp_path, capsys):
     assert not (out / "alpha_0_5").exists()
 
 
-def test_bad_energy_index_fails_before_integrating(tmp_path, monkeypatch, capsys):
-    def no_integration(*args, **kwargs):
-        raise AssertionError("integrate must not run")
+def no_integration(*args, **kwargs):
+    raise AssertionError("integrate must not run")
 
+
+def test_bad_energy_index_fails_before_integrating(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(runconfig, "integrate", no_integration)
     bad = ["--preset", "fig1", "--set", "diagnostics.energy_q=20"]
     sim = ["simulate", *bad, "--out", str(tmp_path / "s")]
@@ -162,9 +165,6 @@ def test_bad_energy_index_fails_before_integrating(tmp_path, monkeypatch, capsys
 
 
 def test_bad_descent_a_fails_before_integrating(tmp_path, monkeypatch, capsys):
-    def no_integration(*args, **kwargs):
-        raise AssertionError("integrate must not run")
-
     monkeypatch.setattr(runconfig, "integrate", no_integration)
     # a < 1, then b(t0) a <= 1 with b(t0) = 1
     for a, message in (("0.5", "a must be >= 1"), ("1", "need b(t0) > 1/a")):
@@ -175,6 +175,52 @@ def test_bad_descent_a_fails_before_integrating(tmp_path, monkeypatch, capsys):
             assert message in capsys.readouterr().err
     assert not any((tmp_path / "simulate").iterdir())
     assert not (tmp_path / "sweep").exists()
+
+
+@pytest.mark.parametrize("label", ["../../x", "absolute", "a/b", ".", ".."])
+def test_bad_label_fails_before_integrating(tmp_path, monkeypatch, capsys, label):
+    # the label must name one directory inside --out; before, ../../x wrote
+    # two levels up, an absolute label ignored --out and a/b nested
+    monkeypatch.setattr(runconfig, "integrate", no_integration)
+    if label == "absolute":
+        label = str(tmp_path / "abs")
+    cfg = write_config(tmp_path, FAST_CONFIG)
+    out = tmp_path / "a" / "b" / "out"
+    assert cli.main(["simulate", "--config", cfg, "--set", f"label={label}",
+                     "--out", str(out)]) == 1
+    assert "label must be a single path component" in capsys.readouterr().err
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+        "a", "a/b", "a/b/out", "run.cfg"]
+
+
+def test_simulate_rejects_repeated_label(tmp_path, monkeypatch, capsys):
+    # all three fig2 runs would write runs/same/, each over the last
+    monkeypatch.setattr(runconfig, "integrate", no_integration)
+    out = tmp_path / "out"
+    args = ["simulate", "--preset", "fig2", "--set", "label=same", "--out", str(out)]
+    assert cli.main(args) == 1
+    assert "label 'same' names more than one run" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+def test_output_io_error_exits_1(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    cfg = write_config(tmp_path, FAST_CONFIG)
+    assert cli.main(["simulate", "--config", cfg, "--out", str(blocker / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "internal error" not in err
+    # a sweep variant whose run directory cannot be made fails alone, with exit 1
+    out = tmp_path / "w"
+    out.mkdir()
+    (out / "d_2_5").write_text("in the way\n")
+    args = ["sweep", "--config", cfg, "--param", "d", "--values", "2.5,3",
+            "--svg", "off", "--out", str(out)]
+    assert cli.main(args) == 1
+    lines = (out / "sweep_d_summary.txt").read_text().splitlines()
+    assert lines[0].startswith("d_2_5: d = 2.5, FAILED (exit 1): error: ")
+    assert (out / "d_3_0" / "trajectory.csv").exists()
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("overrides", [
@@ -192,9 +238,6 @@ def test_bad_descent_a_fails_before_integrating(tmp_path, monkeypatch, capsys):
     ["objective.name=scaled_shifted_quadratic", "objective.c=nan"],
 ], ids=" ".join)
 def test_non_finite_config_fails_before_integrating(tmp_path, monkeypatch, capsys, overrides):
-    def no_integration(*args, **kwargs):
-        raise AssertionError("integrate must not run")
-
     monkeypatch.setattr(runconfig, "integrate", no_integration)
     cfg = write_config(tmp_path, FAST_CONFIG)
     sets = [arg for pair in overrides for arg in ("--set", pair)]

@@ -43,7 +43,7 @@ def const_schedule(t0=1.0):
     one = lambda t: np.ones_like(np.asarray(t, dtype=float))
     zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
     return Schedule(t0=t0, b=one, b_dot=zero, lam=one, lam_dot=zero,
-                    eps=one, eps_dot=zero, family="custom")
+                    eps=one, eps_dot=zero)
 
 
 def constant_schedule(b, lam, as_array):

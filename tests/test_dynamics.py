@@ -242,7 +242,6 @@ def test_integrator_settings_validation():
         IntegratorSettings(fixed_step=0.0),
         IntegratorSettings(sample_stride=0),
         IntegratorSettings(max_steps=0),
-        IntegratorSettings(initial_step=-1.0),
     ):
         with pytest.raises(ValidationError):
             bad.validate()

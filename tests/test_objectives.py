@@ -6,7 +6,6 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 
 from proxdyn import (
     ParameterDomainError,
-    ProxOracleSettings,
     UnsupportedOracleError,
     abs_plus_quad,
     box_indicator,
@@ -34,9 +33,6 @@ def all_builtins():
         scaled_shifted_quadratic(c=1.0, z=4.0),
         box_indicator(-1.0, 1.0, dim=2),
     ]
-
-
-ORACLE = ProxOracleSettings()
 
 
 # ---------------------------------------------------------------------------

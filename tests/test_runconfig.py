@@ -66,6 +66,34 @@ def test_config_from_flat_rejects_unknown_and_missing():
         config_from_flat(dict(MINIMAL, **{"objective.name": "mystery"}))
 
 
+@pytest.mark.parametrize("key, text, message", [
+    ("system.alpha", "ten", "system.alpha: expected a number, got 'ten'"),
+    ("integrator.sample_stride", "1.5", "integrator.sample_stride: expected an integer, got '1.5'"),
+    ("system.x0", "1,x", "system.x0: expected comma-separated numbers, got '1,x'"),
+    ("integrator.method", "euler",
+     "integrator.method: expected one of ('rk45_adaptive', 'rk4_fixed'), got 'euler'"),
+    ("schedule.lambda_form", "log",
+     "schedule.lambda_form: expected one of ('constant', 'power', 'bounded'), got 'log'"),
+    ("diagnostics.setting", "slow",
+     "diagnostics.setting: expected one of ('fast', 'strong', 'alpha3'), got 'slow'"),
+])
+def test_config_value_errors(key, text, message):
+    with pytest.raises(ValidationError) as exc:
+        config_from_flat(dict(MINIMAL, **{key: text}))
+    assert str(exc.value) == message
+
+
+def test_execute_run_rejects_empty_label(tmp_path, monkeypatch):
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrate must not run")
+
+    monkeypatch.setattr(runconfig, "integrate", no_integration)
+    rc = dataclasses.replace(config_from_flat(dict(MINIMAL)), label="")
+    with pytest.raises(ValidationError, match="single path component"):
+        execute_run(rc, tmp_path)
+    assert not any(tmp_path.iterdir())
+
+
 def test_build_system_validates():
     cfg, settings = build_system(config_from_flat(dict(MINIMAL)))
     assert cfg.alpha == 10.0

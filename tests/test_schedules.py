@@ -48,7 +48,7 @@ def alpha3_example_query():
 def as_custom(s: Schedule) -> Schedule:
     """Strip the polynomial tag so the checkers take the numeric-only path."""
     return Schedule(t0=s.t0, b=s.b, b_dot=s.b_dot, lam=s.lam, lam_dot=s.lam_dot,
-                    eps=s.eps, eps_dot=s.eps_dot, family="custom", poly=None)
+                    eps=s.eps, eps_dot=s.eps_dot, poly=None)
 
 
 # ---------------------------------------------------------------- evaluation
@@ -429,8 +429,7 @@ def test_system_config_rejects_increasing_eps():
     base = polynomial_schedule(PolyParams(), 1.0)
     grower = Schedule(t0=1.0, b=base.b, b_dot=base.b_dot, lam=base.lam,
                       lam_dot=base.lam_dot, eps=lambda t: 0.1 * np.asarray(t, dtype=float),
-                      eps_dot=lambda t: 0.1 * np.ones_like(np.asarray(t, dtype=float)),
-                      family="custom")
+                      eps_dot=lambda t: 0.1 * np.ones_like(np.asarray(t, dtype=float)))
     with pytest.raises(ValidationError):
         make_config(schedule=grower).validate()
 
