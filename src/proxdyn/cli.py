@@ -4,10 +4,10 @@ Subcommands: simulate, check, sweep, prox-selftest. Exit codes: 0 success
 or all checks passed, 1 validation/usage/condition failure, 2 divergence
 or failed step control, 3 internal error; _status maps each exception to
 its code and stderr message.  Bad or repeated run labels and output paths
-that cannot be written exit 1.  simulate validates every run before the
-first one integrates.  A sweep validates every variant, then runs
-them in worker processes and keeps the finished ones when another fails:
-every variant gets a summary line, and the sweep exits with the largest
+that cannot be written exit 1.  simulate and sweep validate every run
+before the first one integrates, and write nothing when one fails.  A sweep
+then runs them in worker processes and keeps the finished ones when another
+fails: every variant gets a summary line, and the sweep exits with the largest
 code among the failed variants, 0 when none failed.
 """
 
@@ -97,17 +97,23 @@ def _gather_runs(args) -> list:
     return runs
 
 
-def cmd_simulate(args) -> int:
-    outdir = args.out
-    os.makedirs(outdir, exist_ok=True)
-    # fail fast: every run must validate, under its own label, before any run starts
+def _validated(flats) -> dict:
+    """{label: RunConfig}, each run parsed and built before any starts (and built
+    again when it runs: a built SystemConfig holds closures a worker cannot take)."""
     configs = {}
-    for flat in _gather_runs(args):
+    for flat in flats:
         rc = config_from_flat(flat)
         build_run(rc)
         if rc.label in configs:
             raise ValidationError(f"label {rc.label!r} names more than one run")
         configs[rc.label] = rc
+    return configs
+
+
+def cmd_simulate(args) -> int:
+    configs = _validated(_gather_runs(args))
+    outdir = args.out
+    os.makedirs(outdir, exist_ok=True)
     for rc in configs.values():
         summary = execute_run(rc, outdir, svg=args.svg == "on")
         status = "pass" if summary.condition_report.all_pass else "FAIL"
@@ -143,17 +149,11 @@ def _sweep_configs(args):
     if not values:
         raise ValidationError("--values is empty")
     if len(set(values)) < len(values):
-        # 3 and 3.0 would share one label and one output directory
+        # 3 and 3.0 would share one label; 0 and -0.0 would not, but they are one value
         raise ValidationError(f"--values repeats a value: {args.values!r}")
-    # fail fast: every swept config must validate before any run starts
-    variants = {}
-    for v in values:
-        flat = dict(base)
-        flat[key] = repr(v)
-        flat["label"] = f"{args.param}_{repr(v).replace('.', '_')}"
-        variants[v] = config_from_flat(flat)
-        build_run(variants[v])
-    return variants
+    flats = [{**base, key: repr(v), "label": f"{args.param}_{repr(v).replace('.', '_')}"}
+             for v in values]
+    return dict(zip(values, _validated(flats).values()))
 
 
 def _combined_csv(path, param, finished):

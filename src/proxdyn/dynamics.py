@@ -17,16 +17,16 @@ min((T - t0)/100, 1), capped by max_step; a step below 1e-13 raises
 StepSizeError.  The envelope gradient is 1/lambda-Lipschitz, so
 stiffness is capped by the lambda floor and explicit methods are adequate.
 
-Both steppers share one _Stepper per run.  Validation happens once, in
-SystemConfig.validate and IntegratorSettings.validate; per step the stepper
-evaluates the schedule callables once on the array of that step's stage
-times and checks lambda against its floor there.  Each stage then calls
-one right-hand-side core, the only place the two reformulations are
-written, with the raw prox map and writes into a preallocated stage row;
-the DP5 stage combinations are written out term by term.  A step whose
-error norm is not finite raises DivergenceError naming t and h, and the
-divergence guard bounds the whole state (x, y).  The public rhs_* functions
-call the same core with scalar schedule values; initial_aux and
+Both steppers share one _Stepper per run.  integrate validates the config
+(as runconfig.build_system did already); per step the stepper evaluates the
+schedule callables once on the array of stage times and checks lambda there
+with validation's floor check.  Each stage then calls one right-hand-side
+core, the only place the two reformulations are written, which writes into
+a preallocated stage row; the DP5 stage combinations are written out term
+by term.  A step whose error norm is not finite raises DivergenceError
+naming t and h, and the divergence guard bounds the whole state (x, y).
+One _accept counts and samples each accepted step.  The public rhs_*
+functions call the same core with scalar schedule values; initial_aux and
 residual_second_order share its envelope gradient.
 """
 
@@ -43,7 +43,7 @@ from .errors import (
     StepSizeError,
     ValidationError,
 )
-from .schedules import SystemConfig, _sample
+from .schedules import SystemConfig, _check_floor, _sample
 
 __all__ = [
     "IntegratorSettings",
@@ -111,12 +111,6 @@ class Trajectory:
 def _grad(prox, lam, x):
     """Moreau-envelope gradient (x - prox(lam, x)) / lam, with no argument checks."""
     return (x - prox(lam, x)) / lam
-
-
-def _check_floor(lam_min: float, floor: float) -> None:
-    # validation samples lambda on a grid, so a dip between grid points lands here
-    if lam_min < floor * (1.0 - 1e-9):
-        raise ValidationError(f"lambda(t) = {lam_min:.3g} fell below its floor {floor:.3g}")
 
 
 def _core(cfg: SystemConfig):
@@ -229,39 +223,16 @@ _E5 = 11.0 / 84.0 - 187.0 / 2100.0
 _E6 = -1.0 / 40.0
 
 
-class _Sampler:
-    """Collects every stride-th accepted point plus the endpoint."""
-
-    def __init__(self, m: int, stride: int):
-        self.stride = stride
-        self.m = m
-        self.ts: list = []
-        self.xs: list = []
-        self.auxs: list = []
-        self.xdots: list = []
-        self._since = 0
-
-    def record(self, t: float, u: np.ndarray, du: np.ndarray) -> None:
-        self.ts.append(t)
-        self.xs.append(u[: self.m].copy())
-        self.auxs.append(u[self.m:].copy())
-        self.xdots.append(du[: self.m].copy())
-
-    def on_accept(self, t: float, u: np.ndarray, du: np.ndarray, final: bool) -> None:
-        self._since += 1
-        if final or self._since >= self.stride:
-            self.record(t, u, du)
-            self._since = 0
-
-    def build(self, stats: StepStats, cfg: SystemConfig) -> Trajectory:
-        return Trajectory(
-            ts=np.asarray(self.ts, dtype=float),
-            xs=np.vstack(self.xs),
-            auxs=np.vstack(self.auxs),
-            xdots=np.vstack(self.xdots),
-            stats=stats,
-            cfg=cfg,
-        )
+def _accept(stats: StepStats, h: float, samples: list, stride: int, final: bool,
+            t: float, u: np.ndarray, xdot: np.ndarray) -> None:
+    """Count an accepted step of size h to (t, u), and sample (t, u, xdot) when
+    it is the final step or every stride-th one."""
+    stats.accepted += 1
+    stats.min_step = min(stats.min_step, h)
+    stats.max_step = max(stats.max_step, h)
+    if final or stats.accepted % stride == 0:
+        # xdot views a stage row the next step overwrites; u is never written in place
+        samples.append((t, u, xdot.copy()))
 
 
 def _check_state(settings: IntegratorSettings, t_last: float, u: np.ndarray) -> None:
@@ -286,14 +257,13 @@ def integrate(cfg: SystemConfig, settings: IntegratorSettings = None) -> Traject
     stage, m = step.stage, step.m
     t, T = cfg.t0, cfg.horizon
     u = np.concatenate([cfg.x0, initial_aux(cfg)])
-    stats = StepStats()
-    sampler = _Sampler(m, settings.sample_stride)
+    stats, stride = StepStats(), settings.sample_stride
     # preallocated stage rows; k0 always holds the derivative at (t, u)
     k0, k1, k2, k3, k4, k5, k6 = np.empty((7, 2 * m))
     step.schedule(np.array([t]))
     stage(0, u, k0)
     stats.nfev += 1
-    sampler.record(t, u, k0)
+    samples = [(t, u, k0[:m].copy())]
 
     if settings.method == "rk4_fixed":
         nsteps = max(1, int(math.ceil((T - t) / settings.fixed_step - 1e-12)))
@@ -310,51 +280,45 @@ def integrate(cfg: SystemConfig, settings: IntegratorSettings = None) -> Traject
             stage(3, u, k4)
             k0, k4 = k4, k0
             stats.nfev += 4
-            stats.accepted += 1
-            stats.min_step = min(stats.min_step, h)
-            stats.max_step = max(stats.max_step, h)
-            sampler.on_accept(t, u, k0, final=(i == nsteps - 1))
-        return sampler.build(stats, cfg)
+            _accept(stats, h, samples, stride, i == nsteps - 1, t, u, k0[:m])
+    else:  # rk45_adaptive
+        h = min((T - t) / 100.0, 1.0, settings.max_step)
+        while t < T:
+            if stats.accepted + stats.rejected >= settings.max_steps:
+                raise StepSizeError(f"step budget exhausted at t = {t:.6g}, h = {h:.3g}")
+            h = min(h, T - t)
+            step.schedule(t + _C * h)
+            stage(0, u + h * (_A10 * k0), k1)
+            stage(1, u + h * (_A20 * k0 + _A21 * k1), k2)
+            stage(2, u + h * (_A30 * k0 + _A31 * k1 + _A32 * k2), k3)
+            stage(3, u + h * (_A40 * k0 + _A41 * k1 + _A42 * k2 + _A43 * k3), k4)
+            stage(4, u + h * (_A50 * k0 + _A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4), k5)
+            u_new = u + h * (_A60 * k0 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5)
+            stage(5, u_new, k6)
+            stats.nfev += 6
+            err = h * (_E0 * k0 + _E2 * k2 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6)
+            scale = settings.atol + settings.rtol * np.maximum(np.abs(u), np.abs(u_new))
+            err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
+            if not math.isfinite(err_norm):
+                raise DivergenceError(
+                    f"non-finite stage in the step at t = {t:.6g}, h = {h:.3g}", t)
+            if err_norm <= 1.0:
+                t_prev = t
+                t = T if (T - t - h) <= 1e-15 * T else t + h
+                u = u_new
+                _check_state(settings, t_prev, u)
+                k0, k6 = k6, k0  # FSAL: the last stage is the derivative at the new point
+                _accept(stats, h, samples, stride, t >= T, t, u, k0[:m])
+            else:
+                stats.rejected += 1
+            factor = 0.9 * err_norm ** -0.2 if err_norm > 0.0 else 5.0
+            h *= min(5.0, max(0.2, factor))
+            h = min(h, settings.max_step)
+            if h < _MIN_STEP:
+                raise StepSizeError(f"step size collapsed to {h:.3g} at t = {t:.6g}")
 
-    # rk45_adaptive
-    h = min((T - t) / 100.0, 1.0, settings.max_step)
-    while t < T:
-        if stats.accepted + stats.rejected >= settings.max_steps:
-            raise StepSizeError(f"step budget exhausted at t = {t:.6g}, h = {h:.3g}")
-        h = min(h, T - t)
-        step.schedule(t + _C * h)
-        stage(0, u + h * (_A10 * k0), k1)
-        stage(1, u + h * (_A20 * k0 + _A21 * k1), k2)
-        stage(2, u + h * (_A30 * k0 + _A31 * k1 + _A32 * k2), k3)
-        stage(3, u + h * (_A40 * k0 + _A41 * k1 + _A42 * k2 + _A43 * k3), k4)
-        stage(4, u + h * (_A50 * k0 + _A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4), k5)
-        u_new = u + h * (_A60 * k0 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5)
-        stage(5, u_new, k6)
-        stats.nfev += 6
-        err = h * (_E0 * k0 + _E2 * k2 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6)
-        scale = settings.atol + settings.rtol * np.maximum(np.abs(u), np.abs(u_new))
-        err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
-        if not math.isfinite(err_norm):
-            raise DivergenceError(
-                f"non-finite stage in the step at t = {t:.6g}, h = {h:.3g}", t)
-        if err_norm <= 1.0:
-            t_prev = t
-            t = T if (T - t - h) <= 1e-15 * T else t + h
-            u = u_new
-            _check_state(settings, t_prev, u)
-            k0, k6 = k6, k0  # FSAL: the last stage is the derivative at the new point
-            stats.accepted += 1
-            stats.min_step = min(stats.min_step, h)
-            stats.max_step = max(stats.max_step, h)
-            sampler.on_accept(t, u, k0, final=(t >= T))
-        else:
-            stats.rejected += 1
-        factor = 0.9 * err_norm ** -0.2 if err_norm > 0.0 else 5.0
-        h *= min(5.0, max(0.2, factor))
-        h = min(h, settings.max_step)
-        if h < _MIN_STEP:
-            raise StepSizeError(f"step size collapsed to {h:.3g} at t = {t:.6g}")
-    return sampler.build(stats, cfg)
+    ts, us, xdots = (np.array(column, dtype=float) for column in zip(*samples))
+    return Trajectory(ts, us[:, :m].copy(), us[:, m:].copy(), xdots, stats, cfg)
 
 
 def residual_second_order(traj: Trajectory, cfg: SystemConfig) -> float:

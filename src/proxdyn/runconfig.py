@@ -343,9 +343,11 @@ def execute_run(rc: RunConfig, outdir, svg: bool = True) -> RunSummary:
     if svg:
         rate_series = [(name, obs.ts, getattr(obs, name))
                        for name in ("moreau_gap", "grad_norm", "velocity_combo")]
-        svgplot.line_chart(os.path.join(run_dir, "rates.svg"), rate_series,
-                           title=f"{rc.label}: decay of the envelope observables",
-                           xlabel="t", ylabel="value", xscale="log", yscale="log")
+        # a run that starts at the minimizer has all-zero rates: nothing for a log axis
+        if any((values > 0.0).any() for _, _, values in rate_series):
+            svgplot.line_chart(os.path.join(run_dir, "rates.svg"), rate_series,
+                               title=f"{rc.label}: decay of the envelope observables",
+                               xlabel="t", ylabel="value", xscale="log", yscale="log")
         traj_series = [(f"x_{i}", traj.ts, traj.xs[:, i]) for i in range(cfg.objective.dim)]
         svgplot.line_chart(os.path.join(run_dir, "trajectory.svg"), traj_series,
                            title=f"{rc.label}: state trajectory",

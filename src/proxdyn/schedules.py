@@ -73,15 +73,10 @@ class LambdaForm:
         return 1.0 - np.asarray(t, dtype=float) ** (-self.value)
 
     def dot(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.kind == "constant" or (self.kind == "power" and self.value == 0.0):
-            return np.zeros_like(t)
-        if self.kind == "power":
-            return self.value * t ** (self.value - 1.0)
-        return self.value * t ** (-self.value - 1.0)
+        return _monomial(*(self.dot_monomials() or [(0.0, 0.0)])[0])(t)
 
     def dot_monomials(self):
-        """lambda_dot as [(coef, exponent)] monomials."""
+        """lambda_dot as a list of at most one (coef, exponent) monomial."""
         if self.kind == "constant" or (self.kind == "power" and self.value == 0.0):
             return []
         if self.kind == "power":
@@ -134,36 +129,34 @@ def _sample(fn: Callable, ts: np.ndarray) -> np.ndarray:
     return values if values.shape == ts.shape else np.broadcast_to(values, ts.shape)
 
 
+def _monomial(coef: float, exponent: float) -> Callable:
+    """t -> coef * t**exponent on floats of t's shape, identically zero when coef == 0."""
+    def fn(t):
+        t = np.asarray(t, dtype=float)
+        return np.zeros_like(t) if coef == 0.0 else coef * t ** exponent
+    return fn
+
+
+def _check_floor(lam_min: float, floor: float) -> None:
+    # validation samples a grid, so the integrator checks each step's stage times too
+    if lam_min < floor:
+        raise ValidationError(f"lambda(t) = {lam_min:.3g} fell below its floor {floor:.3g}")
+
+
 def polynomial_schedule(params: PolyParams, t0: float) -> Schedule:
     """Build the polynomial family schedule anchored at t0 > 0."""
     t0 = float(t0)
     if t0 <= 0.0:
         raise ParameterDomainError("t0 must be positive")
     B, n, E, d = params.b_coeff, params.n, params.eps_coeff, params.d
-
-    def b(t):
-        return B * np.asarray(t, dtype=float) ** n
-
-    def b_dot(t):
-        t = np.asarray(t, dtype=float)
-        return np.zeros_like(t) if n == 0.0 else B * n * t ** (n - 1.0)
-
-    def eps(t):
-        t = np.asarray(t, dtype=float)
-        return np.zeros_like(t) if E == 0.0 else E * t ** (-d)
-
-    def eps_dot(t):
-        t = np.asarray(t, dtype=float)
-        return np.zeros_like(t) if E == 0.0 else -E * d * t ** (-d - 1.0)
-
     return Schedule(
         t0=t0,
-        b=b,
-        b_dot=b_dot,
+        b=_monomial(B, n),
+        b_dot=_monomial(B * n, n - 1.0),
         lam=params.lam.fn,
         lam_dot=params.lam.dot,
-        eps=eps,
-        eps_dot=eps_dot,
+        eps=_monomial(E, -d),
+        eps_dot=_monomial(-E * d, -d - 1.0),
         poly=params,
     )
 
@@ -215,11 +208,7 @@ class SystemConfig:
         if self.schedule.t0 > self.t0 * (1.0 + 1e-12):
             raise ValidationError("schedule starts after the system t0")
         ts = np.geomspace(self.t0, self.horizon, 512)
-        lam = _sample(self.schedule.lam, ts)
-        if np.min(lam) < self.lambda_floor:
-            raise ValidationError(
-                f"lambda(t) dips to {np.min(lam):.3g} below the floor {self.lambda_floor:.3g}"
-            )
+        _check_floor(float(np.min(_sample(self.schedule.lam, ts))), self.lambda_floor)
         bb = _sample(self.schedule.b, ts)
         if np.min(bb) <= 0.0:
             raise ValidationError("b(t) must stay positive on [t0, horizon]")
@@ -492,6 +481,11 @@ def _strong_floor(alpha: float, beta: float) -> float:
     return 2.0 * alpha * (alpha - 3.0) + 6.0 * alpha * beta
 
 
+def _alpha3_damping(alpha: float, beta: float) -> float:
+    """The constant term of the alpha = 3 damping balance."""
+    return 2.0 * beta ** 2 + beta
+
+
 def _t2_eps_floor(c: _Context) -> Verdict:
     floor = _strong_floor(c.q.alpha, c.q.beta)
     p = c.poly
@@ -624,7 +618,7 @@ _FAMILIES = {
         _integrable("eps_over_t_integrable", lambda s, ts: np.asarray(s.eps(ts)) / ts,
                     lambda p: p.d, "d > 0"),
         _t2_eps_diverges,
-        _damping_balance(1.0, lambda alpha, beta: 2.0 * beta ** 2 + beta),
+        _damping_balance(1.0, _alpha3_damping),
         _eps_tail_ratio(lambda a: 2.0),
         _exponent_box(lambda p, a: {"b_coeff >= 1": p.b_coeff - 1.0}, strict_hi=True),
     ),
@@ -706,6 +700,16 @@ def energy_descent_start(cfg, q: float, a: float) -> float:
     return max(t0, t_settle)
 
 
+def _settle_time(B: float, n: float, alpha: float, beta: float) -> float:
+    """The start the fast-rate growth cap asks of b = B t^n, for n < alpha - 3."""
+    return (beta * (alpha - 2.0) / (B * (alpha - 3.0 - n))) ** (1.0 / (n + 1.0))
+
+
+def _first_starts(lam: LambdaForm) -> list:
+    """1, and 1.05 for a bounded lambda: 1 - t**(-l) vanishes at t = 1."""
+    return [1.0, 1.05] if lam.kind == "bounded" else [1.0]
+
+
 def suggest_t0(params: PolyParams, alpha: float, beta: float, slack: float = 0.0) -> float:
     """Smallest clean starting time for the fast-rate certificate of the
     polynomial family, per the sufficient exponent box n < alpha - 3, d > 2.
@@ -722,11 +726,7 @@ def suggest_t0(params: PolyParams, alpha: float, beta: float, slack: float = 0.0
         if d < beta * E / 2.0:
             raise InfeasibleError(
                 f"requires d >= beta * eps_coeff / 2 = {beta * E / 2.0:.6g}, got d = {d:.6g}")
-    cands = [
-        (beta / B) ** (1.0 / (n + 1.0)),
-        (beta * (alpha - 2.0) / (B * (alpha - 3.0 - n))) ** (1.0 / (n + 1.0)),
-    ]
-    t0 = max(cands)
+    t0 = max((beta / B) ** (1.0 / (n + 1.0)), _settle_time(B, n, alpha, beta))
     if t0 * t0 < sys.float_info.min:
         # beta = 0, or so small that t0 (or t0^2) underflows: start at 1
         t0 = 1.0
@@ -757,32 +757,28 @@ def _escalate(params: PolyParams, alpha: float, beta: float, checker, t0: float)
 def suggest_t0_strong(params: PolyParams, alpha: float, beta: float) -> float:
     """A starting time from which the strong-convergence certificate holds,
     found from the analytic binding constraints plus geometric escalation."""
-    B, n, E, d = params.b_coeff, params.n, params.eps_coeff, params.d
+    n, E, d = params.n, params.eps_coeff, params.d
     if E == 0.0:
         raise InfeasibleError("strong-convergence certificate needs eps > 0")
     floor = _strong_floor(alpha, beta)
-    cands = [1.0]
-    if params.lam.kind == "bounded":
-        cands.append(1.05)
+    cands = _first_starts(params.lam)
     if d < 2.0:
         cands.append((floor / (9.0 * E)) ** (1.0 / (2.0 - d)))
     elif 9.0 * E < floor:
         raise InfeasibleError("t^2 eps(t) cannot reach the required floor for d >= 2")
     if beta > 0.0 and alpha - 3.0 - n > 0.0:
-        cands.append((beta * (alpha - 2.0) / (B * (alpha - 3.0 - n))) ** (1.0 / (n + 1.0)))
+        cands.append(_settle_time(params.b_coeff, n, alpha, beta))
     return _escalate(params, alpha, beta, check_strong_conv_conditions, max(cands))
 
 
 def suggest_t0_alpha3(params: PolyParams, beta: float) -> float:
     """A starting time from which the critical-damping certificate holds."""
     B = params.b_coeff
-    cands = [1.0]
-    if params.lam.kind == "bounded":
-        cands.append(1.05)
+    cands = _first_starts(params.lam)
     if beta > 0.0:
         if B <= 0.5:
             raise InfeasibleError("needs b > 1/2 + beta/t0, impossible for b <= 1/2")
         cands.append(beta / (B - 0.5))
         if B > 1.0:
-            cands.append(max(beta / B, (2.0 * beta ** 2 + beta) / (2.0 * beta * (B - 1.0))))
+            cands.append(max(beta / B, _alpha3_damping(3.0, beta) / (2.0 * beta * (B - 1.0))))
     return _escalate(params, 3.0, beta, check_alpha3_conditions, max(cands))

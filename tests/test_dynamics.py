@@ -132,6 +132,21 @@ def test_reruns_are_bit_identical():
     assert a.stats == b.stats
 
 
+@pytest.mark.parametrize("method", ["rk45_adaptive", "rk4_fixed"])
+@pytest.mark.parametrize("stride", [3, 7])
+def test_sample_stride_keeps_every_stride_th_step_and_the_end(method, stride):
+    # 240 fixed steps: the endpoint is a stride-3 sample, not a stride-7 one
+    cfg = make_cfg(horizon=13.4)
+    full = integrate(cfg, IntegratorSettings(method=method, fixed_step=0.05))
+    part = integrate(cfg, IntegratorSettings(method=method, fixed_step=0.05,
+                                             sample_stride=stride))
+    idx = np.unique(np.r_[np.arange(0, len(full), stride), len(full) - 1])
+    for name in ("ts", "xs", "auxs", "xdots"):
+        want, got = getattr(full, name)[idx], getattr(part, name)
+        assert (got.shape, got.tobytes()) == (want.shape, want.tobytes()), name
+    assert part.stats == full.stats
+
+
 def test_moreau_gap_collapses_on_reference_preset():
     cfg = make_cfg(beta=0.0)
     traj = integrate(cfg, IntegratorSettings(sample_stride=10))

@@ -66,6 +66,14 @@ def test_config_from_flat_rejects_unknown_and_missing():
         config_from_flat(dict(MINIMAL, **{"objective.name": "mystery"}))
 
 
+def test_lambda_floor_has_no_slack():
+    # constant lambda = 1 lies a relative 5e-10 below the floor: validation
+    # applies the integrator's rule and message
+    rc = config_from_flat(dict(MINIMAL, **{"system.lambda_floor": repr(1.0 / (1.0 - 5e-10))}))
+    with pytest.raises(ValidationError, match="fell below its floor"):
+        build_system(rc)
+
+
 @pytest.mark.parametrize("key, text, message", [
     ("system.alpha", "ten", "system.alpha: expected a number, got 'ten'"),
     ("integrator.sample_stride", "1.5", "integrator.sample_stride: expected an integer, got '1.5'"),
