@@ -72,14 +72,23 @@ def write_csv(path, table: TrajectoryTable) -> None:
 
 
 def read_csv(path) -> TrajectoryTable:
-    """Read a trajectory CSV written by write_csv, bit-exactly."""
+    """Read a trajectory CSV written by write_csv, bit-exactly.  A malformed
+    file raises ValidationError naming the path (and the line of a bad row)."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise ValidationError(f"{path}: empty csv") from None
-        data = [[float(v) for v in row] for row in reader]
+        data = []
+        for row in reader:
+            if len(row) != len(header):
+                raise ValidationError(f"{path}: line {reader.line_num}: expected "
+                                      f"{len(header)} values, got {len(row)}")
+            try:
+                data.append([float(v) for v in row])
+            except ValueError as exc:
+                raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from None
     if not data:
         raise ValidationError(f"{path}: csv has a header but no rows")
     m = sum(c.startswith("x_") for c in header)

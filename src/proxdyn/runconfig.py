@@ -10,17 +10,19 @@ A run is described by a flat text config with dotted section prefixes::
     system.x0 = 10
     schedule.n = 1
 
-Unknown keys are rejected. Presets bundle the figure experiments as lists
-of such flat dicts; execute_run integrates one config and writes its
-trajectory CSV, summary document and optional SVG charts into a per-label
-directory.
+Each key is declared once, on the RunConfig field that holds it; the
+fields' metadata give the key table (_KEYS) that parsing and the summary
+echo read.  Unknown keys are rejected. Presets bundle the figure
+experiments as lists of such flat dicts; execute_run integrates one config
+and writes its trajectory CSV, summary document and optional SVG charts
+into a per-label directory.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 # execute_run calls through these bindings: perfbench/tracing.py patches them by name
 from . import csvio, svgplot
@@ -113,75 +115,50 @@ def _parse_value(key: str, kind, text: str):
         raise ValidationError(f"{key}: expected {expected}, got {text!r}") from None
 
 
+def _key(key: str, kind, default=None):
+    """A RunConfig field read from config key; kind is as for _parse_value."""
+    return field(default=default, metadata={"key": key, "kind": kind})
+
+
 @dataclass
 class RunConfig:
-    """Typed view of one flat run config."""
+    """Typed view of one flat run config.  Each field names its config key
+    and the kind _parse_value reads it as."""
 
-    label: str = "run"
-    objective_name: str = "abs_plus_quad"
-    objective_dim: int = None
-    objective_c: float = None
-    objective_z: tuple = None
-    objective_lo: float = None
-    objective_hi: float = None
-    alpha: float = None
-    beta: float = 0.0
-    t0: float = None
-    horizon: float = None
-    x0: tuple = None
-    xdot0: tuple = None
-    lambda_floor: float = SystemConfig.lambda_floor
-    b_coeff: float = PolyParams.b_coeff
-    n: float = PolyParams.n
-    eps_coeff: float = PolyParams.eps_coeff
-    d: float = PolyParams.d
-    lambda_form: str = LambdaForm.kind
-    lambda_value: float = LambdaForm.value
-    method: str = IntegratorSettings.method
-    rtol: float = IntegratorSettings.rtol
-    atol: float = IntegratorSettings.atol
-    fixed_step: float = IntegratorSettings.fixed_step
-    sample_stride: int = IntegratorSettings.sample_stride
-    max_step: float = IntegratorSettings.max_step
-    energy_q: float = None
-    descent_a: float = 2.0
-    setting: str = "fast"
-    notes: tuple = ()
+    label: str = _key("label", str, "run")
+    objective_name: str = _key("objective.name", BUILTIN_NAMES, "abs_plus_quad")
+    objective_dim: int = _key("objective.dim", int)
+    objective_c: float = _key("objective.c", float)
+    objective_z: tuple = _key("objective.z", "vector")
+    objective_lo: float = _key("objective.lo", float)
+    objective_hi: float = _key("objective.hi", float)
+    alpha: float = _key("system.alpha", float)
+    beta: float = _key("system.beta", float, 0.0)
+    t0: float = _key("system.t0", float)
+    horizon: float = _key("system.horizon", float)
+    x0: tuple = _key("system.x0", "vector")
+    xdot0: tuple = _key("system.xdot0", "vector")
+    lambda_floor: float = _key("system.lambda_floor", float, SystemConfig.lambda_floor)
+    b_coeff: float = _key("schedule.b_coeff", float, PolyParams.b_coeff)
+    n: float = _key("schedule.n", float, PolyParams.n)
+    eps_coeff: float = _key("schedule.eps_coeff", float, PolyParams.eps_coeff)
+    d: float = _key("schedule.d", float, PolyParams.d)
+    lambda_form: str = _key("schedule.lambda_form", _LAMBDA_KINDS, LambdaForm.kind)
+    lambda_value: float = _key("schedule.lambda_value", float, LambdaForm.value)
+    method: str = _key("integrator.method", _METHODS, IntegratorSettings.method)
+    rtol: float = _key("integrator.rtol", float, IntegratorSettings.rtol)
+    atol: float = _key("integrator.atol", float, IntegratorSettings.atol)
+    fixed_step: float = _key("integrator.fixed_step", float, IntegratorSettings.fixed_step)
+    sample_stride: int = _key("integrator.sample_stride", int, IntegratorSettings.sample_stride)
+    max_step: float = _key("integrator.max_step", float, IntegratorSettings.max_step)
+    energy_q: float = _key("diagnostics.energy_q", float)
+    descent_a: float = _key("diagnostics.descent_a", float, 2.0)
+    setting: str = _key("diagnostics.setting", tuple(_CHECKERS), "fast")
+    notes: tuple = _key("notes", "notes", ())
 
 
 # config key -> (RunConfig attribute, kind for _parse_value)
-_KEYS = {
-    "label": ("label", str),
-    "notes": ("notes", "notes"),
-    "objective.name": ("objective_name", BUILTIN_NAMES),
-    "objective.dim": ("objective_dim", int),
-    "objective.c": ("objective_c", float),
-    "objective.z": ("objective_z", "vector"),
-    "objective.lo": ("objective_lo", float),
-    "objective.hi": ("objective_hi", float),
-    "system.alpha": ("alpha", float),
-    "system.beta": ("beta", float),
-    "system.t0": ("t0", float),
-    "system.horizon": ("horizon", float),
-    "system.x0": ("x0", "vector"),
-    "system.xdot0": ("xdot0", "vector"),
-    "system.lambda_floor": ("lambda_floor", float),
-    "schedule.b_coeff": ("b_coeff", float),
-    "schedule.n": ("n", float),
-    "schedule.eps_coeff": ("eps_coeff", float),
-    "schedule.d": ("d", float),
-    "schedule.lambda_form": ("lambda_form", _LAMBDA_KINDS),
-    "schedule.lambda_value": ("lambda_value", float),
-    "integrator.method": ("method", _METHODS),
-    "integrator.rtol": ("rtol", float),
-    "integrator.atol": ("atol", float),
-    "integrator.fixed_step": ("fixed_step", float),
-    "integrator.sample_stride": ("sample_stride", int),
-    "integrator.max_step": ("max_step", float),
-    "diagnostics.energy_q": ("energy_q", float),
-    "diagnostics.descent_a": ("descent_a", float),
-    "diagnostics.setting": ("setting", tuple(_CHECKERS)),
-}
+_KEYS = {f.metadata["key"]: (f.name, f.metadata["kind"]) for f in fields(RunConfig)}
 
 _REQUIRED = ("system.alpha", "system.t0", "system.horizon", "system.x0")
 
@@ -356,6 +333,8 @@ def execute_run(rc: RunConfig, outdir, svg: bool = True) -> RunSummary:
 
 
 def _echo(rc: RunConfig) -> dict:
+    """The set keys of rc as summary.txt echoes them; vectors use %.17g like
+    the CSV, so config_from_flat reads the echo back to rc exactly."""
     echo = {}
     for key, (attr, _) in _KEYS.items():
         value = getattr(rc, attr)
@@ -365,7 +344,7 @@ def _echo(rc: RunConfig) -> dict:
             if not value:
                 continue
             value = "; ".join(str(v) for v in value) if key == "notes" else ", ".join(
-                "%g" % v for v in value)
+                "%.17g" % v for v in value)
         echo[key] = value
     return echo
 

@@ -31,7 +31,6 @@ __all__ = [
     "Verdict",
     "ConditionReport",
     "polynomial_schedule",
-    "eval_schedule",
     "check_fast_rate_conditions",
     "check_strong_conv_conditions",
     "check_alpha3_conditions",
@@ -158,21 +157,6 @@ def polynomial_schedule(params: PolyParams, t0: float) -> Schedule:
         eps=_monomial(E, -d),
         eps_dot=_monomial(-E * d, -d - 1.0),
         poly=params,
-    )
-
-
-def eval_schedule(s: Schedule, t: float):
-    """Evaluate (b, lam, eps, b_dot, lam_dot, eps_dot) at a single time t >= t0."""
-    t = float(t)
-    if t < s.t0 * (1.0 - 1e-12):
-        raise ParameterDomainError(f"t = {t} is below the schedule start t0 = {s.t0}")
-    return (
-        float(s.b(t)),
-        float(s.lam(t)),
-        float(s.eps(t)),
-        float(s.b_dot(t)),
-        float(s.lam_dot(t)),
-        float(s.eps_dot(t)),
     )
 
 

@@ -94,3 +94,16 @@ def test_read_rejects_malformed(tmp_path):
     wrong.write_text("t,x_0,nope\n1,2,3\n")
     with pytest.raises(ValidationError):
         read_csv(wrong)
+
+
+def test_read_rejects_malformed_rows_with_path_and_line(run_pair, tmp_path):
+    header = run_pair[0].header()
+    good = ",".join(["1"] * len(header))
+    for name, bad, message in [
+            ("short.csv", "1,2", f"expected {len(header)} values, got 2"),
+            ("text.csv", good.replace("1", "abc", 1), "could not convert string to float: 'abc'")]:
+        path = tmp_path / name
+        path.write_text("\n".join([",".join(header), good, bad, good]) + "\n")
+        with pytest.raises(ValidationError) as exc:
+            read_csv(path)
+        assert str(exc.value) == f"{path}: line 3: {message}"

@@ -1,6 +1,8 @@
 """Flat config parsing, presets and run execution."""
 
 import dataclasses
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -8,8 +10,8 @@ import pytest
 from proxdyn import runconfig
 from proxdyn.csvio import read_csv
 from proxdyn.errors import ParameterDomainError, ValidationError
-from proxdyn.runconfig import (PRESETS, build_system, config_from_flat, execute_run,
-                               parse_config_text, parse_overrides, preset_runs)
+from proxdyn.runconfig import (PRESETS, RunSummary, build_system, config_from_flat,
+                               execute_run, parse_config_text, parse_overrides, preset_runs)
 
 MINIMAL = {
     "system.alpha": "10",
@@ -64,6 +66,43 @@ def test_config_from_flat_rejects_unknown_and_missing():
         config_from_flat(dict(MINIMAL, **{"system.alpha": "ten"}))
     with pytest.raises(ValidationError, match="expected one of"):
         config_from_flat(dict(MINIMAL, **{"objective.name": "mystery"}))
+
+
+def test_readme_config_table_lists_every_key():
+    readme = pathlib.Path(__file__).parents[1] / "README.md"
+    rows = re.search(r"^\| key \| meaning \| default \|\n\| --- .*\n((?:\|.*\n)+)",
+                     readme.read_text(), re.M).group(1)
+    keys = [key for row in rows.splitlines()
+            for key in re.findall(r"`([^`]+)`", row.split("|")[1])]
+    assert sorted(keys) == sorted(runconfig._KEYS)
+
+
+def echoed_config(summary_text: str):
+    """The RunConfig read back from a summary's config echo, the block after its title."""
+    return config_from_flat(parse_config_text(summary_text.split("\n\n")[1]))
+
+
+PRESET_RUNS = {f"{name}/{flat['label']}": flat for name in PRESETS for flat in preset_runs(name)}
+
+
+@pytest.mark.parametrize("run", list(PRESET_RUNS))
+def test_preset_config_echo_reads_back(run):
+    rc = config_from_flat(PRESET_RUNS[run])
+    cfg, _ = build_system(rc)
+    # every section but the echo is a placeholder: no integration needed
+    summary = RunSummary(label=rc.label, config_echo=runconfig._echo(rc),
+                         condition_report=runconfig._CHECKERS[rc.setting](cfg.query()),
+                         final={}, rate_fits=[], descent_text="", strong_text="",
+                         wall_time=0.0, table=None, notes=rc.notes)
+    assert echoed_config(summary.to_text()) == rc
+
+
+def test_vector_config_echo_is_lossless(tmp_path):
+    rc = config_from_flat(dict(MINIMAL, **{"label": "vec", "objective.name": "l1_norm",
+                                           "objective.dim": "2",
+                                           "system.x0": "1.23456789, 0.1"}))
+    execute_run(rc, tmp_path, svg=False)
+    assert echoed_config((tmp_path / "vec" / "summary.txt").read_text()) == rc
 
 
 def test_lambda_floor_has_no_slack():

@@ -20,7 +20,6 @@ from proxdyn import (
     check_fast_rate_conditions,
     check_strong_conv_conditions,
     energy_descent_start,
-    eval_schedule,
     polynomial_schedule,
     suggest_t0,
     suggest_t0_alpha3,
@@ -54,22 +53,16 @@ def as_custom(s: Schedule) -> Schedule:
 # ---------------------------------------------------------------- evaluation
 
 
-def test_eval_schedule_polynomial_point():
+def test_polynomial_schedule_point():
     s = polynomial_schedule(PolyParams(b_coeff=1.0, n=0.0, eps_coeff=1.0, d=3.0), 1.0)
-    assert eval_schedule(s, 2.0) == (1.0, 1.0, 0.125, 0.0, 0.0, -0.1875)
+    values = (s.b(2.0), s.lam(2.0), s.eps(2.0), s.b_dot(2.0), s.lam_dot(2.0), s.eps_dot(2.0))
+    assert values == (1.0, 1.0, 0.125, 0.0, 0.0, -0.1875)
 
 
-def test_eval_schedule_bounded_lambda():
+def test_polynomial_schedule_bounded_lambda():
     s = polynomial_schedule(PolyParams(lam=LambdaForm("bounded", 1.0)), 1.1)
-    b, lam, eps, b_dot, lam_dot, eps_dot = eval_schedule(s, 2.0)
-    assert lam == 0.5
-    assert lam_dot == 0.25
-
-
-def test_eval_schedule_rejects_t_below_t0():
-    s = polynomial_schedule(PolyParams(), 2.0)
-    with pytest.raises(ParameterDomainError):
-        eval_schedule(s, 1.0)
+    assert s.lam(2.0) == 0.5
+    assert s.lam_dot(2.0) == 0.25
 
 
 def test_parameter_domains():
