@@ -17,17 +17,29 @@ min((T - t0)/100, 1), capped by max_step; a step below 1e-13 raises
 StepSizeError.  The envelope gradient is 1/lambda-Lipschitz, so
 stiffness is capped by the lambda floor and explicit methods are adequate.
 
-Both steppers share one _Stepper per run.  integrate validates the config
-(as runconfig.build_system did already); per step the stepper evaluates the
-schedule callables once on the array of stage times and checks lambda there
-with validation's floor check.  Each stage then calls one right-hand-side
-core, the only place the two reformulations are written, which writes into
-a preallocated stage row; the DP5 stage combinations are written out term
-by term.  A step whose error norm is not finite raises DivergenceError
-naming t and h, and the divergence guard bounds the whole state (x, y).
-One _accept counts and samples each accepted step.  The public rhs_*
-functions call the same core with scalar schedule values; initial_aux and
-residual_second_order share its envelope gradient.
+integrate validates the config (as runconfig.build_system did already).
+Both steppers then run on Python floats: the stacked state u = (x, y) and
+the stage derivatives k0..k6 are lists, since every preset is
+one-dimensional and numpy calls on 1-element arrays cost more than their
+arithmetic.  Per step the schedule callables are evaluated once, with numpy,
+on the array of stage times, and lambda is checked there with validation's
+floor check.  Each stage then calls one right-hand-side core, the only place
+the two reformulations are written; it takes the envelope gradient through
+the objective's scalar prox (prox.coordinate_prox) when the prox carries
+one, and through the array prox on the point otherwise.  The stage
+combinations, the error norm and the step controller perform, coordinate
+by coordinate, the same IEEE operations in the same order as the numpy
+expressions in the comments beside them, so a trajectory equals that of the
+array formulation bit for bit (tests/trajectory_pins.json pins a set of
+them).  The error norm sums its 2 * dim squares left to right; numpy's
+reduction takes that order only for fewer than 8 terms (dim <= 3), which
+covers the pinned runs and the presets, all of dimension 1.  A step whose
+error norm is not finite raises
+DivergenceError naming t and h, and the divergence guard bounds the whole
+state (x, y), failing on a NaN anywhere.  One _accept counts and samples
+each accepted step.  The public rhs_* functions call the same core with
+scalar schedule values; initial_aux and residual_second_order share its
+array envelope gradient.
 """
 
 from __future__ import annotations
@@ -113,55 +125,70 @@ def _grad(prox, lam, x):
     return (x - prox(lam, x)) / lam
 
 
+def _float_grad(prox):
+    """grad(lam, x): the envelope gradient of the list x of m floats, as a list.
+
+    A built-in prox carries its scalar form as prox.coordinate_prox, which
+    gives the same floats coordinate by coordinate; any other prox, such as a
+    swapped or a custom one, runs on the point as a 1-D array.
+    """
+    coordinate_prox = getattr(prox, "coordinate_prox", None)
+    if coordinate_prox is None:
+        return lambda lam, x: _grad(prox, lam, np.array(x)).tolist()
+    return lambda lam, x: [(xi - coordinate_prox(i, lam, xi)) / lam for i, xi in enumerate(x)]
+
+
 def _core(cfg: SystemConfig):
     """The right-hand side, written once for both reformulations.
 
-    core(t, b, lam, eps, b_dot, x, y, out) writes (xdot, ydot) at time t and
-    state (x, y), given the schedule values at t, into the row out.  It checks
-    nothing; b_dot is read only when beta > 0.
+    core(t, b, lam, eps, b_dot, u) returns the derivative (xdot, ydot), one
+    list of floats, at time t and stacked state u = (x, y), given the schedule
+    values at t.  It checks nothing; b_dot is read only when beta > 0.  Each
+    coordinate goes through the same IEEE operations, in the same order, as
+    the array expressions in the comments.
     """
-    prox, alpha, beta, m = cfg.objective.prox, cfg.alpha, cfg.beta, cfg.objective.dim
+    alpha, beta, m = cfg.alpha, cfg.beta, cfg.objective.dim
+    grad = _float_grad(cfg.objective.prox)
     if beta == 0.0:
-        def core(t, b, lam, eps, b_dot, x, y, out):
-            g = _grad(prox, lam, x)
-            out[:m] = y
-            out[m:] = -(alpha / t) * y - b * g - eps * x
+        def core(t, b, lam, eps, b_dot, u):
+            x, y = u[:m], u[m:]
+            g = grad(lam, x)
+            # xdot = y, ydot = -(alpha / t) * y - b * g - eps * x
+            a = -(alpha / t)
+            return y + [a * yi - b * gi - eps * xi for xi, yi, gi in zip(x, y, g)]
     else:
-        def core(t, b, lam, eps, b_dot, x, y, out):
-            g = _grad(prox, lam, x)
-            out[:m] = -beta * g - (alpha / t - b / beta) * x - y / beta
-            out[m:] = (b_dot + alpha * beta / t ** 2 + beta * eps + b ** 2 / beta
-                       - alpha * b / t) * x - (b / beta) * y
+        def core(t, b, lam, eps, b_dot, u):
+            x, y = u[:m], u[m:]
+            g = grad(lam, x)
+            # xdot = -beta * g - (alpha / t - b / beta) * x - y / beta
+            # ydot = (b_dot + ... - alpha * b / t) * x - (b / beta) * y
+            cx = alpha / t - b / beta
+            dx = (b_dot + alpha * beta / t ** 2 + beta * eps + b ** 2 / beta
+                  - alpha * b / t)
+            dy = b / beta
+            return ([-beta * gi - cx * xi - yi / beta for xi, yi, gi in zip(x, y, g)]
+                    + [dx * xi - dy * yi for xi, yi in zip(x, y)])
     return core
 
 
-class _Stepper:
-    """The right-hand side of one config, evaluated stage by stage.
+def _schedule(cfg: SystemConfig):
+    """rows(ts): the schedule values (t, b, lam, eps, b_dot) at each of one
+    step's stage times ts, with lambda checked against its floor there.
 
-    schedule(ts) evaluates b, lambda and eps (and b_dot when beta > 0) once on
-    the array of one step's stage times and checks lambda against its floor
-    there; stage(i, u, out) then writes the derivative at the i-th of those
-    times and the stacked state u = (x, y) into the preallocated row out.
+    The schedule callables run once per step, on the array of stage times.
     """
+    s = cfg.schedule
+    fns = (s.b, s.lam, s.eps) + ((s.b_dot,) if cfg.beta > 0.0 else ())
+    floor = cfg.lambda_floor
 
-    def __init__(self, cfg: SystemConfig):
-        s = cfg.schedule
-        self.fns = (s.b, s.lam, s.eps) + ((s.b_dot,) if cfg.beta > 0.0 else ())
-        self.floor = cfg.lambda_floor
-        self.m = cfg.objective.dim
-        self.core = _core(cfg)
-        self.values = []
-
-    def schedule(self, ts: np.ndarray) -> None:
-        cols = [_sample(fn, ts).tolist() for fn in self.fns]
-        _check_floor(min(cols[1]), self.floor)
+    def rows(ts: np.ndarray) -> list:
+        cols = [_sample(fn, ts).tolist() for fn in fns]
+        _check_floor(min(cols[1]), floor)
         if len(cols) == 3:
             cols.append([0.0] * ts.size)  # b_dot, unused when beta = 0
-        self.values = list(zip(ts.tolist(), *cols))
+        return list(zip(ts.tolist(), *cols))
 
-    def stage(self, i: int, u: np.ndarray, out: np.ndarray) -> None:
-        m = self.m
-        self.core(*self.values[i], u[:m], u[m:], out)
+    return rows
 
 
 def _rhs_at(cfg: SystemConfig, t: float, x, y):
@@ -171,9 +198,9 @@ def _rhs_at(cfg: SystemConfig, t: float, x, y):
     b_dot = float(s.b_dot(t)) if cfg.beta > 0.0 else 0.0
     _check_floor(lam, cfg.lambda_floor)
     m = cfg.objective.dim
-    out = np.empty(2 * m)
-    _core(cfg)(t, b, lam, eps, b_dot, np.asarray(x, dtype=float), np.asarray(y, dtype=float), out)
-    return out[:m], out[m:]
+    x, y = (np.broadcast_to(np.asarray(v, dtype=float), (m,)).tolist() for v in (x, y))
+    k = _core(cfg)(t, b, lam, eps, b_dot, x + y)
+    return np.array(k[:m]), np.array(k[m:])
 
 
 def rhs_beta_positive(cfg: SystemConfig, t: float, x, y):
@@ -202,9 +229,10 @@ def initial_aux(cfg: SystemConfig) -> np.ndarray:
             + (b0 - cfg.alpha * cfg.beta / cfg.t0) * cfg.x0)
 
 
-# Dormand-Prince 5(4) tableau, zero-based like the stage rows k0..k6: nodes
-# _C, stage weights _Aij (stage i, row kj), fifth-order weights _A6j (stage 6
-# is the new point, FSAL) and error weights _Ej; zero entries are left out
+# Dormand-Prince 5(4) tableau, zero-based like the stages k0..k6: nodes _C,
+# stage weights _Aij (stage i, derivative kj), fifth-order weights _A6j
+# (stage 6 is the new point, FSAL) and error weights _Ej; zero entries are
+# left out
 _C = np.array([0.2, 0.3, 0.8, 8.0 / 9.0, 1.0, 1.0])
 _A10 = 0.2
 _A20, _A21 = 3.0 / 40.0, 9.0 / 40.0
@@ -223,21 +251,29 @@ _E5 = 11.0 / 84.0 - 187.0 / 2100.0
 _E6 = -1.0 / 40.0
 
 
-def _accept(stats: StepStats, h: float, samples: list, stride: int, final: bool,
-            t: float, u: np.ndarray, xdot: np.ndarray) -> None:
+def _accept(stats: StepStats, h: float, samples: tuple, stride: int, final: bool,
+            t: float, u: list, xdot: list) -> None:
     """Count an accepted step of size h to (t, u), and sample (t, u, xdot) when
-    it is the final step or every stride-th one."""
+    it is the final step or every stride-th one.
+
+    samples is three flat lists (ts, us, xdots) that u and xdot extend; one
+    list per sample would leave the allocator fragmented after long runs.
+    """
     stats.accepted += 1
     stats.min_step = min(stats.min_step, h)
     stats.max_step = max(stats.max_step, h)
     if final or stats.accepted % stride == 0:
-        # xdot views a stage row the next step overwrites; u is never written in place
-        samples.append((t, u, xdot.copy()))
+        ts, us, xdots = samples
+        ts.append(t)
+        us += u
+        xdots += xdot
 
 
-def _check_state(settings: IntegratorSettings, t_last: float, u: np.ndarray) -> None:
-    # bounds the whole state, the auxiliary y as well as x; NaN fails the test too
-    if not float(np.abs(u).max()) <= settings.divergence_threshold:
+def _check_state(settings: IntegratorSettings, t_last: float, u: list) -> None:
+    # bounds the whole state, the auxiliary y as well as x; a NaN anywhere
+    # fails the test too, which max(u) would skip unless it came first
+    threshold = settings.divergence_threshold
+    if not all(abs(a) <= threshold for a in u):
         raise DivergenceError(
             f"state left the trust region after t = {t_last:.6g}", t_last)
 
@@ -253,52 +289,69 @@ def integrate(cfg: SystemConfig, settings: IntegratorSettings = None) -> Traject
         settings = IntegratorSettings()
     settings.validate()
     cfg.validate()
-    step = _Stepper(cfg)
-    stage, m = step.stage, step.m
+    schedule, f, m = _schedule(cfg), _core(cfg), cfg.objective.dim
     t, T = cfg.t0, cfg.horizon
-    u = np.concatenate([cfg.x0, initial_aux(cfg)])
+    u = cfg.x0.tolist() + initial_aux(cfg).tolist()
     stats, stride = StepStats(), settings.sample_stride
-    # preallocated stage rows; k0 always holds the derivative at (t, u)
-    k0, k1, k2, k3, k4, k5, k6 = np.empty((7, 2 * m))
-    step.schedule(np.array([t]))
-    stage(0, u, k0)
+    # k0 always holds the derivative at (t, u)
+    k0 = f(*schedule(np.array([t]))[0], u)
     stats.nfev += 1
-    samples = [(t, u, k0[:m].copy())]
+    samples = ([t], u[:], k0[:m])
 
+    # each comprehension is, coordinate by coordinate, the array expression
+    # in the comment above it
     if settings.method == "rk4_fixed":
         nsteps = max(1, int(math.ceil((T - t) / settings.fixed_step - 1e-12)))
         h = (T - t) / nsteps
         for i in range(nsteps):
             t_next = cfg.t0 + (i + 1) * h
-            step.schedule(np.array([t + 0.5 * h, t + 0.5 * h, t + h, t_next]))
-            stage(0, u + 0.5 * h * k0, k1)
-            stage(1, u + 0.5 * h * k1, k2)
-            stage(2, u + h * k2, k3)
-            u = u + (h / 6.0) * (k0 + 2.0 * k1 + 2.0 * k2 + k3)
+            v = schedule(np.array([t + 0.5 * h, t + 0.5 * h, t + h, t_next]))
+            # u + 0.5 * h * k0, u + 0.5 * h * k1, u + h * k2
+            k1 = f(*v[0], [ui + 0.5 * h * a0 for ui, a0 in zip(u, k0)])
+            k2 = f(*v[1], [ui + 0.5 * h * a1 for ui, a1 in zip(u, k1)])
+            k3 = f(*v[2], [ui + h * a2 for ui, a2 in zip(u, k2)])
+            # u + (h / 6.0) * (k0 + 2.0 * k1 + 2.0 * k2 + k3)
+            u = [ui + (h / 6.0) * (a0 + 2.0 * a1 + 2.0 * a2 + a3)
+                 for ui, a0, a1, a2, a3 in zip(u, k0, k1, k2, k3)]
             _check_state(settings, t_next - h, u)
             t = t_next
-            stage(3, u, k4)
-            k0, k4 = k4, k0
+            k0 = f(*v[3], u)
             stats.nfev += 4
             _accept(stats, h, samples, stride, i == nsteps - 1, t, u, k0[:m])
     else:  # rk45_adaptive
+        atol, rtol = settings.atol, settings.rtol
         h = min((T - t) / 100.0, 1.0, settings.max_step)
         while t < T:
             if stats.accepted + stats.rejected >= settings.max_steps:
                 raise StepSizeError(f"step budget exhausted at t = {t:.6g}, h = {h:.3g}")
             h = min(h, T - t)
-            step.schedule(t + _C * h)
-            stage(0, u + h * (_A10 * k0), k1)
-            stage(1, u + h * (_A20 * k0 + _A21 * k1), k2)
-            stage(2, u + h * (_A30 * k0 + _A31 * k1 + _A32 * k2), k3)
-            stage(3, u + h * (_A40 * k0 + _A41 * k1 + _A42 * k2 + _A43 * k3), k4)
-            stage(4, u + h * (_A50 * k0 + _A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4), k5)
-            u_new = u + h * (_A60 * k0 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5)
-            stage(5, u_new, k6)
+            v = schedule(t + _C * h)
+            # u + h * (_A10 * k0), u + h * (_A20 * k0 + _A21 * k1), ...
+            k1 = f(*v[0], [ui + h * (_A10 * a0) for ui, a0 in zip(u, k0)])
+            k2 = f(*v[1], [ui + h * (_A20 * a0 + _A21 * a1)
+                           for ui, a0, a1 in zip(u, k0, k1)])
+            k3 = f(*v[2], [ui + h * (_A30 * a0 + _A31 * a1 + _A32 * a2)
+                           for ui, a0, a1, a2 in zip(u, k0, k1, k2)])
+            k4 = f(*v[3], [ui + h * (_A40 * a0 + _A41 * a1 + _A42 * a2 + _A43 * a3)
+                           for ui, a0, a1, a2, a3 in zip(u, k0, k1, k2, k3)])
+            k5 = f(*v[4], [ui + h * (_A50 * a0 + _A51 * a1 + _A52 * a2 + _A53 * a3 + _A54 * a4)
+                           for ui, a0, a1, a2, a3, a4 in zip(u, k0, k1, k2, k3, k4)])
+            u_new = [ui + h * (_A60 * a0 + _A62 * a2 + _A63 * a3 + _A64 * a4 + _A65 * a5)
+                     for ui, a0, a2, a3, a4, a5 in zip(u, k0, k2, k3, k4, k5)]
+            k6 = f(*v[5], u_new)
             stats.nfev += 6
-            err = h * (_E0 * k0 + _E2 * k2 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6)
-            scale = settings.atol + settings.rtol * np.maximum(np.abs(u), np.abs(u_new))
-            err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
+            # err = h * (_E0 * k0 + _E2 * k2 + ... + _E6 * k6)
+            # scale = atol + rtol * np.maximum(np.abs(u), np.abs(u_new))
+            # err_norm = sqrt(mean((err / scale) ** 2)); the sum runs left to
+            # right, which is numpy's order for fewer than 8 terms (dim <= 3).
+            # max may skip a NaN that np.maximum keeps, but a NaN in u_new
+            # also reaches err through k6 = f(u_new), so the norm is NaN anyway
+            total = 0.0
+            for ui, wi, a0, a2, a3, a4, a5, a6 in zip(u, u_new, k0, k2, k3, k4, k5, k6):
+                q = (h * (_E0 * a0 + _E2 * a2 + _E3 * a3 + _E4 * a4 + _E5 * a5 + _E6 * a6)
+                     / (atol + rtol * max(abs(ui), abs(wi))))
+                total += q * q
+            err_norm = math.sqrt(total / len(u))
             if not math.isfinite(err_norm):
                 raise DivergenceError(
                     f"non-finite stage in the step at t = {t:.6g}, h = {h:.3g}", t)
@@ -307,7 +360,7 @@ def integrate(cfg: SystemConfig, settings: IntegratorSettings = None) -> Traject
                 t = T if (T - t - h) <= 1e-15 * T else t + h
                 u = u_new
                 _check_state(settings, t_prev, u)
-                k0, k6 = k6, k0  # FSAL: the last stage is the derivative at the new point
+                k0 = k6  # FSAL: the last stage is the derivative at the new point
                 _accept(stats, h, samples, stride, t >= T, t, u, k0[:m])
             else:
                 stats.rejected += 1
@@ -317,7 +370,8 @@ def integrate(cfg: SystemConfig, settings: IntegratorSettings = None) -> Traject
             if h < _MIN_STEP:
                 raise StepSizeError(f"step size collapsed to {h:.3g} at t = {t:.6g}")
 
-    ts, us, xdots = (np.array(column, dtype=float) for column in zip(*samples))
+    ts, us, xdots = (np.array(column, dtype=float) for column in samples)
+    us, xdots = us.reshape(-1, 2 * m), xdots.reshape(-1, m)
     return Trajectory(ts, us[:, :m].copy(), us[:, m:].copy(), xdots, stats, cfg)
 
 

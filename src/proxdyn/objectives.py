@@ -71,6 +71,14 @@ class Objective:
     lambda values at which the prox formula switches branch for a fixed
     coordinate u; both exist so finite-difference checks can keep away from
     them.
+
+    The prox of each built-in also carries a scalar form, the function
+    attribute prox.coordinate_prox(i, lam, u): coordinate i of prox(lam, x)
+    where x[i] = u, on Python floats.  It must equal the array prox bit for
+    bit, signed zeros included (prox-selftest checks it); the integrator uses
+    it instead of the array prox when present.  It lives on the function,
+    not on the Objective, so replacing prox (dataclasses.replace) drops it
+    and the integrator then calls the new array prox.
     """
 
     name: str
@@ -285,6 +293,15 @@ def tikhonov_center(obj: Objective, lam, eps) -> np.ndarray:
 # built-in objectives
 
 
+def _sign(u: float) -> float:
+    """np.sign of one float: +0.0 for either zero, NaN for NaN."""
+    if u > 0.0:
+        return 1.0
+    if u < 0.0:
+        return -1.0
+    return u if u != u else 0.0
+
+
 def abs_plus_quad() -> Objective:
     """Scalar |x| + x^2/2; minimizer 0, optimal value 0."""
 
@@ -294,6 +311,11 @@ def abs_plus_quad() -> Objective:
 
     def prx(lam, x):
         return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0) / (1.0 + lam)
+
+    def coordinate_prox(i, lam, u):
+        return _sign(u) * max(abs(u) - lam, 0.0) / (1.0 + lam)
+
+    prx.coordinate_prox = coordinate_prox
 
     return Objective(
         name="abs_plus_quad",
@@ -319,6 +341,19 @@ def dist_to_interval() -> Objective:
         out = np.where(x < -1.0 - lam, x + lam, np.where(x < -1.0, -1.0, out))
         return out.astype(float)
 
+    def coordinate_prox(i, lam, u):
+        if u > 1.0 + lam:
+            return u - lam
+        if u > 1.0:
+            return 1.0
+        if u < -1.0 - lam:
+            return u + lam
+        if u < -1.0:
+            return -1.0
+        return u
+
+    prx.coordinate_prox = coordinate_prox
+
     return Objective(
         name="dist_to_interval",
         dim=1,
@@ -343,6 +378,11 @@ def l1_norm(dim: int = 1) -> Objective:
     def prx(lam, x):
         return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
 
+    def coordinate_prox(i, lam, u):
+        return _sign(u) * max(abs(u) - lam, 0.0)
+
+    prx.coordinate_prox = coordinate_prox
+
     return Objective(
         name="l1_norm",
         dim=dim,
@@ -362,12 +402,18 @@ def scaled_shifted_quadratic(c: float = 1.0, z=4.0) -> Objective:
     if not 0.0 < c < math.inf:
         raise ParameterDomainError("c must be a positive real")
     zarr = as_point(z)
+    zs = zarr.tolist()
 
     def value(x):
         return 0.5 * c * np.sum((x - zarr) ** 2, axis=-1)
 
     def prx(lam, x):
         return (x + lam * c * zarr) / (1.0 + lam * c)
+
+    def coordinate_prox(i, lam, u):
+        return (u + lam * c * zs[i]) / (1.0 + lam * c)
+
+    prx.coordinate_prox = coordinate_prox
 
     return Objective(
         name="scaled_shifted_quadratic",
@@ -393,6 +439,13 @@ def box_indicator(lo: float = -1.0, hi: float = 1.0, dim: int = 1) -> Objective:
 
     def prx(lam, x):
         return np.clip(x, lo, hi)
+
+    def coordinate_prox(i, lam, u):
+        # like np.clip, a bound replaces u only when strictly beyond it, so
+        # -0.0 stays -0.0 at a bound 0.0 and NaN stays NaN
+        return min(max(u, lo), hi)
+
+    prx.coordinate_prox = coordinate_prox
 
     return Objective(
         name="box_indicator",

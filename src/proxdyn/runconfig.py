@@ -106,6 +106,9 @@ def _parse_value(key: str, kind, text: str):
             raise ValidationError(f"{key}: expected one of {kind}, got {text!r}")
         return text
     if kind == "notes":
+        if "#" in text:
+            # summary.txt echoes the notes, and reading it back drops what follows a #
+            raise ValidationError(f"{key}: a note cannot hold '#', got {text!r}")
         return tuple(part.strip() for part in text.split(";") if part.strip())
     try:
         return tuple(float(part) for part in text.split(",")) if kind == "vector" else kind(text)

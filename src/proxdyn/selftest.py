@@ -1,10 +1,12 @@
 """Randomized self-test battery for the prox calculus.
 
 Runs the library's envelope invariants against the objective registry with a
-fixed seed, comparing closed forms to the bracketing oracle and checking the
-identities every objective must satisfy.  This is the engine behind the
-prox-selftest CLI command; the pytest suite covers the same ground with
-hypothesis-driven cases, while this battery is deterministic and reportable.
+fixed seed, comparing closed forms to the bracketing oracle, checking the
+identities every objective must satisfy and checking that each scalar prox
+the integrator uses equals the array prox bit for bit.  This is the engine
+behind the prox-selftest CLI command; the pytest suite covers the same ground
+with hypothesis-driven cases, while this battery is deterministic and
+reportable.
 """
 
 from __future__ import annotations
@@ -226,4 +228,30 @@ def run_prox_selftest(objectives=None, seed: int = 12345, samples: int = 100):
 
     battery.run("gradient 1/lambda Lipschitz", 1e-9, gradient_lipschitz)
 
+    # the integrator's scalar prox; an objective without one is skipped
+    scalar = [obj for obj in objectives if hasattr(obj.prox, "coordinate_prox")]
+
+    def scalar_prox_bits(rng):
+        obj = scalar[int(rng.integers(len(scalar)))]
+        lam = float(rng.uniform(0.05, 4.0))
+        x = _draw(rng, obj)
+        # the drawn point, every coordinate at +-0 and at each kink, and the
+        # drawn point at each lambda where one of its coordinates switches branch
+        cases = [(lam, x)] + [(lam, np.full(obj.dim, v))
+                              for v in (0.0, -0.0, *obj.kink_points(lam))]
+        cases += [(s, x) for u in x.tolist() for s in obj.lambda_switches(u) if s > 0.0]
+        wrong = [(lam_i, p) for lam_i, p in cases if not _scalar_prox_matches(obj, lam_i, p)]
+        witness = f"{obj.name}, lam={wrong[0][0]!r}, x={wrong[0][1].tolist()}" if wrong else ""
+        return float(len(wrong)), witness
+
+    # the error is a count of mismatched cases, so any mismatch exceeds 0.5
+    if scalar:
+        battery.run("scalar prox equals array prox bit for bit", 0.5, scalar_prox_bits)
+
     return battery.results
+
+
+def _scalar_prox_matches(obj: Objective, lam: float, x: np.ndarray) -> bool:
+    coordinate_prox = obj.prox.coordinate_prox
+    got = np.array([coordinate_prox(i, lam, u) for i, u in enumerate(x.tolist())])
+    return got.tobytes() == obj.prox(lam, x).tobytes()

@@ -195,6 +195,19 @@ def test_bad_label_fails_before_integrating(tmp_path, monkeypatch, capsys, label
     assert [p.name for p in tmp_path.rglob("*")] == ["run.cfg"]
 
 
+def test_note_with_hash_fails_before_integrating(tmp_path, monkeypatch, capsys):
+    # summary.txt echoes the notes, and reading the echo back would cut the
+    # note at its #; preset notes, which hold none, read back whole
+    # (test_runconfig.test_preset_config_echo_reads_back)
+    monkeypatch.setattr(runconfig, "integrate", no_integration)
+    cfg = write_config(tmp_path, FAST_CONFIG)
+    out = tmp_path / "s"
+    assert cli.main(["simulate", "--config", cfg, "--set", "notes=see #3",
+                     "--out", str(out)]) == 1
+    assert "notes: a note cannot hold '#', got 'see #3'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_rejects_repeated_label(tmp_path, monkeypatch, capsys):
     # all three fig2 runs would write runs/same/, each over the last
     monkeypatch.setattr(runconfig, "integrate", no_integration)
@@ -266,7 +279,7 @@ def test_sweep_l_requires_exponent_form(tmp_path):
 def test_prox_selftest_passes(capsys):
     assert cli.main(["prox-selftest"]) == 0
     out = capsys.readouterr().out
-    assert out.count("[pass]") == 10
+    assert out.count("[pass]") == 11
 
 
 def test_exit_codes_for_bad_usage(tmp_path, monkeypatch, capsys):

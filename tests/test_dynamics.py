@@ -19,6 +19,7 @@ from proxdyn import (
     SystemConfig,
     ValidationError,
     abs_plus_quad,
+    box_indicator,
     l1_norm,
     moreau_value,
     polynomial_schedule,
@@ -26,6 +27,7 @@ from proxdyn import (
 )
 from proxdyn.dynamics import (
     IntegratorSettings,
+    _check_state,
     initial_aux,
     integrate,
     residual_second_order,
@@ -171,6 +173,38 @@ def test_divergence_guard_reports_last_good_time():
     with pytest.raises(DivergenceError) as exc:
         integrate(cfg, IntegratorSettings())
     assert 1.0 <= exc.value.t_last < 1e5
+
+
+VECTOR_OBJECTIVES = {
+    "l1_norm/3": (l1_norm(dim=3), [1.0, -2.0, 0.5]),
+    "box_indicator/2": (box_indicator(-1.0, 1.0, dim=2), [0.5, -3.0]),
+    "scaled_shifted_quadratic/2": (scaled_shifted_quadratic(2.0, [1.0, -0.5]), [3.0, 2.0]),
+}
+
+
+@pytest.mark.parametrize("method", ["rk45_adaptive", "rk4_fixed"])
+@pytest.mark.parametrize("name", list(VECTOR_OBJECTIVES))
+def test_scalar_prox_path_matches_array_prox_path(name, method):
+    # the presets are all one-dimensional; here m > 1, and the swapped prox,
+    # which carries no scalar form, runs through the array fallback
+    obj, x0 = VECTOR_OBJECTIVES[name]
+    swapped = dataclasses.replace(obj, prox=lambda lam, x: obj.prox(lam, x))
+    assert hasattr(obj.prox, "coordinate_prox")
+    assert not hasattr(swapped.prox, "coordinate_prox")
+    settings = IntegratorSettings(method=method, fixed_step=0.01)
+    runs = [integrate(make_cfg(objective=o, horizon=6.0, x0=x0, xdot0=[0.0] * len(x0)),
+                      settings) for o in (obj, swapped)]
+    for field in ("ts", "xs", "auxs", "xdots"):
+        a, b = (getattr(run, field) for run in runs)
+        assert (a.shape, a.tobytes()) == (b.shape, b.tobytes()), field
+    assert runs[0].stats == runs[1].stats
+    assert runs[0].xs.shape == (len(runs[0]), len(x0))
+
+
+@pytest.mark.parametrize("u", [[1.0, math.nan], [math.nan, 1.0]])
+def test_state_guard_fails_on_nan_anywhere(u):
+    with pytest.raises(DivergenceError):
+        _check_state(IntegratorSettings(), 2.0, u)
 
 
 def nan_outside_five(obj):

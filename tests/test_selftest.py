@@ -5,13 +5,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from proxdyn.objectives import abs_plus_quad
+from proxdyn.objectives import abs_plus_quad, l1_norm
 from proxdyn.selftest import PropertyResult, default_registry, run_prox_selftest
 
 
 def test_battery_passes_on_default_registry():
     results = run_prox_selftest()
-    assert len(results) == 10
+    assert len(results) == 11
     assert all(r.passed for r in results)
     assert all(r.samples == 100 for r in results)
     names = [r.name for r in results]
@@ -36,6 +36,32 @@ def test_battery_flags_corrupted_prox():
     assert not flagged.passed
     assert flagged.witness
     assert "corrupted" in flagged.witness
+    # the swapped prox has no scalar form, so the bit-for-bit property skips it
+    assert SCALAR_PROPERTY not in by_name
+
+
+SCALAR_PROPERTY = "scalar prox equals array prox bit for bit"
+
+
+def test_scalar_prox_property_runs_on_default_registry():
+    by_name = {r.name: r for r in run_prox_selftest()}
+    result = by_name[SCALAR_PROPERTY]
+    assert result.passed and result.max_error == 0.0 and result.samples == 100
+
+
+def test_scalar_prox_property_compares_bits():
+    # adding 0.0 turns the -0.0 that soft thresholding gives on [-lam, 0)
+    # into +0.0: equal as numbers, wrong as bits
+    good = l1_norm()
+
+    def prox(lam, x):
+        return good.prox(lam, x)
+
+    prox.coordinate_prox = lambda i, lam, u: good.prox.coordinate_prox(i, lam, u) + 0.0
+    bad = dataclasses.replace(good, name="unsigned_zero", prox=prox)
+    result = {r.name: r for r in run_prox_selftest(objectives=[bad])}[SCALAR_PROPERTY]
+    assert not result.passed
+    assert result.witness.startswith("unsigned_zero, lam=")
 
 
 def test_empty_registry_gives_no_results():
