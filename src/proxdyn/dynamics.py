@@ -21,12 +21,19 @@ integrate validates the config (as runconfig.build_system did already).
 Both steppers then run on Python floats: the stacked state u = (x, y) and
 the stage derivatives k0..k6 are lists, since every preset is
 one-dimensional and numpy calls on 1-element arrays cost more than their
-arithmetic.  Per step the schedule callables are evaluated once, with numpy,
-on the array of stage times, and lambda is checked there with validation's
-floor check.  Each stage then calls one right-hand-side core, the only place
-the two reformulations are written; it takes the envelope gradient through
-the objective's scalar prox (prox.coordinate_prox) when the prox carries
-one, and through the array prox on the point otherwise.  The stage
+arithmetic.  Per step the schedule is evaluated once at each distinct stage
+time (DP5's c5 = c6 = 1 and RK4's two midpoints share one), on Python
+floats, and lambda is checked there with validation's floor check.  Each
+callable runs through its scalar form fn.scalar, which the polynomial
+family's callables carry, and as float(fn(t)) otherwise.  The scalar forms
+use Python's ** (libm pow), not numpy's array **, which takes a SIMD pow on
+some CPUs that differs from libm's in the last bit; so a trajectory does
+not depend on numpy's SIMD dispatch.  Validation, the condition checkers and
+the observables keep the array forms.  Each stage then calls one
+right-hand-side core, the only place the two reformulations are written; it
+takes the envelope gradient through the objective's scalar prox
+(prox.coordinate_prox) when the prox carries one, and through the array
+prox on the point otherwise.  The stage
 combinations, the error norm and the step controller perform, coordinate
 by coordinate, the same IEEE operations in the same order as the numpy
 expressions in the comments beside them, so a trajectory equals that of the
@@ -37,8 +44,9 @@ covers the pinned runs and the presets, all of dimension 1.  A step whose
 error norm is not finite raises
 DivergenceError naming t and h, and the divergence guard bounds the whole
 state (x, y), failing on a NaN anywhere.  One _accept counts and samples
-each accepted step.  The public rhs_* functions call the same core with
-scalar schedule values; initial_aux and residual_second_order share its
+each accepted step.  The public rhs_* functions and initial_aux evaluate
+the schedule the same way, and rhs_* call the same core, so they match the
+steppers bit for bit; initial_aux and residual_second_order share the
 array envelope gradient.
 """
 
@@ -92,6 +100,9 @@ class IntegratorSettings:
         # max_step alone may be inf: no cap
         if not (0.0 < self.fixed_step < math.inf and self.max_step > 0.0):
             raise ValidationError("step sizes must be positive reals")
+        # inf is allowed, as for max_step: no trust region; NaN fails too
+        if not self.divergence_threshold > 0.0:
+            raise ValidationError("divergence_threshold must be positive")
         if self.sample_stride < 1:
             raise ValidationError("sample_stride must be a positive integer")
         if self.max_steps < 1:
@@ -171,35 +182,38 @@ def _core(cfg: SystemConfig):
     return core
 
 
-def _schedule(cfg: SystemConfig):
-    """rows(ts): the schedule values (t, b, lam, eps, b_dot) at each of one
-    step's stage times ts, with lambda checked against its floor there.
+def _scalar(fn):
+    """fn on one float t, as a float: its scalar form fn.scalar when it carries
+    one (the polynomial family's callables do), float(fn(t)) otherwise."""
+    scalar = getattr(fn, "scalar", None)
+    return scalar if scalar is not None else (lambda t: float(fn(t)))
 
-    The schedule callables run once per step, on the array of stage times.
+
+def _schedule(cfg: SystemConfig):
+    """rows(ts): the schedule values (t, b, lam, eps, b_dot) at each float t of
+    the list ts, with lambda checked against its floor there.
+
+    The schedule callables run on Python floats, one call per time in ts.
     """
     s = cfg.schedule
-    fns = (s.b, s.lam, s.eps) + ((s.b_dot,) if cfg.beta > 0.0 else ())
+    b, lam, eps = _scalar(s.b), _scalar(s.lam), _scalar(s.eps)
+    b_dot = _scalar(s.b_dot) if cfg.beta > 0.0 else (lambda t: 0.0)  # unused when beta = 0
     floor = cfg.lambda_floor
 
-    def rows(ts: np.ndarray) -> list:
-        cols = [_sample(fn, ts).tolist() for fn in fns]
-        _check_floor(min(cols[1]), floor)
-        if len(cols) == 3:
-            cols.append([0.0] * ts.size)  # b_dot, unused when beta = 0
-        return list(zip(ts.tolist(), *cols))
+    def rows(ts: list) -> list:
+        out = [(t, b(t), lam(t), eps(t), b_dot(t)) for t in ts]
+        _check_floor(min(row[2] for row in out), floor)
+        return out
 
     return rows
 
 
 def _rhs_at(cfg: SystemConfig, t: float, x, y):
-    """(xdot, ydot) at one time, through the same core as the steppers."""
-    s = cfg.schedule
-    b, lam, eps = float(s.b(t)), float(s.lam(t)), float(s.eps(t))
-    b_dot = float(s.b_dot(t)) if cfg.beta > 0.0 else 0.0
-    _check_floor(lam, cfg.lambda_floor)
+    """(xdot, ydot) at one time, through the same schedule values and core as
+    the steppers."""
     m = cfg.objective.dim
     x, y = (np.broadcast_to(np.asarray(v, dtype=float), (m,)).tolist() for v in (x, y))
-    k = _core(cfg)(t, b, lam, eps, b_dot, x + y)
+    k = _core(cfg)(*_schedule(cfg)([float(t)])[0], x + y)
     return np.array(k[:m]), np.array(k[m:])
 
 
@@ -221,19 +235,17 @@ def initial_aux(cfg: SystemConfig) -> np.ndarray:
     """Auxiliary initial value matching (x0, xdot0) under the active reformulation."""
     if cfg.beta == 0.0:
         return cfg.xdot0.copy()
-    lam0 = float(cfg.schedule.lam(cfg.t0))
-    _check_floor(lam0, cfg.lambda_floor)
+    _, b0, lam0, _, _ = _schedule(cfg)([float(cfg.t0)])[0]
     g0 = _grad(cfg.objective.prox, lam0, cfg.x0)
-    b0 = float(cfg.schedule.b(cfg.t0))
     return (-cfg.beta * (cfg.xdot0 + cfg.beta * g0)
             + (b0 - cfg.alpha * cfg.beta / cfg.t0) * cfg.x0)
 
 
-# Dormand-Prince 5(4) tableau, zero-based like the stages k0..k6: nodes _C,
-# stage weights _Aij (stage i, derivative kj), fifth-order weights _A6j
-# (stage 6 is the new point, FSAL) and error weights _Ej; zero entries are
-# left out
-_C = np.array([0.2, 0.3, 0.8, 8.0 / 9.0, 1.0, 1.0])
+# Dormand-Prince 5(4) tableau, zero-based like the stages k0..k6: nodes _C of
+# stages 1..5 (stage 6 has c6 = c5 = 1), stage weights _Aij (stage i,
+# derivative kj), fifth-order weights _A6j (stage 6 is the new point, FSAL)
+# and error weights _Ej; zero entries are left out
+_C = (0.2, 0.3, 0.8, 8.0 / 9.0, 1.0)
 _A10 = 0.2
 _A20, _A21 = 3.0 / 40.0, 9.0 / 40.0
 _A30, _A31, _A32 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
@@ -290,11 +302,11 @@ def integrate(cfg: SystemConfig, settings: IntegratorSettings = None) -> Traject
     settings.validate()
     cfg.validate()
     schedule, f, m = _schedule(cfg), _core(cfg), cfg.objective.dim
-    t, T = cfg.t0, cfg.horizon
+    t, T = float(cfg.t0), cfg.horizon
     u = cfg.x0.tolist() + initial_aux(cfg).tolist()
     stats, stride = StepStats(), settings.sample_stride
     # k0 always holds the derivative at (t, u)
-    k0 = f(*schedule(np.array([t]))[0], u)
+    k0 = f(*schedule([t])[0], u)
     stats.nfev += 1
     samples = ([t], u[:], k0[:m])
 
@@ -305,17 +317,17 @@ def integrate(cfg: SystemConfig, settings: IntegratorSettings = None) -> Traject
         h = (T - t) / nsteps
         for i in range(nsteps):
             t_next = cfg.t0 + (i + 1) * h
-            v = schedule(np.array([t + 0.5 * h, t + 0.5 * h, t + h, t_next]))
+            v = schedule([t + 0.5 * h, t + h, t_next])
             # u + 0.5 * h * k0, u + 0.5 * h * k1, u + h * k2
             k1 = f(*v[0], [ui + 0.5 * h * a0 for ui, a0 in zip(u, k0)])
-            k2 = f(*v[1], [ui + 0.5 * h * a1 for ui, a1 in zip(u, k1)])
-            k3 = f(*v[2], [ui + h * a2 for ui, a2 in zip(u, k2)])
+            k2 = f(*v[0], [ui + 0.5 * h * a1 for ui, a1 in zip(u, k1)])
+            k3 = f(*v[1], [ui + h * a2 for ui, a2 in zip(u, k2)])
             # u + (h / 6.0) * (k0 + 2.0 * k1 + 2.0 * k2 + k3)
             u = [ui + (h / 6.0) * (a0 + 2.0 * a1 + 2.0 * a2 + a3)
                  for ui, a0, a1, a2, a3 in zip(u, k0, k1, k2, k3)]
             _check_state(settings, t_next - h, u)
             t = t_next
-            k0 = f(*v[3], u)
+            k0 = f(*v[2], u)
             stats.nfev += 4
             _accept(stats, h, samples, stride, i == nsteps - 1, t, u, k0[:m])
     else:  # rk45_adaptive
@@ -325,7 +337,7 @@ def integrate(cfg: SystemConfig, settings: IntegratorSettings = None) -> Traject
             if stats.accepted + stats.rejected >= settings.max_steps:
                 raise StepSizeError(f"step budget exhausted at t = {t:.6g}, h = {h:.3g}")
             h = min(h, T - t)
-            v = schedule(t + _C * h)
+            v = schedule([t + c * h for c in _C])
             # u + h * (_A10 * k0), u + h * (_A20 * k0 + _A21 * k1), ...
             k1 = f(*v[0], [ui + h * (_A10 * a0) for ui, a0 in zip(u, k0)])
             k2 = f(*v[1], [ui + h * (_A20 * a0 + _A21 * a1)
@@ -338,7 +350,7 @@ def integrate(cfg: SystemConfig, settings: IntegratorSettings = None) -> Traject
                            for ui, a0, a1, a2, a3, a4 in zip(u, k0, k1, k2, k3, k4)])
             u_new = [ui + h * (_A60 * a0 + _A62 * a2 + _A63 * a3 + _A64 * a4 + _A65 * a5)
                      for ui, a0, a2, a3, a4, a5 in zip(u, k0, k2, k3, k4, k5)]
-            k6 = f(*v[5], u_new)
+            k6 = f(*v[4], u_new)
             stats.nfev += 6
             # err = h * (_E0 * k0 + _E2 * k2 + ... + _E6 * k6)
             # scale = atol + rtol * np.maximum(np.abs(u), np.abs(u_new))

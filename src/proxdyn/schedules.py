@@ -71,6 +71,17 @@ class LambdaForm:
             return np.asarray(t, dtype=float) ** self.value
         return 1.0 - np.asarray(t, dtype=float) ** (-self.value)
 
+    def scalar(self, t: float) -> float:
+        """fn at one float t, through Python's ``**`` (libm pow), not numpy's."""
+        if self.kind == "constant":
+            return float(self.value)
+        try:
+            if self.kind == "power":
+                return t ** self.value
+            return 1.0 - t ** (-self.value)
+        except OverflowError:  # Python's ** raises where numpy's gives inf
+            return math.inf if self.kind == "power" else -math.inf
+
     def dot(self, t):
         return _monomial(*(self.dot_monomials() or [(0.0, 0.0)])[0])(t)
 
@@ -109,7 +120,13 @@ class PolyParams:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Callable bundle (b, lambda, eps) with derivatives on [t0, inf)."""
+    """Callable bundle (b, lambda, eps) with derivatives on [t0, inf).
+
+    Each callable takes an array of times or one float.  The integrator
+    evaluates b, lam, eps and b_dot at one float t through fn.scalar(t) when
+    the callable carries it, as the polynomial family's do, and as
+    float(fn(t)) otherwise.
+    """
 
     t0: float
     b: Callable
@@ -129,10 +146,21 @@ def _sample(fn: Callable, ts: np.ndarray) -> np.ndarray:
 
 
 def _monomial(coef: float, exponent: float) -> Callable:
-    """t -> coef * t**exponent on floats of t's shape, identically zero when coef == 0."""
+    """t -> coef * t**exponent on floats of t's shape, identically zero when coef == 0.
+
+    fn.scalar is the same map on one float t, through Python's ``**`` (libm
+    pow), not numpy's; the integrator evaluates the schedule through it.
+    """
     def fn(t):
         t = np.asarray(t, dtype=float)
         return np.zeros_like(t) if coef == 0.0 else coef * t ** exponent
+
+    def scalar(t):
+        try:
+            return coef * t ** exponent
+        except OverflowError:  # Python's ** raises where numpy's gives inf
+            return coef * math.inf
+    fn.scalar = (lambda t: 0.0) if coef == 0.0 else scalar
     return fn
 
 
@@ -148,11 +176,15 @@ def polynomial_schedule(params: PolyParams, t0: float) -> Schedule:
     if t0 <= 0.0:
         raise ParameterDomainError("t0 must be positive")
     B, n, E, d = params.b_coeff, params.n, params.eps_coeff, params.d
+
+    def lam(t):  # a bound method cannot carry the scalar form
+        return params.lam.fn(t)
+    lam.scalar = params.lam.scalar
     return Schedule(
         t0=t0,
         b=_monomial(B, n),
         b_dot=_monomial(B * n, n - 1.0),
-        lam=params.lam.fn,
+        lam=lam,
         lam_dot=params.lam.dot,
         eps=_monomial(E, -d),
         eps_dot=_monomial(-E * d, -d - 1.0),

@@ -14,7 +14,9 @@ import proxdyn
 from proxdyn import (
     DivergenceError,
     InsufficientDataError,
+    LambdaForm,
     PolyParams,
+    Schedule,
     StepSizeError,
     SystemConfig,
     ValidationError,
@@ -34,6 +36,7 @@ from proxdyn.dynamics import (
     rhs_beta_positive,
     rhs_beta_zero,
 )
+from proxdyn.runconfig import build_system, config_from_flat, preset_runs
 
 
 def make_cfg(objective=None, alpha=10.0, beta=1.0, t0=1.4, horizon=140.0,
@@ -102,6 +105,39 @@ def test_initial_aux_matches_requested_velocity():
     cfg = make_cfg(xdot0=-3.0)
     xd, _ = rhs_beta_positive(cfg, cfg.t0, cfg.x0, initial_aux(cfg))
     assert xd[0] == pytest.approx(-3.0, abs=1e-12)
+
+
+def test_public_rhs_matches_the_stepper_bit_for_bit():
+    # fig5/tikhonov: beta > 0, b = t**0.7, bounded lambda
+    (flat,) = [f for f in preset_runs("fig5") if f["label"] == "tikhonov"]
+    cfg, settings = build_system(config_from_flat(flat))
+    xd, _ = rhs_beta_positive(cfg, cfg.t0, cfg.x0, initial_aux(cfg))
+    assert xd.tobytes() == integrate(cfg, settings).xdots[0].tobytes()
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+def test_schedule_without_scalar_forms_integrates_through_the_fallback(beta):
+    params = PolyParams(1.0, 1.0, 1.0, 3.0, LambdaForm("bounded", 1.0))
+    cfg = make_cfg(beta=beta, horizon=14.0)
+    cfg.schedule = polynomial_schedule(params, cfg.t0)
+    s = cfg.schedule
+    # plain lambdas carry no scalar form: each runs as float(fn(t))
+    names = ("b", "b_dot", "lam", "lam_dot", "eps", "eps_dot")
+    plain = Schedule(t0=s.t0, **{k: (lambda fn: lambda t: fn(t))(getattr(s, k)) for k in names})
+    assert not any(hasattr(getattr(plain, k), "scalar") for k in names)
+    ref = integrate(cfg)
+    got = integrate(dataclasses.replace(cfg, schedule=plain))
+    assert got.ts[-1] == ref.ts[-1]
+    np.testing.assert_allclose(got.xs[-1], ref.xs[-1], rtol=1e-6)
+    np.testing.assert_allclose(got.xdots[-1], ref.xdots[-1], rtol=1e-6)
+
+
+def test_schedule_overflow_is_a_divergence():
+    # b = 1e-300 t**400: t**400 overflows past t = 5.9 while b is still 1e8
+    cfg = make_cfg(beta=0.0, horizon=10.0)
+    cfg.schedule = polynomial_schedule(PolyParams(1e-300, 400.0, 1.0, 3.0), cfg.t0)
+    with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="non-finite stage"):
+        integrate(cfg)  # validation samples b with numpy, which warns of the inf
 
 
 # ------------------------------------------------------------------ integrate
@@ -291,9 +327,16 @@ def test_integrator_settings_validation():
         IntegratorSettings(fixed_step=0.0),
         IntegratorSettings(sample_stride=0),
         IntegratorSettings(max_steps=0),
+        IntegratorSettings(divergence_threshold=math.nan),
+        IntegratorSettings(divergence_threshold=0.0),
+        IntegratorSettings(divergence_threshold=-1.0),
     ):
         with pytest.raises(ValidationError):
             bad.validate()
+    IntegratorSettings(max_step=math.inf, divergence_threshold=math.inf).validate()
+    # a bad threshold is a validation error, not a divergence on the first step
+    with pytest.raises(ValidationError, match="divergence_threshold"):
+        integrate(make_cfg(horizon=14.0), IntegratorSettings(divergence_threshold=math.nan))
 
 
 # ------------------------------------------------------- second-order residual

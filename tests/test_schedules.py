@@ -103,6 +103,33 @@ def test_schedule_derivatives_match_finite_differences(b_coeff, n, eps_coeff, d,
         assert float(dfn(t)) == pytest.approx(fd, abs=1e-5 * scale)
 
 
+@pytest.mark.parametrize("n, eps_coeff, d", [(0.0, 1.0, 3.0), (2.0, 0.0, 1.5),
+                                             (0.7, 2.0, 1.1), (1.3, 0.5, 3.5)])
+@pytest.mark.parametrize("kind, lv", [("constant", 0.5), ("power", 0.0), ("power", 0.7),
+                                      ("bounded", 0.3), ("bounded", 1.3)])
+def test_scalar_forms_match_array_forms(n, eps_coeff, d, kind, lv):
+    s = polynomial_schedule(PolyParams(1.5, n, eps_coeff, d, LambdaForm(kind, lv)), 1.0)
+    ts = np.geomspace(1.0, 1e4, 1001)
+    for name in ("b", "b_dot", "lam", "eps", "eps_dot"):
+        fn = getattr(s, name)
+        # libm's and numpy's pow may differ in the last bit; in 1 - t**(-l)
+        # that is an ulp of t**(-l) <= 1, not of the possibly smaller result
+        scale = 1.0 if name == "lam" and kind == "bounded" else 0.0
+        for t, want in zip(ts.tolist(), fn(ts).tolist()):
+            got = fn.scalar(t)
+            assert type(got) is float
+            assert abs(got - want) <= 2.0 * math.ulp(max(abs(want), scale)), (name, t)
+            if want == 0.0:  # a zero coefficient gives exactly +0.0
+                assert math.copysign(1.0, got) == 1.0 and got == 0.0, (name, t)
+
+
+def test_scalar_forms_overflow_to_inf_as_array_forms_do():
+    s = polynomial_schedule(PolyParams(1e-300, 400.0, 1.0, 3.0, LambdaForm("power", 400.0)), 1.0)
+    with np.errstate(over="ignore"):
+        for fn in (s.b, s.b_dot, s.lam):
+            assert fn.scalar(10.0) == float(fn(np.array([10.0]))[0]) == math.inf
+
+
 # ------------------------------------------------------------ custom schedules
 
 
