@@ -14,40 +14,54 @@ The steppers are deliberately self-contained: an embedded Dormand-Prince
 5(4) pair with FSAL and a PI-free step controller, plus classical fixed-step
 RK4 for order studies.  The adaptive stepper's first step is
 min((T - t0)/100, 1), capped by max_step; a step below 1e-13 raises
-StepSizeError.  The envelope gradient is 1/lambda-Lipschitz, so
-stiffness is capped by the lambda floor and explicit methods are adequate.
+StepSizeError, and so does a run that needs more than max_steps steps.  The
+envelope gradient is 1/lambda-Lipschitz, so stiffness is capped by the
+lambda floor and explicit methods are adequate.
 
-integrate validates the config (as runconfig.build_system did already).
-Both steppers then run on Python floats: the stacked state u = (x, y) and
-the stage derivatives k0..k6 are lists, since every preset is
-one-dimensional and numpy calls on 1-element arrays cost more than their
-arithmetic.  Per step the schedule is evaluated once at each distinct stage
-time (DP5's c5 = c6 = 1 and RK4's two midpoints share one), on Python
-floats, and lambda is checked there with validation's floor check.  Each
-callable runs through its scalar form fn.scalar, which the polynomial
-family's callables carry, and as float(fn(t)) otherwise.  The scalar forms
-use Python's ** (libm pow), not numpy's array **, which takes a SIMD pow on
-some CPUs that differs from libm's in the last bit; so a trajectory does
-not depend on numpy's SIMD dispatch.  Validation, the condition checkers and
-the observables keep the array forms.  Each stage then calls one
-right-hand-side core, the only place the two reformulations are written; it
-takes the envelope gradient through the objective's scalar prox
-(prox.coordinate_prox) when the prox carries one, and through the array
-prox on the point otherwise.  The stage
-combinations, the error norm and the step controller perform, coordinate
-by coordinate, the same IEEE operations in the same order as the numpy
-expressions in the comments beside them, so a trajectory equals that of the
-array formulation bit for bit (tests/trajectory_pins.json pins a set of
-them).  The error norm sums its 2 * dim squares left to right; numpy's
-reduction takes that order only for fewer than 8 terms (dim <= 3), which
-covers the pinned runs and the presets, all of dimension 1.  A step whose
-error norm is not finite raises
-DivergenceError naming t and h, and the divergence guard bounds the whole
-state (x, y), failing on a NaN anywhere.  One _accept counts and samples
-each accepted step.  The public rhs_* functions and initial_aux evaluate
-the schedule the same way, and rhs_* call the same core, so they match the
-steppers bit for bit; initial_aux and residual_second_order share the
-array envelope gradient.
+integrate validates the config (as runconfig.build_system did already),
+then runs coordinate-major.  The right-hand side is separable: coordinate i
+of (xdot, ydot) depends on (x_i, y_i) alone, since a built-in prox acts
+coordinate by coordinate.  So a step runs every stage of one coordinate
+pair as straight-line code before it moves to the next pair.  The unit of
+that loop is a lane:
+- a float lane is one coordinate on Python floats, for a prox that carries
+  its scalar form prox.coordinate_prox (every built-in does); the stepper
+  makes no numpy call per step there;
+- a numpy lane is the whole point as 1-D arrays, the single lane of a prox
+  without a scalar form, such as a swapped or custom one, which runs on
+  the whole point.
+The loop body is written once for both.
+
+Per step the schedule is evaluated once at each distinct stage time
+(DP5's c5 = c6 = 1 and RK4's two midpoints share one), lambda is checked
+there with validation's floor check, and the values are folded into
+per-stage constants: (-(alpha/t), b, lambda, eps) when beta = 0 and
+(cx, dx, dy, lambda) when beta > 0.  Each schedule callable runs through
+its scalar form fn.scalar, which the polynomial family's callables carry,
+and as float(fn(t)) otherwise.  The scalar forms use Python's ** (libm
+pow), not numpy's array **, which takes a SIMD pow on some CPUs that
+differs from libm's in the last bit; so a trajectory does not depend on
+numpy's SIMD dispatch.  Validation, the condition checkers and the
+observables keep the array forms.
+
+Every stage calls one core, g(i, c, x, y) -> (xdot_i, ydot_i), the only
+place each reformulation is written.  The stage combinations, the error
+norm and the step controller perform, coordinate by coordinate, the same
+IEEE operations in the same order as the numpy expressions in the comments
+beside them, so a trajectory equals that of the array formulation bit for
+bit (tests/trajectory_pins.json pins a set of them).  The error norm keeps
+its 2 * dim squares, x block first, in one list and sums it left to right
+in a plain loop, at every dim and in both kinds of lane; numpy's pairwise
+reduction would take that order only for fewer than 8 terms.  A step whose
+error norm is not finite raises DivergenceError naming t and h, and the
+divergence guard bounds the whole state (x, y), failing on a NaN anywhere;
+both errors, and StepSizeError, carry t_last and h.  One _accept counts and
+samples each accepted step.  The public rhs_* functions and the first
+stage take the same stage constants, lanes and core, so they match the
+steppers bit for bit.  initial_aux, which runs once, evaluates lambda and b
+through the same scalar forms and takes the envelope gradient from the
+array prox, which equals the scalar form bit for bit; residual_second_order
+shares that array gradient.
 """
 
 from __future__ import annotations
@@ -136,50 +150,44 @@ def _grad(prox, lam, x):
     return (x - prox(lam, x)) / lam
 
 
-def _float_grad(prox):
-    """grad(lam, x): the envelope gradient of the list x of m floats, as a list.
+def _lanes(cfg: SystemConfig):
+    """(lane_prox, maximum, split, flat): how the steppers run over lanes.
 
-    A built-in prox carries its scalar form as prox.coordinate_prox, which
-    gives the same floats coordinate by coordinate; any other prox, such as a
-    swapped or a custom one, runs on the point as a 1-D array.
+    lane_prox(i, lam, x) is the prox of lane i at the lane value x;
+    maximum is max on float lanes and np.maximum on the numpy lane.
+    split(v) turns a 1-D array of dim floats into the list of lane values,
+    and flat(values) turns such a list back into a list of dim floats.
     """
+    prox = cfg.objective.prox
     coordinate_prox = getattr(prox, "coordinate_prox", None)
-    if coordinate_prox is None:
-        return lambda lam, x: _grad(prox, lam, np.array(x)).tolist()
-    return lambda lam, x: [(xi - coordinate_prox(i, lam, xi)) / lam for i, xi in enumerate(x)]
+    if coordinate_prox is not None:
+        return coordinate_prox, max, (lambda v: v.tolist()), (lambda values: values)
+    return ((lambda i, lam, x: prox(lam, x)), np.maximum,
+            (lambda v: [np.array(v, dtype=float)]), (lambda values: values[0].tolist()))
 
 
-def _core(cfg: SystemConfig):
-    """The right-hand side, written once for both reformulations.
-
-    core(t, b, lam, eps, b_dot, u) returns the derivative (xdot, ydot), one
-    list of floats, at time t and stacked state u = (x, y), given the schedule
-    values at t.  It checks nothing; b_dot is read only when beta > 0.  Each
-    coordinate goes through the same IEEE operations, in the same order, as
-    the array expressions in the comments.
+def _core(cfg: SystemConfig, lane_prox):
+    """g(i, c, x, y): the derivative (xdot_i, ydot_i) of lane i at state
+    (x, y), given the stage constants c; written once for both
+    reformulations.  It checks nothing.  Each coordinate goes through the
+    same IEEE operations, in the same order, as the array expressions in the
+    comments.
     """
-    alpha, beta, m = cfg.alpha, cfg.beta, cfg.objective.dim
-    grad = _float_grad(cfg.objective.prox)
+    alpha, beta = cfg.alpha, cfg.beta
     if beta == 0.0:
-        def core(t, b, lam, eps, b_dot, u):
-            x, y = u[:m], u[m:]
-            g = grad(lam, x)
-            # xdot = y, ydot = -(alpha / t) * y - b * g - eps * x
-            a = -(alpha / t)
-            return y + [a * yi - b * gi - eps * xi for xi, yi, gi in zip(x, y, g)]
+        def g(i, c, x, y):
+            a, b, lam, eps = c
+            grad = (x - lane_prox(i, lam, x)) / lam
+            # xdot = y, ydot = -(alpha / t) * y - b * grad - eps * x
+            return y, a * y - b * grad - eps * x
     else:
-        def core(t, b, lam, eps, b_dot, u):
-            x, y = u[:m], u[m:]
-            g = grad(lam, x)
-            # xdot = -beta * g - (alpha / t - b / beta) * x - y / beta
+        def g(i, c, x, y):
+            cx, dx, dy, lam = c
+            grad = (x - lane_prox(i, lam, x)) / lam
+            # xdot = -beta * grad - (alpha / t - b / beta) * x - y / beta
             # ydot = (b_dot + ... - alpha * b / t) * x - (b / beta) * y
-            cx = alpha / t - b / beta
-            dx = (b_dot + alpha * beta / t ** 2 + beta * eps + b ** 2 / beta
-                  - alpha * b / t)
-            dy = b / beta
-            return ([-beta * gi - cx * xi - yi / beta for xi, yi, gi in zip(x, y, g)]
-                    + [dx * xi - dy * yi for xi, yi in zip(x, y)])
-    return core
+            return -beta * grad - cx * x - y / beta, dx * x - dy * y
+    return g
 
 
 def _scalar(fn):
@@ -189,32 +197,47 @@ def _scalar(fn):
     return scalar if scalar is not None else (lambda t: float(fn(t)))
 
 
-def _schedule(cfg: SystemConfig):
-    """rows(ts): the schedule values (t, b, lam, eps, b_dot) at each float t of
-    the list ts, with lambda checked against its floor there.
+def _stage_constants(cfg: SystemConfig):
+    """consts(ts): the constants c that g takes at each float t of the list
+    ts, folded from the schedule values there, with lambda checked against
+    its floor first.
 
-    The schedule callables run on Python floats, one call per time in ts.
+    The schedule callables run on Python floats, one call per time in ts;
+    b_dot is evaluated only when beta > 0.
     """
-    s = cfg.schedule
-    b, lam, eps = _scalar(s.b), _scalar(s.lam), _scalar(s.eps)
-    b_dot = _scalar(s.b_dot) if cfg.beta > 0.0 else (lambda t: 0.0)  # unused when beta = 0
-    floor = cfg.lambda_floor
+    s, alpha, beta, floor = cfg.schedule, cfg.alpha, cfg.beta, cfg.lambda_floor
+    b, lam, eps, b_dot = (_scalar(fn) for fn in (s.b, s.lam, s.eps, s.b_dot))
+    if beta == 0.0:
+        def fold(ts, lams):
+            return [(-(alpha / t), b(t), lam_t, eps(t)) for t, lam_t in zip(ts, lams)]
+    else:
+        def fold(ts, lams):
+            # cx = alpha / t - b / beta, dy = b / beta and
+            # dx = b_dot + alpha * beta / t**2 + beta * eps + b**2 / beta - alpha * b / t
+            return [(alpha / t - b_t / beta,
+                     b_dot_t + alpha * beta / t ** 2 + beta * eps_t + b_t ** 2 / beta
+                     - alpha * b_t / t,
+                     b_t / beta, lam_t)
+                    for t, lam_t, b_t, eps_t, b_dot_t
+                    in zip(ts, lams, map(b, ts), map(eps, ts), map(b_dot, ts))]
 
-    def rows(ts: list) -> list:
-        out = [(t, b(t), lam(t), eps(t), b_dot(t)) for t in ts]
-        _check_floor(min(row[2] for row in out), floor)
-        return out
+    def consts(ts: list) -> list:
+        lams = list(map(lam, ts))
+        _check_floor(min(lams), floor)
+        return fold(ts, lams)
 
-    return rows
+    return consts
 
 
 def _rhs_at(cfg: SystemConfig, t: float, x, y):
-    """(xdot, ydot) at one time, through the same schedule values and core as
-    the steppers."""
-    m = cfg.objective.dim
-    x, y = (np.broadcast_to(np.asarray(v, dtype=float), (m,)).tolist() for v in (x, y))
-    k = _core(cfg)(*_schedule(cfg)([float(t)])[0], x + y)
-    return np.array(k[:m]), np.array(k[m:])
+    """(xdot, ydot) at one time, through the same stage constants, lanes and
+    core as the steppers."""
+    lane_prox, _, split, flat = _lanes(cfg)
+    g, m = _core(cfg, lane_prox), cfg.objective.dim
+    (c,) = _stage_constants(cfg)([float(t)])
+    X, Y = (split(np.broadcast_to(np.asarray(v, dtype=float), (m,))) for v in (x, y))
+    KX, KY = zip(*[g(i, c, X[i], Y[i]) for i in range(len(X))])
+    return np.array(flat(KX)), np.array(flat(KY))
 
 
 def rhs_beta_positive(cfg: SystemConfig, t: float, x, y):
@@ -235,10 +258,12 @@ def initial_aux(cfg: SystemConfig) -> np.ndarray:
     """Auxiliary initial value matching (x0, xdot0) under the active reformulation."""
     if cfg.beta == 0.0:
         return cfg.xdot0.copy()
-    _, b0, lam0, _, _ = _schedule(cfg)([float(cfg.t0)])[0]
+    t0, s = float(cfg.t0), cfg.schedule
+    lam0 = _scalar(s.lam)(t0)
+    _check_floor(lam0, cfg.lambda_floor)
     g0 = _grad(cfg.objective.prox, lam0, cfg.x0)
     return (-cfg.beta * (cfg.xdot0 + cfg.beta * g0)
-            + (b0 - cfg.alpha * cfg.beta / cfg.t0) * cfg.x0)
+            + (_scalar(s.b)(t0) - cfg.alpha * cfg.beta / cfg.t0) * cfg.x0)
 
 
 # Dormand-Prince 5(4) tableau, zero-based like the stages k0..k6: nodes _C of
@@ -281,13 +306,13 @@ def _accept(stats: StepStats, h: float, samples: tuple, stride: int, final: bool
         xdots += xdot
 
 
-def _check_state(settings: IntegratorSettings, t_last: float, u: list) -> None:
+def _check_state(settings: IntegratorSettings, t_last: float, h: float, u: list) -> None:
     # bounds the whole state, the auxiliary y as well as x; a NaN anywhere
     # fails the test too, which max(u) would skip unless it came first
     threshold = settings.divergence_threshold
     if not all(abs(a) <= threshold for a in u):
         raise DivergenceError(
-            f"state left the trust region after t = {t_last:.6g}", t_last)
+            f"state left the trust region after t = {t_last:.6g}", t_last, h)
 
 
 def integrate(cfg: SystemConfig, settings: IntegratorSettings = None) -> Trajectory:
@@ -301,86 +326,116 @@ def integrate(cfg: SystemConfig, settings: IntegratorSettings = None) -> Traject
         settings = IntegratorSettings()
     settings.validate()
     cfg.validate()
-    schedule, f, m = _schedule(cfg), _core(cfg), cfg.objective.dim
-    t, T = float(cfg.t0), cfg.horizon
-    u = cfg.x0.tolist() + initial_aux(cfg).tolist()
+    lane_prox, maximum, split, flat = _lanes(cfg)
+    consts, g = _stage_constants(cfg), _core(cfg, lane_prox)
+    m, t, T = cfg.objective.dim, float(cfg.t0), cfg.horizon
+    # X, Y: the lane values of the state u = (x, y); KX, KY: those of k0,
+    # which always holds the derivative at (t, u)
+    X, Y = split(cfg.x0), split(initial_aux(cfg))
+    lanes = range(len(X))
+    (c0,) = consts([t])
+    KX, KY = zip(*[g(i, c0, X[i], Y[i]) for i in lanes])
     stats, stride = StepStats(), settings.sample_stride
-    # k0 always holds the derivative at (t, u)
-    k0 = f(*schedule([t])[0], u)
     stats.nfev += 1
-    samples = ([t], u[:], k0[:m])
+    samples = ([t], flat(X) + flat(Y), list(flat(KX)))
 
-    # each comprehension is, coordinate by coordinate, the array expression
-    # in the comment above it
+    # each stage argument is, lane by lane, the array expression in the
+    # comment above it, with u = (x, y) and k = (kx, ky)
     if settings.method == "rk4_fixed":
-        nsteps = max(1, int(math.ceil((T - t) / settings.fixed_step - 1e-12)))
+        # compared as a float: an inf step count has no integer ceiling
+        span = (T - t) / settings.fixed_step - 1e-12
+        if span > settings.max_steps:
+            raise StepSizeError(
+                f"nsteps = {span:.6g} steps of fixed_step = {settings.fixed_step:.3g} "
+                f"exceed max_steps = {settings.max_steps}", t, settings.fixed_step)
+        nsteps = max(1, int(math.ceil(span)))
         h = (T - t) / nsteps
-        for i in range(nsteps):
-            t_next = cfg.t0 + (i + 1) * h
-            v = schedule([t + 0.5 * h, t + h, t_next])
-            # u + 0.5 * h * k0, u + 0.5 * h * k1, u + h * k2
-            k1 = f(*v[0], [ui + 0.5 * h * a0 for ui, a0 in zip(u, k0)])
-            k2 = f(*v[0], [ui + 0.5 * h * a1 for ui, a1 in zip(u, k1)])
-            k3 = f(*v[1], [ui + h * a2 for ui, a2 in zip(u, k2)])
-            # u + (h / 6.0) * (k0 + 2.0 * k1 + 2.0 * k2 + k3)
-            u = [ui + (h / 6.0) * (a0 + 2.0 * a1 + 2.0 * a2 + a3)
-                 for ui, a0, a1, a2, a3 in zip(u, k0, k1, k2, k3)]
-            _check_state(settings, t_next - h, u)
+        for n in range(nsteps):
+            t_next = cfg.t0 + (n + 1) * h
+            c_half, c_full, c_next = consts([t + 0.5 * h, t + h, t_next])
+            XN, YN = [], []
+            for i in lanes:
+                x, y, kx0, ky0 = X[i], Y[i], KX[i], KY[i]
+                # u + 0.5 * h * k0, u + 0.5 * h * k1, u + h * k2
+                kx1, ky1 = g(i, c_half, x + 0.5 * h * kx0, y + 0.5 * h * ky0)
+                kx2, ky2 = g(i, c_half, x + 0.5 * h * kx1, y + 0.5 * h * ky1)
+                kx3, ky3 = g(i, c_full, x + h * kx2, y + h * ky2)
+                # u + (h / 6.0) * (k0 + 2.0 * k1 + 2.0 * k2 + k3)
+                XN.append(x + (h / 6.0) * (kx0 + 2.0 * kx1 + 2.0 * kx2 + kx3))
+                YN.append(y + (h / 6.0) * (ky0 + 2.0 * ky1 + 2.0 * ky2 + ky3))
+            X, Y = XN, YN
+            u = flat(X) + flat(Y)
+            # the guard sees the new state before the core does
+            _check_state(settings, t_next - h, h, u)
             t = t_next
-            k0 = f(*v[2], u)
+            KX, KY = zip(*[g(i, c_next, X[i], Y[i]) for i in lanes])
             stats.nfev += 4
-            _accept(stats, h, samples, stride, i == nsteps - 1, t, u, k0[:m])
+            _accept(stats, h, samples, stride, n == nsteps - 1, t, u, flat(KX))
     else:  # rk45_adaptive
-        atol, rtol = settings.atol, settings.rtol
+        atol, rtol, n2 = settings.atol, settings.rtol, 2 * m
         h = min((T - t) / 100.0, 1.0, settings.max_step)
         while t < T:
             if stats.accepted + stats.rejected >= settings.max_steps:
-                raise StepSizeError(f"step budget exhausted at t = {t:.6g}, h = {h:.3g}")
+                raise StepSizeError(f"step budget exhausted at t = {t:.6g}, h = {h:.3g}", t, h)
             h = min(h, T - t)
-            v = schedule([t + c * h for c in _C])
-            # u + h * (_A10 * k0), u + h * (_A20 * k0 + _A21 * k1), ...
-            k1 = f(*v[0], [ui + h * (_A10 * a0) for ui, a0 in zip(u, k0)])
-            k2 = f(*v[1], [ui + h * (_A20 * a0 + _A21 * a1)
-                           for ui, a0, a1 in zip(u, k0, k1)])
-            k3 = f(*v[2], [ui + h * (_A30 * a0 + _A31 * a1 + _A32 * a2)
-                           for ui, a0, a1, a2 in zip(u, k0, k1, k2)])
-            k4 = f(*v[3], [ui + h * (_A40 * a0 + _A41 * a1 + _A42 * a2 + _A43 * a3)
-                           for ui, a0, a1, a2, a3 in zip(u, k0, k1, k2, k3)])
-            k5 = f(*v[4], [ui + h * (_A50 * a0 + _A51 * a1 + _A52 * a2 + _A53 * a3 + _A54 * a4)
-                           for ui, a0, a1, a2, a3, a4 in zip(u, k0, k1, k2, k3, k4)])
-            u_new = [ui + h * (_A60 * a0 + _A62 * a2 + _A63 * a3 + _A64 * a4 + _A65 * a5)
-                     for ui, a0, a2, a3, a4, a5 in zip(u, k0, k2, k3, k4, k5)]
-            k6 = f(*v[4], u_new)
+            c1, c2, c3, c4, c5 = consts([t + c * h for c in _C])
+            XN, YN, KXN, KYN, SX, SY = [], [], [], [], [], []
+            for i in lanes:
+                x, y, kx0, ky0 = X[i], Y[i], KX[i], KY[i]
+                # u + h * (_A10 * k0), u + h * (_A20 * k0 + _A21 * k1), ...
+                kx1, ky1 = g(i, c1, x + h * (_A10 * kx0), y + h * (_A10 * ky0))
+                kx2, ky2 = g(i, c2, x + h * (_A20 * kx0 + _A21 * kx1),
+                             y + h * (_A20 * ky0 + _A21 * ky1))
+                kx3, ky3 = g(i, c3, x + h * (_A30 * kx0 + _A31 * kx1 + _A32 * kx2),
+                             y + h * (_A30 * ky0 + _A31 * ky1 + _A32 * ky2))
+                kx4, ky4 = g(i, c4, x + h * (_A40 * kx0 + _A41 * kx1 + _A42 * kx2 + _A43 * kx3),
+                             y + h * (_A40 * ky0 + _A41 * ky1 + _A42 * ky2 + _A43 * ky3))
+                kx5, ky5 = g(i, c5, x + h * (_A50 * kx0 + _A51 * kx1 + _A52 * kx2 + _A53 * kx3
+                                             + _A54 * kx4),
+                             y + h * (_A50 * ky0 + _A51 * ky1 + _A52 * ky2 + _A53 * ky3
+                                      + _A54 * ky4))
+                xn = x + h * (_A60 * kx0 + _A62 * kx2 + _A63 * kx3 + _A64 * kx4 + _A65 * kx5)
+                yn = y + h * (_A60 * ky0 + _A62 * ky2 + _A63 * ky3 + _A64 * ky4 + _A65 * ky5)
+                kx6, ky6 = g(i, c5, xn, yn)
+                # err = h * (_E0 * k0 + _E2 * k2 + ... + _E6 * k6)
+                # scale = atol + rtol * np.maximum(np.abs(u), np.abs(u_new)); max
+                # may skip a NaN that np.maximum keeps, but a NaN in u_new also
+                # reaches err through k6 = g(u_new), so the norm is NaN anyway
+                qx = (h * (_E0 * kx0 + _E2 * kx2 + _E3 * kx3 + _E4 * kx4 + _E5 * kx5
+                           + _E6 * kx6) / (atol + rtol * maximum(abs(x), abs(xn))))
+                qy = (h * (_E0 * ky0 + _E2 * ky2 + _E3 * ky3 + _E4 * ky4 + _E5 * ky5
+                           + _E6 * ky6) / (atol + rtol * maximum(abs(y), abs(yn))))
+                XN.append(xn)
+                YN.append(yn)
+                KXN.append(kx6)
+                KYN.append(ky6)
+                SX.append(qx * qx)
+                SY.append(qy * qy)
             stats.nfev += 6
-            # err = h * (_E0 * k0 + _E2 * k2 + ... + _E6 * k6)
-            # scale = atol + rtol * np.maximum(np.abs(u), np.abs(u_new))
-            # err_norm = sqrt(mean((err / scale) ** 2)); the sum runs left to
-            # right, which is numpy's order for fewer than 8 terms (dim <= 3).
-            # max may skip a NaN that np.maximum keeps, but a NaN in u_new
-            # also reaches err through k6 = f(u_new), so the norm is NaN anyway
+            # err_norm = sqrt(mean((err / scale) ** 2)), the 2m squares summed
+            # left to right, x block first
             total = 0.0
-            for ui, wi, a0, a2, a3, a4, a5, a6 in zip(u, u_new, k0, k2, k3, k4, k5, k6):
-                q = (h * (_E0 * a0 + _E2 * a2 + _E3 * a3 + _E4 * a4 + _E5 * a5 + _E6 * a6)
-                     / (atol + rtol * max(abs(ui), abs(wi))))
-                total += q * q
-            err_norm = math.sqrt(total / len(u))
+            for q2 in flat(SX) + flat(SY):
+                total += q2
+            err_norm = math.sqrt(total / n2)
             if not math.isfinite(err_norm):
                 raise DivergenceError(
-                    f"non-finite stage in the step at t = {t:.6g}, h = {h:.3g}", t)
+                    f"non-finite stage in the step at t = {t:.6g}, h = {h:.3g}", t, h)
             if err_norm <= 1.0:
                 t_prev = t
                 t = T if (T - t - h) <= 1e-15 * T else t + h
-                u = u_new
-                _check_state(settings, t_prev, u)
-                k0 = k6  # FSAL: the last stage is the derivative at the new point
-                _accept(stats, h, samples, stride, t >= T, t, u, k0[:m])
+                # FSAL: the last stage is the derivative at the new point
+                X, Y, KX, KY = XN, YN, KXN, KYN
+                u = flat(X) + flat(Y)
+                _check_state(settings, t_prev, h, u)
+                _accept(stats, h, samples, stride, t >= T, t, u, flat(KX))
             else:
                 stats.rejected += 1
             factor = 0.9 * err_norm ** -0.2 if err_norm > 0.0 else 5.0
             h *= min(5.0, max(0.2, factor))
             h = min(h, settings.max_step)
             if h < _MIN_STEP:
-                raise StepSizeError(f"step size collapsed to {h:.3g} at t = {t:.6g}")
+                raise StepSizeError(f"step size collapsed to {h:.3g} at t = {t:.6g}", t, h)
 
     ts, us, xdots = (np.array(column, dtype=float) for column in samples)
     us, xdots = us.reshape(-1, 2 * m), xdots.reshape(-1, m)

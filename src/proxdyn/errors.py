@@ -21,20 +21,25 @@ class InsufficientDataError(ValueError):
     """Not enough samples for the requested computation."""
 
 
-class DivergenceError(RuntimeError):
-    """The trajectory norm exceeded the divergence guard.
+class _Located:
+    """Mixin of the integration failures: located by ``t_last``, the last
+    time with a finite, in-range state, and ``h``, the step size then in use."""
 
-    Carries ``t_last``, the last time with a finite, in-range state.
-    """
-
-    def __init__(self, message, t_last=None):
-        # both args kept in .args so the exception survives pickling
-        super().__init__(message, t_last)
+    def __init__(self, message, t_last=None, h=None):
+        # every arg kept in .args so the exception survives pickling
+        super().__init__(message, t_last, h)
         self.t_last = t_last
+        self.h = h
 
     def __str__(self):
         return str(self.args[0])
 
 
-class StepSizeError(RuntimeError):
-    """The adaptive controller drove the step below its minimum."""
+class DivergenceError(_Located, RuntimeError):
+    """The trajectory norm exceeded the divergence guard, or a stage turned
+    non-finite."""
+
+
+class StepSizeError(_Located, RuntimeError):
+    """The adaptive controller drove the step below its minimum, or a run
+    needs more than max_steps steps."""

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -107,12 +108,22 @@ def test_initial_aux_matches_requested_velocity():
     assert xd[0] == pytest.approx(-3.0, abs=1e-12)
 
 
-def test_public_rhs_matches_the_stepper_bit_for_bit():
-    # fig5/tikhonov: beta > 0, b = t**0.7, bounded lambda
-    (flat,) = [f for f in preset_runs("fig5") if f["label"] == "tikhonov"]
+@pytest.mark.parametrize("preset, label", [
+    ("fig1", "n2"),  # beta = 0, b = t**2
+    ("fig5", "tikhonov"),  # beta > 0, b = t**0.7, bounded lambda
+])
+def test_public_rhs_matches_the_stepper_bit_for_bit(preset, label):
+    (flat,) = [f for f in preset_runs(preset) if f["label"] == label]
     cfg, settings = build_system(config_from_flat(flat))
-    xd, _ = rhs_beta_positive(cfg, cfg.t0, cfg.x0, initial_aux(cfg))
-    assert xd.tobytes() == integrate(cfg, settings).xdots[0].tobytes()
+    rhs = rhs_beta_zero if cfg.beta == 0.0 else rhs_beta_positive
+    xd, _ = rhs(cfg, cfg.t0, cfg.x0, initial_aux(cfg))
+    traj = integrate(cfg, settings)
+    assert xd.tobytes() == traj.xdots[0].tobytes()
+    # every later sample too but the last, whose step may land on T instead
+    # of on t + h, where its stage ran
+    for j in range(1, len(traj) - 1, 97):
+        xd, _ = rhs(cfg, traj.ts[j], traj.xs[j], traj.auxs[j])
+        assert xd.tobytes() == traj.xdots[j].tobytes(), traj.ts[j]
 
 
 @pytest.mark.parametrize("beta", [0.0, 1.0])
@@ -213,6 +224,8 @@ def test_divergence_guard_reports_last_good_time():
 
 VECTOR_OBJECTIVES = {
     "l1_norm/3": (l1_norm(dim=3), [1.0, -2.0, 0.5]),
+    # 16 squares in the error norm: past numpy's pairwise-sum threshold
+    "l1_norm/8": (l1_norm(dim=8), [-3.0, -2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 3.0]),
     "box_indicator/2": (box_indicator(-1.0, 1.0, dim=2), [0.5, -3.0]),
     "scaled_shifted_quadratic/2": (scaled_shifted_quadratic(2.0, [1.0, -0.5]), [3.0, 2.0]),
 }
@@ -222,7 +235,7 @@ VECTOR_OBJECTIVES = {
 @pytest.mark.parametrize("name", list(VECTOR_OBJECTIVES))
 def test_scalar_prox_path_matches_array_prox_path(name, method):
     # the presets are all one-dimensional; here m > 1, and the swapped prox,
-    # which carries no scalar form, runs through the array fallback
+    # which carries no scalar form, runs as one numpy lane against m float lanes
     obj, x0 = VECTOR_OBJECTIVES[name]
     swapped = dataclasses.replace(obj, prox=lambda lam, x: obj.prox(lam, x))
     assert hasattr(obj.prox, "coordinate_prox")
@@ -239,8 +252,9 @@ def test_scalar_prox_path_matches_array_prox_path(name, method):
 
 @pytest.mark.parametrize("u", [[1.0, math.nan], [math.nan, 1.0]])
 def test_state_guard_fails_on_nan_anywhere(u):
-    with pytest.raises(DivergenceError):
-        _check_state(IntegratorSettings(), 2.0, u)
+    with pytest.raises(DivergenceError) as exc:
+        _check_state(IntegratorSettings(), 2.0, 0.5, u)
+    assert (exc.value.t_last, exc.value.h) == (2.0, 0.5)
 
 
 def nan_outside_five(obj):
@@ -257,6 +271,8 @@ def test_non_finite_stage_is_a_divergence():
     with pytest.raises(DivergenceError, match=r"at t = .*, h = ") as exc:
         integrate(cfg)
     assert cfg.t0 <= exc.value.t_last < cfg.horizon
+    assert 0.0 < exc.value.h
+    assert f"at t = {exc.value.t_last:.6g}, h = {exc.value.h:.3g}" in str(exc.value)
 
 
 def test_divergence_guard_bounds_the_auxiliary_state():
@@ -267,12 +283,41 @@ def test_divergence_guard_bounds_the_auxiliary_state():
     with pytest.raises(DivergenceError) as exc:
         integrate(cfg, IntegratorSettings(divergence_threshold=20.0))
     assert exc.value.t_last == cfg.t0
+    # the first step, min((T - t0) / 100, 1), is the one that left
+    assert exc.value.h == (cfg.horizon - cfg.t0) / 100.0
 
 
 def test_step_budget_guard():
     cfg = make_cfg()
-    with pytest.raises(StepSizeError, match=r"at t = .*, h = "):
+    with pytest.raises(StepSizeError, match=r"at t = .*, h = ") as exc:
         integrate(cfg, IntegratorSettings(max_steps=10))
+    assert cfg.t0 < exc.value.t_last < cfg.horizon
+    assert f"at t = {exc.value.t_last:.6g}, h = {exc.value.h:.3g}" in str(exc.value)
+
+
+def test_fixed_step_budget_guard():
+    # 12,600 steps of 1e-3 against a budget of 10: refused before the first step
+    cfg = make_cfg(horizon=14.0)
+    with pytest.raises(StepSizeError, match=r"nsteps = .* fixed_step = 0\.001") as exc:
+        integrate(cfg, IntegratorSettings(method="rk4_fixed", fixed_step=1e-3, max_steps=10))
+    assert (exc.value.t_last, exc.value.h) == (cfg.t0, 1e-3)
+    # a step count past any integer still raises, and as StepSizeError
+    with pytest.raises(StepSizeError, match="nsteps = inf"):
+        integrate(cfg, IntegratorSettings(method="rk4_fixed", fixed_step=5e-324))
+
+
+def test_step_size_collapse_reports_its_location():
+    # a cap below the minimum step: the first step, of 1e-14, is accepted
+    cfg = make_cfg(horizon=14.0)
+    with pytest.raises(StepSizeError, match="collapsed") as exc:
+        integrate(cfg, IntegratorSettings(max_step=1e-14))
+    assert (exc.value.t_last, exc.value.h) == (cfg.t0 + 1e-14, 1e-14)
+
+
+@pytest.mark.parametrize("cls", [DivergenceError, StepSizeError])
+def test_integration_failures_pickle_with_their_location(cls):
+    exc = pickle.loads(pickle.dumps(cls("message", 2.5, 0.125)))
+    assert (type(exc), str(exc), exc.t_last, exc.h) == (cls, "message", 2.5, 0.125)
 
 
 def test_lambda_floor_guard_survives_optimize():

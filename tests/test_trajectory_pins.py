@@ -39,6 +39,19 @@ RUNS = {
     "fig6/d1_1/rk4": ("fig6", "d1_1", {"system.horizon": "5",
                                        "integrator.method": "rk4_fixed",
                                        "integrator.fixed_step": "0.01"}),
+    # dim 8 and dim 5: the error norm sums more than 8 squares, past the
+    # length where numpy's pairwise reduction would change the order
+    "fig1/n0/l1_8": ("fig1", "n0", {"objective.name": "l1_norm",
+                                    "objective.dim": "8",
+                                    "system.x0": "-3,-2,-1,-0.5,0.5,1,2,3",
+                                    "system.xdot0": "0,0,0,0,0,0,0,0",
+                                    "system.horizon": "30"}),
+    "fig4/tikhonov/box_5": ("fig4", "tikhonov", {"objective.name": "box_indicator",
+                                                 "objective.dim": "5",
+                                                 "objective.lo": "-1",
+                                                 "objective.hi": "1",
+                                                 "system.x0": "-3,-1.5,0,1.5,3",
+                                                 "system.xdot0": "0,0,0,0,0"}),
 }
 
 
