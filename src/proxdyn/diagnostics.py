@@ -18,8 +18,7 @@ import numpy as np
 
 from .errors import InsufficientDataError, ParameterDomainError, ValidationError
 from .objectives import Objective, as_point, tikhonov_center
-from .schedules import (SystemConfig, _check_energy_index, _energy_index, _sample,
-                        energy_descent_start)
+from .schedules import SystemConfig, _check_energy_index, _energy_index, energy_descent_start
 from .dynamics import Trajectory
 
 __all__ = [
@@ -31,7 +30,6 @@ __all__ = [
     "energy_q",
     "energy_pq",
     "unanchored_energy",
-    "canonical_pq",
     "energy_q_series",
     "unanchored_energy_series",
     "check_energy_descent",
@@ -95,13 +93,13 @@ def _envelope(cfg: SystemConfig, ts, xs, xdots) -> SimpleNamespace:
     obj = cfg.objective
     phi_star, x_star = _require_targets(obj)
     s = cfg.schedule
-    lam = _sample(s.lam, ts)
+    lam = s.lam(ts)
     p = obj.prox(lam[:, None], xs)
     value = obj.value(p)
     g = (xs - p) / lam[:, None]
     return SimpleNamespace(
         ts=ts, xs=xs, x_star=x_star, lam=lam, p=p, g=g, w=xdots + cfg.beta * g,
-        b=_sample(s.b, ts), eps=_sample(s.eps, ts),
+        b=s.b(ts), eps=s.eps(ts),
         function_gap=value - phi_star, gap=value + _sq(xs - p) / (2.0 * lam) - phi_star)
 
 
@@ -187,11 +185,6 @@ def energy_pq(sample, p: float, q: float, cfg: SystemConfig) -> float:
          + 0.5 * env.eps * t ** (p + 2.0) * (_sq(env.xs) - _sq(env.x_star))
          + 0.5 * t ** p * _sq(_anchored(env, q)))
     return float(E[0])
-
-
-def canonical_pq(alpha: float):
-    """The exponent pair the strong-convergence argument instantiates."""
-    return (alpha - 3.0) / 3.0, 2.0 * alpha / 3.0
 
 
 def energy_q_series(traj: Trajectory, q: float) -> np.ndarray:

@@ -33,15 +33,17 @@ that loop is a lane:
 The loop body is written once for both.
 
 Per step the schedule is evaluated once at each distinct stage time
-(DP5's c5 = c6 = 1 and RK4's two midpoints share one), lambda is checked
-there with validation's floor check, and the values are folded into
-per-stage constants: (-(alpha/t), b, lambda, eps) when beta = 0 and
-(cx, dx, dy, lambda) when beta > 0.  Each schedule callable runs through
-its scalar form fn.scalar, which the polynomial family's callables carry,
-and as float(fn(t)) otherwise.  The scalar forms use Python's ** (libm
-pow), not numpy's array **, which takes a SIMD pow on some CPUs that
-differs from libm's in the last bit; so a trajectory does not depend on
-numpy's SIMD dispatch.  Validation, the condition checkers and the
+(DP5's c5 = c6 = 1 and RK4's two midpoints share one) and the values are
+folded into per-stage constants: (-(alpha/t), b, lambda, eps) when
+beta = 0 and (cx, dx, dy, lambda) when beta > 0.  Every stage time is at
+least t0 and lambda is nondecreasing, so validation's one check of
+lambda(t0) against its floor covers every step; the public rhs_*,
+initial_aux and residual_second_order do not check it again and take a
+config that has passed validation.  Each schedule callable runs through
+its scalar form fn.scalar, which every Schedule carries.  The scalar forms
+use Python's ** (libm pow), not numpy's array **, which takes a SIMD pow
+on some CPUs that differs from libm's in the last bit; so a trajectory
+does not depend on numpy's SIMD dispatch.  The condition checkers and the
 observables keep the array forms.
 
 Every stage calls one core, g(i, c, x, y) -> (xdot_i, ydot_i), the only
@@ -77,7 +79,7 @@ from .errors import (
     StepSizeError,
     ValidationError,
 )
-from .schedules import SystemConfig, _check_floor, _sample
+from .schedules import SystemConfig
 
 __all__ = [
     "IntegratorSettings",
@@ -190,28 +192,20 @@ def _core(cfg: SystemConfig, lane_prox):
     return g
 
 
-def _scalar(fn):
-    """fn on one float t, as a float: its scalar form fn.scalar when it carries
-    one (the polynomial family's callables do), float(fn(t)) otherwise."""
-    scalar = getattr(fn, "scalar", None)
-    return scalar if scalar is not None else (lambda t: float(fn(t)))
-
-
 def _stage_constants(cfg: SystemConfig):
     """consts(ts): the constants c that g takes at each float t of the list
-    ts, folded from the schedule values there, with lambda checked against
-    its floor first.
+    ts, folded from the schedule values there.
 
-    The schedule callables run on Python floats, one call per time in ts;
-    b_dot is evaluated only when beta > 0.
+    The schedule's scalar forms run on Python floats, one call per time in
+    ts; b_dot is evaluated only when beta > 0.
     """
-    s, alpha, beta, floor = cfg.schedule, cfg.alpha, cfg.beta, cfg.lambda_floor
-    b, lam, eps, b_dot = (_scalar(fn) for fn in (s.b, s.lam, s.eps, s.b_dot))
+    s, alpha, beta = cfg.schedule, cfg.alpha, cfg.beta
+    b, lam, eps, b_dot = s.b.scalar, s.lam.scalar, s.eps.scalar, s.b_dot.scalar
     if beta == 0.0:
-        def fold(ts, lams):
-            return [(-(alpha / t), b(t), lam_t, eps(t)) for t, lam_t in zip(ts, lams)]
+        def consts(ts: list) -> list:
+            return [(-(alpha / t), b(t), lam(t), eps(t)) for t in ts]
     else:
-        def fold(ts, lams):
+        def consts(ts: list) -> list:
             # cx = alpha / t - b / beta, dy = b / beta and
             # dx = b_dot + alpha * beta / t**2 + beta * eps + b**2 / beta - alpha * b / t
             return [(alpha / t - b_t / beta,
@@ -219,13 +213,7 @@ def _stage_constants(cfg: SystemConfig):
                      - alpha * b_t / t,
                      b_t / beta, lam_t)
                     for t, lam_t, b_t, eps_t, b_dot_t
-                    in zip(ts, lams, map(b, ts), map(eps, ts), map(b_dot, ts))]
-
-    def consts(ts: list) -> list:
-        lams = list(map(lam, ts))
-        _check_floor(min(lams), floor)
-        return fold(ts, lams)
-
+                    in zip(ts, map(lam, ts), map(b, ts), map(eps, ts), map(b_dot, ts))]
     return consts
 
 
@@ -259,11 +247,9 @@ def initial_aux(cfg: SystemConfig) -> np.ndarray:
     if cfg.beta == 0.0:
         return cfg.xdot0.copy()
     t0, s = float(cfg.t0), cfg.schedule
-    lam0 = _scalar(s.lam)(t0)
-    _check_floor(lam0, cfg.lambda_floor)
-    g0 = _grad(cfg.objective.prox, lam0, cfg.x0)
+    g0 = _grad(cfg.objective.prox, s.lam.scalar(t0), cfg.x0)
     return (-cfg.beta * (cfg.xdot0 + cfg.beta * g0)
-            + (_scalar(s.b)(t0) - cfg.alpha * cfg.beta / cfg.t0) * cfg.x0)
+            + (s.b.scalar(t0) - cfg.alpha * cfg.beta / cfg.t0) * cfg.x0)
 
 
 # Dormand-Prince 5(4) tableau, zero-based like the stages k0..k6: nodes _C of
@@ -457,8 +443,7 @@ def residual_second_order(traj: Trajectory, cfg: SystemConfig) -> float:
     if float(np.max(np.abs(hs - h))) > 1e-8 * max(h, 1.0):
         raise InsufficientDataError("samples must be uniformly spaced")
     s = cfg.schedule
-    b, lam, eps = (_sample(fn, ts)[:, None] for fn in (s.b, s.lam, s.eps))
-    _check_floor(float(lam.min()), cfg.lambda_floor)
+    b, lam, eps = (fn(ts)[:, None] for fn in (s.b, s.lam, s.eps))
     xs, mid = traj.xs, slice(1, -1)
     grads = _grad(cfg.objective.prox, lam, xs)
     xdd = (xs[2:] - 2.0 * xs[mid] + xs[:-2]) / h ** 2

@@ -1,13 +1,16 @@
 """Time-dependent parameter schedules and their admissibility conditions.
 
-A :class:`Schedule` carries the time scaling b(t), the smoothing index
-lambda(t) and the Tikhonov weight eps(t) together with their derivatives.
+A :class:`Schedule` is the polynomial family: the time scaling
+b(t) = B t**n, the Tikhonov weight eps(t) = E t**(-d) and a constant, power
+or bounded smoothing index lambda(t), with their derivatives, all derived
+from one :class:`PolyParams`.  It is the only schedule family there is.
 The checkers certify the fast-rate, strong-convergence and critical-damping
 (alpha = 3) regimes from one condition table, ``_FAMILIES``: per regime, its
 rules in report order, each mapping a per-report ``_Context`` to a Verdict.
 A condition that regimes share is one rule builder fed each regime's
-constants.  Pointwise conditions use a geometric grid, a sparse far grid
-and, for polynomial families, the sign of the dominant monomial.
+constants.  Pointwise conditions take their margin from a geometric grid
+and a sparse far grid and decide the tail by the sign of the dominant
+monomial; the other conditions are exact rules on the family's parameters.
 """
 
 from __future__ import annotations
@@ -118,33 +121,6 @@ class PolyParams:
             raise ParameterDomainError("d must be a positive real")
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """Callable bundle (b, lambda, eps) with derivatives on [t0, inf).
-
-    Each callable takes an array of times or one float.  The integrator
-    evaluates b, lam, eps and b_dot at one float t through fn.scalar(t) when
-    the callable carries it, as the polynomial family's do, and as
-    float(fn(t)) otherwise.
-    """
-
-    t0: float
-    b: Callable
-    b_dot: Callable
-    lam: Callable
-    lam_dot: Callable
-    eps: Callable
-    eps_dot: Callable
-    poly: Optional[PolyParams] = None  # the polynomial family's parameters; None if custom
-
-
-def _sample(fn: Callable, ts: np.ndarray) -> np.ndarray:
-    """A schedule callable's values at the array ts, as floats of ts's shape;
-    a custom schedule may return a scalar."""
-    values = np.asarray(fn(ts), dtype=float)
-    return values if values.shape == ts.shape else np.broadcast_to(values, ts.shape)
-
-
 def _monomial(coef: float, exponent: float) -> Callable:
     """t -> coef * t**exponent on floats of t's shape, identically zero when coef == 0.
 
@@ -164,32 +140,44 @@ def _monomial(coef: float, exponent: float) -> Callable:
     return fn
 
 
-def _check_floor(lam_min: float, floor: float) -> None:
-    # validation samples a grid, so the integrator checks each step's stage times too
-    if lam_min < floor:
-        raise ValidationError(f"lambda(t) = {lam_min:.3g} fell below its floor {floor:.3g}")
+@dataclass(frozen=True)
+class Schedule:
+    """The polynomial family's callables (b, lambda, eps) with derivatives on
+    [t0, inf), derived from poly at construction.
+
+    Each callable takes an array of times, returning floats of its shape, or
+    one float.  b, lam, eps and b_dot also carry their scalar form
+    fn.scalar(t) on one float t, through which the integrator and
+    SystemConfig.validate evaluate them.
+    """
+
+    t0: float
+    poly: PolyParams
+    b: Callable = field(init=False, repr=False, compare=False)
+    b_dot: Callable = field(init=False, repr=False, compare=False)
+    lam: Callable = field(init=False, repr=False, compare=False)
+    lam_dot: Callable = field(init=False, repr=False, compare=False)
+    eps: Callable = field(init=False, repr=False, compare=False)
+    eps_dot: Callable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not 0.0 < self.t0 < math.inf:
+            raise ParameterDomainError("t0 must be positive")
+        p = self.poly
+        B, n, E, d = p.b_coeff, p.n, p.eps_coeff, p.d
+
+        def lam(t):  # a bound method cannot carry the scalar form
+            return p.lam.fn(t)
+        lam.scalar = p.lam.scalar
+        for name, fn in (("b", _monomial(B, n)), ("b_dot", _monomial(B * n, n - 1.0)),
+                         ("lam", lam), ("lam_dot", p.lam.dot),
+                         ("eps", _monomial(E, -d)), ("eps_dot", _monomial(-E * d, -d - 1.0))):
+            object.__setattr__(self, name, fn)
 
 
 def polynomial_schedule(params: PolyParams, t0: float) -> Schedule:
     """Build the polynomial family schedule anchored at t0 > 0."""
-    t0 = float(t0)
-    if t0 <= 0.0:
-        raise ParameterDomainError("t0 must be positive")
-    B, n, E, d = params.b_coeff, params.n, params.eps_coeff, params.d
-
-    def lam(t):  # a bound method cannot carry the scalar form
-        return params.lam.fn(t)
-    lam.scalar = params.lam.scalar
-    return Schedule(
-        t0=t0,
-        b=_monomial(B, n),
-        b_dot=_monomial(B * n, n - 1.0),
-        lam=lam,
-        lam_dot=params.lam.dot,
-        eps=_monomial(E, -d),
-        eps_dot=_monomial(-E * d, -d - 1.0),
-        poly=params,
-    )
+    return Schedule(float(t0), params)
 
 
 @dataclass
@@ -221,19 +209,21 @@ class SystemConfig:
             raise ValidationError("horizon must exceed t0")
         if not 0.0 < self.lambda_floor < math.inf:
             raise ValidationError("lambda_floor must be a positive real")
-        if self.schedule.t0 > self.t0 * (1.0 + 1e-12):
+        s, t0 = self.schedule, float(self.t0)
+        if s.t0 > t0 * (1.0 + 1e-12):
             raise ValidationError("schedule starts after the system t0")
-        ts = np.geomspace(self.t0, self.horizon, 512)
-        _check_floor(float(np.min(_sample(self.schedule.lam, ts))), self.lambda_floor)
-        bb = _sample(self.schedule.b, ts)
-        if np.min(bb) <= 0.0:
+        # lambda and b are nondecreasing and eps = E t**(-d) is nonnegative and
+        # nonincreasing, so on [t0, horizon] their extremes lie at the end
+        # points; every stage time of the integrator is >= t0, so this one
+        # check of lambda covers every step
+        lam0 = s.lam.scalar(t0)
+        if lam0 < self.lambda_floor:
+            raise ValidationError(
+                f"lambda(t) = {lam0:.3g} fell below its floor {self.lambda_floor:.3g}")
+        if s.b.scalar(t0) <= 0.0:
             raise ValidationError("b(t) must stay positive on [t0, horizon]")
-        ee = _sample(self.schedule.eps, ts)
-        if np.min(ee) < 0.0:
-            raise ValidationError("eps(t) must be nonnegative")
-        if np.any(np.diff(ee) > 1e-12 * max(1.0, float(np.max(ee)))):
-            raise ValidationError("eps(t) must be nonincreasing")
-        if np.max(ee) > 0.0 and not ee[-1] < ee[0]:
+        eps0 = s.eps.scalar(t0)
+        if eps0 > 0.0 and not s.eps.scalar(float(self.horizon)) < eps0:
             raise ValidationError("eps(t) must strictly decrease over the horizon")
 
     def query(self) -> "ConditionQuery":
@@ -294,11 +284,6 @@ class ConditionReport:
         return "\n".join(lines)
 
 
-def _condition_grid(t0: float, span: float = 100.0, npts: int = 512) -> np.ndarray:
-    """Geometric grid on [t0, span * t0] used for pointwise condition checks."""
-    return np.geomspace(t0, span * t0, npts)
-
-
 class _Context:
     """One query and what its conditions share, evaluated once per report.
 
@@ -311,22 +296,18 @@ class _Context:
         self.s = s = q.schedule
         self.poly = s.poly
         self.b0 = float(s.b(q.t0))
-        self.near = _condition_grid(q.t0)
-        self.ts = np.concatenate([self.near, np.geomspace(100.0 * q.t0, 1e6 * q.t0, 64)])
-        if s.poly is not None:
-            self.eps_zero = s.poly.eps_coeff == 0.0
-        else:
-            eps = np.asarray(s.eps(_condition_grid(q.t0, npts=64)))
-            self.eps_zero = bool(np.max(np.abs(eps)) == 0.0)
+        self.ts = np.concatenate([np.geomspace(q.t0, 100.0 * q.t0, 512),
+                                  np.geomspace(100.0 * q.t0, 1e6 * q.t0, 64)])
+        self.eps_zero = s.poly.eps_coeff == 0.0
         self.feasible_a = None
         self.warnings = []
 
 
 def _pointwise_verdict(c: _Context, cond: str, vals, sense: str,
-                       monomials=None, detail: str = "") -> Verdict:
+                       monomials, detail: str = "") -> Verdict:
     """Check vals >= 0 (sense 'ge') or <= 0 ('le'), where vals holds the
-    condition's values on c.ts.  Given [(coef, exponent)] monomials of the
-    condition, the sign of the dominant one decides the tail."""
+    condition's values on c.ts and [(coef, exponent)] its monomials, the
+    dominant one of which decides the tail by its sign."""
     vals = np.asarray(vals, dtype=float)
     signed = vals if sense == "ge" else -vals
     k = int(np.argmin(signed))
@@ -334,20 +315,17 @@ def _pointwise_verdict(c: _Context, cond: str, vals, sense: str,
     tol = _DUST * max(1.0, float(np.max(np.abs(vals))))
     ok = margin >= -tol
     notes = [detail] if detail else []
-    if monomials is None:
-        notes.append("tail checked numerically up to 1e6 * t0")
+    agg = {}
+    for coef, e in monomials:
+        agg[e] = agg.get(e, 0.0) + coef
+    scale = max([abs(a) for a in agg.values()] + [1.0])
+    items = [(e, a) for e, a in agg.items() if abs(a) > 1e-13 * scale]
+    if items:
+        e, a = max(items)
+        ok = ok and (a > 0 if sense == "ge" else a < 0)
+        notes.append(f"tail: dominant term {a:.6g} * t^{e:.6g}")
     else:
-        agg = {}
-        for coef, e in monomials:
-            agg[e] = agg.get(e, 0.0) + coef
-        scale = max([abs(a) for a in agg.values()] + [1.0])
-        items = [(e, a) for e, a in agg.items() if abs(a) > 1e-13 * scale]
-        if items:
-            e, a = max(items)
-            ok = ok and (a > 0 if sense == "ge" else a < 0)
-            notes.append(f"tail: dominant term {a:.6g} * t^{e:.6g}")
-        else:
-            notes.append("tail: expression vanishes asymptotically")
+        notes.append("tail: expression vanishes asymptotically")
     return Verdict(cond, bool(ok), margin, float(c.ts[k]), "; ".join(notes))
 
 
@@ -368,8 +346,7 @@ def _cap_terms(c: _Context, third: bool):
     a, beta, ts, s, p = c.q.alpha, c.q.beta, c.ts, c.s, c.poly
     c1, c0 = (a / 3.0 - 1.0, a * beta / 3.0) if third else (a - 3.0, beta * (2.0 - a))
     vals = c1 * ts * np.asarray(s.b(ts)) - ts ** 2 * np.asarray(s.b_dot(ts)) + c0
-    monos = None if p is None else [(p.b_coeff * (c1 - p.n), p.n + 1.0), (c0, 0.0)]
-    return vals, monos
+    return vals, [(p.b_coeff * (c1 - p.n), p.n + 1.0), (c0, 0.0)]
 
 
 def _cap(third: bool):
@@ -388,7 +365,7 @@ def _b_growth_margin(c: _Context) -> Verdict:
     rel = _cap_terms(c, third=False)[0] / np.where(tb > 0, tb, np.inf)
     k = int(np.argmin(rel))
     delta_sup = float(rel[k])
-    if p is not None and p.n > 0:
+    if p.n > 0:
         # relative margin tends to alpha - 3 - n; the grid minimum rules the infimum
         delta_sup = min(delta_sup, alpha - 3.0 - p.n)
     strict_ok = delta_sup > _DUST and alpha > 3.0
@@ -403,29 +380,18 @@ def _feasible_a(c: _Context):
     Returns (interval_or_None, detail, margin).  The upper endpoint is inf
     when beta = 0 or eps is identically zero.
     """
-    q, s = c.q, c.s
+    q, E, d = c.q, c.poly.eps_coeff, c.poly.d
     a_lo = 1.0
     if c.b0 <= 1.0:
         a_lo = (1.0 / c.b0) * (1.0 + 1e-12)  # keep b(t0) > 1/a strict
     if q.beta == 0.0 or c.eps_zero:
-        if np.max(np.asarray(s.eps_dot(c.near))) > _DUST:
-            return None, "eps must be nonincreasing", -1.0
         return (a_lo, math.inf), "any a works: the quadratic decay bound is inactive", math.inf
-    if s.poly is not None:
-        E, d = s.poly.eps_coeff, s.poly.d
-        if d < 1.0:
-            return None, "eps decays too slowly: admissible a shrinks to zero", -1.0
-        denom = q.beta * E
-        if denom == 0.0:  # underflow of a denormal product
-            return (a_lo, math.inf), "quadratic decay bound is numerically inactive", math.inf
-        a_hi = (2.0 * d / denom) * q.t0 ** (d - 1.0)
-    else:
-        ee = np.asarray(s.eps(c.ts))
-        ed = np.asarray(s.eps_dot(c.ts))
-        mask = ee > 0.0
-        if not np.any(mask):
-            return (a_lo, math.inf), "eps vanishes on the grid", math.inf
-        a_hi = float(np.min(-2.0 * ed[mask] / (q.beta * ee[mask] ** 2)))
+    if d < 1.0:
+        return None, "eps decays too slowly: admissible a shrinks to zero", -1.0
+    denom = q.beta * E
+    if denom == 0.0:  # underflow of a denormal product
+        return (a_lo, math.inf), "quadratic decay bound is numerically inactive", math.inf
+    a_hi = (2.0 * d / denom) * q.t0 ** (d - 1.0)
     if a_hi < a_lo:
         return None, f"empty interval: upper bound {a_hi:.6g} below lower bound {a_lo:.6g}", a_hi - a_lo
     return (a_lo, a_hi), f"a in [{a_lo:.6g}, {a_hi:.6g}]", a_hi - a_lo
@@ -447,48 +413,26 @@ def _b0_at_least(name: str, offset: float, label: str):
 
 
 def _lambda_bounded(c: _Context) -> Verdict:
-    if c.poly is not None:
-        form = c.poly.lam
-        ok = form.bounded()
-        return Verdict("lambda_bounded", ok, 1.0 if ok else -1.0, None,
-                       f"lambda family {form.kind!r}")
-    lam_mid = float(c.s.lam(100.0 * c.q.t0))
-    lam_far = float(c.s.lam(1e6 * c.q.t0))
-    ratio = lam_far / max(lam_mid, 1e-300)
-    ok = ratio <= 1.05
-    return Verdict("lambda_bounded", bool(ok), 1.05 - ratio, None,
-                   f"numeric growth proxy lambda(1e6 t0)/lambda(100 t0) = {ratio:.4g}")
+    form = c.poly.lam
+    ok = form.bounded()
+    return Verdict("lambda_bounded", ok, 1.0 if ok else -1.0, None,
+                   f"lambda family {form.kind!r}")
 
 
 def _b_constant(c: _Context) -> Verdict:
-    p = c.poly
-    if p is not None:
-        return Verdict("b_constant", p.n == 0.0, -p.n, None, f"n = {p.n:.6g}")
-    bd = float(np.max(np.abs(np.asarray(c.s.b_dot(c.near)))))
-    return Verdict("b_constant", bd <= _DUST, -bd, None, "numeric: max |b_dot| on the grid")
+    n = c.poly.n
+    return Verdict("b_constant", n == 0.0, -n, None, f"n = {n:.6g}")
 
 
-def _integrable(name: str, integrand, slack, rule: str):
-    """Integrability of integrand(schedule, t) over [t0, inf): exact for
-    polynomial families, which pass when slack(poly) > 0 (the stated rule),
-    else a doubling-window decay test of the running integral."""
+def _integrable(name: str, slack, rule: str):
+    """Integrability of an eps term over [t0, inf), which holds when
+    slack(poly) > 0 (the stated rule) or eps is identically zero."""
     def check(c: _Context) -> Verdict:
         if c.eps_zero:
             return Verdict(name, True, math.inf, None, "eps is identically zero")
-        if c.poly is not None:
-            margin = slack(c.poly)
-            return Verdict(name, bool(margin > 0.0), margin, None,
-                           f"polynomial rule: requires {rule}")
-        increments = []
-        lo = 10.0 * c.q.t0
-        for _ in range(7):
-            ts = np.geomspace(lo, 2.0 * lo, 128)
-            increments.append(float(np.trapezoid(integrand(c.s, ts), ts)))
-            lo *= 2.0
-        decaying = all(b <= a * (1.0 + _DUST) for a, b in zip(increments, increments[1:]))
-        shrunk = increments[-1] < 0.2 * max(increments[0], 1e-300)
-        return Verdict(name, bool(decaying and shrunk), increments[0] - increments[-1], None,
-                       "numeric doubling-window integrability test")
+        margin = slack(c.poly)
+        return Verdict(name, bool(margin > 0.0), margin, None,
+                       f"polynomial rule: requires {rule}")
     return check
 
 
@@ -506,21 +450,16 @@ def _t2_eps_floor(c: _Context) -> Verdict:
     floor = _strong_floor(c.q.alpha, c.q.beta)
     p = c.poly
     vals = 9.0 * c.ts ** 2 * np.asarray(c.s.eps(c.ts)) - floor
-    monos = None if p is None else [(9.0 * p.eps_coeff, 2.0 - p.d), (-floor, 0.0)]
+    monos = [(9.0 * p.eps_coeff, 2.0 - p.d), (-floor, 0.0)]
     return _pointwise_verdict(c, "t2_eps_floor", vals, "ge", monos,
                               detail=f"needs 9 t^2 eps(t) >= {floor:.6g}")
 
 
 def _t2_eps_diverges(c: _Context) -> Verdict:
-    cond, p, s, t0 = "t2_eps_diverges", c.poly, c.s, c.q.t0
-    if p is not None:
-        if p.eps_coeff == 0.0:
-            return Verdict(cond, False, -1.0, None, "eps is identically zero")
-        return Verdict(cond, p.d < 2.0, 2.0 - p.d, None, "polynomial rule: requires d < 2")
-    lo = float(t0 ** 2 * s.eps(t0))
-    hi = float((1e4 * t0) ** 2 * s.eps(1e4 * t0))
-    ok = hi > 1.2 * max(lo, 1e-300)
-    return Verdict(cond, bool(ok), hi - lo, None, "numeric growth of t^2 eps(t)")
+    cond, d = "t2_eps_diverges", c.poly.d
+    if c.eps_zero:
+        return Verdict(cond, False, -1.0, None, "eps is identically zero")
+    return Verdict(cond, d < 2.0, 2.0 - d, None, "polynomial rule: requires d < 2")
 
 
 def _damping_balance(k: float, const):
@@ -531,60 +470,38 @@ def _damping_balance(k: float, const):
         ld = np.asarray(s.lam_dot(ts))
         vals = 2.0 * k * beta * ts + k * beta * ld \
             - k * ts * np.asarray(s.b(ts)) * (ld + 2.0 * beta) + cst
-        monos = None
-        if p is not None:
-            monos = [(2.0 * k * beta, 1.0), (-2.0 * k * beta * p.b_coeff, p.n + 1.0), (cst, 0.0)]
-            for coef, e in p.lam.dot_monomials():
-                monos += [(k * beta * coef, e), (-k * p.b_coeff * coef, p.n + e)]
+        monos = [(2.0 * k * beta, 1.0), (-2.0 * k * beta * p.b_coeff, p.n + 1.0), (cst, 0.0)]
+        for coef, e in p.lam.dot_monomials():
+            monos += [(k * beta * coef, e), (-k * p.b_coeff * coef, p.n + e)]
         return _pointwise_verdict(c, "damping_balance", vals, "le", monos)
     return rule
 
 
-def _eps_tail_ratio(power):
-    """Vanishing of  beta / (t^w eps(t)) * integral of s^w eps(s)^2  as t grows,
-    with weight w = power(alpha)."""
-    def rule(c: _Context) -> Verdict:
-        cond, q, s = "eps_tail_ratio", c.q, c.s
-        if q.beta == 0.0:
-            return Verdict(cond, True, math.inf, None, "beta = 0 makes the ratio vanish")
-        if c.eps_zero:
-            return Verdict(cond, True, math.inf, None, "eps is identically zero")
-        if s.poly is not None:
-            d = s.poly.d
-            if d < 1.0:
-                return Verdict(cond, False, d - 1.0, None, "polynomial rule: requires d >= 1")
-            if abs(d - 1.0) <= 1e-12:
-                c.warnings.append(
-                    "d = 1 with beta > 0: the weighted tail average converges to a positive "
-                    "constant, so the vanishing-ratio certificate needs beta = 0; treating "
-                    "this as a flagged pass"
-                )
-            return Verdict(cond, True, d - 1.0, None, "polynomial rule: d >= 1")
-        # numeric fallback: cumulative ratio at doubling horizons
-        w = power(q.alpha)
-        ts = np.geomspace(q.t0, 1e4 * q.t0, 4096)
-        integrand = ts ** w * np.asarray(s.eps(ts)) ** 2
-        steps = np.diff(ts) * 0.5 * (integrand[1:] + integrand[:-1])
-        cums = np.concatenate([[0.0], np.cumsum(steps)])
-        ratios = []
-        for T in q.t0 * np.array([100.0, 400.0, 1600.0, 6400.0]):
-            k = min(int(np.searchsorted(ts, T)), ts.size - 1)
-            denom = ts[k] ** w * float(s.eps(ts[k]))
-            ratios.append(q.beta * cums[k] / max(denom, 1e-300))
-        ok = all(b <= a * (1.0 + 1e-6) for a, b in zip(ratios, ratios[1:])) and ratios[-1] < 1e-3
-        return Verdict(cond, bool(ok), 1e-3 - ratios[-1], None,
-                       f"numeric ratio sequence {', '.join(f'{r:.3g}' for r in ratios)}")
-    return rule
+def _eps_tail_ratio(c: _Context) -> Verdict:
+    """Vanishing of  beta / (t^w eps(t)) * integral of s^w eps(s)^2  as t
+    grows, for the regime's weight w, which holds exactly when d >= 1."""
+    cond, d = "eps_tail_ratio", c.poly.d
+    if c.q.beta == 0.0:
+        return Verdict(cond, True, math.inf, None, "beta = 0 makes the ratio vanish")
+    if c.eps_zero:
+        return Verdict(cond, True, math.inf, None, "eps is identically zero")
+    if d < 1.0:
+        return Verdict(cond, False, d - 1.0, None, "polynomial rule: requires d >= 1")
+    if abs(d - 1.0) <= 1e-12:
+        c.warnings.append(
+            "d = 1 with beta > 0: the weighted tail average converges to a positive "
+            "constant, so the vanishing-ratio certificate needs beta = 0; treating "
+            "this as a flagged pass"
+        )
+    return Verdict(cond, True, d - 1.0, None, "polynomial rule: d >= 1")
 
 
 def _exponent_box(slacks, strict_hi: bool):
     """Polynomial exponent box: the family's slacks(poly, alpha), then d >= 1,
     d >= beta eps_coeff / 2 and d <= 2 (strictly when strict_hi).  The
     smallest slack binds."""
-    def rule(c: _Context):
+    def rule(c: _Context) -> Verdict:
         p = c.poly
-        if p is None:
-            return None
         box = slacks(p, c.q.alpha)
         box["d >= 1"] = p.d - 1.0
         box["d >= beta*eps_coeff/2"] = p.d - c.q.beta * p.eps_coeff / 2.0
@@ -605,8 +522,7 @@ _FAMILIES = {
         _b_growth_margin,
         _eps_decay_speed,
         _b0_at_least("b0_vs_beta", 0.0, "beta/t0"),
-        _integrable("t_eps_integrable", lambda s, ts: ts * np.asarray(s.eps(ts)),
-                    lambda p: p.d - 2.0, "d > 2"),
+        _integrable("t_eps_integrable", lambda p: p.d - 2.0, "d > 2"),
     ),
     "strong": (
         _alpha_above_3,
@@ -615,13 +531,11 @@ _FAMILIES = {
         _cap(third=False),
         _cap(third=True),
         _eps_decay_speed,
-        _integrable("eps_over_tb_integrable",
-                    lambda s, ts: np.asarray(s.eps(ts)) / (ts * np.asarray(s.b(ts))),
-                    lambda p: p.n + p.d, "n + d > 0"),
+        _integrable("eps_over_tb_integrable", lambda p: p.n + p.d, "n + d > 0"),
         _t2_eps_floor,
         _damping_balance(9.0, lambda alpha, beta:
                          3.0 * (alpha + 3.0) * beta ** 2 + alpha ** 2 * beta),
-        _eps_tail_ratio(lambda a: a / 3.0 + 1.0),
+        _eps_tail_ratio,
         _exponent_box(lambda p, a: {"n >= 0": p.n, "n <= (alpha-3)/3": (a - 3.0) / 3.0 - p.n},
                       strict_hi=False),
     ),
@@ -631,11 +545,10 @@ _FAMILIES = {
         _b0_at_least("b0_half_plus_beta", 0.5, "1/2 + beta/t0"),
         _lambda_bounded,
         _eps_decay_speed,
-        _integrable("eps_over_t_integrable", lambda s, ts: np.asarray(s.eps(ts)) / ts,
-                    lambda p: p.d, "d > 0"),
+        _integrable("eps_over_t_integrable", lambda p: p.d, "d > 0"),
         _t2_eps_diverges,
         _damping_balance(1.0, _alpha3_damping),
-        _eps_tail_ratio(lambda a: 2.0),
+        _eps_tail_ratio,
         _exponent_box(lambda p, a: {"b_coeff >= 1": p.b_coeff - 1.0}, strict_hi=True),
     ),
 }
@@ -644,7 +557,7 @@ _FAMILIES = {
 def _check(setting: str, cfg) -> ConditionReport:
     """Evaluate one regime of the condition table."""
     c = _Context(_as_query(cfg))
-    verdicts = [v for v in (rule(c) for rule in _FAMILIES[setting]) if v is not None]
+    verdicts = [rule(c) for rule in _FAMILIES[setting]]
     return ConditionReport(setting, verdicts, feasible_a=c.feasible_a, warnings=c.warnings)
 
 
@@ -701,16 +614,9 @@ def energy_descent_start(cfg, q: float, a: float) -> float:
     coef = beta * (q + 2.0 - alpha)
     if coef <= 0.0:
         t_settle = t0
-    elif s.poly is not None:
+    else:
         # t^2 b(t) - coef * t >= 0  <=>  t >= (coef / b_coeff)^(1/(n+1))
         t_settle = max(t0, (coef / s.poly.b_coeff) ** (1.0 / (s.poly.n + 1.0)))
-    else:
-        ts = _condition_grid(t0, span=1e4, npts=2048)
-        vals = ts ** 2 * np.asarray(s.b(ts)) - coef * ts
-        bad = np.nonzero(vals < 0.0)[0]
-        if bad.size and bad[-1] == ts.size - 1:
-            raise InfeasibleError("t^2 b(t) never dominates the beta term on the search grid")
-        t_settle = t0 if not bad.size else float(ts[bad[-1] + 1])
     if beta > 0.0:
         t_settle = max(t_settle, beta / (b0 - 1.0 / a))
     return max(t0, t_settle)

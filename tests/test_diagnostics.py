@@ -8,10 +8,8 @@ import pytest
 from proxdyn import (
     InsufficientDataError,
     IntegratorSettings,
-    Observables,
     ParameterDomainError,
     PolyParams,
-    Schedule,
     StepStats,
     SystemConfig,
     Trajectory,
@@ -25,7 +23,6 @@ from proxdyn import (
 )
 from proxdyn.diagnostics import (
     DescentReport,
-    canonical_pq,
     check_energy_descent,
     compute_observables,
     energy_pq,
@@ -39,22 +36,9 @@ from proxdyn.diagnostics import (
 
 
 def const_schedule(t0=1.0):
-    """b = lam = eps = 1; only reachable through a custom schedule."""
-    one = lambda t: np.ones_like(np.asarray(t, dtype=float))
-    zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
-    return Schedule(t0=t0, b=one, b_dot=zero, lam=one, lam_dot=zero,
-                    eps=one, eps_dot=zero)
-
-
-def constant_schedule(b, lam, as_array):
-    """Constant b and lam, eps = 0, through callables that return arrays
-    shaped like t or plain scalars."""
-    if as_array:
-        const = lambda value: lambda t: np.full(np.shape(t), value)
-    else:
-        const = lambda value: lambda t: value
-    return Schedule(t0=1.0, b=const(b), b_dot=const(0.0), lam=const(lam),
-                    lam_dot=const(0.0), eps=const(0.0), eps_dot=const(0.0))
+    """b = lam = 1 and eps = t**-3, so b = lam = eps = 1 at t = 1, where the
+    hand values are taken."""
+    return polynomial_schedule(PolyParams(1.0, 0.0, 1.0, 3.0), t0)
 
 
 def unit_cfg(alpha=10.0, beta=0.0, objective=None):
@@ -84,9 +68,10 @@ def test_energy_q_hand_values():
 
 
 def test_energy_pq_hand_value_and_canonical_exponents():
+    # (p, q) = (0, 2) is the strong-convergence argument's pair
+    # ((alpha - 3) / 3, 2 alpha / 3) at alpha = 3
     cfg = unit_cfg(alpha=3.0)
     assert energy_pq((1.0, [2.0], [0.0]), 0.0, 2.0, cfg) == pytest.approx(11.5)
-    assert canonical_pq(6.0) == (1.0, 4.0)
 
 
 def test_energy_parameter_domains():
@@ -312,15 +297,3 @@ def test_scaled_gap_running_max_stabilizes(reference_run):
     k = int(np.searchsorted(traj.ts, traj.ts[-1] / 10.0))
     assert running[-1] <= 1.05 * running[k]
 
-
-def test_scalar_schedule_observables_match_array_schedule():
-    # validation, integration and the observables broadcast scalar schedule values
-    obs = []
-    for as_array in (True, False):
-        cfg = SystemConfig(objective=abs_plus_quad(), schedule=constant_schedule(2.0, 0.5, as_array),
-                           alpha=10.0, beta=0.5, t0=1.0, x0=3.0, xdot0=0.0, horizon=5.0)
-        obs.append(compute_observables(integrate(cfg)))
-    arrays, scalars = obs
-    assert scalars.ts.tobytes() == arrays.ts.tobytes()
-    for name in Observables.FIELDS:
-        assert getattr(scalars, name).tobytes() == getattr(arrays, name).tobytes(), name

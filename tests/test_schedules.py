@@ -44,12 +44,6 @@ def alpha3_example_query():
     return ConditionQuery(3.0, 0.0, t0, polynomial_schedule(p, t0))
 
 
-def as_custom(s: Schedule) -> Schedule:
-    """Strip the polynomial tag so the checkers take the numeric-only path."""
-    return Schedule(t0=s.t0, b=s.b, b_dot=s.b_dot, lam=s.lam, lam_dot=s.lam_dot,
-                    eps=s.eps, eps_dot=s.eps_dot, poly=None)
-
-
 # ---------------------------------------------------------------- evaluation
 
 
@@ -80,8 +74,9 @@ def test_parameter_domains():
         LambdaForm("bounded", 0.0)
     with pytest.raises(ParameterDomainError):
         LambdaForm("spline", 1.0)
-    with pytest.raises(ParameterDomainError):
-        polynomial_schedule(PolyParams(), 0.0)
+    for t0 in (0.0, math.nan, math.inf):
+        with pytest.raises(ParameterDomainError):
+            polynomial_schedule(PolyParams(), t0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -128,27 +123,6 @@ def test_scalar_forms_overflow_to_inf_as_array_forms_do():
     with np.errstate(over="ignore"):
         for fn in (s.b, s.b_dot, s.lam):
             assert fn.scalar(10.0) == float(fn(np.array([10.0]))[0]) == math.inf
-
-
-# ------------------------------------------------------------ custom schedules
-
-
-@pytest.mark.parametrize("checker, example", [
-    (check_fast_rate_conditions, fast_example_query),
-    (check_strong_conv_conditions, strong_example_query),
-    (check_alpha3_conditions, alpha3_example_query),
-], ids=["fast", "strong", "alpha3"])
-def test_custom_schedule_path_agrees(checker, example):
-    q = example()
-    poly = checker(q)
-    rep = checker(ConditionQuery(q.alpha, q.beta, q.t0, as_custom(q.schedule)))
-    assert rep.all_pass, rep.format()
-    # the box verdict is polynomial-only; every other condition is checked numerically
-    assert [v.condition for v in rep.verdicts] == \
-        [v.condition for v in poly.verdicts if v.condition != "poly_exponent_box"]
-    assert not any("polynomial rule" in v.detail for v in rep.verdicts)
-    assert rep.feasible_a[0] == pytest.approx(poly.feasible_a[0])
-    assert rep.feasible_a[1] == pytest.approx(poly.feasible_a[1], rel=1e-3)
 
 
 # ---------------------------------------------------------------- fast checker
@@ -285,13 +259,6 @@ def test_energy_descent_start_domains():
     with pytest.raises(InfeasibleError):
         energy_descent_start(
             ConditionQuery(10.0, 1.0, 1.0, polynomial_schedule(weak, 1.0)), q=5.0, a=2.0)
-
-
-def test_energy_descent_start_custom_schedule():
-    q = fast_example_query()
-    qc = ConditionQuery(q.alpha, q.beta, q.t0, as_custom(q.schedule))
-    got = energy_descent_start(qc, q=9.0, a=2.0)
-    assert got == pytest.approx(2.0, rel=2e-2)
 
 
 # ------------------------------------------------------------ strong checker
@@ -445,13 +412,35 @@ def test_system_config_enforces_lambda_floor():
         make_config(schedule=sched).validate()
 
 
-def test_system_config_rejects_increasing_eps():
-    base = polynomial_schedule(PolyParams(), 1.0)
-    grower = Schedule(t0=1.0, b=base.b, b_dot=base.b_dot, lam=base.lam,
-                      lam_dot=base.lam_dot, eps=lambda t: 0.1 * np.asarray(t, dtype=float),
-                      eps_dot=lambda t: 0.1 * np.ones_like(np.asarray(t, dtype=float)))
-    with pytest.raises(ValidationError):
-        make_config(schedule=grower).validate()
+@pytest.mark.parametrize("params, t0, horizon, message", [
+    # 1 - t**(-1) = -1 at t0 = 0.5
+    (PolyParams(lam=LambdaForm("bounded", 1.0)), 0.5, 140.0,
+     "lambda(t) = -1 fell below its floor 1e-08"),
+    (PolyParams(lam=LambdaForm("power", 2.0)), 1e-5, 140.0,
+     "lambda(t) = 1e-10 fell below its floor 1e-08"),
+    # 1e-300 * (1e-10)**50 underflows to 0
+    (PolyParams(b_coeff=1e-300, n=50.0), 1e-10, 1.0,
+     "b(t) must stay positive on [t0, horizon]"),
+    # t**(-1e-300) rounds to 1 on the whole horizon
+    (PolyParams(d=1e-300), 1.4, 140.0, "eps(t) must strictly decrease over the horizon"),
+], ids=["bounded_lambda", "power_lambda", "b_underflow", "flat_eps"])
+def test_system_config_checks_the_schedule_at_its_end_points(params, t0, horizon, message):
+    cfg = make_config(schedule=polynomial_schedule(params, t0), t0=t0, horizon=horizon)
+    with pytest.raises(ValidationError) as info:
+        cfg.validate()
+    assert str(info.value) == message
+
+
+def test_schedule_callables_are_derived_from_its_parameters():
+    params = PolyParams(2.0, 1.5, 0.5, 2.5, LambdaForm("bounded", 0.7))
+    s, ref = Schedule(3.0, params), polynomial_schedule(params, 3.0)
+    assert s == ref
+    for name in ("b", "b_dot", "lam", "lam_dot", "eps", "eps_dot"):
+        assert getattr(s, name)(7.0) == getattr(ref, name)(7.0), name
+    with pytest.raises(TypeError):
+        Schedule(3.0, params, b=lambda t: t)
+    with pytest.raises(ParameterDomainError):
+        Schedule(0.0, params)
 
 
 def test_system_config_coerces_points():
