@@ -9,12 +9,16 @@ The checkers certify the fast-rate, strong-convergence and critical-damping
 rules in report order, each mapping a per-report ``_Context`` to a Verdict.
 A condition that regimes share is one rule builder fed each regime's
 constants.  Pointwise conditions take their margin from a geometric grid
-and a sparse far grid and decide the tail by the sign of the dominant
-monomial; the other conditions are exact rules on the family's parameters.
+and a sparse far grid, built once per start time, and decide the tail by
+the sign of the dominant monomial; the other conditions are exact rules on
+the family's parameters.  The rules that never read t0 are declared in
+``_T0_FREE``, so a start-time search ends at the first report that fails
+one of them: no later start time can pass.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -232,12 +236,23 @@ class SystemConfig:
 
 @dataclass(frozen=True)
 class ConditionQuery:
-    """The slice of a configuration that the condition checkers need."""
+    """The slice of a configuration that the condition checkers need,
+    checked at construction as SystemConfig.validate checks it."""
 
     alpha: float
     beta: float
     t0: float
     schedule: Schedule
+
+    def __post_init__(self):
+        if not 0.0 < self.t0 < math.inf:
+            raise ParameterDomainError("t0 must be a positive real")
+        if not 0.0 < self.alpha < math.inf:
+            raise ParameterDomainError("alpha must be a positive real")
+        if not 0.0 <= self.beta < math.inf:
+            raise ParameterDomainError("beta must be a nonnegative real")
+        if self.schedule.t0 > self.t0 * (1.0 + 1e-12):
+            raise ParameterDomainError("schedule starts after the query t0")
 
 
 def _as_query(cfg: Union[SystemConfig, ConditionQuery]) -> ConditionQuery:
@@ -284,11 +299,24 @@ class ConditionReport:
         return "\n".join(lines)
 
 
+@functools.lru_cache(maxsize=8)
+def _grid(t0: float) -> np.ndarray:
+    """The near grid on [t0, 100 t0], then the far grid up to 1e6 t0, read-only.
+
+    Cached by t0: a start-time search that ends at t0, followed by a check
+    of the three families there, would otherwise build it four times.
+    """
+    ts = np.concatenate([np.geomspace(t0, 100.0 * t0, 512),
+                         np.geomspace(100.0 * t0, 1e6 * t0, 64)])
+    ts.flags.writeable = False
+    return ts
+
+
 class _Context:
     """One query and what its conditions share, evaluated once per report.
 
-    ``ts`` is the near grid on [t0, 100 t0], then the far grid up to 1e6 t0.
-    Rules fill ``feasible_a`` (eps_decay_speed) and ``warnings``.
+    ``ts`` is the query's condition grid (``_grid``).  Rules fill
+    ``feasible_a`` (eps_decay_speed) and ``warnings``.
     """
 
     def __init__(self, q: ConditionQuery):
@@ -296,8 +324,7 @@ class _Context:
         self.s = s = q.schedule
         self.poly = s.poly
         self.b0 = float(s.b(q.t0))
-        self.ts = np.concatenate([np.geomspace(q.t0, 100.0 * q.t0, 512),
-                                  np.geomspace(100.0 * q.t0, 1e6 * q.t0, 64)])
+        self.ts = _grid(float(q.t0))
         self.eps_zero = s.poly.eps_coeff == 0.0
         self.feasible_a = None
         self.warnings = []
@@ -553,6 +580,14 @@ _FAMILIES = {
     ),
 }
 
+# The rules that read only alpha, beta and the PolyParams, never t0: once one
+# of them fails, it fails at every start time, so _escalate stops searching.
+_T0_FREE = frozenset({
+    "alpha_above_3", "alpha_is_3", "lambda_bounded", "b_constant",
+    "t_eps_integrable", "eps_over_tb_integrable", "eps_over_t_integrable",
+    "t2_eps_diverges", "eps_tail_ratio", "poly_exponent_box",
+})
+
 
 def _check(setting: str, cfg) -> ConditionReport:
     """Evaluate one regime of the condition table."""
@@ -665,12 +700,30 @@ def suggest_t0(params: PolyParams, alpha: float, beta: float, slack: float = 0.0
     return t0 * (1.0 + slack)
 
 
+_ESCALATIONS = 80  # start times a search tries: t0, 1.5 t0, 1.5^2 t0, ...
+
+
 def _escalate(params: PolyParams, alpha: float, beta: float, checker, t0: float) -> float:
-    for _ in range(80):
-        sched = polynomial_schedule(params, t0)
-        report = checker(ConditionQuery(alpha, beta, t0, sched))
+    """The first of t0 * 1.5^k, k < 80, at which checker passes.
+
+    A report that fails a rule of ``_T0_FREE`` fails at every later start
+    time too, so the search jumps to its last start time, multiplying by 1.5
+    one step at a time so the value is bit-identical to the full search's,
+    and checks once there: the InfeasibleError names what fails at that
+    start time, as the full search's does.
+    """
+    def check(t0):
+        return checker(ConditionQuery(alpha, beta, t0, polynomial_schedule(params, t0)))
+
+    for k in range(_ESCALATIONS):
+        report = check(t0)
         if report.all_pass:
             return t0
+        if k < _ESCALATIONS - 1 and _T0_FREE.intersection(report.failed()):
+            for _ in range(_ESCALATIONS - 1 - k):
+                t0 *= 1.5
+            report = check(t0)
+            break
         t0 *= 1.5
     raise InfeasibleError(
         f"no starting time found; still failing: {', '.join(report.failed())}")

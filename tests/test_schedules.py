@@ -25,6 +25,7 @@ from proxdyn import (
     suggest_t0_alpha3,
     suggest_t0_strong,
 )
+from proxdyn import schedules
 
 
 def fast_example_query(t0=1.4):
@@ -362,6 +363,153 @@ def test_alpha3_checker_requires_alpha_exactly_three():
 def test_suggest_t0_alpha3_rejects_small_time_scale():
     with pytest.raises(InfeasibleError):
         suggest_t0_alpha3(PolyParams(b_coeff=0.4, n=0.0, eps_coeff=1.0, d=1.5), 1.0)
+
+
+# ------------------------------------------- start-time search and grid
+
+
+def scan_like_draw(rng):
+    """(params, alpha, beta) from a box spanning the three regimes' boxes
+    and the ways a draw leaves them: n past the caps, d outside [1, 2],
+    eps = 0, b(t) < 1, a power lambda, alpha at or off 3, beta = 0."""
+    lam = (LambdaForm("constant", rng.uniform(0.5, 2.0)), LambdaForm("bounded", rng.uniform(0.5, 2.0)),
+           LambdaForm("power", rng.uniform(0.0, 1.5)))[rng.integers(3)]
+    params = PolyParams(b_coeff=rng.uniform(0.5, 3.0),
+                        n=0.0 if rng.uniform() < 0.5 else rng.uniform(0.0, 2.0),
+                        eps_coeff=0.0 if rng.uniform() < 0.2 else rng.uniform(0.2, 3.0),
+                        d=rng.uniform(0.8, 4.0), lam=lam)
+    alpha = 3.0 if rng.uniform() < 0.3 else rng.uniform(2.9, 8.0)
+    beta = 0.0 if rng.uniform() < 0.3 else rng.uniform(0.0, 2.0)
+    return params, alpha, beta
+
+
+def t0_free_rows(setting, params, alpha, beta, t0):
+    report = schedules._check(setting, ConditionQuery(alpha, beta, t0, polynomial_schedule(params, t0)))
+    return [(v.condition, v.passed, v.margin, v.witness_t, v.detail)
+            for v in report.verdicts if v.condition in schedules._T0_FREE]
+
+
+def test_t0_free_rules_give_the_same_verdict_at_every_start_time():
+    rng = np.random.default_rng(13)
+    seen = set()
+    for setting in schedules._FAMILIES:
+        for _ in range(60):
+            params, alpha, beta = scan_like_draw(rng)
+            t0 = rng.uniform(1.05, 4.0)
+            rows = t0_free_rows(setting, params, alpha, beta, t0)
+            seen.update(row[0] for row in rows)
+            for k in (1, 3, 10, 40, 79):
+                assert t0_free_rows(setting, params, alpha, beta, t0 * 1.5 ** k) == rows, \
+                    (setting, params, alpha, beta, t0, k)
+    assert seen == schedules._T0_FREE  # every declared rule is some regime's condition
+
+
+SEARCH_CHECKERS = {"strong": ("check_strong_conv_conditions", check_strong_conv_conditions),
+                   "alpha3": ("check_alpha3_conditions", check_alpha3_conditions)}
+
+
+def reference_search(setting, params, alpha, beta, t0):
+    """The start-time search as a plain loop of 80 checks: the first passing
+    t0, or the InfeasibleError text and the last start time checked."""
+    check = SEARCH_CHECKERS[setting][1]
+    for _ in range(80):
+        report = check(ConditionQuery(alpha, beta, t0, polynomial_schedule(params, t0)))
+        if report.all_pass:
+            return t0
+        last, t0 = t0, t0 * 1.5
+    return f"no starting time found; still failing: {', '.join(report.failed())}", last
+
+
+def counted_search(monkeypatch, setting, params, alpha, beta):
+    """The public search through a wrapped checker: (t0 or error text, start times checked)."""
+    name, check = SEARCH_CHECKERS[setting]
+    starts = []
+
+    def counting(q):
+        starts.append(q.t0)
+        return check(q)
+    monkeypatch.setattr(schedules, name, counting)
+    try:
+        if setting == "strong":
+            return suggest_t0_strong(params, alpha, beta), starts
+        return suggest_t0_alpha3(params, beta), starts
+    except InfeasibleError as exc:
+        return str(exc), starts
+    finally:
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("setting, params, alpha, beta", [
+    ("strong", PolyParams(1.5, 0.8, 1.0, 1.5), 4.5, 0.3),  # n above (alpha - 3) / 3
+    ("strong", PolyParams(1.5, 0.1, 1.0, 1.5, LambdaForm("power", 1.0)), 4.5, 0.3),
+    ("alpha3", PolyParams(1.5, 0.0, 1.0, 2.2), 3.0, 0.3),
+    ("alpha3", PolyParams(0.9, 0.0, 1.0, 1.5), 3.0, 0.0),
+], ids=["strong_n", "strong_power_lambda", "alpha3_d", "alpha3_b"])
+def test_search_stops_at_a_t0_free_failure(monkeypatch, setting, params, alpha, beta):
+    result, starts = counted_search(monkeypatch, setting, params, alpha, beta)
+    assert (result, starts[-1]) == reference_search(setting, params, alpha, beta, starts[0])
+    assert len(starts) <= 2
+
+
+@pytest.mark.parametrize("setting, params, alpha, beta, steps", [
+    # eps_decay_speed and damping_balance fail at the first start times
+    ("strong", PolyParams(1.94, 0.0, 5.9, 1.18), 5.4, 0.4, 4),
+    ("alpha3", PolyParams(1.94, 0.0, 5.9, 1.18), 3.0, 0.4, 2),
+    ("strong", PolyParams(1.5, 0.0, 5.0, 1.5, LambdaForm("bounded", 1.0)), 6.0, 0.5, 5),
+])
+def test_search_that_succeeds_matches_the_full_search(monkeypatch, setting, params, alpha, beta,
+                                                      steps):
+    result, starts = counted_search(monkeypatch, setting, params, alpha, beta)
+    reference = reference_search(setting, params, alpha, beta, starts[0])
+    assert isinstance(result, float) and repr(result) == repr(reference)
+    assert len(starts) == steps
+
+
+def test_condition_grid_is_built_once_per_start_time():
+    t0 = 1.7
+    ts = schedules._grid(t0)
+    fresh = np.concatenate([np.geomspace(t0, 100.0 * t0, 512),
+                            np.geomspace(100.0 * t0, 1e6 * t0, 64)])
+    assert ts.tobytes() == fresh.tobytes()
+    assert schedules._grid(t0) is ts
+    with pytest.raises(ValueError):
+        ts[0] = 0.0
+
+    def rows(t0):
+        q = ConditionQuery(10.0, 1.0, t0, polynomial_schedule(PolyParams(), t0))
+        return [[(v.condition, v.passed, v.margin, v.witness_t, v.detail) for v in rep.verdicts]
+                + [rep.feasible_a, rep.warnings]
+                for rep in (check_fast_rate_conditions(q), check_strong_conv_conditions(q),
+                            check_alpha3_conditions(q))]
+    schedules._grid.cache_clear()
+    first, other, again = rows(1.4), rows(2.0), rows(1.4)
+    assert again == first
+    assert other != first
+
+
+@pytest.mark.parametrize("alpha, beta, t0, start", [
+    (10.0, 1.0, math.nan, 1.0),
+    (10.0, 1.0, 0.0, 1.0),
+    (10.0, 1.0, -1.4, 1.0),
+    (10.0, 1.0, math.inf, 1.0),
+    (0.0, 1.0, 1.4, 1.4),
+    (-10.0, 1.0, 1.4, 1.4),
+    (math.nan, 1.0, 1.4, 1.4),
+    (math.inf, 1.0, 1.4, 1.4),
+    (10.0, -0.1, 1.4, 1.4),
+    (10.0, math.nan, 1.4, 1.4),
+    (10.0, math.inf, 1.4, 1.4),
+    (10.0, 1.0, 1.4, 5.0),  # the schedule starts after t0
+])
+def test_condition_query_rejects_out_of_domain_fields(alpha, beta, t0, start):
+    with pytest.raises(ParameterDomainError):
+        check_fast_rate_conditions(ConditionQuery(alpha, beta, t0,
+                                                  polynomial_schedule(PolyParams(), start)))
+
+
+def test_condition_query_accepts_its_domain_edges():
+    ConditionQuery(10.0, 0.0, 1.4, polynomial_schedule(PolyParams(), 1.4 * (1.0 + 1e-13)))
+    ConditionQuery(10.0, 1.0, 1.4, polynomial_schedule(PolyParams(), 0.5))
 
 
 # ------------------------------------------------------------- SystemConfig
