@@ -293,15 +293,6 @@ def tikhonov_center(obj: Objective, lam, eps) -> np.ndarray:
 # built-in objectives
 
 
-def _sign(u: float) -> float:
-    """np.sign of one float: +0.0 for either zero, NaN for NaN."""
-    if u > 0.0:
-        return 1.0
-    if u < 0.0:
-        return -1.0
-    return u if u != u else 0.0
-
-
 def abs_plus_quad() -> Objective:
     """Scalar |x| + x^2/2; minimizer 0, optimal value 0."""
 
@@ -313,7 +304,9 @@ def abs_plus_quad() -> Objective:
         return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0) / (1.0 + lam)
 
     def coordinate_prox(i, lam, u):
-        return _sign(u) * max(abs(u) - lam, 0.0) / (1.0 + lam)
+        # np.sign(u) inline: +0.0 for either zero, NaN for NaN
+        sign = 1.0 if u > 0.0 else -1.0 if u < 0.0 else u if u != u else 0.0
+        return sign * max(abs(u) - lam, 0.0) / (1.0 + lam)
 
     prx.coordinate_prox = coordinate_prox
 
@@ -379,7 +372,9 @@ def l1_norm(dim: int = 1) -> Objective:
         return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
 
     def coordinate_prox(i, lam, u):
-        return _sign(u) * max(abs(u) - lam, 0.0)
+        # np.sign(u) inline: +0.0 for either zero, NaN for NaN
+        sign = 1.0 if u > 0.0 else -1.0 if u < 0.0 else u if u != u else 0.0
+        return sign * max(abs(u) - lam, 0.0)
 
     prx.coordinate_prox = coordinate_prox
 

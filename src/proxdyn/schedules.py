@@ -738,7 +738,9 @@ def suggest_t0_strong(params: PolyParams, alpha: float, beta: float) -> float:
     floor = _strong_floor(alpha, beta)
     cands = _first_starts(params.lam)
     if d < 2.0:
-        cands.append((floor / (9.0 * E)) ** (1.0 / (2.0 - d)))
+        # every t > 0 meets a nonpositive floor, whose power could be complex
+        if floor > 0.0:
+            cands.append((floor / (9.0 * E)) ** (1.0 / (2.0 - d)))
     elif 9.0 * E < floor:
         raise InfeasibleError("t^2 eps(t) cannot reach the required floor for d >= 2")
     if beta > 0.0 and alpha - 3.0 - n > 0.0:

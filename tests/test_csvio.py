@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from proxdyn import csvio
 from proxdyn.csvio import read_csv, table_from_trajectory, write_csv
 from proxdyn.diagnostics import compute_observables, energy_q_series
 from proxdyn.dynamics import IntegratorSettings, integrate
@@ -107,3 +108,44 @@ def test_read_rejects_malformed_rows_with_path_and_line(run_pair, tmp_path):
         with pytest.raises(ValidationError) as exc:
             read_csv(path)
         assert str(exc.value) == f"{path}: line 3: {message}"
+
+
+def per_row_reference(table):
+    """The file as a per-row %.17g writer makes it, CRLF-ended like csv.writer."""
+    columns = np.column_stack([table.ts, table.xs, table.xdots]
+                              + [table.scalars[name] for name in csvio._SCALAR_COLUMNS])
+    lines = [",".join(table.header())]
+    lines += [",".join("%.17g" % v for v in row) for row in columns.tolist()]
+    return ("\r\n".join(lines) + "\r\n").encode()
+
+
+def crafted_table():
+    """A table of awkward values, longer than two blocks; the specials sit on
+    both sides of the first block boundary."""
+    rows = 2 * csvio._BLOCK_ROWS + 5
+    rng = np.random.default_rng(7)
+    cols = rng.standard_normal((rows, 11)) * 10.0 ** rng.integers(-300, 300, (rows, 11))
+    one_ulp = np.nextafter(1.0, 2.0)
+    edge = csvio._BLOCK_ROWS
+    for r in (0, edge - 1, edge, rows - 1):
+        cols[r, :8] = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1.0, one_ulp]
+        cols[r, 8:] = cols[r - 1, 8:]  # repeats the previous row, across the boundary at edge
+    cols[edge - 1, 9] = cols[edge, 9] = 0.0  # one column, one row apart, across the boundary
+    cols[edge + 1, 9] = -0.0
+    cols[5, 2] = -5e-324
+    cols[:, 10] = cols[:, 3]  # a column equal to another, as prox_dist equals grad_norm
+    ts = np.arange(rows, dtype=float)
+    return csvio.TrajectoryTable(
+        ts=ts, xs=cols[:, :1], xdots=cols[:, 1:2],
+        scalars={name: cols[:, 2 + j] for j, name in enumerate(csvio._SCALAR_COLUMNS)})
+
+
+def test_writer_bytes_equal_per_row_reference(tmp_path):
+    table = crafted_table()
+    path = tmp_path / "crafted.csv"
+    write_csv(path, table)
+    assert path.read_bytes() == per_row_reference(table)
+    back = read_csv(path)
+    for got, want in [(back.ts, table.ts), (back.xs, table.xs), (back.xdots, table.xdots)] + [
+            (back.scalars[name], table.scalars[name]) for name in table.scalars]:
+        assert got.tobytes() == want.tobytes()

@@ -322,6 +322,14 @@ def test_suggest_t0_strong_rejects_zero_eps():
         suggest_t0_strong(PolyParams(eps_coeff=0.0, d=1.5), 6.0, 0.1)
 
 
+@pytest.mark.parametrize("d", [1.2, 1.5])
+def test_suggest_t0_strong_negative_floor_is_infeasible(d):
+    # alpha < 3 makes the floor 2 alpha (alpha - 3) negative; at d = 1.2 its
+    # power 1 / (2 - d) would be complex, at d = 1.5 the exponent is 2.0
+    with pytest.raises(InfeasibleError, match="alpha_above_3"):
+        suggest_t0_strong(PolyParams(d=d), 2.9, 0.0)
+
+
 # ------------------------------------------------------------ alpha-3 checker
 
 
