@@ -2,9 +2,9 @@
 
 trajectory_pins.json holds, for each run, the sha256 of the bytes of the
 sampled ts, xs, auxs and xdots arrays, in that order, and the step counts
-(accepted, rejected, nfev).  The runs cover beta = 0 and beta > 0, the
-constant, power and bounded lambda forms, both preset objectives and both
-steppers.  A second test checks the pins in a fresh interpreter with every
+(accepted, rejected, nfev).  The runs cover both steppers under beta = 0
+and beta > 0, each reformulation with the constant, power and bounded
+lambda forms and with eps = 0, and both preset objectives.  A second test checks the pins in a fresh interpreter with every
 numpy SIMD target beyond numpy's baseline disabled.  After an intended
 change of the trajectories, regenerate the file from the repository root with
 
@@ -52,6 +52,19 @@ RUNS = {
                                                  "objective.hi": "1",
                                                  "system.x0": "-3,-1.5,0,1.5,3",
                                                  "system.xdot0": "0,0,0,0,0"}),
+    # beta = 0 with bounded lambda, beta > 0 with power lambda, eps = 0 under
+    # each reformulation and rk4_fixed with beta = 0
+    "fig1/n0/bounded": ("fig1", "n0", {"schedule.lambda_form": "bounded",
+                                       "schedule.lambda_value": "1",
+                                       "system.horizon": "30"}),
+    "fig4/tikhonov/power": ("fig4", "tikhonov", {"schedule.lambda_form": "power",
+                                                 "schedule.lambda_value": "0.5",
+                                                 "system.horizon": "60"}),
+    "fig4/no_tikhonov": ("fig4", "no_tikhonov", {}),
+    "fig1/n0/no_eps": ("fig1", "n0", {"schedule.eps_coeff": "0"}),
+    "fig1/n0/rk4": ("fig1", "n0", {"system.horizon": "5",
+                                   "integrator.method": "rk4_fixed",
+                                   "integrator.fixed_step": "0.01"}),
 }
 
 
