@@ -65,6 +65,15 @@ RUNS = {
     "fig1/n0/rk4": ("fig1", "n0", {"system.horizon": "5",
                                    "integrator.method": "rk4_fixed",
                                    "integrator.fixed_step": "0.01"}),
+    # every other run has beta = 1 or 0 and B = 1, under which a reordered
+    # product or quotient of them can give the same bits
+    "fig1/n1/odd": ("fig1", "n1", {"schedule.b_coeff": "0.8",
+                                   "schedule.eps_coeff": "2.5",
+                                   "system.horizon": "30"}),
+    "fig5/tikhonov/odd": ("fig5", "tikhonov", {"system.beta": "0.7",
+                                               "schedule.b_coeff": "1.3",
+                                               "schedule.eps_coeff": "0.6",
+                                               "system.horizon": "60"}),
 }
 
 
