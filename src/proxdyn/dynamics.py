@@ -30,45 +30,67 @@ that loop is a lane:
 - a numpy lane is the whole point as 1-D arrays, the single lane of a prox
   without a scalar form, such as a swapped or custom one, which runs on
   the whole point.
-The loop body is written once for both.
 
-Per step the schedule is evaluated once at each distinct stage time
-(DP5's c5 = c6 = 1 and RK4's two midpoints share one) and the values are
-folded into per-stage constants: (-(alpha/t), b, lambda, eps) when
-beta = 0 and (cx, dx, dy, lambda) when beta > 0.  Every stage time is at
-least t0 and lambda is nondecreasing, so validation's one check of
-lambda(t0) against its floor covers every step; the public rhs_*,
+Each stepper's loop is generated Python source, from one template per
+stepper (and one for the public rhs_*).  _kernel splices into it:
+- the reformulation's right-hand side, beta = 0 or beta > 0, inlined at
+  every stage: the only place each reformulation is written (_rhs_src);
+- the polynomial schedule's stage constants for the lambda form (constant,
+  power or bounded), as expressions such as B * t ** n, evaluated once at
+  each distinct stage time (DP5's c5 = c6 = 1 and RK4's two midpoints share
+  one) and folded into (-(alpha/t), b, lambda, eps) when beta = 0 and
+  (cx, dx, dy, lambda) when beta > 0 (_consts_src);
+- the Dormand-Prince tableau, as repr float literals;
+- the lane kind: float lanes, or the single numpy lane.
+So a step makes no Python call but the prox's, once per right-hand-side
+evaluation.  Each variant is compiled once per process (functools.lru_cache):
+at most 2 x 2 x 3 x 2 = 24 steppers and 12 rhs kernels, each the first time
+integrate or an rhs_* asks for it, never at import, in build_run or in
+validation.  The run's numbers (alpha, beta, B, n, E, d, the lambda value,
+the tolerances) are arguments, never source text.  Each source is
+registered with linecache under a name such as
+<proxdyn dp5 beta>0 lam=bounded float>, so tracebacks that the traceback
+module formats (pytest, logging, traceback.print_exc) show its lines;
+_source returns it.
+
+The spliced expressions perform the same IEEE operations, in the same
+order, as the schedule's scalar forms fn.scalar, which use Python's ** (libm
+pow), not numpy's array **, which takes a SIMD pow on some CPUs that
+differs from libm's in the last bit; so a trajectory does not depend on
+numpy's SIMD dispatch.  Python's ** raises OverflowError where the scalar
+forms give +-inf; then that step's constants are recomputed through
+fn.scalar, so an overflowing schedule still ends in a non-finite stage.  The
+condition checkers and the observables keep the array forms.  Every stage
+time is at least t0 and lambda is nondecreasing, so validation's one check
+of lambda(t0) against its floor covers every step; the public rhs_*,
 initial_aux and residual_second_order do not check it again and take a
-config that has passed validation.  Each schedule callable runs through
-its scalar form fn.scalar, which every Schedule carries.  The scalar forms
-use Python's ** (libm pow), not numpy's array **, which takes a SIMD pow
-on some CPUs that differs from libm's in the last bit; so a trajectory
-does not depend on numpy's SIMD dispatch.  The condition checkers and the
-observables keep the array forms.
+config that has passed validation.
 
-Every stage calls one core, g(i, c, x, y) -> (xdot_i, ydot_i), the only
-place each reformulation is written.  The stage combinations, the error
-norm and the step controller perform, coordinate by coordinate, the same
-IEEE operations in the same order as the numpy expressions in the comments
-beside them, so a trajectory equals that of the array formulation bit for
-bit (tests/trajectory_pins.json pins a set of them).  The error norm keeps
-its 2 * dim squares, x block first, in one list and sums it left to right
-in a plain loop, at every dim and in both kinds of lane; numpy's pairwise
-reduction would take that order only for fewer than 8 terms.  A step whose
-error norm is not finite raises DivergenceError naming t and h, and the
-divergence guard bounds the whole state (x, y), failing on a NaN anywhere;
-both errors, and StepSizeError, carry t_last and h.  One _accept counts and
-samples each accepted step.  The public rhs_* functions and the first
-stage take the same stage constants, lanes and core, so they match the
-steppers bit for bit.  initial_aux, which runs once, evaluates lambda and b
-through the same scalar forms and takes the envelope gradient from the
-array prox, which equals the scalar form bit for bit; residual_second_order
-shares that array gradient.
+The stage combinations, the error norm and the step controller perform,
+coordinate by coordinate, the same IEEE operations in the same order as the
+numpy expressions in the templates' comments, so a trajectory equals that
+of the array formulation bit for bit (tests/trajectory_pins.json pins a set
+of them).  The error norm keeps its 2 * dim squares, x block first, in
+lists and sums them left to right in a plain loop, at every dim and in both
+kinds of lane; numpy's pairwise reduction would take that order only for
+fewer than 8 terms.  A step whose error norm is not finite raises
+DivergenceError naming t and h, and the divergence guard (_check_state)
+bounds the whole state (x, y), failing on a NaN anywhere; both errors, and
+StepSizeError, carry t_last and h.  The step counters are locals, written to
+StepStats when the loop ends and before every raise.  The public rhs_* and
+the first stage take the same stage constants, lanes and right-hand side,
+so they match the steppers bit for bit.  initial_aux, which runs once,
+evaluates lambda and b through the scalar forms and takes the envelope
+gradient from the array prox, which equals the scalar form bit for bit;
+residual_second_order shares that array gradient.
 """
 
 from __future__ import annotations
 
+import functools
+import linecache
 import math
+import string
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,8 +152,6 @@ class StepStats:
     accepted: int = 0
     rejected: int = 0
     nfev: int = 0
-    min_step: float = math.inf
-    max_step: float = 0.0
 
 
 @dataclass
@@ -152,80 +172,391 @@ def _grad(prox, lam, x):
     return (x - prox(lam, x)) / lam
 
 
-def _lanes(cfg: SystemConfig):
-    """(lane_prox, maximum, split, flat): how the steppers run over lanes.
-
-    lane_prox(i, lam, x) is the prox of lane i at the lane value x;
-    maximum is max on float lanes and np.maximum on the numpy lane.
-    split(v) turns a 1-D array of dim floats into the list of lane values,
-    and flat(values) turns such a list back into a list of dim floats.
-    """
+def _lane_prox(cfg: SystemConfig):
+    """(prox, numpy_lane): the prox that the kernels call, and whether the
+    point runs as one numpy lane.  A float lane calls prox(i, lam, x), the
+    scalar form coordinate_prox; the numpy lane calls prox(lam, x)."""
     prox = cfg.objective.prox
     coordinate_prox = getattr(prox, "coordinate_prox", None)
-    if coordinate_prox is not None:
-        return coordinate_prox, max, (lambda v: v.tolist()), (lambda values: values)
-    return ((lambda i, lam, x: prox(lam, x)), np.maximum,
-            (lambda v: [np.array(v, dtype=float)]), (lambda values: values[0].tolist()))
+    return (prox, True) if coordinate_prox is None else (coordinate_prox, False)
 
 
-def _core(cfg: SystemConfig, lane_prox):
-    """g(i, c, x, y): the derivative (xdot_i, ydot_i) of lane i at state
-    (x, y), given the stage constants c; written once for both
-    reformulations.  It checks nothing.  Each coordinate goes through the
-    same IEEE operations, in the same order, as the array expressions in the
-    comments.
-    """
-    alpha, beta = cfg.alpha, cfg.beta
-    if beta == 0.0:
-        def g(i, c, x, y):
-            a, b, lam, eps = c
-            grad = (x - lane_prox(i, lam, x)) / lam
-            # xdot = y, ydot = -(alpha / t) * y - b * grad - eps * x
-            return y, a * y - b * grad - eps * x
-    else:
-        def g(i, c, x, y):
-            cx, dx, dy, lam = c
-            grad = (x - lane_prox(i, lam, x)) / lam
-            # xdot = -beta * grad - (alpha / t - b / beta) * x - y / beta
-            # ydot = (b_dot + ... - alpha * b / t) * x - (b / beta) * y
-            return -beta * grad - cx * x - y / beta, dx * x - dy * y
-    return g
+def _split(v, numpy_lane: bool) -> list:
+    """The lane values of a 1-D array of dim floats."""
+    return [np.array(v, dtype=float)] if numpy_lane else v.tolist()
 
 
-def _stage_constants(cfg: SystemConfig):
-    """consts(ts): the constants c that g takes at each float t of the list
-    ts, folded from the schedule values there.
+# the kernels' arguments after the state: the run's numbers and the
+# schedule's scalar forms, which _params lists in this order
+_PARAMS = "alpha, beta, nbeta, B, n, Bn, nm1, E, md, lv, b_s, lam_s, eps_s, bdot_s"
 
-    The schedule's scalar forms run on Python floats, one call per time in
-    ts; b_dot is evaluated only when beta > 0.
-    """
-    s, alpha, beta = cfg.schedule, cfg.alpha, cfg.beta
-    b, lam, eps, b_dot = s.b.scalar, s.lam.scalar, s.eps.scalar, s.b_dot.scalar
-    if beta == 0.0:
-        def consts(ts: list) -> list:
-            return [(-(alpha / t), b(t), lam(t), eps(t)) for t in ts]
-    else:
-        def consts(ts: list) -> list:
+
+def _params(cfg: SystemConfig) -> tuple:
+    """The values of _PARAMS for cfg.  The coefficients and exponents are
+    those of the schedule's monomials b = B t**n, b_dot = (B n) t**(n - 1)
+    and eps = E t**(-d); lv is lambda's value as its form uses it: the
+    constant, the power, or the negated power of 1 - t**(-l)."""
+    s, p = cfg.schedule, cfg.schedule.poly
+    kind, v = p.lam.kind, p.lam.value
+    lv = float(v) if kind == "constant" else v if kind == "power" else -v
+    return (cfg.alpha, cfg.beta, -cfg.beta, p.b_coeff, p.n, p.b_coeff * p.n, p.n - 1.0,
+            p.eps_coeff, -p.d, lv, s.b.scalar, s.lam.scalar, s.eps.scalar, s.b_dot.scalar)
+
+
+def _check_state(settings: IntegratorSettings, t_last: float, h: float, u: list) -> None:
+    # bounds the whole state, the auxiliary y as well as x; a NaN anywhere
+    # fails the test too, which max(u) would skip unless it came first
+    threshold = settings.divergence_threshold
+    if not all(abs(a) <= threshold for a in u):
+        raise DivergenceError(
+            f"state left the trust region after t = {t_last:.6g}", t_last, h)
+
+
+# ------------------------------------------------------------ step kernels
+#
+# A template is the source of one function.  A line "$name args" is a block
+# macro, replaced by the lines that _MACROS[name](variant, *args) returns at
+# its indentation; every other $name is a token (_tokens).  X, Y, KX and KY
+# are the lane values of the state u = (x, y) and of k0, the derivative at
+# (t, u); each stage argument is, lane by lane, the array expression in the
+# comment above it, with k = (kx, ky).
+
+_RHS_TEMPLATE = """\
+def rhs(X, Y, t, prox, $params):
+    lanes = range(len(X))
+    $k0 t
+    return KX, KY
+"""
+
+_DP5_TEMPLATE = """\
+def dp5(X, Y, t, T, prox, settings, stats, samples, $params):
+    atol, rtol, max_step = settings.atol, settings.rtol, settings.max_step
+    max_steps, threshold = settings.max_steps, settings.divergence_threshold
+    stride = settings.sample_stride
+    ts, us, xdots = samples
+    lanes = range(len(X))
+    $k0 t
+    ts.append(t)
+    us += X$flat + Y$flat
+    xdots += KX$flat
+    accepted, rejected, nfev, n2 = 0, 0, 1, 2 * len(X$flat)
+    h = min((T - t) / 100.0, 1.0, max_step)
+    while t < T:
+        if accepted + rejected >= max_steps:
+            $save
+            raise StepSizeError(f"step budget exhausted at t = {t:.6g}, h = {h:.3g}", t, h)
+        if T - t < h:  # h = min(h, T - t)
+            h = T - t
+        t1 = t + $c1 * h
+        t2 = t + $c2 * h
+        t3 = t + $c3 * h
+        t4 = t + $c4 * h
+        t5 = t + $c5 * h
+        $consts t1 t2 t3 t4 t5
+        XN, YN, KXN, KYN, SX, SY = [], [], [], [], [], []
+        for i in lanes:
+            x, y, kx0, ky0 = X[i], Y[i], KX[i], KY[i]
+            # u + h * (a10 * k0)
+            x1 = x + h * ($a10 * kx0)
+            y1 = y + h * ($a10 * ky0)
+            $rhs 1 x1 y1 kx1 ky1
+            # u + h * (a20 * k0 + a21 * k1)
+            x2 = x + h * ($a20 * kx0 + $a21 * kx1)
+            y2 = y + h * ($a20 * ky0 + $a21 * ky1)
+            $rhs 2 x2 y2 kx2 ky2
+            x3 = x + h * ($a30 * kx0 + $a31 * kx1 + $a32 * kx2)
+            y3 = y + h * ($a30 * ky0 + $a31 * ky1 + $a32 * ky2)
+            $rhs 3 x3 y3 kx3 ky3
+            x4 = x + h * ($a40 * kx0 + $a41 * kx1 + $a42 * kx2 + $a43 * kx3)
+            y4 = y + h * ($a40 * ky0 + $a41 * ky1 + $a42 * ky2 + $a43 * ky3)
+            $rhs 4 x4 y4 kx4 ky4
+            x5 = x + h * ($a50 * kx0 + $a51 * kx1 + $a52 * kx2 + $a53 * kx3 + $a54 * kx4)
+            y5 = y + h * ($a50 * ky0 + $a51 * ky1 + $a52 * ky2 + $a53 * ky3 + $a54 * ky4)
+            $rhs 5 x5 y5 kx5 ky5
+            # the fifth-order point; its stage k6 is the derivative there (FSAL)
+            xn = x + h * ($a60 * kx0 + $a62 * kx2 + $a63 * kx3 + $a64 * kx4 + $a65 * kx5)
+            yn = y + h * ($a60 * ky0 + $a62 * ky2 + $a63 * ky3 + $a64 * ky4 + $a65 * ky5)
+            $rhs 5 xn yn kx6 ky6
+            # err = h * (e0 * k0 + e2 * k2 + ... + e6 * k6)
+            # scale = atol + rtol * np.maximum(np.abs(u), np.abs(u_new)); max
+            # may skip a NaN that np.maximum keeps, but a NaN in u_new also
+            # reaches err through k6 = g(u_new), so the norm is NaN anyway
+            qx = (h * ($e0 * kx0 + $e2 * kx2 + $e3 * kx3 + $e4 * kx4 + $e5 * kx5 + $e6 * kx6)
+                  / (atol + rtol * $max(abs(x), abs(xn))))
+            qy = (h * ($e0 * ky0 + $e2 * ky2 + $e3 * ky3 + $e4 * ky4 + $e5 * ky5 + $e6 * ky6)
+                  / (atol + rtol * $max(abs(y), abs(yn))))
+            XN.append(xn)
+            YN.append(yn)
+            KXN.append(kx6)
+            KYN.append(ky6)
+            SX.append(qx * qx)
+            SY.append(qy * qy)
+        nfev += 6
+        # err_norm = sqrt(mean((err / scale) ** 2)), the 2m squares summed
+        # left to right, x block first
+        total = 0.0
+        for q2 in SX$flat + SY$flat:
+            total += q2
+        err_norm = math.sqrt(total / n2)
+        if not math.isfinite(err_norm):
+            $save
+            raise DivergenceError(
+                f"non-finite stage in the step at t = {t:.6g}, h = {h:.3g}", t, h)
+        if err_norm <= 1.0:
+            t_prev = t
+            t = T if (T - t - h) <= 1e-15 * T else t + h
+            X, Y, KX, KY = XN, YN, KXN, KYN
+            u = X$flat + Y$flat
+            for v in u:  # the test of check_state, which raises with its message
+                if not abs(v) <= threshold:
+                    $save
+                    check_state(settings, t_prev, h, u)
+            accepted += 1
+            if t >= T or accepted % stride == 0:
+                ts.append(t)
+                us += u
+                xdots += KX$flat
+        else:
+            rejected += 1
+        # h *= min(5.0, max(0.2, factor)), then h = min(h, max_step)
+        factor = 0.9 * err_norm ** -0.2 if err_norm > 0.0 else 5.0
+        h *= 0.2 if not factor > 0.2 else factor if factor < 5.0 else 5.0
+        if max_step < h:
+            h = max_step
+        if h < $min_step:
+            $save
+            raise StepSizeError(f"step size collapsed to {h:.3g} at t = {t:.6g}", t, h)
+    $save
+"""
+
+_RK4_TEMPLATE = """\
+def rk4(X, Y, t, T, prox, settings, stats, samples, $params):
+    threshold, stride = settings.divergence_threshold, settings.sample_stride
+    ts, us, xdots = samples
+    lanes = range(len(X))
+    $k0 t
+    ts.append(t)
+    us += X$flat + Y$flat
+    xdots += KX$flat
+    accepted, rejected, nfev = 0, 0, 1
+    # compared as a float: an inf step count has no integer ceiling
+    span = (T - t) / settings.fixed_step - 1e-12
+    if span > settings.max_steps:
+        $save
+        raise StepSizeError(
+            f"nsteps = {span:.6g} steps of fixed_step = {settings.fixed_step:.3g} "
+            f"exceed max_steps = {settings.max_steps}", t, settings.fixed_step)
+    nsteps = max(1, int(math.ceil(span)))
+    h = (T - t) / nsteps
+    t0 = t
+    for step in range(nsteps):
+        t_next = t0 + (step + 1) * h
+        t1 = t + 0.5 * h
+        t2 = t + h
+        $consts t1 t2
+        XN, YN = [], []
+        for i in lanes:
+            x, y, kx0, ky0 = X[i], Y[i], KX[i], KY[i]
+            # u + 0.5 * h * k0, u + 0.5 * h * k1, u + h * k2
+            x1 = x + 0.5 * h * kx0
+            y1 = y + 0.5 * h * ky0
+            $rhs 1 x1 y1 kx1 ky1
+            x2 = x + 0.5 * h * kx1
+            y2 = y + 0.5 * h * ky1
+            $rhs 1 x2 y2 kx2 ky2
+            x3 = x + h * kx2
+            y3 = y + h * ky2
+            $rhs 2 x3 y3 kx3 ky3
+            # u + (h / 6.0) * (k0 + 2.0 * k1 + 2.0 * k2 + k3)
+            XN.append(x + (h / 6.0) * (kx0 + 2.0 * kx1 + 2.0 * kx2 + kx3))
+            YN.append(y + (h / 6.0) * (ky0 + 2.0 * ky1 + 2.0 * ky2 + ky3))
+        X, Y = XN, YN
+        u = X$flat + Y$flat
+        # the guard sees the new state before the right-hand side does; the
+        # test of check_state, which raises with its message
+        for v in u:
+            if not abs(v) <= threshold:
+                $save
+                check_state(settings, t_next - h, h, u)
+        t = t_next
+        $k0 t
+        nfev += 4
+        accepted += 1
+        if step == nsteps - 1 or accepted % stride == 0:
+            ts.append(t)
+            us += u
+            xdots += KX$flat
+    $save
+"""
+
+# name in tracebacks and template, by kernel kind: the two steppers (by
+# IntegratorSettings.method) and the public rhs_*
+_TEMPLATES = {"rk45_adaptive": ("dp5", _DP5_TEMPLATE), "rk4_fixed": ("rk4", _RK4_TEMPLATE),
+              "rhs": ("rhs", _RHS_TEMPLATE)}
+
+# Dormand-Prince 5(4) tableau, zero-based like the stages k0..k6: nodes c1..c5
+# (stage 6 has c6 = c5 = 1), stage weights aij (stage i, derivative kj),
+# fifth-order weights a6j (stage 6 is the new point, FSAL) and error weights
+# ej; zero entries are left out.  Spliced as repr literals, which read back
+# as the same floats.
+_DP5_TABLEAU = {
+    "c1": 0.2, "c2": 0.3, "c3": 0.8, "c4": 8.0 / 9.0, "c5": 1.0,
+    "a10": 0.2,
+    "a20": 3.0 / 40.0, "a21": 9.0 / 40.0,
+    "a30": 44.0 / 45.0, "a31": -56.0 / 15.0, "a32": 32.0 / 9.0,
+    "a40": 19372.0 / 6561.0, "a41": -25360.0 / 2187.0, "a42": 64448.0 / 6561.0,
+    "a43": -212.0 / 729.0,
+    "a50": 9017.0 / 3168.0, "a51": -355.0 / 33.0, "a52": 46732.0 / 5247.0,
+    "a53": 49.0 / 176.0, "a54": -5103.0 / 18656.0,
+    "a60": 35.0 / 384.0, "a62": 500.0 / 1113.0, "a63": 125.0 / 192.0,
+    "a64": -2187.0 / 6784.0, "a65": 11.0 / 84.0,
+    "e0": 35.0 / 384.0 - 5179.0 / 57600.0,
+    "e2": 500.0 / 1113.0 - 7571.0 / 16695.0,
+    "e3": 125.0 / 192.0 - 393.0 / 640.0,
+    "e4": -2187.0 / 6784.0 + 92097.0 / 339200.0,
+    "e5": 11.0 / 84.0 - 187.0 / 2100.0,
+    "e6": -1.0 / 40.0,
+}
+
+
+@dataclass(frozen=True)
+class _Variant:
+    beta_positive: bool
+    lam_kind: str  # "constant", "power" or "bounded"
+    numpy_lane: bool
+
+
+# lambda(t) by form, the expressions of LambdaForm.scalar with lv from _params;
+# a constant lambda is the argument lv itself
+_LAM = {"power": "{t} ** lv", "bounded": "1.0 - {t} ** lv"}
+
+
+def _consts_src(v: _Variant, *times: str) -> str:
+    """The stage constants at each stage time variable tk (t gives k = 0):
+    the schedule values bk, ek, bdk (b_dot, beta > 0 only) and lk (lambda,
+    unless constant), then what _rhs_src takes: ak = -(alpha / tk) when
+    beta = 0, and cxk, dxk, dyk when beta > 0.  The values are the
+    monomials B * t ** n and so on, as the scalar forms compute them; when
+    one of those ** overflows, all of them are recomputed through the
+    scalar forms, which give +-inf there instead."""
+    fast, scalar, fold = [], [], []
+    for t in times:
+        k = t[1:] or "0"
+        values = {"b": (f"B * {t} ** n", "b_s"), "e": (f"E * {t} ** md", "eps_s")}
+        if v.beta_positive:
+            values["bd"] = (f"Bn * {t} ** nm1", "bdot_s")
+        if v.lam_kind != "constant":
+            values["l"] = (_LAM[v.lam_kind].format(t=t), "lam_s")
+        fast += [f"    {name}{k} = {expr}" for name, (expr, _) in values.items()]
+        scalar.append("    " + ", ".join(name + k for name in values) + " = "
+                      + ", ".join(f"{fn}({t})" for _, fn in values.values()))
+        if v.beta_positive:
             # cx = alpha / t - b / beta, dy = b / beta and
             # dx = b_dot + alpha * beta / t**2 + beta * eps + b**2 / beta - alpha * b / t
-            return [(alpha / t - b_t / beta,
-                     b_dot_t + alpha * beta / t ** 2 + beta * eps_t + b_t ** 2 / beta
-                     - alpha * b_t / t,
-                     b_t / beta, lam_t)
-                    for t, lam_t, b_t, eps_t, b_dot_t
-                    in zip(ts, map(lam, ts), map(b, ts), map(eps, ts), map(b_dot, ts))]
-    return consts
+            fold += [f"cx{k} = alpha / {t} - b{k} / beta",
+                     f"dx{k} = bd{k} + alpha * beta / {t} ** 2 + beta * e{k} + b{k} ** 2 / beta"
+                     f" - alpha * b{k} / {t}",
+                     f"dy{k} = b{k} / beta"]
+        else:
+            fold.append(f"a{k} = -(alpha / {t})")
+    return "\n".join(["try:", *fast, "except OverflowError:", *scalar, *fold])
+
+
+def _rhs_src(v: _Variant, k: str, x: str, y: str, kx: str, ky: str) -> str:
+    """(kx, ky), the derivative of one lane at the point (x, y), from the
+    stage constants of suffix k; the only place each reformulation is
+    written.  It checks nothing."""
+    lam = "lv" if v.lam_kind == "constant" else f"l{k}"
+    prox = f"prox({lam}, {x})" if v.numpy_lane else f"prox(i, {lam}, {x})"
+    grad = f"(({x} - {prox}) / {lam})"
+    if v.beta_positive:
+        # xdot = -beta * grad - (alpha / t - b / beta) * x - y / beta
+        # ydot = (b_dot + ... - alpha * b / t) * x - (b / beta) * y
+        return (f"{kx} = nbeta * {grad} - cx{k} * {x} - {y} / beta\n"
+                f"{ky} = dx{k} * {x} - dy{k} * {y}")
+    # xdot = y, ydot = -(alpha / t) * y - b * grad - eps * x
+    return f"{kx} = {y}\n{ky} = a{k} * {y} - b{k} * {grad} - e{k} * {x}"
+
+
+def _k0_src(v: _Variant, t: str) -> str:
+    """KX, KY: the derivative of every lane at (t, X, Y)."""
+    return (f"$consts {t}\n"
+            "KX, KY = [], []\n"
+            "for i in lanes:\n"
+            "    x, y = X[i], Y[i]\n"
+            "    $rhs 0 x y kx0 ky0\n"
+            "    KX.append(kx0)\n"
+            "    KY.append(ky0)")
+
+
+_MACROS = {
+    "consts": _consts_src,
+    "rhs": _rhs_src,
+    "k0": _k0_src,
+    # the counters are locals until the loop ends or raises
+    "save": lambda v: "stats.accepted, stats.rejected, stats.nfev = accepted, rejected, nfev",
+}
+
+
+def _tokens(v: _Variant) -> dict:
+    tokens = {name: repr(value) for name, value in _DP5_TABLEAU.items()}
+    tokens.update(params=_PARAMS, min_step=repr(_MIN_STEP),
+                  max="maximum" if v.numpy_lane else "max",
+                  flat="[0].tolist()" if v.numpy_lane else "")
+    return tokens
+
+
+def _expand(template: str, v: _Variant, tokens: dict) -> list:
+    lines = []
+    for line in template.splitlines():
+        body = line.lstrip()
+        name, *args = body[1:].split() if body.startswith("$") else [None]
+        if name in _MACROS:
+            indent = line[:len(line) - len(body)]
+            lines += [indent + sub for sub in _expand(_MACROS[name](v, *args), v, tokens)]
+        else:
+            lines.append(string.Template(line).substitute(tokens))
+    return lines
+
+
+def _source(kind: str, v: _Variant) -> str:
+    """The generated source of the kernel kind ("rk45_adaptive", "rk4_fixed"
+    or "rhs") for variant v."""
+    return "\n".join(_expand(_TEMPLATES[kind][1], v, _tokens(v))) + "\n"
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel(kind: str, beta_positive: bool, lam_kind: str, numpy_lane: bool):
+    """The compiled kernel of kind for one variant, built the first time it
+    is asked for and kept for the process.  Its source is registered with
+    linecache, for the traceback module to show its lines."""
+    v = _Variant(beta_positive, lam_kind, numpy_lane)
+    src = _source(kind, v)
+    filename = (f"<proxdyn {_TEMPLATES[kind][0]} beta{'>' if beta_positive else '='}0 "
+                f"lam={lam_kind} {'numpy' if numpy_lane else 'float'}>")
+    linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
+    namespace = {"math": math, "maximum": np.maximum, "check_state": _check_state,
+                 "DivergenceError": DivergenceError, "StepSizeError": StepSizeError}
+    exec(compile(src, filename, "exec"), namespace)
+    return namespace[_TEMPLATES[kind][0]]
+
+
+def _variant_kernel(kind: str, cfg: SystemConfig):
+    """(kernel, prox, numpy_lane) for cfg."""
+    prox, numpy_lane = _lane_prox(cfg)
+    kernel = _kernel(kind, cfg.beta != 0.0, cfg.schedule.poly.lam.kind, numpy_lane)
+    return kernel, prox, numpy_lane
 
 
 def _rhs_at(cfg: SystemConfig, t: float, x, y):
     """(xdot, ydot) at one time, through the same stage constants, lanes and
-    core as the steppers."""
-    lane_prox, _, split, flat = _lanes(cfg)
-    g, m = _core(cfg, lane_prox), cfg.objective.dim
-    (c,) = _stage_constants(cfg)([float(t)])
-    X, Y = (split(np.broadcast_to(np.asarray(v, dtype=float), (m,))) for v in (x, y))
-    KX, KY = zip(*[g(i, c, X[i], Y[i]) for i in range(len(X))])
-    return np.array(flat(KX)), np.array(flat(KY))
+    right-hand side as the steppers."""
+    kernel, prox, numpy_lane = _variant_kernel("rhs", cfg)
+    m = cfg.objective.dim
+    X, Y = (_split(np.broadcast_to(np.asarray(v, dtype=float), (m,)), numpy_lane)
+            for v in (x, y))
+    KX, KY = kernel(X, Y, float(t), prox, *_params(cfg))
+    return tuple(np.array(K[0].tolist() if numpy_lane else K) for K in (KX, KY))
 
 
 def rhs_beta_positive(cfg: SystemConfig, t: float, x, y):
@@ -252,55 +583,6 @@ def initial_aux(cfg: SystemConfig) -> np.ndarray:
             + (s.b.scalar(t0) - cfg.alpha * cfg.beta / cfg.t0) * cfg.x0)
 
 
-# Dormand-Prince 5(4) tableau, zero-based like the stages k0..k6: nodes _C of
-# stages 1..5 (stage 6 has c6 = c5 = 1), stage weights _Aij (stage i,
-# derivative kj), fifth-order weights _A6j (stage 6 is the new point, FSAL)
-# and error weights _Ej; zero entries are left out
-_C = (0.2, 0.3, 0.8, 8.0 / 9.0, 1.0)
-_A10 = 0.2
-_A20, _A21 = 3.0 / 40.0, 9.0 / 40.0
-_A30, _A31, _A32 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
-_A40, _A41, _A42, _A43 = (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0,
-                          -212.0 / 729.0)
-_A50, _A51, _A52, _A53, _A54 = (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0,
-                                49.0 / 176.0, -5103.0 / 18656.0)
-_A60, _A62, _A63, _A64, _A65 = (35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0,
-                                -2187.0 / 6784.0, 11.0 / 84.0)
-_E0 = 35.0 / 384.0 - 5179.0 / 57600.0
-_E2 = 500.0 / 1113.0 - 7571.0 / 16695.0
-_E3 = 125.0 / 192.0 - 393.0 / 640.0
-_E4 = -2187.0 / 6784.0 + 92097.0 / 339200.0
-_E5 = 11.0 / 84.0 - 187.0 / 2100.0
-_E6 = -1.0 / 40.0
-
-
-def _accept(stats: StepStats, h: float, samples: tuple, stride: int, final: bool,
-            t: float, u: list, xdot: list) -> None:
-    """Count an accepted step of size h to (t, u), and sample (t, u, xdot) when
-    it is the final step or every stride-th one.
-
-    samples is three flat lists (ts, us, xdots) that u and xdot extend; one
-    list per sample would leave the allocator fragmented after long runs.
-    """
-    stats.accepted += 1
-    stats.min_step = min(stats.min_step, h)
-    stats.max_step = max(stats.max_step, h)
-    if final or stats.accepted % stride == 0:
-        ts, us, xdots = samples
-        ts.append(t)
-        us += u
-        xdots += xdot
-
-
-def _check_state(settings: IntegratorSettings, t_last: float, h: float, u: list) -> None:
-    # bounds the whole state, the auxiliary y as well as x; a NaN anywhere
-    # fails the test too, which max(u) would skip unless it came first
-    threshold = settings.divergence_threshold
-    if not all(abs(a) <= threshold for a in u):
-        raise DivergenceError(
-            f"state left the trust region after t = {t_last:.6g}", t_last, h)
-
-
 def integrate(cfg: SystemConfig, settings: IntegratorSettings = None) -> Trajectory:
     """Integrate the flow from t0 to the horizon and sample the trajectory.
 
@@ -312,117 +594,13 @@ def integrate(cfg: SystemConfig, settings: IntegratorSettings = None) -> Traject
         settings = IntegratorSettings()
     settings.validate()
     cfg.validate()
-    lane_prox, maximum, split, flat = _lanes(cfg)
-    consts, g = _stage_constants(cfg), _core(cfg, lane_prox)
-    m, t, T = cfg.objective.dim, float(cfg.t0), cfg.horizon
-    # X, Y: the lane values of the state u = (x, y); KX, KY: those of k0,
-    # which always holds the derivative at (t, u)
-    X, Y = split(cfg.x0), split(initial_aux(cfg))
-    lanes = range(len(X))
-    (c0,) = consts([t])
-    KX, KY = zip(*[g(i, c0, X[i], Y[i]) for i in lanes])
-    stats, stride = StepStats(), settings.sample_stride
-    stats.nfev += 1
-    samples = ([t], flat(X) + flat(Y), list(flat(KX)))
-
-    # each stage argument is, lane by lane, the array expression in the
-    # comment above it, with u = (x, y) and k = (kx, ky)
-    if settings.method == "rk4_fixed":
-        # compared as a float: an inf step count has no integer ceiling
-        span = (T - t) / settings.fixed_step - 1e-12
-        if span > settings.max_steps:
-            raise StepSizeError(
-                f"nsteps = {span:.6g} steps of fixed_step = {settings.fixed_step:.3g} "
-                f"exceed max_steps = {settings.max_steps}", t, settings.fixed_step)
-        nsteps = max(1, int(math.ceil(span)))
-        h = (T - t) / nsteps
-        for n in range(nsteps):
-            t_next = cfg.t0 + (n + 1) * h
-            c_half, c_full, c_next = consts([t + 0.5 * h, t + h, t_next])
-            XN, YN = [], []
-            for i in lanes:
-                x, y, kx0, ky0 = X[i], Y[i], KX[i], KY[i]
-                # u + 0.5 * h * k0, u + 0.5 * h * k1, u + h * k2
-                kx1, ky1 = g(i, c_half, x + 0.5 * h * kx0, y + 0.5 * h * ky0)
-                kx2, ky2 = g(i, c_half, x + 0.5 * h * kx1, y + 0.5 * h * ky1)
-                kx3, ky3 = g(i, c_full, x + h * kx2, y + h * ky2)
-                # u + (h / 6.0) * (k0 + 2.0 * k1 + 2.0 * k2 + k3)
-                XN.append(x + (h / 6.0) * (kx0 + 2.0 * kx1 + 2.0 * kx2 + kx3))
-                YN.append(y + (h / 6.0) * (ky0 + 2.0 * ky1 + 2.0 * ky2 + ky3))
-            X, Y = XN, YN
-            u = flat(X) + flat(Y)
-            # the guard sees the new state before the core does
-            _check_state(settings, t_next - h, h, u)
-            t = t_next
-            KX, KY = zip(*[g(i, c_next, X[i], Y[i]) for i in lanes])
-            stats.nfev += 4
-            _accept(stats, h, samples, stride, n == nsteps - 1, t, u, flat(KX))
-    else:  # rk45_adaptive
-        atol, rtol, n2 = settings.atol, settings.rtol, 2 * m
-        h = min((T - t) / 100.0, 1.0, settings.max_step)
-        while t < T:
-            if stats.accepted + stats.rejected >= settings.max_steps:
-                raise StepSizeError(f"step budget exhausted at t = {t:.6g}, h = {h:.3g}", t, h)
-            h = min(h, T - t)
-            c1, c2, c3, c4, c5 = consts([t + c * h for c in _C])
-            XN, YN, KXN, KYN, SX, SY = [], [], [], [], [], []
-            for i in lanes:
-                x, y, kx0, ky0 = X[i], Y[i], KX[i], KY[i]
-                # u + h * (_A10 * k0), u + h * (_A20 * k0 + _A21 * k1), ...
-                kx1, ky1 = g(i, c1, x + h * (_A10 * kx0), y + h * (_A10 * ky0))
-                kx2, ky2 = g(i, c2, x + h * (_A20 * kx0 + _A21 * kx1),
-                             y + h * (_A20 * ky0 + _A21 * ky1))
-                kx3, ky3 = g(i, c3, x + h * (_A30 * kx0 + _A31 * kx1 + _A32 * kx2),
-                             y + h * (_A30 * ky0 + _A31 * ky1 + _A32 * ky2))
-                kx4, ky4 = g(i, c4, x + h * (_A40 * kx0 + _A41 * kx1 + _A42 * kx2 + _A43 * kx3),
-                             y + h * (_A40 * ky0 + _A41 * ky1 + _A42 * ky2 + _A43 * ky3))
-                kx5, ky5 = g(i, c5, x + h * (_A50 * kx0 + _A51 * kx1 + _A52 * kx2 + _A53 * kx3
-                                             + _A54 * kx4),
-                             y + h * (_A50 * ky0 + _A51 * ky1 + _A52 * ky2 + _A53 * ky3
-                                      + _A54 * ky4))
-                xn = x + h * (_A60 * kx0 + _A62 * kx2 + _A63 * kx3 + _A64 * kx4 + _A65 * kx5)
-                yn = y + h * (_A60 * ky0 + _A62 * ky2 + _A63 * ky3 + _A64 * ky4 + _A65 * ky5)
-                kx6, ky6 = g(i, c5, xn, yn)
-                # err = h * (_E0 * k0 + _E2 * k2 + ... + _E6 * k6)
-                # scale = atol + rtol * np.maximum(np.abs(u), np.abs(u_new)); max
-                # may skip a NaN that np.maximum keeps, but a NaN in u_new also
-                # reaches err through k6 = g(u_new), so the norm is NaN anyway
-                qx = (h * (_E0 * kx0 + _E2 * kx2 + _E3 * kx3 + _E4 * kx4 + _E5 * kx5
-                           + _E6 * kx6) / (atol + rtol * maximum(abs(x), abs(xn))))
-                qy = (h * (_E0 * ky0 + _E2 * ky2 + _E3 * ky3 + _E4 * ky4 + _E5 * ky5
-                           + _E6 * ky6) / (atol + rtol * maximum(abs(y), abs(yn))))
-                XN.append(xn)
-                YN.append(yn)
-                KXN.append(kx6)
-                KYN.append(ky6)
-                SX.append(qx * qx)
-                SY.append(qy * qy)
-            stats.nfev += 6
-            # err_norm = sqrt(mean((err / scale) ** 2)), the 2m squares summed
-            # left to right, x block first
-            total = 0.0
-            for q2 in flat(SX) + flat(SY):
-                total += q2
-            err_norm = math.sqrt(total / n2)
-            if not math.isfinite(err_norm):
-                raise DivergenceError(
-                    f"non-finite stage in the step at t = {t:.6g}, h = {h:.3g}", t, h)
-            if err_norm <= 1.0:
-                t_prev = t
-                t = T if (T - t - h) <= 1e-15 * T else t + h
-                # FSAL: the last stage is the derivative at the new point
-                X, Y, KX, KY = XN, YN, KXN, KYN
-                u = flat(X) + flat(Y)
-                _check_state(settings, t_prev, h, u)
-                _accept(stats, h, samples, stride, t >= T, t, u, flat(KX))
-            else:
-                stats.rejected += 1
-            factor = 0.9 * err_norm ** -0.2 if err_norm > 0.0 else 5.0
-            h *= min(5.0, max(0.2, factor))
-            h = min(h, settings.max_step)
-            if h < _MIN_STEP:
-                raise StepSizeError(f"step size collapsed to {h:.3g} at t = {t:.6g}", t, h)
-
+    kernel, prox, numpy_lane = _variant_kernel(settings.method, cfg)
+    stats, samples = StepStats(), ([], [], [])
+    # samples is three flat lists (ts, us, xdots) that each sample extends;
+    # one list per sample would leave the allocator fragmented after long runs
+    kernel(_split(cfg.x0, numpy_lane), _split(initial_aux(cfg), numpy_lane), float(cfg.t0),
+           cfg.horizon, prox, settings, stats, samples, *_params(cfg))
+    m = cfg.objective.dim
     ts, us, xdots = (np.array(column, dtype=float) for column in samples)
     us, xdots = us.reshape(-1, 2 * m), xdots.reshape(-1, m)
     return Trajectory(ts, us[:, :m].copy(), us[:, m:].copy(), xdots, stats, cfg)

@@ -116,9 +116,9 @@ def line_chart(path, series, title="", xlabel="t", ylabel="",
             mask &= xs > 0.0
         if yscale == "log":
             mask &= ys > 0.0
-        keep.append((label, xs[mask], ys[mask]))
-    ax = _Axis(np.concatenate([s[1] for s in keep]), xscale, _ML, _W - _MR)
-    ay = _Axis(np.concatenate([s[2] for s in keep]), yscale, _H - _MB, _MT)
+        keep.append((label, xs, mask, ys[mask]))
+    ax = _Axis(np.concatenate([xs[mask] for _, xs, mask, _ in keep]), xscale, _ML, _W - _MR)
+    ay = _Axis(np.concatenate([s[3] for s in keep]), yscale, _H - _MB, _MT)
 
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
            f'viewBox="0 0 {_W} {_H}" font-family="sans-serif" font-size="12">',
@@ -149,11 +149,16 @@ def line_chart(path, series, title="", xlabel="t", ylabel="",
         out.append(f'<text x="16" y="{ypos}" text-anchor="middle" '
                    f'transform="rotate(-90 16 {ypos})">{escape(ylabel)}</text>')
 
-    for k, (label, xs, ys) in enumerate(keep):
+    # series often share their x array (and mask), which is mapped once
+    xpix = {}  # (id of an x array, its mask's bytes) -> pixels
+    for k, (label, xs, mask, ys) in enumerate(keep):
         color = _PALETTE[k % len(_PALETTE)]
-        if xs.size:
-            xy = np.column_stack([ax.pixels(xs), ay.pixels(ys)]).ravel().tolist()
-            pts = " ".join(["%.2f,%.2f"] * xs.size) % tuple(xy)
+        if ys.size:
+            key = (id(xs), mask.tobytes())
+            if key not in xpix:
+                xpix[key] = ax.pixels(xs[mask])
+            xy = np.column_stack([xpix[key], ay.pixels(ys)]).ravel().tolist()
+            pts = " ".join(["%.2f,%.2f"] * ys.size) % tuple(xy)
             out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                        f'stroke-width="1.6"/>')
         ly = _MT + 16 + 18 * k

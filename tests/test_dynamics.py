@@ -7,20 +7,26 @@ import pickle
 import subprocess
 import sys
 import textwrap
+import traceback
 
 import numpy as np
 import pytest
 
 import proxdyn
+from proxdyn import dynamics
 from proxdyn import (
     DivergenceError,
     InsufficientDataError,
+    LambdaForm,
     PolyParams,
     StepSizeError,
     SystemConfig,
     ValidationError,
     abs_plus_quad,
     box_indicator,
+    check_alpha3_conditions,
+    check_fast_rate_conditions,
+    check_strong_conv_conditions,
     l1_norm,
     moreau_value,
     polynomial_schedule,
@@ -35,7 +41,7 @@ from proxdyn.dynamics import (
     rhs_beta_positive,
     rhs_beta_zero,
 )
-from proxdyn.runconfig import build_system, config_from_flat, preset_runs
+from proxdyn.runconfig import build_run, build_system, config_from_flat, preset_runs
 
 
 def make_cfg(objective=None, alpha=10.0, beta=1.0, t0=1.4, horizon=140.0,
@@ -124,12 +130,68 @@ def test_public_rhs_matches_the_stepper_bit_for_bit(preset, label):
         assert xd.tobytes() == traj.xdots[j].tobytes(), traj.ts[j]
 
 
-def test_schedule_overflow_is_a_divergence():
-    # b = 1e-300 t**400: t**400 overflows past t = 5.9 while b is still 1e8
-    cfg = make_cfg(beta=0.0, horizon=10.0)
-    cfg.schedule = polynomial_schedule(PolyParams(1e-300, 400.0, 1.0, 3.0), cfg.t0)
-    with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="non-finite stage"):
+# b = B t**400: t**400 overflows past t = 5.897, where b jumps to inf.  With
+# B = 1e-300, b is still 1e8 there; the fixed step of rk4_fixed would go
+# unstable before that, so its runs take the smallest subnormal B instead.
+OVERFLOW_CASES = {
+    "dp5/beta=0": ("rk45_adaptive", 0.0, LambdaForm(), 1e-300, "non-finite stage"),
+    "dp5/beta>0": ("rk45_adaptive", 1.0, LambdaForm(), 1e-300, "non-finite stage"),
+    "dp5/beta>0/power": ("rk45_adaptive", 1.0, LambdaForm("power", 0.5), 1e-300,
+                         "non-finite stage"),
+    "rk4/beta=0": ("rk4_fixed", 0.0, LambdaForm(), 5e-324, "left the trust region"),
+    "rk4/beta>0/bounded": ("rk4_fixed", 1.0, LambdaForm("bounded", 1.0), 5e-324,
+                           "left the trust region"),
+}
+
+
+@pytest.mark.parametrize("case", list(OVERFLOW_CASES))
+def test_schedule_overflow_is_a_divergence(case):
+    # Python's ** raises OverflowError there; the step's stage constants are
+    # then recomputed through the scalar forms, whose inf makes a stage NaN
+    method, beta, lam, b_coeff, message = OVERFLOW_CASES[case]
+    cfg = make_cfg(beta=beta, horizon=10.0)
+    cfg.schedule = polynomial_schedule(PolyParams(b_coeff, 400.0, 1.0, 3.0, lam), cfg.t0)
+    settings = IntegratorSettings(method=method, fixed_step=1e-3)
+    with np.errstate(over="ignore"), pytest.raises(DivergenceError, match=message) as exc:
+        integrate(cfg, settings)
+    # the failing step is the one whose stages cross the overflow
+    t_over = math.exp(math.log(sys.float_info.max) / 400.0)
+    assert exc.value.t_last < t_over <= exc.value.t_last + exc.value.h
+
+
+def test_kernels_compile_once_per_variant_and_only_when_run():
+    dynamics._kernel.cache_clear()
+    runs = {f["label"]: config_from_flat(f) for f in preset_runs("fig3")}
+    for rc in runs.values():
+        cfg, _ = build_run(rc)
+        cfg.validate()
+        for check in (check_fast_rate_conditions, check_strong_conv_conditions,
+                      check_alpha3_conditions):
+            check(cfg)
+    assert dynamics._kernel.cache_info().currsize == 0
+    # fig3/d2_5 and fig3/d3 differ only in d, a number the kernel takes
+    for label in ("d2_5", "d3"):
+        integrate(*build_system(runs[label]))
+    assert dynamics._kernel.cache_info().currsize == 1
+    cfg, _ = build_system(runs["d3"])
+    aux = initial_aux(cfg)
+    for _ in range(1000):
+        rhs_beta_zero(cfg, 2.0, cfg.x0, aux)
+    # the one rhs kernel of that variant, built on the first call
+    assert dynamics._kernel.cache_info().currsize == 2
+    assert dynamics._kernel.cache_info().misses == 2
+
+
+def test_kernel_source_shows_in_tracebacks():
+    cfg = make_cfg(objective=nan_outside_five(abs_plus_quad()), beta=1.0, x0=4.0,
+                   xdot0=10.0, horizon=14.0)
+    cfg.schedule = polynomial_schedule(PolyParams(lam=LambdaForm("bounded", 1.0)), cfg.t0)
+    with pytest.raises(DivergenceError) as exc:
         integrate(cfg)
+    frame = traceback.extract_tb(exc.value.__traceback__)[-1]
+    assert frame.filename == "<proxdyn dp5 beta>0 lam=bounded numpy>"
+    src = dynamics._source("rk45_adaptive", dynamics._Variant(True, "bounded", True))
+    assert frame.line and frame.line == src.splitlines()[frame.lineno - 1].strip()
 
 
 # ------------------------------------------------------------------ integrate

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import itertools
 import pathlib
 import types
 
@@ -35,3 +36,17 @@ def test_package_api_is_the_submodules_all():
     public = {name for name, obj in vars(proxdyn).items()
               if not name.startswith("_") and not isinstance(obj, types.ModuleType)}
     assert public == exported | errors
+
+
+def test_every_kernel_variant_compiles_without_asserts():
+    # 24 steppers and 12 rhs kernels; the tests integrate only some of them
+    from proxdyn import dynamics
+
+    for kind, (name, _) in dynamics._TEMPLATES.items():
+        for variant in itertools.product((False, True), ("constant", "power", "bounded"),
+                                         (False, True)):
+            src = dynamics._source(kind, dynamics._Variant(*variant))
+            tree = ast.parse(src)
+            assert [node.name for node in tree.body] == [name]
+            assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree))
+            compile(tree, f"<{name} {variant}>", "exec")

@@ -92,7 +92,7 @@ def pointwise_reference(series, xscale, yscale):
 
 
 @pytest.mark.parametrize("scale", ["log", "linear"])
-def test_polylines_equal_pointwise_pix(tmp_path, scale):
+def test_polylines_equal_pointwise_pix(tmp_path, monkeypatch, scale):
     rng = np.random.default_rng(3)
     ts = np.geomspace(1.0, 140.0, 2000) if scale == "log" else np.linspace(-3.0, 140.0, 2000)
     noisy = rng.lognormal(0.0, 8.0, ts.size)
@@ -103,13 +103,21 @@ def test_polylines_equal_pointwise_pix(tmp_path, scale):
               # nothing left after masking: no polyline, the legend entry stays
               ("empty", ts, np.full(ts.size, -1.0 if scale == "log" else np.nan)),
               # on a log axis the largest and smallest y, which map to the axis ends
-              ("ends", ts[:3], np.array([noisy.max(), 1.0, 5e-324]))]
+              ("ends", ts[:3], np.array([noisy.max(), 1.0, 5e-324])),
+              # the x array and mask of "decay": mapped once for both
+              ("decay/2", ts, 0.5 / ts ** 2)]
+    calls = []
+    pixels = svgplot._Axis.pixels
+    monkeypatch.setattr(svgplot._Axis, "pixels",
+                        lambda axis, values: calls.append(values.size) or pixels(axis, values))
     root = chart(tmp_path, series, xscale=scale, yscale=scale)
     ax, ay, kept, points = pointwise_reference(series, scale, scale)
     assert kept[2][0].size == 0
     got = {el.get("stroke"): el.get("points") for el in root.findall(f"{NS}polyline")}
     assert got == {svgplot._PALETTE[k]: pts for k, pts in enumerate(points) if pts}
-    assert len(got) == 3
+    assert len(got) == 4
+    # x: decay (and decay/2), noisy and ends; y: the four that are drawn
+    assert len(calls) == 3 + 4
     for xs, ys in kept:
         for axis, values in ((ax, xs), (ay, ys)):
             pointwise = np.array([axis.pix(v) for v in values], dtype=float)
