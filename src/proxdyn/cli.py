@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -170,6 +169,8 @@ def _combined_csv(path, param, finished):
 
 
 def cmd_sweep(args) -> int:
+    from concurrent.futures import ProcessPoolExecutor  # only sweep starts processes
+
     variants = _sweep_configs(args)
     outdir = args.out
     os.makedirs(outdir, exist_ok=True)

@@ -24,12 +24,14 @@ of (xdot, ydot) depends on (x_i, y_i) alone, since a built-in prox acts
 coordinate by coordinate.  So a step runs every stage of one coordinate
 pair as straight-line code before it moves to the next pair.  The unit of
 that loop is a lane:
-- a float lane is one coordinate on Python floats, for a prox that carries
-  its scalar form prox.coordinate_prox (every built-in does); the stepper
-  makes no numpy call per step there;
+- a float lane is one coordinate on Python floats, held in lists, for a prox
+  that carries its scalar source prox.coordinate_source (every built-in
+  does); the stepper makes no numpy call per step there;
+- the local lane is the float lane of a one-dimensional run, chosen by the
+  objective's dim alone: x, y, k0 and k6 are local floats, not lists of one;
 - a numpy lane is the whole point as 1-D arrays, the single lane of a prox
-  without a scalar form, such as a swapped or custom one, which runs on
-  the whole point.
+  without a scalar source, such as a swapped or custom one (even one with
+  coordinate_prox), which runs on the whole point.
 
 Each stepper's loop is generated Python source, from one template per
 stepper (and one for the public rhs_*).  _kernel splices into it:
@@ -40,18 +42,25 @@ stepper (and one for the public rhs_*).  _kernel splices into it:
   each distinct stage time (DP5's c5 = c6 = 1 and RK4's two midpoints share
   one) and folded into (-(alpha/t), b, lambda, eps) when beta = 0 and
   (cx, dx, dy, lambda) when beta > 0 (_consts_src);
+- on a float or local lane, the prox's scalar source in place of a prox
+  call, at every stage, with u and lam the stage's and each parameter a
+  local prox_<name> that the kernel unpacks from its argument prox (_prox_src);
 - the Dormand-Prince tableau, as repr float literals;
-- the lane kind: float lanes, or the single numpy lane.
-So a step makes no Python call but the prox's, once per right-hand-side
-evaluation.  Each variant is compiled once per process (functools.lru_cache):
-at most 2 x 2 x 3 x 2 = 24 steppers and 12 rhs kernels, each the first time
-integrate or an rhs_* asks for it, never at import, in build_run or in
+- the lane kind: float lanes, the local lane, or the single numpy lane.
+So a step on a float or local lane calls no Python function (a source may
+call builtins such as max), and one on the numpy lane calls the prox once
+per right-hand-side evaluation.  Each variant is compiled once per process
+(functools.lru_cache, keyed by the prox source text and its parameter
+names): 2 steppers and an rhs kernel for each reformulation, lambda form and
+lane kind, and float and local lanes once per prox source, each the first
+time integrate or an rhs_* asks for it, never at import, in build_run or in
 validation.  The run's numbers (alpha, beta, B, n, E, d, the lambda value,
-the tolerances) are arguments, never source text.  Each source is
-registered with linecache under a name such as
-<proxdyn dp5 beta>0 lam=bounded float>, so tracebacks that the traceback
-module formats (pytest, logging, traceback.print_exc) show its lines;
-_source returns it.
+the tolerances, the prox's parameters) are arguments, never source text.
+Each source is registered with linecache under a name such as
+<proxdyn dp5 beta>0 lam=bounded numpy>, or <proxdyn dp5 beta=0
+lam=constant local c196f01a> with the CRC-32 of a source that inlines a
+prox, so tracebacks that the traceback module formats (pytest, logging,
+traceback.print_exc) show its lines; _source returns it.
 
 The spliced expressions perform the same IEEE operations, in the same
 order, as the schedule's scalar forms fn.scalar, which use Python's ** (libm
@@ -59,7 +68,8 @@ pow), not numpy's array **, which takes a SIMD pow on some CPUs that
 differs from libm's in the last bit; so a trajectory does not depend on
 numpy's SIMD dispatch.  Python's ** raises OverflowError where the scalar
 forms give +-inf; then that step's constants are recomputed through
-fn.scalar, so an overflowing schedule still ends in a non-finite stage.  The
+fn.scalar, and the squares that the beta > 0 fold takes through _square, so
+an overflowing schedule still ends in a non-finite stage.  The
 condition checkers and the observables keep the array forms.  Every stage
 time is at least t0 and lambda is nondecreasing, so validation's one check
 of lambda(t0) against its floor covers every step; the public rhs_*,
@@ -68,15 +78,15 @@ config that has passed validation.
 
 The stage combinations, the error norm and the step controller perform,
 coordinate by coordinate, the same IEEE operations in the same order as the
-numpy expressions in the templates' comments, so a trajectory equals that
-of the array formulation bit for bit (tests/trajectory_pins.json pins a set
-of them).  The error norm keeps its 2 * dim squares, x block first, in
-lists and sums them left to right in a plain loop, at every dim and in both
-kinds of lane; numpy's pairwise reduction would take that order only for
-fewer than 8 terms.  A step whose error norm is not finite raises
-DivergenceError naming t and h, and the divergence guard (_check_state)
-bounds the whole state (x, y), failing on a NaN anywhere; both errors, and
-StepSizeError, carry t_last and h.  The step counters are locals, written to
+numpy expressions in the templates' comments, and a scalar source equals
+the array prox bit for bit, so a trajectory equals that of the array
+formulation bit for bit (tests/trajectory_pins.json pins a set of them).
+The error norm sums its 2 * dim squares left to right, x block first, at
+every dim and in every kind of lane (_sum_src); numpy's pairwise reduction
+would take that order only for fewer than 8 terms.  A step whose error
+norm is not finite raises DivergenceError naming t and h, and the
+divergence guard (_check_state) bounds the whole state (x, y), failing on a
+NaN anywhere; both errors, and StepSizeError, carry t_last and h.  The step counters are locals, written to
 StepStats when the loop ends and before every raise.  The public rhs_* and
 the first stage take the same stage constants, lanes and right-hand side,
 so they match the steppers bit for bit.  initial_aux, which runs once,
@@ -87,10 +97,12 @@ residual_second_order shares that array gradient.
 
 from __future__ import annotations
 
+import ast
 import functools
 import linecache
 import math
 import string
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,18 +184,11 @@ def _grad(prox, lam, x):
     return (x - prox(lam, x)) / lam
 
 
-def _lane_prox(cfg: SystemConfig):
-    """(prox, numpy_lane): the prox that the kernels call, and whether the
-    point runs as one numpy lane.  A float lane calls prox(i, lam, x), the
-    scalar form coordinate_prox; the numpy lane calls prox(lam, x)."""
-    prox = cfg.objective.prox
-    coordinate_prox = getattr(prox, "coordinate_prox", None)
-    return (prox, True) if coordinate_prox is None else (coordinate_prox, False)
-
-
-def _split(v, numpy_lane: bool) -> list:
-    """The lane values of a 1-D array of dim floats."""
-    return [np.array(v, dtype=float)] if numpy_lane else v.tolist()
+def _split(v, lane: str):
+    """The lane values of a 1-D array of dim floats: one float per lane in a
+    list, the one float of the local lane, or the numpy lane's array."""
+    return (float(v[0]) if lane == "local" else [np.array(v, dtype=float)] if lane == "numpy"
+            else v.tolist())
 
 
 # the kernels' arguments after the state: the run's numbers and the
@@ -216,14 +221,17 @@ def _check_state(settings: IntegratorSettings, t_last: float, h: float, u: list)
 #
 # A template is the source of one function.  A line "$name args" is a block
 # macro, replaced by the lines that _MACROS[name](variant, *args) returns at
-# its indentation; every other $name is a token (_tokens).  X, Y, KX and KY
-# are the lane values of the state u = (x, y) and of k0, the derivative at
-# (t, u); each stage argument is, lane by lane, the array expression in the
-# comment above it, with k = (kx, ky).
+# its indentation; the block indented under the macro line is its body, which
+# the line "$body" in those lines places.  Every other $name is a token
+# (_tokens).  X, Y, KX and KY are the lane values of the state u = (x, y)
+# and of k0, the derivative at (t, u); (X$flat) is a sequence of the
+# coordinates of X, and X$at the value of X in lane i.  Each stage argument
+# is, lane by lane, the array expression in the comment above it, with
+# k = (kx, ky).
 
 _RHS_TEMPLATE = """\
 def rhs(X, Y, t, prox, $params):
-    lanes = range(len(X))
+    $prelude
     $k0 t
     return KX, KY
 """
@@ -234,12 +242,13 @@ def dp5(X, Y, t, T, prox, settings, stats, samples, $params):
     max_steps, threshold = settings.max_steps, settings.divergence_threshold
     stride = settings.sample_stride
     ts, us, xdots = samples
-    lanes = range(len(X))
+    $prelude
     $k0 t
+    u = (X$flat) + (Y$flat)
     ts.append(t)
-    us += X$flat + Y$flat
-    xdots += KX$flat
-    accepted, rejected, nfev, n2 = 0, 0, 1, 2 * len(X$flat)
+    us += u
+    xdots += (KX$flat)
+    accepted, rejected, nfev, n2 = 0, 0, 1, len(u)
     h = min((T - t) / 100.0, 1.0, max_step)
     while t < T:
         if accepted + rejected >= max_steps:
@@ -253,9 +262,8 @@ def dp5(X, Y, t, T, prox, settings, stats, samples, $params):
         t4 = t + $c4 * h
         t5 = t + $c5 * h
         $consts t1 t2 t3 t4 t5
-        XN, YN, KXN, KYN, SX, SY = [], [], [], [], [], []
-        for i in lanes:
-            x, y, kx0, ky0 = X[i], Y[i], KX[i], KY[i]
+        $lanes XN=xn YN=yn KXN=kx6 KYN=ky6 SX=sx SY=sy
+            x, y, kx0, ky0 = X$at, Y$at, KX$at, KY$at
             # u + h * (a10 * k0)
             x1 = x + h * ($a10 * kx0)
             y1 = y + h * ($a10 * ky0)
@@ -285,18 +293,12 @@ def dp5(X, Y, t, T, prox, settings, stats, samples, $params):
                   / (atol + rtol * $max(abs(x), abs(xn))))
             qy = (h * ($e0 * ky0 + $e2 * ky2 + $e3 * ky3 + $e4 * ky4 + $e5 * ky5 + $e6 * ky6)
                   / (atol + rtol * $max(abs(y), abs(yn))))
-            XN.append(xn)
-            YN.append(yn)
-            KXN.append(kx6)
-            KYN.append(ky6)
-            SX.append(qx * qx)
-            SY.append(qy * qy)
+            sx = qx * qx
+            sy = qy * qy
         nfev += 6
         # err_norm = sqrt(mean((err / scale) ** 2)), the 2m squares summed
         # left to right, x block first
-        total = 0.0
-        for q2 in SX$flat + SY$flat:
-            total += q2
+        $sum total SX SY
         err_norm = math.sqrt(total / n2)
         if not math.isfinite(err_norm):
             $save
@@ -306,7 +308,7 @@ def dp5(X, Y, t, T, prox, settings, stats, samples, $params):
             t_prev = t
             t = T if (T - t - h) <= 1e-15 * T else t + h
             X, Y, KX, KY = XN, YN, KXN, KYN
-            u = X$flat + Y$flat
+            u = (X$flat) + (Y$flat)
             for v in u:  # the test of check_state, which raises with its message
                 if not abs(v) <= threshold:
                     $save
@@ -315,7 +317,7 @@ def dp5(X, Y, t, T, prox, settings, stats, samples, $params):
             if t >= T or accepted % stride == 0:
                 ts.append(t)
                 us += u
-                xdots += KX$flat
+                xdots += (KX$flat)
         else:
             rejected += 1
         # h *= min(5.0, max(0.2, factor)), then h = min(h, max_step)
@@ -333,11 +335,11 @@ _RK4_TEMPLATE = """\
 def rk4(X, Y, t, T, prox, settings, stats, samples, $params):
     threshold, stride = settings.divergence_threshold, settings.sample_stride
     ts, us, xdots = samples
-    lanes = range(len(X))
+    $prelude
     $k0 t
     ts.append(t)
-    us += X$flat + Y$flat
-    xdots += KX$flat
+    us += (X$flat) + (Y$flat)
+    xdots += (KX$flat)
     accepted, rejected, nfev = 0, 0, 1
     # compared as a float: an inf step count has no integer ceiling
     span = (T - t) / settings.fixed_step - 1e-12
@@ -354,9 +356,8 @@ def rk4(X, Y, t, T, prox, settings, stats, samples, $params):
         t1 = t + 0.5 * h
         t2 = t + h
         $consts t1 t2
-        XN, YN = [], []
-        for i in lanes:
-            x, y, kx0, ky0 = X[i], Y[i], KX[i], KY[i]
+        $lanes XN=xn YN=yn
+            x, y, kx0, ky0 = X$at, Y$at, KX$at, KY$at
             # u + 0.5 * h * k0, u + 0.5 * h * k1, u + h * k2
             x1 = x + 0.5 * h * kx0
             y1 = y + 0.5 * h * ky0
@@ -368,10 +369,10 @@ def rk4(X, Y, t, T, prox, settings, stats, samples, $params):
             y3 = y + h * ky2
             $rhs 2 x3 y3 kx3 ky3
             # u + (h / 6.0) * (k0 + 2.0 * k1 + 2.0 * k2 + k3)
-            XN.append(x + (h / 6.0) * (kx0 + 2.0 * kx1 + 2.0 * kx2 + kx3))
-            YN.append(y + (h / 6.0) * (ky0 + 2.0 * ky1 + 2.0 * ky2 + ky3))
+            xn = x + (h / 6.0) * (kx0 + 2.0 * kx1 + 2.0 * kx2 + kx3)
+            yn = y + (h / 6.0) * (ky0 + 2.0 * ky1 + 2.0 * ky2 + ky3)
         X, Y = XN, YN
-        u = X$flat + Y$flat
+        u = (X$flat) + (Y$flat)
         # the guard sees the new state before the right-hand side does; the
         # test of check_state, which raises with its message
         for v in u:
@@ -385,7 +386,7 @@ def rk4(X, Y, t, T, prox, settings, stats, samples, $params):
         if step == nsteps - 1 or accepted % stride == 0:
             ts.append(t)
             us += u
-            xdots += KX$flat
+            xdots += (KX$flat)
     $save
 """
 
@@ -423,12 +424,22 @@ _DP5_TABLEAU = {
 class _Variant:
     beta_positive: bool
     lam_kind: str  # "constant", "power" or "bounded"
-    numpy_lane: bool
+    lane: str  # "float", "local" or "numpy"
+    prox_source: str = ""  # float and local lanes: the prox's scalar source
+    prox_params: tuple = ()  # and the names of its parameters
 
 
 # lambda(t) by form, the expressions of LambdaForm.scalar with lv from _params;
 # a constant lambda is the argument lv itself
 _LAM = {"power": "{t} ** lv", "bounded": "1.0 - {t} ** lv"}
+
+
+def _square(v: float) -> float:
+    """v ** 2, or inf where Python's ** overflows, as the scalar forms give."""
+    try:
+        return v ** 2
+    except OverflowError:
+        return math.inf
 
 
 def _consts_src(v: _Variant, *times: str) -> str:
@@ -437,9 +448,10 @@ def _consts_src(v: _Variant, *times: str) -> str:
     unless constant), then what _rhs_src takes: ak = -(alpha / tk) when
     beta = 0, and cxk, dxk, dyk when beta > 0.  The values are the
     monomials B * t ** n and so on, as the scalar forms compute them; when
-    one of those ** overflows, all of them are recomputed through the
-    scalar forms, which give +-inf there instead."""
-    fast, scalar, fold = [], [], []
+    one of those ** overflows, or a square that dxk takes, all of them are
+    recomputed through the scalar forms and _square, which give +-inf there
+    instead."""
+    fast, scalar, fold, safe_fold = [], [], [], []
     for t in times:
         k = t[1:] or "0"
         values = {"b": (f"B * {t} ** n", "b_s"), "e": (f"E * {t} ** md", "eps_s")}
@@ -447,19 +459,33 @@ def _consts_src(v: _Variant, *times: str) -> str:
             values["bd"] = (f"Bn * {t} ** nm1", "bdot_s")
         if v.lam_kind != "constant":
             values["l"] = (_LAM[v.lam_kind].format(t=t), "lam_s")
-        fast += [f"    {name}{k} = {expr}" for name, (expr, _) in values.items()]
-        scalar.append("    " + ", ".join(name + k for name in values) + " = "
+        fast += [f"{name}{k} = {expr}" for name, (expr, _) in values.items()]
+        scalar.append(", ".join(name + k for name in values) + " = "
                       + ", ".join(f"{fn}({t})" for _, fn in values.values()))
         if v.beta_positive:
             # cx = alpha / t - b / beta, dy = b / beta and
             # dx = b_dot + alpha * beta / t**2 + beta * eps + b**2 / beta - alpha * b / t
-            fold += [f"cx{k} = alpha / {t} - b{k} / beta",
-                     f"dx{k} = bd{k} + alpha * beta / {t} ** 2 + beta * e{k} + b{k} ** 2 / beta"
-                     f" - alpha * b{k} / {t}",
-                     f"dy{k} = b{k} / beta"]
+            cx, dy = f"cx{k} = alpha / {t} - b{k} / beta", f"dy{k} = b{k} / beta"
+            dx = (f"dx{k} = bd{k} + alpha * beta / {{t2}} + beta * e{k} + {{b2}} / beta"
+                  f" - alpha * b{k} / {t}")
+            fold += [cx, dx.format(t2=f"{t} ** 2", b2=f"b{k} ** 2"), dy]
+            safe_fold += [cx, dx.format(t2=f"square({t})", b2=f"square(b{k})"), dy]
         else:
             fold.append(f"a{k} = -(alpha / {t})")
-    return "\n".join(["try:", *fast, "except OverflowError:", *scalar, *fold])
+            safe_fold.append(fold[-1])
+    return "\n".join(["try:", *("    " + line for line in fast + fold), "except OverflowError:",
+                      *("    " + line for line in scalar + safe_fold)])
+
+
+def _prox_src(v: _Variant, x: str, lam: str) -> str:
+    """The prox's scalar source at the coordinate x and index lam, its
+    parameters renamed to the kernel's locals prox_<name>."""
+    names = {"u": x, "lam": lam, **{name: "prox_" + name for name in v.prox_params}}
+    tree = ast.parse(v.prox_source, mode="eval")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            node.id = names.get(node.id, node.id)
+    return f"({ast.unparse(tree)})"
 
 
 def _rhs_src(v: _Variant, k: str, x: str, y: str, kx: str, ky: str) -> str:
@@ -467,7 +493,7 @@ def _rhs_src(v: _Variant, k: str, x: str, y: str, kx: str, ky: str) -> str:
     stage constants of suffix k; the only place each reformulation is
     written.  It checks nothing."""
     lam = "lv" if v.lam_kind == "constant" else f"l{k}"
-    prox = f"prox({lam}, {x})" if v.numpy_lane else f"prox(i, {lam}, {x})"
+    prox = f"prox({lam}, {x})" if v.lane == "numpy" else _prox_src(v, x, lam)
     grad = f"(({x} - {prox}) / {lam})"
     if v.beta_positive:
         # xdot = -beta * grad - (alpha / t - b / beta) * x - y / beta
@@ -481,18 +507,49 @@ def _rhs_src(v: _Variant, k: str, x: str, y: str, kx: str, ky: str) -> str:
 def _k0_src(v: _Variant, t: str) -> str:
     """KX, KY: the derivative of every lane at (t, X, Y)."""
     return (f"$consts {t}\n"
-            "KX, KY = [], []\n"
-            "for i in lanes:\n"
-            "    x, y = X[i], Y[i]\n"
-            "    $rhs 0 x y kx0 ky0\n"
-            "    KX.append(kx0)\n"
-            "    KY.append(ky0)")
+            "$lanes KX=kx0 KY=ky0\n"
+            "    x, y = X$at, Y$at\n"
+            "    $rhs 0 x y kx0 ky0")
+
+
+def _lanes_src(v: _Variant, *outputs: str) -> str:
+    """The body run in every lane.  Each output NAME=local gathers local
+    from every lane into NAME: a list, but the float itself on the local
+    lane, which runs the body once, without a loop."""
+    pairs = [output.split("=") for output in outputs]
+    if v.lane == "local":
+        return "\n".join(["$body", *(f"{name} = {local}" for name, local in pairs)])
+    return "\n".join([", ".join(name for name, _ in pairs) + " = " + ", ".join(["[]"] * len(pairs)),
+                      "for i in lanes:", "    $body",
+                      *(f"    {name}.append({local})" for name, local in pairs)])
+
+
+def _sum_src(v: _Variant, total: str, *gathered: str) -> str:
+    """total = 0.0 plus the lane values of each gathered name in turn, added
+    left to right."""
+    if v.lane == "local":
+        return f"{total} = 0.0 + {' + '.join(gathered)}"
+    return (f"{total} = 0.0\n"
+            f"for q in {' + '.join(f'({name}$flat)' for name in gathered)}:\n"
+            f"    {total} += q")
+
+
+def _prelude_src(v: _Variant) -> str:
+    """The lanes (the local lane is lane i = 0) and, on a float or local
+    lane, the prox source's parameters, whose values the argument prox holds."""
+    lines = ["i = 0" if v.lane == "local" else "lanes = range(len(X))"]
+    if v.prox_params:
+        lines.append(", ".join("prox_" + name for name in v.prox_params) + ", = prox")
+    return "\n".join(lines)
 
 
 _MACROS = {
     "consts": _consts_src,
     "rhs": _rhs_src,
     "k0": _k0_src,
+    "lanes": _lanes_src,
+    "sum": _sum_src,
+    "prelude": _prelude_src,
     # the counters are locals until the loop ends or raises
     "save": lambda v: "stats.accepted, stats.rejected, stats.nfev = accepted, rejected, nfev",
 }
@@ -501,19 +558,29 @@ _MACROS = {
 def _tokens(v: _Variant) -> dict:
     tokens = {name: repr(value) for name, value in _DP5_TABLEAU.items()}
     tokens.update(params=_PARAMS, min_step=repr(_MIN_STEP),
-                  max="maximum" if v.numpy_lane else "max",
-                  flat="[0].tolist()" if v.numpy_lane else "")
+                  max="maximum" if v.lane == "numpy" else "max",
+                  flat={"float": "", "local": ",", "numpy": "[0].tolist()"}[v.lane],
+                  at="" if v.lane == "local" else "[i]")
     return tokens
 
 
-def _expand(template: str, v: _Variant, tokens: dict) -> list:
-    lines = []
-    for line in template.splitlines():
-        body = line.lstrip()
-        name, *args = body[1:].split() if body.startswith("$") else [None]
-        if name in _MACROS:
-            indent = line[:len(line) - len(body)]
-            lines += [indent + sub for sub in _expand(_MACROS[name](v, *args), v, tokens)]
+def _expand(template: str, v: _Variant, tokens: dict, body: list = ()) -> list:
+    rows, lines, r = template.splitlines(), [], 0
+    while r < len(rows):
+        line = rows[r]
+        r += 1
+        text = line.lstrip()
+        indent = line[:len(line) - len(text)]
+        name, *args = text[1:].split() if text.startswith("$") else [None]
+        if name == "body":
+            lines += [indent + sub for sub in body]
+        elif name in _MACROS:
+            block = []  # the lines indented under the macro line
+            while r < len(rows) and rows[r].startswith(indent + "    "):
+                block.append(rows[r][len(indent) + 4:])
+                r += 1
+            block = _expand("\n".join(block), v, tokens)
+            lines += [indent + sub for sub in _expand(_MACROS[name](v, *args), v, tokens, block)]
         else:
             lines.append(string.Template(line).substitute(tokens))
     return lines
@@ -526,37 +593,50 @@ def _source(kind: str, v: _Variant) -> str:
 
 
 @functools.lru_cache(maxsize=None)
-def _kernel(kind: str, beta_positive: bool, lam_kind: str, numpy_lane: bool):
-    """The compiled kernel of kind for one variant, built the first time it
-    is asked for and kept for the process.  Its source is registered with
-    linecache, for the traceback module to show its lines."""
-    v = _Variant(beta_positive, lam_kind, numpy_lane)
+def _kernel(kind: str, *variant):
+    """The compiled kernel of kind for one variant (the fields of _Variant),
+    built the first time it is asked for and kept for the process.  Its
+    source is registered with linecache, for the traceback module to show
+    its lines; the name of a kernel with an inlined prox ends in the CRC-32
+    of its source, since the prox source tells such kernels apart."""
+    v = _Variant(*variant)
     src = _source(kind, v)
-    filename = (f"<proxdyn {_TEMPLATES[kind][0]} beta{'>' if beta_positive else '='}0 "
-                f"lam={lam_kind} {'numpy' if numpy_lane else 'float'}>")
+    filename = (f"<proxdyn {_TEMPLATES[kind][0]} beta{'>' if v.beta_positive else '='}0 "
+                f"lam={v.lam_kind} {v.lane}"
+                f"{f' {zlib.crc32(src.encode()):08x}' if v.prox_source else ''}>")
     linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
-    namespace = {"math": math, "maximum": np.maximum, "check_state": _check_state,
+    namespace = {"math": math, "maximum": np.maximum, "square": _square,
+                 "check_state": _check_state,
                  "DivergenceError": DivergenceError, "StepSizeError": StepSizeError}
     exec(compile(src, filename, "exec"), namespace)
     return namespace[_TEMPLATES[kind][0]]
 
 
 def _variant_kernel(kind: str, cfg: SystemConfig):
-    """(kernel, prox, numpy_lane) for cfg."""
-    prox, numpy_lane = _lane_prox(cfg)
-    kernel = _kernel(kind, cfg.beta != 0.0, cfg.schedule.poly.lam.kind, numpy_lane)
-    return kernel, prox, numpy_lane
+    """(kernel, prox, lane) for cfg, where prox is the kernel's argument prox:
+    the array prox on the numpy lane, which runs a prox without a scalar
+    source, and otherwise the values of the source's parameters.  A
+    one-dimensional objective with a source runs on the local lane."""
+    prox = cfg.objective.prox
+    source = getattr(prox, "coordinate_source", None)
+    if source is None:
+        lane, names = "numpy", ()
+    else:
+        lane = "local" if cfg.objective.dim == 1 else "float"
+        names, prox = tuple(prox.coordinate_params), tuple(prox.coordinate_params.values())
+    kernel = _kernel(kind, cfg.beta != 0.0, cfg.schedule.poly.lam.kind, lane, source or "", names)
+    return kernel, prox, lane
 
 
 def _rhs_at(cfg: SystemConfig, t: float, x, y):
     """(xdot, ydot) at one time, through the same stage constants, lanes and
     right-hand side as the steppers."""
-    kernel, prox, numpy_lane = _variant_kernel("rhs", cfg)
+    kernel, prox, lane = _variant_kernel("rhs", cfg)
     m = cfg.objective.dim
-    X, Y = (_split(np.broadcast_to(np.asarray(v, dtype=float), (m,)), numpy_lane)
-            for v in (x, y))
+    X, Y = (_split(np.broadcast_to(np.asarray(v, dtype=float), (m,)), lane) for v in (x, y))
     KX, KY = kernel(X, Y, float(t), prox, *_params(cfg))
-    return tuple(np.array(K[0].tolist() if numpy_lane else K) for K in (KX, KY))
+    return tuple(np.array(K[0].tolist() if lane == "numpy" else [K] if lane == "local" else K)
+                 for K in (KX, KY))
 
 
 def rhs_beta_positive(cfg: SystemConfig, t: float, x, y):
@@ -594,11 +674,11 @@ def integrate(cfg: SystemConfig, settings: IntegratorSettings = None) -> Traject
         settings = IntegratorSettings()
     settings.validate()
     cfg.validate()
-    kernel, prox, numpy_lane = _variant_kernel(settings.method, cfg)
+    kernel, prox, lane = _variant_kernel(settings.method, cfg)
     stats, samples = StepStats(), ([], [], [])
     # samples is three flat lists (ts, us, xdots) that each sample extends;
     # one list per sample would leave the allocator fragmented after long runs
-    kernel(_split(cfg.x0, numpy_lane), _split(initial_aux(cfg), numpy_lane), float(cfg.t0),
+    kernel(_split(cfg.x0, lane), _split(initial_aux(cfg), lane), float(cfg.t0),
            cfg.horizon, prox, settings, stats, samples, *_params(cfg))
     m = cfg.objective.dim
     ts, us, xdots = (np.array(column, dtype=float) for column in samples)

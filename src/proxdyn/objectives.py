@@ -12,6 +12,7 @@ fixed setting: a bracket half-width of at least 1, a stopping length of
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 from dataclasses import dataclass, field
@@ -72,13 +73,20 @@ class Objective:
     coordinate u; both exist so finite-difference checks can keep away from
     them.
 
-    The prox of each built-in also carries a scalar form, the function
-    attribute prox.coordinate_prox(i, lam, u): coordinate i of prox(lam, x)
-    where x[i] = u, on Python floats.  It must equal the array prox bit for
-    bit, signed zeros included (prox-selftest checks it); the integrator uses
-    it instead of the array prox when present.  It lives on the function,
-    not on the Objective, so replacing prox (dataclasses.replace) drops it
-    and the integrator then calls the new array prox.
+    The prox of each built-in also carries a scalar form, written once as
+    the source of one Python expression, prox.coordinate_source: coordinate
+    i of prox(lam, x) where x[i] = u, in the names i, lam, u, builtins and
+    the keys of the dict prox.coordinate_params, which holds their values.
+    prox.coordinate_prox(i, lam, u) is that expression compiled, on Python
+    floats.  It must equal the array prox bit for bit, signed zeros and NaN
+    included (prox-selftest checks coordinate_prox).  The source is the
+    integrator's contract: it splices the expression into its generated
+    loops in place of a prox call, and runs a prox without a source, even
+    one that has coordinate_prox, through the array prox.  These attributes
+    live on the function, not on the Objective, so replacing prox
+    (dataclasses.replace) drops them, unless the new function copies them
+    as functools.wraps does, and the integrator then calls the new array
+    prox.
     """
 
     name: str
@@ -90,6 +98,29 @@ class Objective:
     coordinate_value: Optional[Callable[[int, float], float]] = None
     kink_points: Callable[[float], tuple] = field(default=lambda lam: ())
     lambda_switches: Callable[[float], tuple] = field(default=lambda u: ())
+
+
+@functools.lru_cache(maxsize=None)
+def _lambda_code(source: str):
+    # compiled once per source: objectives are built per run and per scan draw
+    return compile(f"lambda i, lam, u: {source}", "<coordinate_prox>", "eval")
+
+
+def _scalar_form(prx, source: str, **params):
+    """Give the array prox prx its scalar form: the expression source in i,
+    lam, u and params, and coordinate_prox compiled from it."""
+    prx.coordinate_source = source
+    prx.coordinate_params = params
+    prx.coordinate_prox = eval(_lambda_code(source), dict(params))
+    return prx
+
+
+# soft thresholding np.sign(u) * np.maximum(np.abs(u) - lam, 0.0) on a float,
+# branch by branch with the same bits: u - lam above lam, +0.0 on [-0.0, lam],
+# -0.0 on [-lam, -0.0), u + lam below -lam (the negated |u| - lam), and NaN
+# passed through
+_SOFT = ("(u - lam if u > lam else 0.0 if u >= 0.0 else u + lam if u < -lam"
+         " else -0.0 if u < 0.0 else u)")
 
 
 def _require_lam(lam: float) -> float:
@@ -303,18 +334,11 @@ def abs_plus_quad() -> Objective:
     def prx(lam, x):
         return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0) / (1.0 + lam)
 
-    def coordinate_prox(i, lam, u):
-        # np.sign(u) inline: +0.0 for either zero, NaN for NaN
-        sign = 1.0 if u > 0.0 else -1.0 if u < 0.0 else u if u != u else 0.0
-        return sign * max(abs(u) - lam, 0.0) / (1.0 + lam)
-
-    prx.coordinate_prox = coordinate_prox
-
     return Objective(
         name="abs_plus_quad",
         dim=1,
         value=value,
-        prox=prx,
+        prox=_scalar_form(prx, f"{_SOFT} / (1.0 + lam)"),
         phi_star=0.0,
         x_star=np.zeros(1),
         coordinate_value=lambda i, u: abs(u) + 0.5 * u * u,
@@ -334,24 +358,12 @@ def dist_to_interval() -> Objective:
         out = np.where(x < -1.0 - lam, x + lam, np.where(x < -1.0, -1.0, out))
         return out.astype(float)
 
-    def coordinate_prox(i, lam, u):
-        if u > 1.0 + lam:
-            return u - lam
-        if u > 1.0:
-            return 1.0
-        if u < -1.0 - lam:
-            return u + lam
-        if u < -1.0:
-            return -1.0
-        return u
-
-    prx.coordinate_prox = coordinate_prox
-
     return Objective(
         name="dist_to_interval",
         dim=1,
         value=value,
-        prox=prx,
+        prox=_scalar_form(prx, "(u - lam if u > 1.0 + lam else 1.0 if u > 1.0"
+                               " else u + lam if u < -1.0 - lam else -1.0 if u < -1.0 else u)"),
         phi_star=0.0,
         x_star=np.zeros(1),
         coordinate_value=lambda i, u: max(abs(u) - 1.0, 0.0),
@@ -371,18 +383,11 @@ def l1_norm(dim: int = 1) -> Objective:
     def prx(lam, x):
         return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
 
-    def coordinate_prox(i, lam, u):
-        # np.sign(u) inline: +0.0 for either zero, NaN for NaN
-        sign = 1.0 if u > 0.0 else -1.0 if u < 0.0 else u if u != u else 0.0
-        return sign * max(abs(u) - lam, 0.0)
-
-    prx.coordinate_prox = coordinate_prox
-
     return Objective(
         name="l1_norm",
         dim=dim,
         value=value,
-        prox=prx,
+        prox=_scalar_form(prx, _SOFT),
         phi_star=0.0,
         x_star=np.zeros(dim),
         coordinate_value=lambda i, u: abs(u),
@@ -397,7 +402,6 @@ def scaled_shifted_quadratic(c: float = 1.0, z=4.0) -> Objective:
     if not 0.0 < c < math.inf:
         raise ParameterDomainError("c must be a positive real")
     zarr = as_point(z)
-    zs = zarr.tolist()
 
     def value(x):
         return 0.5 * c * np.sum((x - zarr) ** 2, axis=-1)
@@ -405,16 +409,11 @@ def scaled_shifted_quadratic(c: float = 1.0, z=4.0) -> Objective:
     def prx(lam, x):
         return (x + lam * c * zarr) / (1.0 + lam * c)
 
-    def coordinate_prox(i, lam, u):
-        return (u + lam * c * zs[i]) / (1.0 + lam * c)
-
-    prx.coordinate_prox = coordinate_prox
-
     return Objective(
         name="scaled_shifted_quadratic",
         dim=zarr.size,
         value=value,
-        prox=prx,
+        prox=_scalar_form(prx, "(u + lam * c * z[i]) / (1.0 + lam * c)", c=c, z=zarr.tolist()),
         phi_star=0.0,
         x_star=zarr.copy(),
         coordinate_value=lambda i, u: 0.5 * c * (u - zarr[i]) ** 2,
@@ -435,18 +434,13 @@ def box_indicator(lo: float = -1.0, hi: float = 1.0, dim: int = 1) -> Objective:
     def prx(lam, x):
         return np.clip(x, lo, hi)
 
-    def coordinate_prox(i, lam, u):
-        # like np.clip, a bound replaces u only when strictly beyond it, so
-        # -0.0 stays -0.0 at a bound 0.0 and NaN stays NaN
-        return min(max(u, lo), hi)
-
-    prx.coordinate_prox = coordinate_prox
-
     return Objective(
         name="box_indicator",
         dim=dim,
         value=value,
-        prox=prx,
+        # like np.clip, a bound replaces u only when strictly beyond it, so
+        # -0.0 stays -0.0 at a bound 0.0 and NaN stays NaN
+        prox=_scalar_form(prx, "min(max(u, lo), hi)", lo=lo, hi=hi),
         phi_star=0.0,
         x_star=np.full(dim, min(max(0.0, lo), hi)),
         coordinate_value=lambda i, u: 0.0 if lo <= u <= hi else math.inf,

@@ -228,7 +228,8 @@ def run_prox_selftest(objectives=None, seed: int = 12345, samples: int = 100):
 
     battery.run("gradient 1/lambda Lipschitz", 1e-9, gradient_lipschitz)
 
-    # the integrator's scalar prox; an objective without one is skipped
+    # the scalar prox, which a built-in compiles from the source the integrator
+    # inlines; an objective without one is skipped
     scalar = [obj for obj in objectives if hasattr(obj.prox, "coordinate_prox")]
 
     def scalar_prox_bits(rng):

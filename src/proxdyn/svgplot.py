@@ -7,8 +7,8 @@ axis cannot show (nonpositive values) are dropped from that series.
 
 from __future__ import annotations
 
+import html
 import math
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -50,6 +50,69 @@ def _log_ticks(lo: float, hi: float):
     if dhi < dlo:
         return [lo, hi]
     return [10.0 ** d for d in range(dlo, dhi + 1)]
+
+
+def _escape(text: str) -> str:
+    """&, < and > escaped, as SVG text content needs."""
+    return html.escape(text, quote=False)
+
+
+# _points lays out a value's text in 8 uint16 words: (pad, sign), the 4 digit
+# pairs of the integer part, (".", pad), the 2 decimals and (separator, pad).
+# _PAIRS holds "00" to "99" as words, _KEEP the bytes kept for every value,
+# and _DIGIT_FROM the least integer part that has a digit at byte 2, ..., 8.
+_PAIRS = np.array([list(b"%02d" % k) for k in range(100)], dtype=np.uint8).view(np.uint16)[:, 0]
+_KEEP = np.array([0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 1, 1, 1, 0], dtype=bool)
+_DIGIT_FROM = [10 ** k for k in range(7, 0, -1)]
+
+
+def _points(xs: np.ndarray, ys: np.ndarray) -> str:
+    """" ".join("%.2f,%.2f" % p for p in zip(xs, ys)), built in numpy.
+
+    Each value v is written from n = rint(|v| * 100): a "-" when v's sign
+    bit is set (as "%.2f" writes it, even for a value that rounds to 0), the
+    digits of n // 100 without leading zeros, "." and the two of n % 100.
+    The bytes of every value's longest text are laid out in a matrix, and a
+    mask keeps those of its text.  Below 1e9, |v| * 100 is within 6e-8 of
+    its exact value, so its rint rounds as "%.2f" does unless it lies within
+    1e-6 of a half; "%.2f" itself writes those values, any |v| >= 1e7 and
+    non-finite v."""
+    v = np.column_stack([xs, ys]).ravel()
+    a = np.abs(v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = a * 100.0
+        fast = (a < 1e7) & (np.abs(s - np.floor(s) - 0.5) >= 1e-6)  # False for inf, NaN
+    n = np.rint(np.where(fast, s, 0.0)).astype(np.int32)
+    q = n // 100
+    words = np.empty((v.size, 8), dtype=np.uint16)
+    for col, pair in ((1, q // 1000000), (2, q // 10000 % 100), (3, q // 100 % 100),
+                      (4, q % 100), (6, n % 100)):
+        words[:, col] = _PAIRS[pair]
+    chars = words.view(np.uint8)
+    chars[:, 1] = ord("-")
+    chars[:, 10] = ord(".")
+    chars[0::2, 14] = ord(",")
+    chars[1::2, 14] = ord(" ")
+    keep = np.empty(chars.shape, dtype=bool)
+    keep[:] = _KEEP
+    keep[:, 1] = np.signbit(v)
+    for col, least in enumerate(_DIGIT_FROM, 2):
+        keep[:, col] = q >= least
+    keep[~fast, :14] = False
+    keep[-1:, 14] = False
+    text = chars[keep].tobytes().decode("ascii")
+    slow = np.flatnonzero(~fast)
+    if slow.size == 0:
+        return text
+    # a slow value's text goes where its row starts, before its separator
+    widths = keep.sum(axis=1)
+    starts = (np.cumsum(widths) - widths)[slow].tolist()
+    pieces, at = [], 0
+    for k, start in zip(slow.tolist(), starts):
+        pieces += [text[at:start], "%.2f" % v[k]]
+        at = start
+    pieces.append(text[at:])
+    return "".join(pieces)
 
 
 def _fmt(v: float) -> str:
@@ -125,29 +188,29 @@ def line_chart(path, series, title="", xlabel="t", ylabel="",
            f'<rect width="{_W}" height="{_H}" fill="white"/>']
     if title:
         out.append(f'<text x="{_W / 2}" y="22" text-anchor="middle" '
-                   f'font-size="15">{escape(title)}</text>')
+                   f'font-size="15">{_escape(title)}</text>')
 
     for tv in ax.ticks:
         px = ax.pix(tv)
         out.append(f'<line x1="{px:.2f}" y1="{_MT}" x2="{px:.2f}" y2="{_H - _MB}" '
                    f'stroke="#dddddd" stroke-width="1"/>')
         out.append(f'<text x="{px:.2f}" y="{_H - _MB + 18}" text-anchor="middle">'
-                   f'{escape(_fmt(tv))}</text>')
+                   f'{_escape(_fmt(tv))}</text>')
     for tv in ay.ticks:
         py = ay.pix(tv)
         out.append(f'<line x1="{_ML}" y1="{py:.2f}" x2="{_W - _MR}" y2="{py:.2f}" '
                    f'stroke="#dddddd" stroke-width="1"/>')
         out.append(f'<text x="{_ML - 6}" y="{py + 4:.2f}" text-anchor="end">'
-                   f'{escape(_fmt(tv))}</text>')
+                   f'{_escape(_fmt(tv))}</text>')
     out.append(f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" '
                f'height="{_H - _MT - _MB}" fill="none" stroke="#333333"/>')
     if xlabel:
         out.append(f'<text x="{(_ML + _W - _MR) / 2}" y="{_H - 12}" '
-                   f'text-anchor="middle">{escape(xlabel)}</text>')
+                   f'text-anchor="middle">{_escape(xlabel)}</text>')
     if ylabel:
         ypos = (_MT + _H - _MB) / 2
         out.append(f'<text x="16" y="{ypos}" text-anchor="middle" '
-                   f'transform="rotate(-90 16 {ypos})">{escape(ylabel)}</text>')
+                   f'transform="rotate(-90 16 {ypos})">{_escape(ylabel)}</text>')
 
     # series often share their x array (and mask), which is mapped once
     xpix = {}  # (id of an x array, its mask's bytes) -> pixels
@@ -157,14 +220,13 @@ def line_chart(path, series, title="", xlabel="t", ylabel="",
             key = (id(xs), mask.tobytes())
             if key not in xpix:
                 xpix[key] = ax.pixels(xs[mask])
-            xy = np.column_stack([xpix[key], ay.pixels(ys)]).ravel().tolist()
-            pts = " ".join(["%.2f,%.2f"] * ys.size) % tuple(xy)
-            out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
+            out.append(f'<polyline points="{_points(xpix[key], ay.pixels(ys))}" '
+                       f'fill="none" stroke="{color}" '
                        f'stroke-width="1.6"/>')
         ly = _MT + 16 + 18 * k
         out.append(f'<line x1="{_W - _MR - 130}" y1="{ly - 4}" x2="{_W - _MR - 104}" '
                    f'y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')
-        out.append(f'<text x="{_W - _MR - 98}" y="{ly}">{escape(str(label))}</text>')
+        out.append(f'<text x="{_W - _MR - 98}" y="{ly}">{_escape(str(label))}</text>')
 
     out.append("</svg>")
     with open(path, "w") as fh:

@@ -1,10 +1,14 @@
 """CLI subcommands and the exit-code contract."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import proxdyn
 from proxdyn import cli, objectives, runconfig
 from proxdyn.csvio import read_csv
 
@@ -316,6 +320,30 @@ def test_exit_code_non_finite_stage(tmp_path, monkeypatch, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "non-finite stage" in err and "h = " in err
+
+
+def test_exit_code_schedule_overflow(tmp_path, capsys):
+    # b = 1e160 t**2 is finite, but its square in the beta > 0 fold overflows
+    code = cli.main(["simulate", "--preset", "fig6", "--set", "schedule.b_coeff=1e160",
+                     "--set", "system.horizon=10", "--svg", "off", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "non-finite stage" in err and "last good t" in err
+    assert "internal error" not in err
+
+
+def test_import_leaves_out_unused_modules():
+    # xml.sax.saxutils pulls in urllib.request (numpy's pathlib has urllib.parse
+    # already); only sweep needs a process pool
+    script = ("import sys, proxdyn.cli; print(sorted(m for m in sys.modules if m in "
+              "('xml.sax', 'urllib.request', 'concurrent.futures.process')))")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(proxdyn.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
 
 
 def test_exit_code_step_size_collapse(tmp_path, capsys):

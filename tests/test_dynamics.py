@@ -1,6 +1,7 @@
 """Reformulation right-hand sides, integrators and the residual validator."""
 
 import dataclasses
+import linecache
 import math
 import os
 import pickle
@@ -27,6 +28,7 @@ from proxdyn import (
     check_alpha3_conditions,
     check_fast_rate_conditions,
     check_strong_conv_conditions,
+    dist_to_interval,
     l1_norm,
     moreau_value,
     polynomial_schedule,
@@ -190,7 +192,7 @@ def test_kernel_source_shows_in_tracebacks():
         integrate(cfg)
     frame = traceback.extract_tb(exc.value.__traceback__)[-1]
     assert frame.filename == "<proxdyn dp5 beta>0 lam=bounded numpy>"
-    src = dynamics._source("rk45_adaptive", dynamics._Variant(True, "bounded", True))
+    src = dynamics._source("rk45_adaptive", dynamics._Variant(True, "bounded", "numpy"))
     assert frame.line and frame.line == src.splitlines()[frame.lineno - 1].strip()
 
 
@@ -266,6 +268,8 @@ def test_divergence_guard_reports_last_good_time():
 
 
 VECTOR_OBJECTIVES = {
+    # the one coordinate of a 1-D run lives in locals, not in lists
+    "abs_plus_quad/1": (abs_plus_quad(), [3.0]),
     "l1_norm/3": (l1_norm(dim=3), [1.0, -2.0, 0.5]),
     # 16 squares in the error norm: past numpy's pairwise-sum threshold
     "l1_norm/8": (l1_norm(dim=8), [-3.0, -2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 3.0]),
@@ -277,8 +281,8 @@ VECTOR_OBJECTIVES = {
 @pytest.mark.parametrize("method", ["rk45_adaptive", "rk4_fixed"])
 @pytest.mark.parametrize("name", list(VECTOR_OBJECTIVES))
 def test_scalar_prox_path_matches_array_prox_path(name, method):
-    # the presets are all one-dimensional; here m > 1, and the swapped prox,
-    # which carries no scalar form, runs as one numpy lane against m float lanes
+    # the swapped prox, which carries no scalar form, runs as one numpy lane
+    # against m float lanes, or against the local lane when m = 1
     obj, x0 = VECTOR_OBJECTIVES[name]
     swapped = dataclasses.replace(obj, prox=lambda lam, x: obj.prox(lam, x))
     assert hasattr(obj.prox, "coordinate_prox")
@@ -291,6 +295,35 @@ def test_scalar_prox_path_matches_array_prox_path(name, method):
         assert (a.shape, a.tobytes()) == (b.shape, b.tobytes()), field
     assert runs[0].stats == runs[1].stats
     assert runs[0].xs.shape == (len(runs[0]), len(x0))
+
+
+@pytest.mark.parametrize("method", ["rk45_adaptive", "rk4_fixed"])
+def test_swapped_prox_runs_instead_of_the_inlined_builtin(method):
+    # same name, a different array prox: the kernel calls it on the numpy lane
+    l1 = l1_norm()
+    swapped = dataclasses.replace(abs_plus_quad(), prox=lambda lam, x: l1.prox(lam, x))
+    cfg = make_cfg(objective=swapped, horizon=14.0, x0=3.0)
+    assert dynamics._variant_kernel(method, cfg)[2] == "numpy"
+    settings = IntegratorSettings(method=method, fixed_step=0.01)
+    got, want, builtin = (integrate(c, settings) for c in (
+        cfg, make_cfg(objective=l1, horizon=14.0, x0=3.0), make_cfg(horizon=14.0, x0=3.0)))
+    for field in ("ts", "xs", "auxs", "xdots"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert (a.shape, a.tobytes()) == (b.shape, b.tobytes()), field
+    assert not np.array_equal(got.xs[-1], builtin.xs[-1])
+
+
+@pytest.mark.parametrize("obj", [abs_plus_quad(), dist_to_interval(), l1_norm(dim=3),
+                                 scaled_shifted_quadratic(2.0, [1.0, -0.5]),
+                                 box_indicator(-1.0, 1.0, dim=2)], ids=lambda obj: obj.name)
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+def test_builtin_kernels_inline_the_prox(obj, beta):
+    cfg = make_cfg(objective=obj, beta=beta, x0=[1.0] * obj.dim, xdot0=[0.0] * obj.dim)
+    for kind in ("rk45_adaptive", "rk4_fixed", "rhs"):
+        kernel, _, lane = dynamics._variant_kernel(kind, cfg)
+        assert lane == ("local" if obj.dim == 1 else "float")
+        src = "".join(linecache.getlines(kernel.__code__.co_filename))
+        assert src.startswith("def ") and "prox(" not in src
 
 
 @pytest.mark.parametrize("u", [[1.0, math.nan], [math.nan, 1.0]])

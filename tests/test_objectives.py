@@ -256,6 +256,41 @@ def test_envelope_same_minimum_hypothesis(lam, x):
 
 
 # ---------------------------------------------------------------------------
+# the scalar form that the integrator inlines
+
+SCALAR_FORMS = {
+    "abs_plus_quad": abs_plus_quad(),
+    "dist_to_interval": dist_to_interval(),
+    "l1_norm/3": l1_norm(dim=3),
+    "scaled_shifted_quadratic/3": scaled_shifted_quadratic(2.5, [4.0, -0.5, 0.0]),
+    "box_indicator/2": box_indicator(-1.0, 1.0, dim=2),
+    # a bound at 0.0, which -0.0 does not cross
+    "box_indicator/0..1": box_indicator(0.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", list(SCALAR_FORMS))
+def test_coordinate_prox_is_the_array_prox_bit_for_bit(name):
+    obj = SCALAR_FORMS[name]
+    lams = [1e-3, 0.5, 1.0, 2.5, 3.0]
+    values = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+              *np.random.default_rng(7).uniform(-6.0, 6.0, 40).tolist()]
+    for lam in lams:
+        for point in (*obj.kink_points(lam), 1.0, 1.0 + lam, 4.0, -0.5):
+            for v in (point, -point):
+                values += [v, np.nextafter(v, math.inf), np.nextafter(v, -math.inf)]
+    # coordinate_prox, and the source that the integrator splices in, compiled here
+    source = eval(f"lambda i, lam, u: {obj.prox.coordinate_source}",
+                  dict(obj.prox.coordinate_params))
+    for lam in lams:
+        for u in values:
+            want = obj.prox(lam, np.full(obj.dim, u)).tobytes()
+            for form in (obj.prox.coordinate_prox, source):
+                got = np.array([form(i, lam, u) for i in range(obj.dim)])
+                assert got.tobytes() == want, (lam, u, got)
+
+
+# ---------------------------------------------------------------------------
 # domain errors
 
 

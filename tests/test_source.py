@@ -39,13 +39,19 @@ def test_package_api_is_the_submodules_all():
 
 
 def test_every_kernel_variant_compiles_without_asserts():
-    # 24 steppers and 12 rhs kernels; the tests integrate only some of them
-    from proxdyn import dynamics
+    # 36 steppers and 18 rhs kernels, the float and local lanes with the
+    # built-ins' prox sources in turn; the tests integrate only some of them
+    from proxdyn import dynamics, objectives
 
+    sources = itertools.cycle(
+        (obj.prox.coordinate_source, tuple(obj.prox.coordinate_params))
+        for obj in map(objectives.make_objective, objectives.BUILTIN_NAMES))
     for kind, (name, _) in dynamics._TEMPLATES.items():
-        for variant in itertools.product((False, True), ("constant", "power", "bounded"),
-                                         (False, True)):
-            src = dynamics._source(kind, dynamics._Variant(*variant))
+        for beta_positive, lam_kind, lane in itertools.product(
+                (False, True), ("constant", "power", "bounded"), ("float", "local", "numpy")):
+            prox = ("", ()) if lane == "numpy" else next(sources)
+            variant = dynamics._Variant(beta_positive, lam_kind, lane, *prox)
+            src = dynamics._source(kind, variant)
             tree = ast.parse(src)
             assert [node.name for node in tree.body] == [name]
             assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree))

@@ -4,6 +4,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings as hyp_settings, strategies as st
 
 from proxdyn.errors import ValidationError
 from proxdyn import svgplot
@@ -122,3 +123,22 @@ def test_polylines_equal_pointwise_pix(tmp_path, monkeypatch, scale):
         for axis, values in ((ax, xs), (ay, ys)):
             pointwise = np.array([axis.pix(v) for v in values], dtype=float)
             assert axis.pixels(values).tobytes() == pointwise.tobytes()
+
+
+# halves that %.2f rounds by their exact binary value, -0.0, negatives that
+# round to -0.00, the largest pixel, and values on both sides of 1e7
+EDGES = [0.125, 0.375, 2.675, 1.005, -0.0, 0.0, -0.001, -0.005, -0.0049999, 719.995,
+         720.0, 9999999.99, 9999999.994, 9999999.995, 1e7, -1e7, 1.0000001e7, 5e-324]
+
+
+@given(st.lists(st.tuples(st.one_of(st.sampled_from(EDGES), st.floats(-2e7, 2e7),
+                                    st.floats(allow_nan=True, allow_infinity=True)),
+                          st.one_of(st.sampled_from(EDGES), st.floats(-1e3, 1e3))),
+                max_size=40))
+@example([])
+@example([(v, -v) for v in EDGES])
+@hyp_settings(max_examples=300, deadline=None)
+def test_points_text_equals_percent_format(points):
+    xs = np.array([p[0] for p in points], dtype=float)
+    ys = np.array([p[1] for p in points], dtype=float)
+    assert svgplot._points(xs, ys) == " ".join("%.2f,%.2f" % p for p in points)
