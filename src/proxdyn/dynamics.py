@@ -240,7 +240,8 @@ _DP5_TEMPLATE = """\
 def dp5(X, Y, t, T, prox, settings, stats, samples, $params):
     atol, rtol, max_step = settings.atol, settings.rtol, settings.max_step
     max_steps, threshold = settings.max_steps, settings.divergence_threshold
-    stride = settings.sample_stride
+    stride, nthreshold = settings.sample_stride, -threshold
+    sqrt, isfinite = math.sqrt, math.isfinite
     ts, us, xdots = samples
     $prelude
     $k0 t
@@ -286,21 +287,23 @@ def dp5(X, Y, t, T, prox, settings, stats, samples, $params):
             yn = y + h * ($a60 * ky0 + $a62 * ky2 + $a63 * ky3 + $a64 * ky4 + $a65 * ky5)
             $rhs 5 xn yn kx6 ky6
             # err = h * (e0 * k0 + e2 * k2 + ... + e6 * k6)
-            # scale = atol + rtol * np.maximum(np.abs(u), np.abs(u_new)); max
-            # may skip a NaN that np.maximum keeps, but a NaN in u_new also
-            # reaches err through k6 = g(u_new), so the norm is NaN anyway
+            # scale = atol + rtol * np.maximum(np.abs(u), np.abs(u_new)); on
+            # floats the larger is picked as max() picks it, which skips a NaN
+            # in u_new that np.maximum keeps; but when xn is NaN, so is
+            # k6 = g(u_new), and err_norm is NaN either way
+            ax, axn, ay, ayn = abs(x), abs(xn), abs(y), abs(yn)
             qx = (h * ($e0 * kx0 + $e2 * kx2 + $e3 * kx3 + $e4 * kx4 + $e5 * kx5 + $e6 * kx6)
-                  / (atol + rtol * $max(abs(x), abs(xn))))
+                  / (atol + rtol * $maxx))
             qy = (h * ($e0 * ky0 + $e2 * ky2 + $e3 * ky3 + $e4 * ky4 + $e5 * ky5 + $e6 * ky6)
-                  / (atol + rtol * $max(abs(y), abs(yn))))
+                  / (atol + rtol * $maxy))
             sx = qx * qx
             sy = qy * qy
         nfev += 6
         # err_norm = sqrt(mean((err / scale) ** 2)), the 2m squares summed
         # left to right, x block first
         $sum total SX SY
-        err_norm = math.sqrt(total / n2)
-        if not math.isfinite(err_norm):
+        err_norm = sqrt(total / n2)
+        if not isfinite(err_norm):
             $save
             raise DivergenceError(
                 f"non-finite stage in the step at t = {t:.6g}, h = {h:.3g}", t, h)
@@ -310,7 +313,7 @@ def dp5(X, Y, t, T, prox, settings, stats, samples, $params):
             X, Y, KX, KY = XN, YN, KXN, KYN
             u = (X$flat) + (Y$flat)
             for v in u:  # the test of check_state, which raises with its message
-                if not abs(v) <= threshold:
+                if not nthreshold <= v <= threshold:
                     $save
                     check_state(settings, t_prev, h, u)
             accepted += 1
@@ -334,6 +337,7 @@ def dp5(X, Y, t, T, prox, settings, stats, samples, $params):
 _RK4_TEMPLATE = """\
 def rk4(X, Y, t, T, prox, settings, stats, samples, $params):
     threshold, stride = settings.divergence_threshold, settings.sample_stride
+    nthreshold = -threshold
     ts, us, xdots = samples
     $prelude
     $k0 t
@@ -376,7 +380,7 @@ def rk4(X, Y, t, T, prox, settings, stats, samples, $params):
         # the guard sees the new state before the right-hand side does; the
         # test of check_state, which raises with its message
         for v in u:
-            if not abs(v) <= threshold:
+            if not nthreshold <= v <= threshold:
                 $save
                 check_state(settings, t_next - h, h, u)
         t = t_next
@@ -445,12 +449,12 @@ def _square(v: float) -> float:
 def _consts_src(v: _Variant, *times: str) -> str:
     """The stage constants at each stage time variable tk (t gives k = 0):
     the schedule values bk, ek, bdk (b_dot, beta > 0 only) and lk (lambda,
-    unless constant), then what _rhs_src takes: ak = -(alpha / tk) when
-    beta = 0, and cxk, dxk, dyk when beta > 0.  The values are the
-    monomials B * t ** n and so on, as the scalar forms compute them; when
-    one of those ** overflows, or a square that dxk takes, all of them are
-    recomputed through the scalar forms and _square, which give +-inf there
-    instead."""
+    unless constant), then what _rhs_src takes: ak = nalpha / tk, which is
+    -(alpha / tk), when beta = 0, and cxk, dxk, dyk when beta > 0.  The
+    values are the monomials B * t ** n and so on, as the scalar forms
+    compute them; when one of those ** overflows, or a square that dxk
+    takes, all of them are recomputed through the scalar forms and _square,
+    which give +-inf there instead."""
     fast, scalar, fold, safe_fold = [], [], [], []
     for t in times:
         k = t[1:] or "0"
@@ -471,7 +475,7 @@ def _consts_src(v: _Variant, *times: str) -> str:
             fold += [cx, dx.format(t2=f"{t} ** 2", b2=f"b{k} ** 2"), dy]
             safe_fold += [cx, dx.format(t2=f"square({t})", b2=f"square(b{k})"), dy]
         else:
-            fold.append(f"a{k} = -(alpha / {t})")
+            fold.append(f"a{k} = nalpha / {t}")
             safe_fold.append(fold[-1])
     return "\n".join(["try:", *("    " + line for line in fast + fold), "except OverflowError:",
                       *("    " + line for line in scalar + safe_fold)])
@@ -526,18 +530,22 @@ def _lanes_src(v: _Variant, *outputs: str) -> str:
 
 def _sum_src(v: _Variant, total: str, *gathered: str) -> str:
     """total = 0.0 plus the lane values of each gathered name in turn, added
-    left to right."""
+    left to right; the local lane leaves out the 0.0, as its first value, a
+    square, is never -0.0."""
     if v.lane == "local":
-        return f"{total} = 0.0 + {' + '.join(gathered)}"
+        return f"{total} = {' + '.join(gathered)}"
     return (f"{total} = 0.0\n"
             f"for q in {' + '.join(f'({name}$flat)' for name in gathered)}:\n"
             f"    {total} += q")
 
 
 def _prelude_src(v: _Variant) -> str:
-    """The lanes (the local lane is lane i = 0) and, on a float or local
-    lane, the prox source's parameters, whose values the argument prox holds."""
+    """The lanes (the local lane is lane i = 0), nalpha = -alpha when
+    beta = 0 and, on a float or local lane, the prox source's parameters,
+    whose values the argument prox holds."""
     lines = ["i = 0" if v.lane == "local" else "lanes = range(len(X))"]
+    if not v.beta_positive:
+        lines.append("nalpha = -alpha")
     if v.prox_params:
         lines.append(", ".join("prox_" + name for name in v.prox_params) + ", = prox")
     return "\n".join(lines)
@@ -557,8 +565,10 @@ _MACROS = {
 
 def _tokens(v: _Variant) -> dict:
     tokens = {name: repr(value) for name, value in _DP5_TABLEAU.items()}
+    # the larger of two magnitudes, as np.maximum, or on floats as max() picks it
+    pick = "maximum({0}, {1})" if v.lane == "numpy" else "({1} if {1} > {0} else {0})"
     tokens.update(params=_PARAMS, min_step=repr(_MIN_STEP),
-                  max="maximum" if v.lane == "numpy" else "max",
+                  maxx=pick.format("ax", "axn"), maxy=pick.format("ay", "ayn"),
                   flat={"float": "", "local": ",", "numpy": "[0].tolist()"}[v.lane],
                   at="" if v.lane == "local" else "[i]")
     return tokens

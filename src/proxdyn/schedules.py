@@ -10,8 +10,13 @@ rules in report order, each mapping a per-report ``_Context`` to a Verdict.
 A condition that regimes share is one rule builder fed each regime's
 constants.  Pointwise conditions take their margin from a geometric grid
 and a sparse far grid, built once per start time, and decide the tail by
-the sign of the dominant monomial; the other conditions are exact rules on
-the family's parameters.  The rules that never read t0 are declared in
+the sign of the dominant monomial; a grid value that overflows fails its
+condition.  The schedule's arrays on that grid (b, b_dot, t**2, lambda_dot,
+eps, t b, b(t0) and the growth caps per constant pair) are computed once per
+(schedule, t0), the first time a rule reads each, and shared read-only by
+every report there: ``_grid_values`` keeps the last 8 such sets, keyed by
+the schedule's value and t0.  The other conditions are exact rules on the
+family's parameters.  The rules that never read t0 are declared in
 ``_T0_FREE``, so a start-time search ends at the first report that fails
 one of them: no later start time can pass.
 """
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
 import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
@@ -312,36 +318,119 @@ def _grid(t0: float) -> np.ndarray:
     return ts
 
 
+def _frozen(values) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    values.flags.writeable = False
+    return values
+
+
+class _GridValues:
+    """A schedule's values on the condition grid of one start time, each
+    computed the first time a rule reads it and read-only from then on.
+
+    ``_grid_values`` shares one set between every report on the same
+    (schedule, t0): a start-time search's last check and the three family
+    checks that follow it, or the fast and strong checks of one query.
+    """
+
+    def __init__(self, s: Schedule, t0: float):
+        self.s = s
+        self.ts = _grid(t0)
+        self.b0 = float(s.b(t0))
+        self.caps = {}
+
+    @functools.cached_property
+    def b(self) -> np.ndarray:
+        return _frozen(self.s.b(self.ts))
+
+    @functools.cached_property
+    def b_dot(self) -> np.ndarray:
+        return _frozen(self.s.b_dot(self.ts))
+
+    @functools.cached_property
+    def t2(self) -> np.ndarray:
+        return _frozen(self.ts ** 2)
+
+    @functools.cached_property
+    def lam_dot(self) -> np.ndarray:
+        return _frozen(self.s.lam_dot(self.ts))
+
+    @functools.cached_property
+    def eps(self) -> np.ndarray:
+        return _frozen(self.s.eps(self.ts))
+
+    @functools.cached_property
+    def tb(self) -> np.ndarray:
+        """t b(t), with inf where it is not positive: the divisor of the
+        relative growth margin."""
+        tb = self.ts * self.b
+        return _frozen(np.where(tb > 0, tb, np.inf))
+
+    def cap(self, c1: float, c0: float) -> np.ndarray:
+        """The growth cap c1 t b - t^2 b_dot + c0, kept per (c1, c0)."""
+        key = struct.pack("2d", c1, c0)  # by bits: 0.0 and -0.0 are two keys
+        vals = self.caps.get(key)
+        if vals is None:
+            vals = self.caps[key] = _frozen(c1 * self.ts * self.b - self.t2 * self.b_dot + c0)
+        return vals
+
+
+@functools.lru_cache(maxsize=8)
+def _grid_values(s: Schedule, t0: float) -> _GridValues:
+    """The shared _GridValues of (s, t0), keyed by the schedule's value: the
+    flip draws of a scan check a different schedule at the same t0."""
+    return _GridValues(s, t0)
+
+
 class _Context:
     """One query and what its conditions share, evaluated once per report.
 
-    ``ts`` is the query's condition grid (``_grid``).  Rules fill
-    ``feasible_a`` (eps_decay_speed) and ``warnings``.
+    ``g`` holds the schedule's values on the query's condition grid
+    ``ts`` (``_grid_values``).  Rules fill ``feasible_a``
+    (eps_decay_speed) and ``warnings``.
     """
 
     def __init__(self, q: ConditionQuery):
         self.q = q
-        self.s = s = q.schedule
-        self.poly = s.poly
-        self.b0 = float(s.b(q.t0))
-        self.ts = _grid(float(q.t0))
-        self.eps_zero = s.poly.eps_coeff == 0.0
+        self.poly = q.schedule.poly
+        self.g = g = _grid_values(q.schedule, float(q.t0))
+        self.ts = g.ts
+        self.b0 = g.b0
+        self.eps_zero = self.poly.eps_coeff == 0.0
         self.feasible_a = None
         self.warnings = []
+
+
+def _finite_min(ts: np.ndarray, vals: np.ndarray):
+    """(k, value, note) for values on ts of which some are not finite: the
+    first least finite value (-inf at the first non-finite one when none
+    is finite) and a note naming the grid time from which they are not."""
+    finite = np.isfinite(vals)
+    stop = int(finite.argmin())
+    note = f"grid values not finite from t={ts[stop]:.6g}"
+    if not finite.any():
+        return stop, -math.inf, note
+    k = int(np.where(finite, vals, np.inf).argmin())
+    return k, float(vals[k]), note
 
 
 def _pointwise_verdict(c: _Context, cond: str, vals, sense: str,
                        monomials, detail: str = "") -> Verdict:
     """Check vals >= 0 (sense 'ge') or <= 0 ('le'), where vals holds the
     condition's values on c.ts and [(coef, exponent)] its monomials, the
-    dominant one of which decides the tail by its sign."""
-    vals = np.asarray(vals, dtype=float)
+    dominant one of which decides the tail by its sign.  A value that is
+    not finite (an overflow on the grid) fails the check."""
     signed = vals if sense == "ge" else -vals
-    k = int(np.argmin(signed))
+    k = int(signed.argmin())
     margin = float(signed[k])
-    tol = _DUST * max(1.0, float(np.max(np.abs(vals))))
+    top = float(np.abs(vals).max())
+    tol = _DUST * max(1.0, top)
     ok = margin >= -tol
     notes = [detail] if detail else []
+    if not math.isfinite(top):
+        k, margin, note = _finite_min(c.ts, signed)
+        ok = False
+        notes.append(note)
     agg = {}
     for coef, e in monomials:
         agg[e] = agg.get(e, 0.0) + coef
@@ -370,10 +459,9 @@ def _cap_terms(c: _Context, third: bool):
     """Values on c.ts and monomials of the growth cap c1 t b - t^2 b_dot + c0:
     (alpha - 3) t b - t^2 b_dot + beta (2 - alpha), or with third set its
     alpha/3 form (alpha/3 - 1) t b - t^2 b_dot + alpha beta / 3."""
-    a, beta, ts, s, p = c.q.alpha, c.q.beta, c.ts, c.s, c.poly
+    a, beta, p = c.q.alpha, c.q.beta, c.poly
     c1, c0 = (a / 3.0 - 1.0, a * beta / 3.0) if third else (a - 3.0, beta * (2.0 - a))
-    vals = c1 * ts * np.asarray(s.b(ts)) - ts ** 2 * np.asarray(s.b_dot(ts)) + c0
-    return vals, [(p.b_coeff * (c1 - p.n), p.n + 1.0), (c0, 0.0)]
+    return c.g.cap(c1, c0), [(p.b_coeff * (c1 - p.n), p.n + 1.0), (c0, 0.0)]
 
 
 def _cap(third: bool):
@@ -388,17 +476,20 @@ def _cap(third: bool):
 def _b_growth_margin(c: _Context) -> Verdict:
     """Strict cap: the plain cap is >= delta t b(t) for some delta in (0, alpha - 3)."""
     alpha, p, ts = c.q.alpha, c.poly, c.ts
-    tb = ts * np.asarray(c.s.b(ts))
-    rel = _cap_terms(c, third=False)[0] / np.where(tb > 0, tb, np.inf)
-    k = int(np.argmin(rel))
+    rel = _cap_terms(c, third=False)[0] / c.g.tb
+    k = int(rel.argmin())
     delta_sup = float(rel[k])
+    finite = bool(np.isfinite(rel).all())
+    if not finite:
+        k, delta_sup, note = _finite_min(ts, rel)
     if p.n > 0:
         # relative margin tends to alpha - 3 - n; the grid minimum rules the infimum
         delta_sup = min(delta_sup, alpha - 3.0 - p.n)
-    strict_ok = delta_sup > _DUST and alpha > 3.0
+    strict_ok = delta_sup > _DUST and alpha > 3.0 and finite
     delta_pick = min(delta_sup, alpha - 3.0) * (1.0 - 1e-9) if strict_ok else 0.0
+    detail = f"largest usable margin delta = {delta_pick:.6g}"
     return Verdict("b_growth_margin", bool(strict_ok), delta_sup, float(ts[k]),
-                   f"largest usable margin delta = {delta_pick:.6g}")
+                   detail if finite else f"{detail}; {note}")
 
 
 def _feasible_a(c: _Context):
@@ -476,7 +567,7 @@ def _alpha3_damping(alpha: float, beta: float) -> float:
 def _t2_eps_floor(c: _Context) -> Verdict:
     floor = _strong_floor(c.q.alpha, c.q.beta)
     p = c.poly
-    vals = 9.0 * c.ts ** 2 * np.asarray(c.s.eps(c.ts)) - floor
+    vals = 9.0 * c.g.t2 * c.g.eps - floor
     monos = [(9.0 * p.eps_coeff, 2.0 - p.d), (-floor, 0.0)]
     return _pointwise_verdict(c, "t2_eps_floor", vals, "ge", monos,
                               detail=f"needs 9 t^2 eps(t) >= {floor:.6g}")
@@ -492,11 +583,9 @@ def _t2_eps_diverges(c: _Context) -> Verdict:
 def _damping_balance(k: float, const):
     """2k beta t + k beta lam_dot - k t b (lam_dot + 2 beta) + const(alpha, beta) <= 0."""
     def rule(c: _Context) -> Verdict:
-        beta, ts, s, p = c.q.beta, c.ts, c.s, c.poly
+        beta, ts, p, ld = c.q.beta, c.ts, c.poly, c.g.lam_dot
         cst = const(c.q.alpha, beta)
-        ld = np.asarray(s.lam_dot(ts))
-        vals = 2.0 * k * beta * ts + k * beta * ld \
-            - k * ts * np.asarray(s.b(ts)) * (ld + 2.0 * beta) + cst
+        vals = 2.0 * k * beta * ts + k * beta * ld - k * ts * c.g.b * (ld + 2.0 * beta) + cst
         monos = [(2.0 * k * beta, 1.0), (-2.0 * k * beta * p.b_coeff, p.n + 1.0), (cst, 0.0)]
         for coef, e in p.lam.dot_monomials():
             monos += [(k * beta * coef, e), (-k * p.b_coeff * coef, p.n + e)]
@@ -589,6 +678,7 @@ _T0_FREE = frozenset({
 })
 
 
+@np.errstate(all="ignore")  # silent: a value that overflows on the grid fails its verdict
 def _check(setting: str, cfg) -> ConditionReport:
     """Evaluate one regime of the condition table."""
     c = _Context(_as_query(cfg))

@@ -4,6 +4,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -79,6 +80,21 @@ def test_check_fails_wrong_setting(capsys):
     # the fast-rate preset decays eps too quickly for the strong regime
     assert cli.main(["check", "--preset", "fig1", "--setting", "strong"]) == 1
     assert "[FAIL]" in capsys.readouterr().out
+
+
+def test_check_reports_grid_overflow_without_warnings(capsys):
+    # t**2 overflows on the whole condition grid from t0 = 1e200: the two
+    # growth-cap verdicts of each fig1 run fail with margin -inf, not NaN,
+    # and numpy warns of nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["check", "--preset", "fig1", "--set", "system.t0=1e200",
+                         "--set", "system.horizon=1e201"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.count("margin -inf at t=1e+200  (") == 6
+    assert out.count("grid values not finite from t=1e+200") == 6
+    assert "margin nan" not in out
 
 
 def test_check_alpha3_example(tmp_path):

@@ -1,6 +1,8 @@
 """Schedule families, condition checkers and starting-time helpers."""
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -493,6 +495,91 @@ def test_condition_grid_is_built_once_per_start_time():
     first, other, again = rows(1.4), rows(2.0), rows(1.4)
     assert again == first
     assert other != first
+
+
+def report_bits(q):
+    """The three families' reports on q, each float as its repr, so that a
+    -0.0 or a NaN counts."""
+    return [[(v.condition, v.passed, repr(v.margin), repr(v.witness_t), v.detail)
+             for v in rep.verdicts] + [repr(rep.feasible_a), rep.warnings]
+            for rep in (check_fast_rate_conditions(q), check_strong_conv_conditions(q),
+                        check_alpha3_conditions(q))]
+
+
+def clear_grid_caches():
+    schedules._grid.cache_clear()
+    schedules._grid_values.cache_clear()
+
+
+def test_shared_grid_values_give_the_reports_of_fresh_ones():
+    # per draw, two schedules at one t0 and four queries on each, which differ
+    # in alpha or beta; alpha = 3 with beta = 0 gives the two growth caps the
+    # constants (0, -0.0) and (0, 0)
+    rng = np.random.default_rng(7)
+    queries = []
+    for _ in range(30):
+        params, alpha, beta = scan_like_draw(rng)
+        t0 = rng.uniform(1.05, 4.0)
+        for p in (params, dataclasses.replace(params, n=params.n + 0.5)):
+            s = polynomial_schedule(p, t0)
+            queries += [ConditionQuery(a, b, t0, s) for a, b in
+                        ((alpha, beta), (alpha + 1.0, beta), (alpha, beta + 0.5), (3.0, 0.0))]
+    # alpha = 3 - 2^-51 and 3 - 3 * 2^-51 give the plain cap and the alpha/3
+    # cap one c1 and the constants -0.0 and 0.0; where c1 t b underflows to
+    # -0.0, the two caps differ in the sign of a zero margin
+    t0 = 1e-310
+    s = polynomial_schedule(PolyParams(b_coeff=1e-20), t0)
+    queries += [ConditionQuery(a, 0.0, t0, s) for a in (3.0 - 2.0 ** -51, 3.0 - 3.0 * 2.0 ** -51)]
+    clear_grid_caches()
+    shared = [report_bits(q) for q in queries]
+    assert schedules._grid_values.cache_info().misses == 61  # one per schedule
+    fresh = []
+    for q in queries:
+        clear_grid_caches()
+        fresh.append(report_bits(q))
+    assert shared == fresh
+
+
+def test_shared_grid_values_are_read_only():
+    q = strong_example_query()
+    for check in (check_fast_rate_conditions, check_strong_conv_conditions,
+                  check_alpha3_conditions):
+        check(q)
+    g = schedules._grid_values(q.schedule, q.t0)
+    assert len(g.caps) == 2  # the plain cap, shared by two families, and its alpha/3 form
+    for values in (g.ts, g.b, g.b_dot, g.t2, g.lam_dot, g.eps, g.tb, *g.caps.values()):
+        with pytest.raises(ValueError):
+            values[0] = 0.0
+        with pytest.raises(ValueError):
+            values *= 2.0
+
+
+def test_grid_overflow_fails_its_condition_and_keeps_finite_margins():
+    # from t0 = 1e150 the grid reaches 1e156, where 9 t^2 overflows: the
+    # floor on 9 t^2 eps(t) fails, with the margin and witness of its finite
+    # values, and numpy warns of nothing
+    t0 = 1e150
+    p = PolyParams(b_coeff=1.0, n=0.0, eps_coeff=1.0, d=1.5)
+    q = ConditionQuery(4.0, 0.0, t0, polynomial_schedule(p, t0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fast, strong, _ = [check(q) for check in (check_fast_rate_conditions,
+                                                  check_strong_conv_conditions,
+                                                  check_alpha3_conditions)]
+    ts = schedules._grid(t0)
+    with np.errstate(over="ignore"):
+        vals = 9.0 * ts ** 2 * (1.0 * ts ** -1.5) - schedules._strong_floor(4.0, 0.0)
+    finite = np.isfinite(vals)
+    assert finite.any() and not finite.all()
+    (floor,) = [v for v in strong.verdicts if v.condition == "t2_eps_floor"]
+    assert not floor.passed
+    assert floor.margin == vals[finite].min() and floor.witness_t == t0
+    assert f"grid values not finite from t={ts[~finite][0]:.6g}" in floor.detail
+    # t^2 b_dot is inf * 0 where t^2 overflows: the plain cap, t - t^2 * 0,
+    # and its relative margin keep their values at t0
+    caps = [v for v in fast.verdicts if v.condition in ("b_growth_cap", "b_growth_margin")]
+    assert [(v.passed, v.margin, v.witness_t) for v in caps] == [(False, t0, t0), (False, 1.0, t0)]
+    assert all("grid values not finite from t=" in v.detail for v in caps)
 
 
 @pytest.mark.parametrize("alpha, beta, t0, start", [
