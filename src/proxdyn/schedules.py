@@ -431,18 +431,30 @@ def _pointwise_verdict(c: _Context, cond: str, vals, sense: str,
         k, margin, note = _finite_min(c.ts, signed)
         ok = False
         notes.append(note)
-    agg = {}
-    for coef, e in monomials:
-        agg[e] = agg.get(e, 0.0) + coef
-    scale = max([abs(a) for a in agg.values()] + [1.0])
-    items = [(e, a) for e, a in agg.items() if abs(a) > 1e-13 * scale]
-    if items:
-        e, a = max(items)
+    dominant = _dominant_term(tuple(monomials))
+    if dominant:
+        e, a = dominant
         ok = ok and (a > 0 if sense == "ge" else a < 0)
         notes.append(f"tail: dominant term {a:.6g} * t^{e:.6g}")
     else:
         notes.append("tail: expression vanishes asymptotically")
     return Verdict(cond, bool(ok), margin, float(c.ts[k]), "; ".join(notes))
+
+
+@functools.lru_cache(maxsize=64)
+def _dominant_term(monomials: tuple):
+    """(exponent, coefficient) of the term that rules the tail of a sum of
+    (coef, exponent) monomials, or None when every coefficient, summed per
+    exponent, is dust.  Cached by value: a start-time search checks one
+    query's monomials at each candidate t0.  0.0 and -0.0 share a key, which
+    changes nothing: a zero coefficient is dust, and no rule builds an
+    exponent of -0.0."""
+    agg = {}
+    for coef, e in monomials:
+        agg[e] = agg.get(e, 0.0) + coef
+    scale = max([abs(a) for a in agg.values()] + [1.0])
+    items = [(e, a) for e, a in agg.items() if abs(a) > 1e-13 * scale]
+    return max(items) if items else None
 
 
 def _alpha_above_3(c: _Context) -> Verdict:

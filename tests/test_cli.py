@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import proxdyn
-from proxdyn import cli, objectives, runconfig
+from proxdyn import cli, csvio, objectives, runconfig
 from proxdyn.csvio import read_csv
 
 FAST_CONFIG = """
@@ -127,6 +127,25 @@ def test_sweep_writes_runs_and_combined(tmp_path):
     values = {line.split(",")[0] for line in combined[1:]}
     assert values == {"2.5", "3.5"}
     assert (tmp_path / "sweep_d_summary.txt").exists()
+
+
+def test_sweep_csv_bytes_equal_percent_format(tmp_path, monkeypatch):
+    # the columns the sweep hands the writer, kept to build a per-value reference
+    written = []
+    write_rows = csvio._write_rows
+
+    def record(path, header, columns):
+        written.append((header, np.column_stack(columns)))
+        write_rows(path, header, columns)
+
+    monkeypatch.setattr(csvio, "_write_rows", record)
+    args = ["sweep", "--preset", "fig1", "--param", "alpha", "--values", "3,4.5,6",
+            "--set", "system.horizon=5", "--svg", "off", "--out", str(tmp_path)]
+    assert cli.main(args) == 0
+    [(header, table)] = written
+    assert len(table) == 3 * 256
+    lines = [",".join(header)] + [",".join("%.17g" % v for v in row) for row in table.tolist()]
+    assert (tmp_path / "sweep_alpha.csv").read_bytes() == ("\r\n".join(lines) + "\r\n").encode()
 
 
 def test_sweep_single_value_matches_simulate(tmp_path):
@@ -350,9 +369,11 @@ def test_exit_code_schedule_overflow(tmp_path, capsys):
 
 def test_import_leaves_out_unused_modules():
     # xml.sax.saxutils pulls in urllib.request (numpy's pathlib has urllib.parse
-    # already); only sweep needs a process pool
+    # already); only sweep needs a process pool; the CSV writer's power-of-ten
+    # table is built from ints, without fractions or decimal
     script = ("import sys, proxdyn.cli; print(sorted(m for m in sys.modules if m in "
-              "('xml.sax', 'urllib.request', 'concurrent.futures.process')))")
+              "('xml.sax', 'urllib.request', 'concurrent.futures.process', 'fractions', "
+              "'decimal')))")
     src = os.path.dirname(os.path.dirname(os.path.abspath(proxdyn.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))

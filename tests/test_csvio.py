@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from proxdyn import csvio
 from proxdyn.csvio import read_csv, table_from_trajectory, write_csv
@@ -110,13 +112,16 @@ def test_read_rejects_malformed_rows_with_path_and_line(run_pair, tmp_path):
         assert str(exc.value) == f"{path}: line 3: {message}"
 
 
+def percent_reference(header, table):
+    """The file as a per-value %.17g writer makes it, CRLF-ended like csv.writer."""
+    lines = [",".join(header).encode()]
+    lines += [b",".join(b"%.17g" % v for v in row) for row in table.tolist()]
+    return b"\r\n".join(lines) + b"\r\n"
+
+
 def per_row_reference(table):
-    """The file as a per-row %.17g writer makes it, CRLF-ended like csv.writer."""
-    columns = np.column_stack([table.ts, table.xs, table.xdots]
-                              + [table.scalars[name] for name in csvio._SCALAR_COLUMNS])
-    lines = [",".join(table.header())]
-    lines += [",".join("%.17g" % v for v in row) for row in columns.tolist()]
-    return ("\r\n".join(lines) + "\r\n").encode()
+    return percent_reference(table.header(), np.column_stack(
+        [table.ts, table.xs, table.xdots] + [table.scalars[name] for name in csvio._SCALAR_COLUMNS]))
 
 
 def crafted_table():
@@ -149,3 +154,48 @@ def test_writer_bytes_equal_per_row_reference(tmp_path):
     for got, want in [(back.ts, table.ts), (back.xs, table.xs), (back.xdots, table.xdots)] + [
             (back.scalars[name], table.scalars[name]) for name in table.scalars]:
         assert got.tobytes() == want.tobytes()
+
+
+def write_rows_bytes(path, table):
+    header = [f"c{j}" for j in range(table.shape[1])]
+    csvio._write_rows(path, header, [table[:, j] for j in range(table.shape[1])])
+    return path.read_bytes(), percent_reference(header, table)
+
+
+# int64 bit patterns of float64 values: any sign and mantissa; the exponent
+# is any, or (for half the draws) one of 2**-23..2**57, where both notations
+# and the switch between them lie
+FLOAT_BITS = st.builds(lambda sign, exponent, mantissa: (exponent << 52 | mantissa) - (sign << 63),
+                       st.integers(0, 1), st.one_of(st.integers(0, 2047), st.integers(1000, 1080)),
+                       st.integers(0, 2 ** 52 - 1))
+
+
+@given(arrays(np.int64, st.tuples(st.integers(1, 12), st.integers(1, 4)), elements=FLOAT_BITS))
+@hyp_settings(max_examples=300, deadline=None)
+def test_written_cells_equal_percent_format(tmp_path_factory, bits):
+    # NaN payloads, subnormals, zeros and infinities included
+    got, want = write_rows_bytes(tmp_path_factory.getbasetemp() / "cells.csv", bits.view(np.float64))
+    assert got == want
+
+
+def decade_edges():
+    """10**p, and the doubles one ulp away, for p in -300..300."""
+    tens = np.array([float(10 ** p) if p >= 0 else 1 / 10 ** -p for p in range(-300, 301)])
+    return np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)])
+
+
+def test_edge_values_equal_percent_format(tmp_path):
+    rng = np.random.default_rng(3)
+    m = rng.integers(2 * 10 ** 15, 45 * 10 ** 14, 2000) * 2 + 1  # odd, in [4e15, 9e15)
+    ties = m / 4.0  # 18 significant digits ending in 25 or 75: exact ties at 17
+    notation = [np.nextafter(1e-4, 0.0), 1e-4, np.nextafter(1e17, 0.0), 1e17,
+                np.nextafter(1e17, np.inf), np.nextafter(1e16, 0.0), 1e16]
+    extremes = [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+    # the doubles nearest 9.99999999999999999 * 10**p; a third of them round up to
+    # 1e(p+1) at 17 digits
+    carries = np.array([float("9.99999999999999999e%d" % p) for p in range(-300, 301)])
+    assert sum(b"%.17g" % v == b"1e%+03d" % (p + 1) for p, v in zip(range(-300, 301), carries)) > 100
+    values = np.concatenate([decade_edges(), ties, notation, extremes, carries])
+    values = np.concatenate([values, -values])
+    got, want = write_rows_bytes(tmp_path / "edges.csv", values.reshape(-1, 2))
+    assert got == want
