@@ -253,12 +253,17 @@ class ConditionQuery:
     def __post_init__(self):
         if not 0.0 < self.t0 < math.inf:
             raise ParameterDomainError("t0 must be a positive real")
-        if not 0.0 < self.alpha < math.inf:
-            raise ParameterDomainError("alpha must be a positive real")
-        if not 0.0 <= self.beta < math.inf:
-            raise ParameterDomainError("beta must be a nonnegative real")
+        _check_damping(self.alpha, self.beta)
         if self.schedule.t0 > self.t0 * (1.0 + 1e-12):
             raise ParameterDomainError("schedule starts after the query t0")
+
+
+def _check_damping(alpha: float, beta: float) -> None:
+    """The domains of alpha and beta, as a ConditionQuery checks them."""
+    if not 0.0 < alpha < math.inf:
+        raise ParameterDomainError("alpha must be a positive real")
+    if not 0.0 <= beta < math.inf:
+        raise ParameterDomainError("beta must be a nonnegative real")
 
 
 def _as_query(cfg: Union[SystemConfig, ConditionQuery]) -> ConditionQuery:
@@ -305,15 +310,40 @@ class ConditionReport:
         return "\n".join(lines)
 
 
+_NEAR_RAMP = np.arange(512, dtype=float)  # linspace's arange, per grid piece
+_FAR_RAMP = np.arange(64, dtype=float)
+
+
+def _geomspace_into(out: np.ndarray, ramp: np.ndarray, a: float, b: float) -> None:
+    """Write np.geomspace(a, b, len(ramp)) into out, for a float a > 0.
+
+    These are the operations geomspace and linspace perform on such an a,
+    in their order, so the values are theirs bit for bit.  Their checks,
+    dtype promotion, sign rotation and copies do nothing to it.  An
+    overflowed b (inf) gives their NaN and inf values too.
+    """
+    lo, hi = np.log10(np.array(a)), np.log10(np.array(b))
+    y = ramp * (np.subtract(hi, lo) / (len(ramp) - 1))
+    y += lo
+    y[-1] = hi
+    np.power(10.0, y, out=out)
+    out[0], out[-1] = a, b
+
+
 @functools.lru_cache(maxsize=8)
 def _grid(t0: float) -> np.ndarray:
     """The near grid on [t0, 100 t0], then the far grid up to 1e6 t0, read-only.
 
+    Bit for bit the concatenation of np.geomspace(t0, 100 t0, 512) and
+    np.geomspace(100 t0, 1e6 t0, 64), built by ``_geomspace_into`` without
+    geomspace's wrapper; test_condition_grid_is_geomspace_bit_for_bit
+    compares the two.  t0 is a ConditionQuery's: positive and finite.
     Cached by t0: a start-time search that ends at t0, followed by a check
     of the three families there, would otherwise build it four times.
     """
-    ts = np.concatenate([np.geomspace(t0, 100.0 * t0, 512),
-                         np.geomspace(100.0 * t0, 1e6 * t0, 64)])
+    ts = np.empty(len(_NEAR_RAMP) + len(_FAR_RAMP))
+    _geomspace_into(ts[:len(_NEAR_RAMP)], _NEAR_RAMP, t0, 100.0 * t0)
+    _geomspace_into(ts[len(_NEAR_RAMP):], _FAR_RAMP, 100.0 * t0, 1e6 * t0)
     ts.flags.writeable = False
     return ts
 
@@ -776,6 +806,9 @@ def suggest_t0(params: PolyParams, alpha: float, beta: float, slack: float = 0.0
     With slack = 0 the strictly-margined growth condition can sit exactly on
     its boundary; pass a positive slack to stand clear of it.
     """
+    _check_damping(alpha, beta)
+    if not 0.0 <= slack < math.inf:
+        raise ParameterDomainError("slack must be a nonnegative real")
     B, n, E, d = params.b_coeff, params.n, params.eps_coeff, params.d
     if alpha - 3.0 - n <= 0.0:
         raise InfeasibleError(f"requires n < alpha - 3, got n = {n:.6g}, alpha = {alpha:.6g}")

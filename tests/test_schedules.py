@@ -220,6 +220,27 @@ def test_suggest_t0_rejects_bad_exponents():
         suggest_t0(PolyParams(1.0, 0.0, 2.0, 2.5), 10.0, 3.0)
 
 
+# alpha and beta out of ConditionQuery's domains, and slack outside [0, inf),
+# raise ParameterDomainError; a finite alpha <= 3 + n stays infeasible
+@pytest.mark.parametrize("alpha, beta, slack, error", [
+    (math.nan, 1.0, 0.0, ParameterDomainError),
+    (math.inf, 1.0, 0.0, ParameterDomainError),
+    (0.0, 1.0, 0.0, ParameterDomainError),
+    (10.0, -1.0, 0.0, ParameterDomainError),
+    (10.0, math.nan, 0.0, ParameterDomainError),
+    (10.0, math.inf, 0.0, ParameterDomainError),
+    (10.0, 1.0, -1.0, ParameterDomainError),
+    (10.0, 1.0, -2.0, ParameterDomainError),
+    (10.0, 1.0, math.nan, ParameterDomainError),
+    (10.0, 1.0, math.inf, ParameterDomainError),
+    (3.0, 1.0, 0.0, InfeasibleError),
+    (0.5, 1.0, 0.0, InfeasibleError),
+])
+def test_suggest_t0_rejects_out_of_domain_inputs(alpha, beta, slack, error):
+    with pytest.raises(error):
+        suggest_t0(PolyParams(), alpha, beta, slack=slack)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     alpha=st.floats(3.6, 12.0),
@@ -475,12 +496,29 @@ def test_search_that_succeeds_matches_the_full_search(monkeypatch, setting, para
     assert len(starts) == steps
 
 
+# subnormal and tiny start times; ordinary ones; t^2 overflowing on the grid;
+# and 1e6 t0, then 100 t0 overflowing, where the grid holds inf and NaN
+@pytest.mark.parametrize("t0", [5e-324, 1e-310, 1e-300, 1.4, 1.7, 1e150, 1e302,
+                                1.7e306, 1e307, 1.7e308])
+def test_condition_grid_is_geomspace_bit_for_bit(t0):
+    with np.errstate(all="ignore"):
+        ts = schedules._grid(t0)
+        fresh = np.concatenate([np.geomspace(t0, 100.0 * t0, 512),
+                                np.geomspace(100.0 * t0, 1e6 * t0, 64)])
+    assert ts.tobytes() == fresh.tobytes()
+    if t0 == 1e307:
+        assert not np.isfinite(ts).all()
+        q = ConditionQuery(10.0, 0.0, t0, polynomial_schedule(PolyParams(), t0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for check in (check_fast_rate_conditions, check_strong_conv_conditions,
+                          check_alpha3_conditions):
+                check(q)
+
+
 def test_condition_grid_is_built_once_per_start_time():
     t0 = 1.7
     ts = schedules._grid(t0)
-    fresh = np.concatenate([np.geomspace(t0, 100.0 * t0, 512),
-                            np.geomspace(100.0 * t0, 1e6 * t0, 64)])
-    assert ts.tobytes() == fresh.tobytes()
     assert schedules._grid(t0) is ts
     with pytest.raises(ValueError):
         ts[0] = 0.0
