@@ -18,8 +18,8 @@ StepSizeError, and so does a run that needs more than max_steps steps.  The
 envelope gradient is 1/lambda-Lipschitz, so stiffness is capped by the
 lambda floor and explicit methods are adequate.
 
-integrate validates the config (as runconfig.build_system did already),
-then runs coordinate-major.  The right-hand side is separable: coordinate i
+integrate takes a config that validated itself when it was built, and
+runs coordinate-major.  The right-hand side is separable: coordinate i
 of (xdot, ydot) depends on (x_i, y_i) alone, since a built-in prox acts
 coordinate by coordinate.  So a step runs every stage of one coordinate
 pair as straight-line code before it moves to the next pair.  The unit of
@@ -72,9 +72,9 @@ fn.scalar, and the squares that the beta > 0 fold takes through _square, so
 an overflowing schedule still ends in a non-finite stage.  The
 condition checkers and the observables keep the array forms.  Every stage
 time is at least t0 and lambda is nondecreasing, so validation's one check
-of lambda(t0) against its floor covers every step; the public rhs_*,
-initial_aux and residual_second_order do not check it again and take a
-config that has passed validation.
+of lambda(t0) against its floor covers every step.  A SystemConfig validates
+itself when it is built and cannot change after, so neither integrate nor
+the public rhs_*, initial_aux and residual_second_order check it again.
 
 The stage combinations, the error norm and the step controller perform,
 coordinate by coordinate, the same IEEE operations in the same order as the
@@ -113,7 +113,7 @@ from .errors import (
     StepSizeError,
     ValidationError,
 )
-from .schedules import SystemConfig
+from .schedules import SystemConfig, _power
 
 __all__ = [
     "IntegratorSettings",
@@ -131,8 +131,11 @@ _METHODS = ("rk45_adaptive", "rk4_fixed")
 _MIN_STEP = 1e-13  # an adaptive step below this raises StepSizeError
 
 
-@dataclass
+@dataclass(frozen=True)
 class IntegratorSettings:
+    """Stepper choice and controls, validated at construction and read-only
+    from then on."""
+
     method: str = _METHODS[0]
     rtol: float = 1e-8
     atol: float = 1e-10
@@ -141,6 +144,9 @@ class IntegratorSettings:
     sample_stride: int = 1
     max_steps: int = 5_000_000
     divergence_threshold: float = 1e12
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> None:
         if self.method not in _METHODS:
@@ -201,11 +207,11 @@ def _params(cfg: SystemConfig) -> tuple:
     those of the schedule's monomials b = B t**n, b_dot = (B n) t**(n - 1)
     and eps = E t**(-d); lv is lambda's value as its form uses it: the
     constant, the power, or the negated power of 1 - t**(-l)."""
-    s, p = cfg.schedule, cfg.schedule.poly
+    p = cfg.schedule
     kind, v = p.lam.kind, p.lam.value
     lv = float(v) if kind == "constant" else v if kind == "power" else -v
     return (cfg.alpha, cfg.beta, -cfg.beta, p.b_coeff, p.n, p.b_coeff * p.n, p.n - 1.0,
-            p.eps_coeff, -p.d, lv, s.b.scalar, s.lam.scalar, s.eps.scalar, s.b_dot.scalar)
+            p.eps_coeff, -p.d, lv, p.b.scalar, p.lam.scalar, p.eps.scalar, p.b_dot.scalar)
 
 
 def _check_state(settings: IntegratorSettings, t_last: float, h: float, u: list) -> None:
@@ -438,12 +444,8 @@ class _Variant:
 _LAM = {"power": "{t} ** lv", "bounded": "1.0 - {t} ** lv"}
 
 
-def _square(v: float) -> float:
-    """v ** 2, or inf where Python's ** overflows, as the scalar forms give."""
-    try:
-        return v ** 2
-    except OverflowError:
-        return math.inf
+# v ** 2, or inf where Python's ** overflows, as the scalar forms give
+_square = functools.partial(_power, y=2)
 
 
 def _consts_src(v: _Variant, *times: str) -> str:
@@ -634,7 +636,7 @@ def _variant_kernel(kind: str, cfg: SystemConfig):
     else:
         lane = "local" if cfg.objective.dim == 1 else "float"
         names, prox = tuple(prox.coordinate_params), tuple(prox.coordinate_params.values())
-    kernel = _kernel(kind, cfg.beta != 0.0, cfg.schedule.poly.lam.kind, lane, source or "", names)
+    kernel = _kernel(kind, cfg.beta != 0.0, cfg.schedule.lam.kind, lane, source or "", names)
     return kernel, prox, lane
 
 
@@ -682,8 +684,6 @@ def integrate(cfg: SystemConfig, settings: IntegratorSettings = None) -> Traject
     """
     if settings is None:
         settings = IntegratorSettings()
-    settings.validate()
-    cfg.validate()
     kernel, prox, lane = _variant_kernel(settings.method, cfg)
     stats, samples = StepStats(), ([], [], [])
     # samples is three flat lists (ts, us, xdots) that each sample extends;

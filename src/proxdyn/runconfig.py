@@ -34,7 +34,7 @@ from .objectives import BUILTIN_NAMES, make_objective
 from .schedules import (_LAMBDA_KINDS, LambdaForm, PolyParams, SystemConfig,
                         _check_energy_index, _energy_index, check_alpha3_conditions,
                         check_fast_rate_conditions, check_strong_conv_conditions,
-                        energy_descent_start, polynomial_schedule)
+                        energy_descent_start)
 
 __all__ = [
     "RunConfig",
@@ -196,17 +196,14 @@ def build_system(rc: RunConfig):
     obj = _objective_of(rc)
     lam = LambdaForm(rc.lambda_form, rc.lambda_value)
     params = PolyParams(b_coeff=rc.b_coeff, n=rc.n, eps_coeff=rc.eps_coeff, d=rc.d, lam=lam)
-    schedule = polynomial_schedule(params, rc.t0)
-    cfg = SystemConfig(objective=obj, schedule=schedule, alpha=rc.alpha, beta=rc.beta,
+    cfg = SystemConfig(objective=obj, schedule=params, alpha=rc.alpha, beta=rc.beta,
                        t0=rc.t0, x0=rc.x0, xdot0=rc.xdot0, horizon=rc.horizon,
                        lambda_floor=rc.lambda_floor)
-    cfg.validate()
     if rc.energy_q is not None:
         _check_energy_index(rc.energy_q, rc.alpha)
     settings = IntegratorSettings(method=rc.method, rtol=rc.rtol, atol=rc.atol,
                                   fixed_step=rc.fixed_step, sample_stride=rc.sample_stride,
                                   max_step=rc.max_step)
-    settings.validate()
     return cfg, settings
 
 

@@ -1,24 +1,26 @@
 """Time-dependent parameter schedules and their admissibility conditions.
 
-A :class:`Schedule` is the polynomial family: the time scaling
-b(t) = B t**n, the Tikhonov weight eps(t) = E t**(-d) and a constant, power
-or bounded smoothing index lambda(t), with their derivatives, all derived
-from one :class:`PolyParams`.  It is the only schedule family there is.
-The checkers certify the fast-rate, strong-convergence and critical-damping
-(alpha = 3) regimes from one condition table, ``_FAMILIES``: per regime, its
-rules in report order, each mapping a per-report ``_Context`` to a Verdict.
-A condition that regimes share is one rule builder fed each regime's
-constants.  Pointwise conditions take their margin from a geometric grid
-and a sparse far grid, built once per start time, and decide the tail by
-the sign of the dominant monomial; a grid value that overflows fails its
-condition.  The schedule's arrays on that grid (b, b_dot, t**2, lambda_dot,
-eps, t b, b(t0) and the growth caps per constant pair) are computed once per
-(schedule, t0), the first time a rule reads each, and shared read-only by
-every report there: ``_grid_values`` keeps the last 8 such sets, keyed by
-the schedule's value and t0.  The other conditions are exact rules on the
-family's parameters.  The rules that never read t0 are declared in
-``_T0_FREE``, so a start-time search ends at the first report that fails
-one of them: no later start time can pass.
+A :class:`PolyParams` is the schedule: the polynomial family's numbers and
+its callables, the time scaling b(t) = B t**n, the Tikhonov weight eps(t) =
+E t**(-d) and a constant, power or bounded smoothing index lambda(t), with
+their derivatives, each a function of absolute t.  It is the only schedule
+family there is.  A :class:`SystemConfig` is frozen and validates itself
+once, as it is built.  The checkers certify the fast-rate,
+strong-convergence and critical-damping (alpha = 3) regimes from one
+condition table, ``_FAMILIES``: per regime, its rules in report order, each
+mapping a per-report ``_Context`` to a Verdict.  A condition that regimes
+share is one rule builder fed each regime's constants.  Pointwise conditions
+take their margin from a geometric grid and a sparse far grid, built once
+per start time, and decide the tail by the sign of the dominant monomial; a
+grid value that overflows fails its condition, and so does a constant whose
+power overflows (``_power`` gives inf there).  The schedule's arrays on that
+grid (b, b_dot, t**2, lambda_dot, eps, t b, b(t0) and the growth caps per
+constant pair) are computed once per (schedule, t0), the first time a rule
+reads each, and shared read-only by every report there: ``_grid_values``
+keeps the last 8 such sets, keyed by the schedule's value and t0.  The other
+conditions are exact rules on the family's parameters.  The rules that never
+read t0 are declared in ``_T0_FREE``, so a start-time search ends at the
+first report that fails one of them: no later start time can pass.
 """
 
 from __future__ import annotations
@@ -38,12 +40,10 @@ from .objectives import Objective, as_point
 __all__ = [
     "LambdaForm",
     "PolyParams",
-    "Schedule",
     "SystemConfig",
     "ConditionQuery",
     "Verdict",
     "ConditionReport",
-    "polynomial_schedule",
     "check_fast_rate_conditions",
     "check_strong_conv_conditions",
     "check_alpha3_conditions",
@@ -77,7 +77,7 @@ class LambdaForm:
         if self.kind == "bounded" and v <= 0.0:
             raise ParameterDomainError("bounded lambda exponent must be positive")
 
-    def fn(self, t):
+    def __call__(self, t):
         if self.kind == "constant":
             return self.value * np.ones_like(np.asarray(t, dtype=float))
         if self.kind == "power":
@@ -85,18 +85,15 @@ class LambdaForm:
         return 1.0 - np.asarray(t, dtype=float) ** (-self.value)
 
     def scalar(self, t: float) -> float:
-        """fn at one float t, through Python's ``**`` (libm pow), not numpy's."""
+        """lambda at one float t, through Python's ``**`` (libm pow), not numpy's."""
         if self.kind == "constant":
             return float(self.value)
-        try:
-            if self.kind == "power":
-                return t ** self.value
-            return 1.0 - t ** (-self.value)
-        except OverflowError:  # Python's ** raises where numpy's gives inf
-            return math.inf if self.kind == "power" else -math.inf
+        if self.kind == "power":
+            return _power(t, self.value)
+        return 1.0 - _power(t, -self.value)
 
     def dot(self, t):
-        return _monomial(*(self.dot_monomials() or [(0.0, 0.0)])[0])(t)
+        return _Monomial(*(self.dot_monomials() or [(0.0, 0.0)])[0])(t)
 
     def dot_monomials(self):
         """lambda_dot as a list of at most one (coef, exponent) monomial."""
@@ -112,13 +109,27 @@ class LambdaForm:
 
 @dataclass(frozen=True)
 class PolyParams:
-    """Polynomial family b(t) = b_coeff * t**n, eps(t) = eps_coeff / t**d."""
+    """The polynomial family b(t) = b_coeff * t**n, eps(t) = eps_coeff / t**d
+    and smoothing index lam, with its callables on t > 0 derived at
+    construction: b, b_dot, lam_dot, eps and eps_dot (lam is its own).
+
+    Each callable takes an array of times, returning floats of its shape, or
+    one float.  b, lam, eps and b_dot also carry their scalar form
+    fn.scalar(t) on one float t, through which the integrator and
+    SystemConfig.validate evaluate them.  The callables take no part in
+    comparison or hashing: two PolyParams of equal numbers are equal.
+    """
 
     b_coeff: float = 1.0
     n: float = 0.0
     eps_coeff: float = 1.0
     d: float = 3.0
     lam: LambdaForm = field(default_factory=LambdaForm)
+    b: Callable = field(init=False, repr=False, compare=False)
+    b_dot: Callable = field(init=False, repr=False, compare=False)
+    lam_dot: Callable = field(init=False, repr=False, compare=False)
+    eps: Callable = field(init=False, repr=False, compare=False)
+    eps_dot: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.b_coeff < math.inf:
@@ -129,73 +140,51 @@ class PolyParams:
             raise ParameterDomainError("eps_coeff must be a real >= 0")
         if not 0.0 < self.d < math.inf:
             raise ParameterDomainError("d must be a positive real")
-
-
-def _monomial(coef: float, exponent: float) -> Callable:
-    """t -> coef * t**exponent on floats of t's shape, identically zero when coef == 0.
-
-    fn.scalar is the same map on one float t, through Python's ``**`` (libm
-    pow), not numpy's; the integrator evaluates the schedule through it.
-    """
-    def fn(t):
-        t = np.asarray(t, dtype=float)
-        return np.zeros_like(t) if coef == 0.0 else coef * t ** exponent
-
-    def scalar(t):
-        try:
-            return coef * t ** exponent
-        except OverflowError:  # Python's ** raises where numpy's gives inf
-            return coef * math.inf
-    fn.scalar = (lambda t: 0.0) if coef == 0.0 else scalar
-    return fn
-
-
-@dataclass(frozen=True)
-class Schedule:
-    """The polynomial family's callables (b, lambda, eps) with derivatives on
-    [t0, inf), derived from poly at construction.
-
-    Each callable takes an array of times, returning floats of its shape, or
-    one float.  b, lam, eps and b_dot also carry their scalar form
-    fn.scalar(t) on one float t, through which the integrator and
-    SystemConfig.validate evaluate them.
-    """
-
-    t0: float
-    poly: PolyParams
-    b: Callable = field(init=False, repr=False, compare=False)
-    b_dot: Callable = field(init=False, repr=False, compare=False)
-    lam: Callable = field(init=False, repr=False, compare=False)
-    lam_dot: Callable = field(init=False, repr=False, compare=False)
-    eps: Callable = field(init=False, repr=False, compare=False)
-    eps_dot: Callable = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not 0.0 < self.t0 < math.inf:
-            raise ParameterDomainError("t0 must be positive")
-        p = self.poly
-        B, n, E, d = p.b_coeff, p.n, p.eps_coeff, p.d
-
-        def lam(t):  # a bound method cannot carry the scalar form
-            return p.lam.fn(t)
-        lam.scalar = p.lam.scalar
-        for name, fn in (("b", _monomial(B, n)), ("b_dot", _monomial(B * n, n - 1.0)),
-                         ("lam", lam), ("lam_dot", p.lam.dot),
-                         ("eps", _monomial(E, -d)), ("eps_dot", _monomial(-E * d, -d - 1.0))):
+        B, n, E, d = self.b_coeff, self.n, self.eps_coeff, self.d
+        for name, fn in (("b", _Monomial(B, n)), ("b_dot", _Monomial(B * n, n - 1.0)),
+                         ("lam_dot", self.lam.dot),
+                         ("eps", _Monomial(E, -d)), ("eps_dot", _Monomial(-E * d, -d - 1.0))):
             object.__setattr__(self, name, fn)
 
 
-def polynomial_schedule(params: PolyParams, t0: float) -> Schedule:
-    """Build the polynomial family schedule anchored at t0 > 0."""
-    return Schedule(float(t0), params)
+class _Monomial:
+    """t -> coef * t**exponent on floats of t's shape, identically zero when coef == 0.
+
+    scalar is the same map on one float t, through Python's ``**`` (libm
+    pow), not numpy's; the integrator evaluates the schedule through it.
+    Two floats, not a closure: every PolyParams holds four of these.
+    """
+
+    __slots__ = ("coef", "exponent")
+
+    def __init__(self, coef: float, exponent: float):
+        self.coef, self.exponent = coef, exponent
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        return np.zeros_like(t) if self.coef == 0.0 else self.coef * t ** self.exponent
+
+    def scalar(self, t: float) -> float:
+        return 0.0 if self.coef == 0.0 else self.coef * _power(t, self.exponent)
 
 
-@dataclass
+def _power(x: float, y: float) -> float:
+    """x ** y for a float x >= 0 (or an even y), or inf where Python's **
+    raises OverflowError, as numpy's ** gives.  The scalar forms and the
+    condition rules take every power that can overflow through it."""
+    try:
+        return x ** y
+    except OverflowError:
+        return math.inf
+
+
+@dataclass(frozen=True)
 class SystemConfig:
-    """Full description of one flow: objective, schedule and system constants."""
+    """Full description of one flow: objective, schedule and system constants,
+    validated at construction and read-only from then on."""
 
     objective: Objective
-    schedule: Schedule
+    schedule: PolyParams
     alpha: float
     beta: float
     t0: float
@@ -205,8 +194,9 @@ class SystemConfig:
     lambda_floor: float = 1e-8
 
     def __post_init__(self):
-        self.x0 = as_point(self.x0, self.objective.dim)
-        self.xdot0 = as_point(self.xdot0, self.objective.dim)
+        object.__setattr__(self, "x0", as_point(self.x0, self.objective.dim))
+        object.__setattr__(self, "xdot0", as_point(self.xdot0, self.objective.dim))
+        self.validate()
 
     def validate(self) -> None:
         if not (math.isfinite(self.alpha) and self.alpha > 0.0):
@@ -220,8 +210,6 @@ class SystemConfig:
         if not 0.0 < self.lambda_floor < math.inf:
             raise ValidationError("lambda_floor must be a positive real")
         s, t0 = self.schedule, float(self.t0)
-        if s.t0 > t0 * (1.0 + 1e-12):
-            raise ValidationError("schedule starts after the system t0")
         # lambda and b are nondecreasing and eps = E t**(-d) is nonnegative and
         # nonincreasing, so on [t0, horizon] their extremes lie at the end
         # points; every stage time of the integrator is >= t0, so this one
@@ -248,14 +236,12 @@ class ConditionQuery:
     alpha: float
     beta: float
     t0: float
-    schedule: Schedule
+    schedule: PolyParams
 
     def __post_init__(self):
         if not 0.0 < self.t0 < math.inf:
             raise ParameterDomainError("t0 must be a positive real")
         _check_damping(self.alpha, self.beta)
-        if self.schedule.t0 > self.t0 * (1.0 + 1e-12):
-            raise ParameterDomainError("schedule starts after the query t0")
 
 
 def _check_damping(alpha: float, beta: float) -> None:
@@ -363,7 +349,7 @@ class _GridValues:
     checks that follow it, or the fast and strong checks of one query.
     """
 
-    def __init__(self, s: Schedule, t0: float):
+    def __init__(self, s: PolyParams, t0: float):
         self.s = s
         self.ts = _grid(t0)
         self.b0 = float(s.b(t0))
@@ -406,7 +392,7 @@ class _GridValues:
 
 
 @functools.lru_cache(maxsize=8)
-def _grid_values(s: Schedule, t0: float) -> _GridValues:
+def _grid_values(s: PolyParams, t0: float) -> _GridValues:
     """The shared _GridValues of (s, t0), keyed by the schedule's value: the
     flip draws of a scan check a different schedule at the same t0."""
     return _GridValues(s, t0)
@@ -422,7 +408,7 @@ class _Context:
 
     def __init__(self, q: ConditionQuery):
         self.q = q
-        self.poly = q.schedule.poly
+        self.poly = q.schedule
         self.g = g = _grid_values(q.schedule, float(q.t0))
         self.ts = g.ts
         self.b0 = g.b0
@@ -551,7 +537,7 @@ def _feasible_a(c: _Context):
     denom = q.beta * E
     if denom == 0.0:  # underflow of a denormal product
         return (a_lo, math.inf), "quadratic decay bound is numerically inactive", math.inf
-    a_hi = (2.0 * d / denom) * q.t0 ** (d - 1.0)
+    a_hi = (2.0 * d / denom) * _power(q.t0, d - 1.0)
     if a_hi < a_lo:
         return None, f"empty interval: upper bound {a_hi:.6g} below lower bound {a_lo:.6g}", a_hi - a_lo
     return (a_lo, a_hi), f"a in [{a_lo:.6g}, {a_hi:.6g}]", a_hi - a_lo
@@ -603,7 +589,7 @@ def _strong_floor(alpha: float, beta: float) -> float:
 
 def _alpha3_damping(alpha: float, beta: float) -> float:
     """The constant term of the alpha = 3 damping balance."""
-    return 2.0 * beta ** 2 + beta
+    return 2.0 * _power(beta, 2) + beta
 
 
 def _t2_eps_floor(c: _Context) -> Verdict:
@@ -692,7 +678,7 @@ _FAMILIES = {
         _integrable("eps_over_tb_integrable", lambda p: p.n + p.d, "n + d > 0"),
         _t2_eps_floor,
         _damping_balance(9.0, lambda alpha, beta:
-                         3.0 * (alpha + 3.0) * beta ** 2 + alpha ** 2 * beta),
+                         3.0 * (alpha + 3.0) * _power(beta, 2) + _power(alpha, 2) * beta),
         _eps_tail_ratio,
         _exponent_box(lambda p, a: {"n >= 0": p.n, "n <= (alpha-3)/3": (a - 3.0) / 3.0 - p.n},
                       strict_hi=False),
@@ -783,7 +769,7 @@ def energy_descent_start(cfg, q: float, a: float) -> float:
         t_settle = t0
     else:
         # t^2 b(t) - coef * t >= 0  <=>  t >= (coef / b_coeff)^(1/(n+1))
-        t_settle = max(t0, (coef / s.poly.b_coeff) ** (1.0 / (s.poly.n + 1.0)))
+        t_settle = max(t0, (coef / s.b_coeff) ** (1.0 / (s.n + 1.0)))
     if beta > 0.0:
         t_settle = max(t_settle, beta / (b0 - 1.0 / a))
     return max(t0, t_settle)
@@ -826,13 +812,16 @@ def suggest_t0(params: PolyParams, alpha: float, beta: float, slack: float = 0.0
         # raise t0 until the admissible-a interval [a_lo, 2d/(beta E) t0^(d-1)]
         # is nonempty; a no-op whenever the base value already qualifies
         for _ in range(50):
-            b0 = B * t0 ** n
+            b0 = B * _power(t0, n)
             a_lo = max(1.0, 1.0 / b0) * (1.0 + 1e-12)
             required = (a_lo * beta * E / (2.0 * d)) ** (1.0 / (d - 1.0))
             if t0 >= required:
                 break
             t0 = required * (1.0 + 1e-9)
-    return t0 * (1.0 + slack)
+    t0 *= 1.0 + slack
+    if t0 == math.inf:
+        raise InfeasibleError("no finite starting time: the fast-rate start time overflows")
+    return t0
 
 
 _ESCALATIONS = 80  # start times a search tries: t0, 1.5 t0, 1.5^2 t0, ...
@@ -848,7 +837,9 @@ def _escalate(params: PolyParams, alpha: float, beta: float, checker, t0: float)
     start time, as the full search's does.
     """
     def check(t0):
-        return checker(ConditionQuery(alpha, beta, t0, polynomial_schedule(params, t0)))
+        if t0 == math.inf:
+            raise InfeasibleError("no finite starting time: the search overflows")
+        return checker(ConditionQuery(alpha, beta, t0, params))
 
     for k in range(_ESCALATIONS):
         report = check(t0)
@@ -875,7 +866,7 @@ def suggest_t0_strong(params: PolyParams, alpha: float, beta: float) -> float:
     if d < 2.0:
         # every t > 0 meets a nonpositive floor, whose power could be complex
         if floor > 0.0:
-            cands.append((floor / (9.0 * E)) ** (1.0 / (2.0 - d)))
+            cands.append(_power(floor / (9.0 * E), 1.0 / (2.0 - d)))
     elif 9.0 * E < floor:
         raise InfeasibleError("t^2 eps(t) cannot reach the required floor for d >= 2")
     if beta > 0.0 and alpha - 3.0 - n > 0.0:

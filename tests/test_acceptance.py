@@ -16,7 +16,7 @@ from proxdyn.objectives import scaled_shifted_quadratic
 from proxdyn.runconfig import build_system, config_from_flat, preset_runs
 from proxdyn.schedules import (ConditionQuery, LambdaForm, PolyParams,
                                check_fast_rate_conditions, check_strong_conv_conditions,
-                               polynomial_schedule, suggest_t0, suggest_t0_strong)
+                               suggest_t0, suggest_t0_strong)
 from proxdyn.selftest import run_prox_selftest
 
 
@@ -126,7 +126,7 @@ def _draw_strong(rng):
 
 
 def _query(params, alpha, beta, t0):
-    return ConditionQuery(alpha, beta, t0, polynomial_schedule(params, t0))
+    return ConditionQuery(alpha, beta, t0, params)
 
 
 def test_criterion_2_checker_soundness(capsys):

@@ -1,6 +1,9 @@
 """CLI subcommands and the exit-code contract."""
 
+import contextlib
 import dataclasses
+import io
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import proxdyn
 from proxdyn import cli, csvio, objectives, runconfig
@@ -95,6 +99,64 @@ def test_check_reports_grid_overflow_without_warnings(capsys):
     assert out.count("margin -inf at t=1e+200  (") == 6
     assert out.count("grid values not finite from t=1e+200") == 6
     assert "margin nan" not in out
+
+
+@pytest.mark.parametrize("args", [
+    # the admissible-a bound t0**(d - 1) overflows
+    ["--preset", "fig1", "--set", "system.t0=1e200", "--set", "system.horizon=1e201",
+     "--set", "system.beta=1"],
+    # beta**2 overflows in the damping constants of both regimes
+    ["--preset", "fig4", "--set", "system.beta=1e200"],
+    ["--preset", "fig4", "--set", "system.beta=1e200", "--setting", "alpha3"],
+])
+def test_check_reports_overflowing_constants_as_verdicts(capsys, args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["check", *args])
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    assert "result: FAILED" in out and "margin nan" not in out
+
+
+_MAX = sys.float_info.max
+
+
+def _log_uniform(lo=5e-324, zero=False):
+    """Floats from lo to the largest double, uniform in log, the two ends
+    (and 0.0 with zero set) included."""
+    ends = [lo, _MAX] + ([0.0] if zero else [])
+    return st.sampled_from(ends) | st.floats(math.log(lo), math.log(_MAX)).map(math.exp)
+
+
+@settings(max_examples=150, deadline=None)
+@given(preset=st.sampled_from(sorted(runconfig.PRESETS)),
+       setting=st.sampled_from(sorted(runconfig._CHECKERS)),
+       alpha=_log_uniform(), beta=_log_uniform(zero=True), t0=_log_uniform(),
+       gap=st.sampled_from([2.0 ** -52, 1e-6, 1.0]),
+       b_coeff=_log_uniform(), n=_log_uniform(zero=True),
+       eps_coeff=_log_uniform(zero=True), d=_log_uniform(),
+       lambda_form=st.sampled_from(["constant", "power", "bounded"]),
+       lambda_value=_log_uniform(zero=True))
+def test_check_exits_0_or_1_on_any_numbers_in_their_domains(
+        preset, setting, alpha, beta, t0, gap, b_coeff, n, eps_coeff, d, lambda_form,
+        lambda_value):
+    # every system.* and schedule.* number of check's input, from dust to the
+    # largest double, with the horizon just past t0: a verdict or a
+    # validation error, never an internal error or a numpy warning
+    numbers = {"system.alpha": alpha, "system.beta": beta, "system.t0": t0,
+               "system.horizon": t0 * (1.0 + gap), "schedule.b_coeff": b_coeff,
+               "schedule.n": n, "schedule.eps_coeff": eps_coeff, "schedule.d": d,
+               "schedule.lambda_value": lambda_value}
+    args = ["check", "--preset", preset, "--setting", setting,
+            "--set", f"schedule.lambda_form={lambda_form}"]
+    for key, value in numbers.items():
+        args += ["--set", f"{key}={value!r}"]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = cli.main(args)
+    assert code in (0, 1), err.getvalue()
 
 
 def test_check_alpha3_example(tmp_path):

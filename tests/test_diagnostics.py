@@ -18,7 +18,6 @@ from proxdyn import (
     l1_norm,
     moreau_gradient,
     moreau_value,
-    polynomial_schedule,
     scaled_shifted_quadratic,
 )
 from proxdyn.diagnostics import (
@@ -35,10 +34,10 @@ from proxdyn.diagnostics import (
 )
 
 
-def const_schedule(t0=1.0):
+def const_schedule():
     """b = lam = 1 and eps = t**-3, so b = lam = eps = 1 at t = 1, where the
     hand values are taken."""
-    return polynomial_schedule(PolyParams(1.0, 0.0, 1.0, 3.0), t0)
+    return PolyParams(1.0, 0.0, 1.0, 3.0)
 
 
 def unit_cfg(alpha=10.0, beta=0.0, objective=None):
@@ -53,7 +52,7 @@ def reference_run():
     """The abs_plus_quad flow with alpha=10, beta=0, constant b, eps = t^-3."""
     cfg = SystemConfig(
         objective=abs_plus_quad(),
-        schedule=polynomial_schedule(PolyParams(1.0, 0.0, 1.0, 3.0), 1.4),
+        schedule=PolyParams(1.0, 0.0, 1.0, 3.0),
         alpha=10.0, beta=0.0, t0=1.4, x0=10.0, xdot0=0.0, horizon=140.0)
     return integrate(cfg, IntegratorSettings(sample_stride=4))
 
@@ -173,7 +172,7 @@ def test_prox_decomposition_identity_along_run(reference_run):
 def test_tikhonov_gap_is_nan_without_regularization():
     cfg = SystemConfig(
         objective=abs_plus_quad(),
-        schedule=polynomial_schedule(PolyParams(1.0, 0.0, 0.0, 3.0), 1.4),
+        schedule=PolyParams(1.0, 0.0, 0.0, 3.0),
         alpha=10.0, beta=0.0, t0=1.4, x0=10.0, xdot0=0.0, horizon=14.0)
     traj = integrate(cfg, IntegratorSettings(sample_stride=20))
     obs = compute_observables(traj)
@@ -204,7 +203,7 @@ def test_energy_descent_detects_ascent(reference_run):
 def test_energy_descent_needs_horizon_past_start():
     cfg = SystemConfig(
         objective=abs_plus_quad(),
-        schedule=polynomial_schedule(PolyParams(1.0, 0.0, 1.0, 3.0), 1.4),
+        schedule=PolyParams(1.0, 0.0, 1.0, 3.0),
         alpha=10.0, beta=1.0, t0=1.4, x0=10.0, xdot0=0.0, horizon=2.1)
     traj = integrate(cfg, IntegratorSettings(sample_stride=50))
     # descent start for (q=9, a=2) is t = 2, beyond all but the last samples
@@ -252,7 +251,7 @@ def test_fit_rate_slope_requires_enough_points():
 def test_strong_metrics_on_stationary_run():
     cfg = SystemConfig(
         objective=abs_plus_quad(),
-        schedule=polynomial_schedule(PolyParams(1.0, 0.0, 1.0, 3.0), 1.4),
+        schedule=PolyParams(1.0, 0.0, 1.0, 3.0),
         alpha=10.0, beta=1.0, t0=1.4, x0=0.0, xdot0=0.0, horizon=14.0)
     traj = integrate(cfg, IntegratorSettings(sample_stride=10))
     rep = strong_convergence_metrics(compute_observables(traj))

@@ -31,7 +31,6 @@ from proxdyn import (
     dist_to_interval,
     l1_norm,
     moreau_value,
-    polynomial_schedule,
     scaled_shifted_quadratic,
 )
 from proxdyn.dynamics import (
@@ -50,7 +49,7 @@ def make_cfg(objective=None, alpha=10.0, beta=1.0, t0=1.4, horizon=140.0,
              x0=10.0, xdot0=0.0, n=0.0, d=3.0, eps_coeff=1.0):
     return SystemConfig(
         objective=objective if objective is not None else abs_plus_quad(),
-        schedule=polynomial_schedule(PolyParams(1.0, n, eps_coeff, d), t0),
+        schedule=PolyParams(1.0, n, eps_coeff, d),
         alpha=alpha, beta=beta, t0=t0, x0=x0, xdot0=xdot0, horizon=horizon,
     )
 
@@ -151,8 +150,8 @@ def test_schedule_overflow_is_a_divergence(case):
     # Python's ** raises OverflowError there; the step's stage constants are
     # then recomputed through the scalar forms, whose inf makes a stage NaN
     method, beta, lam, b_coeff, message = OVERFLOW_CASES[case]
-    cfg = make_cfg(beta=beta, horizon=10.0)
-    cfg.schedule = polynomial_schedule(PolyParams(b_coeff, 400.0, 1.0, 3.0, lam), cfg.t0)
+    cfg = dataclasses.replace(make_cfg(beta=beta, horizon=10.0),
+                              schedule=PolyParams(b_coeff, 400.0, 1.0, 3.0, lam))
     settings = IntegratorSettings(method=method, fixed_step=1e-3)
     with np.errstate(over="ignore"), pytest.raises(DivergenceError, match=message) as exc:
         integrate(cfg, settings)
@@ -185,9 +184,9 @@ def test_kernels_compile_once_per_variant_and_only_when_run():
 
 
 def test_kernel_source_shows_in_tracebacks():
-    cfg = make_cfg(objective=nan_outside_five(abs_plus_quad()), beta=1.0, x0=4.0,
-                   xdot0=10.0, horizon=14.0)
-    cfg.schedule = polynomial_schedule(PolyParams(lam=LambdaForm("bounded", 1.0)), cfg.t0)
+    cfg = dataclasses.replace(make_cfg(objective=nan_outside_five(abs_plus_quad()), beta=1.0,
+                                       x0=4.0, xdot0=10.0, horizon=14.0),
+                              schedule=PolyParams(lam=LambdaForm("bounded", 1.0)))
     with pytest.raises(DivergenceError) as exc:
         integrate(cfg)
     frame = traceback.extract_tb(exc.value.__traceback__)[-1]
@@ -397,20 +396,20 @@ def test_integration_failures_pickle_with_their_location(cls):
 
 
 def test_lambda_floor_guard_survives_optimize():
-    # lambda(t0) = 1e-9 lies below its floor; integrate validates the config
-    # first, and under python -O an assert there would be stripped and the
-    # run would finish
+    # lambda(t0) = 1e-9 lies below its floor; the config validates itself as
+    # it is built, and under python -O an assert there would be stripped and
+    # the run would finish
     script = textwrap.dedent("""
         import sys
         from proxdyn import (LambdaForm, PolyParams, SystemConfig, ValidationError,
-                             abs_plus_quad, polynomial_schedule)
+                             abs_plus_quad)
         from proxdyn.dynamics import IntegratorSettings, integrate
 
         params = PolyParams(lam=LambdaForm("constant", 1e-9))
-        cfg = SystemConfig(
-            objective=abs_plus_quad(), schedule=polynomial_schedule(params, 1.0),
-            alpha=3.0, beta=0.0, t0=1.0, x0=10.0, xdot0=0.0, horizon=2.0)
         try:
+            cfg = SystemConfig(
+                objective=abs_plus_quad(), schedule=params,
+                alpha=3.0, beta=0.0, t0=1.0, x0=10.0, xdot0=0.0, horizon=2.0)
             integrate(cfg, IntegratorSettings(method="rk4_fixed", fixed_step=2e-4))
         except ValidationError as exc:
             print(f"optimize={sys.flags.optimize} raised: {exc}")
@@ -427,22 +426,22 @@ def test_lambda_floor_guard_survives_optimize():
 
 
 def test_integrator_settings_validation():
-    good = IntegratorSettings()
-    good.validate()
+    # settings check themselves as they are built
+    IntegratorSettings().validate()
     for bad in (
-        IntegratorSettings(method="euler"),
-        IntegratorSettings(rtol=0.0),
-        IntegratorSettings(atol=-1.0),
-        IntegratorSettings(fixed_step=0.0),
-        IntegratorSettings(sample_stride=0),
-        IntegratorSettings(max_steps=0),
-        IntegratorSettings(divergence_threshold=math.nan),
-        IntegratorSettings(divergence_threshold=0.0),
-        IntegratorSettings(divergence_threshold=-1.0),
+        dict(method="euler"),
+        dict(rtol=0.0),
+        dict(atol=-1.0),
+        dict(fixed_step=0.0),
+        dict(sample_stride=0),
+        dict(max_steps=0),
+        dict(divergence_threshold=math.nan),
+        dict(divergence_threshold=0.0),
+        dict(divergence_threshold=-1.0),
     ):
         with pytest.raises(ValidationError):
-            bad.validate()
-    IntegratorSettings(max_step=math.inf, divergence_threshold=math.inf).validate()
+            IntegratorSettings(**bad)
+    IntegratorSettings(max_step=math.inf, divergence_threshold=math.inf)
     # a bad threshold is a validation error, not a divergence on the first step
     with pytest.raises(ValidationError, match="divergence_threshold"):
         integrate(make_cfg(horizon=14.0), IntegratorSettings(divergence_threshold=math.nan))

@@ -8,10 +8,13 @@ import numpy as np
 import pytest
 
 from proxdyn import runconfig
+from proxdyn.cli import main
 from proxdyn.csvio import read_csv
+from proxdyn.dynamics import IntegratorSettings
 from proxdyn.errors import ParameterDomainError, ValidationError
 from proxdyn.runconfig import (PRESETS, RunSummary, build_system, config_from_flat,
                                execute_run, parse_config_text, parse_overrides, preset_runs)
+from proxdyn.schedules import PolyParams, SystemConfig
 
 MINIMAL = {
     "system.alpha": "10",
@@ -148,6 +151,35 @@ def test_build_system_validates():
     bad = dict(MINIMAL, **{"system.horizon": "1.0"})  # horizon <= t0
     with pytest.raises(ValidationError):
         build_system(config_from_flat(bad))
+
+
+def test_built_configs_are_read_only():
+    cfg, settings = build_system(config_from_flat(dict(MINIMAL)))
+    for obj, name, value in ((cfg, "alpha", 3.0), (cfg, "schedule", PolyParams(n=1.0)),
+                             (cfg, "x0", cfg.x0), (settings, "rtol", 1e-3),
+                             (settings, "method", "rk4_fixed")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, value)
+    assert (cfg.alpha, cfg.schedule, settings.rtol) == (10.0, PolyParams(), 1e-8)
+    # a changed copy is a new config, validated as it is built
+    assert dataclasses.replace(cfg, alpha=4.0).alpha == 4.0
+    with pytest.raises(ValidationError):
+        dataclasses.replace(cfg, horizon=1.0)
+    with pytest.raises(ValidationError):
+        dataclasses.replace(settings, rtol=0.0)
+
+
+def test_simulate_validates_each_config_once_per_build(tmp_path, monkeypatch):
+    # the CLI builds each run twice, once to fail fast and once to run it;
+    # neither build_system nor integrate validates a config again
+    calls = {SystemConfig: 0, IntegratorSettings: 0}
+    for cls in calls:
+        def counted(self, _validate=cls.validate, _cls=cls):
+            calls[_cls] += 1
+            _validate(self)
+        monkeypatch.setattr(cls, "validate", counted)
+    assert main(["simulate", "--preset", "fig2", "--svg", "off", "--out", str(tmp_path)]) == 0
+    assert calls == {SystemConfig: 6, IntegratorSettings: 6}
 
 
 # preset fidelity: the figure experiments pin these parameters

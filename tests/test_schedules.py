@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -14,7 +15,6 @@ from proxdyn import (
     LambdaForm,
     ParameterDomainError,
     PolyParams,
-    Schedule,
     SystemConfig,
     ValidationError,
     abs_plus_quad,
@@ -22,7 +22,6 @@ from proxdyn import (
     check_fast_rate_conditions,
     check_strong_conv_conditions,
     energy_descent_start,
-    polynomial_schedule,
     suggest_t0,
     suggest_t0_alpha3,
     suggest_t0_strong,
@@ -32,32 +31,32 @@ from proxdyn import schedules
 
 def fast_example_query(t0=1.4):
     p = PolyParams(b_coeff=1.0, n=0.0, eps_coeff=1.0, d=3.0)
-    return ConditionQuery(10.0, 1.0, t0, polynomial_schedule(p, t0))
+    return ConditionQuery(10.0, 1.0, t0, p)
 
 
 def strong_example_query():
     p = PolyParams(b_coeff=1.0, n=0.7, eps_coeff=1.0, d=1.5, lam=LambdaForm("bounded", 1.0))
     t0 = suggest_t0_strong(p, 6.0, 0.1)
-    return ConditionQuery(6.0, 0.1, t0, polynomial_schedule(p, t0))
+    return ConditionQuery(6.0, 0.1, t0, p)
 
 
 def alpha3_example_query():
     p = PolyParams(b_coeff=1.5, n=0.0, eps_coeff=1.0, d=1.5)
     t0 = suggest_t0_alpha3(p, 0.0)
-    return ConditionQuery(3.0, 0.0, t0, polynomial_schedule(p, t0))
+    return ConditionQuery(3.0, 0.0, t0, p)
 
 
 # ---------------------------------------------------------------- evaluation
 
 
 def test_polynomial_schedule_point():
-    s = polynomial_schedule(PolyParams(b_coeff=1.0, n=0.0, eps_coeff=1.0, d=3.0), 1.0)
+    s = PolyParams(b_coeff=1.0, n=0.0, eps_coeff=1.0, d=3.0)
     values = (s.b(2.0), s.lam(2.0), s.eps(2.0), s.b_dot(2.0), s.lam_dot(2.0), s.eps_dot(2.0))
     assert values == (1.0, 1.0, 0.125, 0.0, 0.0, -0.1875)
 
 
 def test_polynomial_schedule_bounded_lambda():
-    s = polynomial_schedule(PolyParams(lam=LambdaForm("bounded", 1.0)), 1.1)
+    s = PolyParams(lam=LambdaForm("bounded", 1.0))
     assert s.lam(2.0) == 0.5
     assert s.lam_dot(2.0) == 0.25
 
@@ -79,7 +78,7 @@ def test_parameter_domains():
         LambdaForm("spline", 1.0)
     for t0 in (0.0, math.nan, math.inf):
         with pytest.raises(ParameterDomainError):
-            polynomial_schedule(PolyParams(), t0)
+            ConditionQuery(10.0, 0.0, t0, PolyParams())
 
 
 @settings(max_examples=40, deadline=None)
@@ -93,7 +92,7 @@ def test_parameter_domains():
     t=st.floats(1.5, 40.0),
 )
 def test_schedule_derivatives_match_finite_differences(b_coeff, n, eps_coeff, d, kind, lv, t):
-    s = polynomial_schedule(PolyParams(b_coeff, n, eps_coeff, d, LambdaForm(kind, lv)), 1.0)
+    s = PolyParams(b_coeff, n, eps_coeff, d, LambdaForm(kind, lv))
     h = 1e-6 * t
     for fn, dfn in ((s.b, s.b_dot), (s.lam, s.lam_dot), (s.eps, s.eps_dot)):
         fd = (float(fn(t + h)) - float(fn(t - h))) / (2.0 * h)
@@ -106,7 +105,7 @@ def test_schedule_derivatives_match_finite_differences(b_coeff, n, eps_coeff, d,
 @pytest.mark.parametrize("kind, lv", [("constant", 0.5), ("power", 0.0), ("power", 0.7),
                                       ("bounded", 0.3), ("bounded", 1.3)])
 def test_scalar_forms_match_array_forms(n, eps_coeff, d, kind, lv):
-    s = polynomial_schedule(PolyParams(1.5, n, eps_coeff, d, LambdaForm(kind, lv)), 1.0)
+    s = PolyParams(1.5, n, eps_coeff, d, LambdaForm(kind, lv))
     ts = np.geomspace(1.0, 1e4, 1001)
     for name in ("b", "b_dot", "lam", "eps", "eps_dot"):
         fn = getattr(s, name)
@@ -122,7 +121,7 @@ def test_scalar_forms_match_array_forms(n, eps_coeff, d, kind, lv):
 
 
 def test_scalar_forms_overflow_to_inf_as_array_forms_do():
-    s = polynomial_schedule(PolyParams(1e-300, 400.0, 1.0, 3.0, LambdaForm("power", 400.0)), 1.0)
+    s = PolyParams(1e-300, 400.0, 1.0, 3.0, LambdaForm("power", 400.0))
     with np.errstate(over="ignore"):
         for fn in (s.b, s.b_dot, s.lam):
             assert fn.scalar(10.0) == float(fn(np.array([10.0]))[0]) == math.inf
@@ -148,7 +147,7 @@ def test_fast_checker_reference_configuration_passes():
 def test_fast_checker_flags_excessive_time_scale_growth():
     # n above alpha - 3 makes the growth cap fail in the tail
     p = PolyParams(b_coeff=1.0, n=7.5, eps_coeff=1.0, d=3.0)
-    rep = check_fast_rate_conditions(ConditionQuery(10.0, 1.0, 1.4, polynomial_schedule(p, 1.4)))
+    rep = check_fast_rate_conditions(ConditionQuery(10.0, 1.0, 1.4, p))
     assert not rep.all_pass
     assert "b_growth_cap" in rep.failed()
     assert "b_growth_margin" in rep.failed()
@@ -156,33 +155,33 @@ def test_fast_checker_flags_excessive_time_scale_growth():
 
 def test_fast_checker_flags_slow_tikhonov_decay():
     p = PolyParams(b_coeff=1.0, n=0.0, eps_coeff=1.0, d=1.8)
-    rep = check_fast_rate_conditions(ConditionQuery(10.0, 1.0, 1.4, polynomial_schedule(p, 1.4)))
+    rep = check_fast_rate_conditions(ConditionQuery(10.0, 1.0, 1.4, p))
     assert "t_eps_integrable" in rep.failed()
 
 
 def test_fast_checker_flags_empty_damping_window():
     # d < 1 sends the admissible a interval to zero width
     p = PolyParams(b_coeff=1.0, n=0.0, eps_coeff=1.0, d=0.5)
-    rep = check_fast_rate_conditions(ConditionQuery(10.0, 1.0, 1.4, polynomial_schedule(p, 1.4)))
+    rep = check_fast_rate_conditions(ConditionQuery(10.0, 1.0, 1.4, p))
     assert "eps_decay_speed" in rep.failed()
     assert rep.feasible_a is None
 
 
 def test_fast_checker_flags_small_initial_time_scale():
     p = PolyParams(b_coeff=0.2, n=0.0, eps_coeff=0.0, d=3.0)
-    rep = check_fast_rate_conditions(ConditionQuery(10.0, 2.0, 1.0, polynomial_schedule(p, 1.0)))
+    rep = check_fast_rate_conditions(ConditionQuery(10.0, 2.0, 1.0, p))
     assert "b0_vs_beta" in rep.failed()
 
 
 def test_fast_checker_low_alpha_fails():
     p = PolyParams()
-    rep = check_fast_rate_conditions(ConditionQuery(3.0, 0.0, 1.0, polynomial_schedule(p, 1.0)))
+    rep = check_fast_rate_conditions(ConditionQuery(3.0, 0.0, 1.0, p))
     assert "alpha_above_3" in rep.failed()
 
 
 def test_fast_checker_zero_eps_is_admissible():
     p = PolyParams(eps_coeff=0.0)
-    rep = check_fast_rate_conditions(ConditionQuery(10.0, 1.0, 1.4, polynomial_schedule(p, 1.4)))
+    rep = check_fast_rate_conditions(ConditionQuery(10.0, 1.0, 1.4, p))
     assert rep.all_pass
     assert rep.feasible_a[1] == math.inf
 
@@ -192,10 +191,10 @@ def test_strict_margin_sits_on_boundary_at_bare_suggestion():
     # so the strictly-margined variant needs a positive slack
     p = PolyParams(b_coeff=1.0, n=0.0, eps_coeff=1.0, d=3.0)
     t_exact = suggest_t0(p, 10.0, 1.0)
-    rep = check_fast_rate_conditions(ConditionQuery(10.0, 1.0, t_exact, polynomial_schedule(p, t_exact)))
+    rep = check_fast_rate_conditions(ConditionQuery(10.0, 1.0, t_exact, p))
     assert rep.failed() == ["b_growth_margin"]
     t_pad = suggest_t0(p, 10.0, 1.0, slack=0.05)
-    rep = check_fast_rate_conditions(ConditionQuery(10.0, 1.0, t_pad, polynomial_schedule(p, t_pad)))
+    rep = check_fast_rate_conditions(ConditionQuery(10.0, 1.0, t_pad, p))
     assert rep.all_pass
 
 
@@ -218,6 +217,20 @@ def test_suggest_t0_rejects_bad_exponents():
         suggest_t0(PolyParams(1.0, 0.0, 1.0, 1.5), 10.0, 1.0)
     with pytest.raises(InfeasibleError):
         suggest_t0(PolyParams(1.0, 0.0, 2.0, 2.5), 10.0, 3.0)
+
+
+def test_start_time_searches_survive_overflowing_powers():
+    # b(t0) = B t0**n overflows inside the search for a nonempty a interval
+    p = PolyParams(b_coeff=1.3155038493265984e-64, n=6.415769350275602e+133,
+                   eps_coeff=3.2079564038892995e+26, d=17.39303404410185)
+    assert math.isfinite(suggest_t0(p, 8.375088703436102e+260, 2.5624577203778328e-82))
+    # (beta / B)**(1/(n + 1)) is inf: no start time is a float
+    with pytest.raises(InfeasibleError, match="overflows"):
+        suggest_t0(PolyParams(b_coeff=1e-300, n=100.0, eps_coeff=1e-12), 200.0, 1e12)
+    # the strong floor's candidate (floor / 9E)**(1/(2 - d)) overflows
+    p = PolyParams(eps_coeff=1e-3, d=1.999, lam=LambdaForm("bounded", 1.0))
+    with pytest.raises(InfeasibleError, match="overflows"):
+        suggest_t0_strong(p, 6.0, 0.1)
 
 
 # alpha and beta out of ConditionQuery's domains, and slack outside [0, inf),
@@ -258,7 +271,7 @@ def test_suggested_time_certifies_fast_rates(alpha, beta, b_coeff, n_frac, eps_c
         d = beta * eps_coeff / 2.0 + 0.1
     p = PolyParams(b_coeff, n_frac * (alpha - 3.0), eps_coeff, d)
     t0 = suggest_t0(p, alpha, beta, slack=0.05)
-    rep = check_fast_rate_conditions(ConditionQuery(alpha, beta, t0, polynomial_schedule(p, t0)))
+    rep = check_fast_rate_conditions(ConditionQuery(alpha, beta, t0, p))
     assert rep.all_pass, rep.format()
 
 
@@ -281,8 +294,7 @@ def test_energy_descent_start_domains():
         energy_descent_start(q, q=5.0, a=0.5)
     weak = PolyParams(b_coeff=0.4, n=0.0, eps_coeff=1.0, d=3.0)
     with pytest.raises(InfeasibleError):
-        energy_descent_start(
-            ConditionQuery(10.0, 1.0, 1.0, polynomial_schedule(weak, 1.0)), q=5.0, a=2.0)
+        energy_descent_start(ConditionQuery(10.0, 1.0, 1.0, weak), q=5.0, a=2.0)
 
 
 # ------------------------------------------------------------ strong checker
@@ -303,14 +315,14 @@ def test_strong_checker_reference_configuration_passes():
 def test_strong_checker_rejects_unbounded_smoothing():
     p = PolyParams(b_coeff=2.0, n=0.0, eps_coeff=1.0, d=1.5, lam=LambdaForm("power", 1.0))
     t0 = 10.0
-    rep = check_strong_conv_conditions(ConditionQuery(6.0, 0.1, t0, polynomial_schedule(p, t0)))
+    rep = check_strong_conv_conditions(ConditionQuery(6.0, 0.1, t0, p))
     assert "lambda_bounded" in rep.failed()
 
 
 def test_strong_checker_rejects_fast_eps_decay():
     # d > 2 empties the t^2 eps floor in the tail even though it holds at t0
     p = PolyParams(b_coeff=2.0, n=0.0, eps_coeff=100.0, d=2.5)
-    rep = check_strong_conv_conditions(ConditionQuery(6.0, 0.1, 2.0, polynomial_schedule(p, 2.0)))
+    rep = check_strong_conv_conditions(ConditionQuery(6.0, 0.1, 2.0, p))
     assert "t2_eps_floor" in rep.failed()
     assert "poly_exponent_box" in rep.failed()
 
@@ -319,15 +331,14 @@ def test_strong_checker_rejects_small_time_scale_with_hessian_damping():
     # constant b below 1 cannot absorb the Hessian-driven term for any t0
     p = PolyParams(b_coeff=0.9, n=0.0, eps_coeff=1.0, d=1.5)
     for t0 in (2.0, 50.0, 5000.0):
-        rep = check_strong_conv_conditions(
-            ConditionQuery(6.0, 0.5, t0, polynomial_schedule(p, t0)))
+        rep = check_strong_conv_conditions(ConditionQuery(6.0, 0.5, t0, p))
         assert "damping_balance" in rep.failed()
 
 
 def test_strong_checker_flags_borderline_tail_average():
     # d = 1 passes the polynomial rule but carries an explicit warning
     p = PolyParams(b_coeff=2.0, n=0.0, eps_coeff=1.0, d=1.0)
-    rep = check_strong_conv_conditions(ConditionQuery(6.0, 0.1, 5.0, polynomial_schedule(p, 5.0)))
+    rep = check_strong_conv_conditions(ConditionQuery(6.0, 0.1, 5.0, p))
     assert rep.all_pass, rep.format()
     assert len(rep.warnings) == 1
     assert "d = 1" in rep.warnings[0]
@@ -335,7 +346,7 @@ def test_strong_checker_flags_borderline_tail_average():
 
 def test_strong_checker_rejects_sub_linear_eps_decay():
     p = PolyParams(b_coeff=2.0, n=0.0, eps_coeff=1.0, d=0.9)
-    rep = check_strong_conv_conditions(ConditionQuery(6.0, 0.1, 5.0, polynomial_schedule(p, 5.0)))
+    rep = check_strong_conv_conditions(ConditionQuery(6.0, 0.1, 5.0, p))
     assert "eps_tail_ratio" in rep.failed()
     assert "poly_exponent_box" in rep.failed()
 
@@ -365,29 +376,29 @@ def test_alpha3_checker_reference_configuration_passes():
 def test_alpha3_checker_with_hessian_damping():
     p = PolyParams(b_coeff=2.0, n=0.0, eps_coeff=1.0, d=1.5, lam=LambdaForm("bounded", 1.0))
     t0 = suggest_t0_alpha3(p, 0.5)
-    rep = check_alpha3_conditions(ConditionQuery(3.0, 0.5, t0, polynomial_schedule(p, t0)))
+    rep = check_alpha3_conditions(ConditionQuery(3.0, 0.5, t0, p))
     assert rep.all_pass, rep.format()
 
 
 def test_alpha3_checker_requires_constant_time_scale():
     p = PolyParams(b_coeff=1.5, n=0.3, eps_coeff=1.0, d=1.5)
-    rep = check_alpha3_conditions(ConditionQuery(3.0, 0.0, 2.0, polynomial_schedule(p, 2.0)))
+    rep = check_alpha3_conditions(ConditionQuery(3.0, 0.0, 2.0, p))
     assert "b_constant" in rep.failed()
 
 
 def test_alpha3_checker_requires_slow_eps_decay():
     p = PolyParams(b_coeff=1.5, n=0.0, eps_coeff=1.0, d=2.0)
-    rep = check_alpha3_conditions(ConditionQuery(3.0, 0.0, 2.0, polynomial_schedule(p, 2.0)))
+    rep = check_alpha3_conditions(ConditionQuery(3.0, 0.0, 2.0, p))
     assert "t2_eps_diverges" in rep.failed()
     assert "poly_exponent_box" in rep.failed()
     pz = PolyParams(b_coeff=1.5, n=0.0, eps_coeff=0.0, d=1.5)
-    rep = check_alpha3_conditions(ConditionQuery(3.0, 0.0, 2.0, polynomial_schedule(pz, 2.0)))
+    rep = check_alpha3_conditions(ConditionQuery(3.0, 0.0, 2.0, pz))
     assert "t2_eps_diverges" in rep.failed()
 
 
 def test_alpha3_checker_requires_alpha_exactly_three():
     p = PolyParams(b_coeff=1.5, n=0.0, eps_coeff=1.0, d=1.5)
-    rep = check_alpha3_conditions(ConditionQuery(3.2, 0.0, 2.0, polynomial_schedule(p, 2.0)))
+    rep = check_alpha3_conditions(ConditionQuery(3.2, 0.0, 2.0, p))
     assert "alpha_is_3" in rep.failed()
 
 
@@ -415,7 +426,7 @@ def scan_like_draw(rng):
 
 
 def t0_free_rows(setting, params, alpha, beta, t0):
-    report = schedules._check(setting, ConditionQuery(alpha, beta, t0, polynomial_schedule(params, t0)))
+    report = schedules._check(setting, ConditionQuery(alpha, beta, t0, params))
     return [(v.condition, v.passed, v.margin, v.witness_t, v.detail)
             for v in report.verdicts if v.condition in schedules._T0_FREE]
 
@@ -444,7 +455,7 @@ def reference_search(setting, params, alpha, beta, t0):
     t0, or the InfeasibleError text and the last start time checked."""
     check = SEARCH_CHECKERS[setting][1]
     for _ in range(80):
-        report = check(ConditionQuery(alpha, beta, t0, polynomial_schedule(params, t0)))
+        report = check(ConditionQuery(alpha, beta, t0, params))
         if report.all_pass:
             return t0
         last, t0 = t0, t0 * 1.5
@@ -508,7 +519,7 @@ def test_condition_grid_is_geomspace_bit_for_bit(t0):
     assert ts.tobytes() == fresh.tobytes()
     if t0 == 1e307:
         assert not np.isfinite(ts).all()
-        q = ConditionQuery(10.0, 0.0, t0, polynomial_schedule(PolyParams(), t0))
+        q = ConditionQuery(10.0, 0.0, t0, PolyParams())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for check in (check_fast_rate_conditions, check_strong_conv_conditions,
@@ -524,7 +535,7 @@ def test_condition_grid_is_built_once_per_start_time():
         ts[0] = 0.0
 
     def rows(t0):
-        q = ConditionQuery(10.0, 1.0, t0, polynomial_schedule(PolyParams(), t0))
+        q = ConditionQuery(10.0, 1.0, t0, PolyParams())
         return [[(v.condition, v.passed, v.margin, v.witness_t, v.detail) for v in rep.verdicts]
                 + [rep.feasible_a, rep.warnings]
                 for rep in (check_fast_rate_conditions(q), check_strong_conv_conditions(q),
@@ -559,14 +570,13 @@ def test_shared_grid_values_give_the_reports_of_fresh_ones():
         params, alpha, beta = scan_like_draw(rng)
         t0 = rng.uniform(1.05, 4.0)
         for p in (params, dataclasses.replace(params, n=params.n + 0.5)):
-            s = polynomial_schedule(p, t0)
-            queries += [ConditionQuery(a, b, t0, s) for a, b in
+            queries += [ConditionQuery(a, b, t0, p) for a, b in
                         ((alpha, beta), (alpha + 1.0, beta), (alpha, beta + 0.5), (3.0, 0.0))]
     # alpha = 3 - 2^-51 and 3 - 3 * 2^-51 give the plain cap and the alpha/3
     # cap one c1 and the constants -0.0 and 0.0; where c1 t b underflows to
     # -0.0, the two caps differ in the sign of a zero margin
     t0 = 1e-310
-    s = polynomial_schedule(PolyParams(b_coeff=1e-20), t0)
+    s = PolyParams(b_coeff=1e-20)
     queries += [ConditionQuery(a, 0.0, t0, s) for a in (3.0 - 2.0 ** -51, 3.0 - 3.0 * 2.0 ** -51)]
     clear_grid_caches()
     shared = [report_bits(q) for q in queries]
@@ -598,7 +608,7 @@ def test_grid_overflow_fails_its_condition_and_keeps_finite_margins():
     # values, and numpy warns of nothing
     t0 = 1e150
     p = PolyParams(b_coeff=1.0, n=0.0, eps_coeff=1.0, d=1.5)
-    q = ConditionQuery(4.0, 0.0, t0, polynomial_schedule(p, t0))
+    q = ConditionQuery(4.0, 0.0, t0, p)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         fast, strong, _ = [check(q) for check in (check_fast_rate_conditions,
@@ -620,7 +630,8 @@ def test_grid_overflow_fails_its_condition_and_keeps_finite_margins():
     assert all("grid values not finite from t=" in v.detail for v in caps)
 
 
-@pytest.mark.parametrize("alpha, beta, t0, start", [
+# each query has a schedule of its own b_coeff, which no domain check reads
+@pytest.mark.parametrize("alpha, beta, t0, b_coeff", [
     (10.0, 1.0, math.nan, 1.0),
     (10.0, 1.0, 0.0, 1.0),
     (10.0, 1.0, -1.4, 1.0),
@@ -632,17 +643,15 @@ def test_grid_overflow_fails_its_condition_and_keeps_finite_margins():
     (10.0, -0.1, 1.4, 1.4),
     (10.0, math.nan, 1.4, 1.4),
     (10.0, math.inf, 1.4, 1.4),
-    (10.0, 1.0, 1.4, 5.0),  # the schedule starts after t0
 ])
-def test_condition_query_rejects_out_of_domain_fields(alpha, beta, t0, start):
+def test_condition_query_rejects_out_of_domain_fields(alpha, beta, t0, b_coeff):
     with pytest.raises(ParameterDomainError):
-        check_fast_rate_conditions(ConditionQuery(alpha, beta, t0,
-                                                  polynomial_schedule(PolyParams(), start)))
+        check_fast_rate_conditions(ConditionQuery(alpha, beta, t0, PolyParams(b_coeff=b_coeff)))
 
 
 def test_condition_query_accepts_its_domain_edges():
-    ConditionQuery(10.0, 0.0, 1.4, polynomial_schedule(PolyParams(), 1.4 * (1.0 + 1e-13)))
-    ConditionQuery(10.0, 1.0, 1.4, polynomial_schedule(PolyParams(), 0.5))
+    ConditionQuery(10.0, 0.0, 1.4, PolyParams())
+    ConditionQuery(10.0, 1.0, 1.4, PolyParams())
 
 
 # ------------------------------------------------------------- SystemConfig
@@ -652,7 +661,7 @@ def make_config(**over):
     obj = abs_plus_quad()
     kw = dict(
         objective=obj,
-        schedule=polynomial_schedule(PolyParams(), 1.0),
+        schedule=PolyParams(),
         alpha=10.0,
         beta=1.0,
         t0=1.4,
@@ -669,28 +678,17 @@ def test_system_config_validates_reference_setup():
 
 
 def test_system_config_rejects_bad_scalars():
-    with pytest.raises(ValidationError):
-        make_config(alpha=-1.0).validate()
-    with pytest.raises(ValidationError):
-        make_config(beta=-0.1).validate()
-    with pytest.raises(ValidationError):
-        make_config(horizon=1.0).validate()
-    with pytest.raises(ValidationError):
-        make_config(t0=0.0).validate()
-    with pytest.raises(ValidationError):
-        make_config(lambda_floor=0.0).validate()
-
-
-def test_system_config_rejects_schedule_starting_late():
-    sched = polynomial_schedule(PolyParams(), 5.0)
-    with pytest.raises(ValidationError):
-        make_config(schedule=sched).validate()
+    # a config checks itself at construction
+    for over in (dict(alpha=-1.0), dict(beta=-0.1), dict(horizon=1.0), dict(t0=0.0),
+                 dict(lambda_floor=0.0)):
+        with pytest.raises(ValidationError):
+            make_config(**over)
 
 
 def test_system_config_enforces_lambda_floor():
-    sched = polynomial_schedule(PolyParams(lam=LambdaForm("constant", 1e-12)), 1.0)
+    sched = PolyParams(lam=LambdaForm("constant", 1e-12))
     with pytest.raises(ValidationError):
-        make_config(schedule=sched).validate()
+        make_config(schedule=sched)
 
 
 @pytest.mark.parametrize("params, t0, horizon, message", [
@@ -706,22 +704,25 @@ def test_system_config_enforces_lambda_floor():
     (PolyParams(d=1e-300), 1.4, 140.0, "eps(t) must strictly decrease over the horizon"),
 ], ids=["bounded_lambda", "power_lambda", "b_underflow", "flat_eps"])
 def test_system_config_checks_the_schedule_at_its_end_points(params, t0, horizon, message):
-    cfg = make_config(schedule=polynomial_schedule(params, t0), t0=t0, horizon=horizon)
     with pytest.raises(ValidationError) as info:
-        cfg.validate()
+        make_config(schedule=params, t0=t0, horizon=horizon)
     assert str(info.value) == message
 
 
 def test_schedule_callables_are_derived_from_its_parameters():
     params = PolyParams(2.0, 1.5, 0.5, 2.5, LambdaForm("bounded", 0.7))
-    s, ref = Schedule(3.0, params), polynomial_schedule(params, 3.0)
-    assert s == ref
+    twin = pickle.loads(pickle.dumps(params))  # the callables pickle too
+    # the callables take no part in equality, hashing or repr
+    assert twin == params and hash(twin) == hash(params)
+    assert repr(params) == ("PolyParams(b_coeff=2.0, n=1.5, eps_coeff=0.5, d=2.5, "
+                            "lam=LambdaForm(kind='bounded', value=0.7))")
     for name in ("b", "b_dot", "lam", "lam_dot", "eps", "eps_dot"):
-        assert getattr(s, name)(7.0) == getattr(ref, name)(7.0), name
+        assert getattr(twin, name)(7.0) == getattr(params, name)(7.0), name
+    assert dataclasses.replace(params, n=0.5).b(7.0) == PolyParams(2.0, 0.5).b(7.0)
     with pytest.raises(TypeError):
-        Schedule(3.0, params, b=lambda t: t)
-    with pytest.raises(ParameterDomainError):
-        Schedule(0.0, params)
+        PolyParams(2.0, b=lambda t: t)
+    with pytest.raises(ValueError):
+        dataclasses.replace(params, b=lambda t: t)
 
 
 def test_system_config_coerces_points():

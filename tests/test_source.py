@@ -3,7 +3,10 @@
 import ast
 import importlib
 import itertools
+import os
 import pathlib
+import subprocess
+import sys
 import types
 
 import proxdyn
@@ -56,3 +59,16 @@ def test_every_kernel_variant_compiles_without_asserts():
             assert [node.name for node in tree.body] == [name]
             assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree))
             compile(tree, f"<{name} {variant}>", "exec")
+
+
+def test_readme_library_quickstart_runs(tmp_path):
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    code = readme.split("## Library quickstart", 1)[1].split("```python\n", 1)[1]
+    code = code.split("```", 1)[0]
+    src = str(pathlib.Path(proxdyn.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    assert "result: all conditions hold" in res.stdout
