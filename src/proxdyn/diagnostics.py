@@ -136,13 +136,15 @@ def compute_observables(traj: Trajectory, q: Optional[float] = None) -> Observab
     """Evaluate every scalar CSV column at every sample of the trajectory.
 
     The energy columns use q = alpha - 1 unless another q in [2, alpha - 1]
-    is given.
+    is given.  A column that overflows holds inf (or NaN) where it does.
     """
     if len(traj) == 0:
         raise InsufficientDataError("empty trajectory")
     cfg = traj.cfg
     q = _energy_index(q, cfg.alpha)
-    return Observables(traj=traj, q=q, **_columns(cfg, traj.ts, traj.xs, traj.xdots, q))
+    with np.errstate(over="ignore", invalid="ignore"):
+        columns = _columns(cfg, traj.ts, traj.xs, traj.xdots, q)
+    return Observables(traj=traj, q=q, **columns)
 
 
 def _one_sample(sample, cfg: SystemConfig):

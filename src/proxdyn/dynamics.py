@@ -670,9 +670,11 @@ def initial_aux(cfg: SystemConfig) -> np.ndarray:
     if cfg.beta == 0.0:
         return cfg.xdot0.copy()
     t0, s = float(cfg.t0), cfg.schedule
-    g0 = _grad(cfg.objective.prox, s.lam.scalar(t0), cfg.x0)
-    return (-cfg.beta * (cfg.xdot0 + cfg.beta * g0)
-            + (s.b.scalar(t0) - cfg.alpha * cfg.beta / cfg.t0) * cfg.x0)
+    # an overflow gives inf or NaN, whose first step raises DivergenceError
+    with np.errstate(over="ignore", invalid="ignore"):
+        g0 = _grad(cfg.objective.prox, s.lam.scalar(t0), cfg.x0)
+        return (-cfg.beta * (cfg.xdot0 + cfg.beta * g0)
+                + (s.b.scalar(t0) - cfg.alpha * cfg.beta / cfg.t0) * cfg.x0)
 
 
 def integrate(cfg: SystemConfig, settings: IntegratorSettings = None) -> Trajectory:

@@ -207,6 +207,9 @@ class SystemConfig:
             raise ValidationError("t0 must be positive")
         if not (math.isfinite(self.horizon) and self.horizon > self.t0):
             raise ValidationError("horizon must exceed t0")
+        if self.beta > 0.0 and self.t0 * self.t0 == 0.0:
+            # the beta > 0 right-hand side divides by t**2, which is >= t0**2
+            raise ValidationError("t0**2 underflows to 0, and beta > 0 divides by t**2")
         if not 0.0 < self.lambda_floor < math.inf:
             raise ValidationError("lambda_floor must be a positive real")
         s, t0 = self.schedule, float(self.t0)
@@ -461,7 +464,8 @@ def _pointwise_verdict(c: _Context, cond: str, vals, sense: str,
 def _dominant_term(monomials: tuple):
     """(exponent, coefficient) of the term that rules the tail of a sum of
     (coef, exponent) monomials, or None when every coefficient, summed per
-    exponent, is dust.  Cached by value: a start-time search checks one
+    exponent, is dust.  An infinite coefficient (an overflow) is never dust.
+    Cached by value: a start-time search checks one
     query's monomials at each candidate t0.  0.0 and -0.0 share a key, which
     changes nothing: a zero coefficient is dust, and no rule builds an
     exponent of -0.0."""
@@ -469,7 +473,7 @@ def _dominant_term(monomials: tuple):
     for coef, e in monomials:
         agg[e] = agg.get(e, 0.0) + coef
     scale = max([abs(a) for a in agg.values()] + [1.0])
-    items = [(e, a) for e, a in agg.items() if abs(a) > 1e-13 * scale]
+    items = [(e, a) for e, a in agg.items() if abs(a) > 1e-13 * scale or math.isinf(a)]
     return max(items) if items else None
 
 
@@ -538,6 +542,9 @@ def _feasible_a(c: _Context):
     if denom == 0.0:  # underflow of a denormal product
         return (a_lo, math.inf), "quadratic decay bound is numerically inactive", math.inf
     a_hi = (2.0 * d / denom) * _power(q.t0, d - 1.0)
+    if math.isnan(a_hi):  # inf * 0, one factor overflowed and one underflowed: in logs
+        a_hi = _power(10.0, math.log10(2.0) + math.log10(d) - math.log10(q.beta)
+                      - math.log10(E) + (d - 1.0) * math.log10(q.t0))
     if a_hi < a_lo:
         return None, f"empty interval: upper bound {a_hi:.6g} below lower bound {a_lo:.6g}", a_hi - a_lo
     return (a_lo, a_hi), f"a in [{a_lo:.6g}, {a_hi:.6g}]", a_hi - a_lo
@@ -761,7 +768,8 @@ def energy_descent_start(cfg, q: float, a: float) -> float:
     if not 1.0 <= a < math.inf:
         raise ParameterDomainError(f"a must be >= 1 and finite, got {a:.6g}")
     _check_energy_index(q, alpha)
-    b0 = float(s.b(t0))
+    with np.errstate(over="ignore"):  # b(t0) = inf passes, and t_settle ignores it
+        b0 = float(s.b(t0))
     if b0 * a <= 1.0:
         raise InfeasibleError(f"need b(t0) > 1/a, got b(t0) = {b0:.6g}, 1/a = {1.0 / a:.6g}")
     coef = beta * (q + 2.0 - alpha)
@@ -805,8 +813,8 @@ def suggest_t0(params: PolyParams, alpha: float, beta: float, slack: float = 0.0
             raise InfeasibleError(
                 f"requires d >= beta * eps_coeff / 2 = {beta * E / 2.0:.6g}, got d = {d:.6g}")
     t0 = max((beta / B) ** (1.0 / (n + 1.0)), _settle_time(B, n, alpha, beta))
-    if t0 * t0 < sys.float_info.min:
-        # beta = 0, or so small that t0 (or t0^2) underflows: start at 1
+    if min(t0 * t0, t0 * (B * _power(t0, n))) < sys.float_info.min:
+        # beta = 0, or so small that t0, t0^2 or t0 b(t0) underflows: start at 1
         t0 = 1.0
     if beta > 0.0 and E > 0.0:
         # raise t0 until the admissible-a interval [a_lo, 2d/(beta E) t0^(d-1)]

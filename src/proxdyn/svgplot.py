@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import html
 import math
+import sys
 
 import numpy as np
 
@@ -40,6 +41,8 @@ def _linear_ticks(lo: float, hi: float):
     v = first
     while v <= hi + 1e-9 * step:
         ticks.append(0.0 if abs(v) < 1e-12 * step else v)
+        if v + step == v:  # a step below the spacing of doubles at v
+            break
         v += step
     return ticks
 
@@ -57,62 +60,83 @@ def _escape(text: str) -> str:
     return html.escape(text, quote=False)
 
 
-# _points lays out a value's text in 8 uint16 words: (pad, sign), the 4 digit
-# pairs of the integer part, (".", pad), the 2 decimals and (separator, pad).
-# _PAIRS holds "00" to "99" as words, _KEEP the bytes kept for every value,
-# and _DIGIT_FROM the least integer part that has a digit at byte 2, ..., 8.
-_PAIRS = np.array([list(b"%02d" % k) for k in range(100)], dtype=np.uint8).view(np.uint16)[:, 0]
-_KEEP = np.array([0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 1, 1, 1, 0], dtype=bool)
-_DIGIT_FROM = [10 ** k for k in range(7, 0, -1)]
+def _digit_tables():
+    """(_INTS, _CENTS): the integer digits of q < 1000 in bytes 1-3, and "."
+    and the two digits of c < 100 in bytes 4-6."""
+    k = np.arange(1000, dtype=np.uint64)
+    ones, tens = k % 10 + 48, k // 10 % 10 + 48
+    ints = ((np.where(k >= 100, k // 100 + 48, 0) << 8) | (np.where(k >= 10, tens, 0) << 16)
+            | (ones << 24))
+    return ints, (ord(".") << 32) | (tens[:100] << 40) | (ones[:100] << 48)
 
 
-def _points(xs: np.ndarray, ys: np.ndarray) -> str:
+# _words writes a value's "%.2f" text as one little-endian uint64 word, NUL
+# where the text has no byte: byte 0 the sign, bytes 1-3 the integer digits
+# (leading zeros NUL), byte 4 the ".", bytes 5-6 the cents and byte 7 the
+# separator, which _points fills in.  A value "%.2f" must write gets the
+# word _SLOW, a lone byte 1 that marks its place in the text.
+_INTS, _CENTS = _digit_tables()
+_MINUS = np.uint64(ord("-"))
+_COMMA, _SPACE = np.uint64(ord(",") << 56), np.uint64(ord(" ") << 56)
+_SLOW = 1
+
+
+def _words(v: np.ndarray) -> np.ndarray:
+    """The text of "%.2f" % v for each float64 v as a uint64 word (see
+    _INTS), without its separator.
+
+    The word is read from n = rint(|v| * 100): a "-" when v's sign bit is
+    set (as "%.2f" writes it, even for a value that rounds to 0), the digits
+    of n // 100 and the two of n % 100.  Below 1000, |v| * 100 is within
+    1e-11 of its exact value, so its rint rounds as "%.2f" does unless it
+    lies within 1e-6 of a half; those values, any |v| >= 1000 (no pixel
+    reaches it) and non-finite v get _SLOW, and "%.2f" writes them.  The
+    arithmetic is done in place: a fresh array of fig1/n2's 19,489 values
+    can cost more in page faults than the operation that fills it."""
+    s = np.abs(v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s *= 100.0
+        n = np.rint(s)
+        s -= n  # NaN for inf and NaN
+    np.abs(s, out=s)
+    fast = s <= 0.5 - 1e-6
+    if not n.max(initial=0.0) < 1e5:  # a value of 1000 or more, or not finite
+        fast &= n < 1e5
+        n[~fast] = 0.0
+    n = n.astype(np.intp)
+    q = n * 42949673  # ceil(2**32 / 100): (n * 42949673) >> 32 is n // 100 for n < 10**5
+    q >>= 32
+    n -= q * 100
+    words = np.take(_INTS, q)
+    words |= np.take(_CENTS, n)
+    minus = np.signbit(v)
+    if minus.any():
+        words[minus] |= _MINUS
+    if not fast.all():
+        words[~fast] = _SLOW
+    return words
+
+
+def _points(xs: np.ndarray, ys: np.ndarray, xwords=None) -> str:
     """" ".join("%.2f,%.2f" % p for p in zip(xs, ys)), built in numpy.
 
-    Each value v is written from n = rint(|v| * 100): a "-" when v's sign
-    bit is set (as "%.2f" writes it, even for a value that rounds to 0), the
-    digits of n // 100 without leading zeros, "." and the two of n % 100.
-    The bytes of every value's longest text are laid out in a matrix, and a
-    mask keeps those of its text.  Below 1e9, |v| * 100 is within 6e-8 of
-    its exact value, so its rint rounds as "%.2f" does unless it lies within
-    1e-6 of a half; "%.2f" itself writes those values, any |v| >= 1e7 and
-    non-finite v."""
-    v = np.column_stack([xs, ys]).ravel()
-    a = np.abs(v)
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = a * 100.0
-        fast = (a < 1e7) & (np.abs(s - np.floor(s) - 0.5) >= 1e-6)  # False for inf, NaN
-    n = np.rint(np.where(fast, s, 0.0)).astype(np.int32)
-    q = n // 100
-    words = np.empty((v.size, 8), dtype=np.uint16)
-    for col, pair in ((1, q // 1000000), (2, q // 10000 % 100), (3, q // 100 % 100),
-                      (4, q % 100), (6, n % 100)):
-        words[:, col] = _PAIRS[pair]
-    chars = words.view(np.uint8)
-    chars[:, 1] = ord("-")
-    chars[:, 10] = ord(".")
-    chars[0::2, 14] = ord(",")
-    chars[1::2, 14] = ord(" ")
-    keep = np.empty(chars.shape, dtype=bool)
-    keep[:] = _KEEP
-    keep[:, 1] = np.signbit(v)
-    for col, least in enumerate(_DIGIT_FROM, 2):
-        keep[:, col] = q >= least
-    keep[~fast, :14] = False
-    keep[-1:, 14] = False
-    text = chars[keep].tobytes().decode("ascii")
-    slow = np.flatnonzero(~fast)
-    if slow.size == 0:
+    xwords, if given, is _words(xs), which series that share xs build once.
+    The x and y words are interleaved with their separators and the NULs
+    dropped; "%.2f" then writes each _SLOW value in its place."""
+    if xwords is None:
+        xwords = _words(xs)
+    words = np.empty((len(xs), 2), np.uint64)
+    np.bitwise_or(xwords, _COMMA, out=words[:, 0])
+    ywords = _words(ys)
+    np.bitwise_or(ywords, _SPACE, out=words[:, 1])
+    words[-1:, 1] = ywords[-1:]  # no separator after the last point
+    text = words.tobytes().translate(None, b"\0").decode("ascii")
+    if "\1" not in text:
         return text
-    # a slow value's text goes where its row starts, before its separator
-    widths = keep.sum(axis=1)
-    starts = (np.cumsum(widths) - widths)[slow].tolist()
-    pieces, at = [], 0
-    for k, start in zip(slow.tolist(), starts):
-        pieces += [text[at:start], "%.2f" % v[k]]
-        at = start
-    pieces.append(text[at:])
-    return "".join(pieces)
+    marks = words.view(np.uint8).ravel()[::8] == _SLOW  # byte 0 of each word
+    slow = np.column_stack([xs, ys]).ravel()[marks]
+    texts = ["%.2f" % v for v in slow.tolist()] + [""]
+    return "".join(piece + t for piece, t in zip(text.split("\1"), texts))
 
 
 def _fmt(v: float) -> str:
@@ -139,9 +163,18 @@ class _Axis:
         lo, hi = float(vals.min()), float(vals.max())
         if scale == "log":
             if hi / lo < 1.0001:
-                lo, hi = lo / 2.0, hi * 2.0
+                # within the doubles: 5e-324 / 2 is 0, and 2 * 1e308 is inf
+                lo, hi = max(lo / 2.0, 5e-324), min(hi * 2.0, sys.float_info.max)
             self.lo, self.hi = math.log10(lo), math.log10(hi)
             self.ticks = _log_ticks(lo, hi)
+            # numpy's log10 is within 2 ulp of math.log10 (measured with and
+            # without AVX-512), and 64 eps * max(|log10 v|, 1) decades is at
+            # least 32 ulp.  tie_window is that error in cents at this axis'
+            # pixels per decade, plus _words' 1e-6 (which also covers the
+            # rounding after the log, about 1e-10 cents)
+            decade = abs(pix_hi - pix_lo) / (self.hi - self.lo)
+            self.tie_window = 1e-6 + 100.0 * decade * 64 * 2.0 ** -52 * max(
+                abs(self.lo), abs(self.hi), 1.0)
         else:
             if hi - lo < 1e-300:
                 lo, hi = lo - 1.0, hi + 1.0
@@ -161,6 +194,29 @@ class _Axis:
         numpy's vectorized log10 may differ in the last bit."""
         t = np.array(list(map(math.log10, values.tolist()))) if self.scale == "log" else values
         return self.pix_lo + (t - self.lo) / (self.hi - self.lo) * (self.pix_hi - self.pix_lo)
+
+    def line_pixels(self, values: np.ndarray) -> np.ndarray:
+        """pixels(values) as far as the "%.2f" text of each pixel goes.  On a
+        log axis the log is numpy's log10, and pixels maps again each value
+        whose pixel lies within tie_window cents of a half-cent tie, the only
+        pixels whose text a last-bit difference of the log can change.  (A
+        pixel lies in [pix_lo, pix_hi], far from the sign change at 0.)"""
+        if self.scale != "log":
+            return self.pixels(values)
+        # pixels' operations in the same order, done in place
+        p = np.log10(values)
+        p -= self.lo
+        p /= self.hi - self.lo
+        p *= self.pix_hi - self.pix_lo
+        p += self.pix_lo
+        s = p * 100.0
+        d = np.rint(s)
+        np.subtract(s, d, out=d)
+        np.abs(d, out=d)
+        near = np.flatnonzero(d > 0.5 - self.tie_window)
+        if near.size:
+            p[near] = self.pixels(values[near])
+        return p
 
 
 def line_chart(path, series, title="", xlabel="t", ylabel="",
@@ -212,15 +268,18 @@ def line_chart(path, series, title="", xlabel="t", ylabel="",
         out.append(f'<text x="16" y="{ypos}" text-anchor="middle" '
                    f'transform="rotate(-90 16 {ypos})">{_escape(ylabel)}</text>')
 
-    # series often share their x array (and mask), which is mapped once
-    xpix = {}  # (id of an x array, its mask's bytes) -> pixels
+    # series often share their x array (and mask), whose pixels and words
+    # are made once
+    xtext = {}  # (id of an x array, its mask's bytes) -> (pixels, words)
     for k, (label, xs, mask, ys) in enumerate(keep):
         color = _PALETTE[k % len(_PALETTE)]
         if ys.size:
             key = (id(xs), mask.tobytes())
-            if key not in xpix:
-                xpix[key] = ax.pixels(xs[mask])
-            out.append(f'<polyline points="{_points(xpix[key], ay.pixels(ys))}" '
+            if key not in xtext:
+                xpix = ax.line_pixels(xs[mask])
+                xtext[key] = xpix, _words(xpix)
+            xpix, xwords = xtext[key]
+            out.append(f'<polyline points="{_points(xpix, ay.line_pixels(ys), xwords)}" '
                        f'fill="none" stroke="{color}" '
                        f'stroke-width="1.6"/>')
         ly = _MT + 16 + 18 * k

@@ -2,19 +2,22 @@
 
 import contextlib
 import dataclasses
+import functools
 import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import proxdyn
-from proxdyn import cli, csvio, objectives, runconfig
+from proxdyn import cli, csvio, dynamics, objectives, runconfig
 from proxdyn.csvio import read_csv
 
 FAST_CONFIG = """
@@ -118,6 +121,15 @@ def test_check_reports_overflowing_constants_as_verdicts(capsys, args):
     assert "result: FAILED" in out and "margin nan" not in out
 
 
+def test_check_names_an_infinite_dominant_term(capsys):
+    # beta**2 overflows in the damping constant: the tail note names the
+    # inf term instead of calling the expression vanishing
+    assert cli.main(["check", "--preset", "fig4", "--set", "system.beta=1e200"]) == 1
+    damping = [line for line in capsys.readouterr().out.splitlines() if "] damping_balance" in line]
+    assert len(damping) == 2
+    assert all(line.endswith("tail: dominant term inf * t^0)") for line in damping)
+
+
 _MAX = sys.float_info.max
 
 
@@ -157,6 +169,76 @@ def test_check_exits_0_or_1_on_any_numbers_in_their_domains(
         warnings.simplefilter("error")
         code = cli.main(args)
     assert code in (0, 1), err.getvalue()
+
+
+def _signed_log_uniform():
+    """_log_uniform(zero=True) values with either sign."""
+    return st.builds(math.copysign, _log_uniform(zero=True), st.sampled_from([1.0, -1.0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(preset=st.sampled_from(sorted(runconfig.PRESETS)),
+       alpha=_log_uniform(), beta=_log_uniform(zero=True), t0=_log_uniform(),
+       gap=st.sampled_from([2.0 ** -52, 1e-9, 1e-6]),
+       b_coeff=_log_uniform(), n=_log_uniform(zero=True),
+       eps_coeff=_log_uniform(zero=True), d=_log_uniform(),
+       lambda_form=st.sampled_from(["constant", "power", "bounded"]),
+       lambda_value=_log_uniform(zero=True), x0=_signed_log_uniform(),
+       xdot0=_signed_log_uniform())
+# b(t0) overflowed in energy_descent_start's numpy monomial
+@example(preset="fig3", alpha=_MAX, beta=1.0000610370189331, t0=1.0854368296331174e+80,
+         gap=1e-6, b_coeff=_MAX, n=1.0000610370189331, eps_coeff=0.0, d=5e-324,
+         lambda_form="bounded", lambda_value=1.0000610370189331, x0=10.0, xdot0=0.0)
+# initial_aux overflowed, in b(t0) x0 and in beta**2 g0
+@example(preset="fig4", alpha=1.0, beta=1.0, t0=1.0, gap=2.0 ** -52, b_coeff=_MAX, n=_MAX,
+         eps_coeff=1.0, d=4.816738706938668e+183, lambda_form="constant",
+         lambda_value=9.170348025144893e+60, x0=2.0, xdot0=0.0)
+@example(preset="fig1", alpha=4.940956882139345e-50, beta=4.901136885052138e+202, t0=1.0,
+         gap=1e-6, b_coeff=5e-324, n=_MAX, eps_coeff=_MAX, d=1.0, lambda_form="power",
+         lambda_value=4.940956882139345e-50, x0=10.0, xdot0=0.0)
+# ... and in the envelope gradient (x - prox(x)) / lambda at x0 = -1.8e308
+@example(preset="fig6", alpha=6.0, beta=1.0, t0=1.4, gap=1e-6, b_coeff=1.0, n=0.7,
+         eps_coeff=1.0, d=1.5, lambda_form="constant", lambda_value=_MAX, x0=-_MAX,
+         xdot0=0.0)
+# the observables overflowed: |x - p|^2 / (2 lambda) with lambda = 1.8e308
+@example(preset="fig5", alpha=1.0, beta=0.0, t0=1.0, gap=1e-9, b_coeff=1.0, n=5e-324,
+         eps_coeff=0.0, d=1.0, lambda_form="constant", lambda_value=_MAX, x0=2.0, xdot0=0.0)
+# the linear t axis of trajectory.svg looped forever: its tick step was
+# below the spacing of the doubles at t0 = 1e154
+@example(preset="fig5", alpha=1.0, beta=0.0, t0=1.0885586470282513e+154, gap=2.0 ** -52,
+         b_coeff=1.0, n=1.0, eps_coeff=7.190766037562327e-299, d=_MAX,
+         lambda_form="constant", lambda_value=4.4816890703380645,
+         x0=3.0010878586492214e-124, xdot0=7.190766037562327e-299)
+# t0**2 underflowed to 0, and the beta > 0 right-hand side divided by it
+@example(preset="fig3", alpha=6.89755700379712e-197, beta=0.0024787521766663585,
+         t0=6.89755700379712e-197, gap=1e-6, b_coeff=5e-324, n=6.89755700379712e-197,
+         eps_coeff=0.0, d=8.725057778574719e+74, lambda_form="power",
+         lambda_value=2.950223274711047e-249, x0=0.0, xdot0=0.0)
+def test_simulate_exits_0_1_or_2_on_any_numbers_in_their_domains(
+        preset, alpha, beta, t0, gap, b_coeff, n, eps_coeff, d, lambda_form, lambda_value,
+        x0, xdot0):
+    # the numbers of the check test above, and the initial state, with SVG
+    # on: a run, a validation error or a divergence, never an internal error
+    # or a numpy warning.  A run that needs more than 20,000 steps stops with
+    # StepSizeError (exit 2), as one past the default 5,000,000 does; this
+    # bounds an example's time (about 3 ms each, 0.4 s at most)
+    numbers = {"system.alpha": alpha, "system.beta": beta, "system.t0": t0,
+               "system.horizon": t0 * (1.0 + gap), "schedule.b_coeff": b_coeff,
+               "schedule.n": n, "schedule.eps_coeff": eps_coeff, "schedule.d": d,
+               "schedule.lambda_value": lambda_value, "system.x0": x0, "system.xdot0": xdot0}
+    budget = functools.partial(dynamics.IntegratorSettings, max_steps=20_000)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as outdir, \
+            mock.patch.object(runconfig, "IntegratorSettings", budget):
+        args = ["simulate", "--preset", preset, "--svg", "on", "--out", outdir,
+                "--set", f"schedule.lambda_form={lambda_form}"]
+        for key, value in numbers.items():
+            args += ["--set", f"{key}={value!r}"]
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = cli.main(args)
+    assert code in (0, 1, 2), err.getvalue()
 
 
 def test_check_alpha3_example(tmp_path):

@@ -266,6 +266,8 @@ def test_suggest_t0_rejects_out_of_domain_inputs(alpha, beta, slack, error):
 # beta / b_coeff underflows to t0 = 0; a subnormal t0^2 breaks b_growth_margin
 @example(alpha=12.0, beta=5e-324, b_coeff=5.0, n_frac=0.0, eps_coeff=0.0, d=2.1)
 @example(alpha=4.0, beta=1e-300, b_coeff=1.0, n_frac=0.8, eps_coeff=0.0, d=2.1)
+# t0 = 1e-129 has a normal t0^2 but a subnormal t0 b(t0) = t0^2.5
+@example(alpha=5.0, beta=5e-324, b_coeff=1.0, n_frac=0.75, eps_coeff=0.0, d=3.0)
 def test_suggested_time_certifies_fast_rates(alpha, beta, b_coeff, n_frac, eps_coeff, d):
     if eps_coeff > 0 and d < beta * eps_coeff / 2.0:
         d = beta * eps_coeff / 2.0 + 0.1
@@ -628,6 +630,34 @@ def test_grid_overflow_fails_its_condition_and_keeps_finite_margins():
     caps = [v for v in fast.verdicts if v.condition in ("b_growth_cap", "b_growth_margin")]
     assert [(v.passed, v.margin, v.witness_t) for v in caps] == [(False, t0, t0), (False, 1.0, t0)]
     assert all("grid values not finite from t=" in v.detail for v in caps)
+
+
+
+@pytest.mark.parametrize("beta, t0, params, passed, margin, detail", [
+    # 2 d / (beta E) overflows to inf and t0**(d - 1) underflows to 0: the
+    # bound is 6e-80, below a_lo = (1 + 1e-12) / b(t0), where b(t0) = 1
+    (1e-300, 1e-200, PolyParams(eps_coeff=1e-20), False, -1.000000000001,
+     "empty interval: upper bound 6e-80 below lower bound 1"),
+    # 2 d / (beta E) underflows to 0 and t0**(d - 1) overflows to inf: the
+    # bound is 8e-9, or 2e592, which overflows to inf
+    (1e200, 1e10, PolyParams(eps_coeff=1e200, d=40.0), False, -0.9999999920010001,
+     "empty interval: upper bound 8e-09 below lower bound 1"),
+    (1e200, 1e10, PolyParams(eps_coeff=1e200, d=100.0), True, math.inf, "a in [1, inf]"),
+])
+def test_eps_decay_speed_decides_an_inf_times_zero_bound_in_logs(beta, t0, params, passed,
+                                                                    margin, detail):
+    report = check_fast_rate_conditions(ConditionQuery(10.0, beta, t0, params))
+    (speed,) = [v for v in report.verdicts if v.condition == "eps_decay_speed"]
+    assert (speed.passed, speed.margin, speed.detail) == (passed, margin, detail)
+    assert passed or not report.all_pass
+
+
+def test_an_infinite_coefficient_rules_the_tail():
+    # beta**2 overflows in a damping constant: its term is the dominant one
+    # however large the others are, and NaN (inf - inf) is dust
+    assert schedules._dominant_term(((1e300, 2.0), (math.inf, 0.0))) == (0.0, math.inf)
+    assert schedules._dominant_term(((-math.inf, 0.0), (1.0, -1.0))) == (0.0, -math.inf)
+    assert schedules._dominant_term(((math.inf, 1.0), (-math.inf, 1.0))) is None
 
 
 # each query has a schedule of its own b_coeff, which no domain check reads

@@ -1,5 +1,6 @@
 """SVG chart emission: well-formed XML, series handling, axis scales."""
 
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -51,6 +52,20 @@ def test_flat_series_still_renders(tmp_path):
     ts = np.linspace(1.0, 2.0, 5)
     root = chart(tmp_path, [("const", ts, np.ones(5))], yscale="log")
     assert root.find(f"{NS}polyline") is not None
+
+
+def test_axes_at_the_ends_of_the_doubles(tmp_path):
+    # a linear t axis one double wide at 1e154, whose tick step lies below
+    # the spacing of the doubles there
+    t0 = 1.0885586470282513e+154
+    ts = np.array([t0, np.nextafter(t0, np.inf)])
+    root = chart(tmp_path, [("x", ts, np.array([1.0, 2.0]))])
+    assert len(root.find(f"{NS}polyline").get("points").split()) == 2
+    # flat series on a log axis, which is widened by a factor 2 each way, at
+    # the smallest and the largest double
+    for v in (5e-324, sys.float_info.max):
+        root = chart(tmp_path, [("flat", ts, np.full(2, v))], yscale="log")
+        assert len(root.find(f"{NS}polyline").get("points").split()) == 2
 
 
 def test_title_is_escaped(tmp_path):
@@ -108,16 +123,15 @@ def test_polylines_equal_pointwise_pix(tmp_path, monkeypatch, scale):
               # the x array and mask of "decay": mapped once for both
               ("decay/2", ts, 0.5 / ts ** 2)]
     calls = []
-    pixels = svgplot._Axis.pixels
-    monkeypatch.setattr(svgplot._Axis, "pixels",
-                        lambda axis, values: calls.append(values.size) or pixels(axis, values))
+    words = svgplot._words
+    monkeypatch.setattr(svgplot, "_words", lambda values: calls.append(values.size) or words(values))
     root = chart(tmp_path, series, xscale=scale, yscale=scale)
     ax, ay, kept, points = pointwise_reference(series, scale, scale)
     assert kept[2][0].size == 0
     got = {el.get("stroke"): el.get("points") for el in root.findall(f"{NS}polyline")}
     assert got == {svgplot._PALETTE[k]: pts for k, pts in enumerate(points) if pts}
     assert len(got) == 4
-    # x: decay (and decay/2), noisy and ends; y: the four that are drawn
+    # words of x: decay (and decay/2), noisy and ends; of y: the four drawn
     assert len(calls) == 3 + 4
     for xs, ys in kept:
         for axis, values in ((ax, xs), (ay, ys)):
@@ -142,3 +156,72 @@ def test_points_text_equals_percent_format(points):
     xs = np.array([p[0] for p in points], dtype=float)
     ys = np.array([p[1] for p in points], dtype=float)
     assert svgplot._points(xs, ys) == " ".join("%.2f,%.2f" % p for p in points)
+
+
+def test_series_sharing_x_with_differing_masks(tmp_path, monkeypatch):
+    # one x array, three masks: each (x array, mask) gets its own x words,
+    # and a series with the mask of an earlier one reuses them
+    ts = np.geomspace(1.0, 50.0, 300)
+    holes, negative = 1.0 / ts, 3.0 / ts
+    holes[::3] = np.nan
+    negative[::5] = -1.0
+    series = [("whole", ts, 1.0 / ts), ("holes", ts, holes), ("negative", ts, negative),
+              ("whole/2", ts, 0.5 / ts)]
+    calls = []
+    words = svgplot._words
+    monkeypatch.setattr(svgplot, "_words", lambda values: calls.append(values.size) or words(values))
+    root = chart(tmp_path, series, xscale="log", yscale="log")
+    points = pointwise_reference(series, "log", "log")[3]
+    assert [el.get("points") for el in root.findall(f"{NS}polyline")] == points
+    assert calls == [300, 300, 200, 200, 240, 240, 300]
+
+
+def tie_values(lo, hi, pix_lo, pix_hi, rng, count=200):
+    """lo, hi and up to count values between them whose exact pixel on the
+    log axis from lo to hi lies within 1e-9 px of a half-cent tie."""
+    axis = svgplot._Axis([lo, hi], "log", pix_lo, pix_hi)
+    values = [lo, hi]
+    span = abs(pix_hi - pix_lo)
+    for cents in rng.integers(1, int(span * 100) - 1, count):
+        tie = min(pix_lo, pix_hi) + (cents + 0.5) / 100
+        guess = 10.0 ** (axis.lo + (tie - pix_lo) / (pix_hi - pix_lo) * (axis.hi - axis.lo))
+        near = [v for v in guess * (1.0 + 2.0 ** -52 * np.arange(-40, 41))
+                if lo < v < hi and abs(axis.pix(v) - tie) < 1e-9]
+        values += near[:1]
+    return np.array(values), axis
+
+
+# a wide log axis (about 13 px per decade) and two nearly flat ones (hi / lo
+# just above 1.0001: a pixel spans about 1e-7 decades).  Near 3e5 the
+# pixels of adjacent doubles lie 8e-9 px apart, so fewer values get close
+TIE_AXES = [(1e-30, 1e1), (1.0, 1.00010001), (3.0e5, 3.0e5 * 1.00010001)]
+
+
+@pytest.mark.parametrize("lo, hi", TIE_AXES)
+def test_log_pixels_near_ties_give_exact_text(tmp_path, lo, hi):
+    rng = np.random.default_rng(7)
+    ys, ay = tie_values(lo, hi, svgplot._H - svgplot._MB, svgplot._MT, rng)
+    assert ys.size > 40
+    exact = ["%.2f" % ay.pix(v) for v in ys]
+    assert ["%.2f" % p for p in ay.line_pixels(ys)] == exact
+    xs = tie_values(lo, hi, svgplot._ML, svgplot._W - svgplot._MR, rng, ys.size - 2)[0]
+    xs = np.resize(xs, ys.size)
+    series = [("ties", xs, ys)]
+    root = chart(tmp_path, series, xscale="log", yscale="log")
+    assert root.find(f"{NS}polyline").get("points") == pointwise_reference(series, "log", "log")[3][0]
+
+
+@pytest.mark.parametrize("lo, hi", TIE_AXES)
+def test_log_pixels_near_ties_with_a_log10_off_by_ulps(monkeypatch, lo, hi):
+    # a vectorized log10 up to 4 ulp away from math.log10 (numpy's AVX-512
+    # log10 was measured within 2) still gives every pixel's exact text
+    rng = np.random.default_rng(11)
+    ys, ay = tie_values(lo, hi, svgplot._H - svgplot._MB, svgplot._MT, rng)
+    log10 = np.log10
+
+    def off_by_ulps(values):
+        t = log10(values)
+        return t + np.spacing(t) * rng.integers(-4, 5, t.shape)
+
+    monkeypatch.setattr(np, "log10", off_by_ulps)
+    assert ["%.2f" % p for p in ay.line_pixels(ys)] == ["%.2f" % ay.pix(v) for v in ys]
