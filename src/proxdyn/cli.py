@@ -98,7 +98,8 @@ def _gather_runs(args) -> list:
 
 def _validated(flats) -> dict:
     """{label: RunConfig}, each run parsed and built before any starts (and built
-    again when it runs: a built SystemConfig holds closures a worker cannot take)."""
+    again when it runs: a built SystemConfig's Objective holds closures, which a
+    sweep worker cannot take)."""
     configs = {}
     for flat in flats:
         rc = config_from_flat(flat)
@@ -160,7 +161,10 @@ def _combined_csv(path, param, finished):
     tables = list(finished.values())
     t_lo = max(table.ts[0] for table in tables)
     t_hi = min(table.ts[-1] for table in tables)
-    grid = np.geomspace(t_lo, t_hi, 256)
+    # geomspace takes 10 ** log10(t), which can round past t_hi, even to inf
+    # next to the largest double
+    with np.errstate(over="ignore"):
+        grid = np.minimum(np.geomspace(t_lo, t_hi, 256), t_hi)
     names = list(tables[0].scalars)
     columns = [np.repeat(list(finished), grid.size), np.tile(grid, len(tables))]
     columns += [np.concatenate([np.interp(grid, table.ts, table.scalars[name])

@@ -28,7 +28,6 @@ __all__ = [
     "StrongConvReport",
     "compute_observables",
     "energy_q",
-    "energy_pq",
     "unanchored_energy",
     "energy_q_series",
     "unanchored_energy_series",
@@ -173,22 +172,6 @@ def unanchored_energy(sample, q: float, cfg: SystemConfig) -> float:
     return float(_columns(cfg, *_one_sample(sample, cfg), q)["psi"][0])
 
 
-def energy_pq(sample, p: float, q: float, cfg: SystemConfig) -> float:
-    """Two-index scaled energy used for the strong-convergence argument.
-
-    t^(p+1) (t b + beta (alpha-p-q-2)) (envelope gap)
-    + (eps t^(p+2) / 2) (|x|^2 - |x*|^2) + (t^p / 2) |v|^2.
-    """
-    if p < 0.0 or q < 0.0:
-        raise ParameterDomainError("p and q must be nonnegative")
-    env = _envelope(cfg, *_one_sample(sample, cfg))
-    t = env.ts
-    E = (t ** (p + 1.0) * (t * env.b + cfg.beta * (cfg.alpha - p - q - 2.0)) * env.gap
-         + 0.5 * env.eps * t ** (p + 2.0) * (_sq(env.xs) - _sq(env.x_star))
-         + 0.5 * t ** p * _sq(_anchored(env, q)))
-    return float(E[0])
-
-
 def energy_q_series(traj: Trajectory, q: float) -> np.ndarray:
     return compute_observables(traj, q).energy_q
 
@@ -224,7 +207,8 @@ def check_energy_descent(obs: Observables, a: float) -> DescentReport:
     Tikhonov source term (q t eps(t) / 2) |x*|^2 past the descent start time.
 
     Tolerates violations on 1% of the intervals, each within a
-    discretization allowance of 1e-6 * max(1, max |E|).
+    discretization allowance of 1e-6 * max(1, max |E|).  An interval whose
+    excess is NaN (an energy or bound past the doubles) is a violation.
     """
     if obs.q is None:
         raise ParameterDomainError("alpha < 3 leaves no admissible energy index q")
@@ -240,13 +224,20 @@ def check_energy_descent(obs: Observables, a: float) -> DescentReport:
     ts = obs.ts[mask]
     E = obs.energy_q[mask]
     xs_sq = float(np.dot(x_star, x_star))
-    eps_ts = np.asarray(cfg.schedule.eps(ts), dtype=float)
-    bound = 0.5 * q * ts * eps_ts * xs_sq
-    diffs = np.diff(E) / np.diff(ts)
-    excess = diffs - bound[:-1]
+    # past the doubles a value is inf, and inf - inf or inf * 0 is NaN,
+    # without a warning; the bound is exactly 0 where eps(t) or |x*| is
+    with np.errstate(over="ignore", invalid="ignore"):
+        eps_ts = np.asarray(cfg.schedule.eps(ts), dtype=float)
+        bound = np.where((eps_ts == 0.0) | (xs_sq == 0.0), 0.0, 0.5 * q * ts * eps_ts * xs_sq)
+        # a step below half the spacing of the doubles at t leaves t where
+        # it was: such an interval has no length and no slope to check
+        dts = np.diff(ts)
+        timed = dts > 0.0
+        diffs = np.diff(E)[timed] / dts[timed]
+        excess = diffs - bound[:-1][timed]
     allowance = 1e-6 * max(1.0, float(np.max(np.abs(E))))
     dust = 1e-12 * max(1.0, float(np.max(np.abs(diffs))) if diffs.size else 1.0)
-    bad = excess > dust
+    bad = ~(excess <= dust)  # a NaN excess is not shown to descend
     violations = int(np.count_nonzero(bad))
     worst = float(np.max(excess[bad])) if violations else 0.0
     passed = (violations <= _DESCENT_TOL_FRACTION * excess.size) and worst <= allowance
@@ -304,7 +295,13 @@ def fit_rate_slope(ts, values, window=None, theory_slope: Optional[float] = None
     if sel.size < 20:
         raise InsufficientDataError(
             f"only {sel.size} usable points in the fit window [{lo:.4g}, {hi:.4g}]")
-    slope = float(np.polyfit(np.log(ts[sel]), np.log(vals), 1)[0])
+    # full=True reports the rank instead of warning: a window whose log t
+    # barely varies (t0 near T, far out) gives a rank-1 system, and no slope
+    coef, _, rank, _, _ = np.polyfit(np.log(ts[sel]), np.log(vals), 1, full=True)
+    if rank < 2:
+        raise InsufficientDataError(
+            f"log t varies too little in the fit window [{lo:.4g}, {hi:.4g}] for a slope")
+    slope = float(coef[0])
     margin = None if theory_slope is None else theory_slope - slope
     return RateFit(quantity=quantity, window=(float(ts[sel][0]), float(ts[sel][-1])),
                    slope=slope, npoints=int(sel.size), theory_slope=theory_slope,

@@ -34,14 +34,15 @@ that loop is a lane:
   coordinate_prox), which runs on the whole point.
 
 Each stepper's loop is generated Python source, from one template per
-stepper (and one for the public rhs_*).  _kernel splices into it:
+stepper.  _kernel splices into it:
 - the reformulation's right-hand side, beta = 0 or beta > 0, inlined at
-  every stage: the only place each reformulation is written (_rhs_src);
-- the polynomial schedule's stage constants for the lambda form (constant,
-  power or bounded), as expressions such as B * t ** n, evaluated once at
-  each distinct stage time (DP5's c5 = c6 = 1 and RK4's two midpoints share
-  one) and folded into (-(alpha/t), b, lambda, eps) when beta = 0 and
-  (cx, dx, dy, lambda) when beta > 0 (_consts_src);
+  every stage: the only place each reformulation is written (_deriv_src);
+- the schedule's stage constants, each a monomial c * t ** e read off the
+  schedule, and lambda's offset plus its term (lo + lc * t ** le, or lo
+  alone when lc = 0: the lambda forms "varies" and "constant"), evaluated
+  once at each distinct stage time (DP5's c5 = c6 = 1 and RK4's two
+  midpoints share one) and folded into (-(alpha/t), b, lambda, eps) when
+  beta = 0 and (cx, dx, dy, lambda) when beta > 0 (_consts_src);
 - on a float or local lane, the prox's scalar source in place of a prox
   call, at every stage, with u and lam the stage's and each parameter a
   local prox_<name> that the kernel unpacks from its argument prox (_prox_src);
@@ -51,16 +52,16 @@ So a step on a float or local lane calls no Python function (a source may
 call builtins such as max), and one on the numpy lane calls the prox once
 per right-hand-side evaluation.  Each variant is compiled once per process
 (functools.lru_cache, keyed by the prox source text and its parameter
-names): 2 steppers and an rhs kernel for each reformulation, lambda form and
-lane kind, and float and local lanes once per prox source, each the first
-time integrate or an rhs_* asks for it, never at import, in build_run or in
-validation.  The run's numbers (alpha, beta, B, n, E, d, the lambda value,
-the tolerances, the prox's parameters) are arguments, never source text.
-Each source is registered with linecache under a name such as
-<proxdyn dp5 beta>0 lam=bounded numpy>, or <proxdyn dp5 beta=0
-lam=constant local c196f01a> with the CRC-32 of a source that inlines a
-prox, so tracebacks that the traceback module formats (pytest, logging,
-traceback.print_exc) show its lines; _source returns it.
+names): 2 steppers for each reformulation, lambda form and lane kind, 24 in
+all, and float and local lanes once per prox source, each the first time
+integrate or an rhs_* asks for it, never at import, in build_run or in
+validation.  The run's numbers (alpha, beta, the monomials, the tolerances,
+the prox's parameters) come from the arguments, never source text, so a
+power and a bounded lambda share a kernel.  Each source is registered with
+linecache under a name such as <proxdyn dp5 beta>0 lam=varies numpy>, or
+<proxdyn dp5 beta=0 lam=constant local c196f01a> with the CRC-32 of a source
+that inlines a prox, so tracebacks that the traceback module formats
+(pytest, logging, traceback.print_exc) show its lines; _source returns it.
 
 The spliced expressions perform the same IEEE operations, in the same
 order, as the schedule's scalar forms fn.scalar, which use Python's ** (libm
@@ -78,21 +79,21 @@ the public rhs_*, initial_aux and residual_second_order check it again.
 
 The stage combinations, the error norm and the step controller perform,
 coordinate by coordinate, the same IEEE operations in the same order as the
-numpy expressions in the templates' comments, and a scalar source equals
-the array prox bit for bit, so a trajectory equals that of the array
-formulation bit for bit (tests/trajectory_pins.json pins a set of them).
-The error norm sums its 2 * dim squares left to right, x block first, at
-every dim and in every kind of lane (_sum_src); numpy's pairwise reduction
-would take that order only for fewer than 8 terms.  A step whose error
-norm is not finite raises DivergenceError naming t and h, and the
-divergence guard (_check_state) bounds the whole state (x, y), failing on a
-NaN anywhere; both errors, and StepSizeError, carry t_last and h.  The step counters are locals, written to
-StepStats when the loop ends and before every raise.  The public rhs_* and
-the first stage take the same stage constants, lanes and right-hand side,
-so they match the steppers bit for bit.  initial_aux, which runs once,
-evaluates lambda and b through the scalar forms and takes the envelope
-gradient from the array prox, which equals the scalar form bit for bit;
-residual_second_order shares that array gradient.
+numpy expressions in the templates' comments, and a scalar source equals the
+array prox bit for bit, so a trajectory equals that of the array formulation
+bit for bit (tests/trajectory_pins.json pins a set of them).  The error norm
+sums its 2 * dim squares left to right, x block first, at every dim and in
+every kind of lane (_sum_src); numpy's pairwise reduction would take that
+order only for fewer than 8 terms.  A step whose error norm is not finite
+raises DivergenceError naming t and h, and the divergence guard
+(_check_state) bounds the whole state (x, y), failing on a NaN anywhere;
+both errors, and StepSizeError, carry t_last and h.  The step counters are
+locals, written to StepStats when the loop ends and before every raise.  The
+public rhs_* run the variant's DP5 kernel from t to T = t, which evaluates
+the first stage and takes no step, so they match the steppers bit for bit.
+initial_aux, which runs once, evaluates lambda and b through the scalar
+forms and takes the envelope gradient from the array prox, which equals the
+scalar form bit for bit; residual_second_order shares that array gradient.
 """
 
 from __future__ import annotations
@@ -165,6 +166,9 @@ class IntegratorSettings:
             raise ValidationError("max_steps must be a positive integer")
 
 
+_DEFAULTS = IntegratorSettings()  # read-only, as every IntegratorSettings
+
+
 @dataclass
 class StepStats:
     accepted: int = 0
@@ -197,23 +201,6 @@ def _split(v, lane: str):
             else v.tolist())
 
 
-# the kernels' arguments after the state: the run's numbers and the
-# schedule's scalar forms, which _params lists in this order
-_PARAMS = "alpha, beta, nbeta, B, n, Bn, nm1, E, md, lv, b_s, lam_s, eps_s, bdot_s"
-
-
-def _params(cfg: SystemConfig) -> tuple:
-    """The values of _PARAMS for cfg.  The coefficients and exponents are
-    those of the schedule's monomials b = B t**n, b_dot = (B n) t**(n - 1)
-    and eps = E t**(-d); lv is lambda's value as its form uses it: the
-    constant, the power, or the negated power of 1 - t**(-l)."""
-    p = cfg.schedule
-    kind, v = p.lam.kind, p.lam.value
-    lv = float(v) if kind == "constant" else v if kind == "power" else -v
-    return (cfg.alpha, cfg.beta, -cfg.beta, p.b_coeff, p.n, p.b_coeff * p.n, p.n - 1.0,
-            p.eps_coeff, -p.d, lv, p.b.scalar, p.lam.scalar, p.eps.scalar, p.b_dot.scalar)
-
-
 def _check_state(settings: IntegratorSettings, t_last: float, h: float, u: list) -> None:
     # bounds the whole state, the auxiliary y as well as x; a NaN anywhere
     # fails the test too, which max(u) would skip unless it came first
@@ -235,15 +222,8 @@ def _check_state(settings: IntegratorSettings, t_last: float, h: float, u: list)
 # is, lane by lane, the array expression in the comment above it, with
 # k = (kx, ky).
 
-_RHS_TEMPLATE = """\
-def rhs(X, Y, t, prox, $params):
-    $prelude
-    $k0 t
-    return KX, KY
-"""
-
 _DP5_TEMPLATE = """\
-def dp5(X, Y, t, T, prox, settings, stats, samples, $params):
+def dp5(X, Y, t, T, prox, settings, stats, samples, cfg):
     atol, rtol, max_step = settings.atol, settings.rtol, settings.max_step
     max_steps, threshold = settings.max_steps, settings.divergence_threshold
     stride, nthreshold = settings.sample_stride, -threshold
@@ -252,9 +232,7 @@ def dp5(X, Y, t, T, prox, settings, stats, samples, $params):
     $prelude
     $k0 t
     u = (X$flat) + (Y$flat)
-    ts.append(t)
-    us += u
-    xdots += (KX$flat)
+    $sample
     accepted, rejected, nfev, n2 = 0, 0, 1, len(u)
     h = min((T - t) / 100.0, 1.0, max_step)
     while t < T:
@@ -274,24 +252,24 @@ def dp5(X, Y, t, T, prox, settings, stats, samples, $params):
             # u + h * (a10 * k0)
             x1 = x + h * ($a10 * kx0)
             y1 = y + h * ($a10 * ky0)
-            $rhs 1 x1 y1 kx1 ky1
+            $deriv 1 x1 y1 kx1 ky1
             # u + h * (a20 * k0 + a21 * k1)
             x2 = x + h * ($a20 * kx0 + $a21 * kx1)
             y2 = y + h * ($a20 * ky0 + $a21 * ky1)
-            $rhs 2 x2 y2 kx2 ky2
+            $deriv 2 x2 y2 kx2 ky2
             x3 = x + h * ($a30 * kx0 + $a31 * kx1 + $a32 * kx2)
             y3 = y + h * ($a30 * ky0 + $a31 * ky1 + $a32 * ky2)
-            $rhs 3 x3 y3 kx3 ky3
+            $deriv 3 x3 y3 kx3 ky3
             x4 = x + h * ($a40 * kx0 + $a41 * kx1 + $a42 * kx2 + $a43 * kx3)
             y4 = y + h * ($a40 * ky0 + $a41 * ky1 + $a42 * ky2 + $a43 * ky3)
-            $rhs 4 x4 y4 kx4 ky4
+            $deriv 4 x4 y4 kx4 ky4
             x5 = x + h * ($a50 * kx0 + $a51 * kx1 + $a52 * kx2 + $a53 * kx3 + $a54 * kx4)
             y5 = y + h * ($a50 * ky0 + $a51 * ky1 + $a52 * ky2 + $a53 * ky3 + $a54 * ky4)
-            $rhs 5 x5 y5 kx5 ky5
+            $deriv 5 x5 y5 kx5 ky5
             # the fifth-order point; its stage k6 is the derivative there (FSAL)
             xn = x + h * ($a60 * kx0 + $a62 * kx2 + $a63 * kx3 + $a64 * kx4 + $a65 * kx5)
             yn = y + h * ($a60 * ky0 + $a62 * ky2 + $a63 * ky3 + $a64 * ky4 + $a65 * ky5)
-            $rhs 5 xn yn kx6 ky6
+            $deriv 5 xn yn kx6 ky6
             # err = h * (e0 * k0 + e2 * k2 + ... + e6 * k6)
             # scale = atol + rtol * np.maximum(np.abs(u), np.abs(u_new)); on
             # floats the larger is picked as max() picks it, which skips a NaN
@@ -317,16 +295,10 @@ def dp5(X, Y, t, T, prox, settings, stats, samples, $params):
             t_prev = t
             t = T if (T - t - h) <= 1e-15 * T else t + h
             X, Y, KX, KY = XN, YN, KXN, KYN
-            u = (X$flat) + (Y$flat)
-            for v in u:  # the test of check_state, which raises with its message
-                if not nthreshold <= v <= threshold:
-                    $save
-                    check_state(settings, t_prev, h, u)
+            $guard t_prev
             accepted += 1
             if t >= T or accepted % stride == 0:
-                ts.append(t)
-                us += u
-                xdots += (KX$flat)
+                $sample
         else:
             rejected += 1
         # h *= min(5.0, max(0.2, factor)), then h = min(h, max_step)
@@ -338,18 +310,18 @@ def dp5(X, Y, t, T, prox, settings, stats, samples, $params):
             $save
             raise StepSizeError(f"step size collapsed to {h:.3g} at t = {t:.6g}", t, h)
     $save
+    return KX, KY
 """
 
 _RK4_TEMPLATE = """\
-def rk4(X, Y, t, T, prox, settings, stats, samples, $params):
+def rk4(X, Y, t, T, prox, settings, stats, samples, cfg):
     threshold, stride = settings.divergence_threshold, settings.sample_stride
     nthreshold = -threshold
     ts, us, xdots = samples
     $prelude
     $k0 t
-    ts.append(t)
-    us += (X$flat) + (Y$flat)
-    xdots += (KX$flat)
+    u = (X$flat) + (Y$flat)
+    $sample
     accepted, rejected, nfev = 0, 0, 1
     # compared as a float: an inf step count has no integer ceiling
     span = (T - t) / settings.fixed_step - 1e-12
@@ -371,39 +343,30 @@ def rk4(X, Y, t, T, prox, settings, stats, samples, $params):
             # u + 0.5 * h * k0, u + 0.5 * h * k1, u + h * k2
             x1 = x + 0.5 * h * kx0
             y1 = y + 0.5 * h * ky0
-            $rhs 1 x1 y1 kx1 ky1
+            $deriv 1 x1 y1 kx1 ky1
             x2 = x + 0.5 * h * kx1
             y2 = y + 0.5 * h * ky1
-            $rhs 1 x2 y2 kx2 ky2
+            $deriv 1 x2 y2 kx2 ky2
             x3 = x + h * kx2
             y3 = y + h * ky2
-            $rhs 2 x3 y3 kx3 ky3
+            $deriv 2 x3 y3 kx3 ky3
             # u + (h / 6.0) * (k0 + 2.0 * k1 + 2.0 * k2 + k3)
             xn = x + (h / 6.0) * (kx0 + 2.0 * kx1 + 2.0 * kx2 + kx3)
             yn = y + (h / 6.0) * (ky0 + 2.0 * ky1 + 2.0 * ky2 + ky3)
         X, Y = XN, YN
-        u = (X$flat) + (Y$flat)
-        # the guard sees the new state before the right-hand side does; the
-        # test of check_state, which raises with its message
-        for v in u:
-            if not nthreshold <= v <= threshold:
-                $save
-                check_state(settings, t_next - h, h, u)
+        # the guard sees the new state before the right-hand side does
+        $guard t_next-h
         t = t_next
         $k0 t
         nfev += 4
         accepted += 1
         if step == nsteps - 1 or accepted % stride == 0:
-            ts.append(t)
-            us += u
-            xdots += (KX$flat)
+            $sample
     $save
 """
 
-# name in tracebacks and template, by kernel kind: the two steppers (by
-# IntegratorSettings.method) and the public rhs_*
-_TEMPLATES = {"rk45_adaptive": ("dp5", _DP5_TEMPLATE), "rk4_fixed": ("rk4", _RK4_TEMPLATE),
-              "rhs": ("rhs", _RHS_TEMPLATE)}
+# name in tracebacks and template, by IntegratorSettings.method
+_TEMPLATES = {"rk45_adaptive": ("dp5", _DP5_TEMPLATE), "rk4_fixed": ("rk4", _RK4_TEMPLATE)}
 
 # Dormand-Prince 5(4) tableau, zero-based like the stages k0..k6: nodes c1..c5
 # (stage 6 has c6 = c5 = 1), stage weights aij (stage i, derivative kj),
@@ -433,15 +396,24 @@ _DP5_TABLEAU = {
 @dataclass(frozen=True)
 class _Variant:
     beta_positive: bool
-    lam_kind: str  # "constant", "power" or "bounded"
+    lam: str  # "constant" (lambda's term is zero) or "varies"
     lane: str  # "float", "local" or "numpy"
     prox_source: str = ""  # float and local lanes: the prox's scalar source
     prox_params: tuple = ()  # and the names of its parameters
 
 
-# lambda(t) by form, the expressions of LambdaForm.scalar with lv from _params;
-# a constant lambda is the argument lv itself
-_LAM = {"power": "{t} ** lv", "bounded": "1.0 - {t} ** lv"}
+# the stage constants by prefix k: the schedule function's attribute, for
+# its scalar form, and its monomial's, whose coefficient and exponent the
+# prelude binds to kc and ke; lambda's value is lo + lc * t ** le, and lo
+# alone when lambda is constant
+_TERMS = {"b": ("b", "b"), "e": ("eps", "eps"), "bd": ("b_dot", "b_dot"),
+          "l": ("lam", "lam.term")}
+
+
+def _terms(v: _Variant) -> list:
+    """The prefixes of the stage constants v's right-hand side reads."""
+    return [k for k in _TERMS
+            if (k != "bd" or v.beta_positive) and (k != "l" or v.lam == "varies")]
 
 
 # v ** 2, or inf where Python's ** overflows, as the scalar forms give
@@ -451,23 +423,19 @@ _square = functools.partial(_power, y=2)
 def _consts_src(v: _Variant, *times: str) -> str:
     """The stage constants at each stage time variable tk (t gives k = 0):
     the schedule values bk, ek, bdk (b_dot, beta > 0 only) and lk (lambda,
-    unless constant), then what _rhs_src takes: ak = nalpha / tk, which is
-    -(alpha / tk), when beta = 0, and cxk, dxk, dyk when beta > 0.  The
-    values are the monomials B * t ** n and so on, as the scalar forms
-    compute them; when one of those ** overflows, or a square that dxk
-    takes, all of them are recomputed through the scalar forms and _square,
-    which give +-inf there instead."""
-    fast, scalar, fold, safe_fold = [], [], [], []
+    unless constant), then what _deriv_src takes: ak = nalpha / tk, which is
+    -(alpha / tk), when beta = 0, and cxk, dxk, dyk when beta > 0.  Each
+    value is its monomial, bc * tk ** be and so on, as the scalar forms
+    compute it; when one of those ** overflows, or a square that dxk takes,
+    all of them are recomputed through the scalar forms and _square, which
+    give +-inf there instead."""
+    fast, scalar, fold, safe_fold, names = [], [], [], [], _terms(v)
     for t in times:
         k = t[1:] or "0"
-        values = {"b": (f"B * {t} ** n", "b_s"), "e": (f"E * {t} ** md", "eps_s")}
-        if v.beta_positive:
-            values["bd"] = (f"Bn * {t} ** nm1", "bdot_s")
-        if v.lam_kind != "constant":
-            values["l"] = (_LAM[v.lam_kind].format(t=t), "lam_s")
-        fast += [f"{name}{k} = {expr}" for name, (expr, _) in values.items()]
-        scalar.append(", ".join(name + k for name in values) + " = "
-                      + ", ".join(f"{fn}({t})" for _, fn in values.values()))
+        fast += [f"{name}{k} = {'lo + ' if name == 'l' else ''}{name}c * {t} ** {name}e"
+                 for name in names]
+        scalar.append(", ".join(name + k for name in names) + " = "
+                      + ", ".join(f"sched.{_TERMS[name][0]}.scalar({t})" for name in names))
         if v.beta_positive:
             # cx = alpha / t - b / beta, dy = b / beta and
             # dx = b_dot + alpha * beta / t**2 + beta * eps + b**2 / beta - alpha * b / t
@@ -494,11 +462,11 @@ def _prox_src(v: _Variant, x: str, lam: str) -> str:
     return f"({ast.unparse(tree)})"
 
 
-def _rhs_src(v: _Variant, k: str, x: str, y: str, kx: str, ky: str) -> str:
+def _deriv_src(v: _Variant, k: str, x: str, y: str, kx: str, ky: str) -> str:
     """(kx, ky), the derivative of one lane at the point (x, y), from the
     stage constants of suffix k; the only place each reformulation is
     written.  It checks nothing."""
-    lam = "lv" if v.lam_kind == "constant" else f"l{k}"
+    lam = "lo" if v.lam == "constant" else f"l{k}"
     prox = f"prox({lam}, {x})" if v.lane == "numpy" else _prox_src(v, x, lam)
     grad = f"(({x} - {prox}) / {lam})"
     if v.beta_positive:
@@ -515,7 +483,7 @@ def _k0_src(v: _Variant, t: str) -> str:
     return (f"$consts {t}\n"
             "$lanes KX=kx0 KY=ky0\n"
             "    x, y = X$at, Y$at\n"
-            "    $rhs 0 x y kx0 ky0")
+            "    $deriv 0 x y kx0 ky0")
 
 
 def _lanes_src(v: _Variant, *outputs: str) -> str:
@@ -542,26 +510,45 @@ def _sum_src(v: _Variant, total: str, *gathered: str) -> str:
 
 
 def _prelude_src(v: _Variant) -> str:
-    """The lanes (the local lane is lane i = 0), nalpha = -alpha when
-    beta = 0 and, on a float or local lane, the prox source's parameters,
-    whose values the argument prox holds."""
-    lines = ["i = 0" if v.lane == "local" else "lanes = range(len(X))"]
-    if not v.beta_positive:
-        lines.append("nalpha = -alpha")
+    """The lanes (the local lane is lane i = 0), the run's numbers from cfg
+    (nalpha = -alpha when beta = 0, nbeta = -beta when beta > 0, lambda's
+    offset lo, and the coefficient kc and exponent ke of each monomial the
+    stage constants take) and, on a float or local lane, the prox source's
+    parameters, whose values the argument prox holds."""
+    lines = ["i = 0" if v.lane == "local" else "lanes = range(len(X))",
+             "alpha, beta, sched = cfg.alpha, cfg.beta, cfg.schedule",
+             "nbeta = -beta" if v.beta_positive else "nalpha = -alpha",
+             "lo = sched.lam.offset"]
+    lines += [f"{k}c, {k}e = sched.{_TERMS[k][1]}.coef, sched.{_TERMS[k][1]}.exponent"
+              for k in _terms(v)]
     if v.prox_params:
         lines.append(", ".join("prox_" + name for name in v.prox_params) + ", = prox")
     return "\n".join(lines)
 
 
+def _guard_src(v: _Variant, t_last: str) -> str:
+    """u, the coordinates of the new state (X, Y), and the divergence guard
+    on them: the test of check_state, which raises with its message, naming
+    t_last (an expression without spaces) and h."""
+    return ("u = (X$flat) + (Y$flat)\n"
+            "for v in u:\n"
+            "    if not nthreshold <= v <= threshold:\n"
+            "        $save\n"
+            f"        check_state(settings, {t_last}, h, u)")
+
+
 _MACROS = {
     "consts": _consts_src,
-    "rhs": _rhs_src,
+    "deriv": _deriv_src,
     "k0": _k0_src,
     "lanes": _lanes_src,
     "sum": _sum_src,
     "prelude": _prelude_src,
     # the counters are locals until the loop ends or raises
     "save": lambda v: "stats.accepted, stats.rejected, stats.nfev = accepted, rejected, nfev",
+    # a sample: t, the state u and the derivative of x
+    "sample": lambda v: "ts.append(t)\nus += u\nxdots += (KX$flat)",
+    "guard": _guard_src,
 }
 
 
@@ -569,7 +556,7 @@ def _tokens(v: _Variant) -> dict:
     tokens = {name: repr(value) for name, value in _DP5_TABLEAU.items()}
     # the larger of two magnitudes, as np.maximum, or on floats as max() picks it
     pick = "maximum({0}, {1})" if v.lane == "numpy" else "({1} if {1} > {0} else {0})"
-    tokens.update(params=_PARAMS, min_step=repr(_MIN_STEP),
+    tokens.update(min_step=repr(_MIN_STEP),
                   maxx=pick.format("ax", "axn"), maxy=pick.format("ay", "ayn"),
                   flat={"float": "", "local": ",", "numpy": "[0].tolist()"}[v.lane],
                   at="" if v.lane == "local" else "[i]")
@@ -599,8 +586,8 @@ def _expand(template: str, v: _Variant, tokens: dict, body: list = ()) -> list:
 
 
 def _source(kind: str, v: _Variant) -> str:
-    """The generated source of the kernel kind ("rk45_adaptive", "rk4_fixed"
-    or "rhs") for variant v."""
+    """The generated source of the stepper kind ("rk45_adaptive" or
+    "rk4_fixed") for variant v."""
     return "\n".join(_expand(_TEMPLATES[kind][1], v, _tokens(v))) + "\n"
 
 
@@ -614,7 +601,7 @@ def _kernel(kind: str, *variant):
     v = _Variant(*variant)
     src = _source(kind, v)
     filename = (f"<proxdyn {_TEMPLATES[kind][0]} beta{'>' if v.beta_positive else '='}0 "
-                f"lam={v.lam_kind} {v.lane}"
+                f"lam={v.lam} {v.lane}"
                 f"{f' {zlib.crc32(src.encode()):08x}' if v.prox_source else ''}>")
     linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
     namespace = {"math": math, "maximum": np.maximum, "square": _square,
@@ -636,17 +623,18 @@ def _variant_kernel(kind: str, cfg: SystemConfig):
     else:
         lane = "local" if cfg.objective.dim == 1 else "float"
         names, prox = tuple(prox.coordinate_params), tuple(prox.coordinate_params.values())
-    kernel = _kernel(kind, cfg.beta != 0.0, cfg.schedule.lam.kind, lane, source or "", names)
+    lam = "constant" if cfg.schedule.lam.term.coef == 0.0 else "varies"
+    kernel = _kernel(kind, cfg.beta != 0.0, lam, lane, source or "", names)
     return kernel, prox, lane
 
 
 def _rhs_at(cfg: SystemConfig, t: float, x, y):
-    """(xdot, ydot) at one time, through the same stage constants, lanes and
-    right-hand side as the steppers."""
-    kernel, prox, lane = _variant_kernel("rhs", cfg)
-    m = cfg.objective.dim
+    """(xdot, ydot) at one time: the first stage of the variant's DP5 kernel,
+    run from t to T = t, which takes no step."""
+    kernel, prox, lane = _variant_kernel("rk45_adaptive", cfg)
+    m, t = cfg.objective.dim, float(t)
     X, Y = (_split(np.broadcast_to(np.asarray(v, dtype=float), (m,)), lane) for v in (x, y))
-    KX, KY = kernel(X, Y, float(t), prox, *_params(cfg))
+    KX, KY = kernel(X, Y, t, t, prox, _DEFAULTS, StepStats(), ([], [], []), cfg)
     return tuple(np.array(K[0].tolist() if lane == "numpy" else [K] if lane == "local" else K)
                  for K in (KX, KY))
 
@@ -685,13 +673,13 @@ def integrate(cfg: SystemConfig, settings: IntegratorSettings = None) -> Traject
     of the active reformulation, never from differencing.
     """
     if settings is None:
-        settings = IntegratorSettings()
+        settings = _DEFAULTS
     kernel, prox, lane = _variant_kernel(settings.method, cfg)
     stats, samples = StepStats(), ([], [], [])
     # samples is three flat lists (ts, us, xdots) that each sample extends;
     # one list per sample would leave the allocator fragmented after long runs
     kernel(_split(cfg.x0, lane), _split(initial_aux(cfg), lane), float(cfg.t0),
-           cfg.horizon, prox, settings, stats, samples, *_params(cfg))
+           cfg.horizon, prox, settings, stats, samples, cfg)
     m = cfg.objective.dim
     ts, us, xdots = (np.array(column, dtype=float) for column in samples)
     us, xdots = us.reshape(-1, 2 * m), xdots.reshape(-1, m)

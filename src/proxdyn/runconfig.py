@@ -31,7 +31,7 @@ from .diagnostics import (check_energy_descent, compute_observables, fit_rate_sl
 from .dynamics import _METHODS, IntegratorSettings, integrate
 from .errors import InsufficientDataError, ValidationError
 from .objectives import BUILTIN_NAMES, make_objective
-from .schedules import (_LAMBDA_KINDS, LambdaForm, PolyParams, SystemConfig,
+from .schedules import (_SMOOTHING_FORMS, LambdaForm, PolyParams, SystemConfig,
                         _check_energy_index, _energy_index, check_alpha3_conditions,
                         check_fast_rate_conditions, check_strong_conv_conditions,
                         energy_descent_start)
@@ -146,7 +146,7 @@ class RunConfig:
     n: float = _key("schedule.n", float, PolyParams.n)
     eps_coeff: float = _key("schedule.eps_coeff", float, PolyParams.eps_coeff)
     d: float = _key("schedule.d", float, PolyParams.d)
-    lambda_form: str = _key("schedule.lambda_form", _LAMBDA_KINDS, LambdaForm.kind)
+    lambda_form: str = _key("schedule.lambda_form", _SMOOTHING_FORMS, LambdaForm.kind)
     lambda_value: float = _key("schedule.lambda_value", float, LambdaForm.value)
     method: str = _key("integrator.method", _METHODS, IntegratorSettings.method)
     rtol: float = _key("integrator.rtol", float, IntegratorSettings.rtol)

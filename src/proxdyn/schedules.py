@@ -54,18 +54,49 @@ __all__ = [
 ]
 
 _DUST = 1e-9  # relative slack for float dust on exact boundary cases
-_LAMBDA_KINDS = ("constant", "power", "bounded")  # the forms of LambdaForm.kind
+_SMOOTHING_FORMS = ("constant", "power", "bounded")  # LambdaForm.kind: lambda's forms
+
+
+class _Monomial:
+    """t -> coef * t**exponent on floats of t's shape, identically zero when coef == 0.
+
+    scalar is the same map on one float t, through Python's ``**`` (libm
+    pow), not numpy's; the integrator evaluates the schedule through it.
+    Two floats, not a closure: every PolyParams holds six of these.
+    """
+
+    __slots__ = ("coef", "exponent")
+
+    def __init__(self, coef: float, exponent: float):
+        self.coef, self.exponent = coef, exponent
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        return np.zeros_like(t) if self.coef == 0.0 else self.coef * t ** self.exponent
+
+    def scalar(self, t: float) -> float:
+        return 0.0 if self.coef == 0.0 else self.coef * _power(t, self.exponent)
 
 
 @dataclass(frozen=True)
 class LambdaForm:
-    """Smoothing-index family: constant c, power t**l, or bounded 1 - t**(-l)."""
+    """Smoothing-index family: constant c, power t**l, or bounded 1 - t**(-l).
+
+    Each form is offset + term, with term one monomial: (c, 0 t**0),
+    (0, 1 t**l) and (1, -1 t**(-l)).  Those sums and products are exact, so
+    lambda equals its form's expression bit for bit; dot, lambda's
+    derivative, is the term's.  The fields after value are derived at
+    construction and take no part in comparison or hashing.
+    """
 
     kind: str = "constant"
     value: float = 1.0
+    offset: float = field(init=False, repr=False, compare=False)
+    term: _Monomial = field(init=False, repr=False, compare=False)
+    dot: _Monomial = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in _LAMBDA_KINDS:
+        if self.kind not in _SMOOTHING_FORMS:
             raise ParameterDomainError(f"unknown lambda form {self.kind!r}")
         v = float(self.value)
         if not math.isfinite(v):
@@ -76,35 +107,21 @@ class LambdaForm:
             raise ParameterDomainError("power lambda exponent must be >= 0")
         if self.kind == "bounded" and v <= 0.0:
             raise ParameterDomainError("bounded lambda exponent must be positive")
+        offset, coef, exponent = {"constant": (v, 0.0, 0.0), "power": (0.0, 1.0, v),
+                                  "bounded": (1.0, -1.0, -v)}[self.kind]
+        for name, value in (("offset", offset), ("term", _Monomial(coef, exponent)),
+                            ("dot", _Monomial(coef * exponent, exponent - 1.0))):
+            object.__setattr__(self, name, value)
 
     def __call__(self, t):
-        if self.kind == "constant":
-            return self.value * np.ones_like(np.asarray(t, dtype=float))
-        if self.kind == "power":
-            return np.asarray(t, dtype=float) ** self.value
-        return 1.0 - np.asarray(t, dtype=float) ** (-self.value)
+        return self.offset + self.term(t)
 
     def scalar(self, t: float) -> float:
         """lambda at one float t, through Python's ``**`` (libm pow), not numpy's."""
-        if self.kind == "constant":
-            return float(self.value)
-        if self.kind == "power":
-            return _power(t, self.value)
-        return 1.0 - _power(t, -self.value)
-
-    def dot(self, t):
-        return _Monomial(*(self.dot_monomials() or [(0.0, 0.0)])[0])(t)
-
-    def dot_monomials(self):
-        """lambda_dot as a list of at most one (coef, exponent) monomial."""
-        if self.kind == "constant" or (self.kind == "power" and self.value == 0.0):
-            return []
-        if self.kind == "power":
-            return [(self.value, self.value - 1.0)]
-        return [(self.value, -self.value - 1.0)]
+        return self.offset + self.term.scalar(t)
 
     def bounded(self) -> bool:
-        return self.kind != "power" or self.value == 0.0
+        return self.term.exponent <= 0.0
 
 
 @dataclass(frozen=True)
@@ -145,27 +162,6 @@ class PolyParams:
                          ("lam_dot", self.lam.dot),
                          ("eps", _Monomial(E, -d)), ("eps_dot", _Monomial(-E * d, -d - 1.0))):
             object.__setattr__(self, name, fn)
-
-
-class _Monomial:
-    """t -> coef * t**exponent on floats of t's shape, identically zero when coef == 0.
-
-    scalar is the same map on one float t, through Python's ``**`` (libm
-    pow), not numpy's; the integrator evaluates the schedule through it.
-    Two floats, not a closure: every PolyParams holds four of these.
-    """
-
-    __slots__ = ("coef", "exponent")
-
-    def __init__(self, coef: float, exponent: float):
-        self.coef, self.exponent = coef, exponent
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.zeros_like(t) if self.coef == 0.0 else self.coef * t ** self.exponent
-
-    def scalar(self, t: float) -> float:
-        return 0.0 if self.coef == 0.0 else self.coef * _power(t, self.exponent)
 
 
 def _power(x: float, y: float) -> float:
@@ -622,7 +618,8 @@ def _damping_balance(k: float, const):
         cst = const(c.q.alpha, beta)
         vals = 2.0 * k * beta * ts + k * beta * ld - k * ts * c.g.b * (ld + 2.0 * beta) + cst
         monos = [(2.0 * k * beta, 1.0), (-2.0 * k * beta * p.b_coeff, p.n + 1.0), (cst, 0.0)]
-        for coef, e in p.lam.dot_monomials():
+        coef, e = p.lam.dot.coef, p.lam.dot.exponent
+        if coef != 0.0:
             monos += [(k * beta * coef, e), (-k * p.b_coeff * coef, p.n + e)]
         return _pointwise_verdict(c, "damping_balance", vals, "le", monos)
     return rule
@@ -813,14 +810,14 @@ def suggest_t0(params: PolyParams, alpha: float, beta: float, slack: float = 0.0
             raise InfeasibleError(
                 f"requires d >= beta * eps_coeff / 2 = {beta * E / 2.0:.6g}, got d = {d:.6g}")
     t0 = max((beta / B) ** (1.0 / (n + 1.0)), _settle_time(B, n, alpha, beta))
-    if min(t0 * t0, t0 * (B * _power(t0, n))) < sys.float_info.min:
+    if min(t0 * t0, t0 * params.b.scalar(t0)) < sys.float_info.min:
         # beta = 0, or so small that t0, t0^2 or t0 b(t0) underflows: start at 1
         t0 = 1.0
     if beta > 0.0 and E > 0.0:
         # raise t0 until the admissible-a interval [a_lo, 2d/(beta E) t0^(d-1)]
         # is nonempty; a no-op whenever the base value already qualifies
         for _ in range(50):
-            b0 = B * _power(t0, n)
+            b0 = params.b.scalar(t0)
             a_lo = max(1.0, 1.0 / b0) * (1.0 + 1e-12)
             required = (a_lo * beta * E / (2.0 * d)) ** (1.0 / (d - 1.0))
             if t0 >= required:

@@ -33,8 +33,6 @@ def _nice_step(span: float) -> float:
 
 
 def _linear_ticks(lo: float, hi: float):
-    if hi <= lo:
-        hi = lo + 1.0
     step = _nice_step(hi - lo)
     first = math.ceil(lo / step) * step
     ticks = []
@@ -176,23 +174,34 @@ class _Axis:
             self.tie_window = 1e-6 + 100.0 * decade * 64 * 2.0 ** -52 * max(
                 abs(self.lo), abs(self.hi), 1.0)
         else:
-            if hi - lo < 1e-300:
-                lo, hi = lo - 1.0, hi + 1.0
-            pad = 0.02 * (hi - lo)
-            self.lo, self.hi = lo - pad, hi + pad
-            self.ticks = _linear_ticks(self.lo, self.hi)
+            # the range padded by 2% of its span, after widening a flat one
+            # by 1 each way, or by 2**-50 of its size where rounding would
+            # lose the 1.  Where that overflows, the axis is laid out on the
+            # values times unit, a power of 2 halved until it does not
+            self.unit = 1.0
+            while True:
+                a, b = lo * self.unit, hi * self.unit
+                if b - a < 1e-300:
+                    w = max(1.0, abs(a) * 2.0 ** -50)
+                    a, b = a - w, b + w
+                pad = 0.02 * (b - a)
+                self.lo, self.hi = a - pad, b + pad
+                if self.hi - self.lo < math.inf:
+                    break
+                self.unit *= 0.5
+            # in the values' own units, but for a tick that overflows there
+            self.ticks = [v / self.unit for v in _linear_ticks(self.lo, self.hi)
+                          if abs(v / self.unit) < math.inf]
         self.pix_lo, self.pix_hi = pix_lo, pix_hi
 
-    def pix(self, v: float):
-        t = math.log10(v) if self.scale == "log" else v
-        frac = (t - self.lo) / (self.hi - self.lo)
-        return self.pix_lo + frac * (self.pix_hi - self.pix_lo)
-
     def pixels(self, values: np.ndarray) -> np.ndarray:
-        """pix over a 1-D array, equal to it bit for bit: the same operations
-        in the same order, and the log taken by math.log10 per value, since
-        numpy's vectorized log10 may differ in the last bit."""
-        t = np.array(list(map(math.log10, values.tolist()))) if self.scale == "log" else values
+        """The pixel of each value of a 1-D array, with the log taken by
+        math.log10 per value, since numpy's vectorized log10 may differ in
+        the last bit."""
+        if self.scale == "log":
+            t = np.array(list(map(math.log10, values.tolist())))
+        else:
+            t = values if self.unit == 1.0 else values * self.unit
         return self.pix_lo + (t - self.lo) / (self.hi - self.lo) * (self.pix_hi - self.pix_lo)
 
     def line_pixels(self, values: np.ndarray) -> np.ndarray:
@@ -246,14 +255,12 @@ def line_chart(path, series, title="", xlabel="t", ylabel="",
         out.append(f'<text x="{_W / 2}" y="22" text-anchor="middle" '
                    f'font-size="15">{_escape(title)}</text>')
 
-    for tv in ax.ticks:
-        px = ax.pix(tv)
+    for tv, px in zip(ax.ticks, ax.pixels(np.array(ax.ticks, dtype=float)).tolist()):
         out.append(f'<line x1="{px:.2f}" y1="{_MT}" x2="{px:.2f}" y2="{_H - _MB}" '
                    f'stroke="#dddddd" stroke-width="1"/>')
         out.append(f'<text x="{px:.2f}" y="{_H - _MB + 18}" text-anchor="middle">'
                    f'{_escape(_fmt(tv))}</text>')
-    for tv in ay.ticks:
-        py = ay.pix(tv)
+    for tv, py in zip(ay.ticks, ay.pixels(np.array(ay.ticks, dtype=float)).tolist()):
         out.append(f'<line x1="{_ML}" y1="{py:.2f}" x2="{_W - _MR}" y2="{py:.2f}" '
                    f'stroke="#dddddd" stroke-width="1"/>')
         out.append(f'<text x="{_ML - 6}" y="{py + 4:.2f}" text-anchor="end">'

@@ -1,5 +1,6 @@
 """CLI subcommands and the exit-code contract."""
 
+import concurrent.futures
 import contextlib
 import dataclasses
 import functools
@@ -239,6 +240,61 @@ def test_simulate_exits_0_1_or_2_on_any_numbers_in_their_domains(
             warnings.simplefilter("error")
             code = cli.main(args)
     assert code in (0, 1, 2), err.getvalue()
+
+
+def test_simulate_to_the_largest_horizon_without_warnings(tmp_path):
+    # the steps grow to t = 1.79e308: the descent bound took inf * 0 there,
+    # and the padded linear t axis of trajectory.svg overflowed to inf
+    args = ["simulate", "--preset", "fig3", "--set", "system.x0=0",
+            "--set", "system.horizon=1.79e308", "--out", str(tmp_path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(args) == 0
+    assert (tmp_path / "d3" / "trajectory.svg").exists()
+
+
+@settings(max_examples=40, deadline=None)
+@given(preset=st.sampled_from(sorted(runconfig.PRESETS)),
+       param=st.sampled_from(sorted(cli._SWEEP_KEYS)),
+       values=st.lists(_log_uniform(zero=True), min_size=1, max_size=3, unique=True),
+       lambda_form=st.sampled_from(["constant", "power", "bounded"]),
+       t0=st.just(1.4) | _log_uniform(), gap=st.sampled_from([2.0 ** -52, 1e-9, 1e-6, 1e-3]))
+# the first step, h = 1 at t0 = 1.2e16, left t where it was, and the
+# descent check divided by that interval's length, 0
+@example(preset="fig1", param="beta", values=[1.0], lambda_form="power",
+         t0=1.1719142372802612e+16, gap=1e-9)
+# the energy overflowed to inf at t0 = 1.5e154, and its differences were
+# inf - inf
+@example(preset="fig6", param="n", values=[5e-324], lambda_form="power",
+         t0=1.4946554004725342e+154, gap=1e-9)
+# log t varied too little over the rate fit's window for polyfit's rank
+@example(preset="fig4", param="n", values=[5e-324], lambda_form="power",
+         t0=4.708527339044277e+213, gap=1e-9)
+# the combined table's geomspace grid overflowed next to the largest double
+@example(preset="fig1", param="alpha", values=[5e-324], lambda_form="constant",
+         t0=1.7976931348622732e+308, gap=2.0 ** -52)
+def test_sweep_exits_0_1_or_2_on_any_values_in_their_domains(
+        preset, param, values, lambda_form, t0, gap):
+    # every --param over values from dust to the largest double, from the
+    # presets' t0 = 1.4 or any t0, with SVG on and the simulate test's
+    # 20,000-step budget: each variant runs, fails validation or diverges,
+    # never an internal error or a numpy warning.  The variants run on
+    # threads, which share the patched budget and the warnings filter
+    budget = functools.partial(dynamics.IntegratorSettings, max_steps=20_000)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as outdir, \
+            mock.patch.object(runconfig, "IntegratorSettings", budget), \
+            mock.patch.object(concurrent.futures, "ProcessPoolExecutor",
+                              concurrent.futures.ThreadPoolExecutor):
+        args = ["sweep", "--preset", preset, "--param", param,
+                "--values", ",".join(map(repr, values)), "--svg", "on", "--out", outdir,
+                "--set", f"schedule.lambda_form={lambda_form}",
+                "--set", f"system.t0={t0!r}", "--set", f"system.horizon={t0 * (1.0 + gap)!r}"]
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = cli.main(args)
+    assert code in (0, 1, 2), err.getvalue() + out.getvalue()
 
 
 def test_check_alpha3_example(tmp_path):

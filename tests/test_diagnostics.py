@@ -24,7 +24,6 @@ from proxdyn.diagnostics import (
     DescentReport,
     check_energy_descent,
     compute_observables,
-    energy_pq,
     energy_q,
     energy_q_series,
     fit_rate_slope,
@@ -66,13 +65,6 @@ def test_energy_q_hand_values():
     assert energy_q(sample, 2.0, unit_cfg(beta=1.0)) == pytest.approx(53.0)
 
 
-def test_energy_pq_hand_value_and_canonical_exponents():
-    # (p, q) = (0, 2) is the strong-convergence argument's pair
-    # ((alpha - 3) / 3, 2 alpha / 3) at alpha = 3
-    cfg = unit_cfg(alpha=3.0)
-    assert energy_pq((1.0, [2.0], [0.0]), 0.0, 2.0, cfg) == pytest.approx(11.5)
-
-
 def test_energy_parameter_domains():
     cfg = unit_cfg()
     sample = (1.0, [2.0], [0.0])
@@ -82,10 +74,6 @@ def test_energy_parameter_domains():
         energy_q(sample, 9.5, cfg)
     with pytest.raises(ParameterDomainError):
         unanchored_energy(sample, 1.0, cfg)
-    with pytest.raises(ParameterDomainError):
-        energy_pq(sample, -0.1, 2.0, cfg)
-    with pytest.raises(ParameterDomainError):
-        energy_pq(sample, 0.0, -2.0, cfg)
 
 
 def test_energies_vanish_at_stationary_anchor():
@@ -93,7 +81,6 @@ def test_energies_vanish_at_stationary_anchor():
     sample = (2.0, [0.0], [0.0])
     assert energy_q(sample, 2.0, cfg) == 0.0
     assert unanchored_energy(sample, 2.0, cfg) == 0.0
-    assert energy_pq(sample, 1.0, 2.0, cfg) == 0.0
 
 
 def test_unanchored_identity_along_trajectory(reference_run):

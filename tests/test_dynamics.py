@@ -178,9 +178,19 @@ def test_kernels_compile_once_per_variant_and_only_when_run():
     aux = initial_aux(cfg)
     for _ in range(1000):
         rhs_beta_zero(cfg, 2.0, cfg.x0, aux)
-    # the one rhs kernel of that variant, built on the first call
-    assert dynamics._kernel.cache_info().currsize == 2
-    assert dynamics._kernel.cache_info().misses == 2
+    # the public rhs runs the variant's own DP5 kernel: nothing new compiles
+    assert dynamics._kernel.cache_info().currsize == 1
+    assert dynamics._kernel.cache_info().misses == 1
+
+
+def test_power_and_bounded_lambda_share_one_kernel():
+    # both forms are lo + lc * t ** le, whose numbers the kernel takes
+    dynamics._kernel.cache_clear()
+    for lam in (LambdaForm("power", 0.5), LambdaForm("bounded", 1.0)):
+        cfg = dataclasses.replace(make_cfg(beta=1.0, horizon=4.0), schedule=PolyParams(lam=lam))
+        integrate(cfg)
+    assert dynamics._kernel.cache_info().currsize == 1
+    assert dynamics._kernel.cache_info().misses == 1
 
 
 def test_kernel_source_shows_in_tracebacks():
@@ -190,8 +200,8 @@ def test_kernel_source_shows_in_tracebacks():
     with pytest.raises(DivergenceError) as exc:
         integrate(cfg)
     frame = traceback.extract_tb(exc.value.__traceback__)[-1]
-    assert frame.filename == "<proxdyn dp5 beta>0 lam=bounded numpy>"
-    src = dynamics._source("rk45_adaptive", dynamics._Variant(True, "bounded", "numpy"))
+    assert frame.filename == "<proxdyn dp5 beta>0 lam=varies numpy>"
+    src = dynamics._source("rk45_adaptive", dynamics._Variant(True, "varies", "numpy"))
     assert frame.line and frame.line == src.splitlines()[frame.lineno - 1].strip()
 
 
@@ -318,7 +328,7 @@ def test_swapped_prox_runs_instead_of_the_inlined_builtin(method):
 @pytest.mark.parametrize("beta", [0.0, 1.0])
 def test_builtin_kernels_inline_the_prox(obj, beta):
     cfg = make_cfg(objective=obj, beta=beta, x0=[1.0] * obj.dim, xdot0=[0.0] * obj.dim)
-    for kind in ("rk45_adaptive", "rk4_fixed", "rhs"):
+    for kind in ("rk45_adaptive", "rk4_fixed"):
         kernel, _, lane = dynamics._variant_kernel(kind, cfg)
         assert lane == ("local" if obj.dim == 1 else "float")
         src = "".join(linecache.getlines(kernel.__code__.co_filename))

@@ -61,6 +61,46 @@ def test_polynomial_schedule_bounded_lambda():
     assert s.lam_dot(2.0) == 0.25
 
 
+def _power(t, y):
+    try:
+        return t ** y
+    except OverflowError:
+        return math.inf
+
+
+@pytest.mark.parametrize("kind, lv", [("constant", 0.5), ("constant", 3.0), ("power", 0.0),
+                                      ("power", 0.7), ("power", 2.0), ("power", 3.5),
+                                      ("bounded", 0.3), ("bounded", 1.0), ("bounded", 2.5)])
+def test_lambda_forms_equal_their_expressions_bit_for_bit(kind, lv):
+    # offset + term, and the term's derivative, against the forms written
+    # out: c, t**l and 1 - t**(-l); power 2 and 3.5 and bounded 2.5 overflow
+    # to inf at one end, and the others underflow toward 0 or 1
+    form = LambdaForm(kind, lv)
+    ts = np.geomspace(1e-300, 1e300, 1201)
+    with np.errstate(over="ignore"):
+        if kind == "constant":
+            want, want_dot = np.full_like(ts, lv), np.zeros_like(ts)
+            scalar, scalar_dot = (lambda t: lv), (lambda t: 0.0)
+        elif kind == "power":
+            want = ts ** lv
+            want_dot = np.zeros_like(ts) if lv == 0.0 else lv * ts ** (lv - 1.0)
+            scalar = lambda t: _power(t, lv)
+            scalar_dot = lambda t: 0.0 if lv == 0.0 else lv * _power(t, lv - 1.0)
+        else:
+            want, want_dot = 1.0 - ts ** -lv, lv * ts ** (-lv - 1.0)
+            scalar = lambda t: 1.0 - _power(t, -lv)
+            scalar_dot = lambda t: lv * _power(t, -lv - 1.0)
+        got, got_dot = form(ts), form.dot(ts)
+    assert got.tobytes() == want.tobytes()
+    assert got_dot.tobytes() == want_dot.tobytes()
+    t_list = ts.tolist()
+    assert [form.scalar(t) for t in t_list] == [scalar(t) for t in t_list]
+    assert [form.dot.scalar(t) for t in t_list] == [scalar_dot(t) for t in t_list]
+    # and the schedule's lam and lam_dot are these forms
+    s = PolyParams(lam=form)
+    assert (s.lam, s.lam_dot) == (form, form.dot)
+
+
 def test_parameter_domains():
     with pytest.raises(ParameterDomainError):
         PolyParams(b_coeff=0.0)

@@ -1,5 +1,6 @@
 """SVG chart emission: well-formed XML, series handling, axis scales."""
 
+import math
 import sys
 import xml.etree.ElementTree as ET
 
@@ -68,6 +69,29 @@ def test_axes_at_the_ends_of_the_doubles(tmp_path):
         assert len(root.find(f"{NS}polyline").get("points").split()) == 2
 
 
+@pytest.mark.parametrize("xs, ys", [
+    # flat at 1e17, where widening by 1 each way is lost to rounding
+    ([1.0, 2.0], [1e17, 1e17]),
+    ([1.0, 2.0], [-sys.float_info.max, -sys.float_info.max]),
+    # a span that overflows
+    ([1.0, 2.0], [-1.7e308, 1.7e308]),
+    # padded by 2%, the t axis of a run to the largest horizon overflowed
+    ([1.4, 1.79e308], [0.0, 1.0]),
+], ids=["flat-1e17", "flat-max", "span-overflows", "pad-overflows"])
+def test_linear_axes_of_any_finite_data(tmp_path, xs, ys):
+    root = chart(tmp_path, [("s", np.array(xs), np.array(ys))])
+    points = [tuple(map(float, p.split(","))) for p in
+              root.find(f"{NS}polyline").get("points").split()]
+    assert len(points) == 2
+    # inside the plot area, with finite ticks
+    for x, y in points:
+        assert svgplot._ML <= x <= svgplot._W - svgplot._MR
+        assert svgplot._MT <= y <= svgplot._H - svgplot._MB
+    for axis in (svgplot._Axis(xs, "linear", 0, 1), svgplot._Axis(ys, "linear", 0, 1)):
+        assert axis.ticks and all(math.isfinite(v) for v in axis.ticks)
+        assert 0.0 < axis.hi - axis.lo < math.inf
+
+
 def test_title_is_escaped(tmp_path):
     ts = np.array([1.0, 2.0])
     root = chart(tmp_path, [("s", ts, ts)], title="a < b & c")
@@ -87,9 +111,17 @@ def test_rejects_bad_input(tmp_path):
         line_chart(tmp_path / "x.svg", [("s", [1, 2], [-1, -2])], yscale="log")
 
 
+def pix(axis, v):
+    """The pixel of one value on axis: the map _Axis.pixels applies to an
+    array, written for one float."""
+    t = math.log10(v) if axis.scale == "log" else v * axis.unit
+    frac = (t - axis.lo) / (axis.hi - axis.lo)
+    return axis.pix_lo + frac * (axis.pix_hi - axis.pix_lo)
+
+
 def pointwise_reference(series, xscale, yscale):
     """The axes line_chart builds, and each series' points text made one
-    point at a time with the scalar _Axis.pix."""
+    point at a time with the scalar pix."""
     kept = []
     for _, xs, ys in series:
         mask = np.isfinite(xs) & np.isfinite(ys)
@@ -102,7 +134,7 @@ def pointwise_reference(series, xscale, yscale):
                        svgplot._ML, svgplot._W - svgplot._MR)
     ay = svgplot._Axis(np.concatenate([ys for _, ys in kept]), yscale,
                        svgplot._H - svgplot._MB, svgplot._MT)
-    points = [" ".join(f"{ax.pix(x):.2f},{ay.pix(y):.2f}" for x, y in zip(xs, ys))
+    points = [" ".join(f"{pix(ax, x):.2f},{pix(ay, y):.2f}" for x, y in zip(xs, ys))
               for xs, ys in kept]
     return ax, ay, kept, points
 
@@ -135,7 +167,7 @@ def test_polylines_equal_pointwise_pix(tmp_path, monkeypatch, scale):
     assert len(calls) == 3 + 4
     for xs, ys in kept:
         for axis, values in ((ax, xs), (ay, ys)):
-            pointwise = np.array([axis.pix(v) for v in values], dtype=float)
+            pointwise = np.array([pix(axis, v) for v in values], dtype=float)
             assert axis.pixels(values).tobytes() == pointwise.tobytes()
 
 
@@ -186,7 +218,7 @@ def tie_values(lo, hi, pix_lo, pix_hi, rng, count=200):
         tie = min(pix_lo, pix_hi) + (cents + 0.5) / 100
         guess = 10.0 ** (axis.lo + (tie - pix_lo) / (pix_hi - pix_lo) * (axis.hi - axis.lo))
         near = [v for v in guess * (1.0 + 2.0 ** -52 * np.arange(-40, 41))
-                if lo < v < hi and abs(axis.pix(v) - tie) < 1e-9]
+                if lo < v < hi and abs(pix(axis, v) - tie) < 1e-9]
         values += near[:1]
     return np.array(values), axis
 
@@ -202,7 +234,7 @@ def test_log_pixels_near_ties_give_exact_text(tmp_path, lo, hi):
     rng = np.random.default_rng(7)
     ys, ay = tie_values(lo, hi, svgplot._H - svgplot._MB, svgplot._MT, rng)
     assert ys.size > 40
-    exact = ["%.2f" % ay.pix(v) for v in ys]
+    exact = ["%.2f" % pix(ay, v) for v in ys]
     assert ["%.2f" % p for p in ay.line_pixels(ys)] == exact
     xs = tie_values(lo, hi, svgplot._ML, svgplot._W - svgplot._MR, rng, ys.size - 2)[0]
     xs = np.resize(xs, ys.size)
@@ -224,4 +256,4 @@ def test_log_pixels_near_ties_with_a_log10_off_by_ulps(monkeypatch, lo, hi):
         return t + np.spacing(t) * rng.integers(-4, 5, t.shape)
 
     monkeypatch.setattr(np, "log10", off_by_ulps)
-    assert ["%.2f" % p for p in ay.line_pixels(ys)] == ["%.2f" % ay.pix(v) for v in ys]
+    assert ["%.2f" % p for p in ay.line_pixels(ys)] == ["%.2f" % pix(ay, v) for v in ys]
