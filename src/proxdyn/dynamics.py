@@ -14,9 +14,10 @@ The steppers are deliberately self-contained: an embedded Dormand-Prince
 5(4) pair with FSAL and a PI-free step controller, plus classical fixed-step
 RK4 for order studies.  The adaptive stepper's first step is
 min((T - t0)/100, 1), capped by max_step; a step below 1e-13 raises
-StepSizeError, and so does a run that needs more than max_steps steps.  The
-envelope gradient is 1/lambda-Lipschitz, so stiffness is capped by the
-lambda floor and explicit methods are adequate.
+StepSizeError, and so do an accepted step whose t + h rounds back to t and a
+run that needs more than max_steps steps.  The envelope gradient is
+1/lambda-Lipschitz, so stiffness is capped by the lambda floor and explicit
+methods are adequate.
 
 integrate takes a config that validated itself when it was built, and
 runs coordinate-major.  The right-hand side is separable: coordinate i
@@ -91,6 +92,11 @@ both errors, and StepSizeError, carry t_last and h.  The step counters are
 locals, written to StepStats when the loop ends and before every raise.  The
 public rhs_* run the variant's DP5 kernel from t to T = t, which evaluates
 the first stage and takes no step, so they match the steppers bit for bit.
+A kernel records each sample, t then x, y and the derivative of x, into four
+typed buffers (array('d')), which hold each value as its 8 bytes, -0.0 and
+NaN payloads included: a local lane appends its floats, a float lane extends
+by its lists, the numpy lane by its arrays' bytes.  integrate returns views
+of those buffers (np.frombuffer), so no sample is converted or copied.
 initial_aux, which runs once, evaluates lambda and b through the scalar
 forms and takes the envelope gradient from the array prox, which equals the
 scalar form bit for bit; residual_second_order shares that array gradient.
@@ -104,6 +110,7 @@ import linecache
 import math
 import string
 import zlib
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,6 +208,11 @@ def _split(v, lane: str):
             else v.tolist())
 
 
+def _buffers() -> tuple:
+    """The sample buffers of a kernel: ts, xs, ys and xdots, empty."""
+    return array("d"), array("d"), array("d"), array("d")
+
+
 def _check_state(settings: IntegratorSettings, t_last: float, h: float, u: list) -> None:
     # bounds the whole state, the auxiliary y as well as x; a NaN anywhere
     # fails the test too, which max(u) would skip unless it came first
@@ -228,7 +240,7 @@ def dp5(X, Y, t, T, prox, settings, stats, samples, cfg):
     max_steps, threshold = settings.max_steps, settings.divergence_threshold
     stride, nthreshold = settings.sample_stride, -threshold
     sqrt, isfinite = math.sqrt, math.isfinite
-    ts, us, xdots = samples
+    ts, xs, ys, xdots = samples
     $prelude
     $k0 t
     u = (X$flat) + (Y$flat)
@@ -294,6 +306,9 @@ def dp5(X, Y, t, T, prox, settings, stats, samples, cfg):
         if err_norm <= 1.0:
             t_prev = t
             t = T if (T - t - h) <= 1e-15 * T else t + h
+            if t == t_prev:  # t + h rounded back to t
+                $save
+                raise StepSizeError(f"step size {h:.3g} does not advance t = {t:.6g}", t, h)
             X, Y, KX, KY = XN, YN, KXN, KYN
             $guard t_prev
             accepted += 1
@@ -317,10 +332,9 @@ _RK4_TEMPLATE = """\
 def rk4(X, Y, t, T, prox, settings, stats, samples, cfg):
     threshold, stride = settings.divergence_threshold, settings.sample_stride
     nthreshold = -threshold
-    ts, us, xdots = samples
+    ts, xs, ys, xdots = samples
     $prelude
     $k0 t
-    u = (X$flat) + (Y$flat)
     $sample
     accepted, rejected, nfev = 0, 0, 1
     # compared as a float: an inf step count has no integer ceiling
@@ -537,6 +551,17 @@ def _guard_src(v: _Variant, t_last: str) -> str:
             f"        check_state(settings, {t_last}, h, u)")
 
 
+def _sample_src(v: _Variant) -> str:
+    """A sample: t, x, y and the derivative of x, each appended to its typed
+    buffer (array('d')) as doubles, bit for bit: a float, a list of floats,
+    or the bytes of a numpy lane's array, as float64 (an array prox of
+    another dtype, such as longdouble, makes the state that dtype)."""
+    put = {"local": "{}.append({})", "float": "{}.fromlist({})",
+           "numpy": "{}.frombytes({}[0].astype(float, copy=False).tobytes())"}[v.lane]
+    return "\n".join(["ts.append(t)", *(put.format(buf, lane) for buf, lane in
+                                         (("xs", "X"), ("ys", "Y"), ("xdots", "KX")))])
+
+
 _MACROS = {
     "consts": _consts_src,
     "deriv": _deriv_src,
@@ -546,8 +571,7 @@ _MACROS = {
     "prelude": _prelude_src,
     # the counters are locals until the loop ends or raises
     "save": lambda v: "stats.accepted, stats.rejected, stats.nfev = accepted, rejected, nfev",
-    # a sample: t, the state u and the derivative of x
-    "sample": lambda v: "ts.append(t)\nus += u\nxdots += (KX$flat)",
+    "sample": _sample_src,
     "guard": _guard_src,
 }
 
@@ -634,7 +658,7 @@ def _rhs_at(cfg: SystemConfig, t: float, x, y):
     kernel, prox, lane = _variant_kernel("rk45_adaptive", cfg)
     m, t = cfg.objective.dim, float(t)
     X, Y = (_split(np.broadcast_to(np.asarray(v, dtype=float), (m,)), lane) for v in (x, y))
-    KX, KY = kernel(X, Y, t, t, prox, _DEFAULTS, StepStats(), ([], [], []), cfg)
+    KX, KY = kernel(X, Y, t, t, prox, _DEFAULTS, StepStats(), _buffers(), cfg)
     return tuple(np.array(K[0].tolist() if lane == "numpy" else [K] if lane == "local" else K)
                  for K in (KX, KY))
 
@@ -675,15 +699,15 @@ def integrate(cfg: SystemConfig, settings: IntegratorSettings = None) -> Traject
     if settings is None:
         settings = _DEFAULTS
     kernel, prox, lane = _variant_kernel(settings.method, cfg)
-    stats, samples = StepStats(), ([], [], [])
-    # samples is three flat lists (ts, us, xdots) that each sample extends;
-    # one list per sample would leave the allocator fragmented after long runs
+    stats, samples = StepStats(), _buffers()
+    # samples is four typed buffers (ts, xs, ys, xdots) of 8-byte doubles that
+    # each sample extends; the returned arrays are views of them, so a sample
+    # costs 8 bytes per value and is never converted or copied
     kernel(_split(cfg.x0, lane), _split(initial_aux(cfg), lane), float(cfg.t0),
            cfg.horizon, prox, settings, stats, samples, cfg)
+    ts, xs, ys, xdots = (np.frombuffer(buf) for buf in samples)
     m = cfg.objective.dim
-    ts, us, xdots = (np.array(column, dtype=float) for column in samples)
-    us, xdots = us.reshape(-1, 2 * m), xdots.reshape(-1, m)
-    return Trajectory(ts, us[:, :m].copy(), us[:, m:].copy(), xdots, stats, cfg)
+    return Trajectory(ts, xs.reshape(-1, m), ys.reshape(-1, m), xdots.reshape(-1, m), stats, cfg)
 
 
 def residual_second_order(traj: Trajectory, cfg: SystemConfig) -> float:

@@ -134,11 +134,21 @@ def test_check_names_an_infinite_dominant_term(capsys):
 _MAX = sys.float_info.max
 
 
-def _log_uniform(lo=5e-324, zero=False):
-    """Floats from lo to the largest double, uniform in log, the two ends
-    (and 0.0 with zero set) included."""
-    ends = [lo, _MAX] + ([0.0] if zero else [])
-    return st.sampled_from(ends) | st.floats(math.log(lo), math.log(_MAX)).map(math.exp)
+def _log_uniform(lo=5e-324, zero=False, hi=_MAX):
+    """Floats from lo to hi, the largest double unless given, uniform in log,
+    the two ends (and 0.0 with zero set) included."""
+    ends = [lo, hi] + ([0.0] if zero else [])
+    return st.sampled_from(ends) | st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+def _start_times():
+    """_log_uniform() t0 values from the smallest normal double to half the
+    largest, where the horizon t0 * (1 + gap) is finite and above t0 for
+    every gap drawn, so the run reaches the integrator.  At the ends of
+    _log_uniform() it rounds back to t0 (5e-324) or overflows (the largest
+    double), and the run stops at "horizon must exceed t0"; those two are
+    @examples."""
+    return _log_uniform(sys.float_info.min, hi=_MAX / 2)
 
 
 @settings(max_examples=150, deadline=None)
@@ -179,13 +189,18 @@ def _signed_log_uniform():
 
 @settings(max_examples=150, deadline=None)
 @given(preset=st.sampled_from(sorted(runconfig.PRESETS)),
-       alpha=_log_uniform(), beta=_log_uniform(zero=True), t0=_log_uniform(),
+       alpha=_log_uniform(), beta=_log_uniform(zero=True), t0=_start_times(),
        gap=st.sampled_from([2.0 ** -52, 1e-9, 1e-6]),
        b_coeff=_log_uniform(), n=_log_uniform(zero=True),
        eps_coeff=_log_uniform(zero=True), d=_log_uniform(),
        lambda_form=st.sampled_from(["constant", "power", "bounded"]),
        lambda_value=_log_uniform(zero=True), x0=_signed_log_uniform(),
        xdot0=_signed_log_uniform())
+# the two ends of _log_uniform(): the horizon rounds back to t0 or overflows
+@example(preset="fig1", alpha=10.0, beta=1.0, t0=5e-324, gap=1e-6, b_coeff=1.0, n=1.0,
+         eps_coeff=1.0, d=3.0, lambda_form="constant", lambda_value=1.0, x0=10.0, xdot0=0.0)
+@example(preset="fig1", alpha=10.0, beta=0.0, t0=_MAX, gap=2.0 ** -52, b_coeff=1.0, n=1.0,
+         eps_coeff=1.0, d=3.0, lambda_form="constant", lambda_value=1.0, x0=10.0, xdot0=0.0)
 # b(t0) overflowed in energy_descent_start's numpy monomial
 @example(preset="fig3", alpha=_MAX, beta=1.0000610370189331, t0=1.0854368296331174e+80,
          gap=1e-6, b_coeff=_MAX, n=1.0000610370189331, eps_coeff=0.0, d=5e-324,
@@ -258,9 +273,13 @@ def test_simulate_to_the_largest_horizon_without_warnings(tmp_path):
        param=st.sampled_from(sorted(cli._SWEEP_KEYS)),
        values=st.lists(_log_uniform(zero=True), min_size=1, max_size=3, unique=True),
        lambda_form=st.sampled_from(["constant", "power", "bounded"]),
-       t0=st.just(1.4) | _log_uniform(), gap=st.sampled_from([2.0 ** -52, 1e-9, 1e-6, 1e-3]))
+       t0=st.just(1.4) | _start_times(), gap=st.sampled_from([2.0 ** -52, 1e-9, 1e-6, 1e-3]))
+# the two ends of _log_uniform(): the horizon rounds back to t0 or overflows
+@example(preset="fig3", param="d", values=[2.5], lambda_form="constant", t0=5e-324, gap=1e-3)
+@example(preset="fig3", param="d", values=[2.5], lambda_form="constant", t0=_MAX, gap=2.0 ** -52)
 # the first step, h = 1 at t0 = 1.2e16, left t where it was, and the
-# descent check divided by that interval's length, 0
+# descent check divided by that interval's length, 0; the integrator now
+# refuses such a step with StepSizeError (exit 2)
 @example(preset="fig1", param="beta", values=[1.0], lambda_form="power",
          t0=1.1719142372802612e+16, gap=1e-9)
 # the energy overflowed to inf at t0 = 1.5e154, and its differences were

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import textwrap
 import traceback
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -322,6 +323,30 @@ def test_swapped_prox_runs_instead_of_the_inlined_builtin(method):
     assert not np.array_equal(got.xs[-1], builtin.xs[-1])
 
 
+@pytest.mark.parametrize("lane", ["float", "numpy"])
+def test_samples_cost_little_more_than_the_arrays_returned(lane):
+    # each sample goes into typed buffers of doubles that the returned arrays
+    # view, so a run's traced peak stays below 4x the bytes it returns; lists
+    # of Python floats, converted and split after the run, took 5.6x
+    obj = l1_norm(dim=8)
+    if lane == "numpy":
+        obj = dataclasses.replace(obj, prox=lambda lam, x, prox=obj.prox: prox(lam, x))
+    cfg = make_cfg(objective=obj, horizon=14.0, x0=np.linspace(-3.0, 3.0, 8), xdot0=[0.0] * 8)
+    assert dynamics._variant_kernel("rk45_adaptive", cfg)[2] == lane
+    integrate(cfg)  # the kernel compiles outside the trace
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        traj = integrate(cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    returned = sum(a.nbytes for a in (traj.ts, traj.xs, traj.auxs, traj.xdots))
+    assert len(traj) > 100
+    assert peak < 4 * returned, (peak, returned)
+
+
 @pytest.mark.parametrize("obj", [abs_plus_quad(), dist_to_interval(), l1_norm(dim=3),
                                  scaled_shifted_quadratic(2.0, [1.0, -0.5]),
                                  box_indicator(-1.0, 1.0, dim=2)], ids=lambda obj: obj.name)
@@ -397,6 +422,19 @@ def test_step_size_collapse_reports_its_location():
     with pytest.raises(StepSizeError, match="collapsed") as exc:
         integrate(cfg, IntegratorSettings(max_step=1e-14))
     assert (exc.value.t_last, exc.value.h) == (cfg.t0 + 1e-14, 1e-14)
+
+
+def test_step_that_leaves_t_where_it_was_is_refused():
+    # the first step, h = 1, is half the spacing of the doubles at t0 = 1.2e16,
+    # so t + h rounds back to t: refused, not sampled as a second row at t0
+    t0 = 1.1719142372802612e+16
+    flat = {**preset_runs("fig1")[0], "system.beta": "1", "schedule.lambda_form": "power",
+            "system.t0": repr(t0), "system.horizon": repr(t0 * (1.0 + 1e-9))}
+    cfg, settings = build_system(config_from_flat(flat))
+    with pytest.raises(StepSizeError, match=r"step size 1 does not advance t = 1\.17191e\+16") \
+            as exc:
+        integrate(cfg, settings)
+    assert (exc.value.t_last, exc.value.h) == (t0, 1.0)
 
 
 @pytest.mark.parametrize("cls", [DivergenceError, StepSizeError])
