@@ -31,8 +31,8 @@ that loop is a lane:
 - the local lane is the float lane of a one-dimensional run, chosen by the
   objective's dim alone: x, y, k0 and k6 are local floats, not lists of one;
 - a numpy lane is the whole point as 1-D arrays, the single lane of a prox
-  without a scalar source, such as a swapped or custom one (even one with
-  coordinate_prox), which runs on the whole point.
+  without a scalar source, such as a swapped or custom one, which runs on
+  the whole point.
 
 Each stepper's loop is generated Python source, from one template per
 stepper.  _kernel splices into it:
@@ -46,7 +46,8 @@ stepper.  _kernel splices into it:
   beta = 0 and (cx, dx, dy, lambda) when beta > 0 (_consts_src);
 - on a float or local lane, the prox's scalar source in place of a prox
   call, at every stage, with u and lam the stage's and each parameter a
-  local prox_<name> that the kernel unpacks from its argument prox (_prox_src);
+  local prox_<name> that the kernel unpacks from the source's params in
+  cfg.objective.prox (_prox_src);
 - the Dormand-Prince tableau, as repr float literals;
 - the lane kind: float lanes, the local lane, or the single numpy lane.
 So a step on a float or local lane calls no Python function (a source may
@@ -86,17 +87,23 @@ bit for bit (tests/trajectory_pins.json pins a set of them).  The error norm
 sums its 2 * dim squares left to right, x block first, at every dim and in
 every kind of lane (_sum_src); numpy's pairwise reduction would take that
 order only for fewer than 8 terms.  A step whose error norm is not finite
-raises DivergenceError naming t and h, and the divergence guard
-(_check_state) bounds the whole state (x, y), failing on a NaN anywhere;
-both errors, and StepSizeError, carry t_last and h.  The step counters are
-locals, written to StepStats when the loop ends and before every raise.  The
-public rhs_* run the variant's DP5 kernel from t to T = t, which evaluates
-the first stage and takes no step, so they match the steppers bit for bit.
-A kernel records each sample, t then x, y and the derivative of x, into four
-typed buffers (array('d')), which hold each value as its 8 bytes, -0.0 and
-NaN payloads included: a local lane appends its floats, a float lane extends
-by its lists, the numpy lane by its arrays' bytes.  integrate returns views
-of those buffers (np.frombuffer), so no sample is converted or copied.
+raises DivergenceError naming t and h, and the divergence guard, spliced
+after every step, bounds the whole state (x, y), failing on a NaN anywhere;
+both errors, and StepSizeError, carry t_last and h.  An RK4 step that
+rounds back to t raises StepSizeError, as an adaptive one does.
+
+A kernel is a function from (X, Y, t, T, settings, cfg) to what it
+records: its samples and its step counters (accepted, rejected, nfev), and
+for DP5 also KX, KY, the derivative at the last point.  It records each
+sample, t then x, y and the derivative of x, into four typed buffers
+(array('d')) that it creates, which hold each value as its 8 bytes, -0.0
+and NaN payloads included: a local lane appends its floats, a float lane
+extends by its lists, the numpy lane by its arrays' bytes.  integrate
+returns views of those buffers (np.frombuffer), so no sample is converted
+or copied, and builds the StepStats from the counters.  The public rhs_*
+run the variant's DP5 kernel from t to T = t, which evaluates the first
+stage and takes no step, and return its KX, KY, so they match the steppers
+bit for bit.
 initial_aux, which runs once, evaluates lambda and b through the scalar
 forms and takes the envelope gradient from the array prox, which equals the
 scalar form bit for bit; residual_second_order shares that array gradient.
@@ -208,20 +215,6 @@ def _split(v, lane: str):
             else v.tolist())
 
 
-def _buffers() -> tuple:
-    """The sample buffers of a kernel: ts, xs, ys and xdots, empty."""
-    return array("d"), array("d"), array("d"), array("d")
-
-
-def _check_state(settings: IntegratorSettings, t_last: float, h: float, u: list) -> None:
-    # bounds the whole state, the auxiliary y as well as x; a NaN anywhere
-    # fails the test too, which max(u) would skip unless it came first
-    threshold = settings.divergence_threshold
-    if not all(abs(a) <= threshold for a in u):
-        raise DivergenceError(
-            f"state left the trust region after t = {t_last:.6g}", t_last, h)
-
-
 # ------------------------------------------------------------ step kernels
 #
 # A template is the source of one function.  A line "$name args" is a block
@@ -235,12 +228,11 @@ def _check_state(settings: IntegratorSettings, t_last: float, h: float, u: list)
 # k = (kx, ky).
 
 _DP5_TEMPLATE = """\
-def dp5(X, Y, t, T, prox, settings, stats, samples, cfg):
+def dp5(X, Y, t, T, settings, cfg):
     atol, rtol, max_step = settings.atol, settings.rtol, settings.max_step
     max_steps, threshold = settings.max_steps, settings.divergence_threshold
     stride, nthreshold = settings.sample_stride, -threshold
     sqrt, isfinite = math.sqrt, math.isfinite
-    ts, xs, ys, xdots = samples
     $prelude
     $k0 t
     u = (X$flat) + (Y$flat)
@@ -249,7 +241,6 @@ def dp5(X, Y, t, T, prox, settings, stats, samples, cfg):
     h = min((T - t) / 100.0, 1.0, max_step)
     while t < T:
         if accepted + rejected >= max_steps:
-            $save
             raise StepSizeError(f"step budget exhausted at t = {t:.6g}, h = {h:.3g}", t, h)
         if T - t < h:  # h = min(h, T - t)
             h = T - t
@@ -300,14 +291,12 @@ def dp5(X, Y, t, T, prox, settings, stats, samples, cfg):
         $sum total SX SY
         err_norm = sqrt(total / n2)
         if not isfinite(err_norm):
-            $save
             raise DivergenceError(
                 f"non-finite stage in the step at t = {t:.6g}, h = {h:.3g}", t, h)
         if err_norm <= 1.0:
             t_prev = t
             t = T if (T - t - h) <= 1e-15 * T else t + h
             if t == t_prev:  # t + h rounded back to t
-                $save
                 raise StepSizeError(f"step size {h:.3g} does not advance t = {t:.6g}", t, h)
             X, Y, KX, KY = XN, YN, KXN, KYN
             $guard t_prev
@@ -322,17 +311,14 @@ def dp5(X, Y, t, T, prox, settings, stats, samples, cfg):
         if max_step < h:
             h = max_step
         if h < $min_step:
-            $save
             raise StepSizeError(f"step size collapsed to {h:.3g} at t = {t:.6g}", t, h)
-    $save
-    return KX, KY
+    return (ts, xs, ys, xdots), (accepted, rejected, nfev), KX, KY
 """
 
 _RK4_TEMPLATE = """\
-def rk4(X, Y, t, T, prox, settings, stats, samples, cfg):
+def rk4(X, Y, t, T, settings, cfg):
     threshold, stride = settings.divergence_threshold, settings.sample_stride
     nthreshold = -threshold
-    ts, xs, ys, xdots = samples
     $prelude
     $k0 t
     $sample
@@ -340,7 +326,6 @@ def rk4(X, Y, t, T, prox, settings, stats, samples, cfg):
     # compared as a float: an inf step count has no integer ceiling
     span = (T - t) / settings.fixed_step - 1e-12
     if span > settings.max_steps:
-        $save
         raise StepSizeError(
             f"nsteps = {span:.6g} steps of fixed_step = {settings.fixed_step:.3g} "
             f"exceed max_steps = {settings.max_steps}", t, settings.fixed_step)
@@ -349,6 +334,8 @@ def rk4(X, Y, t, T, prox, settings, stats, samples, cfg):
     t0 = t
     for step in range(nsteps):
         t_next = t0 + (step + 1) * h
+        if t_next == t:  # the step rounded back to t
+            raise StepSizeError(f"step size {h:.3g} does not advance t = {t:.6g}", t, h)
         t1 = t + 0.5 * h
         t2 = t + h
         $consts t1 t2
@@ -376,7 +363,7 @@ def rk4(X, Y, t, T, prox, settings, stats, samples, cfg):
         accepted += 1
         if step == nsteps - 1 or accepted % stride == 0:
             $sample
-    $save
+    return (ts, xs, ys, xdots), (accepted, rejected, nfev)
 """
 
 # name in tracebacks and template, by IntegratorSettings.method
@@ -524,31 +511,37 @@ def _sum_src(v: _Variant, total: str, *gathered: str) -> str:
 
 
 def _prelude_src(v: _Variant) -> str:
-    """The lanes (the local lane is lane i = 0), the run's numbers from cfg
-    (nalpha = -alpha when beta = 0, nbeta = -beta when beta > 0, lambda's
-    offset lo, and the coefficient kc and exponent ke of each monomial the
-    stage constants take) and, on a float or local lane, the prox source's
-    parameters, whose values the argument prox holds."""
-    lines = ["i = 0" if v.lane == "local" else "lanes = range(len(X))",
+    """The empty sample buffers, the lanes (the local lane is lane i = 0),
+    the run's numbers from cfg (nalpha = -alpha when beta = 0, nbeta = -beta
+    when beta > 0, lambda's offset lo, and the coefficient kc and exponent ke
+    of each monomial the stage constants take) and the objective's prox: the
+    array prox on the numpy lane, and on a float or local lane the values of
+    its source's parameters, as locals prox_<name>."""
+    lines = ['ts, xs, ys, xdots = array("d"), array("d"), array("d"), array("d")',
+             "i = 0" if v.lane == "local" else "lanes = range(len(X))",
              "alpha, beta, sched = cfg.alpha, cfg.beta, cfg.schedule",
              "nbeta = -beta" if v.beta_positive else "nalpha = -alpha",
              "lo = sched.lam.offset"]
     lines += [f"{k}c, {k}e = sched.{_TERMS[k][1]}.coef, sched.{_TERMS[k][1]}.exponent"
               for k in _terms(v)]
-    if v.prox_params:
-        lines.append(", ".join("prox_" + name for name in v.prox_params) + ", = prox")
+    if v.lane == "numpy":
+        lines.append("prox = cfg.objective.prox")
+    elif v.prox_params:
+        lines.append(", ".join("prox_" + name for name in v.prox_params)
+                     + ", = cfg.objective.prox.coordinate_params.values()")
     return "\n".join(lines)
 
 
 def _guard_src(v: _Variant, t_last: str) -> str:
     """u, the coordinates of the new state (X, Y), and the divergence guard
-    on them: the test of check_state, which raises with its message, naming
+    on them, which bounds the auxiliary y as well as x and fails on a NaN
+    anywhere, as the chained comparison is false for NaN; its error names
     t_last (an expression without spaces) and h."""
     return ("u = (X$flat) + (Y$flat)\n"
             "for v in u:\n"
             "    if not nthreshold <= v <= threshold:\n"
-            "        $save\n"
-            f"        check_state(settings, {t_last}, h, u)")
+            "        raise DivergenceError(\n"
+            f'            f"state left the trust region after t = {{{t_last}:.6g}}", {t_last}, h)')
 
 
 def _sample_src(v: _Variant) -> str:
@@ -569,8 +562,6 @@ _MACROS = {
     "lanes": _lanes_src,
     "sum": _sum_src,
     "prelude": _prelude_src,
-    # the counters are locals until the loop ends or raises
-    "save": lambda v: "stats.accepted, stats.rejected, stats.nfev = accepted, rejected, nfev",
     "sample": _sample_src,
     "guard": _guard_src,
 }
@@ -628,37 +619,34 @@ def _kernel(kind: str, *variant):
                 f"lam={v.lam} {v.lane}"
                 f"{f' {zlib.crc32(src.encode()):08x}' if v.prox_source else ''}>")
     linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
-    namespace = {"math": math, "maximum": np.maximum, "square": _square,
-                 "check_state": _check_state,
+    namespace = {"array": array, "math": math, "maximum": np.maximum, "square": _square,
                  "DivergenceError": DivergenceError, "StepSizeError": StepSizeError}
     exec(compile(src, filename, "exec"), namespace)
     return namespace[_TEMPLATES[kind][0]]
 
 
 def _variant_kernel(kind: str, cfg: SystemConfig):
-    """(kernel, prox, lane) for cfg, where prox is the kernel's argument prox:
-    the array prox on the numpy lane, which runs a prox without a scalar
-    source, and otherwise the values of the source's parameters.  A
-    one-dimensional objective with a source runs on the local lane."""
+    """(kernel, lane) for cfg.  The numpy lane runs a prox without a scalar
+    source; a one-dimensional objective with a source runs on the local
+    lane, and any other on float lanes."""
     prox = cfg.objective.prox
     source = getattr(prox, "coordinate_source", None)
     if source is None:
         lane, names = "numpy", ()
     else:
         lane = "local" if cfg.objective.dim == 1 else "float"
-        names, prox = tuple(prox.coordinate_params), tuple(prox.coordinate_params.values())
+        names = tuple(prox.coordinate_params)
     lam = "constant" if cfg.schedule.lam.term.coef == 0.0 else "varies"
-    kernel = _kernel(kind, cfg.beta != 0.0, lam, lane, source or "", names)
-    return kernel, prox, lane
+    return _kernel(kind, cfg.beta != 0.0, lam, lane, source or "", names), lane
 
 
 def _rhs_at(cfg: SystemConfig, t: float, x, y):
     """(xdot, ydot) at one time: the first stage of the variant's DP5 kernel,
     run from t to T = t, which takes no step."""
-    kernel, prox, lane = _variant_kernel("rk45_adaptive", cfg)
+    kernel, lane = _variant_kernel("rk45_adaptive", cfg)
     m, t = cfg.objective.dim, float(t)
     X, Y = (_split(np.broadcast_to(np.asarray(v, dtype=float), (m,)), lane) for v in (x, y))
-    KX, KY = kernel(X, Y, t, t, prox, _DEFAULTS, StepStats(), _buffers(), cfg)
+    KX, KY = kernel(X, Y, t, t, _DEFAULTS, cfg)[2:]
     return tuple(np.array(K[0].tolist() if lane == "numpy" else [K] if lane == "local" else K)
                  for K in (KX, KY))
 
@@ -698,16 +686,16 @@ def integrate(cfg: SystemConfig, settings: IntegratorSettings = None) -> Traject
     """
     if settings is None:
         settings = _DEFAULTS
-    kernel, prox, lane = _variant_kernel(settings.method, cfg)
-    stats, samples = StepStats(), _buffers()
+    kernel, lane = _variant_kernel(settings.method, cfg)
     # samples is four typed buffers (ts, xs, ys, xdots) of 8-byte doubles that
     # each sample extends; the returned arrays are views of them, so a sample
     # costs 8 bytes per value and is never converted or copied
-    kernel(_split(cfg.x0, lane), _split(initial_aux(cfg), lane), float(cfg.t0),
-           cfg.horizon, prox, settings, stats, samples, cfg)
+    samples, counts = kernel(_split(cfg.x0, lane), _split(initial_aux(cfg), lane),
+                             float(cfg.t0), cfg.horizon, settings, cfg)[:2]
     ts, xs, ys, xdots = (np.frombuffer(buf) for buf in samples)
     m = cfg.objective.dim
-    return Trajectory(ts, xs.reshape(-1, m), ys.reshape(-1, m), xdots.reshape(-1, m), stats, cfg)
+    return Trajectory(ts, xs.reshape(-1, m), ys.reshape(-1, m), xdots.reshape(-1, m),
+                      StepStats(*counts), cfg)
 
 
 def residual_second_order(traj: Trajectory, cfg: SystemConfig) -> float:

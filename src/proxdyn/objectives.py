@@ -12,7 +12,6 @@ fixed setting: a bracket half-width of at least 1, a stopping length of
 
 from __future__ import annotations
 
-import functools
 import inspect
 import math
 from dataclasses import dataclass, field
@@ -75,18 +74,17 @@ class Objective:
 
     The prox of each built-in also carries a scalar form, written once as
     the source of one Python expression, prox.coordinate_source: coordinate
-    i of prox(lam, x) where x[i] = u, in the names i, lam, u, builtins and
-    the keys of the dict prox.coordinate_params, which holds their values.
-    prox.coordinate_prox(i, lam, u) is that expression compiled, on Python
-    floats.  It must equal the array prox bit for bit, signed zeros and NaN
-    included (prox-selftest checks coordinate_prox).  The source is the
-    integrator's contract: it splices the expression into its generated
-    loops in place of a prox call, and runs a prox without a source, even
-    one that has coordinate_prox, through the array prox.  These attributes
-    live on the function, not on the Objective, so replacing prox
-    (dataclasses.replace) drops them, unless the new function copies them
-    as functools.wraps does, and the integrator then calls the new array
-    prox.
+    i of prox(lam, x) where x[i] = u, on Python floats, in the names i, lam,
+    u, builtins and the keys of the dict prox.coordinate_params, which holds
+    their values.  The source and its params are the scalar form's only
+    form: the integrator splices the expression into its generated loops in
+    place of a prox call, and runs a prox without a source through the
+    array prox.  It must equal the array prox bit for bit, signed zeros and
+    NaN included; prox-selftest compiles the source with its params and
+    checks that.  These attributes live on the function, not on the
+    Objective, so replacing prox (dataclasses.replace) drops them, unless
+    the new function copies them as functools.wraps does, and the
+    integrator then calls the new array prox.
     """
 
     name: str
@@ -100,18 +98,11 @@ class Objective:
     lambda_switches: Callable[[float], tuple] = field(default=lambda u: ())
 
 
-@functools.lru_cache(maxsize=None)
-def _lambda_code(source: str):
-    # compiled once per source: objectives are built per run and per scan draw
-    return compile(f"lambda i, lam, u: {source}", "<coordinate_prox>", "eval")
-
-
 def _scalar_form(prx, source: str, **params):
     """Give the array prox prx its scalar form: the expression source in i,
-    lam, u and params, and coordinate_prox compiled from it."""
+    lam, u and params."""
     prx.coordinate_source = source
     prx.coordinate_params = params
-    prx.coordinate_prox = eval(_lambda_code(source), dict(params))
     return prx
 
 

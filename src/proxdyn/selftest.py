@@ -228,12 +228,14 @@ def run_prox_selftest(objectives=None, seed: int = 12345, samples: int = 100):
 
     battery.run("gradient 1/lambda Lipschitz", 1e-9, gradient_lipschitz)
 
-    # the scalar prox, which a built-in compiles from the source the integrator
-    # inlines; an objective without one is skipped
-    scalar = [obj for obj in objectives if hasattr(obj.prox, "coordinate_prox")]
+    # the scalar prox: the source the integrator splices in, compiled once
+    # with its params; an objective without one is skipped
+    scalar = [(obj, eval(f"lambda i, lam, u: {obj.prox.coordinate_source}",
+                         dict(obj.prox.coordinate_params)))
+              for obj in objectives if hasattr(obj.prox, "coordinate_source")]
 
     def scalar_prox_bits(rng):
-        obj = scalar[int(rng.integers(len(scalar)))]
+        obj, form = scalar[int(rng.integers(len(scalar)))]
         lam = float(rng.uniform(0.05, 4.0))
         x = _draw(rng, obj)
         # the drawn point, every coordinate at +-0 and at each kink, and the
@@ -241,7 +243,8 @@ def run_prox_selftest(objectives=None, seed: int = 12345, samples: int = 100):
         cases = [(lam, x)] + [(lam, np.full(obj.dim, v))
                               for v in (0.0, -0.0, *obj.kink_points(lam))]
         cases += [(s, x) for u in x.tolist() for s in obj.lambda_switches(u) if s > 0.0]
-        wrong = [(lam_i, p) for lam_i, p in cases if not _scalar_prox_matches(obj, lam_i, p)]
+        wrong = [(lam_i, p) for lam_i, p in cases
+                 if not _scalar_prox_matches(obj, form, lam_i, p)]
         witness = f"{obj.name}, lam={wrong[0][0]!r}, x={wrong[0][1].tolist()}" if wrong else ""
         return float(len(wrong)), witness
 
@@ -252,7 +255,6 @@ def run_prox_selftest(objectives=None, seed: int = 12345, samples: int = 100):
     return battery.results
 
 
-def _scalar_prox_matches(obj: Objective, lam: float, x: np.ndarray) -> bool:
-    coordinate_prox = obj.prox.coordinate_prox
-    got = np.array([coordinate_prox(i, lam, u) for i, u in enumerate(x.tolist())])
+def _scalar_prox_matches(obj: Objective, form, lam: float, x: np.ndarray) -> bool:
+    got = np.array([form(i, lam, u) for i, u in enumerate(x.tolist())])
     return got.tobytes() == obj.prox(lam, x).tobytes()

@@ -142,13 +142,15 @@ def _log_uniform(lo=5e-324, zero=False, hi=_MAX):
 
 
 def _start_times():
-    """_log_uniform() t0 values from the smallest normal double to half the
-    largest, where the horizon t0 * (1 + gap) is finite and above t0 for
-    every gap drawn, so the run reaches the integrator.  At the ends of
-    _log_uniform() it rounds back to t0 (5e-324) or overflows (the largest
-    double), and the run stops at "horizon must exceed t0"; those two are
-    @examples."""
-    return _log_uniform(sys.float_info.min, hi=_MAX / 2)
+    """_log_uniform() t0 values from the square root of the smallest normal
+    double, where t0**2 is still a normal double, to half the largest, where
+    the horizon t0 * (1 + gap) is finite and above t0 for every gap drawn, so
+    the run reaches the integrator.  At the ends of _log_uniform() it rounds
+    back to t0 (5e-324) or overflows (the largest double), and the run stops
+    at "horizon must exceed t0"; those two are @examples.  Below the square
+    root, a beta > 0 run stops at "t0**2 underflows to 0"; the smallest
+    normal double, with beta = 0, is an @example too."""
+    return _log_uniform(math.sqrt(sys.float_info.min), hi=_MAX / 2)
 
 
 @settings(max_examples=150, deadline=None)
@@ -201,6 +203,12 @@ def _signed_log_uniform():
          eps_coeff=1.0, d=3.0, lambda_form="constant", lambda_value=1.0, x0=10.0, xdot0=0.0)
 @example(preset="fig1", alpha=10.0, beta=0.0, t0=_MAX, gap=2.0 ** -52, b_coeff=1.0, n=1.0,
          eps_coeff=1.0, d=3.0, lambda_form="constant", lambda_value=1.0, x0=10.0, xdot0=0.0)
+# the smallest normal double, below _start_times(): with beta = 0 nothing
+# divides by t**2, and with b = 1 and eps = 0 the run reaches the integrator,
+# where alpha / t overflows (exit 2)
+@example(preset="fig1", alpha=10.0, beta=0.0, t0=sys.float_info.min, gap=1e-6, b_coeff=1.0,
+         n=0.0, eps_coeff=0.0, d=3.0, lambda_form="constant", lambda_value=1.0, x0=10.0,
+         xdot0=0.0)
 # b(t0) overflowed in energy_descent_start's numpy monomial
 @example(preset="fig3", alpha=_MAX, beta=1.0000610370189331, t0=1.0854368296331174e+80,
          gap=1e-6, b_coeff=_MAX, n=1.0000610370189331, eps_coeff=0.0, d=5e-324,
@@ -277,6 +285,10 @@ def test_simulate_to_the_largest_horizon_without_warnings(tmp_path):
 # the two ends of _log_uniform(): the horizon rounds back to t0 or overflows
 @example(preset="fig3", param="d", values=[2.5], lambda_form="constant", t0=5e-324, gap=1e-3)
 @example(preset="fig3", param="d", values=[2.5], lambda_form="constant", t0=_MAX, gap=2.0 ** -52)
+# the smallest normal double, below _start_times(): fig3 has beta = 0, and
+# eps = t**-0.5 stays finite, so the run reaches the integrator (exit 2)
+@example(preset="fig3", param="d", values=[0.5], lambda_form="constant",
+         t0=sys.float_info.min, gap=1e-3)
 # the first step, h = 1 at t0 = 1.2e16, left t where it was, and the
 # descent check divided by that interval's length, 0; the integrator now
 # refuses such a step with StepSizeError (exit 2)

@@ -36,7 +36,6 @@ from proxdyn import (
 )
 from proxdyn.dynamics import (
     IntegratorSettings,
-    _check_state,
     initial_aux,
     integrate,
     residual_second_order,
@@ -295,8 +294,8 @@ def test_scalar_prox_path_matches_array_prox_path(name, method):
     # against m float lanes, or against the local lane when m = 1
     obj, x0 = VECTOR_OBJECTIVES[name]
     swapped = dataclasses.replace(obj, prox=lambda lam, x: obj.prox(lam, x))
-    assert hasattr(obj.prox, "coordinate_prox")
-    assert not hasattr(swapped.prox, "coordinate_prox")
+    assert hasattr(obj.prox, "coordinate_source")
+    assert not hasattr(swapped.prox, "coordinate_source")
     settings = IntegratorSettings(method=method, fixed_step=0.01)
     runs = [integrate(make_cfg(objective=o, horizon=6.0, x0=x0, xdot0=[0.0] * len(x0)),
                       settings) for o in (obj, swapped)]
@@ -313,7 +312,7 @@ def test_swapped_prox_runs_instead_of_the_inlined_builtin(method):
     l1 = l1_norm()
     swapped = dataclasses.replace(abs_plus_quad(), prox=lambda lam, x: l1.prox(lam, x))
     cfg = make_cfg(objective=swapped, horizon=14.0, x0=3.0)
-    assert dynamics._variant_kernel(method, cfg)[2] == "numpy"
+    assert dynamics._variant_kernel(method, cfg)[1] == "numpy"
     settings = IntegratorSettings(method=method, fixed_step=0.01)
     got, want, builtin = (integrate(c, settings) for c in (
         cfg, make_cfg(objective=l1, horizon=14.0, x0=3.0), make_cfg(horizon=14.0, x0=3.0)))
@@ -332,7 +331,7 @@ def test_samples_cost_little_more_than_the_arrays_returned(lane):
     if lane == "numpy":
         obj = dataclasses.replace(obj, prox=lambda lam, x, prox=obj.prox: prox(lam, x))
     cfg = make_cfg(objective=obj, horizon=14.0, x0=np.linspace(-3.0, 3.0, 8), xdot0=[0.0] * 8)
-    assert dynamics._variant_kernel("rk45_adaptive", cfg)[2] == lane
+    assert dynamics._variant_kernel("rk45_adaptive", cfg)[1] == lane
     integrate(cfg)  # the kernel compiles outside the trace
     tracemalloc.start()
     try:
@@ -354,7 +353,7 @@ def test_samples_cost_little_more_than_the_arrays_returned(lane):
 def test_builtin_kernels_inline_the_prox(obj, beta):
     cfg = make_cfg(objective=obj, beta=beta, x0=[1.0] * obj.dim, xdot0=[0.0] * obj.dim)
     for kind in ("rk45_adaptive", "rk4_fixed"):
-        kernel, _, lane = dynamics._variant_kernel(kind, cfg)
+        kernel, lane = dynamics._variant_kernel(kind, cfg)
         assert lane == ("local" if obj.dim == 1 else "float")
         src = "".join(linecache.getlines(kernel.__code__.co_filename))
         assert src.startswith("def ") and "prox(" not in src
@@ -362,9 +361,15 @@ def test_builtin_kernels_inline_the_prox(obj, beta):
 
 @pytest.mark.parametrize("u", [[1.0, math.nan], [math.nan, 1.0]])
 def test_state_guard_fails_on_nan_anywhere(u):
-    with pytest.raises(DivergenceError) as exc:
-        _check_state(IntegratorSettings(), 2.0, 0.5, u)
-    assert (exc.value.t_last, exc.value.h) == (2.0, 0.5)
+    # the prox puts NaN in the coordinate of a two-dimensional state where u
+    # has it; RK4 has no error norm, so the guard is the first to see it,
+    # while DP5's error norm would catch the NaN stage first
+    l1 = l1_norm(dim=2)
+    cfg = make_cfg(objective=dataclasses.replace(l1, prox=lambda lam, x: l1.prox(lam, x) * u),
+                   beta=0.0, t0=1.5, horizon=14.0, x0=[1.0, 1.0], xdot0=[0.0, 0.0])
+    with pytest.raises(DivergenceError, match="left the trust region") as exc:
+        integrate(cfg, IntegratorSettings(method="rk4_fixed", fixed_step=0.5))
+    assert (exc.value.t_last, exc.value.h) == (1.5, 0.5)
 
 
 def nan_outside_five(obj):
@@ -435,6 +440,21 @@ def test_step_that_leaves_t_where_it_was_is_refused():
             as exc:
         integrate(cfg, settings)
     assert (exc.value.t_last, exc.value.h) == (t0, 1.0)
+
+
+def test_fixed_step_that_leaves_t_where_it_was_is_refused():
+    # 24 RK4 steps of 0.5 from t0 = 1.2e16, where the doubles are 2 apart:
+    # the first rounds back to t0; RK4 took them all and wrote 25 samples,
+    # 18 of them zero-length intervals, with 25 different states
+    t0 = 1.1719142372802612e+16
+    flat = {**preset_runs("fig1")[0], "system.t0": repr(t0),
+            "system.horizon": "1.1719142372802624e+16",
+            "integrator.method": "rk4_fixed", "integrator.fixed_step": "0.5"}
+    cfg, settings = build_system(config_from_flat(flat))
+    with pytest.raises(StepSizeError, match=r"step size 0\.5 does not advance t = 1\.17191e\+16") \
+            as exc:
+        integrate(cfg, settings)
+    assert (exc.value.t_last, exc.value.h) == (t0, 0.5)
 
 
 @pytest.mark.parametrize("cls", [DivergenceError, StepSizeError])

@@ -1,6 +1,7 @@
 """Tests for the prox self-test battery."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -57,11 +58,30 @@ def test_scalar_prox_property_compares_bits():
     def prox(lam, x):
         return good.prox(lam, x)
 
-    prox.coordinate_prox = lambda i, lam, u: good.prox.coordinate_prox(i, lam, u) + 0.0
+    prox.coordinate_source = f"{good.prox.coordinate_source} + 0.0"
+    prox.coordinate_params = good.prox.coordinate_params
     bad = dataclasses.replace(good, name="unsigned_zero", prox=prox)
     result = {r.name: r for r in run_prox_selftest(objectives=[bad])}[SCALAR_PROPERTY]
     assert not result.passed
     assert result.witness.startswith("unsigned_zero, lam=")
+
+
+def test_scalar_prox_property_checks_the_source_the_integrator_splices():
+    # a source that doubles the soft threshold, on a prox that otherwise
+    # carries the built-in's scalar form (functools.wraps copies it):
+    # integrate splices the source in, and from x0 = 3 ends near 393 against
+    # 0.02 with the array prox, so the property must check the source itself
+    good = l1_norm()
+
+    @functools.wraps(good.prox)
+    def prox(lam, x):
+        return good.prox(lam, x)
+
+    prox.coordinate_source = f"2.0 * ({good.prox.coordinate_source})"
+    bad = dataclasses.replace(good, name="doubled_source", prox=prox)
+    result = {r.name: r for r in run_prox_selftest(objectives=[bad])}[SCALAR_PROPERTY]
+    assert not result.passed
+    assert result.witness.startswith("doubled_source, lam=")
 
 
 def test_empty_registry_gives_no_results():
