@@ -5,10 +5,11 @@ or all checks passed, 1 validation/usage/condition failure, 2 divergence
 or failed step control, 3 internal error; _status maps each exception to
 its code and stderr message.  Bad or repeated run labels and output paths
 that cannot be written exit 1.  simulate and sweep validate every run
-before the first one integrates, and write nothing when one fails.  A sweep
-then runs them in worker processes and keeps the finished ones when another
-fails: every variant gets a summary line, and the sweep exits with the largest
-code among the failed variants, 0 when none failed.
+before the first one integrates, and write nothing when one fails; each run
+then integrates the build that validated it.  A sweep runs its variants one
+after another and keeps the finished ones when another fails: every variant
+gets a summary line, and the sweep exits with the largest code among the
+failed variants, 0 when none failed.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from . import csvio
 from .errors import (DivergenceError, InfeasibleError, InsufficientDataError,
                      ParameterDomainError, StepSizeError, UnsupportedOracleError,
                      ValidationError)
-from .runconfig import (build_run, build_system, config_from_flat, execute_run,
-                        parse_config_file, parse_overrides, preset_runs, _CHECKERS)
+from .runconfig import (build_run, build_system, config_from_flat, parse_config_file,
+                        parse_overrides, preset_runs, _CHECKERS, _execute)
 from .selftest import run_prox_selftest
 
 __all__ = ["main"]
@@ -97,25 +98,24 @@ def _gather_runs(args) -> list:
 
 
 def _validated(flats) -> dict:
-    """{label: RunConfig}, each run parsed and built before any starts (and built
-    again when it runs: a built SystemConfig's Objective holds closures, which a
-    sweep worker cannot take)."""
-    configs = {}
+    """{label: (RunConfig, SystemConfig, IntegratorSettings)}, each run parsed
+    and built before any starts."""
+    runs = {}
     for flat in flats:
         rc = config_from_flat(flat)
-        build_run(rc)
-        if rc.label in configs:
+        built = build_run(rc)
+        if rc.label in runs:
             raise ValidationError(f"label {rc.label!r} names more than one run")
-        configs[rc.label] = rc
-    return configs
+        runs[rc.label] = (rc, *built)
+    return runs
 
 
 def cmd_simulate(args) -> int:
-    configs = _validated(_gather_runs(args))
+    runs = _validated(_gather_runs(args))
     outdir = args.out
     os.makedirs(outdir, exist_ok=True)
-    for rc in configs.values():
-        summary = execute_run(rc, outdir, svg=args.svg == "on")
+    for rc, cfg, settings in runs.values():
+        summary = _execute(rc, cfg, settings, outdir, args.svg == "on")
         status = "pass" if summary.condition_report.all_pass else "FAIL"
         print(f"{rc.label}: wrote {os.path.join(outdir, rc.label)} "
               f"(conditions {status}, {summary.wall_time:.2f} s)")
@@ -173,20 +173,14 @@ def _combined_csv(path, param, finished):
 
 
 def cmd_sweep(args) -> int:
-    from concurrent.futures import ProcessPoolExecutor  # only sweep starts processes
-
     variants = _sweep_configs(args)
     outdir = args.out
     os.makedirs(outdir, exist_ok=True)
-    svg = args.svg == "on"
-    workers = min(len(variants), os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(execute_run, rc, outdir, svg) for rc in variants.values()]
     finished, lines, code = {}, [], 0
-    for (value, rc), future in zip(variants.items(), futures):
+    for value, (rc, cfg, settings) in variants.items():
         head = f"{rc.label}: {args.param} = {value!r}"
         try:
-            summary = future.result()
+            summary = _execute(rc, cfg, settings, outdir, args.svg == "on")
         except Exception as exc:
             failed, message = _status(exc)
             code = max(code, failed)

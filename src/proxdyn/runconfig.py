@@ -277,7 +277,11 @@ def _grad_theory_slope(rc: RunConfig) -> float:
 
 def execute_run(rc: RunConfig, outdir, svg: bool = True) -> RunSummary:
     """Integrate one config and write csv/summary/svg files under outdir/label."""
-    cfg, settings = build_run(rc)
+    return _execute(rc, *build_run(rc), outdir, svg)
+
+
+def _execute(rc: RunConfig, cfg, settings, outdir, svg: bool) -> RunSummary:
+    """execute_run on the (cfg, settings) that build_run(rc) returned."""
     start = time.perf_counter()
     traj = integrate(cfg, settings)
     report = _CHECKERS[rc.setting](cfg.query())

@@ -1,6 +1,5 @@
 """CLI subcommands and the exit-code contract."""
 
-import concurrent.futures
 import contextlib
 import dataclasses
 import functools
@@ -309,14 +308,12 @@ def test_sweep_exits_0_1_or_2_on_any_values_in_their_domains(
     # every --param over values from dust to the largest double, from the
     # presets' t0 = 1.4 or any t0, with SVG on and the simulate test's
     # 20,000-step budget: each variant runs, fails validation or diverges,
-    # never an internal error or a numpy warning.  The variants run on
-    # threads, which share the patched budget and the warnings filter
+    # never an internal error or a numpy warning.  The variants run in this
+    # process, under the patched budget and the warnings filter
     budget = functools.partial(dynamics.IntegratorSettings, max_steps=20_000)
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as outdir, \
-            mock.patch.object(runconfig, "IntegratorSettings", budget), \
-            mock.patch.object(concurrent.futures, "ProcessPoolExecutor",
-                              concurrent.futures.ThreadPoolExecutor):
+            mock.patch.object(runconfig, "IntegratorSettings", budget):
         args = ["sweep", "--preset", preset, "--param", param,
                 "--values", ",".join(map(repr, values)), "--svg", "on", "--out", outdir,
                 "--set", f"schedule.lambda_form={lambda_form}",
@@ -361,19 +358,21 @@ def test_sweep_writes_runs_and_combined(tmp_path):
 
 
 def test_sweep_csv_bytes_equal_percent_format(tmp_path, monkeypatch):
-    # the columns the sweep hands the writer, kept to build a per-value reference
+    # the columns the sweep hands the writer, kept to build a per-value
+    # reference; each variant's trajectory.csv goes through the writer too
     written = []
     write_rows = csvio._write_rows
 
     def record(path, header, columns):
-        written.append((header, np.column_stack(columns)))
+        written.append((os.fspath(path), header, np.column_stack(columns)))
         write_rows(path, header, columns)
 
     monkeypatch.setattr(csvio, "_write_rows", record)
     args = ["sweep", "--preset", "fig1", "--param", "alpha", "--values", "3,4.5,6",
             "--set", "system.horizon=5", "--svg", "off", "--out", str(tmp_path)]
     assert cli.main(args) == 0
-    [(header, table)] = written
+    [(header, table)] = [(header, table) for path, header, table in written
+                         if path == str(tmp_path / "sweep_alpha.csv")]
     assert len(table) == 3 * 256
     lines = [",".join(header)] + [",".join("%.17g" % v for v in row) for row in table.tolist()]
     assert (tmp_path / "sweep_alpha.csv").read_bytes() == ("\r\n".join(lines) + "\r\n").encode()
@@ -419,6 +418,31 @@ def test_sweep_keeps_variants_when_one_diverges(tmp_path, capsys):
     assert lines[1].startswith("alpha_0_5: alpha = 0.5, FAILED (exit 2): divergence:")
     assert "last good t" in lines[1]
     assert not (out / "alpha_0_5").exists()
+
+
+def test_sweep_keeps_variants_when_one_raises(tmp_path, monkeypatch, capsys):
+    # a bug in one variant's run is that variant's exit 3, not the sweep's end
+    execute = runconfig._execute
+
+    def boom_on_d3(rc, *args):
+        if rc.label == "d_3_0":
+            raise RuntimeError("synthetic failure")
+        return execute(rc, *args)
+
+    monkeypatch.setattr(cli, "_execute", boom_on_d3)
+    args = ["sweep", "--preset", "fig1", "--param", "d", "--values", "2.5,3,3.5",
+            "--set", "system.horizon=5", "--svg", "off", "--out", str(tmp_path)]
+    assert cli.main(args) == 3
+    lines = (tmp_path / "sweep_d_summary.txt").read_text().splitlines()
+    assert capsys.readouterr().out.startswith("\n".join(lines) + "\n")
+    assert lines[1] == ("d_3_0: d = 3.0, FAILED (exit 3): "
+                        "internal error: RuntimeError: synthetic failure")
+    for line in (lines[0], lines[2]):
+        assert "final moreau_gap" in line
+    combined = (tmp_path / "sweep_d.csv").read_text().splitlines()
+    assert {line.split(",")[0] for line in combined[1:]} == {"2.5", "3.5"}
+    assert (tmp_path / "d_2_5" / "trajectory.csv").exists()
+    assert (tmp_path / "d_3_5" / "trajectory.csv").exists()
 
 
 def no_integration(*args, **kwargs):
@@ -600,7 +624,7 @@ def test_exit_code_schedule_overflow(tmp_path, capsys):
 
 def test_import_leaves_out_unused_modules():
     # xml.sax.saxutils pulls in urllib.request (numpy's pathlib has urllib.parse
-    # already); only sweep needs a process pool; the CSV writer's power-of-ten
+    # already); no subcommand starts a process pool; the CSV writer's power-of-ten
     # table is built from ints, without fractions or decimal
     script = ("import sys, proxdyn.cli; print(sorted(m for m in sys.modules if m in "
               "('xml.sax', 'urllib.request', 'concurrent.futures.process', 'fractions', "
@@ -628,7 +652,7 @@ def test_exit_code_internal_error(tmp_path, monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise RuntimeError("synthetic failure")
 
-    monkeypatch.setattr(cli, "execute_run", boom)
+    monkeypatch.setattr(cli, "_execute", boom)
     cfg = write_config(tmp_path, FAST_CONFIG)
     assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 3
     assert "internal error" in capsys.readouterr().err

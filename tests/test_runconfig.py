@@ -169,17 +169,30 @@ def test_built_configs_are_read_only():
         dataclasses.replace(settings, rtol=0.0)
 
 
-def test_simulate_validates_each_config_once_per_build(tmp_path, monkeypatch):
-    # the CLI builds each run twice, once to fail fast and once to run it;
-    # neither build_system nor integrate validates a config again
+def count_validations(monkeypatch):
     calls = {SystemConfig: 0, IntegratorSettings: 0}
     for cls in calls:
         def counted(self, _validate=cls.validate, _cls=cls):
             calls[_cls] += 1
             _validate(self)
         monkeypatch.setattr(cls, "validate", counted)
+    return calls
+
+
+def test_simulate_validates_each_config_once_per_build(tmp_path, monkeypatch):
+    # the CLI builds each run once, to fail fast, and runs that build;
+    # neither build_system nor integrate validates a config again
+    calls = count_validations(monkeypatch)
     assert main(["simulate", "--preset", "fig2", "--svg", "off", "--out", str(tmp_path)]) == 0
-    assert calls == {SystemConfig: 6, IntegratorSettings: 6}
+    assert calls == {SystemConfig: 3, IntegratorSettings: 3}
+
+
+def test_sweep_builds_each_variant_once(tmp_path, monkeypatch):
+    calls = count_validations(monkeypatch)
+    args = ["sweep", "--preset", "fig2", "--param", "l", "--values", "0,1",
+            "--svg", "off", "--out", str(tmp_path)]
+    assert main(args) == 0
+    assert calls == {SystemConfig: 2, IntegratorSettings: 2}
 
 
 # preset fidelity: the figure experiments pin these parameters
