@@ -26,7 +26,8 @@ class _Located:
     time with a finite, in-range state, and ``h``, the step size then in use."""
 
     def __init__(self, message, t_last=None, h=None):
-        # every arg kept in .args so the exception survives pickling
+        # every arg kept in .args: copy and pickle rebuild an exception from
+        # its .args, and these public types keep their location through both
         super().__init__(message, t_last, h)
         self.t_last = t_last
         self.h = h

@@ -8,19 +8,27 @@ family there is.  A :class:`SystemConfig` is frozen and validates itself
 once, as it is built.  The checkers certify the fast-rate,
 strong-convergence and critical-damping (alpha = 3) regimes from one
 condition table, ``_FAMILIES``: per regime, its rules in report order, each
-mapping a per-report ``_Context`` to a Verdict.  A condition that regimes
-share is one rule builder fed each regime's constants.  Pointwise conditions
-take their margin from a geometric grid and a sparse far grid, built once
-per start time, and decide the tail by the sign of the dominant monomial; a
-grid value that overflows fails its condition, and so does a constant whose
-power overflows (``_power`` gives inf there).  The schedule's arrays on that
-grid (b, b_dot, t**2, lambda_dot, eps, t b, b(t0) and the growth caps per
-constant pair) are computed once per (schedule, t0), the first time a rule
-reads each, and shared read-only by every report there: ``_grid_values``
-keeps the last 8 such sets, keyed by the schedule's value and t0.  The other
-conditions are exact rules on the family's parameters.  The rules that never
-read t0 are declared in ``_T0_FREE``, so a start-time search ends at the
-first report that fails one of them: no later start time can pass.
+mapping a query's ``_Context`` to a Verdict.  A rule that several regimes
+list is one object there, and a condition that regimes share with other
+constants is one rule builder fed each regime's constants.  Pointwise
+conditions take their margin from a geometric grid and a sparse far grid,
+built once per start time, and decide the tail by the sign of the dominant
+monomial; a grid value that overflows fails its condition, and so does a
+constant whose power overflows (``_power`` gives inf there).  The other
+conditions are exact rules on the family's parameters.
+
+A repeated query shares its context: ``_context`` keeps the contexts of the
+last 8 queries, keyed by the bits of their numbers.  A context computes the
+schedule's arrays on the grid (b, b_dot, t**2, lambda_dot, eps, t b, b(t0)
+and the growth caps per constant pair) and evaluates each rule once, each
+the first time a rule or a report needs it.  So a start-time search's last
+report, and the three regimes' reports that follow on the same query,
+evaluate each rule once between them.  A rule returns what it found,
+eps_decay_speed its feasible a interval and eps_tail_ratio its warning too,
+and each report is built from those values into a ConditionReport and
+Verdicts of its own, which its caller may edit.  The rules that never read
+t0 are declared in ``_T0_FREE``, so a start-time search ends at the first
+report that fails one of them: no later start time can pass.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ import functools
 import math
 import struct
 import sys
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -339,28 +348,33 @@ def _frozen(values) -> np.ndarray:
     return values
 
 
-class _GridValues:
-    """A schedule's values on the condition grid of one start time, each
-    computed the first time a rule reads it and read-only from then on.
+class _Context:
+    """One query, its schedule's values on the query's condition grid ``ts``
+    and each rule's result, each computed the first time a rule or a report
+    needs it; the arrays are read-only.
 
-    ``_grid_values`` shares one set between every report on the same
-    (schedule, t0): a start-time search's last check and the three family
-    checks that follow it, or the fast and strong checks of one query.
+    ``results`` keeps what each rule found, as ``_check`` stores it;
+    ``_context`` keeps the contexts of the last 8 queries, so every report
+    on one query evaluates each rule once.
     """
 
-    def __init__(self, s: PolyParams, t0: float):
-        self.s = s
+    def __init__(self, q: ConditionQuery):
+        t0 = float(q.t0)
+        self.q = q
+        self.poly = s = q.schedule
         self.ts = _grid(t0)
         self.b0 = float(s.b(t0))
+        self.eps_zero = s.eps_coeff == 0.0
         self.caps = {}
+        self.results = {}
 
     @functools.cached_property
     def b(self) -> np.ndarray:
-        return _frozen(self.s.b(self.ts))
+        return _frozen(self.poly.b(self.ts))
 
     @functools.cached_property
     def b_dot(self) -> np.ndarray:
-        return _frozen(self.s.b_dot(self.ts))
+        return _frozen(self.poly.b_dot(self.ts))
 
     @functools.cached_property
     def t2(self) -> np.ndarray:
@@ -368,11 +382,11 @@ class _GridValues:
 
     @functools.cached_property
     def lam_dot(self) -> np.ndarray:
-        return _frozen(self.s.lam_dot(self.ts))
+        return _frozen(self.poly.lam_dot(self.ts))
 
     @functools.cached_property
     def eps(self) -> np.ndarray:
-        return _frozen(self.s.eps(self.ts))
+        return _frozen(self.poly.eps(self.ts))
 
     @functools.cached_property
     def tb(self) -> np.ndarray:
@@ -390,30 +404,30 @@ class _GridValues:
         return vals
 
 
-@functools.lru_cache(maxsize=8)
-def _grid_values(s: PolyParams, t0: float) -> _GridValues:
-    """The shared _GridValues of (s, t0), keyed by the schedule's value: the
-    flip draws of a scan check a different schedule at the same t0."""
-    return _GridValues(s, t0)
+_CONTEXTS = {}  # _context's cache: key -> _Context, the least recently used first
+_CONTEXTS_LOCK = threading.Lock()
+_KEPT_CONTEXTS = 8
 
 
-class _Context:
-    """One query and what its conditions share, evaluated once per report.
+def _context(q: ConditionQuery) -> _Context:
+    """The kept _Context of q, or a new one.
 
-    ``g`` holds the schedule's values on the query's condition grid
-    ``ts`` (``_grid_values``).  Rules fill ``feasible_a``
-    (eps_decay_speed) and ``warnings``.
+    Keyed by the bits of alpha, beta, t0 and every PolyParams number, as
+    ``_Context.cap`` keys: 0.0 and -0.0 are two keys, since b_constant
+    reports n = 0.0 with margin -0.0 and n = -0.0 with margin 0.0.  The
+    numbers' types are part of the key too: an int t0 is an int witness.
     """
-
-    def __init__(self, q: ConditionQuery):
-        self.q = q
-        self.poly = q.schedule
-        self.g = g = _grid_values(q.schedule, float(q.t0))
-        self.ts = g.ts
-        self.b0 = g.b0
-        self.eps_zero = self.poly.eps_coeff == 0.0
-        self.feasible_a = None
-        self.warnings = []
+    p = q.schedule
+    nums = (q.alpha, q.beta, q.t0, p.b_coeff, p.n, p.eps_coeff, p.d, p.lam.value)
+    key = (struct.pack("8d", *nums), p.lam.kind, *map(type, nums))
+    with _CONTEXTS_LOCK:
+        c = _CONTEXTS.pop(key, None)
+        if c is None:
+            c = _Context(q)
+            if len(_CONTEXTS) >= _KEPT_CONTEXTS:
+                del _CONTEXTS[next(iter(_CONTEXTS))]
+        _CONTEXTS[key] = c
+    return c
 
 
 def _finite_min(ts: np.ndarray, vals: np.ndarray):
@@ -489,7 +503,7 @@ def _cap_terms(c: _Context, third: bool):
     alpha/3 form (alpha/3 - 1) t b - t^2 b_dot + alpha beta / 3."""
     a, beta, p = c.q.alpha, c.q.beta, c.poly
     c1, c0 = (a / 3.0 - 1.0, a * beta / 3.0) if third else (a - 3.0, beta * (2.0 - a))
-    return c.g.cap(c1, c0), [(p.b_coeff * (c1 - p.n), p.n + 1.0), (c0, 0.0)]
+    return c.cap(c1, c0), [(p.b_coeff * (c1 - p.n), p.n + 1.0), (c0, 0.0)]
 
 
 def _cap(third: bool):
@@ -504,7 +518,7 @@ def _cap(third: bool):
 def _b_growth_margin(c: _Context) -> Verdict:
     """Strict cap: the plain cap is >= delta t b(t) for some delta in (0, alpha - 3)."""
     alpha, p, ts = c.q.alpha, c.poly, c.ts
-    rel = _cap_terms(c, third=False)[0] / c.g.tb
+    rel = _cap_terms(c, third=False)[0] / c.tb
     k = int(rel.argmin())
     delta_sup = float(rel[k])
     finite = bool(np.isfinite(rel).all())
@@ -546,10 +560,10 @@ def _feasible_a(c: _Context):
     return (a_lo, a_hi), f"a in [{a_lo:.6g}, {a_hi:.6g}]", a_hi - a_lo
 
 
-def _eps_decay_speed(c: _Context) -> Verdict:
+def _eps_decay_speed(c: _Context) -> tuple:
+    """(Verdict, interval, None): the report carries the feasible a interval."""
     interval, detail, margin = _feasible_a(c)
-    c.feasible_a = interval
-    return Verdict("eps_decay_speed", interval is not None, margin, None, detail)
+    return Verdict("eps_decay_speed", interval is not None, margin, None, detail), interval, None
 
 
 def _b0_at_least(name: str, offset: float, label: str):
@@ -598,7 +612,7 @@ def _alpha3_damping(alpha: float, beta: float) -> float:
 def _t2_eps_floor(c: _Context) -> Verdict:
     floor = _strong_floor(c.q.alpha, c.q.beta)
     p = c.poly
-    vals = 9.0 * c.g.t2 * c.g.eps - floor
+    vals = 9.0 * c.t2 * c.eps - floor
     monos = [(9.0 * p.eps_coeff, 2.0 - p.d), (-floor, 0.0)]
     return _pointwise_verdict(c, "t2_eps_floor", vals, "ge", monos,
                               detail=f"needs 9 t^2 eps(t) >= {floor:.6g}")
@@ -614,9 +628,9 @@ def _t2_eps_diverges(c: _Context) -> Verdict:
 def _damping_balance(k: float, const):
     """2k beta t + k beta lam_dot - k t b (lam_dot + 2 beta) + const(alpha, beta) <= 0."""
     def rule(c: _Context) -> Verdict:
-        beta, ts, p, ld = c.q.beta, c.ts, c.poly, c.g.lam_dot
+        beta, ts, p, ld = c.q.beta, c.ts, c.poly, c.lam_dot
         cst = const(c.q.alpha, beta)
-        vals = 2.0 * k * beta * ts + k * beta * ld - k * ts * c.g.b * (ld + 2.0 * beta) + cst
+        vals = 2.0 * k * beta * ts + k * beta * ld - k * ts * c.b * (ld + 2.0 * beta) + cst
         monos = [(2.0 * k * beta, 1.0), (-2.0 * k * beta * p.b_coeff, p.n + 1.0), (cst, 0.0)]
         coef, e = p.lam.dot.coef, p.lam.dot.exponent
         if coef != 0.0:
@@ -625,23 +639,24 @@ def _damping_balance(k: float, const):
     return rule
 
 
-def _eps_tail_ratio(c: _Context) -> Verdict:
+def _eps_tail_ratio(c: _Context) -> tuple:
     """Vanishing of  beta / (t^w eps(t)) * integral of s^w eps(s)^2  as t
-    grows, for the regime's weight w, which holds exactly when d >= 1."""
-    cond, d = "eps_tail_ratio", c.poly.d
+    grows, for the regime's weight w, which holds exactly when d >= 1.
+    Returns (Verdict, None, warning): the warning flags the pass at d = 1."""
+    cond, d, warning = "eps_tail_ratio", c.poly.d, None
     if c.q.beta == 0.0:
-        return Verdict(cond, True, math.inf, None, "beta = 0 makes the ratio vanish")
-    if c.eps_zero:
-        return Verdict(cond, True, math.inf, None, "eps is identically zero")
-    if d < 1.0:
-        return Verdict(cond, False, d - 1.0, None, "polynomial rule: requires d >= 1")
-    if abs(d - 1.0) <= 1e-12:
-        c.warnings.append(
-            "d = 1 with beta > 0: the weighted tail average converges to a positive "
-            "constant, so the vanishing-ratio certificate needs beta = 0; treating "
-            "this as a flagged pass"
-        )
-    return Verdict(cond, True, d - 1.0, None, "polynomial rule: d >= 1")
+        v = Verdict(cond, True, math.inf, None, "beta = 0 makes the ratio vanish")
+    elif c.eps_zero:
+        v = Verdict(cond, True, math.inf, None, "eps is identically zero")
+    elif d < 1.0:
+        v = Verdict(cond, False, d - 1.0, None, "polynomial rule: requires d >= 1")
+    else:
+        v = Verdict(cond, True, d - 1.0, None, "polynomial rule: d >= 1")
+        if abs(d - 1.0) <= 1e-12:
+            warning = ("d = 1 with beta > 0: the weighted tail average converges to a "
+                       "positive constant, so the vanishing-ratio certificate needs beta = 0; "
+                       "treating this as a flagged pass")
+    return v, None, warning
 
 
 def _exponent_box(slacks, strict_hi: bool):
@@ -662,11 +677,16 @@ def _exponent_box(slacks, strict_hi: bool):
     return rule
 
 
+# The rules that several regimes list, one object each: a context keeps
+# each rule's result, so the regimes' reports on one query share it.
+_PLAIN_CAP = _cap(third=False)
+_B0_HALF_PLUS_BETA = _b0_at_least("b0_half_plus_beta", 0.5, "1/2 + beta/t0")
+
 # Each regime's conditions, in report order.
 _FAMILIES = {
     "fast": (
         _alpha_above_3,
-        _cap(third=False),
+        _PLAIN_CAP,
         _b_growth_margin,
         _eps_decay_speed,
         _b0_at_least("b0_vs_beta", 0.0, "beta/t0"),
@@ -675,8 +695,8 @@ _FAMILIES = {
     "strong": (
         _alpha_above_3,
         _lambda_bounded,
-        _b0_at_least("b0_half_plus_beta", 0.5, "1/2 + beta/t0"),
-        _cap(third=False),
+        _B0_HALF_PLUS_BETA,
+        _PLAIN_CAP,
         _cap(third=True),
         _eps_decay_speed,
         _integrable("eps_over_tb_integrable", lambda p: p.n + p.d, "n + d > 0"),
@@ -690,7 +710,7 @@ _FAMILIES = {
     "alpha3": (
         _alpha_is_3,
         _b_constant,
-        _b0_at_least("b0_half_plus_beta", 0.5, "1/2 + beta/t0"),
+        _B0_HALF_PLUS_BETA,
         _lambda_bounded,
         _eps_decay_speed,
         _integrable("eps_over_t_integrable", lambda p: p.d, "d > 0"),
@@ -712,10 +732,34 @@ _T0_FREE = frozenset({
 
 @np.errstate(all="ignore")  # silent: a value that overflows on the grid fails its verdict
 def _check(setting: str, cfg) -> ConditionReport:
-    """Evaluate one regime of the condition table."""
-    c = _Context(_as_query(cfg))
-    verdicts = [rule(c) for rule in _FAMILIES[setting]]
-    return ConditionReport(setting, verdicts, feasible_a=c.feasible_a, warnings=c.warnings)
+    """One regime's report, each rule evaluated once per query.
+
+    A rule returns its Verdict, or eps_decay_speed and eps_tail_ratio the
+    triple (Verdict, interval, warning), which gives the report of every
+    regime that lists it its feasible_a and warnings.  The query's context
+    keeps the Verdict's fields as a tuple, so a later report builds Verdicts
+    of its own from them: every caller gets its own ConditionReport,
+    Verdicts and warnings list, and may edit them.
+    """
+    c = _context(_as_query(cfg))
+    results = c.results
+    verdicts, feasible_a, warnings = [], None, []
+    for rule in _FAMILIES[setting]:
+        found = results.get(rule)
+        if found is None:
+            out = rule(c)
+            v, interval, warning = out if type(out) is tuple else (out, None, None)
+            results[rule] = ((v.condition, v.passed, v.margin, v.witness_t, v.detail),
+                             interval, warning)
+        else:
+            row, interval, warning = found
+            v = Verdict(*row)
+        verdicts.append(v)
+        if interval is not None:
+            feasible_a = interval
+        if warning is not None:
+            warnings.append(warning)
+    return ConditionReport(setting, verdicts, feasible_a=feasible_a, warnings=warnings)
 
 
 def check_fast_rate_conditions(cfg) -> ConditionReport:

@@ -188,15 +188,86 @@ def _signed_log_uniform():
     return st.builds(math.copysign, _log_uniform(zero=True), st.sampled_from([1.0, -1.0]))
 
 
+_LAMBDA_FLOOR = runconfig.RunConfig.lambda_floor  # validation's floor on lambda(t0)
+
+
+def _accepted_lambda_values(t0: float, form: str):
+    """lambda_value draws that validation accepts at t0: lambda(t0), that is
+    c, t0**l or 1 - t0**(-l), at least its floor.  A constant from the floor
+    up, a power exponent up to log(floor) / log(t0) when t0 < 1, a bounded
+    exponent from about floor / log(t0), and never 0 for those two forms."""
+    if form == "constant":
+        lo, zero, hi = _LAMBDA_FLOOR, False, _MAX
+    elif form == "power":
+        lo, zero = 5e-324, True
+        hi = _MAX if t0 >= 1.0 else math.log(_LAMBDA_FLOOR) / math.log(t0) * (1.0 - 1e-9)
+    else:
+        lo, zero, hi = 2.0 * _LAMBDA_FLOOR / math.log(t0), False, _MAX
+    return _log_uniform(lo, zero, hi).filter(
+        lambda v: proxdyn.LambdaForm(form, v).scalar(t0) >= _LAMBDA_FLOOR)
+
+
+def _eps_drops(t0: float, gap: float, eps_coeff: float, d: float) -> bool:
+    """Whether validation accepts eps = eps_coeff t**(-d) over [t0, t0 (1 +
+    gap)]: eps(t0) = 0, or eps strictly smaller at the horizon."""
+    eps = proxdyn.PolyParams(eps_coeff=eps_coeff, d=d).eps.scalar
+    eps0 = eps(t0)
+    return not eps0 > 0.0 or eps(t0 * (1.0 + gap)) < eps0
+
+
+def _accepted_eps_coeffs(t0: float, gap: float, d: float):
+    """eps_coeff draws that validation accepts with d: 0, and where t0**(-d)
+    is finite, the values from which eps(t0) is a normal double from 2**-1000
+    to half the largest, so that its drop over the horizon is not lost to
+    rounding, or any value where t0**(-d) underflows to 0."""
+    p0 = proxdyn.PolyParams(d=d).eps.scalar(t0)  # t0**(-d)
+    if p0 == 0.0:
+        return _log_uniform(zero=True)
+    lo, hi = max(5e-324, 2.0 ** -1000 / p0), min(_MAX, _MAX / 2.0 / p0)
+    if not lo < hi:
+        return st.just(0.0)
+    return _log_uniform(lo, True, hi).filter(lambda e: _eps_drops(t0, gap, e, d))
+
+
+# the simulate test's draws that validation checks against one another,
+# shared between their strategies: t0 and the gap fix the horizon, lambda's
+# form needs t0 > 1 to be bounded, and eps_coeff goes with d
+_SIM_T0 = st.shared(_start_times(), key="simulate t0")
+_SIM_GAP = st.shared(st.sampled_from([2.0 ** -52, 1e-9, 1e-6]), key="simulate gap")
+_SIM_FORM = st.shared(_SIM_T0.flatmap(lambda t0: st.sampled_from(
+    ["constant", "power", "bounded"] if t0 > 1.0 else ["constant", "power"])),
+    key="simulate lambda form")
+# d log(1 + gap) from 2**-48, 16 ulps: eps drops by more than pow rounds
+_SIM_D = st.shared(st.tuples(_SIM_T0, _SIM_GAP).flatmap(
+    lambda tg: _log_uniform(2.0 ** -48 / math.log1p(tg[1]))), key="simulate d")
+
+
 @settings(max_examples=150, deadline=None)
 @given(preset=st.sampled_from(sorted(runconfig.PRESETS)),
-       alpha=_log_uniform(), beta=_log_uniform(zero=True), t0=_start_times(),
-       gap=st.sampled_from([2.0 ** -52, 1e-9, 1e-6]),
+       alpha=_log_uniform(), beta=_log_uniform(zero=True), t0=_SIM_T0, gap=_SIM_GAP,
        b_coeff=_log_uniform(), n=_log_uniform(zero=True),
-       eps_coeff=_log_uniform(zero=True), d=_log_uniform(),
-       lambda_form=st.sampled_from(["constant", "power", "bounded"]),
-       lambda_value=_log_uniform(zero=True), x0=_signed_log_uniform(),
-       xdot0=_signed_log_uniform())
+       eps_coeff=st.tuples(_SIM_T0, _SIM_GAP, _SIM_D).flatmap(
+           lambda tgd: _accepted_eps_coeffs(*tgd)),
+       d=_SIM_D, lambda_form=_SIM_FORM,
+       lambda_value=st.tuples(_SIM_T0, _SIM_FORM).flatmap(
+           lambda tf: _accepted_lambda_values(*tf)),
+       x0=_signed_log_uniform(), xdot0=_signed_log_uniform())
+# the ends of the former draws of d, eps_coeff and lambda_value, outside
+# what validation accepts (exit 1): eps(t) = t**(-5e-324) keeps its value
+# over the horizon, lambda's zero and smallest values, and a bounded lambda
+# 1 - t**(-l) at t0 < 1, -inf for the largest l
+@example(preset="fig3", alpha=10.0, beta=0.0, t0=1.4, gap=1e-6, b_coeff=1.0, n=0.0,
+         eps_coeff=1.0, d=5e-324, lambda_form="constant", lambda_value=1.0, x0=1.0,
+         xdot0=0.0)
+@example(preset="fig3", alpha=10.0, beta=0.0, t0=1.4, gap=1e-6, b_coeff=1.0, n=0.0,
+         eps_coeff=1.0, d=3.0, lambda_form="constant", lambda_value=0.0, x0=1.0, xdot0=0.0)
+@example(preset="fig3", alpha=10.0, beta=0.0, t0=1.4, gap=1e-6, b_coeff=1.0, n=0.0,
+         eps_coeff=1.0, d=3.0, lambda_form="bounded", lambda_value=0.0, x0=1.0, xdot0=0.0)
+@example(preset="fig3", alpha=10.0, beta=0.0, t0=1.4, gap=1e-6, b_coeff=1.0, n=0.0,
+         eps_coeff=1.0, d=3.0, lambda_form="constant", lambda_value=5e-324, x0=1.0,
+         xdot0=0.0)
+@example(preset="fig3", alpha=10.0, beta=0.0, t0=0.5, gap=1e-6, b_coeff=1.0, n=0.0,
+         eps_coeff=1.0, d=3.0, lambda_form="bounded", lambda_value=_MAX, x0=1.0, xdot0=0.0)
 # the two ends of _log_uniform(): the horizon rounds back to t0 or overflows
 @example(preset="fig1", alpha=10.0, beta=1.0, t0=5e-324, gap=1e-6, b_coeff=1.0, n=1.0,
          eps_coeff=1.0, d=3.0, lambda_form="constant", lambda_value=1.0, x0=10.0, xdot0=0.0)

@@ -583,6 +583,7 @@ def test_condition_grid_is_built_once_per_start_time():
                 for rep in (check_fast_rate_conditions(q), check_strong_conv_conditions(q),
                             check_alpha3_conditions(q))]
     schedules._grid.cache_clear()
+    schedules._CONTEXTS.clear()
     first, other, again = rows(1.4), rows(2.0), rows(1.4)
     assert again == first
     assert other != first
@@ -599,10 +600,10 @@ def report_bits(q):
 
 def clear_grid_caches():
     schedules._grid.cache_clear()
-    schedules._grid_values.cache_clear()
+    schedules._CONTEXTS.clear()
 
 
-def test_shared_grid_values_give_the_reports_of_fresh_ones():
+def test_shared_grid_values_give_the_reports_of_fresh_ones(monkeypatch):
     # per draw, two schedules at one t0 and four queries on each, which differ
     # in alpha or beta; alpha = 3 with beta = 0 gives the two growth caps the
     # constants (0, -0.0) and (0, 0)
@@ -620,14 +621,93 @@ def test_shared_grid_values_give_the_reports_of_fresh_ones():
     t0 = 1e-310
     s = PolyParams(b_coeff=1e-20)
     queries += [ConditionQuery(a, 0.0, t0, s) for a in (3.0 - 2.0 ** -51, 3.0 - 3.0 * 2.0 ** -51)]
+    # each query after a twin that differs from it only in the sign of a zero
+    # (n, beta, eps_coeff or a power lambda's value): the twins are equal as
+    # values, but b_constant reports n = -0.0 with margin 0.0 and "n = -0",
+    # and beta = -0.0 gives the underflowed plain cap above the constant 0.0
+    # and so the margin 0.0, not -0.0
+    twins = len(queries)
+    zero = PolyParams(b_coeff=1.5, n=0.0, eps_coeff=0.0, d=1.5, lam=LambdaForm("power", 0.0))
+    q = ConditionQuery(3.0, 0.0, 1.7, zero)
+    tiny = ConditionQuery(3.0 - 2.0 ** -51, 0.0, t0, s)
+    for first, twin in (
+            (q, dataclasses.replace(q, schedule=dataclasses.replace(zero, n=-0.0))),
+            (tiny, dataclasses.replace(tiny, beta=-0.0)),
+            (q, dataclasses.replace(q, schedule=dataclasses.replace(zero, eps_coeff=-0.0))),
+            (q, dataclasses.replace(q, schedule=dataclasses.replace(
+                zero, lam=LambdaForm("power", -0.0))))):
+        queries += [first, twin]
+    built = []
+
+    class Counted(schedules._Context):
+        def __init__(self, q):
+            built.append(q)
+            super().__init__(q)
+
+    monkeypatch.setattr(schedules, "_Context", Counted)
     clear_grid_caches()
     shared = [report_bits(q) for q in queries]
-    assert schedules._grid_values.cache_info().misses == 61  # one per schedule
+    # one context per distinct query: a repeat is no more than 8 queries back
+    assert len(built) == len({repr(q) for q in queries}) < len(queries)
     fresh = []
     for q in queries:
         clear_grid_caches()
         fresh.append(report_bits(q))
     assert shared == fresh
+    # n = -0.0 and beta = -0.0 change some margins or details of their twins'
+    assert shared[twins + 1] != shared[twins] and shared[twins + 3] != shared[twins + 2]
+
+
+def test_a_query_evaluates_each_rule_once(monkeypatch):
+    # every rule wrapped once, so that the families still share their rules
+    calls = {}
+
+    def counted(rule):
+        def wrapper(c):
+            calls[rule] = calls.get(rule, 0) + 1
+            return rule(c)
+        return wrapper
+
+    wrapped = {}
+    families = {setting: tuple(wrapped.setdefault(rule, counted(rule)) for rule in rules)
+                for setting, rules in schedules._FAMILIES.items()}
+    monkeypatch.setattr(schedules, "_FAMILIES", families)
+    clear_grid_caches()
+    # the search's last report is the one the caller then asks for at t0
+    p = PolyParams(b_coeff=1.0, n=0.7, eps_coeff=1.0, d=1.5, lam=LambdaForm("bounded", 1.0))
+    t0 = suggest_t0_strong(p, 6.0, 0.1)
+    searched = dict(calls)
+    assert searched
+    assert check_strong_conv_conditions(ConditionQuery(6.0, 0.1, t0, p)).all_pass
+    assert calls == searched
+    # the three regimes on one query: each rule once, b_growth_cap included,
+    # though the fast and strong regimes both list it
+    calls.clear()
+    q = fast_example_query()
+    for check in (check_fast_rate_conditions, check_strong_conv_conditions,
+                  check_alpha3_conditions):
+        check(q)
+    assert sorted(calls.values()) == [1] * len(wrapped) == [1] * 20
+    assert calls[schedules._PLAIN_CAP] == 1
+
+
+def test_editing_a_report_leaves_the_next_one_on_its_query_unchanged():
+    # d = 1 with beta > 0 gives the strong report a warning and an a interval;
+    # the edited reports are a fresh query's, then ones built from kept results
+    q = ConditionQuery(6.0, 0.1, 5.0, PolyParams(b_coeff=2.0, n=0.0, eps_coeff=1.0, d=1.0))
+    before = report_bits(q)
+    clear_grid_caches()
+    for check in (check_fast_rate_conditions, check_strong_conv_conditions,
+                  check_alpha3_conditions):
+        rep = check(q)
+        rep.verdicts[0].margin = -1.0
+        rep.verdicts[-1].passed = not rep.verdicts[-1].passed
+        rep.verdicts[1].detail += " (edited)"
+        rep.verdicts.pop()
+        rep.warnings.append("edited")
+        rep.feasible_a = (0.0, 0.0)
+    assert report_bits(q) == before
+    assert before[1][-1] and before[1][-2] is not None  # the strong warning and interval
 
 
 def test_shared_grid_values_are_read_only():
@@ -635,7 +715,7 @@ def test_shared_grid_values_are_read_only():
     for check in (check_fast_rate_conditions, check_strong_conv_conditions,
                   check_alpha3_conditions):
         check(q)
-    g = schedules._grid_values(q.schedule, q.t0)
+    g = schedules._context(q)
     assert len(g.caps) == 2  # the plain cap, shared by two families, and its alpha/3 form
     for values in (g.ts, g.b, g.b_dot, g.t2, g.lam_dot, g.eps, g.tb, *g.caps.values()):
         with pytest.raises(ValueError):
