@@ -11,29 +11,29 @@ condition table, ``_FAMILIES``: per regime, its rules in report order, each
 mapping a query's ``_Context`` to a Verdict.  A rule that several regimes
 list is one object there, and a condition that regimes share with other
 constants is one rule builder fed each regime's constants.  Pointwise
-conditions take their margin from a geometric grid and a sparse far grid,
-built once per start time, and decide the tail by the sign of the dominant
-monomial; a grid value that overflows fails its condition, and so does a
-constant whose power overflows (``_power`` gives inf there).  The other
-conditions are exact rules on the family's parameters.
+conditions take their margin from a geometric grid and a sparse far grid
+and decide the tail by the sign of the dominant monomial; a grid value
+that overflows fails its condition, and so does a constant whose power
+overflows (``_power`` gives inf there).  The other conditions are exact
+rules on the family's parameters.
 
 A repeated query shares its context: ``_context`` keeps the contexts of the
-last 8 queries, keyed by the bits of their numbers.  A context computes the
-schedule's arrays on the grid (b, b_dot, t**2, lambda_dot, eps, t b, b(t0)
-and the growth caps per constant pair) and evaluates each rule once, each
-the first time a rule or a report needs it.  So a start-time search's last
-report, and the three regimes' reports that follow on the same query,
-evaluate each rule once between them.  A rule returns what it found,
-eps_decay_speed its feasible a interval and eps_tail_ratio its warning too,
-and each report is built from those values into a ConditionReport and
-Verdicts of its own, which its caller may edit.  The rules that never read
-t0 are declared in ``_T0_FREE``, so a start-time search ends at the first
-report that fails one of them: no later start time can pass.
+last 8 queries, keyed by the bits of their numbers, and is the checker's
+only cache.  Each context builds its grid, the schedule's arrays on it (b,
+b_dot, t**2, lambda_dot, eps, t b), b(t0) and both growth caps once, when
+it is built, and evaluates each rule once, the first time a report lists
+it.  So a start-time search's last report, and the three regimes' reports
+that follow on the same query, evaluate each rule once between them.  A
+rule returns what it found, eps_decay_speed its feasible a interval and
+eps_tail_ratio its warning too, and each report is built from those values
+into a ConditionReport and Verdicts of its own, which its caller may edit.
+The rules that never read t0 are declared in ``_T0_FREE``, so a start-time
+search ends at the first report that fails one of them: no later start
+time can pass.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import struct
 import sys
@@ -324,7 +324,6 @@ def _geomspace_into(out: np.ndarray, ramp: np.ndarray, a: float, b: float) -> No
     out[0], out[-1] = a, b
 
 
-@functools.lru_cache(maxsize=8)
 def _grid(t0: float) -> np.ndarray:
     """The near grid on [t0, 100 t0], then the far grid up to 1e6 t0, read-only.
 
@@ -332,8 +331,7 @@ def _grid(t0: float) -> np.ndarray:
     np.geomspace(100 t0, 1e6 t0, 64), built by ``_geomspace_into`` without
     geomspace's wrapper; test_condition_grid_is_geomspace_bit_for_bit
     compares the two.  t0 is a ConditionQuery's: positive and finite.
-    Cached by t0: a start-time search that ends at t0, followed by a check
-    of the three families there, would otherwise build it four times.
+    Each query's ``_Context`` builds its grid once, as it is built.
     """
     ts = np.empty(len(_NEAR_RAMP) + len(_FAR_RAMP))
     _geomspace_into(ts[:len(_NEAR_RAMP)], _NEAR_RAMP, t0, 100.0 * t0)
@@ -350,9 +348,13 @@ def _frozen(values) -> np.ndarray:
 
 class _Context:
     """One query, its schedule's values on the query's condition grid ``ts``
-    and each rule's result, each computed the first time a rule or a report
-    needs it; the arrays are read-only.
+    and each rule's result.
 
+    The record is filled once, as it is built, inside ``_check``'s errstate:
+    the grid, b(t0), the read-only arrays b, b_dot, t2 (t**2), lam_dot, eps
+    and tb (t b(t), with inf where it is not positive: the divisor of the
+    relative growth margin), and the two growth caps c1 t b - t^2 b_dot +
+    c0, plain_cap and its alpha/3 form third_cap (see ``_cap_constants``).
     ``results`` keeps what each rule found, as ``_check`` stores it;
     ``_context`` keeps the contexts of the last 8 queries, so every report
     on one query evaluates each rule once.
@@ -362,46 +364,20 @@ class _Context:
         t0 = float(q.t0)
         self.q = q
         self.poly = s = q.schedule
-        self.ts = _grid(t0)
+        self.ts = ts = _grid(t0)
         self.b0 = float(s.b(t0))
         self.eps_zero = s.eps_coeff == 0.0
-        self.caps = {}
+        self.b = b = _frozen(s.b(ts))
+        self.b_dot = _frozen(s.b_dot(ts))
+        self.t2 = _frozen(ts ** 2)
+        self.lam_dot = _frozen(s.lam_dot(ts))
+        self.eps = _frozen(s.eps(ts))
+        tb = ts * b
+        self.tb = _frozen(np.where(tb > 0, tb, np.inf))
+        self.plain_cap, self.third_cap = (
+            _frozen(c1 * ts * b - self.t2 * self.b_dot + c0)
+            for c1, c0 in (_cap_constants(q, False), _cap_constants(q, True)))
         self.results = {}
-
-    @functools.cached_property
-    def b(self) -> np.ndarray:
-        return _frozen(self.poly.b(self.ts))
-
-    @functools.cached_property
-    def b_dot(self) -> np.ndarray:
-        return _frozen(self.poly.b_dot(self.ts))
-
-    @functools.cached_property
-    def t2(self) -> np.ndarray:
-        return _frozen(self.ts ** 2)
-
-    @functools.cached_property
-    def lam_dot(self) -> np.ndarray:
-        return _frozen(self.poly.lam_dot(self.ts))
-
-    @functools.cached_property
-    def eps(self) -> np.ndarray:
-        return _frozen(self.poly.eps(self.ts))
-
-    @functools.cached_property
-    def tb(self) -> np.ndarray:
-        """t b(t), with inf where it is not positive: the divisor of the
-        relative growth margin."""
-        tb = self.ts * self.b
-        return _frozen(np.where(tb > 0, tb, np.inf))
-
-    def cap(self, c1: float, c0: float) -> np.ndarray:
-        """The growth cap c1 t b - t^2 b_dot + c0, kept per (c1, c0)."""
-        key = struct.pack("2d", c1, c0)  # by bits: 0.0 and -0.0 are two keys
-        vals = self.caps.get(key)
-        if vals is None:
-            vals = self.caps[key] = _frozen(c1 * self.ts * self.b - self.t2 * self.b_dot + c0)
-        return vals
 
 
 _CONTEXTS = {}  # _context's cache: key -> _Context, the least recently used first
@@ -410,12 +386,13 @@ _KEPT_CONTEXTS = 8
 
 
 def _context(q: ConditionQuery) -> _Context:
-    """The kept _Context of q, or a new one.
+    """The kept _Context of q, or a new one, built inside the caller's
+    errstate: a grid value that overflows is no numpy warning.
 
-    Keyed by the bits of alpha, beta, t0 and every PolyParams number, as
-    ``_Context.cap`` keys: 0.0 and -0.0 are two keys, since b_constant
-    reports n = 0.0 with margin -0.0 and n = -0.0 with margin 0.0.  The
-    numbers' types are part of the key too: an int t0 is an int witness.
+    Keyed by the bits of alpha, beta, t0 and every PolyParams number: 0.0
+    and -0.0 are two keys, since b_constant reports n = 0.0 with margin
+    -0.0 and n = -0.0 with margin 0.0.  The numbers' types are part of the
+    key too: an int t0 is an int witness.
     """
     p = q.schedule
     nums = (q.alpha, q.beta, q.t0, p.b_coeff, p.n, p.eps_coeff, p.d, p.lam.value)
@@ -460,7 +437,7 @@ def _pointwise_verdict(c: _Context, cond: str, vals, sense: str,
         k, margin, note = _finite_min(c.ts, signed)
         ok = False
         notes.append(note)
-    dominant = _dominant_term(tuple(monomials))
+    dominant = _dominant_term(monomials)
     if dominant:
         e, a = dominant
         ok = ok and (a > 0 if sense == "ge" else a < 0)
@@ -470,15 +447,10 @@ def _pointwise_verdict(c: _Context, cond: str, vals, sense: str,
     return Verdict(cond, bool(ok), margin, float(c.ts[k]), "; ".join(notes))
 
 
-@functools.lru_cache(maxsize=64)
-def _dominant_term(monomials: tuple):
+def _dominant_term(monomials):
     """(exponent, coefficient) of the term that rules the tail of a sum of
     (coef, exponent) monomials, or None when every coefficient, summed per
-    exponent, is dust.  An infinite coefficient (an overflow) is never dust.
-    Cached by value: a start-time search checks one
-    query's monomials at each candidate t0.  0.0 and -0.0 share a key, which
-    changes nothing: a zero coefficient is dust, and no rule builds an
-    exponent of -0.0."""
+    exponent, is dust.  An infinite coefficient (an overflow) is never dust."""
     agg = {}
     for coef, e in monomials:
         agg[e] = agg.get(e, 0.0) + coef
@@ -497,28 +469,30 @@ def _alpha_is_3(c: _Context) -> Verdict:
     return Verdict("alpha_is_3", abs(a - 3.0) <= 1e-12, -abs(a - 3.0), None, f"alpha = {a:.6g}")
 
 
-def _cap_terms(c: _Context, third: bool):
-    """Values on c.ts and monomials of the growth cap c1 t b - t^2 b_dot + c0:
+def _cap_constants(q: ConditionQuery, third: bool) -> tuple:
+    """(c1, c0) of the growth cap c1 t b - t^2 b_dot + c0:
     (alpha - 3) t b - t^2 b_dot + beta (2 - alpha), or with third set its
     alpha/3 form (alpha/3 - 1) t b - t^2 b_dot + alpha beta / 3."""
-    a, beta, p = c.q.alpha, c.q.beta, c.poly
-    c1, c0 = (a / 3.0 - 1.0, a * beta / 3.0) if third else (a - 3.0, beta * (2.0 - a))
-    return c.cap(c1, c0), [(p.b_coeff * (c1 - p.n), p.n + 1.0), (c0, 0.0)]
+    a, beta = q.alpha, q.beta
+    return (a / 3.0 - 1.0, a * beta / 3.0) if third else (a - 3.0, beta * (2.0 - a))
 
 
 def _cap(third: bool):
-    """The growth cap >= 0 for all t >= t0."""
+    """The growth cap >= 0 for all t >= t0: c.plain_cap, or with third set
+    its alpha/3 form c.third_cap."""
     def rule(c: _Context) -> Verdict:
-        vals, monos = _cap_terms(c, third)
+        p = c.poly
+        c1, c0 = _cap_constants(c.q, third)
+        monos = [(p.b_coeff * (c1 - p.n), p.n + 1.0), (c0, 0.0)]
         return _pointwise_verdict(c, "b_growth_cap_third" if third else "b_growth_cap",
-                                  vals, "ge", monos)
+                                  c.third_cap if third else c.plain_cap, "ge", monos)
     return rule
 
 
 def _b_growth_margin(c: _Context) -> Verdict:
     """Strict cap: the plain cap is >= delta t b(t) for some delta in (0, alpha - 3)."""
     alpha, p, ts = c.q.alpha, c.poly, c.ts
-    rel = _cap_terms(c, third=False)[0] / c.tb
+    rel = c.plain_cap / c.tb
     k = int(rel.argmin())
     delta_sup = float(rel[k])
     finite = bool(np.isfinite(rel).all())

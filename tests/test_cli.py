@@ -229,9 +229,36 @@ def _accepted_eps_coeffs(t0: float, gap: float, d: float):
     return _log_uniform(lo, True, hi).filter(lambda e: _eps_drops(t0, gap, e, d))
 
 
+_DESCENT_A = runconfig.RunConfig.descent_a  # the energy-descent check's a
+
+
+def _accepted_growth_exponents(t0: float):
+    """n draws for which t0**n lies between 2**-1000 and 2**1000, so that
+    some b_coeff puts b(t0) above 1/descent_a: any n at t0 = 1."""
+    return _log_uniform(zero=True, hi=_MAX if t0 == 1.0 else
+                        1000.0 * math.log(2.0) / abs(math.log(t0)))
+
+
+def _b0_accepted(t0: float, b_coeff: float, n: float) -> bool:
+    """Whether b(t0) = b_coeff t0**n, in the package's scalar form, is a
+    normal double above 1/descent_a, as validation and the energy-descent
+    check's start time need."""
+    b0 = proxdyn.PolyParams(b_coeff=b_coeff, n=n).b.scalar(t0)
+    return sys.float_info.min <= b0 < math.inf and b0 * _DESCENT_A > 1.0
+
+
+def _accepted_b_coeffs(t0: float, n: float):
+    """b_coeff draws that put b(t0) above 1/descent_a and below the largest
+    double, each end by a relative 1e-12 so that rounding keeps it inside."""
+    p0 = proxdyn.PolyParams(n=n).b.scalar(t0)  # t0**n
+    lo = max(5e-324, 1.0 / (_DESCENT_A * p0) * (1.0 + 1e-12))
+    hi = min(_MAX, _MAX / p0 * (1.0 - 1e-12))
+    return _log_uniform(lo, hi=hi).filter(lambda b_coeff: _b0_accepted(t0, b_coeff, n))
+
+
 # the simulate test's draws that validation checks against one another,
 # shared between their strategies: t0 and the gap fix the horizon, lambda's
-# form needs t0 > 1 to be bounded, and eps_coeff goes with d
+# form needs t0 > 1 to be bounded, eps_coeff goes with d, and b_coeff with n
 _SIM_T0 = st.shared(_start_times(), key="simulate t0")
 _SIM_GAP = st.shared(st.sampled_from([2.0 ** -52, 1e-9, 1e-6]), key="simulate gap")
 _SIM_FORM = st.shared(_SIM_T0.flatmap(lambda t0: st.sampled_from(
@@ -240,22 +267,25 @@ _SIM_FORM = st.shared(_SIM_T0.flatmap(lambda t0: st.sampled_from(
 # d log(1 + gap) from 2**-48, 16 ulps: eps drops by more than pow rounds
 _SIM_D = st.shared(st.tuples(_SIM_T0, _SIM_GAP).flatmap(
     lambda tg: _log_uniform(2.0 ** -48 / math.log1p(tg[1]))), key="simulate d")
+_SIM_N = st.shared(_SIM_T0.flatmap(_accepted_growth_exponents), key="simulate n")
 
 
 @settings(max_examples=150, deadline=None)
 @given(preset=st.sampled_from(sorted(runconfig.PRESETS)),
        alpha=_log_uniform(), beta=_log_uniform(zero=True), t0=_SIM_T0, gap=_SIM_GAP,
-       b_coeff=_log_uniform(), n=_log_uniform(zero=True),
+       b_coeff=st.tuples(_SIM_T0, _SIM_N).flatmap(lambda tn: _accepted_b_coeffs(*tn)),
+       n=_SIM_N,
        eps_coeff=st.tuples(_SIM_T0, _SIM_GAP, _SIM_D).flatmap(
            lambda tgd: _accepted_eps_coeffs(*tgd)),
        d=_SIM_D, lambda_form=_SIM_FORM,
        lambda_value=st.tuples(_SIM_T0, _SIM_FORM).flatmap(
            lambda tf: _accepted_lambda_values(*tf)),
        x0=_signed_log_uniform(), xdot0=_signed_log_uniform())
-# the ends of the former draws of d, eps_coeff and lambda_value, outside
-# what validation accepts (exit 1): eps(t) = t**(-5e-324) keeps its value
-# over the horizon, lambda's zero and smallest values, and a bounded lambda
-# 1 - t**(-l) at t0 < 1, -inf for the largest l
+# the ends of the former draws of d, eps_coeff, lambda_value, n and b_coeff,
+# outside what validation accepts (exit 1): eps(t) = t**(-5e-324) keeps its
+# value over the horizon, lambda's zero and smallest values, a bounded
+# lambda 1 - t**(-l) at t0 < 1, -inf for the largest l, b(t0) = 0.5**n
+# underflowing to 0 for the largest n, and b(t0) = 5e-324 below 1/descent_a
 @example(preset="fig3", alpha=10.0, beta=0.0, t0=1.4, gap=1e-6, b_coeff=1.0, n=0.0,
          eps_coeff=1.0, d=5e-324, lambda_form="constant", lambda_value=1.0, x0=1.0,
          xdot0=0.0)
@@ -268,6 +298,10 @@ _SIM_D = st.shared(st.tuples(_SIM_T0, _SIM_GAP).flatmap(
          xdot0=0.0)
 @example(preset="fig3", alpha=10.0, beta=0.0, t0=0.5, gap=1e-6, b_coeff=1.0, n=0.0,
          eps_coeff=1.0, d=3.0, lambda_form="bounded", lambda_value=_MAX, x0=1.0, xdot0=0.0)
+@example(preset="fig3", alpha=10.0, beta=0.0, t0=0.5, gap=1e-6, b_coeff=1.0, n=_MAX,
+         eps_coeff=1.0, d=3.0, lambda_form="constant", lambda_value=1.0, x0=1.0, xdot0=0.0)
+@example(preset="fig3", alpha=10.0, beta=0.0, t0=1.4, gap=1e-6, b_coeff=5e-324, n=1.0,
+         eps_coeff=1.0, d=3.0, lambda_form="constant", lambda_value=1.0, x0=1.0, xdot0=0.0)
 # the two ends of _log_uniform(): the horizon rounds back to t0 or overflows
 @example(preset="fig1", alpha=10.0, beta=1.0, t0=5e-324, gap=1e-6, b_coeff=1.0, n=1.0,
          eps_coeff=1.0, d=3.0, lambda_form="constant", lambda_value=1.0, x0=10.0, xdot0=0.0)

@@ -569,12 +569,35 @@ def test_condition_grid_is_geomspace_bit_for_bit(t0):
                 check(q)
 
 
-def test_condition_grid_is_built_once_per_start_time():
-    t0 = 1.7
-    ts = schedules._grid(t0)
-    assert schedules._grid(t0) is ts
+def test_condition_grid_is_built_once_per_query(monkeypatch):
+    # a strong search that passes at its first start time, then the three
+    # regimes' checks at that t0: one query, so one grid, which
+    # _geomspace_into writes in two pieces
+    pieces = []
+    geomspace_into = schedules._geomspace_into
+
+    def counted(out, ramp, a, b):
+        pieces.append(a)
+        geomspace_into(out, ramp, a, b)
+
+    monkeypatch.setattr(schedules, "_geomspace_into", counted)
+    clear_grid_caches()
+    p = PolyParams(b_coeff=1.0, n=0.7, eps_coeff=1.0, d=1.5, lam=LambdaForm("bounded", 1.0))
+    t0 = suggest_t0_strong(p, 6.0, 0.1)
+    q = ConditionQuery(6.0, 0.1, t0, p)
+    for check in (check_fast_rate_conditions, check_strong_conv_conditions,
+                  check_alpha3_conditions):
+        check(q)
+    assert pieces == [t0, 100.0 * t0]
+    ts = schedules._context(q).ts
     with pytest.raises(ValueError):
         ts[0] = 0.0
+    # a second query at the same t0 builds a grid of its own
+    other = ConditionQuery(7.0, 0.1, t0, p)
+    check_fast_rate_conditions(other)
+    assert pieces == [t0, 100.0 * t0] * 2
+    assert schedules._context(other).ts is not ts
+    assert schedules._context(other).ts.tobytes() == ts.tobytes()
 
     def rows(t0):
         q = ConditionQuery(10.0, 1.0, t0, PolyParams())
@@ -582,8 +605,7 @@ def test_condition_grid_is_built_once_per_start_time():
                 + [rep.feasible_a, rep.warnings]
                 for rep in (check_fast_rate_conditions(q), check_strong_conv_conditions(q),
                             check_alpha3_conditions(q))]
-    schedules._grid.cache_clear()
-    schedules._CONTEXTS.clear()
+    clear_grid_caches()
     first, other, again = rows(1.4), rows(2.0), rows(1.4)
     assert again == first
     assert other != first
@@ -599,7 +621,6 @@ def report_bits(q):
 
 
 def clear_grid_caches():
-    schedules._grid.cache_clear()
     schedules._CONTEXTS.clear()
 
 
@@ -716,8 +737,7 @@ def test_shared_grid_values_are_read_only():
                   check_alpha3_conditions):
         check(q)
     g = schedules._context(q)
-    assert len(g.caps) == 2  # the plain cap, shared by two families, and its alpha/3 form
-    for values in (g.ts, g.b, g.b_dot, g.t2, g.lam_dot, g.eps, g.tb, *g.caps.values()):
+    for values in (g.ts, g.b, g.b_dot, g.t2, g.lam_dot, g.eps, g.tb, g.plain_cap, g.third_cap):
         with pytest.raises(ValueError):
             values[0] = 0.0
         with pytest.raises(ValueError):
