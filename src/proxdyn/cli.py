@@ -15,6 +15,7 @@ failed variants, 0 when none failed.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -26,6 +27,7 @@ from .errors import (DivergenceError, InfeasibleError, InsufficientDataError,
                      ValidationError)
 from .runconfig import (build_run, build_system, config_from_flat, parse_config_file,
                         parse_overrides, preset_runs, _CHECKERS, _execute)
+from .schedules import _power
 from .selftest import run_prox_selftest
 
 __all__ = ["main"]
@@ -156,15 +158,24 @@ def _sweep_configs(args):
     return dict(zip(values, _validated(flats).values()))
 
 
+def _sweep_grid(t_lo: float, t_hi: float) -> np.ndarray:
+    """The combined table's 256 times from t_lo to t_hi, spaced as
+    np.geomspace spaces them.  Each is 10 ** y on Python floats (libm pow),
+    not numpy's power, whose SIMD forms differ from libm's in the last bit,
+    so the table does not depend on numpy's SIMD target.  10 ** y can round
+    past t_hi, or overflow next to the largest double (_power gives inf), so
+    each time is capped at t_hi."""
+    lo = math.log10(t_lo)
+    step = (math.log10(t_hi) - lo) / 255
+    inner = (min(_power(10.0, lo + i * step), t_hi) for i in range(1, 255))
+    return np.array([t_lo, *inner, t_hi])
+
+
 def _combined_csv(path, param, finished):
     """Merge the tables of the finished runs onto a shared log-spaced grid, long format."""
     tables = list(finished.values())
-    t_lo = max(table.ts[0] for table in tables)
-    t_hi = min(table.ts[-1] for table in tables)
-    # geomspace takes 10 ** log10(t), which can round past t_hi, even to inf
-    # next to the largest double
-    with np.errstate(over="ignore"):
-        grid = np.minimum(np.geomspace(t_lo, t_hi, 256), t_hi)
+    grid = _sweep_grid(max(table.ts[0] for table in tables),
+                       min(table.ts[-1] for table in tables))
     names = list(tables[0].scalars)
     columns = [np.repeat(list(finished), grid.size), np.tile(grid, len(tables))]
     columns += [np.concatenate([np.interp(grid, table.ts, table.scalars[name])

@@ -39,8 +39,7 @@ stepper.  _kernel splices into it:
 - the reformulation's right-hand side, beta = 0 or beta > 0, inlined at
   every stage: the only place each reformulation is written (_deriv_src);
 - the schedule's stage constants, each a monomial c * t ** e read off the
-  schedule, and lambda's offset plus its term (lo + lc * t ** le, or lo
-  alone when lc = 0: the lambda forms "varies" and "constant"), evaluated
+  schedule, and lambda's offset plus its term, lo + lc * t ** le, evaluated
   once at each distinct stage time (DP5's c5 = c6 = 1 and RK4's two
   midpoints share one) and folded into (-(alpha/t), b, lambda, eps) when
   beta = 0 and (cx, dx, dy, lambda) when beta > 0 (_consts_src);
@@ -54,15 +53,16 @@ So a step on a float or local lane calls no Python function (a source may
 call builtins such as max), and one on the numpy lane calls the prox once
 per right-hand-side evaluation.  Each variant is compiled once per process
 (functools.lru_cache, keyed by the prox source text and its parameter
-names): 2 steppers for each reformulation, lambda form and lane kind, 24 in
-all, and float and local lanes once per prox source, each the first time
-integrate or an rhs_* asks for it, never at import, in build_run or in
-validation.  The run's numbers (alpha, beta, the monomials, the tolerances,
-the prox's parameters) come from the arguments, never source text, so a
-power and a bounded lambda share a kernel.  Each source is registered with
-linecache under a name such as <proxdyn dp5 beta>0 lam=varies numpy>, or
-<proxdyn dp5 beta=0 lam=constant local c196f01a> with the CRC-32 of a source
-that inlines a prox, so tracebacks that the traceback module formats
+names): 2 steppers for each reformulation and lane kind, 12 in all, and
+float and local lanes once per prox source, each the first time integrate
+or an rhs_* asks for it, never at import, in build_run or in validation.
+The run's numbers (alpha, beta, the monomials, the tolerances, the prox's
+parameters) come from the arguments, never source text, so a constant, a
+power and a bounded lambda share a kernel: a constant c is c + 0 * t ** 0,
+which is c at every t, since t ** 0.0 is 1.0.  Each source is registered
+with linecache under a name such as <proxdyn dp5 beta>0 numpy>, or
+<proxdyn dp5 beta=0 local c196f01a> with the CRC-32 of a source that
+inlines a prox, so tracebacks that the traceback module formats
 (pytest, logging, traceback.print_exc) show its lines; _source returns it.
 
 The spliced expressions perform the same IEEE operations, in the same
@@ -397,7 +397,6 @@ _DP5_TABLEAU = {
 @dataclass(frozen=True)
 class _Variant:
     beta_positive: bool
-    lam: str  # "constant" (lambda's term is zero) or "varies"
     lane: str  # "float", "local" or "numpy"
     prox_source: str = ""  # float and local lanes: the prox's scalar source
     prox_params: tuple = ()  # and the names of its parameters
@@ -405,16 +404,14 @@ class _Variant:
 
 # the stage constants by prefix k: the schedule function's attribute, for
 # its scalar form, and its monomial's, whose coefficient and exponent the
-# prelude binds to kc and ke; lambda's value is lo + lc * t ** le, and lo
-# alone when lambda is constant
+# prelude binds to kc and ke; lambda's value is lo + lc * t ** le
 _TERMS = {"b": ("b", "b"), "e": ("eps", "eps"), "bd": ("b_dot", "b_dot"),
           "l": ("lam", "lam.term")}
 
 
 def _terms(v: _Variant) -> list:
     """The prefixes of the stage constants v's right-hand side reads."""
-    return [k for k in _TERMS
-            if (k != "bd" or v.beta_positive) and (k != "l" or v.lam == "varies")]
+    return [k for k in _TERMS if k != "bd" or v.beta_positive]
 
 
 # v ** 2, or inf where Python's ** overflows, as the scalar forms give
@@ -423,13 +420,13 @@ _square = functools.partial(_power, y=2)
 
 def _consts_src(v: _Variant, *times: str) -> str:
     """The stage constants at each stage time variable tk (t gives k = 0):
-    the schedule values bk, ek, bdk (b_dot, beta > 0 only) and lk (lambda,
-    unless constant), then what _deriv_src takes: ak = nalpha / tk, which is
-    -(alpha / tk), when beta = 0, and cxk, dxk, dyk when beta > 0.  Each
-    value is its monomial, bc * tk ** be and so on, as the scalar forms
-    compute it; when one of those ** overflows, or a square that dxk takes,
-    all of them are recomputed through the scalar forms and _square, which
-    give +-inf there instead."""
+    the schedule values bk, ek, bdk (b_dot, beta > 0 only) and lk (lambda),
+    then what _deriv_src takes: ak = nalpha / tk, which is -(alpha / tk),
+    when beta = 0, and cxk, dxk, dyk when beta > 0.  Each value is its
+    monomial, bc * tk ** be and so on, as the scalar forms compute it; when
+    one of those ** overflows, or a square that dxk takes, all of them are
+    recomputed through the scalar forms and _square, which give +-inf there
+    instead."""
     fast, scalar, fold, safe_fold, names = [], [], [], [], _terms(v)
     for t in times:
         k = t[1:] or "0"
@@ -467,9 +464,8 @@ def _deriv_src(v: _Variant, k: str, x: str, y: str, kx: str, ky: str) -> str:
     """(kx, ky), the derivative of one lane at the point (x, y), from the
     stage constants of suffix k; the only place each reformulation is
     written.  It checks nothing."""
-    lam = "lo" if v.lam == "constant" else f"l{k}"
-    prox = f"prox({lam}, {x})" if v.lane == "numpy" else _prox_src(v, x, lam)
-    grad = f"(({x} - {prox}) / {lam})"
+    prox = f"prox(l{k}, {x})" if v.lane == "numpy" else _prox_src(v, x, f"l{k}")
+    grad = f"(({x} - {prox}) / l{k})"
     if v.beta_positive:
         # xdot = -beta * grad - (alpha / t - b / beta) * x - y / beta
         # ydot = (b_dot + ... - alpha * b / t) * x - (b / beta) * y
@@ -615,8 +611,7 @@ def _kernel(kind: str, *variant):
     of its source, since the prox source tells such kernels apart."""
     v = _Variant(*variant)
     src = _source(kind, v)
-    filename = (f"<proxdyn {_TEMPLATES[kind][0]} beta{'>' if v.beta_positive else '='}0 "
-                f"lam={v.lam} {v.lane}"
+    filename = (f"<proxdyn {_TEMPLATES[kind][0]} beta{'>' if v.beta_positive else '='}0 {v.lane}"
                 f"{f' {zlib.crc32(src.encode()):08x}' if v.prox_source else ''}>")
     linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
     namespace = {"array": array, "math": math, "maximum": np.maximum, "square": _square,
@@ -636,8 +631,7 @@ def _variant_kernel(kind: str, cfg: SystemConfig):
     else:
         lane = "local" if cfg.objective.dim == 1 else "float"
         names = tuple(prox.coordinate_params)
-    lam = "constant" if cfg.schedule.lam.term.coef == 0.0 else "varies"
-    return _kernel(kind, cfg.beta != 0.0, lam, lane, source or "", names), lane
+    return _kernel(kind, cfg.beta != 0.0, lane, source or "", names), lane
 
 
 def _rhs_at(cfg: SystemConfig, t: float, x, y):

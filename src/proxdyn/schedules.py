@@ -608,6 +608,8 @@ def _damping_balance(k: float, const):
         monos = [(2.0 * k * beta, 1.0), (-2.0 * k * beta * p.b_coeff, p.n + 1.0), (cst, 0.0)]
         coef, e = p.lam.dot.coef, p.lam.dot.exponent
         if coef != 0.0:
+            # a constant lambda adds no term: k beta or k b_coeff may overflow,
+            # and inf * 0.0 would put a NaN into _dominant_term's sums
             monos += [(k * beta * coef, e), (-k * p.b_coeff * coef, p.n + e)]
         return _pointwise_verdict(c, "damping_balance", vals, "le", monos)
     return rule

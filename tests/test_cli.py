@@ -183,9 +183,9 @@ def test_check_exits_0_or_1_on_any_numbers_in_their_domains(
     assert code in (0, 1), err.getvalue()
 
 
-def _signed_log_uniform():
-    """_log_uniform(zero=True) values with either sign."""
-    return st.builds(math.copysign, _log_uniform(zero=True), st.sampled_from([1.0, -1.0]))
+def _signed_log_uniform(lo, hi):
+    """_log_uniform(lo, True, hi) values with either sign."""
+    return st.builds(math.copysign, _log_uniform(lo, True, hi), st.sampled_from([1.0, -1.0]))
 
 
 _LAMBDA_FLOOR = runconfig.RunConfig.lambda_floor  # validation's floor on lambda(t0)
@@ -256,31 +256,67 @@ def _accepted_b_coeffs(t0: float, n: float):
     return _log_uniform(lo, hi=hi).filter(lambda b_coeff: _b0_accepted(t0, b_coeff, n))
 
 
-# the simulate test's draws that validation checks against one another,
-# shared between their strategies: t0 and the gap fix the horizon, lambda's
-# form needs t0 > 1 to be bounded, eps_coeff goes with d, and b_coeff with n
-_SIM_T0 = st.shared(_start_times(), key="simulate t0")
-_SIM_GAP = st.shared(st.sampled_from([2.0 ** -52, 1e-9, 1e-6]), key="simulate gap")
+# The simulate test draws alpha, beta, x0 and xdot0 within a few decades of
+# the presets' (alpha 6 or 10, beta 0 or 1, x0 2 or 10, xdot0 0); over the
+# whole double range nearly every run overflowed in its first step (exit 2).
+# Its schedule numbers are drawn near the presets' in about half the
+# examples, where a run can finish and write its CSV and SVG: t0 from 1.1
+# (lambda(t0) >= its floor for every form) to 10, a horizon 1e-3 past it,
+# b_coeff from 1 (b(t0) > 1/descent_a) to 10, n to 3, eps_coeff to 100, d
+# from 1 to 4 and lambda's value from 0.1 to 3.  In the others they range
+# over all that validation accepts.
+_SIM_NEAR = st.shared(st.booleans(), key="simulate near")
+
+
+def _near_or(near, wide):
+    """The near strategy in the examples that draw near the presets, else wide."""
+    return _SIM_NEAR.flatmap(lambda is_near: near if is_near else wide)
+
+
+# the wide draws that validation checks against one another, shared between
+# their strategies: t0 and the gap fix the horizon, lambda's form needs
+# t0 > 1 to be bounded, eps_coeff goes with d, and b_coeff with n
+_SIM_T0 = st.shared(_near_or(_log_uniform(1.1, hi=10.0), _start_times()), key="simulate t0")
+_SIM_GAP = st.shared(_near_or(st.just(1e-3), st.sampled_from([2.0 ** -52, 1e-9, 1e-6])),
+                     key="simulate gap")
 _SIM_FORM = st.shared(_SIM_T0.flatmap(lambda t0: st.sampled_from(
     ["constant", "power", "bounded"] if t0 > 1.0 else ["constant", "power"])),
     key="simulate lambda form")
 # d log(1 + gap) from 2**-48, 16 ulps: eps drops by more than pow rounds
-_SIM_D = st.shared(st.tuples(_SIM_T0, _SIM_GAP).flatmap(
-    lambda tg: _log_uniform(2.0 ** -48 / math.log1p(tg[1]))), key="simulate d")
-_SIM_N = st.shared(_SIM_T0.flatmap(_accepted_growth_exponents), key="simulate n")
+_SIM_D = st.shared(_near_or(_log_uniform(1.0, hi=4.0), st.tuples(_SIM_T0, _SIM_GAP).flatmap(
+    lambda tg: _log_uniform(2.0 ** -48 / math.log1p(tg[1])))), key="simulate d")
+_SIM_N = st.shared(_near_or(_log_uniform(0.1, True, 3.0),
+                            _SIM_T0.flatmap(_accepted_growth_exponents)), key="simulate n")
 
 
 @settings(max_examples=150, deadline=None)
 @given(preset=st.sampled_from(sorted(runconfig.PRESETS)),
-       alpha=_log_uniform(), beta=_log_uniform(zero=True), t0=_SIM_T0, gap=_SIM_GAP,
-       b_coeff=st.tuples(_SIM_T0, _SIM_N).flatmap(lambda tn: _accepted_b_coeffs(*tn)),
+       alpha=_log_uniform(1e-2, hi=1e3), beta=_log_uniform(1e-3, True, 1e2), t0=_SIM_T0,
+       gap=_SIM_GAP,
+       b_coeff=_near_or(_log_uniform(1.0, hi=10.0), st.tuples(_SIM_T0, _SIM_N).flatmap(
+           lambda tn: _accepted_b_coeffs(*tn))),
        n=_SIM_N,
-       eps_coeff=st.tuples(_SIM_T0, _SIM_GAP, _SIM_D).flatmap(
-           lambda tgd: _accepted_eps_coeffs(*tgd)),
+       eps_coeff=_near_or(_log_uniform(1e-2, True, 1e2), st.tuples(
+           _SIM_T0, _SIM_GAP, _SIM_D).flatmap(lambda tgd: _accepted_eps_coeffs(*tgd))),
        d=_SIM_D, lambda_form=_SIM_FORM,
-       lambda_value=st.tuples(_SIM_T0, _SIM_FORM).flatmap(
-           lambda tf: _accepted_lambda_values(*tf)),
-       x0=_signed_log_uniform(), xdot0=_signed_log_uniform())
+       lambda_value=_near_or(_log_uniform(0.1, hi=3.0), st.tuples(_SIM_T0, _SIM_FORM).flatmap(
+           lambda tf: _accepted_lambda_values(*tf))),
+       x0=_signed_log_uniform(1e-3, 1e3), xdot0=_signed_log_uniform(1e-3, 1e3))
+# a finished run for each lambda form, whatever the seed draws
+@example(preset="fig1", alpha=10.0, beta=0.0, t0=1.4, gap=1e-3, b_coeff=1.0, n=1.0,
+         eps_coeff=1.0, d=3.0, lambda_form="constant", lambda_value=1.0, x0=10.0, xdot0=0.0)
+@example(preset="fig2", alpha=10.0, beta=0.0, t0=1.4, gap=1e-3, b_coeff=1.0, n=0.0,
+         eps_coeff=1.0, d=3.0, lambda_form="power", lambda_value=1.0, x0=10.0, xdot0=0.0)
+@example(preset="fig5", alpha=6.0, beta=1.0, t0=1.4, gap=1e-3, b_coeff=1.0, n=0.7,
+         eps_coeff=1.0, d=1.5, lambda_form="bounded", lambda_value=1.0, x0=2.0, xdot0=0.0)
+# the ends of the former draws of alpha, beta, x0 and xdot0, the whole
+# double range: the smallest and the largest values
+@example(preset="fig6", alpha=5e-324, beta=5e-324, t0=1.4, gap=1e-6, b_coeff=1.0, n=0.7,
+         eps_coeff=1.0, d=1.5, lambda_form="bounded", lambda_value=1.0, x0=5e-324,
+         xdot0=-5e-324)
+@example(preset="fig6", alpha=_MAX, beta=_MAX, t0=1.4, gap=1e-6, b_coeff=1.0, n=0.7,
+         eps_coeff=1.0, d=1.5, lambda_form="bounded", lambda_value=1.0, x0=_MAX,
+         xdot0=-_MAX)
 # the ends of the former draws of d, eps_coeff, lambda_value, n and b_coeff,
 # outside what validation accepts (exit 1): eps(t) = t**(-5e-324) keeps its
 # value over the horizon, lambda's zero and smallest values, a bounded
@@ -428,6 +464,35 @@ def test_sweep_exits_0_1_or_2_on_any_values_in_their_domains(
             warnings.simplefilter("error")
             code = cli.main(args)
     assert code in (0, 1, 2), err.getvalue() + out.getvalue()
+
+
+def _math_log_grid(t_lo, t_hi):
+    """The sweep table's 256 points, from math alone: geomspace's spacing,
+    each 10 ** y by math.pow, inf where it overflows, capped at t_hi."""
+    lo, hi = math.log10(t_lo), math.log10(t_hi)
+    grid = [t_lo]
+    for i in range(1, 255):
+        try:
+            t = math.pow(10.0, lo + i * ((hi - lo) / 255))
+        except OverflowError:
+            t = math.inf
+        grid.append(min(t, t_hi))
+    return grid + [t_hi]
+
+
+@pytest.mark.parametrize("t_lo, t_hi", [
+    (1.4, 140.0), (1.4, 1e5), (1e-300, 1e300), (5e-324, _MAX), (1.0, 1.0),
+    # log10 of both ends rounds to one value, whose 10 ** y overflows
+    (1.7976931348622732e+308, _MAX)])
+def test_sweep_grid_is_libm_bit_for_bit(t_lo, t_hi):
+    # the combined table's grid takes no numpy power, whose SIMD forms move
+    # some points by 1 ulp between targets
+    grid = cli._sweep_grid(t_lo, t_hi)
+    assert grid.tobytes() == np.array(_math_log_grid(t_lo, t_hi)).tobytes()
+    assert grid[0] == t_lo and grid[-1] == t_hi and grid.max() == t_hi
+    if t_hi < 1e300:
+        # it is geomspace's grid, but for the last bits
+        np.testing.assert_allclose(grid, np.geomspace(t_lo, t_hi, 256), rtol=1e-14, atol=0)
 
 
 def test_check_alpha3_example(tmp_path):

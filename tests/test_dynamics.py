@@ -183,10 +183,12 @@ def test_kernels_compile_once_per_variant_and_only_when_run():
     assert dynamics._kernel.cache_info().misses == 1
 
 
-def test_power_and_bounded_lambda_share_one_kernel():
-    # both forms are lo + lc * t ** le, whose numbers the kernel takes
+def test_constant_power_and_bounded_lambda_share_one_kernel():
+    # every form is lo + lc * t ** le, whose numbers the kernel takes; a
+    # constant's term is 0 * t ** 0
     dynamics._kernel.cache_clear()
-    for lam in (LambdaForm("power", 0.5), LambdaForm("bounded", 1.0)):
+    for lam in (LambdaForm("constant", 0.5), LambdaForm("power", 0.5),
+                LambdaForm("bounded", 1.0)):
         cfg = dataclasses.replace(make_cfg(beta=1.0, horizon=4.0), schedule=PolyParams(lam=lam))
         integrate(cfg)
     assert dynamics._kernel.cache_info().currsize == 1
@@ -200,12 +202,48 @@ def test_kernel_source_shows_in_tracebacks():
     with pytest.raises(DivergenceError) as exc:
         integrate(cfg)
     frame = traceback.extract_tb(exc.value.__traceback__)[-1]
-    assert frame.filename == "<proxdyn dp5 beta>0 lam=varies numpy>"
-    src = dynamics._source("rk45_adaptive", dynamics._Variant(True, "varies", "numpy"))
+    assert frame.filename == "<proxdyn dp5 beta>0 numpy>"
+    src = dynamics._source("rk45_adaptive", dynamics._Variant(True, "numpy"))
     assert frame.line and frame.line == src.splitlines()[frame.lineno - 1].strip()
 
 
 # ------------------------------------------------------------------ integrate
+
+
+def _spherical_bessel_34(z):
+    """j3, y3, j4, y4 at z, the elementary spherical Bessel functions (DLMF
+    10.49): j_n = (P sin z - Q cos z) and y_n = -(P cos z + Q sin z)."""
+    s, c = np.sin(z), np.cos(z)
+    p3, q3 = 15.0 / z ** 4 - 6.0 / z ** 2, 15.0 / z ** 3 - 1.0 / z
+    p4, q4 = 105.0 / z ** 5 - 45.0 / z ** 3 + 1.0 / z, 105.0 / z ** 4 - 10.0 / z ** 2
+    return p3 * s - q3 * c, -(p3 * c + q3 * s), p4 * s - q4 * c, -(p4 * c + q4 * s)
+
+
+def test_dp5_matches_the_closed_form_linear_flow():
+    # the fig1 base with f = x**2 / 2, constant lambda = 1 and eps = 0 is the
+    # linear x'' + (10/t) x' + k**2 x = 0, k**2 = B c / (1 + c lambda) = 1/2,
+    # solved by x = t**-4 (A j4(kt) + C y4(kt)); A and C fit x0 = 10, xdot0 = 0
+    # at t0 = 1.4, with f_4' = f_3 - (5/z) f_4 for f = j, y (DLMF 10.51.2)
+    cfg = SystemConfig(objective=scaled_shifted_quadratic(1.0, 0.0),
+                       schedule=PolyParams(1.0, 0.0, 0.0, 3.0, LambdaForm("constant", 1.0)),
+                       alpha=10.0, beta=0.0, t0=1.4, x0=10.0, xdot0=0.0, horizon=140.0)
+    k, t0 = math.sqrt(0.5), 1.4
+    z0 = k * t0
+    j3, y3, j4, y4 = _spherical_bessel_34(z0)
+    dj4, dy4 = j3 - 5.0 / z0 * j4, y3 - 5.0 / z0 * y4
+    # t**-4 (A j4 + C y4) = x0 and its derivative -4 x0 / t0 + k t0**-4 (A dj4 + C dy4) = 0
+    u = 10.0 * t0 ** 4
+    v = 4.0 * u / z0
+    det = j4 * dy4 - dj4 * y4
+    a, c = (u * dy4 - v * y4) / det, (v * j4 - u * dj4) / det
+    traj = integrate(cfg)
+    j4s, y4s = _spherical_bessel_34(k * traj.ts)[2:]
+    exact = traj.ts ** -4 * (a * j4s + c * y4s)
+    # the default tolerances leave a global error of 4.3e-9 (against A and C
+    # to 40 digits; these floats are within 1.2e-10 of that), and x(T) =
+    # -1.0403e-6 against -1.0409e-6
+    assert np.abs(traj.xs[:, 0] - exact).max() < 1e-8
+    assert traj.xs[-1, 0] == pytest.approx(exact[-1], rel=1e-3)
 
 
 def test_trajectory_endpoints_and_monotone_time():

@@ -800,6 +800,16 @@ def test_an_infinite_coefficient_rules_the_tail():
     assert schedules._dominant_term(((math.inf, 1.0), (-math.inf, 1.0))) is None
 
 
+def test_constant_lambda_adds_no_damping_term():
+    # 9 b_coeff overflows, and a term 9 b_coeff lam_dot of the constant
+    # lambda's zero lam_dot would be inf * 0 = NaN at exponent n - 1 = 1,
+    # which would sum into 18 beta's term there and hide the t^3 tail
+    query = ConditionQuery(10.0, 1e-300, 1.4, PolyParams(b_coeff=1e308, n=2.0))
+    (damping,) = [v for v in check_strong_conv_conditions(query).verdicts
+                  if v.condition == "damping_balance"]
+    assert damping.detail.endswith("tail: dominant term -1.8e+09 * t^3")
+
+
 # each query has a schedule of its own b_coeff, which no domain check reads
 @pytest.mark.parametrize("alpha, beta, t0, b_coeff", [
     (10.0, 1.0, math.nan, 1.0),
