@@ -6,9 +6,12 @@ The second-order system
 
 with grad_e(t, x) the Moreau-envelope gradient at smoothing lambda(t), is
 integrated through one of two equivalent first-order reformulations.  With
-Hessian-driven damping (beta > 0) the auxiliary variable absorbs the
-envelope-gradient derivative so the right-hand side needs no second
-derivatives; with beta = 0 the auxiliary variable is plain velocity.
+beta = 0 the auxiliary variable is plain velocity: x' = y and
+y' = -(alpha/t) y - b grad_e - eps x.  With Hessian-driven damping
+(beta > 0) it is w = x' + beta grad_e, which absorbs the envelope-gradient
+derivative, so the right-hand side needs no second derivatives:
+x' = w - beta grad_e and w' = -(alpha/t) x' - b grad_e - eps x, the
+beta = 0 system plus one term.
 
 The steppers are deliberately self-contained: an embedded Dormand-Prince
 5(4) pair with FSAL and a PI-free step controller, plus classical fixed-step
@@ -41,8 +44,8 @@ stepper.  _kernel splices into it:
 - the schedule's stage constants, each a monomial c * t ** e read off the
   schedule, and lambda's offset plus its term, lo + lc * t ** le, evaluated
   once at each distinct stage time (DP5's c5 = c6 = 1 and RK4's two
-  midpoints share one) and folded into (-(alpha/t), b, lambda, eps) when
-  beta = 0 and (cx, dx, dy, lambda) when beta > 0 (_consts_src);
+  midpoints share one), with -(alpha/t): the same four constants (-(alpha/t),
+  b, lambda, eps) for both reformulations (_consts_src);
 - on a float or local lane, the prox's scalar source in place of a prox
   call, at every stage, with u and lam the stage's and each parameter a
   local prox_<name> that the kernel unpacks from the source's params in
@@ -71,8 +74,7 @@ pow), not numpy's array **, which takes a SIMD pow on some CPUs that
 differs from libm's in the last bit; so a trajectory does not depend on
 numpy's SIMD dispatch.  Python's ** raises OverflowError where the scalar
 forms give +-inf; then that step's constants are recomputed through
-fn.scalar, and the squares that the beta > 0 fold takes through _square, so
-an overflowing schedule still ends in a non-finite stage.  The
+fn.scalar, so an overflowing schedule still ends in a non-finite stage.  The
 condition checkers and the observables keep the array forms.  Every stage
 time is at least t0 and lambda is nondecreasing, so validation's one check
 of lambda(t0) against its floor covers every step.  A SystemConfig validates
@@ -104,9 +106,9 @@ or copied, and builds the StepStats from the counters.  The public rhs_*
 run the variant's DP5 kernel from t to T = t, which evaluates the first
 stage and takes no step, and return its KX, KY, so they match the steppers
 bit for bit.
-initial_aux, which runs once, evaluates lambda and b through the scalar
-forms and takes the envelope gradient from the array prox, which equals the
-scalar form bit for bit; residual_second_order shares that array gradient.
+initial_aux, which runs once, evaluates lambda through its scalar form and
+takes the envelope gradient from the array prox, which equals the scalar
+form bit for bit; residual_second_order shares that array gradient.
 """
 
 from __future__ import annotations
@@ -128,7 +130,7 @@ from .errors import (
     StepSizeError,
     ValidationError,
 )
-from .schedules import SystemConfig, _power
+from .schedules import SystemConfig
 
 __all__ = [
     "IntegratorSettings",
@@ -405,48 +407,26 @@ class _Variant:
 # the stage constants by prefix k: the schedule function's attribute, for
 # its scalar form, and its monomial's, whose coefficient and exponent the
 # prelude binds to kc and ke; lambda's value is lo + lc * t ** le
-_TERMS = {"b": ("b", "b"), "e": ("eps", "eps"), "bd": ("b_dot", "b_dot"),
-          "l": ("lam", "lam.term")}
-
-
-def _terms(v: _Variant) -> list:
-    """The prefixes of the stage constants v's right-hand side reads."""
-    return [k for k in _TERMS if k != "bd" or v.beta_positive]
-
-
-# v ** 2, or inf where Python's ** overflows, as the scalar forms give
-_square = functools.partial(_power, y=2)
+_TERMS = {"b": ("b", "b"), "e": ("eps", "eps"), "l": ("lam", "lam.term")}
 
 
 def _consts_src(v: _Variant, *times: str) -> str:
     """The stage constants at each stage time variable tk (t gives k = 0):
-    the schedule values bk, ek, bdk (b_dot, beta > 0 only) and lk (lambda),
-    then what _deriv_src takes: ak = nalpha / tk, which is -(alpha / tk),
-    when beta = 0, and cxk, dxk, dyk when beta > 0.  Each value is its
-    monomial, bc * tk ** be and so on, as the scalar forms compute it; when
-    one of those ** overflows, or a square that dxk takes, all of them are
-    recomputed through the scalar forms and _square, which give +-inf there
+    the schedule values bk, ek and lk (lambda), then ak = nalpha / tk, which
+    is -(alpha / tk).  Each value is its monomial, bc * tk ** be and so on,
+    as the scalar forms compute it; when one of those ** overflows, all of
+    them are recomputed through the scalar forms, which give +-inf there
     instead."""
-    fast, scalar, fold, safe_fold, names = [], [], [], [], _terms(v)
+    fast, scalar, damping = [], [], []
     for t in times:
         k = t[1:] or "0"
         fast += [f"{name}{k} = {'lo + ' if name == 'l' else ''}{name}c * {t} ** {name}e"
-                 for name in names]
-        scalar.append(", ".join(name + k for name in names) + " = "
-                      + ", ".join(f"sched.{_TERMS[name][0]}.scalar({t})" for name in names))
-        if v.beta_positive:
-            # cx = alpha / t - b / beta, dy = b / beta and
-            # dx = b_dot + alpha * beta / t**2 + beta * eps + b**2 / beta - alpha * b / t
-            cx, dy = f"cx{k} = alpha / {t} - b{k} / beta", f"dy{k} = b{k} / beta"
-            dx = (f"dx{k} = bd{k} + alpha * beta / {{t2}} + beta * e{k} + {{b2}} / beta"
-                  f" - alpha * b{k} / {t}")
-            fold += [cx, dx.format(t2=f"{t} ** 2", b2=f"b{k} ** 2"), dy]
-            safe_fold += [cx, dx.format(t2=f"square({t})", b2=f"square(b{k})"), dy]
-        else:
-            fold.append(f"a{k} = nalpha / {t}")
-            safe_fold.append(fold[-1])
-    return "\n".join(["try:", *("    " + line for line in fast + fold), "except OverflowError:",
-                      *("    " + line for line in scalar + safe_fold)])
+                 for name in _TERMS]
+        scalar.append(", ".join(name + k for name in _TERMS) + " = "
+                      + ", ".join(f"sched.{attr}.scalar({t})" for attr, _ in _TERMS.values()))
+        damping.append(f"a{k} = nalpha / {t}")
+    return "\n".join(["try:", *("    " + line for line in fast + damping), "except OverflowError:",
+                      *("    " + line for line in scalar + damping)])
 
 
 def _prox_src(v: _Variant, x: str, lam: str) -> str:
@@ -467,10 +447,9 @@ def _deriv_src(v: _Variant, k: str, x: str, y: str, kx: str, ky: str) -> str:
     prox = f"prox(l{k}, {x})" if v.lane == "numpy" else _prox_src(v, x, f"l{k}")
     grad = f"(({x} - {prox}) / l{k})"
     if v.beta_positive:
-        # xdot = -beta * grad - (alpha / t - b / beta) * x - y / beta
-        # ydot = (b_dot + ... - alpha * b / t) * x - (b / beta) * y
-        return (f"{kx} = nbeta * {grad} - cx{k} * {x} - {y} / beta\n"
-                f"{ky} = dx{k} * {x} - dy{k} * {y}")
+        # g = grad, xdot = w - beta * g, wdot = -(alpha / t) * xdot - b * g - eps * x
+        return (f"g = {grad}\n{kx} = {y} - beta * g\n"
+                f"{ky} = a{k} * {kx} - b{k} * g - e{k} * {x}")
     # xdot = y, ydot = -(alpha / t) * y - b * grad - eps * x
     return f"{kx} = {y}\n{ky} = a{k} * {y} - b{k} * {grad} - e{k} * {x}"
 
@@ -508,18 +487,18 @@ def _sum_src(v: _Variant, total: str, *gathered: str) -> str:
 
 def _prelude_src(v: _Variant) -> str:
     """The empty sample buffers, the lanes (the local lane is lane i = 0),
-    the run's numbers from cfg (nalpha = -alpha when beta = 0, nbeta = -beta
-    when beta > 0, lambda's offset lo, and the coefficient kc and exponent ke
-    of each monomial the stage constants take) and the objective's prox: the
-    array prox on the numpy lane, and on a float or local lane the values of
-    its source's parameters, as locals prox_<name>."""
+    the run's numbers from cfg (alpha, beta, nalpha = -alpha, lambda's offset
+    lo, and the coefficient kc and exponent ke of each monomial the stage
+    constants take) and the objective's prox: the array prox on the numpy
+    lane, and on a float or local lane the values of its source's
+    parameters, as locals prox_<name>."""
     lines = ['ts, xs, ys, xdots = array("d"), array("d"), array("d"), array("d")',
              "i = 0" if v.lane == "local" else "lanes = range(len(X))",
              "alpha, beta, sched = cfg.alpha, cfg.beta, cfg.schedule",
-             "nbeta = -beta" if v.beta_positive else "nalpha = -alpha",
+             "nalpha = -alpha",
              "lo = sched.lam.offset"]
     lines += [f"{k}c, {k}e = sched.{_TERMS[k][1]}.coef, sched.{_TERMS[k][1]}.exponent"
-              for k in _terms(v)]
+              for k in _TERMS]
     if v.lane == "numpy":
         lines.append("prox = cfg.objective.prox")
     elif v.prox_params:
@@ -614,7 +593,7 @@ def _kernel(kind: str, *variant):
     filename = (f"<proxdyn {_TEMPLATES[kind][0]} beta{'>' if v.beta_positive else '='}0 {v.lane}"
                 f"{f' {zlib.crc32(src.encode()):08x}' if v.prox_source else ''}>")
     linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
-    namespace = {"array": array, "math": math, "maximum": np.maximum, "square": _square,
+    namespace = {"array": array, "math": math, "maximum": np.maximum,
                  "DivergenceError": DivergenceError, "StepSizeError": StepSizeError}
     exec(compile(src, filename, "exec"), namespace)
     return namespace[_TEMPLATES[kind][0]]
@@ -660,15 +639,15 @@ def rhs_beta_zero(cfg: SystemConfig, t: float, x, y):
 
 
 def initial_aux(cfg: SystemConfig) -> np.ndarray:
-    """Auxiliary initial value matching (x0, xdot0) under the active reformulation."""
+    """Auxiliary initial value matching (x0, xdot0) under the active
+    reformulation: xdot0 when beta = 0, w0 = xdot0 + beta * grad_e(t0, x0)
+    when beta > 0."""
     if cfg.beta == 0.0:
         return cfg.xdot0.copy()
-    t0, s = float(cfg.t0), cfg.schedule
     # an overflow gives inf or NaN, whose first step raises DivergenceError
     with np.errstate(over="ignore", invalid="ignore"):
-        g0 = _grad(cfg.objective.prox, s.lam.scalar(t0), cfg.x0)
-        return (-cfg.beta * (cfg.xdot0 + cfg.beta * g0)
-                + (s.b.scalar(t0) - cfg.alpha * cfg.beta / cfg.t0) * cfg.x0)
+        g0 = _grad(cfg.objective.prox, cfg.schedule.lam.scalar(float(cfg.t0)), cfg.x0)
+        return cfg.xdot0 + cfg.beta * g0
 
 
 def integrate(cfg: SystemConfig, settings: IntegratorSettings = None) -> Trajectory:

@@ -212,9 +212,6 @@ class SystemConfig:
             raise ValidationError("t0 must be positive")
         if not (math.isfinite(self.horizon) and self.horizon > self.t0):
             raise ValidationError("horizon must exceed t0")
-        if self.beta > 0.0 and self.t0 * self.t0 == 0.0:
-            # the beta > 0 right-hand side divides by t**2, which is >= t0**2
-            raise ValidationError("t0**2 underflows to 0, and beta > 0 divides by t**2")
         if not 0.0 < self.lambda_floor < math.inf:
             raise ValidationError("lambda_floor must be a positive real")
         s, t0 = self.schedule, float(self.t0)

@@ -147,8 +147,9 @@ def _start_times():
     the run reaches the integrator.  At the ends of _log_uniform() it rounds
     back to t0 (5e-324) or overflows (the largest double), and the run stops
     at "horizon must exceed t0"; those two are @examples.  Below the square
-    root, a beta > 0 run stops at "t0**2 underflows to 0"; the smallest
-    normal double, with beta = 0, is an @example too."""
+    root, alpha / t0 and the first step leave the normal doubles, and a run
+    ends in exit 2; the smallest normal double, with beta = 0, and t0 =
+    6.9e-197, with beta > 0, are @examples too."""
     return _log_uniform(math.sqrt(sys.float_info.min), hi=_MAX / 2)
 
 
@@ -343,9 +344,8 @@ _SIM_N = st.shared(_near_or(_log_uniform(0.1, True, 3.0),
          eps_coeff=1.0, d=3.0, lambda_form="constant", lambda_value=1.0, x0=10.0, xdot0=0.0)
 @example(preset="fig1", alpha=10.0, beta=0.0, t0=_MAX, gap=2.0 ** -52, b_coeff=1.0, n=1.0,
          eps_coeff=1.0, d=3.0, lambda_form="constant", lambda_value=1.0, x0=10.0, xdot0=0.0)
-# the smallest normal double, below _start_times(): with beta = 0 nothing
-# divides by t**2, and with b = 1 and eps = 0 the run reaches the integrator,
-# where alpha / t overflows (exit 2)
+# the smallest normal double, below _start_times(): with b = 1 and eps = 0
+# the run reaches the integrator, where alpha / t overflows (exit 2)
 @example(preset="fig1", alpha=10.0, beta=0.0, t0=sys.float_info.min, gap=1e-6, b_coeff=1.0,
          n=0.0, eps_coeff=0.0, d=3.0, lambda_form="constant", lambda_value=1.0, x0=10.0,
          xdot0=0.0)
@@ -373,7 +373,8 @@ _SIM_N = st.shared(_near_or(_log_uniform(0.1, True, 3.0),
          b_coeff=1.0, n=1.0, eps_coeff=7.190766037562327e-299, d=_MAX,
          lambda_form="constant", lambda_value=4.4816890703380645,
          x0=3.0010878586492214e-124, xdot0=7.190766037562327e-299)
-# t0**2 underflowed to 0, and the beta > 0 right-hand side divided by it
+# below _start_times() with beta > 0: t0**2 underflows to 0, which no
+# right-hand side takes; the step size collapses near t0 (exit 2)
 @example(preset="fig3", alpha=6.89755700379712e-197, beta=0.0024787521766663585,
          t0=6.89755700379712e-197, gap=1e-6, b_coeff=5e-324, n=6.89755700379712e-197,
          eps_coeff=0.0, d=8.725057778574719e+74, lambda_form="power",
@@ -783,8 +784,9 @@ def test_exit_code_non_finite_stage(tmp_path, monkeypatch, capsys):
 
 
 def test_exit_code_schedule_overflow(tmp_path, capsys):
-    # b = 1e160 t**2 is finite, but its square in the beta > 0 fold overflows
-    code = cli.main(["simulate", "--preset", "fig6", "--set", "schedule.b_coeff=1e160",
+    # b = 1e308 t**0.7 is near the largest double: the first step's stages,
+    # which take b * grad, overflow in a beta > 0 run
+    code = cli.main(["simulate", "--preset", "fig6", "--set", "schedule.b_coeff=1e308",
                      "--set", "system.horizon=10", "--svg", "off", "--out", str(tmp_path)])
     assert code == 2
     err = capsys.readouterr().err

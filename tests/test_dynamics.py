@@ -58,10 +58,12 @@ def make_cfg(objective=None, alpha=10.0, beta=1.0, t0=1.4, horizon=140.0,
 
 
 def test_rhs_beta_positive_hand_value():
+    # the envelope gradient of |x| + x**2 / 2 at x = 2, lambda = 1 is g = 1.5;
+    # xdot = w - beta * g and wdot = -(alpha / t) * xdot - b * g - eps * x
     cfg = make_cfg()
-    xd, yd = rhs_beta_positive(cfg, 2.0, [2.0], [0.0])
-    assert xd[0] == pytest.approx(-9.5)
-    assert yd[0] == pytest.approx(-2.75)
+    xd, wd = rhs_beta_positive(cfg, 2.0, [2.0], [0.0])
+    assert xd[0] == pytest.approx(-1.5)
+    assert wd[0] == pytest.approx(5.75)
 
 
 def test_rhs_beta_zero_hand_value():
@@ -113,13 +115,18 @@ def test_initial_aux_matches_requested_velocity():
     assert xd[0] == pytest.approx(-3.0, abs=1e-12)
 
 
+def preset_system(run: str):
+    name, label = run.split("/")
+    (flat,) = [f for f in preset_runs(name) if f["label"] == label]
+    return build_system(config_from_flat(flat))
+
+
 @pytest.mark.parametrize("preset, label", [
     ("fig1", "n2"),  # beta = 0, b = t**2
     ("fig5", "tikhonov"),  # beta > 0, b = t**0.7, bounded lambda
 ])
 def test_public_rhs_matches_the_stepper_bit_for_bit(preset, label):
-    (flat,) = [f for f in preset_runs(preset) if f["label"] == label]
-    cfg, settings = build_system(config_from_flat(flat))
+    cfg, settings = preset_system(f"{preset}/{label}")
     rhs = rhs_beta_zero if cfg.beta == 0.0 else rhs_beta_positive
     xd, _ = rhs(cfg, cfg.t0, cfg.x0, initial_aux(cfg))
     traj = integrate(cfg, settings)
@@ -129,6 +136,33 @@ def test_public_rhs_matches_the_stepper_bit_for_bit(preset, label):
     for j in range(1, len(traj) - 1, 97):
         xd, _ = rhs(cfg, traj.ts[j], traj.xs[j], traj.auxs[j])
         assert xd.tobytes() == traj.xdots[j].tobytes(), traj.ts[j]
+
+
+BETA_POSITIVE_RUNS = [f"{name}/{flat['label']}" for name in ("fig4", "fig5", "fig6")
+                      for flat in preset_runs(name)]
+
+
+@pytest.mark.parametrize("run", BETA_POSITIVE_RUNS)
+def test_beta_positive_preset_ends_near_its_tight_tolerance_run(run):
+    # (x, xdot) at the horizon, relative to the run at rtol 1e-12, atol 1e-14
+    cfg, settings = preset_system(run)
+    assert cfg.beta > 0.0
+    got, want = (integrate(cfg, s) for s in
+                 (settings, dataclasses.replace(settings, rtol=1e-12, atol=1e-14)))
+    end = [np.concatenate([traj.xs[-1], traj.xdots[-1]]) for traj in (got, want)]
+    err = np.linalg.norm(end[0] - end[1]) / max(float(np.linalg.norm(end[1])), 1e-3)
+    assert err <= 5e-7
+
+
+@pytest.mark.parametrize("run", BETA_POSITIVE_RUNS)
+def test_beta_positive_aux_is_velocity_plus_beta_grad(run):
+    # w = xdot + beta * grad_e(t, x) on every sample, to a few ulps
+    cfg, settings = preset_system(run)
+    traj = integrate(cfg, settings)
+    lam = np.array([cfg.schedule.lam.scalar(t) for t in traj.ts.tolist()])[:, None]
+    bg = cfg.beta * (traj.xs - cfg.objective.prox(lam, traj.xs)) / lam
+    ulp = np.spacing(np.maximum(np.abs(traj.auxs), np.abs(bg)))
+    assert np.all(np.abs(traj.auxs - (traj.xdots + bg)) <= 4.0 * ulp)
 
 
 # b = B t**400: t**400 overflows past t = 5.897, where b jumps to inf.  With
