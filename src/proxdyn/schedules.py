@@ -17,16 +17,15 @@ that overflows fails its condition, and so does a constant whose power
 overflows (``_power`` gives inf there).  The other conditions are exact
 rules on the family's parameters.
 
-A repeated query shares its context: ``_context`` keeps the contexts of the
-last 8 queries, keyed by the bits of their numbers, and is the checker's
-only cache.  Each context builds its grid, the schedule's arrays on it (b,
-b_dot, t**2, lambda_dot, eps, t b), b(t0) and both growth caps once, when
-it is built, and evaluates each rule once, the first time a report lists
-it.  So a start-time search's last report, and the three regimes' reports
-that follow on the same query, evaluate each rule once between them.  A
-rule returns what it found, eps_decay_speed its feasible a interval and
-eps_tail_ratio its warning too, and each report is built from those values
-into a ConditionReport and Verdicts of its own, which its caller may edit.
+``_context`` keeps the last query's context, keyed by the bits of its
+numbers: the checker's only cache.  A context builds its grid, the
+schedule's arrays on it (b, b_dot, t**2, lambda_dot, eps, t b), b(t0) and
+both growth caps once, when it is built, and evaluates each rule once, the
+first time a report lists it.  So a start-time search's last report, and
+the three regimes' reports that follow on the same query, evaluate each
+rule once between them.  A rule returns its immutable Verdict,
+eps_decay_speed its feasible a interval and eps_tail_ratio its warning
+too, and every report on the query lists that Verdict, in lists of its own.
 The rules that never read t0 are declared in ``_T0_FREE``, so a start-time
 search ends at the first report that fails one of them: no later start
 time can pass.
@@ -37,9 +36,8 @@ from __future__ import annotations
 import math
 import struct
 import sys
-import threading
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -261,8 +259,9 @@ def _as_query(cfg: Union[SystemConfig, ConditionQuery]) -> ConditionQuery:
     return cfg if isinstance(cfg, ConditionQuery) else cfg.query()
 
 
-@dataclass
-class Verdict:
+class Verdict(NamedTuple):
+    """One condition's result, immutable: the reports on a query share it."""
+
     condition: str
     passed: bool
     margin: float
@@ -352,9 +351,8 @@ class _Context:
     and tb (t b(t), with inf where it is not positive: the divisor of the
     relative growth margin), and the two growth caps c1 t b - t^2 b_dot +
     c0, plain_cap and its alpha/3 form third_cap (see ``_cap_constants``).
-    ``results`` keeps what each rule found, as ``_check`` stores it;
-    ``_context`` keeps the contexts of the last 8 queries, so every report
-    on one query evaluates each rule once.
+    ``results`` keeps what each rule found, as ``_check`` stores it, so
+    the reports on one query evaluate each rule once between them.
     """
 
     def __init__(self, q: ConditionQuery):
@@ -377,30 +375,28 @@ class _Context:
         self.results = {}
 
 
-_CONTEXTS = {}  # _context's cache: key -> _Context, the least recently used first
-_CONTEXTS_LOCK = threading.Lock()
-_KEPT_CONTEXTS = 8
+_LAST_CONTEXT = (None, None)  # _context's one slot: the last query's key and context
 
 
 def _context(q: ConditionQuery) -> _Context:
-    """The kept _Context of q, or a new one, built inside the caller's
-    errstate: a grid value that overflows is no numpy warning.
+    """The last query's _Context when q has its key, else a new one, built
+    inside the caller's errstate (a grid value that overflows is no numpy
+    warning) and kept in its place by one assignment, which needs no lock.
 
-    Keyed by the bits of alpha, beta, t0 and every PolyParams number: 0.0
-    and -0.0 are two keys, since b_constant reports n = 0.0 with margin
-    -0.0 and n = -0.0 with margin 0.0.  The numbers' types are part of the
-    key too: an int t0 is an int witness.
+    Keyed by value, since the query checked after a start-time search is a
+    new object (build_system builds it): the bits of alpha, beta, t0 and
+    every PolyParams number.  0.0 and -0.0 are two keys, since b_constant
+    reports n = 0.0 with margin -0.0 and n = -0.0 with margin 0.0.  The
+    numbers' types are part of the key too: an int t0 is an int witness.
     """
+    global _LAST_CONTEXT
     p = q.schedule
     nums = (q.alpha, q.beta, q.t0, p.b_coeff, p.n, p.eps_coeff, p.d, p.lam.value)
     key = (struct.pack("8d", *nums), p.lam.kind, *map(type, nums))
-    with _CONTEXTS_LOCK:
-        c = _CONTEXTS.pop(key, None)
-        if c is None:
-            c = _Context(q)
-            if len(_CONTEXTS) >= _KEPT_CONTEXTS:
-                del _CONTEXTS[next(iter(_CONTEXTS))]
-        _CONTEXTS[key] = c
+    last, c = _LAST_CONTEXT
+    if key != last:
+        c = _Context(q)
+        _LAST_CONTEXT = key, c
     return c
 
 
@@ -710,9 +706,9 @@ def _check(setting: str, cfg) -> ConditionReport:
     A rule returns its Verdict, or eps_decay_speed and eps_tail_ratio the
     triple (Verdict, interval, warning), which gives the report of every
     regime that lists it its feasible_a and warnings.  The query's context
-    keeps the Verdict's fields as a tuple, so a later report builds Verdicts
-    of its own from them: every caller gets its own ConditionReport,
-    Verdicts and warnings list, and may edit them.
+    keeps each rule's triple, so every report on the query lists the same
+    immutable Verdicts; each caller gets its own ConditionReport, verdicts
+    list and warnings list.
     """
     c = _context(_as_query(cfg))
     results = c.results
@@ -721,12 +717,8 @@ def _check(setting: str, cfg) -> ConditionReport:
         found = results.get(rule)
         if found is None:
             out = rule(c)
-            v, interval, warning = out if type(out) is tuple else (out, None, None)
-            results[rule] = ((v.condition, v.passed, v.margin, v.witness_t, v.detail),
-                             interval, warning)
-        else:
-            row, interval, warning = found
-            v = Verdict(*row)
+            found = results[rule] = (out, None, None) if isinstance(out, Verdict) else out
+        v, interval, warning = found
         verdicts.append(v)
         if interval is not None:
             feasible_a = interval
@@ -799,7 +791,10 @@ def energy_descent_start(cfg, q: float, a: float) -> float:
 
 def _settle_time(B: float, n: float, alpha: float, beta: float) -> float:
     """The start the fast-rate growth cap asks of b = B t^n, for n < alpha - 3."""
-    return (beta * (alpha - 2.0) / (B * (alpha - 3.0 - n))) ** (1.0 / (n + 1.0))
+    den = B * (alpha - 3.0 - n)
+    if den == 0.0:  # an underflow: the start overflows, unless beta = 0 asks for none
+        return math.inf if beta > 0.0 else 0.0
+    return (beta * (alpha - 2.0) / den) ** (1.0 / (n + 1.0))
 
 
 def _first_starts(lam: LambdaForm) -> list:
@@ -835,6 +830,9 @@ def suggest_t0(params: PolyParams, alpha: float, beta: float, slack: float = 0.0
         # is nonempty; a no-op whenever the base value already qualifies
         for _ in range(50):
             b0 = params.b.scalar(t0)
+            if b0 == 0.0:  # b(t0) underflows: 1/b(t0), a_lo and the start time overflow
+                t0 = math.inf
+                break
             a_lo = max(1.0, 1.0 / b0) * (1.0 + 1e-12)
             required = (a_lo * beta * E / (2.0 * d)) ** (1.0 / (d - 1.0))
             if t0 >= required:

@@ -253,14 +253,18 @@ def _spherical_bessel_34(z):
     return p3 * s - q3 * c, -(p3 * c + q3 * s), p4 * s - q4 * c, -(p4 * c + q4 * s)
 
 
-def test_dp5_matches_the_closed_form_linear_flow():
-    # the fig1 base with f = x**2 / 2, constant lambda = 1 and eps = 0 is the
-    # linear x'' + (10/t) x' + k**2 x = 0, k**2 = B c / (1 + c lambda) = 1/2,
-    # solved by x = t**-4 (A j4(kt) + C y4(kt)); A and C fit x0 = 10, xdot0 = 0
-    # at t0 = 1.4, with f_4' = f_3 - (5/z) f_4 for f = j, y (DLMF 10.51.2)
+def _linear_flow(horizon):
+    """The fig1 base with f = x**2 / 2, constant lambda = 1 and eps = 0, up
+    to horizon, and its exact solution x(t) on an array of times.
+
+    The flow is the linear x'' + (10/t) x' + k**2 x = 0, k**2 = B c / (1 +
+    c lambda) = 1/2, solved by x = t**-4 (A j4(kt) + C y4(kt)); A and C fit
+    x0 = 10, xdot0 = 0 at t0 = 1.4, with f_4' = f_3 - (5/z) f_4 for f = j, y
+    (DLMF 10.51.2).  These floats are within 1.2e-10 of A and C to 40 digits.
+    """
     cfg = SystemConfig(objective=scaled_shifted_quadratic(1.0, 0.0),
                        schedule=PolyParams(1.0, 0.0, 0.0, 3.0, LambdaForm("constant", 1.0)),
-                       alpha=10.0, beta=0.0, t0=1.4, x0=10.0, xdot0=0.0, horizon=140.0)
+                       alpha=10.0, beta=0.0, t0=1.4, x0=10.0, xdot0=0.0, horizon=horizon)
     k, t0 = math.sqrt(0.5), 1.4
     z0 = k * t0
     j3, y3, j4, y4 = _spherical_bessel_34(z0)
@@ -270,14 +274,67 @@ def test_dp5_matches_the_closed_form_linear_flow():
     v = 4.0 * u / z0
     det = j4 * dy4 - dj4 * y4
     a, c = (u * dy4 - v * y4) / det, (v * j4 - u * dj4) / det
-    traj = integrate(cfg)
-    j4s, y4s = _spherical_bessel_34(k * traj.ts)[2:]
-    exact = traj.ts ** -4 * (a * j4s + c * y4s)
-    # the default tolerances leave a global error of 4.3e-9 (against A and C
-    # to 40 digits; these floats are within 1.2e-10 of that), and x(T) =
+
+    def exact(ts):
+        j4s, y4s = _spherical_bessel_34(k * ts)[2:]
+        return ts ** -4 * (a * j4s + c * y4s)
+    return cfg, exact
+
+
+def _closed_form_error(settings):
+    """The largest |x - exact| over the samples of the linear flow up to T = 14."""
+    cfg, exact = _linear_flow(14.0)
+    traj = integrate(cfg, settings)
+    return float(np.abs(traj.xs[:, 0] - exact(traj.ts)).max())
+
+
+def test_dp5_matches_the_closed_form_linear_flow():
+    # the default tolerances leave a global error of 4.3e-9, and x(T) =
     # -1.0403e-6 against -1.0409e-6
-    assert np.abs(traj.xs[:, 0] - exact).max() < 1e-8
-    assert traj.xs[-1, 0] == pytest.approx(exact[-1], rel=1e-3)
+    cfg, exact = _linear_flow(140.0)
+    traj = integrate(cfg)
+    want = exact(traj.ts)
+    assert np.abs(traj.xs[:, 0] - want).max() < 1e-8
+    assert traj.xs[-1, 0] == pytest.approx(want[-1], rel=1e-3)
+
+
+def test_rk4_global_error_on_the_closed_form_falls_at_fourth_order():
+    # h = 0.04, 0.02 and 0.01 up to T = 14 give 2.27e-6, 1.28e-7 and 7.58e-9:
+    # observed orders 4.15 and 4.08
+    errs = [_closed_form_error(IntegratorSettings(method="rk4_fixed", fixed_step=h))
+            for h in (0.04, 0.02, 0.01)]
+    orders = [math.log2(coarse / fine) for coarse, fine in zip(errs, errs[1:])]
+    assert all(3.8 < order < 4.4 for order in orders), orders
+    assert errs[-1] < 1.5e-8
+
+
+def test_dp5_global_error_on_the_closed_form_scales_with_rtol():
+    # rtol 1e-6 and 1e-8 (atol = rtol / 100) up to T = 14 give 4.46e-7 and
+    # 4.30e-9: each below its rtol, and a hundredth of the tolerance gives
+    # about a hundredth of the error (ratio 104)
+    errs = [_closed_form_error(IntegratorSettings(rtol=rtol, atol=rtol / 100.0))
+            for rtol in (1e-6, 1e-8)]
+    assert errs[0] < 1e-6 and errs[1] < 1e-8
+    assert 70.0 < errs[0] / errs[1] < 150.0, errs
+
+
+def test_w_kernel_at_small_beta_tracks_the_velocity_kernel():
+    # fig1/n0 at beta = 1e-6 and 1e-9 runs the w = xdot + beta grad e kernel,
+    # at beta = 0 the velocity kernel: the same steps, and x(T) apart by a
+    # relative 7.42e-5 and 7.43e-8, first order in beta (ratio 999).  A term
+    # that one kernel drops or scales moves the gap off first order; one that
+    # the w kernel scales by beta (its Hessian damping halved, or its viscous
+    # damping on w, not xdot) moves the first-order gap, to 3.7e-8 and 6.0e-8
+    cfg, settings = preset_system("fig1/n0")
+    assert cfg.beta == 0.0
+    base = integrate(cfg, settings)
+    gaps = []
+    for beta in (1e-6, 1e-9):
+        traj = integrate(dataclasses.replace(cfg, beta=beta), settings)
+        assert traj.stats == base.stats
+        gaps.append(abs(traj.xs[-1, 0] - base.xs[-1, 0]) / abs(base.xs[-1, 0]))
+    assert gaps[1] == pytest.approx(7.43e-8, rel=0.05)
+    assert gaps[0] / gaps[1] == pytest.approx(1000.0, rel=0.05)
 
 
 def test_trajectory_endpoints_and_monotone_time():

@@ -3,6 +3,8 @@
 import dataclasses
 import math
 import pickle
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -271,6 +273,20 @@ def test_start_time_searches_survive_overflowing_powers():
     p = PolyParams(eps_coeff=1e-3, d=1.999, lam=LambdaForm("bounded", 1.0))
     with pytest.raises(InfeasibleError, match="overflows"):
         suggest_t0_strong(p, 6.0, 0.1)
+
+
+def test_start_time_searches_survive_underflowing_products():
+    # B (alpha - 3 - n) underflows to 0 in the growth cap's settle time: with
+    # beta > 0 that start time overflows, with beta = 0 it asks for none
+    p = PolyParams(b_coeff=5e-324, n=0.0, eps_coeff=1.0, d=1.5)
+    with pytest.raises(InfeasibleError, match="overflows"):
+        suggest_t0_strong(p, 3.0000000000000004, 1.0)
+    assert suggest_t0(PolyParams(b_coeff=5e-324), 3.0000000000000004, 0.0) == 1.0
+    # b(t0) underflows to 0, so b(t0) > 1/a asks for an a, and a start time,
+    # that overflow
+    p = PolyParams(b_coeff=5e-324, n=1e200, eps_coeff=7.0, d=1e308)
+    with pytest.raises(InfeasibleError, match="overflows"):
+        suggest_t0(p, 1e308, 1e-308)
 
 
 # alpha and beta out of ConditionQuery's domains, and slack outside [0, inf),
@@ -581,7 +597,7 @@ def test_condition_grid_is_built_once_per_query(monkeypatch):
         geomspace_into(out, ramp, a, b)
 
     monkeypatch.setattr(schedules, "_geomspace_into", counted)
-    clear_grid_caches()
+    forget_last_context()
     p = PolyParams(b_coeff=1.0, n=0.7, eps_coeff=1.0, d=1.5, lam=LambdaForm("bounded", 1.0))
     t0 = suggest_t0_strong(p, 6.0, 0.1)
     q = ConditionQuery(6.0, 0.1, t0, p)
@@ -592,12 +608,15 @@ def test_condition_grid_is_built_once_per_query(monkeypatch):
     ts = schedules._context(q).ts
     with pytest.raises(ValueError):
         ts[0] = 0.0
-    # a second query at the same t0 builds a grid of its own
+    # a second query at the same t0 builds a grid of its own and takes the
+    # one kept context, so the first query, checked again, builds a third
     other = ConditionQuery(7.0, 0.1, t0, p)
     check_fast_rate_conditions(other)
     assert pieces == [t0, 100.0 * t0] * 2
     assert schedules._context(other).ts is not ts
     assert schedules._context(other).ts.tobytes() == ts.tobytes()
+    check_fast_rate_conditions(q)
+    assert pieces == [t0, 100.0 * t0] * 3
 
     def rows(t0):
         q = ConditionQuery(10.0, 1.0, t0, PolyParams())
@@ -605,7 +624,7 @@ def test_condition_grid_is_built_once_per_query(monkeypatch):
                 + [rep.feasible_a, rep.warnings]
                 for rep in (check_fast_rate_conditions(q), check_strong_conv_conditions(q),
                             check_alpha3_conditions(q))]
-    clear_grid_caches()
+    forget_last_context()
     first, other, again = rows(1.4), rows(2.0), rows(1.4)
     assert again == first
     assert other != first
@@ -620,8 +639,8 @@ def report_bits(q):
                         check_alpha3_conditions(q))]
 
 
-def clear_grid_caches():
-    schedules._CONTEXTS.clear()
+def forget_last_context():
+    schedules._LAST_CONTEXT = (None, None)
 
 
 def test_shared_grid_values_give_the_reports_of_fresh_ones(monkeypatch):
@@ -658,6 +677,7 @@ def test_shared_grid_values_give_the_reports_of_fresh_ones(monkeypatch):
             (q, dataclasses.replace(q, schedule=dataclasses.replace(
                 zero, lam=LambdaForm("power", -0.0))))):
         queries += [first, twin]
+    queries.append(queries[-1])
     built = []
 
     class Counted(schedules._Context):
@@ -666,13 +686,14 @@ def test_shared_grid_values_give_the_reports_of_fresh_ones(monkeypatch):
             super().__init__(q)
 
     monkeypatch.setattr(schedules, "_Context", Counted)
-    clear_grid_caches()
+    forget_last_context()
     shared = [report_bits(q) for q in queries]
-    # one context per distinct query: a repeat is no more than 8 queries back
-    assert len(built) == len({repr(q) for q in queries}) < len(queries)
+    # one context per query, but none for the appended repeat: the last
+    # query's context is kept, and only that one
+    assert len(built) == len(queries) - 1
     fresh = []
     for q in queries:
-        clear_grid_caches()
+        forget_last_context()
         fresh.append(report_bits(q))
     assert shared == fresh
     # n = -0.0 and beta = -0.0 change some margins or details of their twins'
@@ -693,7 +714,7 @@ def test_a_query_evaluates_each_rule_once(monkeypatch):
     families = {setting: tuple(wrapped.setdefault(rule, counted(rule)) for rule in rules)
                 for setting, rules in schedules._FAMILIES.items()}
     monkeypatch.setattr(schedules, "_FAMILIES", families)
-    clear_grid_caches()
+    forget_last_context()
     # the search's last report is the one the caller then asks for at t0
     p = PolyParams(b_coeff=1.0, n=0.7, eps_coeff=1.0, d=1.5, lam=LambdaForm("bounded", 1.0))
     t0 = suggest_t0_strong(p, 6.0, 0.1)
@@ -705,30 +726,71 @@ def test_a_query_evaluates_each_rule_once(monkeypatch):
     # though the fast and strong regimes both list it
     calls.clear()
     q = fast_example_query()
-    for check in (check_fast_rate_conditions, check_strong_conv_conditions,
-                  check_alpha3_conditions):
-        check(q)
+    fast, strong, _ = [check(q) for check in (check_fast_rate_conditions,
+                                              check_strong_conv_conditions,
+                                              check_alpha3_conditions)]
     assert sorted(calls.values()) == [1] * len(wrapped) == [1] * 20
     assert calls[schedules._PLAIN_CAP] == 1
+    # so both reports list the one b_growth_cap Verdict, and a report asked
+    # for again lists the same Verdicts, in a list of its own
+    (cap,) = [v for v in fast.verdicts if v.condition == "b_growth_cap"]
+    assert any(v is cap for v in strong.verdicts)
+    again = check_fast_rate_conditions(q)
+    assert again.verdicts is not fast.verdicts
+    assert len(again.verdicts) == len(fast.verdicts)
+    assert all(a is b for a, b in zip(again.verdicts, fast.verdicts))
 
 
 def test_editing_a_report_leaves_the_next_one_on_its_query_unchanged():
     # d = 1 with beta > 0 gives the strong report a warning and an a interval;
-    # the edited reports are a fresh query's, then ones built from kept results
+    # the edited reports are a fresh query's, then ones that list its kept
+    # Verdicts: those cannot be set, and a report's lists are its own
     q = ConditionQuery(6.0, 0.1, 5.0, PolyParams(b_coeff=2.0, n=0.0, eps_coeff=1.0, d=1.0))
     before = report_bits(q)
-    clear_grid_caches()
+    forget_last_context()
     for check in (check_fast_rate_conditions, check_strong_conv_conditions,
                   check_alpha3_conditions):
         rep = check(q)
-        rep.verdicts[0].margin = -1.0
-        rep.verdicts[-1].passed = not rep.verdicts[-1].passed
-        rep.verdicts[1].detail += " (edited)"
+        for name, value in (("margin", -1.0), ("passed", False), ("detail", "edited")):
+            with pytest.raises(AttributeError):
+                setattr(rep.verdicts[0], name, value)
+        rep.verdicts[1] = rep.verdicts[1]._replace(margin=-1.0)
         rep.verdicts.pop()
         rep.warnings.append("edited")
         rep.feasible_a = (0.0, 0.0)
     assert report_bits(q) == before
-    assert before[1][-1] and before[1][-2] is not None  # the strong warning and interval
+    assert before[1][-1] and before[1][-2] != repr(None)  # the strong warning and interval
+
+
+def test_threads_that_swap_the_kept_context_get_their_own_queries_reports():
+    # six threads, more than the cores, start together and alternate between
+    # two queries, with a switch interval short enough that they swap the one
+    # kept context under each other: every report must be its query's (a key
+    # and a context kept in two globals fail this)
+    queries = [fast_example_query(), strong_example_query()]
+    want = {repr(q): report_bits(q) for q in queries}
+    start, got, errors = threading.Barrier(6), [], []
+
+    def work():
+        try:
+            start.wait(timeout=60.0)
+            for q in queries * 50:
+                got.append(report_bits(q) == want[repr(q)])
+        except Exception as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not errors
+    assert len(got) == 6 * 100 and all(got)
 
 
 def test_shared_grid_values_are_read_only():
