@@ -38,7 +38,7 @@ that loop is a lane:
   the whole point.
 
 Each stepper's loop is generated Python source, from one template per
-stepper.  _kernel splices into it:
+stepper.  _source splices into it:
 - the reformulation's right-hand side, beta = 0 or beta > 0, inlined at
   every stage: the only place each reformulation is written (_deriv_src);
 - the schedule's stage constants, each a monomial c * t ** e read off the
@@ -67,6 +67,20 @@ with linecache under a name such as <proxdyn dp5 beta>0 numpy>, or
 <proxdyn dp5 beta=0 local c196f01a> with the CRC-32 of a source that
 inlines a prox, so tracebacks that the traceback module formats
 (pytest, logging, traceback.print_exc) show its lines; _source returns it.
+
+Which kernel runs: a DP5 variant on a float or local lane also has a C
+form (the native module), the same template written in C with the same
+right-hand side and prox translated from the Python source, which
+integrate and the public rhs_* run whenever it builds.  It is built with
+the system C compiler (cc on PATH) the first time the variant is asked
+for, and kept in $XDG_CACHE_HOME/proxdyn, or ~/.cache/proxdyn, as one
+shared library per source, compiler and platform; deleting that directory
+is always safe, since a missing library is built again.  RK4, the numpy
+lane, a prox source that the translator refuses, a host without cc and a
+failed build run the Python kernels, which are also the tests' reference.
+The results are bit-identical either way: the same samples, step counts,
+KX and KY, and the same errors with the same messages, t_last and h
+(tests/test_native.py).  There is no setting to choose between the two.
 
 The spliced expressions perform the same IEEE operations, in the same
 order, as the schedule's scalar forms fn.scalar, which use Python's ** (libm
@@ -100,12 +114,14 @@ for DP5 also KX, KY, the derivative at the last point.  It records each
 sample, t then x, y and the derivative of x, into four typed buffers
 (array('d')) that it creates, which hold each value as its 8 bytes, -0.0
 and NaN payloads included: a local lane appends its floats, a float lane
-extends by its lists, the numpy lane by its arrays' bytes.  integrate
-returns views of those buffers (np.frombuffer), so no sample is converted
-or copied, and builds the StepStats from the counters.  The public rhs_*
-run the variant's DP5 kernel from t to T = t, which evaluates the first
-stage and takes no step, and return its KX, KY, so they match the steppers
-bit for bit.
+extends by its lists, the numpy lane by its arrays' bytes; the compiled
+kernel fills C buffers and returns one copy of each as a numpy array.
+integrate returns views of those buffers (np.frombuffer), so no sample is
+converted or copied again, and builds the StepStats from the counters.
+The public rhs_* run the variant's DP5 kernel from t to T = t, which
+evaluates the first stage and takes no step, and return its KX, KY, so
+they match the steppers bit for bit; a compiled kernel hands such a run to
+its Python kernel, whose one stage costs less than a call into C.
 initial_aux, which runs once, evaluates lambda through its scalar form and
 takes the envelope gradient from the array prox, which equals the scalar
 form bit for bit; residual_second_order shares that array gradient.
@@ -583,11 +599,27 @@ def _source(kind: str, v: _Variant) -> str:
 
 @functools.lru_cache(maxsize=None)
 def _kernel(kind: str, *variant):
-    """The compiled kernel of kind for one variant (the fields of _Variant),
-    built the first time it is asked for and kept for the process.  Its
-    source is registered with linecache, for the traceback module to show
-    its lines; the name of a kernel with an inlined prox ends in the CRC-32
-    of its source, since the prox source tells such kernels apart."""
+    """The kernel of kind for one variant (the fields of _Variant), built
+    the first time it is asked for and kept for the process: the compiled
+    DP5 kernel of a float or local lane when it builds (native.dp5_kernel),
+    else the Python kernel."""
+    v = _Variant(*variant)
+    if kind == "rk45_adaptive" and v.lane != "numpy":
+        from . import native  # its build tools stay out of the import of the package
+
+        kernel = native.dp5_kernel(v, functools.partial(_python_kernel, kind, *variant))
+        if kernel is not None:
+            return kernel
+    return _python_kernel(kind, *variant)
+
+
+@functools.lru_cache(maxsize=None)
+def _python_kernel(kind: str, *variant):
+    """The Python kernel of kind for one variant, compiled from its
+    generated source the first time it is asked for.  Its source is
+    registered with linecache, for the traceback module to show its lines;
+    the name of a kernel with an inlined prox ends in the CRC-32 of its
+    source, since the prox source tells such kernels apart."""
     v = _Variant(*variant)
     src = _source(kind, v)
     filename = (f"<proxdyn {_TEMPLATES[kind][0]} beta{'>' if v.beta_positive else '='}0 {v.lane}"

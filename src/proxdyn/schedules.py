@@ -774,8 +774,7 @@ def energy_descent_start(cfg, q: float, a: float) -> float:
     if not 1.0 <= a < math.inf:
         raise ParameterDomainError(f"a must be >= 1 and finite, got {a:.6g}")
     _check_energy_index(q, alpha)
-    with np.errstate(over="ignore"):  # b(t0) = inf passes, and t_settle ignores it
-        b0 = float(s.b(t0))
+    b0 = s.b.scalar(t0)  # b(t0) = inf passes, and t_settle ignores it
     if b0 * a <= 1.0:
         raise InfeasibleError(f"need b(t0) > 1/a, got b(t0) = {b0:.6g}, 1/a = {1.0 / a:.6g}")
     coef = beta * (q + 2.0 - alpha)
@@ -834,7 +833,11 @@ def suggest_t0(params: PolyParams, alpha: float, beta: float, slack: float = 0.0
                 t0 = math.inf
                 break
             a_lo = max(1.0, 1.0 / b0) * (1.0 + 1e-12)
-            required = (a_lo * beta * E / (2.0 * d)) ** (1.0 / (d - 1.0))
+            ratio = a_lo * beta * E / (2.0 * d)
+            if math.isnan(ratio):  # inf / inf, both sides overflowed: in logs
+                ratio = _power(10.0, math.log10(a_lo) + math.log10(beta) + math.log10(E)
+                               - math.log10(2.0) - math.log10(d))
+            required = ratio ** (1.0 / (d - 1.0))
             if t0 >= required:
                 break
             t0 = required * (1.0 + 1e-9)
@@ -903,5 +906,10 @@ def suggest_t0_alpha3(params: PolyParams, beta: float) -> float:
             raise InfeasibleError("needs b > 1/2 + beta/t0, impossible for b <= 1/2")
         cands.append(beta / (B - 0.5))
         if B > 1.0:
-            cands.append(max(beta / B, _alpha3_damping(3.0, beta) / (2.0 * beta * (B - 1.0))))
+            den = 2.0 * beta * (B - 1.0)
+            # an underflow of 2 beta (B - 1): the candidate with beta cancelled,
+            # (2 beta + 1) / (2 (B - 1)), which is (2 beta^2 + beta) / den
+            damping = (_alpha3_damping(3.0, beta) / den if den != 0.0
+                       else (2.0 * beta + 1.0) / (2.0 * (B - 1.0)))
+            cands.append(max(beta / B, damping))
     return _escalate(params, 3.0, beta, check_alpha3_conditions, max(cands))

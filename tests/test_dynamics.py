@@ -34,6 +34,7 @@ from proxdyn import (
     moreau_value,
     scaled_shifted_quadratic,
 )
+from proxdyn.diagnostics import compute_observables, fit_rate_slope
 from proxdyn.dynamics import (
     IntegratorSettings,
     initial_aux,
@@ -298,6 +299,23 @@ def test_dp5_matches_the_closed_form_linear_flow():
     assert traj.xs[-1, 0] == pytest.approx(want[-1], rel=1e-3)
 
 
+def test_fitted_moreau_gap_slope_matches_the_closed_form():
+    # the gap x**2 / 4 of f = x**2 / 2 at lambda = 1 decays as t**-10 times
+    # an oscillation; over the last decade [14.1, 140] the fit on the run's
+    # samples gives -10.15057 and on the exact x at the same times -10.15334,
+    # apart by 2.77e-3.  Both bounds hold that gap within a factor of two: a
+    # wrong right-hand side moves the slope by more, and a gap of 0 would
+    # mean that the run's gap was not the integrated one
+    cfg, exact = _linear_flow(140.0)
+    traj = integrate(cfg)
+    exact_gap = [moreau_value(cfg.objective, 1.0, [x]) for x in exact(traj.ts)]
+    fits = [fit_rate_slope(traj.ts, gap) for gap in (compute_observables(traj).moreau_gap,
+                                                      np.array(exact_gap))]
+    assert fits[0].window == fits[1].window and fits[0].npoints == fits[1].npoints == 338
+    assert fits[1].slope == pytest.approx(-10.1533, abs=1e-4)
+    assert 1.4e-3 < fits[0].slope - fits[1].slope < 5.5e-3
+
+
 def test_rk4_global_error_on_the_closed_form_falls_at_fourth_order():
     # h = 0.04, 0.02 and 0.01 up to T = 14 give 2.27e-6, 1.28e-7 and 7.58e-9:
     # observed orders 4.15 and 4.08
@@ -479,7 +497,9 @@ def test_samples_cost_little_more_than_the_arrays_returned(lane):
                                  scaled_shifted_quadratic(2.0, [1.0, -0.5]),
                                  box_indicator(-1.0, 1.0, dim=2)], ids=lambda obj: obj.name)
 @pytest.mark.parametrize("beta", [0.0, 1.0])
-def test_builtin_kernels_inline_the_prox(obj, beta):
+def test_builtin_kernels_inline_the_prox(obj, beta, python_kernels):
+    # the Python kernels; the compiled DP5 kernels' C source inlines the
+    # prox too, and tests/test_native.py compares the two bit for bit
     cfg = make_cfg(objective=obj, beta=beta, x0=[1.0] * obj.dim, xdot0=[0.0] * obj.dim)
     for kind in ("rk45_adaptive", "rk4_fixed"):
         kernel, lane = dynamics._variant_kernel(kind, cfg)

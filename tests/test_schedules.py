@@ -269,6 +269,11 @@ def test_start_time_searches_survive_overflowing_powers():
     # (beta / B)**(1/(n + 1)) is inf: no start time is a float
     with pytest.raises(InfeasibleError, match="overflows"):
         suggest_t0(PolyParams(b_coeff=1e-300, n=100.0, eps_coeff=1e-12), 200.0, 1e12)
+    # a_lo beta E and 2 d both overflow in the admissible-a loop: the ratio is
+    # taken in logs, not as inf / inf = NaN, and the interval is nonempty at
+    # the settle time
+    p = PolyParams(b_coeff=1e-300, n=0.0, eps_coeff=1e308, d=1e308)
+    assert suggest_t0(p, 4.0, 1.0) == 1.9999999999999998e+300
     # the strong floor's candidate (floor / 9E)**(1/(2 - d)) overflows
     p = PolyParams(eps_coeff=1e-3, d=1.999, lam=LambdaForm("bounded", 1.0))
     with pytest.raises(InfeasibleError, match="overflows"):
@@ -458,6 +463,15 @@ def test_alpha3_checker_requires_alpha_exactly_three():
     p = PolyParams(b_coeff=1.5, n=0.0, eps_coeff=1.0, d=1.5)
     rep = check_alpha3_conditions(ConditionQuery(3.2, 0.0, 2.0, p))
     assert "alpha_is_3" in rep.failed()
+
+
+def test_alpha3_damping_candidate_survives_an_underflowing_denominator(monkeypatch):
+    # 2 beta (B - 1) underflows to 0 at beta = 5e-324, B = 1.2: the candidate
+    # is (2 beta + 1) / (2 (B - 1)), 2.5, not a ZeroDivisionError
+    result, starts = counted_search(monkeypatch, "alpha3", PolyParams(b_coeff=1.2), 3.0, 5e-324)
+    assert starts[0] == pytest.approx(2.5)
+    assert result == "no starting time found; still failing: t2_eps_diverges, poly_exponent_box"
+    assert suggest_t0_alpha3(PolyParams(b_coeff=1.2, d=1.5), 5e-324) == pytest.approx(2.5)
 
 
 def test_suggest_t0_alpha3_rejects_small_time_scale():

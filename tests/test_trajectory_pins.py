@@ -4,8 +4,11 @@ trajectory_pins.json holds, for each run, the sha256 of the bytes of the
 sampled ts, xs, auxs and xdots arrays, in that order, and the step counts
 (accepted, rejected, nfev).  The runs cover both steppers under beta = 0
 and beta > 0, each reformulation with the constant, power and bounded
-lambda forms and with eps = 0, and both preset objectives.  A second test checks the pins in a fresh interpreter with every
-numpy SIMD target beyond numpy's baseline disabled.  After an intended
+lambda forms and with eps = 0, and both preset objectives.  The DP5 runs
+take the compiled kernels where a C compiler is found, and a second test
+checks every pin on the Python kernels.  A third checks the pins on both
+in a fresh interpreter with every numpy SIMD target beyond numpy's
+baseline disabled.  After an intended
 change of the trajectories, regenerate the file from the repository root with
 
     PYTHONPATH=src python tests/test_trajectory_pins.py
@@ -95,6 +98,12 @@ def test_trajectory_matches_pinned(run):
     assert trajectory_record(run) == expected
 
 
+@pytest.mark.parametrize("run", list(RUNS))
+def test_python_kernel_matches_pinned(run, python_kernels):
+    expected = json.loads(EXPECTED.read_text())[run]
+    assert trajectory_record(run) == expected
+
+
 def _simd_targets():
     """The dispatch targets of this numpy build beyond its baseline that this
     machine supports, or None when numpy does not expose them."""
@@ -111,14 +120,21 @@ def _simd_targets():
 
 
 # run in a fresh interpreter with numpy's SIMD targets disabled; it checks
-# first that numpy took the setting, since numpy ignores names it does not know
+# first that numpy took the setting, since numpy ignores names it does not
+# know, then records every pin on the kernels that integrate picks and
+# again on the Python kernels
 _DISPATCH_SCRIPT = """
 import json, os, sys
+from proxdyn import dynamics, native
 import test_trajectory_pins as pins
 kept = set(pins._simd_targets()) & set(os.environ["NPY_DISABLE_CPU_FEATURES"].split())
 if kept:
     sys.exit(f"numpy kept the targets {sorted(kept)}")
-print(json.dumps({run: pins.trajectory_record(run) for run in pins.RUNS}))
+records = [{run: pins.trajectory_record(run) for run in pins.RUNS}]
+native._compiler = lambda: None
+dynamics._kernel.cache_clear()
+records.append({run: pins.trajectory_record(run) for run in pins.RUNS})
+print(json.dumps(records))
 """
 
 
@@ -137,7 +153,7 @@ def test_trajectories_do_not_depend_on_numpy_simd_dispatch():
     res = subprocess.run([sys.executable, "-c", _DISPATCH_SCRIPT], env=env,
                          capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stderr
-    assert json.loads(res.stdout) == json.loads(EXPECTED.read_text())
+    assert json.loads(res.stdout) == [json.loads(EXPECTED.read_text())] * 2
 
 
 if __name__ == "__main__":
