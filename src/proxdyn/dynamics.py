@@ -120,8 +120,8 @@ integrate returns views of those buffers (np.frombuffer), so no sample is
 converted or copied again, and builds the StepStats from the counters.
 The public rhs_* run the variant's DP5 kernel from t to T = t, which
 evaluates the first stage and takes no step, and return its KX, KY, so
-they match the steppers bit for bit; a compiled kernel hands such a run to
-its Python kernel, whose one stage costs less than a call into C.
+they match the steppers bit for bit, on the compiled kernel as on the
+Python one.
 initial_aux, which runs once, evaluates lambda through its scalar form and
 takes the envelope gradient from the array prox, which equals the scalar
 form bit for bit; residual_second_order shares that array gradient.

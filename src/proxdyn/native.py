@@ -23,8 +23,10 @@ has four parts:
   scalar forms fn.scalar compute them.
 A division by zero, where Python raises ZeroDivisionError, makes the
 kernel hand the run to the Python kernel, from its start, which raises
-there; so does a number that is not a float (or an int that a float
-holds exactly), such as a numpy scalar.  Every other outcome, the samples,
+there; so does a number that the C kernel cannot take as Python takes it,
+such as a numpy scalar, an int state, start time or prox parameter (which
+Python combines with each other as exact ints), or an int that no float
+holds exactly.  Every other outcome, the samples,
 the step counters, KX and KY, and each DivergenceError or StepSizeError
 with its message, t_last and h, is the Python kernel's, bit for bit.
 
@@ -34,7 +36,9 @@ The C source is compiled with the system C compiler, cc on PATH, as
 
 (no fast-math, no -march, no contraction into fused multiply-adds) into a
 shared library loaded through ctypes, the first time integrate or an rhs_*
-asks for the variant; nothing compiles or starts a process at import, in
+asks for the variant; a host whose C keeps doubles in wider registers
+(FLT_EVAL_METHOD other than 0, as 32-bit x86 with x87 does) fails that
+build, by an #error in the source, and keeps the Python kernel.  Nothing compiles or starts a process at import, in
 build_run or in validation.  The library is kept in a cache directory,
 $XDG_CACHE_HOME/proxdyn or else ~/.cache/proxdyn, of mode 0700, under the
 SHA-256 of its source, the compiler command and the platform, written to a
@@ -89,9 +93,16 @@ _NUMBERS = ("T0", "HORIZON", "ATOL", "RTOL", "MAX_STEP", "THRESHOLD", "NALPHA", 
             "LO", "BC", "BE", "EC", "EE", "LC", "LE")
 
 _TEMPLATE = """\
+#include <float.h>
 #include <math.h>
 #include <stdlib.h>
 #include <string.h>
+
+/* each double operation rounded to a double, as CPython rounds it: a host
+   that keeps intermediates in wider registers (x87) builds no kernel */
+#if FLT_EVAL_METHOD != 0
+#error "double arithmetic here is not IEEE binary64 operation by operation"
+#endif
 
 /* what the kernel records: n samples of t and of the m coordinates of x, y
    and xdot in buffers of cap rows, the step counters, and the t and h an
@@ -520,11 +531,14 @@ def _private_dir() -> str:
 def _cache_dir() -> str:
     """$XDG_CACHE_HOME/proxdyn, or ~/.cache/proxdyn when XDG_CACHE_HOME is
     unset, empty or relative, made with mode 0700 or set to it; the private
-    directory of the process when that path is not a directory of this user
-    (a symlink is not), or cannot be made or set to 0700."""
+    directory of the process when ~ does not expand to an absolute path, or
+    that path is not a directory of this user (a symlink is not), or cannot
+    be made or set to 0700."""
     base = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(base):
         base = os.path.join(os.path.expanduser("~"), ".cache")
+    if not os.path.isabs(base):  # no HOME, and a uid with no passwd entry
+        return _private_dir()
     path = os.path.join(base, "proxdyn")
     try:
         os.makedirs(path, mode=0o700, exist_ok=True)
@@ -582,9 +596,19 @@ def _load(source: str):
 # --------------------------------------------------------------- the kernel
 
 
+def _float(value) -> float:
+    """value, when it is a float; the state, t, max_step (which h may take)
+    and the prox's parameters, which the loop or a prox source may combine
+    with each other, must be."""
+    if type(value) is not float:
+        raise _Refused(f"number {value!r}")
+    return value
+
+
 def _double(value) -> float:
     """value as a double, when Python's arithmetic on it is a double's: a
-    float, or an int that a float holds exactly."""
+    float, or an int that a float holds exactly, for the numbers that the
+    loop only ever combines with a float."""
     if type(value) is float:
         return value
     if type(value) is int:
@@ -634,19 +658,18 @@ class CompiledKernel:
     def _arguments(self, X, Y, t, T, settings, cfg):
         """(m, w, q, counts, prm) for the C kernel and the parameter arrays
         that prm points into; raises _Refused."""
-        if type(t) is not float or type(T) is not float:
-            raise _Refused("t and T must be floats")
         xs, ys = ([X], [Y]) if self.lane == "local" else (X, Y)
         m = len(xs)
         s = cfg.schedule
-        q = (ctypes.c_double * len(_NUMBERS))(*map(_double, (
-            t, T, settings.atol, settings.rtol, settings.max_step,
-            settings.divergence_threshold, -cfg.alpha, cfg.beta, s.lam.offset,
-            s.b.coef, s.b.exponent, s.eps.coef, s.eps.exponent,
-            s.lam.term.coef, s.lam.term.exponent)))
+        q = (ctypes.c_double * len(_NUMBERS))(
+            _float(t), _double(T), *map(_double, (settings.atol, settings.rtol)),
+            _float(settings.max_step), *map(_double, (
+                settings.divergence_threshold, -cfg.alpha, cfg.beta, s.lam.offset,
+                s.b.coef, s.b.exponent, s.eps.coef, s.eps.exponent,
+                s.lam.term.coef, s.lam.term.exponent)))
         w = (ctypes.c_double * (10 * m))()
-        w[:m] = list(map(_double, xs))
-        w[m:2 * m] = list(map(_double, ys))
+        w[:m] = list(map(_float, xs))
+        w[m:2 * m] = list(map(_float, ys))
         counts = (ctypes.c_longlong * 2)(_count(settings.max_steps), _count(settings.sample_stride))
         values = cfg.objective.prox.coordinate_params
         prm, keep = None, []
@@ -657,23 +680,14 @@ class CompiledKernel:
                 if array:
                     if type(value) not in (list, tuple) or len(value) < m:
                         raise _Refused(f"parameter {name}")
-                    value = list(map(_double, value))
+                    value = list(map(_float, value))
                 else:
-                    value = [_double(value)]
+                    value = [_float(value)]
                 keep.append((ctypes.c_double * len(value))(*value))
                 prm[j] = ctypes.cast(keep[-1], _DOUBLES)
         return m, w, q, counts, prm, keep
 
     def __call__(self, X, Y, t, T, settings, cfg):
-        # a run that takes no step, from t to T = t as the public rhs_* make
-        # it, evaluates one stage: the Python kernel does that in less time
-        # than the ctypes call takes
-        if not t < T:
-            return self.python()(X, Y, t, T, settings, cfg)
-        return self.run_c(X, Y, t, T, settings, cfg)
-
-    def run_c(self, X, Y, t, T, settings, cfg):
-        """The call on the C kernel, unless it refuses a number of the run."""
         try:
             m, w, q, counts, prm, keep = self._arguments(X, Y, t, T, settings, cfg)
         except _Refused:

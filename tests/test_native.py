@@ -2,14 +2,17 @@
 cache and fallbacks around them."""
 
 import ast
+import ctypes
 import dataclasses
 import math
 import os
+import platform
 import re
 import shutil
 import stat
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,12 +113,12 @@ def test_compiled_kernel_matches_python_on_every_builtin(name, beta):
         compiled, python = both(cfg, settings)
         assert compiled[0] == "returned"
         assert compiled == python
-    # t = T: the first stage alone, as the public rhs_* take it, which the
-    # compiled kernel hands to the Python kernel; run_c runs it in C
+    # t = T: the first stage alone, as the public rhs_* take it
     kernel, lane = dynamics._variant_kernel("rk45_adaptive", cfg)
     args = (dynamics._split(cfg.x0, lane), dynamics._split(cfg.xdot0, lane), 5.0, 5.0,
             IntegratorSettings(), cfg)
-    got, want = kernel.run_c(*args), kernel.python()(*args)
+    kernel._arguments(*args)  # takes every number: the run is in C
+    got, want = kernel(*args), kernel.python()(*args)
     assert [memoryview(a).tobytes() for a in got[0]] == [memoryview(a).tobytes() for a in want[0]]
     assert [_bits(k) for k in got[2:]] == [_bits(k) for k in want[2:]]
     assert got[1] == want[1] == (0, 0, 1)
@@ -192,10 +195,37 @@ def test_a_division_by_zero_runs_on_the_python_kernel():
 
 
 @needs_cc
+def test_an_int_horizon_runs_in_c():
+    # T is only ever combined with a float, so an int that a float holds
+    # exactly gives Python's results
+    cfg = make_cfg(abs_plus_quad(), 1.0, horizon=30)
+    assert type(cfg.horizon) is int
+    kernel, lane = dynamics._variant_kernel("rk45_adaptive", cfg)
+    kernel._arguments(1.0, 0.0, 1.4, 30, IntegratorSettings(), cfg)
+    compiled, python = both(cfg, IntegratorSettings())
+    assert compiled[0] == "returned"
+    assert compiled == python
+
+
+@needs_cc
+def test_int_prox_parameters_run_on_the_python_kernel():
+    # Python multiplies two int parameters exactly: c * k = 2**1200 in u * (c
+    # * k) raises OverflowError, where doubles would give inf
+    obj = _custom("u * (c * k)", c=2 ** 600, k=2 ** 600)
+    cfg = make_cfg(obj, 0.0)
+    kernel, lane = dynamics._variant_kernel("rk45_adaptive", cfg)
+    assert isinstance(kernel, native.CompiledKernel)
+    with pytest.raises(native._Refused):
+        kernel._arguments(1.0, 0.0, 1.4, 30.0, IntegratorSettings(), cfg)
+    with pytest.raises(OverflowError):
+        integrate(cfg)
+
+
+@needs_cc
 def test_a_number_that_is_not_a_float_runs_on_the_python_kernel():
     source = "(u + lam * c * z[i]) / (1.0 + lam * c)"
     for params in ({"c": np.float64(2.0), "z": [1.0]}, {"c": 2.0, "z": np.array([1.0])},
-                   {"c": 2.0, "z": []}):
+                   {"c": 2.0, "z": []}, {"c": 2, "z": [1.0]}, {"c": 2.0, "z": [1]}):
         obj = _custom(source, scaled_shifted_quadratic(2.0, 1.0).prox, **params)
         kernel, lane = dynamics._variant_kernel("rk45_adaptive", make_cfg(obj, 1.0))
         assert isinstance(kernel, native.CompiledKernel)
@@ -220,6 +250,25 @@ def test_translator_refuses_what_it_does_not_know(source):
         native._Translator({"x": "x", "l": "l"},
                            frozenset(f"prox_{n}" for n, array in names if array)).expr(
             ast.parse(prox, mode="eval").body)
+
+
+def test_every_source_refuses_wide_double_evaluation():
+    v = dynamics._Variant(False, "local", abs_plus_quad().prox.coordinate_source, ())
+    src = native.c_source(v)
+    guard = src.index("#if FLT_EVAL_METHOD != 0\n#error ")
+    assert src.index("#include <float.h>") < guard < src.index("static double power")
+
+
+@needs_cc
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="needs x86-64's x87")
+def test_x87_double_evaluation_fails_the_build(tmp_path):
+    # gcc and clang on x86-64 take -mfpmath=387, and then FLT_EVAL_METHOD is 2
+    v = dynamics._Variant(False, "local", abs_plus_quad().prox.coordinate_source, ())
+    command = [native._compiler(), *native._FLAGS]
+    with pytest.raises(native._BuildFailed, match="FLT_EVAL_METHOD|IEEE binary64"):
+        native._build(str(tmp_path), "x87.so", native.c_source(v), [*command, "-mfpmath=387"])
+    assert native._build(str(tmp_path), "sse.so", native.c_source(v), command)
+    assert sorted(os.listdir(tmp_path)) == ["sse.so"]
 
 
 def test_translator_keeps_python_order_and_choices():
@@ -296,6 +345,52 @@ def test_kernels_are_cached_per_machine(monkeypatch, tmp_path):
         assert got.xs.tobytes() == want.xs.tobytes()
     finally:
         dynamics._kernel.cache_clear()
+
+
+@needs_cc
+def test_a_home_that_does_not_expand_builds_in_a_private_directory(monkeypatch, tmp_path):
+    # with HOME unset and a uid with no passwd entry, ~ stays ~: no directory
+    # named ~ appears in the working directory
+    monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+    monkeypatch.setattr(os.path, "expanduser", lambda path: path)
+    monkeypatch.chdir(tmp_path)
+    assert native._cache_dir() == native._private_dir()
+    assert os.listdir(tmp_path) == []
+
+
+@needs_cc
+def test_compiled_samples_cost_little_more_than_the_arrays_returned():
+    # the C buffers grow by doubling, so they end with fewer than 2n rows for
+    # n samples, and the last realloc holds at most 1.5 times that; the run
+    # returns one copy of the n rows.  So the peak stays below 4x the bytes
+    # returned, the Python kernels' bound (test_dynamics), though tracemalloc
+    # sees only the copies
+    cfg = make_cfg(l1_norm(8), 0.0, horizon=14.0)
+    kernel, lane = dynamics._variant_kernel("rk45_adaptive", cfg)
+    m, w, q, counts, prm, keep = kernel._arguments(
+        cfg.x0.tolist(), dynamics.initial_aux(cfg).tolist(), float(cfg.t0), cfg.horizon,
+        IntegratorSettings(), cfg)
+    out = native._Out()
+    try:
+        assert kernel.run(m, w, q, counts, prm, ctypes.byref(out)) == native._OK
+        n, cap = out.n, out.cap
+    finally:
+        kernel.free(ctypes.byref(out))
+    integrate(cfg)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        traj = integrate(cfg)
+        traced = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    row = 8 * (1 + 3 * m)
+    returned = sum(a.nbytes for a in (traj.ts, traj.xs, traj.auxs, traj.xdots))
+    assert len(traj) == n > 100 and returned == n * row
+    assert cap < 2 * n
+    assert traced < 1.1 * returned, (traced, returned)
+    assert max(1.5 * cap * row, cap * row + traced) < 4 * returned, (cap, n, traced)
 
 
 @needs_cc
