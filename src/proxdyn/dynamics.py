@@ -5,13 +5,11 @@ The second-order system
     x'' + (alpha/t) x' + beta (d/dt) grad_e(t, x) + b(t) grad_e(t, x) + eps(t) x = 0
 
 with grad_e(t, x) the Moreau-envelope gradient at smoothing lambda(t), is
-integrated through one of two equivalent first-order reformulations.  With
-beta = 0 the auxiliary variable is plain velocity: x' = y and
-y' = -(alpha/t) y - b grad_e - eps x.  With Hessian-driven damping
-(beta > 0) it is w = x' + beta grad_e, which absorbs the envelope-gradient
+integrated as one first-order system for every beta >= 0.  Its auxiliary
+variable is w = x' + beta grad_e, which absorbs the envelope-gradient
 derivative, so the right-hand side needs no second derivatives:
-x' = w - beta grad_e and w' = -(alpha/t) x' - b grad_e - eps x, the
-beta = 0 system plus one term.
+x' = w - beta grad_e and w' = -(alpha/t) x' - b grad_e - eps x.  At
+beta = 0, w is the velocity x'.
 
 The steppers are deliberately self-contained: an embedded Dormand-Prince
 5(4) pair with FSAL and a PI-free step controller, plus classical fixed-step
@@ -27,51 +25,49 @@ runs coordinate-major.  The right-hand side is separable: coordinate i
 of (xdot, ydot) depends on (x_i, y_i) alone, since a built-in prox acts
 coordinate by coordinate.  So a step runs every stage of one coordinate
 pair as straight-line code before it moves to the next pair.  The unit of
-that loop is a lane:
+that loop is a lane, and the prox alone sets its kind:
 - a float lane is one coordinate on Python floats, held in lists, for a prox
   that carries its scalar source prox.coordinate_source (every built-in
-  does); the stepper makes no numpy call per step there;
-- the local lane is the float lane of a one-dimensional run, chosen by the
-  objective's dim alone: x, y, k0 and k6 are local floats, not lists of one;
+  does), at every dim, 1 included; the stepper makes no numpy call per step
+  there;
 - a numpy lane is the whole point as 1-D arrays, the single lane of a prox
   without a scalar source, such as a swapped or custom one, which runs on
   the whole point.
 
 Each stepper's loop is generated Python source, from one template per
 stepper.  _source splices into it:
-- the reformulation's right-hand side, beta = 0 or beta > 0, inlined at
-  every stage: the only place each reformulation is written (_deriv_src);
+- the right-hand side, inlined at every stage: the only place the flow is
+  written, for every beta (_deriv_src);
 - the schedule's stage constants, each a monomial c * t ** e read off the
   schedule, and lambda's offset plus its term, lo + lc * t ** le, evaluated
   once at each distinct stage time (DP5's c5 = c6 = 1 and RK4's two
-  midpoints share one), with -(alpha/t): the same four constants (-(alpha/t),
-  b, lambda, eps) for both reformulations (_consts_src);
-- on a float or local lane, the prox's scalar source in place of a prox
-  call, at every stage, with u and lam the stage's and each parameter a
-  local prox_<name> that the kernel unpacks from the source's params in
+  midpoints share one), with -(alpha/t) (_consts_src);
+- on float lanes, the prox's scalar source in place of a prox call, at
+  every stage, with u and lam the stage's and each parameter a local
+  prox_<name> that the kernel unpacks from the source's params in
   cfg.objective.prox (_prox_src);
 - the Dormand-Prince tableau, as repr float literals;
-- the lane kind: float lanes, the local lane, or the single numpy lane.
-So a step on a float or local lane calls no Python function (a source may
-call builtins such as max), and one on the numpy lane calls the prox once
-per right-hand-side evaluation.  Each variant is compiled once per process
+- the lane kind: float lanes or the single numpy lane.
+So a step on float lanes calls no Python function (a source may call
+builtins such as max), and one on the numpy lane calls the prox once per
+right-hand-side evaluation.  Each variant is compiled once per process
 (functools.lru_cache, keyed by the prox source text and its parameter
-names): 2 steppers for each reformulation and lane kind, 12 in all, and
-float and local lanes once per prox source, each the first time integrate
-or an rhs_* asks for it, never at import, in build_run or in validation.
-The run's numbers (alpha, beta, the monomials, the tolerances, the prox's
-parameters) come from the arguments, never source text, so a constant, a
-power and a bounded lambda share a kernel: a constant c is c + 0 * t ** 0,
-which is c at every t, since t ** 0.0 is 1.0.  Each source is registered
-with linecache under a name such as <proxdyn dp5 beta>0 numpy>, or
-<proxdyn dp5 beta=0 local c196f01a> with the CRC-32 of a source that
-inlines a prox, so tracebacks that the traceback module formats
-(pytest, logging, traceback.print_exc) show its lines; _source returns it.
+names): 2 steppers for each lane kind, 4 in all, and float lanes once per
+prox source, each the first time integrate or an rhs_* asks for it, never
+at import, in build_run or in validation.  The run's numbers (alpha, beta,
+the monomials, the tolerances, the prox's parameters) come from the
+arguments, never source text, so a beta = 0 and a beta > 0 run share a
+kernel, and so do a constant, a power and a bounded lambda: a constant c is
+c + 0 * t ** 0, which is c at every t, since t ** 0.0 is 1.0.  Each source
+is registered with linecache under a name such as <proxdyn dp5 numpy>, or
+<proxdyn dp5 float c196f01a> with the CRC-32 of a source that inlines a
+prox, so tracebacks that the traceback module formats (pytest, logging,
+traceback.print_exc) show its lines; _source returns it.
 
-Which kernel runs: a DP5 variant on a float or local lane also has a C
-form (the native module), the same template written in C with the same
-right-hand side and prox translated from the Python source, which
-integrate and the public rhs_* run whenever it builds.  It is built with
+Which kernel runs: a DP5 variant on float lanes also has a C form (the
+native module), the same template written in C with the same right-hand
+side and prox translated from the Python source, which integrate and the
+public rhs_* run whenever it builds.  It is built with
 the system C compiler (cc on PATH) the first time the variant is asked
 for, and kept in $XDG_CACHE_HOME/proxdyn, or ~/.cache/proxdyn, as one
 shared library per source, compiler and platform; deleting that directory
@@ -113,8 +109,8 @@ records: its samples and its step counters (accepted, rejected, nfev), and
 for DP5 also KX, KY, the derivative at the last point.  It records each
 sample, t then x, y and the derivative of x, into four typed buffers
 (array('d')) that it creates, which hold each value as its 8 bytes, -0.0
-and NaN payloads included: a local lane appends its floats, a float lane
-extends by its lists, the numpy lane by its arrays' bytes; the compiled
+and NaN payloads included: float lanes extend them by their lists, the
+numpy lane by its arrays' bytes; the compiled
 kernel fills C buffers and returns one copy of each as a numpy array.
 integrate returns views of those buffers (np.frombuffer), so no sample is
 converted or copied again, and builds the StepStats from the counters.
@@ -227,10 +223,9 @@ def _grad(prox, lam, x):
 
 
 def _split(v, lane: str):
-    """The lane values of a 1-D array of dim floats: one float per lane in a
-    list, the one float of the local lane, or the numpy lane's array."""
-    return (float(v[0]) if lane == "local" else [np.array(v, dtype=float)] if lane == "numpy"
-            else v.tolist())
+    """The lane values of a 1-D array of dim floats: one float per lane, or
+    the numpy lane's array, in a list."""
+    return [np.array(v, dtype=float)] if lane == "numpy" else v.tolist()
 
 
 # ------------------------------------------------------------ step kernels
@@ -241,7 +236,7 @@ def _split(v, lane: str):
 # the line "$body" in those lines places.  Every other $name is a token
 # (_tokens).  X, Y, KX and KY are the lane values of the state u = (x, y)
 # and of k0, the derivative at (t, u); (X$flat) is a sequence of the
-# coordinates of X, and X$at the value of X in lane i.  Each stage argument
+# coordinates of X, and X[i] the value of X in lane i.  Each stage argument
 # is, lane by lane, the array expression in the comment above it, with
 # k = (kx, ky).
 
@@ -269,7 +264,7 @@ def dp5(X, Y, t, T, settings, cfg):
         t5 = t + $c5 * h
         $consts t1 t2 t3 t4 t5
         $lanes XN=xn YN=yn KXN=kx6 KYN=ky6 SX=sx SY=sy
-            x, y, kx0, ky0 = X$at, Y$at, KX$at, KY$at
+            x, y, kx0, ky0 = X[i], Y[i], KX[i], KY[i]
             # u + h * (a10 * k0)
             x1 = x + h * ($a10 * kx0)
             y1 = y + h * ($a10 * ky0)
@@ -358,7 +353,7 @@ def rk4(X, Y, t, T, settings, cfg):
         t2 = t + h
         $consts t1 t2
         $lanes XN=xn YN=yn
-            x, y, kx0, ky0 = X$at, Y$at, KX$at, KY$at
+            x, y, kx0, ky0 = X[i], Y[i], KX[i], KY[i]
             # u + 0.5 * h * k0, u + 0.5 * h * k1, u + h * k2
             x1 = x + 0.5 * h * kx0
             y1 = y + 0.5 * h * ky0
@@ -414,10 +409,14 @@ _DP5_TABLEAU = {
 
 @dataclass(frozen=True)
 class _Variant:
-    beta_positive: bool
-    lane: str  # "float", "local" or "numpy"
-    prox_source: str = ""  # float and local lanes: the prox's scalar source
+    prox_source: str = ""  # float lanes: the prox's scalar source
     prox_params: tuple = ()  # and the names of its parameters
+
+    @property
+    def lane(self) -> str:
+        """The lane kind: float lanes for a prox with a scalar source, else
+        the numpy lane."""
+        return "float" if self.prox_source else "numpy"
 
 
 # the stage constants by prefix k: the schedule function's attribute, for
@@ -458,33 +457,26 @@ def _prox_src(v: _Variant, x: str, lam: str) -> str:
 
 def _deriv_src(v: _Variant, k: str, x: str, y: str, kx: str, ky: str) -> str:
     """(kx, ky), the derivative of one lane at the point (x, y), from the
-    stage constants of suffix k; the only place each reformulation is
-    written.  It checks nothing."""
+    stage constants of suffix k; the only place the flow is written, for
+    every beta.  It checks nothing."""
     prox = f"prox(l{k}, {x})" if v.lane == "numpy" else _prox_src(v, x, f"l{k}")
-    grad = f"(({x} - {prox}) / l{k})"
-    if v.beta_positive:
-        # g = grad, xdot = w - beta * g, wdot = -(alpha / t) * xdot - b * g - eps * x
-        return (f"g = {grad}\n{kx} = {y} - beta * g\n"
-                f"{ky} = a{k} * {kx} - b{k} * g - e{k} * {x}")
-    # xdot = y, ydot = -(alpha / t) * y - b * grad - eps * x
-    return f"{kx} = {y}\n{ky} = a{k} * {y} - b{k} * {grad} - e{k} * {x}"
+    # g = grad, xdot = w - beta * g, wdot = -(alpha / t) * xdot - b * g - eps * x
+    return (f"g = (({x} - {prox}) / l{k})\n{kx} = {y} - beta * g\n"
+            f"{ky} = a{k} * {kx} - b{k} * g - e{k} * {x}")
 
 
 def _k0_src(v: _Variant, t: str) -> str:
     """KX, KY: the derivative of every lane at (t, X, Y)."""
     return (f"$consts {t}\n"
             "$lanes KX=kx0 KY=ky0\n"
-            "    x, y = X$at, Y$at\n"
+            "    x, y = X[i], Y[i]\n"
             "    $deriv 0 x y kx0 ky0")
 
 
 def _lanes_src(v: _Variant, *outputs: str) -> str:
     """The body run in every lane.  Each output NAME=local gathers local
-    from every lane into NAME: a list, but the float itself on the local
-    lane, which runs the body once, without a loop."""
+    from every lane into the list NAME."""
     pairs = [output.split("=") for output in outputs]
-    if v.lane == "local":
-        return "\n".join(["$body", *(f"{name} = {local}" for name, local in pairs)])
     return "\n".join([", ".join(name for name, _ in pairs) + " = " + ", ".join(["[]"] * len(pairs)),
                       "for i in lanes:", "    $body",
                       *(f"    {name}.append({local})" for name, local in pairs)])
@@ -492,24 +484,20 @@ def _lanes_src(v: _Variant, *outputs: str) -> str:
 
 def _sum_src(v: _Variant, total: str, *gathered: str) -> str:
     """total = 0.0 plus the lane values of each gathered name in turn, added
-    left to right; the local lane leaves out the 0.0, as its first value, a
-    square, is never -0.0."""
-    if v.lane == "local":
-        return f"{total} = {' + '.join(gathered)}"
+    left to right."""
     return (f"{total} = 0.0\n"
             f"for q in {' + '.join(f'({name}$flat)' for name in gathered)}:\n"
             f"    {total} += q")
 
 
 def _prelude_src(v: _Variant) -> str:
-    """The empty sample buffers, the lanes (the local lane is lane i = 0),
-    the run's numbers from cfg (alpha, beta, nalpha = -alpha, lambda's offset
-    lo, and the coefficient kc and exponent ke of each monomial the stage
-    constants take) and the objective's prox: the array prox on the numpy
-    lane, and on a float or local lane the values of its source's
-    parameters, as locals prox_<name>."""
+    """The empty sample buffers, the lanes, the run's numbers from cfg
+    (alpha, beta, nalpha = -alpha, lambda's offset lo, and the coefficient kc
+    and exponent ke of each monomial the stage constants take) and the
+    objective's prox: the array prox on the numpy lane, and on float lanes
+    the values of its source's parameters, as locals prox_<name>."""
     lines = ['ts, xs, ys, xdots = array("d"), array("d"), array("d"), array("d")',
-             "i = 0" if v.lane == "local" else "lanes = range(len(X))",
+             "lanes = range(len(X))",
              "alpha, beta, sched = cfg.alpha, cfg.beta, cfg.schedule",
              "nalpha = -alpha",
              "lo = sched.lam.offset"]
@@ -537,10 +525,10 @@ def _guard_src(v: _Variant, t_last: str) -> str:
 
 def _sample_src(v: _Variant) -> str:
     """A sample: t, x, y and the derivative of x, each appended to its typed
-    buffer (array('d')) as doubles, bit for bit: a float, a list of floats,
-    or the bytes of a numpy lane's array, as float64 (an array prox of
-    another dtype, such as longdouble, makes the state that dtype)."""
-    put = {"local": "{}.append({})", "float": "{}.fromlist({})",
+    buffer (array('d')) as doubles, bit for bit: a list of floats, or the
+    bytes of a numpy lane's array, as float64 (an array prox of another
+    dtype, such as longdouble, makes the state that dtype)."""
+    put = {"float": "{}.fromlist({})",
            "numpy": "{}.frombytes({}[0].astype(float, copy=False).tobytes())"}[v.lane]
     return "\n".join(["ts.append(t)", *(put.format(buf, lane) for buf, lane in
                                          (("xs", "X"), ("ys", "Y"), ("xdots", "KX")))])
@@ -564,8 +552,7 @@ def _tokens(v: _Variant) -> dict:
     pick = "maximum({0}, {1})" if v.lane == "numpy" else "({1} if {1} > {0} else {0})"
     tokens.update(min_step=repr(_MIN_STEP),
                   maxx=pick.format("ax", "axn"), maxy=pick.format("ay", "ayn"),
-                  flat={"float": "", "local": ",", "numpy": "[0].tolist()"}[v.lane],
-                  at="" if v.lane == "local" else "[i]")
+                  flat="[0].tolist()" if v.lane == "numpy" else "")
     return tokens
 
 
@@ -598,31 +585,28 @@ def _source(kind: str, v: _Variant) -> str:
 
 
 @functools.lru_cache(maxsize=None)
-def _kernel(kind: str, *variant):
-    """The kernel of kind for one variant (the fields of _Variant), built
-    the first time it is asked for and kept for the process: the compiled
-    DP5 kernel of a float or local lane when it builds (native.dp5_kernel),
-    else the Python kernel."""
-    v = _Variant(*variant)
+def _kernel(kind: str, v: _Variant):
+    """The kernel of kind for variant v, built the first time it is asked
+    for and kept for the process: the compiled DP5 kernel of float lanes
+    when it builds (native.dp5_kernel), else the Python kernel."""
     if kind == "rk45_adaptive" and v.lane != "numpy":
         from . import native  # its build tools stay out of the import of the package
 
-        kernel = native.dp5_kernel(v, functools.partial(_python_kernel, kind, *variant))
+        kernel = native.dp5_kernel(v, functools.partial(_python_kernel, kind, v))
         if kernel is not None:
             return kernel
-    return _python_kernel(kind, *variant)
+    return _python_kernel(kind, v)
 
 
 @functools.lru_cache(maxsize=None)
-def _python_kernel(kind: str, *variant):
-    """The Python kernel of kind for one variant, compiled from its
-    generated source the first time it is asked for.  Its source is
-    registered with linecache, for the traceback module to show its lines;
-    the name of a kernel with an inlined prox ends in the CRC-32 of its
-    source, since the prox source tells such kernels apart."""
-    v = _Variant(*variant)
+def _python_kernel(kind: str, v: _Variant):
+    """The Python kernel of kind for variant v, compiled from its generated
+    source the first time it is asked for.  Its source is registered with
+    linecache, for the traceback module to show its lines; the name of a
+    kernel with an inlined prox ends in the CRC-32 of its source, since the
+    prox source tells such kernels apart."""
     src = _source(kind, v)
-    filename = (f"<proxdyn {_TEMPLATES[kind][0]} beta{'>' if v.beta_positive else '='}0 {v.lane}"
+    filename = (f"<proxdyn {_TEMPLATES[kind][0]} {v.lane}"
                 f"{f' {zlib.crc32(src.encode()):08x}' if v.prox_source else ''}>")
     linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
     namespace = {"array": array, "math": math, "maximum": np.maximum,
@@ -632,17 +616,12 @@ def _python_kernel(kind: str, *variant):
 
 
 def _variant_kernel(kind: str, cfg: SystemConfig):
-    """(kernel, lane) for cfg.  The numpy lane runs a prox without a scalar
-    source; a one-dimensional objective with a source runs on the local
-    lane, and any other on float lanes."""
+    """(kernel, lane) for cfg, at every beta.  The numpy lane runs a prox
+    without a scalar source, and float lanes one with a source."""
     prox = cfg.objective.prox
     source = getattr(prox, "coordinate_source", None)
-    if source is None:
-        lane, names = "numpy", ()
-    else:
-        lane = "local" if cfg.objective.dim == 1 else "float"
-        names = tuple(prox.coordinate_params)
-    return _kernel(kind, cfg.beta != 0.0, lane, source or "", names), lane
+    v = _Variant() if source is None else _Variant(source, tuple(prox.coordinate_params))
+    return _kernel(kind, v), v.lane
 
 
 def _rhs_at(cfg: SystemConfig, t: float, x, y):
@@ -652,28 +631,29 @@ def _rhs_at(cfg: SystemConfig, t: float, x, y):
     m, t = cfg.objective.dim, float(t)
     X, Y = (_split(np.broadcast_to(np.asarray(v, dtype=float), (m,)), lane) for v in (x, y))
     KX, KY = kernel(X, Y, t, t, _DEFAULTS, cfg)[2:]
-    return tuple(np.array(K[0].tolist() if lane == "numpy" else [K] if lane == "local" else K)
-                 for K in (KX, KY))
+    return tuple(np.array(K[0].tolist() if lane == "numpy" else K) for K in (KX, KY))
 
 
 def rhs_beta_positive(cfg: SystemConfig, t: float, x, y):
-    """Right-hand side of the Hessian-damped reformulation (beta > 0)."""
+    """Right-hand side (xdot, wdot) of a Hessian-damped system (beta > 0)."""
     if cfg.beta <= 0.0:
         raise ValidationError("this reformulation needs beta > 0")
     return _rhs_at(cfg, t, x, y)
 
 
 def rhs_beta_zero(cfg: SystemConfig, t: float, x, y):
-    """Right-hand side of the velocity reformulation (beta = 0)."""
+    """Right-hand side (xdot, ydot) of a system without Hessian damping
+    (beta = 0), where the auxiliary y is the velocity."""
     if cfg.beta != 0.0:
         raise ValidationError("this reformulation needs beta = 0")
     return _rhs_at(cfg, t, x, y)
 
 
 def initial_aux(cfg: SystemConfig) -> np.ndarray:
-    """Auxiliary initial value matching (x0, xdot0) under the active
-    reformulation: xdot0 when beta = 0, w0 = xdot0 + beta * grad_e(t0, x0)
-    when beta > 0."""
+    """Auxiliary initial value matching (x0, xdot0): w0 = xdot0 + beta *
+    grad_e(t0, x0), which is xdot0 itself when beta = 0 (a copy, not
+    xdot0 + 0.0 * g0, which would turn -0.0 into 0.0 and an infinite g0
+    into NaN)."""
     if cfg.beta == 0.0:
         return cfg.xdot0.copy()
     # an overflow gives inf or NaN, whose first step raises DivergenceError
@@ -687,7 +667,7 @@ def integrate(cfg: SystemConfig, settings: IntegratorSettings = None) -> Traject
 
     Samples are the initial point, every sample_stride-th accepted step, and
     the final time.  Velocities at samples come from the algebraic relation
-    of the active reformulation, never from differencing.
+    xdot = w - beta * grad_e, never from differencing.
     """
     if settings is None:
         settings = _DEFAULTS

@@ -8,9 +8,8 @@ the Python kernel, in the same order, with the same operands.  The C form
 has four parts:
 - the DP5 loop, written once below (_TEMPLATE), with the Dormand-Prince
   tableau of dynamics._DP5_TABLEAU spliced in as repr literals;
-- one loop over the m coordinates that serves both the local lane (m = 1)
-  and the float lanes;
-- the reformulation's right-hand side and the inlined prox, taken from the
+- one loop over the m float lanes, one per coordinate;
+- the right-hand side and the inlined prox, taken from the
   Python kernel's own dynamics._deriv_src through a small translator from
   Python expressions to C (_Translator), which accepts conditional
   expressions, comparisons, + - * /, unary minus, float constants, names,
@@ -164,8 +163,6 @@ static inline void deriv(double x, double y, double a, double b, double e, doubl
 {
     double g;
 $params
-    (void)g;
-    (void)beta;
     (void)i;
     (void)prm;
 $deriv
@@ -325,8 +322,7 @@ int proxdyn_dp5(int m, double *w, const double *q, const long long *counts,
         if (zflag)
             return PYTHON;
         nfev += 6;
-        /* the 2m squares summed left to right, x block first; on the local
-           lane 0.0 + sx is sx, as a square is never -0.0 */
+        /* the 2m squares summed left to right, x block first */
         total = 0.0;
         for (i = 0; i < m; i++)
             total += SX[i];
@@ -493,11 +489,11 @@ def _prox_params(source: str, params: tuple) -> tuple:
     return tuple((name, uses[name]) for name in params if name in uses)
 
 
-def c_source(v) -> str:
-    """The C source of the DP5 kernel of variant v (a dynamics._Variant on a
-    float or local lane); raises _Refused when the translator refuses its
-    prox source."""
-    used = _prox_params(v.prox_source, v.prox_params)
+def c_source(v, used: tuple) -> str:
+    """The C source of the DP5 kernel of variant v (a dynamics._Variant on
+    float lanes) whose prox source reads the parameters used, as
+    _prox_params gives them; raises _Refused when the translator refuses
+    that source."""
     params = [f"    const double *prox_{name} = prm[{j}];" if array
               else f"    const double prox_{name} = prm[{j}][0];"
               for j, (name, array) in enumerate(used)]
@@ -644,8 +640,8 @@ class CompiledKernel:
     a call whose numbers the C kernel does not take, and one that divides
     by zero."""
 
-    def __init__(self, lib, lane: str, params: tuple, python):
-        self.lane, self.params, self.python = lane, params, python
+    def __init__(self, lib, params: tuple, python):
+        self.params, self.python = params, python
         self.library = lib._name  # the path of the shared library
         self.run = lib.proxdyn_dp5
         self.run.restype = ctypes.c_int
@@ -658,8 +654,7 @@ class CompiledKernel:
     def _arguments(self, X, Y, t, T, settings, cfg):
         """(m, w, q, counts, prm) for the C kernel and the parameter arrays
         that prm points into; raises _Refused."""
-        xs, ys = ([X], [Y]) if self.lane == "local" else (X, Y)
-        m = len(xs)
+        m = len(X)
         s = cfg.schedule
         q = (ctypes.c_double * len(_NUMBERS))(
             _float(t), _double(T), *map(_double, (settings.atol, settings.rtol)),
@@ -668,8 +663,8 @@ class CompiledKernel:
                 s.b.coef, s.b.exponent, s.eps.coef, s.eps.exponent,
                 s.lam.term.coef, s.lam.term.exponent)))
         w = (ctypes.c_double * (10 * m))()
-        w[:m] = list(map(_float, xs))
-        w[m:2 * m] = list(map(_float, ys))
+        w[:m] = list(map(_float, X))
+        w[m:2 * m] = list(map(_float, Y))
         counts = (ctypes.c_longlong * 2)(_count(settings.max_steps), _count(settings.sample_stride))
         values = cfg.objective.prox.coordinate_params
         prm, keep = None, []
@@ -698,10 +693,8 @@ class CompiledKernel:
             if code == _OK:
                 samples = (self._take(out.ts, out.n),
                            *(self._take(buf, out.n * m) for buf in (out.xs, out.ys, out.xdots)))
-                KX, KY = w[2 * m:3 * m], w[3 * m:4 * m]
-                if self.lane == "local":
-                    KX, KY = KX[0], KY[0]
-                return samples, (out.accepted, out.rejected, out.nfev), KX, KY
+                return (samples, (out.accepted, out.rejected, out.nfev),
+                        w[2 * m:3 * m], w[3 * m:4 * m])
         finally:
             self.free(ctypes.byref(out))
         if code == _PYTHON:
@@ -729,14 +722,14 @@ class CompiledKernel:
 
 
 def dp5_kernel(v, python):
-    """The compiled DP5 kernel of variant v (a float or local lane), or None
-    when the translator refuses its prox source, there is no C compiler or
-    the build fails.  python is a function of no arguments that returns the
-    variant's Python kernel."""
+    """The compiled DP5 kernel of variant v (float lanes), or None when the
+    translator refuses its prox source, there is no C compiler or the build
+    fails.  python is a function of no arguments that returns the variant's
+    Python kernel."""
     try:
-        source = c_source(v)
         params = _prox_params(v.prox_source, v.prox_params)
+        source = c_source(v, params)
     except (_Refused, SyntaxError):
         return None
     lib = _load(source)
-    return None if lib is None else CompiledKernel(lib, v.lane, params, python)
+    return None if lib is None else CompiledKernel(lib, params, python)

@@ -220,11 +220,12 @@ def test_kernels_compile_once_per_variant_and_only_when_run():
 
 def test_constant_power_and_bounded_lambda_share_one_kernel():
     # every form is lo + lc * t ** le, whose numbers the kernel takes; a
-    # constant's term is 0 * t ** 0
+    # constant's term is 0 * t ** 0.  beta is one more number: a beta = 0 run
+    # loads the kernel of the beta > 0 runs
     dynamics._kernel.cache_clear()
-    for lam in (LambdaForm("constant", 0.5), LambdaForm("power", 0.5),
-                LambdaForm("bounded", 1.0)):
-        cfg = dataclasses.replace(make_cfg(beta=1.0, horizon=4.0), schedule=PolyParams(lam=lam))
+    for beta, lam in ((1.0, LambdaForm("constant", 0.5)), (1.0, LambdaForm("power", 0.5)),
+                      (1.0, LambdaForm("bounded", 1.0)), (0.0, LambdaForm("power", 0.5))):
+        cfg = dataclasses.replace(make_cfg(beta=beta, horizon=4.0), schedule=PolyParams(lam=lam))
         integrate(cfg)
     assert dynamics._kernel.cache_info().currsize == 1
     assert dynamics._kernel.cache_info().misses == 1
@@ -237,8 +238,8 @@ def test_kernel_source_shows_in_tracebacks():
     with pytest.raises(DivergenceError) as exc:
         integrate(cfg)
     frame = traceback.extract_tb(exc.value.__traceback__)[-1]
-    assert frame.filename == "<proxdyn dp5 beta>0 numpy>"
-    src = dynamics._source("rk45_adaptive", dynamics._Variant(True, "numpy"))
+    assert frame.filename == "<proxdyn dp5 numpy>"
+    src = dynamics._source("rk45_adaptive", dynamics._Variant())
     assert frame.line and frame.line == src.splitlines()[frame.lineno - 1].strip()
 
 
@@ -337,12 +338,11 @@ def test_dp5_global_error_on_the_closed_form_scales_with_rtol():
 
 
 def test_w_kernel_at_small_beta_tracks_the_velocity_kernel():
-    # fig1/n0 at beta = 1e-6 and 1e-9 runs the w = xdot + beta grad e kernel,
-    # at beta = 0 the velocity kernel: the same steps, and x(T) apart by a
-    # relative 7.42e-5 and 7.43e-8, first order in beta (ratio 999).  A term
-    # that one kernel drops or scales moves the gap off first order; one that
-    # the w kernel scales by beta (its Hessian damping halved, or its viscous
-    # damping on w, not xdot) moves the first-order gap, to 3.7e-8 and 6.0e-8
+    # fig1/n0 at beta = 1e-6, 1e-9 and 0 runs one kernel text, w = xdot +
+    # beta grad e: the same steps, and x(T) apart by a relative 7.42e-5 and
+    # 7.43e-8, first order in beta (ratio 999).  A term that the kernel
+    # scales by beta (its Hessian damping halved, or its viscous damping on
+    # w, not xdot) moves the first-order gap, to 3.7e-8 and 6.0e-8
     cfg, settings = preset_system("fig1/n0")
     assert cfg.beta == 0.0
     base = integrate(cfg, settings)
@@ -438,7 +438,7 @@ VECTOR_OBJECTIVES = {
 @pytest.mark.parametrize("name", list(VECTOR_OBJECTIVES))
 def test_scalar_prox_path_matches_array_prox_path(name, method):
     # the swapped prox, which carries no scalar form, runs as one numpy lane
-    # against m float lanes, or against the local lane when m = 1
+    # against m float lanes, one when m = 1
     obj, x0 = VECTOR_OBJECTIVES[name]
     swapped = dataclasses.replace(obj, prox=lambda lam, x: obj.prox(lam, x))
     assert hasattr(obj.prox, "coordinate_source")
@@ -505,7 +505,7 @@ def test_builtin_kernels_inline_the_prox(obj, beta, python_kernels):
     cfg = make_cfg(objective=obj, beta=beta, x0=[1.0] * obj.dim, xdot0=[0.0] * obj.dim)
     for kind in ("rk45_adaptive", "rk4_fixed"):
         kernel, lane = dynamics._variant_kernel(kind, cfg)
-        assert lane == ("local" if obj.dim == 1 else "float")
+        assert lane == "float"
         src = "".join(linecache.getlines(kernel.__code__.co_filename))
         assert src.startswith("def ") and "prox(" not in src
 

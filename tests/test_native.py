@@ -201,7 +201,7 @@ def test_an_int_horizon_runs_in_c():
     cfg = make_cfg(abs_plus_quad(), 1.0, horizon=30)
     assert type(cfg.horizon) is int
     kernel, lane = dynamics._variant_kernel("rk45_adaptive", cfg)
-    kernel._arguments(1.0, 0.0, 1.4, 30, IntegratorSettings(), cfg)
+    kernel._arguments([1.0], [0.0], 1.4, 30, IntegratorSettings(), cfg)
     compiled, python = both(cfg, IntegratorSettings())
     assert compiled[0] == "returned"
     assert compiled == python
@@ -216,7 +216,7 @@ def test_int_prox_parameters_run_on_the_python_kernel():
     kernel, lane = dynamics._variant_kernel("rk45_adaptive", cfg)
     assert isinstance(kernel, native.CompiledKernel)
     with pytest.raises(native._Refused):
-        kernel._arguments(1.0, 0.0, 1.4, 30.0, IntegratorSettings(), cfg)
+        kernel._arguments([1.0], [0.0], 1.4, 30.0, IntegratorSettings(), cfg)
     with pytest.raises(OverflowError):
         integrate(cfg)
 
@@ -230,7 +230,7 @@ def test_a_number_that_is_not_a_float_runs_on_the_python_kernel():
         kernel, lane = dynamics._variant_kernel("rk45_adaptive", make_cfg(obj, 1.0))
         assert isinstance(kernel, native.CompiledKernel)
         with pytest.raises(native._Refused):
-            kernel._arguments(1.0, 0.0, 1.4, 30.0, IntegratorSettings(), make_cfg(obj, 1.0))
+            kernel._arguments([1.0], [0.0], 1.4, 30.0, IntegratorSettings(), make_cfg(obj, 1.0))
     exact = _custom(source, scaled_shifted_quadratic(2.0, 1.0).prox, c=2.0, z=[1.0])
     numpy = _custom(source, scaled_shifted_quadratic(2.0, 1.0).prox, c=np.float64(2.0), z=[1.0])
     a, b = (integrate(make_cfg(obj, 1.0)) for obj in (exact, numpy))
@@ -246,15 +246,19 @@ def test_translator_refuses_what_it_does_not_know(source):
     # the prox source is checked alone, then translated as deriv reads it
     with pytest.raises(native._Refused):
         names = native._prox_params(source, ("z",))
-        prox = dynamics._prox_src(dynamics._Variant(False, "local", source, ("z",)), "x", "l")
+        prox = dynamics._prox_src(dynamics._Variant(source, ("z",)), "x", "l")
         native._Translator({"x": "x", "l": "l"},
                            frozenset(f"prox_{n}" for n, array in names if array)).expr(
             ast.parse(prox, mode="eval").body)
 
 
+def _abs_plus_quad_c_source():
+    v = dynamics._Variant(abs_plus_quad().prox.coordinate_source, ())
+    return native.c_source(v, native._prox_params(v.prox_source, v.prox_params))
+
+
 def test_every_source_refuses_wide_double_evaluation():
-    v = dynamics._Variant(False, "local", abs_plus_quad().prox.coordinate_source, ())
-    src = native.c_source(v)
+    src = _abs_plus_quad_c_source()
     guard = src.index("#if FLT_EVAL_METHOD != 0\n#error ")
     assert src.index("#include <float.h>") < guard < src.index("static double power")
 
@@ -263,11 +267,11 @@ def test_every_source_refuses_wide_double_evaluation():
 @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="needs x86-64's x87")
 def test_x87_double_evaluation_fails_the_build(tmp_path):
     # gcc and clang on x86-64 take -mfpmath=387, and then FLT_EVAL_METHOD is 2
-    v = dynamics._Variant(False, "local", abs_plus_quad().prox.coordinate_source, ())
+    src = _abs_plus_quad_c_source()
     command = [native._compiler(), *native._FLAGS]
     with pytest.raises(native._BuildFailed, match="FLT_EVAL_METHOD|IEEE binary64"):
-        native._build(str(tmp_path), "x87.so", native.c_source(v), [*command, "-mfpmath=387"])
-    assert native._build(str(tmp_path), "sse.so", native.c_source(v), command)
+        native._build(str(tmp_path), "x87.so", src, [*command, "-mfpmath=387"])
+    assert native._build(str(tmp_path), "sse.so", src, command)
     assert sorted(os.listdir(tmp_path)) == ["sse.so"]
 
 
@@ -287,19 +291,17 @@ def test_translator_keeps_python_order_and_choices():
 
 
 def test_every_builtin_variant_translates():
-    # for each built-in, the C source of its DP5 kernel at both reformulations
+    # for each built-in, the C source of its DP5 kernel, which every beta runs
     for obj in map(objectives.make_objective, objectives.BUILTIN_NAMES):
-        for beta_positive in (False, True):
-            v = dynamics._Variant(beta_positive, "float", obj.prox.coordinate_source,
-                                  tuple(obj.prox.coordinate_params))
-            src = native.c_source(v)
-            assert "$" not in src and "proxdyn_dp5" in src
+        v = dynamics._Variant(obj.prox.coordinate_source, tuple(obj.prox.coordinate_params))
+        src = native.c_source(v, native._prox_params(v.prox_source, v.prox_params))
+        assert "$" not in src and "proxdyn_dp5" in src
 
 
 def test_no_compiler_keeps_the_python_kernels(python_kernels):
     cfg = make_cfg(abs_plus_quad(), 0.0)
     kernel, _ = dynamics._variant_kernel("rk45_adaptive", cfg)
-    assert kernel.__code__.co_filename.startswith("<proxdyn dp5 beta=0 local ")
+    assert kernel.__code__.co_filename.startswith("<proxdyn dp5 float ")
 
 
 @needs_cc
