@@ -44,8 +44,7 @@ stepper.  _source splices into it:
   midpoints share one), with -(alpha/t) (_consts_src);
 - on float lanes, the prox's scalar source in place of a prox call, at
   every stage, with u and lam the stage's and each parameter a local
-  prox_<name> that the kernel unpacks from the source's params in
-  cfg.objective.prox (_prox_src);
+  prox_<name> that the kernel unpacks from its inputs (_prox_src);
 - the Dormand-Prince tableau, as repr float literals;
 - the lane kind: float lanes or the single numpy lane.
 So a step on float lanes calls no Python function (a source may call
@@ -56,35 +55,35 @@ names): 2 steppers for each lane kind, 4 in all, and float lanes once per
 prox source, each the first time integrate or an rhs_* asks for it, never
 at import, in build_run or in validation.  The run's numbers (alpha, beta,
 the monomials, the tolerances, the prox's parameters) come from the
-arguments, never source text, so a beta = 0 and a beta > 0 run share a
-kernel, and so do a constant, a power and a bounded lambda: a constant c is
-c + 0 * t ** 0, which is c at every t, since t ** 0.0 is 1.0.  Each source
+kernel's inputs, never source text, so a beta = 0 and a beta > 0 run share
+a kernel, and so do a constant, a power and a bounded lambda: a constant c
+is c + 0 * t ** 0, which is c at every t, since t ** 0.0 is 1.0.  Each source
 is registered with linecache under a name such as <proxdyn dp5 numpy>, or
 <proxdyn dp5 float c196f01a> with the CRC-32 of a source that inlines a
 prox, so tracebacks that the traceback module formats (pytest, logging,
 traceback.print_exc) show its lines; _source returns it.
 
 Which kernel runs: a DP5 variant on float lanes also has a C form (the
-native module), the same template written in C with the same right-hand
-side and prox translated from the Python source, which integrate and the
-public rhs_* run whenever it builds.  It is built with
-the system C compiler (cc on PATH) the first time the variant is asked
-for, and kept in $XDG_CACHE_HOME/proxdyn, or ~/.cache/proxdyn, as one
-shared library per source, compiler and platform; deleting that directory
-is always safe, since a missing library is built again.  RK4, the numpy
+native module: the same template in C, its right-hand side and prox
+translated from the Python source, built with cc on PATH and cached),
+which runs every call of the variant whenever it builds.  RK4, the numpy
 lane, a prox source that the translator refuses, a host without cc and a
-failed build run the Python kernels, which are also the tests' reference.
-The results are bit-identical either way: the same samples, step counts,
-KX and KY, and the same errors with the same messages, t_last and h
-(tests/test_native.py).  There is no setting to choose between the two.
+failed build (which warns) run the Python kernels, the tests' reference.
+Either gives the same bits: the same samples, step counts, KX and KY, and
+the same errors with the same messages, t_last and h (tests/test_native.py).
+There is no setting to choose between the two.  Every kernel reads only
+its inputs, made once per call of integrate or an rhs_* (_inputs): its
+numbers as doubles, its counts as ints, and the prox's parameters as
+doubles, so an int or a numpy scalar in a config runs as its double.
 
 The spliced expressions perform the same IEEE operations, in the same
 order, as the schedule's scalar forms fn.scalar, which use Python's ** (libm
 pow), not numpy's array **, which takes a SIMD pow on some CPUs that
 differs from libm's in the last bit; so a trajectory does not depend on
 numpy's SIMD dispatch.  Python's ** raises OverflowError where the scalar
-forms give +-inf; then that step's constants are recomputed through
-fn.scalar, so an overflowing schedule still ends in a non-finite stage.  The
+forms give +-inf; then that step's constants are recomputed as fn.scalar
+computes them, from the same doubles, so an overflowing schedule still ends
+in a non-finite stage.  The
 condition checkers and the observables keep the array forms.  Every stage
 time is at least t0 and lambda is nondecreasing, so validation's one check
 of lambda(t0) against its floor covers every step.  A SystemConfig validates
@@ -104,16 +103,16 @@ after every step, bounds the whole state (x, y), failing on a NaN anywhere;
 both errors, and StepSizeError, carry t_last and h.  An RK4 step that
 rounds back to t raises StepSizeError, as an adaptive one does.
 
-A kernel is a function from (X, Y, t, T, settings, cfg) to what it
+A kernel is a function from (X, Y, numbers, counts, params) to what it
 records: its samples and its step counters (accepted, rejected, nfev), and
 for DP5 also KX, KY, the derivative at the last point.  It records each
 sample, t then x, y and the derivative of x, into four typed buffers
 (array('d')) that it creates, which hold each value as its 8 bytes, -0.0
 and NaN payloads included: float lanes extend them by their lists, the
-numpy lane by its arrays' bytes; the compiled
-kernel fills C buffers and returns one copy of each as a numpy array.
-integrate returns views of those buffers (np.frombuffer), so no sample is
-converted or copied again, and builds the StepStats from the counters.
+numpy lane by its arrays' bytes; the compiled kernel fills C buffers and
+returns them as numpy arrays, trimmed to their rows.  integrate returns
+views of those buffers (np.frombuffer), so no sample is converted or
+copied, and builds the StepStats from the counters.
 The public rhs_* run the variant's DP5 kernel from t to T = t, which
 evaluates the first stage and takes no step, and return its KX, KY, so
 they match the steppers bit for bit, on the compiled kernel as on the
@@ -129,6 +128,8 @@ import ast
 import functools
 import linecache
 import math
+import numbers
+import operator
 import string
 import zlib
 from array import array
@@ -139,10 +140,11 @@ import numpy as np
 from .errors import (
     DivergenceError,
     InsufficientDataError,
+    ParameterDomainError,
     StepSizeError,
     ValidationError,
 )
-from .schedules import SystemConfig
+from .schedules import SystemConfig, _power, _real
 
 __all__ = [
     "IntegratorSettings",
@@ -180,18 +182,21 @@ class IntegratorSettings:
     def validate(self) -> None:
         if self.method not in _METHODS:
             raise ValidationError(f"unknown integrator method {self.method!r}")
-        if not (0.0 < self.rtol < math.inf and 0.0 < self.atol < math.inf):
+        rtol, atol, max_step, fixed_step, threshold = [
+            _real(getattr(self, name), name, ValidationError)
+            for name in ("rtol", "atol", "max_step", "fixed_step", "divergence_threshold")]
+        if not (0.0 < rtol < math.inf and 0.0 < atol < math.inf):
             raise ValidationError("tolerances must be positive reals")
         # max_step alone may be inf: no cap
-        if not (0.0 < self.fixed_step < math.inf and self.max_step > 0.0):
+        if not (0.0 < fixed_step < math.inf and max_step > 0.0):
             raise ValidationError("step sizes must be positive reals")
         # inf is allowed, as for max_step: no trust region; NaN fails too
-        if not self.divergence_threshold > 0.0:
+        if not threshold > 0.0:
             raise ValidationError("divergence_threshold must be positive")
-        if self.sample_stride < 1:
-            raise ValidationError("sample_stride must be a positive integer")
-        if self.max_steps < 1:
-            raise ValidationError("max_steps must be a positive integer")
+        for name in ("sample_stride", "max_steps"):
+            value = getattr(self, name)  # an int or a numpy integer
+            if not (isinstance(value, numbers.Integral) and value >= 1):
+                raise ValidationError(f"{name} must be a positive integer, got {value!r}")
 
 
 _DEFAULTS = IntegratorSettings()  # read-only, as every IntegratorSettings
@@ -241,12 +246,9 @@ def _split(v, lane: str):
 # k = (kx, ky).
 
 _DP5_TEMPLATE = """\
-def dp5(X, Y, t, T, settings, cfg):
-    atol, rtol, max_step = settings.atol, settings.rtol, settings.max_step
-    max_steps, threshold = settings.max_steps, settings.divergence_threshold
-    stride, nthreshold = settings.sample_stride, -threshold
-    sqrt, isfinite = math.sqrt, math.isfinite
+def dp5(X, Y, numbers, counts, params):
     $prelude
+    nthreshold, sqrt, isfinite = -threshold, math.sqrt, math.isfinite
     $k0 t
     u = (X$flat) + (Y$flat)
     $sample
@@ -329,19 +331,18 @@ def dp5(X, Y, t, T, settings, cfg):
 """
 
 _RK4_TEMPLATE = """\
-def rk4(X, Y, t, T, settings, cfg):
-    threshold, stride = settings.divergence_threshold, settings.sample_stride
-    nthreshold = -threshold
+def rk4(X, Y, numbers, counts, params):
     $prelude
+    nthreshold = -threshold
     $k0 t
     $sample
     accepted, rejected, nfev = 0, 0, 1
     # compared as a float: an inf step count has no integer ceiling
-    span = (T - t) / settings.fixed_step - 1e-12
-    if span > settings.max_steps:
+    span = (T - t) / fixed_step - 1e-12
+    if span > max_steps:
         raise StepSizeError(
-            f"nsteps = {span:.6g} steps of fixed_step = {settings.fixed_step:.3g} "
-            f"exceed max_steps = {settings.max_steps}", t, settings.fixed_step)
+            f"nsteps = {span:.6g} steps of fixed_step = {fixed_step:.3g} "
+            f"exceed max_steps = {max_steps}", t, fixed_step)
     nsteps = max(1, int(math.ceil(span)))
     h = (T - t) / nsteps
     t0 = t
@@ -419,29 +420,32 @@ class _Variant:
         return "float" if self.prox_source else "numpy"
 
 
-# the stage constants by prefix k: the schedule function's attribute, for
-# its scalar form, and its monomial's, whose coefficient and exponent the
-# prelude binds to kc and ke; lambda's value is lo + lc * t ** le
-_TERMS = {"b": ("b", "b"), "e": ("eps", "eps"), "l": ("lam", "lam.term")}
+# a kernel's numbers (_inputs), by the Python kernels' names, upper case in C:
+# nalpha is -alpha, and kc and ke the monomial of stage constant k, b, eps (e)
+# or lambda's term (l), which lambda's offset lo completes: lo + lc * t ** le
+_NUMBERS = ("t0", "horizon", "atol", "rtol", "max_step", "threshold", "nalpha", "beta",
+            "lo", "bc", "be", "ec", "ee", "lc", "le", "fixed_step")
+_TERMS = ("b", "e", "l")
 
 
 def _consts_src(v: _Variant, *times: str) -> str:
     """The stage constants at each stage time variable tk (t gives k = 0):
-    the schedule values bk, ek and lk (lambda), then ak = nalpha / tk, which
-    is -(alpha / tk).  Each value is its monomial, bc * tk ** be and so on,
+    ak = nalpha / tk, which is -(alpha / tk), then the schedule values bk, ek
+    and lk (lambda).  Each value is its monomial, bc * tk ** be and so on,
     as the scalar forms compute it; when one of those ** overflows, all of
-    them are recomputed through the scalar forms, which give +-inf there
-    instead."""
-    fast, scalar, damping = [], [], []
+    them are recomputed as the scalar forms compute them, 0.0 where the
+    coefficient is 0.0 and else c * power(t, e), which gives +-inf there."""
+    damping, fast, scalar = [], [], []
     for t in times:
         k = t[1:] or "0"
-        fast += [f"{name}{k} = {'lo + ' if name == 'l' else ''}{name}c * {t} ** {name}e"
-                 for name in _TERMS]
-        scalar.append(", ".join(name + k for name in _TERMS) + " = "
-                      + ", ".join(f"sched.{attr}.scalar({t})" for attr, _ in _TERMS.values()))
         damping.append(f"a{k} = nalpha / {t}")
-    return "\n".join(["try:", *("    " + line for line in fast + damping), "except OverflowError:",
-                      *("    " + line for line in scalar + damping)])
+        for name in _TERMS:
+            lo = "lo + " if name == "l" else ""
+            fast.append(f"{name}{k} = {lo}{name}c * {t} ** {name}e")
+            scalar.append(f"{name}{k} = {lo}(0.0 if {name}c == 0.0"
+                          f" else {name}c * power({t}, {name}e))")
+    return "\n".join([*damping, "try:", *("    " + line for line in fast), "except OverflowError:",
+                      *("    " + line for line in scalar)])
 
 
 def _prox_src(v: _Variant, x: str, lam: str) -> str:
@@ -491,23 +495,20 @@ def _sum_src(v: _Variant, total: str, *gathered: str) -> str:
 
 
 def _prelude_src(v: _Variant) -> str:
-    """The empty sample buffers, the lanes, the run's numbers from cfg
-    (alpha, beta, nalpha = -alpha, lambda's offset lo, and the coefficient kc
-    and exponent ke of each monomial the stage constants take) and the
-    objective's prox: the array prox on the numpy lane, and on float lanes
-    the values of its source's parameters, as locals prox_<name>."""
+    """The empty sample buffers, the lanes and the kernel's inputs as
+    locals: the numbers by their names in _NUMBERS, t and T (the start and
+    the horizon), the counts max_steps and stride, and the prox's: the
+    array prox on the numpy lane, and on float lanes the values of its
+    source's parameters, as locals prox_<name>."""
     lines = ['ts, xs, ys, xdots = array("d"), array("d"), array("d"), array("d")',
              "lanes = range(len(X))",
-             "alpha, beta, sched = cfg.alpha, cfg.beta, cfg.schedule",
-             "nalpha = -alpha",
-             "lo = sched.lam.offset"]
-    lines += [f"{k}c, {k}e = sched.{_TERMS[k][1]}.coef, sched.{_TERMS[k][1]}.exponent"
-              for k in _TERMS]
+             ", ".join(_NUMBERS) + " = numbers",
+             "t, T = t0, horizon",
+             "max_steps, stride = counts"]
     if v.lane == "numpy":
-        lines.append("prox = cfg.objective.prox")
+        lines.append("prox, = params")
     elif v.prox_params:
-        lines.append(", ".join("prox_" + name for name in v.prox_params)
-                     + ", = cfg.objective.prox.coordinate_params.values()")
+        lines.append(", ".join("prox_" + name for name in v.prox_params) + ", = params")
     return "\n".join(lines)
 
 
@@ -592,7 +593,7 @@ def _kernel(kind: str, v: _Variant):
     if kind == "rk45_adaptive" and v.lane != "numpy":
         from . import native  # its build tools stay out of the import of the package
 
-        kernel = native.dp5_kernel(v, functools.partial(_python_kernel, kind, v))
+        kernel = native.dp5_kernel(v)
         if kernel is not None:
             return kernel
     return _python_kernel(kind, v)
@@ -609,28 +610,67 @@ def _python_kernel(kind: str, v: _Variant):
     filename = (f"<proxdyn {_TEMPLATES[kind][0]} {v.lane}"
                 f"{f' {zlib.crc32(src.encode()):08x}' if v.prox_source else ''}>")
     linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
-    namespace = {"array": array, "math": math, "maximum": np.maximum,
+    namespace = {"array": array, "math": math, "maximum": np.maximum, "power": _power,
                  "DivergenceError": DivergenceError, "StepSizeError": StepSizeError}
     exec(compile(src, filename, "exec"), namespace)
     return namespace[_TEMPLATES[kind][0]]
 
 
-def _variant_kernel(kind: str, cfg: SystemConfig):
-    """(kernel, lane) for cfg, at every beta.  The numpy lane runs a prox
-    without a scalar source, and float lanes one with a source."""
+def _variant(cfg: SystemConfig) -> _Variant:
+    """cfg's variant, at every beta: float lanes for a prox with a scalar
+    source, else the numpy lane."""
     prox = cfg.objective.prox
     source = getattr(prox, "coordinate_source", None)
-    v = _Variant() if source is None else _Variant(source, tuple(prox.coordinate_params))
+    return _Variant() if source is None else _Variant(source, tuple(prox.coordinate_params))
+
+
+def _variant_kernel(kind: str, cfg: SystemConfig):
+    """(kernel, lane) for cfg."""
+    v = _variant(cfg)
     return _kernel(kind, v), v.lane
+
+
+@functools.lru_cache(maxsize=None)
+def _subscripted(source: str) -> frozenset:
+    """The names that the prox source subscripts (name[i])."""
+    return frozenset(node.value.id for node in ast.walk(ast.parse(source, mode="eval"))
+                     if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name))
+
+
+def _inputs(t, T, settings: IntegratorSettings, cfg: SystemConfig) -> tuple:
+    """(numbers, counts, params): a kernel's inputs for a run of cfg from t
+    to T under settings, and the only values any kernel reads.  numbers are
+    the floats named in _NUMBERS; counts are max_steps and the sample
+    stride, ints capped at 2**62, which no run reaches; params are the array
+    prox on the numpy lane, and on float lanes the prox source's parameters
+    in their order, each a double, or a list of at least dim doubles for one
+    that the source subscripts, else ParameterDomainError."""
+    s, prox, v = cfg.schedule, cfg.objective.prox, _variant(cfg)
+    numbers = (t, T, settings.atol, settings.rtol, settings.max_step,
+               settings.divergence_threshold, -cfg.alpha, cfg.beta, s.lam.offset,
+               s.b.coef, s.b.exponent, s.eps.coef, s.eps.exponent, s.lam.term.coef,
+               s.lam.term.exponent, settings.fixed_step)
+    counts = (settings.max_steps, settings.sample_stride)
+    params = [prox] if v.lane == "numpy" else []
+    for name in v.prox_params:
+        value, what = prox.coordinate_params[name], f"prox parameter {name}"
+        if name not in _subscripted(v.prox_source):
+            params.append(_real(value, what))
+        elif isinstance(value, (list, tuple, np.ndarray)) and len(value) >= cfg.objective.dim:
+            params.append([_real(item, what) for item in value])
+        else:
+            raise ParameterDomainError(f"{what} must hold at least {cfg.objective.dim} numbers")
+    return (tuple(map(float, numbers)), tuple(min(operator.index(n), 2 ** 62) for n in counts),
+            tuple(params))
 
 
 def _rhs_at(cfg: SystemConfig, t: float, x, y):
     """(xdot, ydot) at one time: the first stage of the variant's DP5 kernel,
     run from t to T = t, which takes no step."""
     kernel, lane = _variant_kernel("rk45_adaptive", cfg)
-    m, t = cfg.objective.dim, float(t)
+    m = cfg.objective.dim
     X, Y = (_split(np.broadcast_to(np.asarray(v, dtype=float), (m,)), lane) for v in (x, y))
-    KX, KY = kernel(X, Y, t, t, _DEFAULTS, cfg)[2:]
+    KX, KY = kernel(X, Y, *_inputs(t, t, _DEFAULTS, cfg))[2:]
     return tuple(np.array(K[0].tolist() if lane == "numpy" else K) for K in (KX, KY))
 
 
@@ -676,7 +716,7 @@ def integrate(cfg: SystemConfig, settings: IntegratorSettings = None) -> Traject
     # each sample extends; the returned arrays are views of them, so a sample
     # costs 8 bytes per value and is never converted or copied
     samples, counts = kernel(_split(cfg.x0, lane), _split(initial_aux(cfg), lane),
-                             float(cfg.t0), cfg.horizon, settings, cfg)[:2]
+                             *_inputs(cfg.t0, cfg.horizon, settings, cfg))[:2]
     ts, xs, ys, xdots = (np.frombuffer(buf) for buf in samples)
     m = cfg.objective.dim
     return Trajectory(ts, xs.reshape(-1, m), ys.reshape(-1, m), xdots.reshape(-1, m),

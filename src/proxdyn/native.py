@@ -19,15 +19,12 @@ has four parts:
 - the stage constants of dynamics._consts_src, through libm's pow as
   Python's ** takes it; where a power overflows, where Python's ** raises
   OverflowError, all of that step's constants are recomputed the way the
-  scalar forms fn.scalar compute them.
-A division by zero, where Python raises ZeroDivisionError, makes the
-kernel hand the run to the Python kernel, from its start, which raises
-there; so does a number that the C kernel cannot take as Python takes it,
-such as a numpy scalar, an int state, start time or prox parameter (which
-Python combines with each other as exact ints), or an int that no float
-holds exactly.  Every other outcome, the samples,
-the step counters, KX and KY, and each DivergenceError or StepSizeError
-with its message, t_last and h, is the Python kernel's, bit for bit.
+  Python kernel's scalar forms compute them.
+It takes the Python kernel's inputs (dynamics._inputs), and every call
+runs in C, with the Python kernel's outcome, bit for bit: the samples, the
+step counters, KX and KY, each DivergenceError or StepSizeError with its
+message, t_last and h, and Python's own ZeroDivisionError where it divides
+by zero.
 
 The C source is compiled with the system C compiler, cc on PATH, as
 
@@ -37,17 +34,21 @@ The C source is compiled with the system C compiler, cc on PATH, as
 shared library loaded through ctypes, the first time integrate or an rhs_*
 asks for the variant; a host whose C keeps doubles in wider registers
 (FLT_EVAL_METHOD other than 0, as 32-bit x86 with x87 does) fails that
-build, by an #error in the source, and keeps the Python kernel.  Nothing compiles or starts a process at import, in
-build_run or in validation.  The library is kept in a cache directory,
-$XDG_CACHE_HOME/proxdyn or else ~/.cache/proxdyn, of mode 0700, under the
-SHA-256 of its source, the compiler command and the platform, written to a
-temporary name and moved into place with os.replace, so processes that
-build the same variant at once do not clash.  When that directory cannot
-be used, a private temporary directory of the process takes its place and
-is deleted at exit.  Deleting the cache is always safe: a missing library
-is built again.  Without a C compiler, or when a build fails, the variant
-runs its Python kernel, which is also the reference the tests compare the
-compiled kernel with.
+build, by an #error in the source, and keeps the Python kernel.  Nothing
+compiles or starts a process at import, in build_run or in validation.
+The library is kept in a cache directory, $XDG_CACHE_HOME/proxdyn or else
+~/.cache/proxdyn, of mode 0700, under the SHA-256 of its source, the
+compiler command and the platform, written to a temporary name and moved
+into place with os.replace, so processes that build the same variant at
+once do not clash.  When that directory cannot be used, a private
+temporary directory of the process takes its place and is deleted at
+exit.  Deleting the cache is always safe: a missing library is built
+again.  Without a C compiler the variant runs its Python kernel,
+which is also the reference the tests compare the compiled kernel with; so
+it does when a build fails, after a UserWarning that names the kernel and
+gives the compiler's first error line.  The samples stay in the C buffers,
+trimmed to their rows, which the returned arrays read and which are freed
+when the last array over them goes.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ import stat
 import string
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 
@@ -85,11 +87,12 @@ _FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 _BUILD_TIMEOUT_S = 300.0
 
 # the kernel's results, as the C enum below numbers them
-_OK, _BUDGET, _NONFINITE, _STUCK, _TRUST, _COLLAPSED, _PYTHON, _NOMEM = range(8)
+_OK, _BUDGET, _NONFINITE, _STUCK, _TRUST, _COLLAPSED, _ZERODIV, _NOMEM = range(8)
 
-# the numbers the kernel takes, in the order of its array q
-_NUMBERS = ("T0", "HORIZON", "ATOL", "RTOL", "MAX_STEP", "THRESHOLD", "NALPHA", "BETA",
-            "LO", "BC", "BE", "EC", "EE", "LC", "LE")
+try:  # the text of Python's own ZeroDivisionError for floats, which varies by version
+    1.0 / 0.0
+except ZeroDivisionError as exc:
+    _ZERO_DIVISION = str(exc)
 
 _TEMPLATE = """\
 #include <float.h>
@@ -103,16 +106,16 @@ _TEMPLATE = """\
 #error "double arithmetic here is not IEEE binary64 operation by operation"
 #endif
 
-/* what the kernel records: n samples of t and of the m coordinates of x, y
-   and xdot in buffers of cap rows, the step counters, and the t and h an
-   error names */
+/* what the kernel records: n samples in buffers of cap rows, one each for t
+   and the m coordinates of x, y and xdot, the step counters, and the t and
+   h an error names */
 struct out {
-    double *ts, *xs, *ys, *xdots;
+    double *buf[4];
     long long n, cap, accepted, rejected, nfev;
     double t, h;
 };
 
-enum { OK, BUDGET, NONFINITE, STUCK, TRUSTREGION, COLLAPSED, PYTHON, NOMEM };
+enum { OK, BUDGET, NONFINITE, STUCK, TRUSTREGION, COLLAPSED, ZERODIV, NOMEM };
 enum { $numbers };
 
 /* Python's float ** for x > 0 and a finite y; *over is set where Python's **
@@ -128,14 +131,6 @@ static double power(double x, double y, int *over)
     if (isinf(r))
         *over = 1;
     return r;
-}
-
-/* a monomial's scalar form: 0.0 where c is 0, else c * x ** y, inf where the
-   power overflows */
-static double scalar(double c, double y, double x)
-{
-    int over = 0;
-    return c == 0.0 ? 0.0 : c * power(x, y, &over);
 }
 
 /* a / b, or *zdiv set where b is zero and Python raises ZeroDivisionError */
@@ -171,26 +166,40 @@ $deriv
 /* the stage constants at the times tt[first..last]: ca = -(alpha / t), then
    b, eps and lambda, each its monomial, unless one of the powers overflows,
    when all of them are recomputed as the scalar forms compute them; 1 where
-   t is zero */
+   t is zero, where Python's division raises ZeroDivisionError */
 static int consts(const double *q, const double *tt, int first, int last,
                   double *ca, double *cb, double *ce, double *cl)
 {
     int k, over = 0;
     for (k = first; k <= last; k++) {
+        if (tt[k] == 0.0)
+            return 1;
+        ca[k] = q[NALPHA] / tt[k];
+    }
+    for (k = first; k <= last; k++) {
         cb[k] = q[BC] * power(tt[k], q[BE], &over);
         ce[k] = q[EC] * power(tt[k], q[EE], &over);
         cl[k] = q[LO] + q[LC] * power(tt[k], q[LE], &over);
     }
-    if (over)
+    if (over)  /* each monomial 0.0 where its coefficient is, else c * t ** e */
         for (k = first; k <= last; k++) {
-            cb[k] = scalar(q[BC], q[BE], tt[k]);
-            ce[k] = scalar(q[EC], q[EE], tt[k]);
-            cl[k] = q[LO] + scalar(q[LC], q[LE], tt[k]);
+            cb[k] = q[BC] == 0.0 ? 0.0 : q[BC] * power(tt[k], q[BE], &over);
+            ce[k] = q[EC] == 0.0 ? 0.0 : q[EC] * power(tt[k], q[EE], &over);
+            cl[k] = q[LO] + (q[LC] == 0.0 ? 0.0 : q[LC] * power(tt[k], q[LE], &over));
         }
-    for (k = first; k <= last; k++) {
-        if (tt[k] == 0.0)
+    return 0;
+}
+
+/* the buffers resized to rows rows (t's of one double, the others of m); 1
+   where the allocator fails, which keeps that buffer and the ones after it */
+static int resize(struct out *o, int m, long long rows)
+{
+    int j;
+    for (j = 0; j < 4; j++) {
+        double *p = realloc(o->buf[j], rows * (j ? m : 1) * sizeof(double));
+        if (!p)
             return 1;
-        ca[k] = q[NALPHA] / tt[k];
+        o->buf[j] = p;
     }
     return 0;
 }
@@ -198,38 +207,22 @@ static int consts(const double *q, const double *tt, int first, int last,
 static int sample(struct out *o, int m, double t, const double *x, const double *y,
                   const double *xdot)
 {
+    const double *row[4] = {&t, x, y, xdot};
+    int j;
     if (o->n == o->cap) {
-        long long cap = o->cap ? 2 * o->cap : 256;
-        double *p;
-        if (!(p = realloc(o->ts, cap * sizeof(double))))
+        if (resize(o, m, o->cap ? 2 * o->cap : 256))
             return 1;
-        o->ts = p;
-        if (!(p = realloc(o->xs, cap * m * sizeof(double))))
-            return 1;
-        o->xs = p;
-        if (!(p = realloc(o->ys, cap * m * sizeof(double))))
-            return 1;
-        o->ys = p;
-        if (!(p = realloc(o->xdots, cap * m * sizeof(double))))
-            return 1;
-        o->xdots = p;
-        o->cap = cap;
+        o->cap = o->cap ? 2 * o->cap : 256;
     }
-    o->ts[o->n] = t;
-    memcpy(o->xs + o->n * m, x, m * sizeof(double));
-    memcpy(o->ys + o->n * m, y, m * sizeof(double));
-    memcpy(o->xdots + o->n * m, xdot, m * sizeof(double));
+    for (j = 0; j < 4; j++)
+        memcpy(o->buf[j] + o->n * (j ? m : 1), row[j], (j ? m : 1) * sizeof(double));
     o->n++;
     return 0;
 }
 
-void proxdyn_free(struct out *o)
+void proxdyn_free(double *p)
 {
-    free(o->ts);
-    free(o->xs);
-    free(o->ys);
-    free(o->xdots);
-    o->ts = o->xs = o->ys = o->xdots = NULL;
+    free(p);
 }
 
 #define FAIL(code, tl) do { o->t = (tl); o->h = h; return (code); } while (0)
@@ -257,12 +250,12 @@ int proxdyn_dp5(int m, double *w, const double *q, const long long *counts,
     int i, zflag = 0, *zdiv = &zflag;
     tt[0] = t;
     if (consts(q, tt, 0, 0, ca, cb, ce, cl))
-        return PYTHON;
+        return ZERODIV;
     for (i = 0; i < m; i++) {
         DERIV(0, X[i], Y[i], &KX[i], &KY[i]);
     }
     if (zflag)
-        return PYTHON;
+        return ZERODIV;
     if (sample(o, m, t, X, Y, KX))
         return NOMEM;
     h = (T - t) / 100.0;  /* h = min((T - t) / 100.0, 1.0, max_step) */
@@ -281,7 +274,7 @@ int proxdyn_dp5(int m, double *w, const double *q, const long long *counts,
         tt[4] = t + $c4 * h;
         tt[5] = t + $c5 * h;
         if (consts(q, tt, 1, 5, ca, cb, ce, cl))
-            return PYTHON;
+            return ZERODIV;
         for (i = 0; i < m; i++) {
             double x = X[i], y = Y[i], kx0 = KX[i], ky0 = KY[i];
             double x1, y1, kx1, ky1, x2, y2, kx2, ky2, x3, y3, kx3, ky3, x4, y4, kx4, ky4;
@@ -320,7 +313,7 @@ int proxdyn_dp5(int m, double *w, const double *q, const long long *counts,
             SY[i] = qy * qy;
         }
         if (zflag)
-            return PYTHON;
+            return ZERODIV;
         nfev += 6;
         /* the 2m squares summed left to right, x block first */
         total = 0.0;
@@ -361,6 +354,7 @@ int proxdyn_dp5(int m, double *w, const double *q, const long long *counts,
     }
     memmove(w + 2 * m, KX, m * sizeof(double));
     memmove(w + 3 * m, KY, m * sizeof(double));
+    resize(o, m, o->n);  /* trimmed to the samples, as far as the allocator does */
     o->accepted = accepted;
     o->rejected = rejected;
     o->nfev = nfev;
@@ -375,11 +369,12 @@ _DERIV_NAMES = {**{name: name for name in ("x", "y", "a", "b", "e", "l", "beta",
 
 
 class _Refused(Exception):
-    """A source, or a run's number, that the compiled kernel does not take."""
+    """A prox source that the translator refuses, when the C source is built."""
 
 
 class _BuildFailed(Exception):
-    """The compiler exited with an error."""
+    """The compiler exited with an error; the message is the first line of
+    its stderr that names an error, or else its first line."""
 
 
 _COMPARE = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==",
@@ -463,46 +458,37 @@ class _Translator:
 
 def _prox_params(source: str, params: tuple) -> tuple:
     """The parameters that the prox source reads, as (name, is_array) in the
-    order of params: a parameter read as name[i] is an array of doubles, one
-    read by name a double.  Refuses a source that reads any name but u, lam,
-    its parameters and i, which may only index a parameter, or that calls
-    anything but min, max and abs."""
-    tree = ast.parse(source, mode="eval")
-    if any(not name.isidentifier() or not name.isascii()
-           or name in ("u", "lam", "i", "min", "max", "abs") for name in params):
-        raise _Refused("parameter names")
-    uses = {}
-    calls = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
-    index = {id(node.slice) for node in ast.walk(tree) if isinstance(node, ast.Subscript)}
-    base = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Subscript)}
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Name):
-            continue
-        if id(node) in calls:
-            ok = node.id in ("min", "max", "abs")
-        elif node.id in params:
-            ok = uses.setdefault(node.id, id(node) in base) == (id(node) in base)
-        else:
-            ok = node.id in ("u", "lam") or (node.id == "i" and id(node) in index)
-        if not ok:
-            raise _Refused(f"name {node.id}")
-    return tuple((name, uses[name]) for name in params if name in uses)
+    order of params: one that it subscripts (name[i]) is an array of
+    doubles, else a double.  Refuses a source that reads any name but u,
+    lam, i, min, max, abs and its parameters, which would read deriv's own
+    names, and parameter names that are not ASCII identifiers; the
+    translator refuses the rest."""
+    names = {node.id for node in ast.walk(ast.parse(source, mode="eval"))
+             if isinstance(node, ast.Name)}
+    if not (names <= {"u", "lam", "i", "min", "max", "abs", *params}
+            and all(name.isidentifier() and name.isascii() for name in params)):
+        raise _Refused(f"names {sorted(names)} with parameters {params}")
+    arrays = dynamics._subscripted(source)
+    return tuple((name, name in arrays) for name in params if name in names)
 
 
-def c_source(v, used: tuple) -> str:
+def c_source(v) -> str:
     """The C source of the DP5 kernel of variant v (a dynamics._Variant on
-    float lanes) whose prox source reads the parameters used, as
-    _prox_params gives them; raises _Refused when the translator refuses
-    that source."""
-    params = [f"    const double *prox_{name} = prm[{j}];" if array
-              else f"    const double prox_{name} = prm[{j}][0];"
-              for j, (name, array) in enumerate(used)]
+    float lanes), whose prm holds every parameter of v, in its order, and
+    which declares those that its prox source reads; raises _Refused when
+    the translator refuses that source."""
+    used = _prox_params(v.prox_source, v.prox_params)
+    index = {name: j for j, name in enumerate(v.prox_params)}
+    params = [f"    const double *prox_{name} = prm[{index[name]}];" if array
+              else f"    const double prox_{name} = prm[{index[name]}][0];"
+              for name, array in used]
     translate = _Translator(
         {**_DERIV_NAMES, **{f"prox_{name}": f"prox_{name}" for name, array in used if not array}},
         frozenset(f"prox_{name}" for name, array in used if array))
     deriv = translate.statements(dynamics._deriv_src(v, "", "x", "y", "kx", "ky"))
     tokens = {name: repr(value) for name, value in dynamics._DP5_TABLEAU.items()}
-    tokens.update(min_step=repr(dynamics._MIN_STEP), numbers=", ".join(_NUMBERS),
+    tokens.update(min_step=repr(dynamics._MIN_STEP),
+                  numbers=", ".join(name.upper() for name in dynamics._NUMBERS),
                   params="\n".join(params), deriv="\n".join("    " + line for line in deriv))
     return string.Template(_TEMPLATE).substitute(tokens)
 
@@ -565,26 +551,31 @@ def _build(directory: str, name: str, source: str, command: list) -> str:
             except subprocess.SubprocessError as exc:
                 raise _BuildFailed(str(exc)) from exc
             if res.returncode != 0:
-                raise _BuildFailed(res.stderr.decode(errors="replace"))
+                lines = res.stderr.decode(errors="replace").splitlines()
+                errors = [line for line in lines if "error" in line] + lines
+                raise _BuildFailed(errors[0] if errors else f"exit status {res.returncode}")
             os.replace(lib, path)
     return path
 
 
-def _load(source: str):
+def _load(source: str, name: str):
     """The loaded library of source, built into the cache first when it is
-    not there, or None when there is no compiler or it cannot be built."""
+    not there, or None when there is no compiler or it cannot be built; a
+    failed build warns, naming the kernel by name."""
     cc = _compiler()
     if cc is None:
         return None
     command = [cc, *_FLAGS]
     key = "\0".join([source, *command, os.path.realpath(cc), sys.platform, platform.machine()])
-    name = sha256(key.encode()).hexdigest() + ".so"
+    library = sha256(key.encode()).hexdigest() + ".so"
     for directory in (_cache_dir, _private_dir):
         try:
-            return ctypes.CDLL(_build(directory(), name, source, command))
+            return ctypes.CDLL(_build(directory(), library, source, command))
         except OSError:  # the directory, or the library in it, cannot be used
             continue
-        except _BuildFailed:
+        except _BuildFailed as exc:
+            warnings.warn(f"proxdyn: {name} did not build, so it runs in Python: {exc}",
+                          stacklevel=2)
             return None
     return None
 
@@ -592,56 +583,37 @@ def _load(source: str):
 # --------------------------------------------------------------- the kernel
 
 
-def _float(value) -> float:
-    """value, when it is a float; the state, t, max_step (which h may take)
-    and the prox's parameters, which the loop or a prox source may combine
-    with each other, must be."""
-    if type(value) is not float:
-        raise _Refused(f"number {value!r}")
-    return value
-
-
-def _double(value) -> float:
-    """value as a double, when Python's arithmetic on it is a double's: a
-    float, or an int that a float holds exactly, for the numbers that the
-    loop only ever combines with a float."""
-    if type(value) is float:
-        return value
-    if type(value) is int:
-        try:
-            if float(value) == value:
-                return float(value)
-        except OverflowError:
-            pass
-    raise _Refused(f"number {value!r}")
-
-
-def _count(value) -> int:
-    if type(value) is not int:
-        raise _Refused(f"count {value!r}")
-    return min(value, 2 ** 62)  # no run gets that far
-
-
-_DOUBLES = ctypes.POINTER(ctypes.c_double)
-
-
 class _Out(ctypes.Structure):
     """The C kernel's struct out."""
-    _fields_ = ([(name, _DOUBLES) for name in ("ts", "xs", "ys", "xdots")]
+    _fields_ = ([("buf", ctypes.c_void_p * 4)]
                 + [(name, ctypes.c_longlong) for name in ("n", "cap", "accepted", "rejected",
                                                           "nfev")]
                 + [("t", ctypes.c_double), ("h", ctypes.c_double)])
 
 
+class _Samples:
+    """count doubles of a C kernel's buffer at address, as numpy reads them
+    (np.asarray), freed when the last array over them goes."""
+
+    def __init__(self, free, address: int, count: int):
+        self.free, self.address = free, address
+        self.__array_interface__ = {"data": (address, False), "shape": (count,),
+                                    "typestr": np.dtype(float).str, "version": 3}
+
+    def __del__(self):
+        self.free(self.address)
+
+
+_DOUBLES = ctypes.POINTER(ctypes.c_double)
+
+
 class CompiledKernel:
     """The compiled DP5 kernel of one variant, called as the Python kernel
-    is, (X, Y, t, T, settings, cfg) -> (samples, counts, KX, KY), and raising
-    what it raises.  python() gives the variant's Python kernel, which runs
-    a call whose numbers the C kernel does not take, and one that divides
-    by zero."""
+    is, on the inputs of dynamics._inputs: (X, Y, numbers, counts, params)
+    -> (samples, counts, KX, KY).  Every call runs in C and raises what the
+    Python kernel raises."""
 
-    def __init__(self, lib, params: tuple, python):
-        self.params, self.python = params, python
+    def __init__(self, lib):
         self.library = lib._name  # the path of the shared library
         self.run = lib.proxdyn_dp5
         self.run.restype = ctypes.c_int
@@ -649,56 +621,34 @@ class CompiledKernel:
                              ctypes.POINTER(_DOUBLES), ctypes.POINTER(_Out)]
         self.free = lib.proxdyn_free
         self.free.restype = None
-        self.free.argtypes = [ctypes.POINTER(_Out)]
+        self.free.argtypes = [ctypes.c_void_p]
 
-    def _arguments(self, X, Y, t, T, settings, cfg):
+    @staticmethod
+    def _arguments(X, Y, numbers, counts, params):
         """(m, w, q, counts, prm) for the C kernel and the parameter arrays
-        that prm points into; raises _Refused."""
+        that prm points into."""
         m = len(X)
-        s = cfg.schedule
-        q = (ctypes.c_double * len(_NUMBERS))(
-            _float(t), _double(T), *map(_double, (settings.atol, settings.rtol)),
-            _float(settings.max_step), *map(_double, (
-                settings.divergence_threshold, -cfg.alpha, cfg.beta, s.lam.offset,
-                s.b.coef, s.b.exponent, s.eps.coef, s.eps.exponent,
-                s.lam.term.coef, s.lam.term.exponent)))
         w = (ctypes.c_double * (10 * m))()
-        w[:m] = list(map(_float, X))
-        w[m:2 * m] = list(map(_float, Y))
-        counts = (ctypes.c_longlong * 2)(_count(settings.max_steps), _count(settings.sample_stride))
-        values = cfg.objective.prox.coordinate_params
-        prm, keep = None, []
-        if self.params:
-            prm = (_DOUBLES * len(self.params))()
-            for j, (name, array) in enumerate(self.params):
-                value = values[name]
-                if array:
-                    if type(value) not in (list, tuple) or len(value) < m:
-                        raise _Refused(f"parameter {name}")
-                    value = list(map(_float, value))
-                else:
-                    value = [_float(value)]
-                keep.append((ctypes.c_double * len(value))(*value))
-                prm[j] = ctypes.cast(keep[-1], _DOUBLES)
-        return m, w, q, counts, prm, keep
+        w[:2 * m] = [*X, *Y]
+        keep = [(ctypes.c_double * len(p))(*p) if isinstance(p, list) else (ctypes.c_double * 1)(p)
+                for p in params]
+        prm = (_DOUBLES * len(keep))(*(ctypes.cast(a, _DOUBLES) for a in keep))
+        return (m, w, (ctypes.c_double * len(numbers))(*numbers),
+                (ctypes.c_longlong * 2)(*counts), prm, keep)
 
-    def __call__(self, X, Y, t, T, settings, cfg):
-        try:
-            m, w, q, counts, prm, keep = self._arguments(X, Y, t, T, settings, cfg)
-        except _Refused:
-            return self.python()(X, Y, t, T, settings, cfg)
+    def __call__(self, X, Y, numbers, counts, params):
+        m, w, q, n, prm, keep = self._arguments(X, Y, numbers, counts, params)
         out = _Out()
-        try:
-            code = self.run(m, w, q, counts, prm, ctypes.byref(out))
-            if code == _OK:
-                samples = (self._take(out.ts, out.n),
-                           *(self._take(buf, out.n * m) for buf in (out.xs, out.ys, out.xdots)))
-                return (samples, (out.accepted, out.rejected, out.nfev),
-                        w[2 * m:3 * m], w[3 * m:4 * m])
-        finally:
-            self.free(ctypes.byref(out))
-        if code == _PYTHON:
-            return self.python()(X, Y, t, T, settings, cfg)
+        code = self.run(m, w, q, n, prm, ctypes.byref(out))
+        if code == _OK:
+            samples = [np.asarray(_Samples(self.free, address, out.n * (m if j else 1)))
+                       for j, address in enumerate(out.buf)]
+            return (samples, (out.accepted, out.rejected, out.nfev),
+                    w[2 * m:3 * m], w[3 * m:4 * m])
+        for address in out.buf:
+            self.free(address)
+        if code == _ZERODIV:
+            raise ZeroDivisionError(_ZERO_DIVISION)
         if code == _NOMEM:
             raise MemoryError("no memory for the samples")
         t, h = out.t, out.h
@@ -713,23 +663,14 @@ class CompiledKernel:
             raise DivergenceError(f"state left the trust region after t = {t:.6g}", t, h)
         raise StepSizeError(f"step size collapsed to {h:.3g} at t = {t:.6g}", t, h)
 
-    @staticmethod
-    def _take(ptr, count):
-        """A copy of count doubles at ptr, as a numpy array."""
-        arr = np.empty(count)
-        ctypes.memmove(arr.ctypes.data, ptr, 8 * count)
-        return arr
 
-
-def dp5_kernel(v, python):
+def dp5_kernel(v):
     """The compiled DP5 kernel of variant v (float lanes), or None when the
     translator refuses its prox source, there is no C compiler or the build
-    fails.  python is a function of no arguments that returns the variant's
-    Python kernel."""
+    fails."""
     try:
-        params = _prox_params(v.prox_source, v.prox_params)
-        source = c_source(v, params)
+        source = c_source(v)
     except (_Refused, SyntaxError):
         return None
-    lib = _load(source)
-    return None if lib is None else CompiledKernel(lib, params, python)
+    lib = _load(source, f"the compiled DP5 kernel of the prox source {v.prox_source!r}")
+    return None if lib is None else CompiledKernel(lib)

@@ -34,6 +34,7 @@ time can pass.
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 import sys
 from dataclasses import dataclass, field
@@ -68,8 +69,8 @@ class _Monomial:
     """t -> coef * t**exponent on floats of t's shape, identically zero when coef == 0.
 
     scalar is the same map on one float t, through Python's ``**`` (libm
-    pow), not numpy's; the integrator evaluates the schedule through it.
-    Two floats, not a closure: every PolyParams holds six of these.
+    pow), not numpy's; the integrator's kernels compute it from coef and
+    exponent.  Two doubles, not a closure: every PolyParams holds six.
     """
 
     __slots__ = ("coef", "exponent")
@@ -105,7 +106,7 @@ class LambdaForm:
     def __post_init__(self):
         if self.kind not in _SMOOTHING_FORMS:
             raise ParameterDomainError(f"unknown lambda form {self.kind!r}")
-        v = float(self.value)
+        v = _real(self.value, "lambda value")
         if not math.isfinite(v):
             raise ParameterDomainError("lambda value must be finite")
         if self.kind == "constant" and v <= 0.0:
@@ -139,8 +140,8 @@ class PolyParams:
 
     Each callable takes an array of times, returning floats of its shape, or
     one float.  b, lam, eps and b_dot also carry their scalar form
-    fn.scalar(t) on one float t, through which the integrator and
-    SystemConfig.validate evaluate them.  The callables take no part in
+    fn.scalar(t) on one float t, through which SystemConfig.validate
+    evaluates them, as the integrator does.  The callables take no part in
     comparison or hashing: two PolyParams of equal numbers are equal.
     """
 
@@ -156,19 +157,33 @@ class PolyParams:
     eps_dot: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 0.0 < self.b_coeff < math.inf:
+        B, n, E, d = [_real(getattr(self, name), name)
+                      for name in ("b_coeff", "n", "eps_coeff", "d")]
+        if not 0.0 < B < math.inf:
             raise ParameterDomainError("b_coeff must be a positive real")
-        if not 0.0 <= self.n < math.inf:
+        if not 0.0 <= n < math.inf:
             raise ParameterDomainError("n must be a real >= 0")
-        if not 0.0 <= self.eps_coeff < math.inf:
+        if not 0.0 <= E < math.inf:
             raise ParameterDomainError("eps_coeff must be a real >= 0")
-        if not 0.0 < self.d < math.inf:
+        if not 0.0 < d < math.inf:
             raise ParameterDomainError("d must be a positive real")
-        B, n, E, d = self.b_coeff, self.n, self.eps_coeff, self.d
         for name, fn in (("b", _Monomial(B, n)), ("b_dot", _Monomial(B * n, n - 1.0)),
                          ("lam_dot", self.lam.dot),
                          ("eps", _Monomial(E, -d)), ("eps_dot", _Monomial(-E * d, -d - 1.0))):
             object.__setattr__(self, name, fn)
+
+
+def _real(value, name: str, error=ParameterDomainError) -> float:
+    """value as a double, when it is a real number (an int, a float or a
+    numpy scalar) that a double holds, else error."""
+    if type(value) is float:
+        return value
+    if not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise error(f"{name} is too large for a double") from None
 
 
 def _power(x: float, y: float) -> float:
@@ -202,29 +217,31 @@ class SystemConfig:
         self.validate()
 
     def validate(self) -> None:
-        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
+        alpha, beta, t0, horizon, floor = [
+            _real(getattr(self, name), name, ValidationError)
+            for name in ("alpha", "beta", "t0", "horizon", "lambda_floor")]
+        if not (math.isfinite(alpha) and alpha > 0.0):
             raise ValidationError("alpha must be a positive real")
-        if not (math.isfinite(self.beta) and self.beta >= 0.0):
+        if not (math.isfinite(beta) and beta >= 0.0):
             raise ValidationError("beta must be a nonnegative real")
-        if not (math.isfinite(self.t0) and self.t0 > 0.0):
+        if not (math.isfinite(t0) and t0 > 0.0):
             raise ValidationError("t0 must be positive")
-        if not (math.isfinite(self.horizon) and self.horizon > self.t0):
+        if not (math.isfinite(horizon) and horizon > t0):
             raise ValidationError("horizon must exceed t0")
-        if not 0.0 < self.lambda_floor < math.inf:
+        if not 0.0 < floor < math.inf:
             raise ValidationError("lambda_floor must be a positive real")
-        s, t0 = self.schedule, float(self.t0)
+        s = self.schedule
         # lambda and b are nondecreasing and eps = E t**(-d) is nonnegative and
         # nonincreasing, so on [t0, horizon] their extremes lie at the end
         # points; every stage time of the integrator is >= t0, so this one
         # check of lambda covers every step
         lam0 = s.lam.scalar(t0)
-        if lam0 < self.lambda_floor:
-            raise ValidationError(
-                f"lambda(t) = {lam0:.3g} fell below its floor {self.lambda_floor:.3g}")
+        if lam0 < floor:
+            raise ValidationError(f"lambda(t) = {lam0:.3g} fell below its floor {floor:.3g}")
         if s.b.scalar(t0) <= 0.0:
             raise ValidationError("b(t) must stay positive on [t0, horizon]")
         eps0 = s.eps.scalar(t0)
-        if eps0 > 0.0 and not s.eps.scalar(float(self.horizon)) < eps0:
+        if eps0 > 0.0 and not s.eps.scalar(horizon) < eps0:
             raise ValidationError("eps(t) must strictly decrease over the horizon")
 
     def query(self) -> "ConditionQuery":

@@ -661,6 +661,19 @@ def test_integrator_settings_validation():
         with pytest.raises(ValidationError):
             IntegratorSettings(**bad)
     IntegratorSettings(max_step=math.inf, divergence_threshold=math.inf)
+    IntegratorSettings(rtol=np.float64(1e-6), max_step=1, sample_stride=np.int64(3),
+                       max_steps=True)
+
+
+@pytest.mark.parametrize("bad", [
+    dict(rtol="1e-8"), dict(atol=None), dict(max_step=10 ** 400), dict(fixed_step=[1e-3]),
+    dict(divergence_threshold="inf"), dict(sample_stride=2.5), dict(sample_stride=3.0),
+    dict(max_steps="10"), dict(max_steps=np.float64(10.0)),
+], ids=lambda bad: f"{next(iter(bad))}={next(iter(bad.values()))!r}"[:40])
+def test_integrator_settings_reject_what_is_not_a_number(bad):
+    # a validation error, exit 1, not a TypeError or an OverflowError
+    with pytest.raises(ValidationError, match=next(iter(bad))):
+        IntegratorSettings(**bad)
     # a bad threshold is a validation error, not a divergence on the first step
     with pytest.raises(ValidationError, match="divergence_threshold"):
         integrate(make_cfg(horizon=14.0), IntegratorSettings(divergence_threshold=math.nan))

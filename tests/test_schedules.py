@@ -941,6 +941,29 @@ def test_system_config_rejects_bad_scalars():
             make_config(**over)
 
 
+@pytest.mark.parametrize("over", [dict(alpha=10 ** 400), dict(beta="0"), dict(t0=None),
+                                  dict(horizon=10 ** 400), dict(lambda_floor=[1e-8])],
+                         ids=lambda over: next(iter(over)))
+def test_system_config_rejects_what_no_double_holds(over):
+    # a validation error, exit 1, not an OverflowError or a TypeError
+    with pytest.raises(ValidationError, match=next(iter(over))):
+        make_config(**over)
+
+
+def test_schedule_rejects_what_no_double_holds():
+    for bad in (dict(b_coeff=10 ** 400), dict(n="1"), dict(eps_coeff=None), dict(d=10 ** 400)):
+        with pytest.raises(ParameterDomainError, match=next(iter(bad))):
+            PolyParams(**bad)
+    for value in (10 ** 400, "0.5", None):
+        with pytest.raises(ParameterDomainError, match="lambda value"):
+            LambdaForm("power", value)
+    # an int that a double holds is that double
+    params = PolyParams(2, 1, np.float64(0.5), 3, LambdaForm("power", 1))
+    assert [type(v) for v in (params.b.coef, params.eps.exponent, params.lam.term.exponent)] == [
+        float, float, float]
+    assert params.b(7.0) == PolyParams(2.0, 1.0, 0.5, 3.0).b(7.0)
+
+
 def test_system_config_enforces_lambda_floor():
     sched = PolyParams(lam=LambdaForm("constant", 1e-12))
     with pytest.raises(ValidationError):
