@@ -64,11 +64,12 @@ prox, so tracebacks that the traceback module formats (pytest, logging,
 traceback.print_exc) show its lines; _source returns it.
 
 Which kernel runs: a DP5 variant on float lanes also has a C form (the
-native module: the same template in C, its right-hand side and prox
-translated from the Python source, built with cc on PATH and cached),
-which runs every call of the variant whenever it builds.  RK4, the numpy
-lane, a prox source that the translator refuses, a host without cc and a
-failed build (which warns) run the Python kernels, the tests' reference.
+native module: the loop's skeleton written in C around this module's own
+first stage and step, _k0_src and _step_src, translated; built with cc on
+PATH and cached), which runs every call of the variant whenever it
+builds.  RK4, the numpy lane, a prox source that the translator refuses, a
+host without cc and a failed build (which warns) run the Python kernels,
+the tests' reference.
 Either gives the same bits: the same samples, step counts, KX and KY, and
 the same errors with the same messages, t_last and h (tests/test_native.py).
 There is no setting to choose between the two.  Every kernel reads only
@@ -259,47 +260,7 @@ def dp5(X, Y, numbers, counts, params):
             raise StepSizeError(f"step budget exhausted at t = {t:.6g}, h = {h:.3g}", t, h)
         if T - t < h:  # h = min(h, T - t)
             h = T - t
-        t1 = t + $c1 * h
-        t2 = t + $c2 * h
-        t3 = t + $c3 * h
-        t4 = t + $c4 * h
-        t5 = t + $c5 * h
-        $consts t1 t2 t3 t4 t5
-        $lanes XN=xn YN=yn KXN=kx6 KYN=ky6 SX=sx SY=sy
-            x, y, kx0, ky0 = X[i], Y[i], KX[i], KY[i]
-            # u + h * (a10 * k0)
-            x1 = x + h * ($a10 * kx0)
-            y1 = y + h * ($a10 * ky0)
-            $deriv 1 x1 y1 kx1 ky1
-            # u + h * (a20 * k0 + a21 * k1)
-            x2 = x + h * ($a20 * kx0 + $a21 * kx1)
-            y2 = y + h * ($a20 * ky0 + $a21 * ky1)
-            $deriv 2 x2 y2 kx2 ky2
-            x3 = x + h * ($a30 * kx0 + $a31 * kx1 + $a32 * kx2)
-            y3 = y + h * ($a30 * ky0 + $a31 * ky1 + $a32 * ky2)
-            $deriv 3 x3 y3 kx3 ky3
-            x4 = x + h * ($a40 * kx0 + $a41 * kx1 + $a42 * kx2 + $a43 * kx3)
-            y4 = y + h * ($a40 * ky0 + $a41 * ky1 + $a42 * ky2 + $a43 * ky3)
-            $deriv 4 x4 y4 kx4 ky4
-            x5 = x + h * ($a50 * kx0 + $a51 * kx1 + $a52 * kx2 + $a53 * kx3 + $a54 * kx4)
-            y5 = y + h * ($a50 * ky0 + $a51 * ky1 + $a52 * ky2 + $a53 * ky3 + $a54 * ky4)
-            $deriv 5 x5 y5 kx5 ky5
-            # the fifth-order point; its stage k6 is the derivative there (FSAL)
-            xn = x + h * ($a60 * kx0 + $a62 * kx2 + $a63 * kx3 + $a64 * kx4 + $a65 * kx5)
-            yn = y + h * ($a60 * ky0 + $a62 * ky2 + $a63 * ky3 + $a64 * ky4 + $a65 * ky5)
-            $deriv 5 xn yn kx6 ky6
-            # err = h * (e0 * k0 + e2 * k2 + ... + e6 * k6)
-            # scale = atol + rtol * np.maximum(np.abs(u), np.abs(u_new)); on
-            # floats the larger is picked as max() picks it, which skips a NaN
-            # in u_new that np.maximum keeps; but when xn is NaN, so is
-            # k6 = g(u_new), and err_norm is NaN either way
-            ax, axn, ay, ayn = abs(x), abs(xn), abs(y), abs(yn)
-            qx = (h * ($e0 * kx0 + $e2 * kx2 + $e3 * kx3 + $e4 * kx4 + $e5 * kx5 + $e6 * kx6)
-                  / (atol + rtol * $maxx))
-            qy = (h * ($e0 * ky0 + $e2 * ky2 + $e3 * ky3 + $e4 * ky4 + $e5 * ky5 + $e6 * ky6)
-                  / (atol + rtol * $maxy))
-            sx = qx * qx
-            sy = qy * qy
+        $step
         nfev += 6
         # err_norm = sqrt(mean((err / scale) ** 2)), the 2m squares summed
         # left to right, x block first
@@ -477,6 +438,53 @@ def _k0_src(v: _Variant, t: str) -> str:
             "    $deriv 0 x y kx0 ky0")
 
 
+def _step_src(v: _Variant) -> str:
+    """One DP5 step of size h from (t, X, Y, KX, KY): the stage times and
+    constants, then per lane XN, YN, their KXN, KYN, and the squared errors SX, SY."""
+    return """\
+t1 = t + $c1 * h
+t2 = t + $c2 * h
+t3 = t + $c3 * h
+t4 = t + $c4 * h
+t5 = t + $c5 * h
+$consts t1 t2 t3 t4 t5
+$lanes XN=xn YN=yn KXN=kx6 KYN=ky6 SX=sx SY=sy
+    x, y, kx0, ky0 = X[i], Y[i], KX[i], KY[i]
+    # u + h * (a10 * k0)
+    x1 = x + h * ($a10 * kx0)
+    y1 = y + h * ($a10 * ky0)
+    $deriv 1 x1 y1 kx1 ky1
+    # u + h * (a20 * k0 + a21 * k1)
+    x2 = x + h * ($a20 * kx0 + $a21 * kx1)
+    y2 = y + h * ($a20 * ky0 + $a21 * ky1)
+    $deriv 2 x2 y2 kx2 ky2
+    x3 = x + h * ($a30 * kx0 + $a31 * kx1 + $a32 * kx2)
+    y3 = y + h * ($a30 * ky0 + $a31 * ky1 + $a32 * ky2)
+    $deriv 3 x3 y3 kx3 ky3
+    x4 = x + h * ($a40 * kx0 + $a41 * kx1 + $a42 * kx2 + $a43 * kx3)
+    y4 = y + h * ($a40 * ky0 + $a41 * ky1 + $a42 * ky2 + $a43 * ky3)
+    $deriv 4 x4 y4 kx4 ky4
+    x5 = x + h * ($a50 * kx0 + $a51 * kx1 + $a52 * kx2 + $a53 * kx3 + $a54 * kx4)
+    y5 = y + h * ($a50 * ky0 + $a51 * ky1 + $a52 * ky2 + $a53 * ky3 + $a54 * ky4)
+    $deriv 5 x5 y5 kx5 ky5
+    # the fifth-order point; its stage k6 is the derivative there (FSAL)
+    xn = x + h * ($a60 * kx0 + $a62 * kx2 + $a63 * kx3 + $a64 * kx4 + $a65 * kx5)
+    yn = y + h * ($a60 * ky0 + $a62 * ky2 + $a63 * ky3 + $a64 * ky4 + $a65 * ky5)
+    $deriv 5 xn yn kx6 ky6
+    # err = h * (e0 * k0 + e2 * k2 + ... + e6 * k6)
+    # scale = atol + rtol * np.maximum(np.abs(u), np.abs(u_new)); on
+    # floats the larger is picked as max() picks it, which skips a NaN
+    # in u_new that np.maximum keeps; but when xn is NaN, so is
+    # k6 = g(u_new), and err_norm is NaN either way
+    ax, axn, ay, ayn = abs(x), abs(xn), abs(y), abs(yn)
+    qx = (h * ($e0 * kx0 + $e2 * kx2 + $e3 * kx3 + $e4 * kx4 + $e5 * kx5 + $e6 * kx6)
+          / (atol + rtol * $maxx))
+    qy = (h * ($e0 * ky0 + $e2 * ky2 + $e3 * ky3 + $e4 * ky4 + $e5 * ky5 + $e6 * ky6)
+          / (atol + rtol * $maxy))
+    sx = qx * qx
+    sy = qy * qy"""
+
+
 def _lanes_src(v: _Variant, *outputs: str) -> str:
     """The body run in every lane.  Each output NAME=local gathers local
     from every lane into the list NAME."""
@@ -539,6 +547,7 @@ _MACROS = {
     "consts": _consts_src,
     "deriv": _deriv_src,
     "k0": _k0_src,
+    "step": _step_src,
     "lanes": _lanes_src,
     "sum": _sum_src,
     "prelude": _prelude_src,
@@ -665,8 +674,10 @@ def _inputs(t, T, settings: IntegratorSettings, cfg: SystemConfig) -> tuple:
 
 
 def _rhs_at(cfg: SystemConfig, t: float, x, y):
-    """(xdot, ydot) at one time: the first stage of the variant's DP5 kernel,
-    run from t to T = t, which takes no step."""
+    """(xdot, ydot) at one time t, a real in (0, inf) as t0 is: the first
+    stage of the variant's DP5 kernel, run from t to T = t, which takes no step."""
+    if not 0.0 < _real(t, "t") < math.inf:
+        raise ParameterDomainError("t must be a positive real")
     kernel, lane = _variant_kernel("rk45_adaptive", cfg)
     m = cfg.objective.dim
     X, Y = (_split(np.broadcast_to(np.asarray(v, dtype=float), (m,)), lane) for v in (x, y))

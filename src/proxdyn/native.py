@@ -4,22 +4,20 @@ A DP5 (rk45_adaptive) variant whose prox carries a scalar source,
 prox.coordinate_source, also has a C form, which integrate and the public
 rhs_* run in place of the generated Python kernel whenever it builds.  It
 computes the same bits: each C operation is one IEEE double operation of
-the Python kernel, in the same order, with the same operands.  The C form
-has four parts:
-- the DP5 loop, written once below (_TEMPLATE), with the Dormand-Prince
-  tableau of dynamics._DP5_TABLEAU spliced in as repr literals;
-- one loop over the m float lanes, one per coordinate;
-- the right-hand side and the inlined prox, taken from the
-  Python kernel's own dynamics._deriv_src through a small translator from
-  Python expressions to C (_Translator), which accepts conditional
-  expressions, comparisons, + - * /, unary minus, float constants, names,
-  param[i] and min, max and abs with CPython's choice among equal or
-  unordered arguments, and refuses anything else; a variant it refuses
-  keeps its Python kernel;
-- the stage constants of dynamics._consts_src, through libm's pow as
-  Python's ** takes it; where a power overflows, where Python's ** raises
-  OverflowError, all of that step's constants are recomputed the way the
-  Python kernel's scalar forms compute them.
+the Python kernel, in the same order, with the same operands.  Only the
+DP5 loop's skeleton is written in C, once below (_TEMPLATE): the step-size
+controller, the error norm's sum, the trust-region guard, the sample
+buffers and the failure codes.  The first stage and the step, with their
+stage constants, the right-hand side, the inlined prox and the tableau's
+repr literals, are the Python kernel's own text (dynamics._k0_src and
+_step_src), put into C by a small translator (_Translator).  It takes
+assignments, the loop over the m float lanes, conditional expressions,
+comparisons, + - * /, unary minus, float constants, names, param[i] and
+min, max and abs with CPython's choice among equal or unordered
+arguments; and the stage constants' try/except OverflowError, whose ** and
+power() take libm's pow as Python's ** takes it, and whose except branch
+runs where a power overflows.  It refuses anything else, and a variant
+that it refuses keeps its Python kernel.
 It takes the Python kernel's inputs (dynamics._inputs), and every call
 runs in C, with the Python kernel's outcome, bit for bit: the samples, the
 step counters, KX and KY, each DivergenceError or StepSizeError with its
@@ -60,11 +58,13 @@ import functools
 import math
 import os
 import platform
+import re
 import shutil
 import stat
 import string
 import sys
 import tempfile
+import textwrap
 import warnings
 
 import numpy as np
@@ -116,11 +116,10 @@ struct out {
 };
 
 enum { OK, BUDGET, NONFINITE, STUCK, TRUSTREGION, COLLAPSED, ZERODIV, NOMEM };
-enum { $numbers };
 
 /* Python's float ** for x > 0 and a finite y; *over is set where Python's **
    raises OverflowError: where a finite x gives an infinite power */
-static double power(double x, double y, int *over)
+static inline double power(double x, double y, int *over)
 {
     double r;
     if (y == 0.0)
@@ -134,7 +133,7 @@ static double power(double x, double y, int *over)
 }
 
 /* a / b, or *zdiv set where b is zero and Python raises ZeroDivisionError */
-static double quotient(double a, double b, int *zdiv)
+static inline double quotient(double a, double b, int *zdiv)
 {
     if (b == 0.0) {
         *zdiv = 1;
@@ -144,51 +143,10 @@ static double quotient(double a, double b, int *zdiv)
 }
 
 /* min and max as CPython's builtins pick among two floats */
-static double pymin(double a, double b) { return b < a ? b : a; }
-static double pymax(double a, double b) { return b > a ? b : a; }
+static inline double pymin(double a, double b) { return b < a ? b : a; }
+static inline double pymax(double a, double b) { return b > a ? b : a; }
 
-#define DIV(a, b) quotient((a), (b), zdiv)
-
-/* (kx, ky), the derivative of lane i at (x, y) from the stage constants
-   a = -(alpha / t), b, e = eps and l = lambda: dynamics._deriv_src with
-   the prox's scalar source, translated */
-static inline void deriv(double x, double y, double a, double b, double e, double l,
-                         double beta, int i, const double *const *prm, int *zdiv,
-                         double *kx, double *ky)
-{
-    double g;
-$params
-    (void)i;
-    (void)prm;
-$deriv
-}
-
-/* the stage constants at the times tt[first..last]: ca = -(alpha / t), then
-   b, eps and lambda, each its monomial, unless one of the powers overflows,
-   when all of them are recomputed as the scalar forms compute them; 1 where
-   t is zero, where Python's division raises ZeroDivisionError */
-static int consts(const double *q, const double *tt, int first, int last,
-                  double *ca, double *cb, double *ce, double *cl)
-{
-    int k, over = 0;
-    for (k = first; k <= last; k++) {
-        if (tt[k] == 0.0)
-            return 1;
-        ca[k] = q[NALPHA] / tt[k];
-    }
-    for (k = first; k <= last; k++) {
-        cb[k] = q[BC] * power(tt[k], q[BE], &over);
-        ce[k] = q[EC] * power(tt[k], q[EE], &over);
-        cl[k] = q[LO] + q[LC] * power(tt[k], q[LE], &over);
-    }
-    if (over)  /* each monomial 0.0 where its coefficient is, else c * t ** e */
-        for (k = first; k <= last; k++) {
-            cb[k] = q[BC] == 0.0 ? 0.0 : q[BC] * power(tt[k], q[BE], &over);
-            ce[k] = q[EC] == 0.0 ? 0.0 : q[EC] * power(tt[k], q[EE], &over);
-            cl[k] = q[LO] + (q[LC] == 0.0 ? 0.0 : q[LC] * power(tt[k], q[LE], &over));
-        }
-    return 0;
-}
+#define DIV(a, b) quotient((a), (b), &zdiv)
 
 /* the buffers resized to rows rows (t's of one double, the others of m); 1
    where the allocator fails, which keeps that buffer and the ones after it */
@@ -226,35 +184,30 @@ void proxdyn_free(double *p)
 }
 
 #define FAIL(code, tl) do { o->t = (tl); o->h = h; return (code); } while (0)
-/* the derivative at (x, y) from the stage constants of stage k */
-#define DERIV(k, x, y, kx, ky) \
-    deriv((x), (y), ca[k], cb[k], ce[k], cl[k], beta, i, prm, zdiv, (kx), (ky))
 
-/* dynamics._DP5_TEMPLATE on m lanes.  w holds X, Y, KX, KY, XN, YN, KXN, KYN,
-   SX and SY, m doubles each, X and Y set to the start; KX and KY end at the
-   derivative at the last point.  counts is max_steps and the sample stride,
-   prm the prox's parameters, one array each */
+/* dynamics._DP5_TEMPLATE on m lanes, its first stage and its step translated
+   from the Python kernel's text.  w holds X, Y, KX, KY, XN, YN, KXN, KYN, SX
+   and SY, m doubles each, X and Y set to the start; KX and KY end at the
+   derivative at the last point.  q holds the numbers in the order of
+   dynamics._NUMBERS, counts max_steps and the sample stride, prm the prox's
+   parameters, one array each */
 int proxdyn_dp5(int m, double *w, const double *q, const long long *counts,
                 const double *const *prm, struct out *o)
 {
-    const double atol = q[ATOL], rtol = q[RTOL], max_step = q[MAX_STEP], T = q[HORIZON];
-    const double threshold = q[THRESHOLD], nthreshold = -threshold, beta = q[BETA];
+$numbers
+$params
+    const double T = horizon, nthreshold = -threshold;
     const long long max_steps = counts[0], stride = counts[1];
     double *X = w, *Y = w + m, *KX = w + 2 * m, *KY = w + 3 * m, *XN = w + 4 * m;
     double *YN = w + 5 * m, *KXN = w + 6 * m, *KYN = w + 7 * m, *SX = w + 8 * m;
     double *SY = w + 9 * m, *swap;
-    double ca[6], cb[6], ce[6], cl[6], tt[6];
-    double t = q[T0], h, total, err_norm, factor, t_prev;
+    double t = t0, h, total, err_norm, factor, t_prev;
+$locals
     long long accepted = 0, rejected = 0, nfev = 1;
     const int n2 = 2 * m;
-    int i, zflag = 0, *zdiv = &zflag;
-    tt[0] = t;
-    if (consts(q, tt, 0, 0, ca, cb, ce, cl))
-        return ZERODIV;
-    for (i = 0; i < m; i++) {
-        DERIV(0, X[i], Y[i], &KX[i], &KY[i]);
-    }
-    if (zflag)
+    int i, over, zdiv = 0;
+$k0
+    if (zdiv)
         return ZERODIV;
     if (sample(o, m, t, X, Y, KX))
         return NOMEM;
@@ -268,51 +221,8 @@ int proxdyn_dp5(int m, double *w, const double *q, const long long *counts,
             FAIL(BUDGET, t);
         if (T - t < h)
             h = T - t;
-        tt[1] = t + $c1 * h;
-        tt[2] = t + $c2 * h;
-        tt[3] = t + $c3 * h;
-        tt[4] = t + $c4 * h;
-        tt[5] = t + $c5 * h;
-        if (consts(q, tt, 1, 5, ca, cb, ce, cl))
-            return ZERODIV;
-        for (i = 0; i < m; i++) {
-            double x = X[i], y = Y[i], kx0 = KX[i], ky0 = KY[i];
-            double x1, y1, kx1, ky1, x2, y2, kx2, ky2, x3, y3, kx3, ky3, x4, y4, kx4, ky4;
-            double x5, y5, kx5, ky5, xn, yn, kx6, ky6, ax, axn, ay, ayn, qx, qy;
-            x1 = x + h * ($a10 * kx0);
-            y1 = y + h * ($a10 * ky0);
-            DERIV(1, x1, y1, &kx1, &ky1);
-            x2 = x + h * ($a20 * kx0 + $a21 * kx1);
-            y2 = y + h * ($a20 * ky0 + $a21 * ky1);
-            DERIV(2, x2, y2, &kx2, &ky2);
-            x3 = x + h * ($a30 * kx0 + $a31 * kx1 + $a32 * kx2);
-            y3 = y + h * ($a30 * ky0 + $a31 * ky1 + $a32 * ky2);
-            DERIV(3, x3, y3, &kx3, &ky3);
-            x4 = x + h * ($a40 * kx0 + $a41 * kx1 + $a42 * kx2 + $a43 * kx3);
-            y4 = y + h * ($a40 * ky0 + $a41 * ky1 + $a42 * ky2 + $a43 * ky3);
-            DERIV(4, x4, y4, &kx4, &ky4);
-            x5 = x + h * ($a50 * kx0 + $a51 * kx1 + $a52 * kx2 + $a53 * kx3 + $a54 * kx4);
-            y5 = y + h * ($a50 * ky0 + $a51 * ky1 + $a52 * ky2 + $a53 * ky3 + $a54 * ky4);
-            DERIV(5, x5, y5, &kx5, &ky5);
-            xn = x + h * ($a60 * kx0 + $a62 * kx2 + $a63 * kx3 + $a64 * kx4 + $a65 * kx5);
-            yn = y + h * ($a60 * ky0 + $a62 * ky2 + $a63 * ky3 + $a64 * ky4 + $a65 * ky5);
-            DERIV(5, xn, yn, &kx6, &ky6);
-            ax = fabs(x);
-            axn = fabs(xn);
-            ay = fabs(y);
-            ayn = fabs(yn);
-            qx = (h * ($e0 * kx0 + $e2 * kx2 + $e3 * kx3 + $e4 * kx4 + $e5 * kx5 + $e6 * kx6)
-                  / (atol + rtol * (axn > ax ? axn : ax)));
-            qy = (h * ($e0 * ky0 + $e2 * ky2 + $e3 * ky3 + $e4 * ky4 + $e5 * ky5 + $e6 * ky6)
-                  / (atol + rtol * (ayn > ay ? ayn : ay)));
-            XN[i] = xn;
-            YN[i] = yn;
-            KXN[i] = kx6;
-            KYN[i] = ky6;
-            SX[i] = qx * qx;
-            SY[i] = qy * qy;
-        }
-        if (zflag)
+$step
+        if (zdiv)
             return ZERODIV;
         nfev += 6;
         /* the 2m squares summed left to right, x block first */
@@ -362,14 +272,8 @@ int proxdyn_dp5(int m, double *w, const double *q, const long long *counts,
 }
 """
 
-# the names of the C function deriv that the Python right-hand side reads
-# or assigns, and their C text: a parameter, deriv's local g, or an output
-_DERIV_NAMES = {**{name: name for name in ("x", "y", "a", "b", "e", "l", "beta", "g")},
-                "kx": "(*kx)", "ky": "(*ky)"}
-
-
 class _Refused(Exception):
-    """A prox source that the translator refuses, when the C source is built."""
+    """A kernel text that the translator refuses, when the C source is built."""
 
 
 class _BuildFailed(Exception):
@@ -384,14 +288,78 @@ _CALLS = {"min": "pymin", "max": "pymax"}
 
 
 class _Translator:
-    """Python expressions on floats to C expressions of the same IEEE
-    operations in the same order: every operation is parenthesized as the
-    Python tree groups it.  names maps each name it may read to its C text,
-    and arrays holds the names it may read as name[i]; anything else raises
+    """Python statements on floats to C statements of the same IEEE
+    operations in the same order, each operation parenthesized as the Python
+    tree groups it.  It reads names, arrays as name[i] in a lane, and the
+    names that it assigns, each a C double listed in locals; lists are the
+    C buffers that a lane fills, NAME = [] left out and NAME.append(expr)
+    once per lane as NAME[i] = expr.  A tuple assignment may not read its
+    targets, and the handler of try/except OverflowError must assign each
+    name that the try does: over = 0, the try, then the handler where a **
+    or power() overflowed.  Anything else, ** outside that try too, raises
     _Refused."""
 
-    def __init__(self, names: dict, arrays=frozenset()):
-        self.names, self.arrays = names, arrays
+    def __init__(self, names, arrays=frozenset(), lists=frozenset()):
+        self.names, self.arrays, self.lists = set(names), arrays, lists
+        self.locals, self.empty = [], set()
+        self.lane = self.over = False  # inside the lane loop, inside the try
+
+    def block(self, body) -> list:
+        return [line for stmt in body for line in self.statement(stmt)]
+
+    def statement(self, node) -> list:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            return self.assign(node.targets[0], node.value)
+        if isinstance(node, ast.For):
+            if not (isinstance(node.target, ast.Name) and node.target.id == "i"
+                    and isinstance(node.iter, ast.Name) and node.iter.id == "lanes"
+                    and not node.orelse and not self.lane):
+                raise _Refused("a loop other than for i in lanes")
+            self.lane = True
+            body = self.block(node.body)
+            self.lane = False
+            return ["for (i = 0; i < m; i++) {", *("    " + line for line in body), "}"]
+        if isinstance(node, ast.Try):
+            return self.overflow(node)
+        call = node.value if isinstance(node, ast.Expr) else None
+        if (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                and call.func.attr == "append" and isinstance(call.func.value, ast.Name)
+                and call.func.value.id in self.empty and self.lane
+                and len(call.args) == 1 and not call.keywords):
+            self.empty.remove(call.func.value.id)
+            return [f"{call.func.value.id}[i] = {self.expr(call.args[0])};"]
+        raise _Refused(f"the statement {type(node).__name__}")
+
+    def assign(self, target, value) -> list:
+        pairs = (list(zip(target.elts, value.elts)) if isinstance(target, ast.Tuple)
+                 and isinstance(value, ast.Tuple) and len(target.elts) == len(value.elts)
+                 else [(target, value)])
+        names = [name.id for name, _ in pairs if isinstance(name, ast.Name)]
+        if len(names) < len(pairs):
+            raise _Refused("an assignment other than name = expr")
+        if all(isinstance(v, ast.List) and not v.elts for _, v in pairs):
+            if self.lane or not set(names) <= self.lists:
+                raise _Refused(f"lists {names}")
+            self.empty.update(names)
+            return []
+        read = ({node.id for _, v in pairs for node in ast.walk(v) if isinstance(node, ast.Name)}
+                if len(pairs) > 1 else set())
+        if read.intersection(names) or self.names.intersection(names):
+            raise _Refused(f"an assignment to {names}")
+        lines = [f"{name} = {self.expr(v)};" for name, (_, v) in zip(names, pairs)]
+        self.locals += [name for name in names if name not in self.locals]
+        return lines
+
+    def overflow(self, node) -> list:
+        handler = node.handlers[0] if len(node.handlers) == 1 else None
+        if (self.over or node.orelse or node.finalbody or handler is None or handler.name
+                or not (isinstance(handler.type, ast.Name) and handler.type.id == "OverflowError")
+                or not _stored(node.body) <= _stored(handler.body)):
+            raise _Refused("a try other than try/except OverflowError that assigns again")
+        self.over = True
+        fast, scalar = self.block(node.body), self.block(handler.body)
+        self.over = False
+        return ["over = 0;", *fast, "if (over) {", *("    " + line for line in scalar), "}"]
 
     def expr(self, node) -> str:
         if isinstance(node, ast.Constant):
@@ -401,18 +369,20 @@ class _Translator:
                 raise _Refused(f"constant {node.value!r}")
             return repr(node.value)
         if isinstance(node, ast.Name):
-            if node.id not in self.names:
+            if node.id not in self.names and node.id not in self.locals:
                 raise _Refused(f"name {node.id}")
-            return self.names[node.id]
+            return node.id
         if isinstance(node, ast.Subscript):
             if not (isinstance(node.value, ast.Name) and node.value.id in self.arrays
-                    and isinstance(node.slice, ast.Name) and node.slice.id == "i"):
-                raise _Refused("a subscript other than param[i]")
+                    and isinstance(node.slice, ast.Name) and node.slice.id == "i" and self.lane):
+                raise _Refused("a subscript other than name[i] in a lane")
             return f"{node.value.id}[i]"
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
             return f"(-{self.expr(node.operand)})"
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
             return f"DIV({self.expr(node.left)}, {self.expr(node.right)})"
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and self.over:
+            return f"power({self.expr(node.left)}, {self.expr(node.right)}, &over)"
         if isinstance(node, ast.BinOp) and type(node.op) in _BINOP:
             return f"({self.expr(node.left)} {_BINOP[type(node.op)]} {self.expr(node.right)})"
         if isinstance(node, ast.IfExp):
@@ -436,6 +406,8 @@ class _Translator:
             raise _Refused("call arguments")
         if func == "abs" and len(node.args) == 1:
             return f"fabs({self.expr(node.args[0])})"
+        if func == "power" and len(node.args) == 2 and self.over:
+            return f"power({self.expr(node.args[0])}, {self.expr(node.args[1])}, &over)"
         if func not in _CALLS or len(node.args) < 2:
             raise _Refused(f"call of {func}")
         # CPython keeps the running result unless an item beats it strictly
@@ -444,24 +416,19 @@ class _Translator:
             out = f"{_CALLS[func]}({out}, {self.expr(arg)})"
         return out
 
-    def statements(self, src: str) -> list:
-        """Each assignment name = expr of src as the C statement name = expr;."""
-        lines = []
-        for stmt in ast.parse(src).body:
-            if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
-                    and isinstance(stmt.targets[0], ast.Name)
-                    and stmt.targets[0].id in self.names):
-                raise _Refused("a statement other than name = expr")
-            lines.append(f"{self.names[stmt.targets[0].id]} = {self.expr(stmt.value)};")
-        return lines
+
+def _stored(body) -> set:
+    """The names that the statements body assign."""
+    return {node.id for stmt in body for node in ast.walk(stmt)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
 
 
 def _prox_params(source: str, params: tuple) -> tuple:
     """The parameters that the prox source reads, as (name, is_array) in the
     order of params: one that it subscripts (name[i]) is an array of
     doubles, else a double.  Refuses a source that reads any name but u,
-    lam, i, min, max, abs and its parameters, which would read deriv's own
-    names, and parameter names that are not ASCII identifiers; the
+    lam, i, min, max, abs and its parameters, which would read the kernel's
+    own names, and parameter names that are not ASCII identifiers; the
     translator refuses the rest."""
     names = {node.id for node in ast.walk(ast.parse(source, mode="eval"))
              if isinstance(node, ast.Name)}
@@ -475,22 +442,33 @@ def _prox_params(source: str, params: tuple) -> tuple:
 def c_source(v) -> str:
     """The C source of the DP5 kernel of variant v (a dynamics._Variant on
     float lanes), whose prm holds every parameter of v, in its order, and
-    which declares those that its prox source reads; raises _Refused when
-    the translator refuses that source."""
+    which declares those that its prox source reads; its first stage and its
+    step are the Python kernel's (dynamics._k0_src and _step_src),
+    translated.  Raises _Refused when the translator refuses them."""
     used = _prox_params(v.prox_source, v.prox_params)
     index = {name: j for j, name in enumerate(v.prox_params)}
     params = [f"    const double *prox_{name} = prm[{index[name]}];" if array
               else f"    const double prox_{name} = prm[{index[name]}][0];"
               for name, array in used]
     translate = _Translator(
-        {**_DERIV_NAMES, **{f"prox_{name}": f"prox_{name}" for name, array in used if not array}},
-        frozenset(f"prox_{name}" for name, array in used if array))
-    deriv = translate.statements(dynamics._deriv_src(v, "", "x", "y", "kx", "ky"))
-    tokens = {name: repr(value) for name, value in dynamics._DP5_TABLEAU.items()}
-    tokens.update(min_step=repr(dynamics._MIN_STEP),
-                  numbers=", ".join(name.upper() for name in dynamics._NUMBERS),
-                  params="\n".join(params), deriv="\n".join("    " + line for line in deriv))
-    return string.Template(_TEMPLATE).substitute(tokens)
+        {*dynamics._NUMBERS, "t", "h", *(f"prox_{name}" for name, array in used if not array)},
+        frozenset({"X", "Y", "KX", "KY", *(f"prox_{name}" for name, array in used if array)}),
+        frozenset({"X", "Y", "KX", "KY", "XN", "YN", "KXN", "KYN", "SX", "SY"}))
+
+    def translated(src: str, indent: int) -> str:
+        tree = ast.parse("\n".join(dynamics._expand(src, v, dynamics._tokens(v))))
+        return "\n".join(" " * indent + line for line in translate.block(tree.body))
+
+    k0, step = translated(dynamics._k0_src(v, "t"), 4), translated(dynamics._step_src(v), 8)
+    words = set(re.findall(r"\w+", _TEMPLATE + k0 + step))
+    numbers = [f"    const double {name} = q[{j}];"
+               for j, name in enumerate(dynamics._NUMBERS) if name in words]
+    return string.Template(_TEMPLATE).substitute(
+        min_step=repr(dynamics._MIN_STEP), numbers="\n".join(numbers),
+        params="\n".join(params) or "    (void)prm;  /* a prox without parameters */",
+        locals=textwrap.fill(", ".join(translate.locals) + ";", 88, initial_indent="    double ",
+                             subsequent_indent="        "),
+        k0=k0, step=step)
 
 
 # ------------------------------------------------------------------ building

@@ -259,16 +259,16 @@ class ConditionQuery:
     schedule: PolyParams
 
     def __post_init__(self):
-        if not 0.0 < self.t0 < math.inf:
+        if not 0.0 < _real(self.t0, "t0") < math.inf:
             raise ParameterDomainError("t0 must be a positive real")
         _check_damping(self.alpha, self.beta)
 
 
 def _check_damping(alpha: float, beta: float) -> None:
     """The domains of alpha and beta, as a ConditionQuery checks them."""
-    if not 0.0 < alpha < math.inf:
+    if not 0.0 < _real(alpha, "alpha") < math.inf:
         raise ParameterDomainError("alpha must be a positive real")
-    if not 0.0 <= beta < math.inf:
+    if not 0.0 <= _real(beta, "beta") < math.inf:
         raise ParameterDomainError("beta must be a nonnegative real")
 
 
@@ -774,7 +774,7 @@ def _energy_index(q: Optional[float], alpha: float) -> Optional[float]:
 
 
 def _check_energy_index(q: float, alpha: float) -> None:
-    if not 2.0 <= q <= alpha - 1.0:
+    if not 2.0 <= _real(q, "q") <= alpha - 1.0:
         raise ParameterDomainError(f"q must lie in [2, alpha - 1] = [2, {alpha - 1.0:.6g}], got {q:.6g}")
 
 
@@ -788,7 +788,7 @@ def energy_descent_start(cfg, q: float, a: float) -> float:
     query = _as_query(cfg)
     s = query.schedule
     alpha, beta, t0 = query.alpha, query.beta, query.t0
-    if not 1.0 <= a < math.inf:
+    if not 1.0 <= _real(a, "a") < math.inf:
         raise ParameterDomainError(f"a must be >= 1 and finite, got {a:.6g}")
     _check_energy_index(q, alpha)
     b0 = s.b.scalar(t0)  # b(t0) = inf passes, and t_settle ignores it
@@ -826,7 +826,7 @@ def suggest_t0(params: PolyParams, alpha: float, beta: float, slack: float = 0.0
     its boundary; pass a positive slack to stand clear of it.
     """
     _check_damping(alpha, beta)
-    if not 0.0 <= slack < math.inf:
+    if not 0.0 <= _real(slack, "slack") < math.inf:
         raise ParameterDomainError("slack must be a nonnegative real")
     B, n, E, d = params.b_coeff, params.n, params.eps_coeff, params.d
     if alpha - 3.0 - n <= 0.0:
@@ -898,6 +898,7 @@ def _escalate(params: PolyParams, alpha: float, beta: float, checker, t0: float)
 def suggest_t0_strong(params: PolyParams, alpha: float, beta: float) -> float:
     """A starting time from which the strong-convergence certificate holds,
     found from the analytic binding constraints plus geometric escalation."""
+    _check_damping(alpha, beta)
     n, E, d = params.n, params.eps_coeff, params.d
     if E == 0.0:
         raise InfeasibleError("strong-convergence certificate needs eps > 0")
@@ -916,6 +917,7 @@ def suggest_t0_strong(params: PolyParams, alpha: float, beta: float) -> float:
 
 def suggest_t0_alpha3(params: PolyParams, beta: float) -> float:
     """A starting time from which the critical-damping certificate holds."""
+    _check_damping(3.0, beta)
     B = params.b_coeff
     cands = _first_starts(params.lam)
     if beta > 0.0:

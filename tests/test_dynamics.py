@@ -20,6 +20,7 @@ from proxdyn import (
     DivergenceError,
     InsufficientDataError,
     LambdaForm,
+    ParameterDomainError,
     PolyParams,
     StepSizeError,
     SystemConfig,
@@ -80,6 +81,22 @@ def test_rhs_rejects_wrong_reformulation():
         rhs_beta_positive(make_cfg(beta=0.0), 2.0, [1.0], [0.0])
     with pytest.raises(ValidationError):
         rhs_beta_zero(make_cfg(beta=1.0), 2.0, [1.0], [0.0])
+
+
+@pytest.mark.parametrize("kernel", ["compiled", "python"])
+@pytest.mark.parametrize("t", [-2.0, 0.0, math.nan, math.inf, "1", 10 ** 400],
+                         ids=["-2", "0", "nan", "inf", "str", "10**400"])
+def test_rhs_takes_t_as_the_configs_take_t0(t, kernel, request):
+    # a real in (0, inf), or ParameterDomainError: at t = -2 the C kernel's
+    # pow gave NaN where Python's ** gave a complex number, and t = 0 divided
+    # by zero in -(alpha / t)
+    if kernel == "python":
+        request.getfixturevalue("python_kernels")
+    for rhs, beta in ((rhs_beta_zero, 0.0), (rhs_beta_positive, 1.0)):
+        cfg = make_cfg(beta=beta, n=0.5)
+        assert np.isfinite(rhs(cfg, 2.0, [1.0], [0.0])).all()
+        with pytest.raises(ParameterDomainError, match="^t "):
+            rhs(cfg, t, [1.0], [0.0])
 
 
 def test_rhs_stationary_at_least_norm_point():

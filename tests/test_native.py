@@ -342,6 +342,82 @@ def test_translator_refuses_what_it_does_not_know(source):
             ast.parse(prox, mode="eval").body)
 
 
+@pytest.mark.parametrize("source", [
+    "if x > 0.0:\n    g = x",
+    "g = x ** 2.0",
+    "g = power(x, 2.0)",
+    "for i in range(3):\n    g = x",
+    "for j in lanes:\n    g = x",
+    "try:\n    g = x ** 2.0\nexcept ZeroDivisionError:\n    g = power(x, 2.0)",
+    "try:\n    g = x ** 2.0\nexcept (OverflowError, ValueError):\n    g = power(x, 2.0)",
+    "try:\n    g = x ** 2.0\nexcept OverflowError:\n    k = power(x, 2.0)",
+    "try:\n    g = x ** 2.0\nexcept OverflowError:\n    g = x\nexcept ValueError:\n    g = x",
+    "for i in lanes:\n    A = []\n    A.append(x)",
+    "g = x\ng, k = x, g",
+    "x = 2.0",
+    "A = []\nA.append(x)",
+    "A = []\nfor i in lanes:\n    A.append(x)\n    A.append(x)",
+    "B = []",
+    "g = X[i]",
+])
+def test_translator_refuses_statements_it_does_not_know(source):
+    # among them an if, ** outside the stage constants' try, a loop over
+    # anything but the lanes and an except of anything but OverflowError
+    with pytest.raises(native._Refused):
+        native._Translator({"x"}, frozenset({"X"}), frozenset({"A"})).block(ast.parse(source).body)
+
+
+def test_translator_writes_the_lanes_and_the_overflow_branch():
+    src = ("A, B = [], []\nfor i in lanes:\n    x, y = X[i], 2.0\n    A.append(x * y)\n"
+           "    B.append(y)\ntry:\n    b = c ** x\nexcept OverflowError:\n    b = power(c, x)")
+    translate = native._Translator({"c"}, frozenset({"X"}), frozenset({"A", "B"}))
+    assert translate.block(ast.parse(src).body) == [
+        "for (i = 0; i < m; i++) {", "    x = X[i];", "    y = 2.0;", "    A[i] = (x * y);",
+        "    B[i] = y;", "}", "over = 0;", "b = power(c, x, &over);", "if (over) {",
+        "    b = power(c, x, &over);", "}"]
+    assert translate.locals == ["x", "y", "b"]
+
+
+@needs_cc
+def test_both_kernels_step_by_one_text(monkeypatch, private_cache):
+    # one stage combination of the Python kernel's text changed moves the
+    # compiled kernel by the same bits: its stages are that text, translated
+    cfg, settings = make_cfg(l1_norm(3), 1.0), IntegratorSettings()
+    step = dynamics._step_src
+
+    def changed(v):
+        return step(v).replace("x1 = x + h * ($a10 * kx0)", "x1 = x + h * (($a10 * 1.01) * kx0)")
+
+    dynamics._kernel.cache_clear()
+    dynamics._python_kernel.cache_clear()
+    try:
+        before = both(cfg, settings)
+        monkeypatch.setattr(dynamics, "_step_src", changed)
+        monkeypatch.setitem(dynamics._MACROS, "step", changed)
+        dynamics._kernel.cache_clear()
+        dynamics._python_kernel.cache_clear()
+        after = both(cfg, settings)
+    finally:
+        dynamics._kernel.cache_clear()
+        dynamics._python_kernel.cache_clear()
+    assert before[0] == before[1] and before[0][0] == "returned"
+    assert after[0] == after[1] and after[0][0] == "returned"
+    assert after[0] != before[0] and after[1] != before[1]
+
+
+@needs_cc
+@pytest.mark.parametrize("name", objectives.BUILTIN_NAMES)
+def test_every_builtin_source_compiles_without_a_warning(name, tmp_path):
+    obj = objectives.make_objective(name)
+    src = tmp_path / "kernel.c"
+    src.write_text(native.c_source(dynamics._Variant(obj.prox.coordinate_source,
+                                                     tuple(obj.prox.coordinate_params))))
+    res = subprocess.run([native._compiler(), "-O0", "-c", "-Wall", "-Wextra", "-Werror",
+                          "-o", str(tmp_path / "kernel.o"), str(src)],
+                         stdin=subprocess.DEVNULL, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+
+
 def _abs_plus_quad_c_source():
     v = dynamics._Variant(abs_plus_quad().prox.coordinate_source, ())
     return native.c_source(v)
@@ -350,7 +426,7 @@ def _abs_plus_quad_c_source():
 def test_every_source_refuses_wide_double_evaluation():
     src = _abs_plus_quad_c_source()
     guard = src.index("#if FLT_EVAL_METHOD != 0\n#error ")
-    assert src.index("#include <float.h>") < guard < src.index("static double power")
+    assert src.index("#include <float.h>") < guard < src.index("static inline double power")
 
 
 @needs_cc

@@ -315,6 +315,32 @@ def test_suggest_t0_rejects_out_of_domain_inputs(alpha, beta, slack, error):
         suggest_t0(PolyParams(), alpha, beta, slack=slack)
 
 
+# the checkers' entry points take every number as SystemConfig does: a
+# real that a double holds, else ParameterDomainError, where an int beyond
+# the doubles or a str raised OverflowError, TypeError or struct.error
+NOT_DOUBLES = {
+    "query alpha": lambda: ConditionQuery(10 ** 400, 0.0, 1.4, PolyParams()),
+    "query beta": lambda: ConditionQuery(10.0, "1", 1.4, PolyParams()),
+    "query t0": lambda: ConditionQuery(10.0, 0.0, 10 ** 400, PolyParams()),
+    "suggest_t0 alpha": lambda: suggest_t0(PolyParams(), 10 ** 400, 0.0),
+    "suggest_t0 beta": lambda: suggest_t0(PolyParams(), 10.0, "0"),
+    "suggest_t0 slack": lambda: suggest_t0(PolyParams(), 10.0, 0.0, slack=10 ** 400),
+    "suggest_t0_strong alpha": lambda: suggest_t0_strong(PolyParams(), 10 ** 400, 1.0),
+    "suggest_t0_strong beta": lambda: suggest_t0_strong(PolyParams(), 10.0, "1"),
+    "suggest_t0_alpha3 beta": lambda: suggest_t0_alpha3(PolyParams(), 10 ** 400),
+    "energy_descent_start a": lambda: energy_descent_start(fast_example_query(), 9.0, 10 ** 400),
+    "energy_descent_start q": lambda: energy_descent_start(fast_example_query(), "9", 2.0),
+}
+
+
+@pytest.mark.parametrize("case", list(NOT_DOUBLES))
+def test_checker_entry_points_refuse_what_no_double_holds(case):
+    with pytest.raises(ParameterDomainError, match="must be a real number|too large for a double"):
+        NOT_DOUBLES[case]()
+    # an int that a double holds is checked, not replaced: the query keeps it
+    assert type(ConditionQuery(10, 0, 1, PolyParams()).alpha) is int
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     alpha=st.floats(3.6, 12.0),
