@@ -10,18 +10,19 @@ Values are written with the %.17g format, which round-trips float64
 bit-exactly (NaN included), so reading a file back reproduces the arrays
 that produced it.
 
-The writer makes that text in numpy, byte for byte what "%.17g" % v gives
-(see _g17_words): it scales |v| by a power of ten held as a double-double,
-rounds the exact product (Dekker's two-product) to 17 digits and lays the
-digits out in 8-byte words.  Python's % still writes the values this
-cannot decide: +-0, NaN, +-inf, |v| outside [1e-280, 1e280] (subnormals
-included), and values whose scaled product lies within 1e-6 of a rounding
-tie or of a power of ten.
+The text is made in C (_SOURCE, built by the native module), which scales
+|v| by a power of ten held as a double-double (_powers) and rounds the
+exact product (Dekker's two-product) to 17 digits; +-0, nan (whatever its
+sign bit) and +-inf are spelled as by Python, with no libc formatting.
+Python's % writes the cells it leaves undecided (|v| outside about
+[1e-283, 1e282], subnormals included, and products within 1e-6 of a
+rounding tie), or every cell where the C does not build (no C compiler).
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
 import functools
 from array import array
 from dataclasses import dataclass
@@ -36,19 +37,131 @@ from .errors import ValidationError
 __all__ = ["TrajectoryTable", "table_from_trajectory", "write_csv", "read_csv"]
 
 _SCALAR_COLUMNS = Observables.FIELDS
-# rows per CSV write block: on fig1/n2, 128-row blocks wrote about 15%
-# slower; 512- and 1,024-row blocks wrote 5-10% faster but raised the
-# write's peak RSS by 1.0 and 3.3 MB more
+# rows per CSV write block, each one call of the compiled writer into one
+# reused buffer.  fig1/n2's write took 16.4 ms in 128-row blocks, 15.5 ms in
+# 256 and 14.3 ms in 1,024, which raised the fig1_n2 peak RSS by 0.2 MB
 _BLOCK_ROWS = 256
+_K_MIN, _K_MAX = -283, 282  # the decimal exponents k of the powers 10**(16 - k)
 
-# the numpy path formats |v| in [1e-280, 1e280]; their decimal exponents k
-# lie in [-281, 280], and the log10 guess and the carry into the next
-# decade are one off at most
-_LOW, _HIGH = 1e-280, 1e280
-_K_MIN, _K_MAX = -283, 282
-_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into 26-bit halves
-# a scaled product this close to a rounding tie, 1e16 or 1e17 goes to %
-_MARGIN = 1e-6
+_SOURCE = r"""
+#include <float.h>
+#include <math.h>
+#include <string.h>
+
+/* each double operation rounded to a double, as CPython rounds it: a host
+   that keeps intermediates in wider registers (x87) builds no writer */
+#if FLT_EVAL_METHOD != 0
+#error "double arithmetic here is not IEEE binary64 operation by operation"
+#endif
+
+static const char PAIRS[] =  /* the two digits of 0..99 */
+    "00010203040506070809101112131415161718192021222324252627282930313233"
+    "34353637383940414243444546474849505152535455565758596061626364656667"
+    "6869707172737475767778798081828384858687888990919293949596979899";
+
+/* the high 26 bits of x (Veltkamp's split); x - head(x) is exact */
+static double head(double x)
+{
+    double c = x * 134217729.0;  /* 2**27 + 1 */
+    return c - (c - x);
+}
+
+/* "%.17g" % v from p on, and the end of its text; NULL where undecided.  k,
+   the decimal exponent, is guessed from the binary one and moved up where
+   |v| * 10**(15 - k) >= 1e16.  With hi + lo = 10**(16 - k) from the powers,
+   prod = |v| * hi is a double and an integer, and rest the rest of the exact
+   product to about 1e-15.  prod + rest must lie in [1e16, 1e17), clear of
+   them and of a rounding tie by 1e-6; rounded, it is the 17-digit
+   significand, unless it rounds up to 10**17, which is undecided too. */
+static char *cell(double v, const double *powers, long long kmin, long long nk, char *p)
+{
+    double a = fabs(v), ah = head(a), at = a - ah, hi, hh, ht, prod, rest, guess;
+    unsigned long long bits;
+    long long k, n, whole;
+    int fixed, last, dot, j;
+    char z[21] = "0000", *s = z + 4;  /* the digits, after the zeros of 0.000D0 */
+
+    if (isnan(v))  /* whatever its sign bit */
+        return (char *)memcpy(p, "nan", 3) + 3;
+    if (signbit(v))
+        *p++ = '-';
+    if (a == 0.0)
+        return (char *)memcpy(p, "0", 1) + 1;
+    if (isinf(a))
+        return (char *)memcpy(p, "inf", 3) + 3;
+    memcpy(&bits, &a, sizeof bits);
+    guess = ((long long)(bits >> 52) - 1023) * 0.30102999566398120;  /* log10 2**e */
+    k = (long long)guess - (guess < 0.0);  /* its floor: log10 |v| or one less */
+    if (k < kmin || k + 1 >= kmin + nk)
+        return NULL;
+    k += a * powers[2 * (k + 1 - kmin)] >= 1e16;
+    hi = powers[2 * (k - kmin)];
+    hh = head(hi);
+    ht = hi - hh;
+    prod = a * hi;  /* and Dekker's two-product of its rounding error, plus |v| * lo */
+    rest = (((ah * hh - prod) + ah * ht) + at * hh) + at * ht + a * powers[2 * (k - kmin) + 1];
+    whole = (long long)rest;
+    whole -= rest < whole;  /* floor(rest) */
+    if (!((prod - 1e16) + rest >= 1e-6 && (prod - 1e17) + rest <= -1e-6
+          && fabs(rest - whole - 0.5) >= 1e-6))
+        return NULL;
+    n = (long long)prod + whole + (rest - whole > 0.5);
+    if (n == 100000000000000000LL)  /* rounded up into the next decade */
+        return NULL;
+    for (j = 15; j > 0; j -= 2, n /= 100)
+        memcpy(s + j, PAIRS + 2 * (n % 100), 2);
+    s[0] = (char)('0' + n);
+    for (last = 16; last > 0 && s[last] == '0'; last--)
+        ;
+    fixed = k >= -4 && k < 17;
+    if (fixed && k < 0) {  /* 0.000D0...: s starts at the zeros */
+        s += k;
+        last -= k;
+    }
+    dot = fixed && k > 0 ? k + 1 : 1;  /* the digits before the "." */
+    memcpy(p, s, dot);
+    p += dot;
+    if (last >= dot) {
+        *p++ = '.';
+        memcpy(p, s + dot, last + 1 - dot);
+        p += last + 1 - dot;
+    }
+    if (fixed)
+        return p;
+    *p++ = 'e';
+    *p++ = k < 0 ? '-' : '+';
+    k = k < 0 ? -k : k;
+    if (k >= 100)
+        *p++ = (char)('0' + k / 100);
+    memcpy(p, PAIRS + 2 * (k % 100), 2);
+    return p + 2;
+}
+
+/* the rows x cols cells, row-major, as CSV rows into out (at most 25 bytes a
+   cell and 1 a row), and their length; each undecided cell's index and the
+   offset of its text into marks, and the count of those numbers into *nmarks */
+long long proxdyn_g17(const double *cells, long long rows, long long cols, const double *powers,
+                      long long kmin, long long nk, char *out, long long *marks, long long *nmarks)
+{
+    char *p = out, *end;
+    long long r, c, m = 0;
+    for (r = 0; r < rows; r++) {
+        for (c = 0; c < cols; c++) {
+            end = cell(cells[r * cols + c], powers, kmin, nk, p);
+            if (!end) {
+                marks[m++] = r * cols + c;
+                marks[m++] = p - out;
+            }
+            p = end ? end : p;
+            *p++ = ',';
+        }
+        p[-1] = '\r';
+        *p++ = '\n';
+    }
+    *nmarks = m;
+    return p - out;
+}
+"""
 
 
 def _header(m: int) -> list:
@@ -81,180 +194,61 @@ def table_from_trajectory(obs: Observables) -> TrajectoryTable:
                            scalars={name: getattr(obs, name) for name in _SCALAR_COLUMNS})
 
 
-def _head(x: np.ndarray) -> np.ndarray:
-    """The high 26 bits of x (Veltkamp's split); x - _head(x) is exact."""
-    c = x * _SPLIT
-    return c - (c - x)
-
-
 @functools.cache
 def _powers() -> np.ndarray:
-    """Rows (hi, head, tail, lo) for k in [_K_MIN, _K_MAX]: hi is the double
-    nearest 10**(16 - k), head + tail is hi split by _head, and lo is the
-    double nearest 10**(16 - k) - hi.  Built from exact ints, since int to
-    float conversion and int / int round correctly."""
+    """Rows (hi, lo) for k in [_K_MIN, _K_MAX]: hi = a / b is the double
+    nearest 10**(16 - k) = num / den, and lo the double nearest its rest;
+    each is an int / int, which rounds correctly."""
     rows = []
     for k in range(_K_MIN, _K_MAX + 1):
-        p = 16 - k
-        if p >= 0:
-            hi = float(10 ** p)
-            lo = float(10 ** p - int(hi))
-        else:
-            den = 10 ** -p
-            hi = 1 / den
-            num, two = hi.as_integer_ratio()
-            lo = (two - num * den) / (two * den)  # 1 / den - hi
-        rows.append((hi, lo))
-    hi, lo = np.array(rows).T
-    head = _head(hi)
-    table = np.column_stack([hi, head, hi - head, lo])
-    table.flags.writeable = False
-    return table
+        num, den = 10 ** max(16 - k, 0), 10 ** max(k - 16, 0)
+        a, b = (num / den).as_integer_ratio()
+        rows.append((a / b, (num * b - a * den) / (den * b)))
+    return np.array(rows)
 
 
 @functools.cache
-def _layout():
-    """The lookup tables of _g17_words.  A value's text is six 8-byte words,
-    NUL where it has no byte:
+def _compiled():
+    """The compiled writer, proxdyn_g17, or None where there is no C compiler
+    or its build fails (which warns, once a process)."""
+    from . import native  # its build tools stay out of the import of the package
 
-    - word 0: "-", then "0." and up to three "0" (fixed notation below 1),
-      then the first digit D0 and the "." after it;
-    - words 1-4: D1 "." D2 "." ... D16 ".";
-    - word 5: "e", the exponent's sign and its three digits (the hundreds
-      NUL below 100), then "," and two NUL, which the last cell of a row
-      overwrites with "\\r\\n".
-
-    heads[(sign * 5 + zeros) * 2 + dot] is word 0 without D0; masks[keep *
-    17 + dot] keeps D1..D<keep> of words 1-4 and the "." after D<dot> if
-    0 < dot < keep; exponents[k - _K_MIN] is word 5."""
-    heads = [(sign + (b"0." + b"0" * (zeros - 1) if zeros else b"")).ljust(7, b"\0") + dot
-             for sign in (b"\0", b"-") for zeros in range(5) for dot in (b"\0", b".")]
-    keep, dot, j = np.ogrid[:17, :17, 1:17]
-    masks = np.zeros((17, 17, 16, 2), np.uint8)
-    masks[..., 0] = np.where(j <= keep, 0xFF, 0)
-    masks[..., 1] = np.where((j == dot) & (dot < keep), 0xFF, 0)
-    masks.flags.writeable = False
-    exponents = []
-    for k in range(_K_MIN, _K_MAX + 1):
-        if -4 <= k < 17:
-            exponents.append(b"\0" * 5 + b",\0\0")
-        else:
-            digits = b"%03d" % abs(k) if abs(k) >= 100 else b"\0%02d" % abs(k)
-            exponents.append(b"e" + (b"-" if k < 0 else b"+") + digits + b",\0\0")
-    return (np.frombuffer(b"".join(heads), np.uint64), masks.reshape(-1, 32).view(np.uint64),
-            np.frombuffer(b"".join(exponents), np.uint64))
-
-
-def _scaled(a: np.ndarray):
-    """(n, k, decided) for each a in [_LOW, _HIGH]: n is a * 10**(16 - k)
-    rounded to the nearest integer, in [10**16, 10**17), k the decimal
-    exponent of that 17-digit significand, and decided False where the
-    product lies within _MARGIN of a rounding tie, of 1e16 or of 1e17.
-
-    k = floor(log10 a) is a guess, and a * (hi + lo), with hi + lo =
-    10**(16 - k) from _powers, is computed as prod + rest: prod = a * hi is
-    a double and an integer (it lies near [1e16, 1e17), above 2**53), and
-    rest holds the rest of the exact product to about 1e-15.  k moves by
-    one where the product falls outside [1e16, 1e17).  prod + rint(rest) is
-    then the significand % rounds to; one of 10**17 carries into the next
-    decade as 10**16."""
-    k = np.floor(np.log10(a)).astype(np.int32)
-    a_head = _head(a)
-    a_tail = a - a_head
-    for _ in range(2):  # one move at most: a value still outside is not decided
-        hi, head, tail, lo = np.take(_powers(), k - _K_MIN, axis=0).T
-        prod = a * hi
-        # the rounding error of a * hi, exactly (Dekker's two-product), plus a * lo
-        rest = (((a_head * head - prod) + a_head * tail) + a_tail * head) + a_tail * tail + a * lo
-        below = (prod - 1e16) + rest
-        above = (prod - 1e17) + rest
-        move = (above >= 0).astype(np.int32) - (below < 0)
-        if not move.any():
-            break
-        k += move
-    decided = ((move == 0) & (np.abs(rest - np.floor(rest) - 0.5) >= _MARGIN)
-               & (np.abs(below) >= _MARGIN) & (np.abs(above) >= _MARGIN))
-    n = prod.astype(np.int64) + np.rint(rest).astype(np.int64)
-    carry = n == 10 ** 17
-    n[carry] = 10 ** 16
-    return n, k + carry, decided
-
-
-def _digits(n: np.ndarray):
-    """(d0, digits, last) of each 17-digit n: its first digit D0, its other
-    digits D1..D16 in the 16-bit lanes of four uint64 words (reading order
-    in memory), and the index of the last nonzero one of D1..D16 (0 when
-    there is none)."""
-    high, low = np.divmod(n, 10 ** 8)
-    d0, high = np.divmod(high, 10 ** 8)
-    quads = np.empty((len(n), 4), np.uint64)
-    quads[:, 0], quads[:, 1] = np.divmod(high, 10 ** 4)
-    quads[:, 2], quads[:, 3] = np.divmod(low, 10 ** 4)
-    # q // 100 as (q * 5243) >> 19 and x // 10 as (x * 103) >> 10 are exact
-    # for q < 10**4 and x < 100; the lanes never carry into each other
-    pairs = (quads * 5243) >> 19
-    pairs |= (quads - pairs * 100) << 32
-    tens = ((pairs * 103) >> 10) & 0x0000000F0000000F
-    digits = tens | ((pairs - tens * 10) << 16)
-    # bit 15 of a lane is set where its digit is not 0; the multiply gathers
-    # a word's four lane bits into bits 48-51, and frexp gives the bit
-    # length of all 16
-    nonzero = ((digits + 0x7FFF7FFF7FFF7FFF) >> 15) & 0x0001000100010001
-    nibbles = (nonzero * 0x0001000200040008) >> 48
-    flags = nibbles[:, 0] | (nibbles[:, 1] << 4) | (nibbles[:, 2] << 8) | (nibbles[:, 3] << 12)
-    return d0, digits, np.frexp(flags.astype(np.float64))[1]
-
-
-def _g17_words(values: np.ndarray) -> np.ndarray:
-    """The text of "%.17g," % v for each float64 v, as rows of six uint64
-    words (48 bytes, NUL where the text has no byte; see _layout).  Values
-    outside [_LOW, _HIGH] in magnitude, or that _scaled cannot decide, get
-    their text from %."""
-    a = np.abs(values)
-    fast = (a >= _LOW) & (a <= _HIGH)  # False for +-0, subnormals, +-inf and NaN
-    n, k, decided = _scaled(np.where(fast, a, 1.0))
-    fast &= decided
-    d0, digits, last = _digits(n)
-    fixed = (k >= -4) & (k < 17)
-    dot = np.where(fixed & (k > 0), k, 0)  # fixed notation's "." after D<k>
-    keep = np.maximum(last, dot)
-    zeros = np.where(fixed & (k < 0), -k, 0)  # "0." and -k - 1 zeros before D0
-    dot0 = (keep > 0) & ~(fixed & (k != 0))  # the "." after D0
-    heads, masks, exponents = _layout()
-    words = np.empty((len(values), 6), np.uint64)
-    words[:, 0] = (np.take(heads, (np.signbit(values) * 5 + zeros) * 2 + dot0)
-                   | ((d0 + ord("0")).astype(np.uint64) << 48))
-    words[:, 1:5] = (digits | 0x2E302E302E302E30) & np.take(masks, keep * 17 + dot, axis=0)
-    words[:, 5] = np.take(exponents, k - _K_MIN)
-    slow = np.flatnonzero(~fast)
-    if slow.size:
-        text = np.array(["%.17g" % v for v in values[slow].tolist()], dtype="S48")
-        chars = text.view(np.uint8).reshape(-1, 48)
-        chars[:, 45] = ord(",")
-        words[slow] = chars.view(np.uint64)
-    return words
+    lib = native._load(_SOURCE, "the CSV writer")
+    if lib is None:
+        return None
+    write = lib.proxdyn_g17
+    write.restype = ctypes.c_longlong
+    size, address = ctypes.c_longlong, ctypes.c_void_p
+    write.argtypes = [address, size, size, address, size, size, address, address, address]
+    return write
 
 
 def _write_rows(path, header, columns) -> None:
     """Write header, then np.column_stack(columns) as %.17g rows, CRLF-ended like csv.writer.
 
     The table goes out in blocks of _BLOCK_ROWS rows, so the text of only
-    one block is held at a time.  Each block formats every distinct value
-    once (values repeat within a row: prox_dist equals grad_norm when
-    lambda = 1), gathers each cell's words and drops their NUL bytes.
-    Values are told apart by their bit patterns, not compared as floats, so
-    -0.0 keeps its text "-0" apart from 0.0's "0" and a NaN, equal to
-    nothing, still finds its text."""
-    table = np.column_stack(columns)
+    one block is held at a time; % writes the cells that the compiled writer
+    leaves, or every cell without it."""
+    table = np.ascontiguousarray(np.column_stack(columns), dtype=float)
+    write, powers = _compiled(), _powers()
+    buf = np.empty(_BLOCK_ROWS * (25 * table.shape[1] + 1), np.uint8)
+    marks, count = np.empty(2 * _BLOCK_ROWS * table.shape[1], np.int64), ctypes.c_longlong()
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
         for start in range(0, len(table), _BLOCK_ROWS):
             block = table[start:start + _BLOCK_ROWS]
-            bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
-            words = np.take(_g17_words(bits.view(np.float64)), inverse.ravel(), axis=0)
-            chars = words.view(np.uint8).reshape(block.shape + (48,))
-            chars[:, -1, 45:47] = (ord("\r"), ord("\n"))
-            fh.write(chars.tobytes().translate(None, b"\0"))
+            if write is None:
+                fh.writelines(b",".join(b"%.17g" % v for v in row) + b"\r\n"
+                              for row in block.tolist())
+                continue
+            size = write(block.ctypes.data, *block.shape, powers.ctypes.data, _K_MIN,
+                         len(powers), buf.ctypes.data, marks.ctypes.data, ctypes.addressof(count))
+            at = 0
+            for index, offset in marks[:count.value].reshape(-1, 2).tolist():
+                fh.write(buf[at:offset])
+                fh.write(b"%.17g" % block.item(index))
+                at = offset
+            fh.write(buf[at:size])
 
 
 def write_csv(path, table: TrajectoryTable) -> None:

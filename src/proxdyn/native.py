@@ -1,4 +1,5 @@
-"""Compiled DP5 kernels: the generated stepper emitted as C.
+"""Compiled DP5 kernels, the generated stepper emitted as C, and the build
+and cache of the package's C libraries, the CSV writer's too.
 
 A DP5 (rk45_adaptive) variant whose prox carries a scalar source,
 prox.coordinate_source, also has a C form, which integrate and the public
@@ -32,8 +33,10 @@ The C source is compiled with the system C compiler, cc on PATH, as
 shared library loaded through ctypes, the first time integrate or an rhs_*
 asks for the variant; a host whose C keeps doubles in wider registers
 (FLT_EVAL_METHOD other than 0, as 32-bit x86 with x87 does) fails that
-build, by an #error in the source, and keeps the Python kernel.  Nothing
-compiles or starts a process at import, in build_run or in validation.
+build, by an #error in the source, and keeps the Python kernel.  The CSV
+writer's fixed source, csvio._SOURCE, is built by the same _load on the
+first write of a process.  Nothing compiles or starts a process at import,
+in build_run or in validation.
 The library is kept in a cache directory, $XDG_CACHE_HOME/proxdyn or else
 ~/.cache/proxdyn, of mode 0700, under the SHA-256 of its source, the
 compiler command and the platform, written to a temporary name and moved
@@ -539,7 +542,7 @@ def _build(directory: str, name: str, source: str, command: list) -> str:
 def _load(source: str, name: str):
     """The loaded library of source, built into the cache first when it is
     not there, or None when there is no compiler or it cannot be built; a
-    failed build warns, naming the kernel by name."""
+    failed build warns, naming the library by name."""
     cc = _compiler()
     if cc is None:
         return None

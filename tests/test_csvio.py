@@ -1,16 +1,22 @@
 """Trajectory CSV contract: column order and bit-exact round-trip."""
 
+import ctypes
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from proxdyn import csvio
+from proxdyn import csvio, native
 from proxdyn.csvio import read_csv, table_from_trajectory, write_csv
 from proxdyn.diagnostics import compute_observables, energy_q_series
 from proxdyn.dynamics import IntegratorSettings, integrate
 from proxdyn.errors import ValidationError
 from proxdyn.runconfig import build_system, config_from_flat, preset_runs
+
+
+needs_cc = pytest.mark.skipif(native._compiler() is None, reason="no C compiler on PATH")
 
 
 def small_run(extra=None, preset="fig1", idx=0):
@@ -199,3 +205,95 @@ def test_edge_values_equal_percent_format(tmp_path):
     values = np.concatenate([values, -values])
     got, want = write_rows_bytes(tmp_path / "edges.csv", values.reshape(-1, 2))
     assert got == want
+
+
+def exact_ties():
+    """The tie values of test_edge_values_equal_percent_format."""
+    m = np.random.default_rng(3).integers(2 * 10 ** 15, 45 * 10 ** 14, 2000) * 2 + 1
+    return m / 4.0
+
+
+def carries():
+    """The doubles nearest 9.99999999999999999e<p>, as in that test."""
+    return np.array([float("9.99999999999999999e%d" % p) for p in range(-300, 301)])
+
+
+SIGNED_NAN = np.uint64(0xFFF8000000000000).view(np.float64)  # a NaN with its sign bit set
+
+
+@needs_cc
+def test_compiled_writer_equals_percent_format(tmp_path):
+    # the writer built, so a failed build cannot pass this as % against itself
+    assert csvio._compiled() is not None
+    bits = np.random.default_rng(11).integers(-2 ** 63, 2 ** 63, 200_000, dtype=np.int64,
+                                              endpoint=False)
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, SIGNED_NAN, 5e-324, -5e-324]
+    values = np.concatenate([bits.view(np.float64), decade_edges(), exact_ties(), carries(),
+                             specials])
+    values = np.concatenate([values, -values])
+    rows = np.resize(values, (-(-len(values) // 5), 5))  # the last row repeats the first values
+    got, want = write_rows_bytes(tmp_path / "bits.csv", rows)
+    assert got == want
+
+
+def undecided(value) -> bool:
+    """Whether the compiled writer hands value back to Python's %."""
+    cell, powers = np.array([value]), csvio._powers()
+    buf, marks, count = np.empty(26, np.uint8), np.empty(2, np.int64), ctypes.c_longlong()
+    csvio._compiled()(cell.ctypes.data, 1, 1, powers.ctypes.data, csvio._K_MIN, len(powers),
+                      buf.ctypes.data, marks.ctypes.data, ctypes.addressof(count))
+    return count.value == 2  # its index and its offset
+
+
+@pytest.fixture(params=["compiled", "percent"])
+def writer(request, monkeypatch):
+    """Each CSV test that takes it runs on the compiled writer and on %."""
+    if request.param == "compiled":
+        if csvio._compiled() is None:
+            pytest.skip("no compiled CSV writer")
+    else:
+        monkeypatch.setattr(csvio, "_compiled", lambda: None)
+    return request.param
+
+
+def test_undecided_cells_are_spliced_in_place(tmp_path, writer):
+    block, cols = csvio._BLOCK_ROWS, 5
+    rng = np.random.default_rng(5)
+    shape = (3 * block + 7, cols)
+    table = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
+    ties = iter(np.concatenate([exact_ties(), -exact_ties()]))
+    hard = [5e-324, -2.5e-310, 1e300, -1e-300, 1e-300, -1e300, 0.25 * 4503599627370497]
+    table[0, 0] = next(ties)  # the first cell of a block
+    table[block - 1, -1] = next(ties)  # the last cell of that block
+    table[5, 1:3] = hard[:2]  # two cells side by side
+    table[block:2 * block] = np.resize(np.concatenate([hard, list(ties)[:block * cols]]),
+                                       (block, cols))  # a whole block
+    table[2 * block:, 3] = np.resize(hard, len(table) - 2 * block)  # a column
+    table[2 * block + 1, 0] = SIGNED_NAN
+    if writer == "compiled":
+        cells = np.concatenate([table[0, :1], table[block - 1, -1:], table[5, 1:3],
+                                table[block:2 * block].ravel(), table[2 * block:, 3]])
+        assert all(undecided(v) for v in cells)
+        assert not undecided(SIGNED_NAN) and not undecided(table[2 * block + 1, 1])
+    got, want = write_rows_bytes(tmp_path / "spliced.csv", table)
+    assert got == want
+    assert b"\r\nnan," in got and b"-nan" not in got
+
+
+@needs_cc
+def test_a_failed_writer_build_warns_once_and_writes_with_percent(tmp_path, monkeypatch):
+    def fail(*args):
+        raise native._BuildFailed("kernel.c:1: error: no")
+
+    monkeypatch.setattr(native, "_build", fail)
+    csvio._compiled.cache_clear()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for name in ("a.csv", "b.csv"):
+                write_csv(tmp_path / name, crafted_table())
+                assert (tmp_path / name).read_bytes() == per_row_reference(crafted_table())
+    finally:
+        csvio._compiled.cache_clear()
+    assert [str(w.message) for w in caught] == [
+        "proxdyn: the CSV writer did not build, so it runs in Python: kernel.c:1: error: no"]

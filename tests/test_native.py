@@ -18,7 +18,7 @@ import warnings
 import numpy as np
 import pytest
 
-from proxdyn import dynamics, native, objectives
+from proxdyn import csvio, dynamics, native, objectives
 from proxdyn import (
     DivergenceError,
     IntegratorSettings,
@@ -405,13 +405,20 @@ def test_both_kernels_step_by_one_text(monkeypatch, private_cache):
     assert after[0] != before[0] and after[1] != before[1]
 
 
-@needs_cc
-@pytest.mark.parametrize("name", objectives.BUILTIN_NAMES)
-def test_every_builtin_source_compiles_without_a_warning(name, tmp_path):
+def _builtin_source(name) -> str:
+    """The C source of a built-in objective's kernel, or the CSV writer's."""
+    if name == "csv_writer":
+        return csvio._SOURCE
     obj = objectives.make_objective(name)
+    return native.c_source(dynamics._Variant(obj.prox.coordinate_source,
+                                             tuple(obj.prox.coordinate_params)))
+
+
+@needs_cc
+@pytest.mark.parametrize("name", [*objectives.BUILTIN_NAMES, "csv_writer"])
+def test_every_builtin_source_compiles_without_a_warning(name, tmp_path):
     src = tmp_path / "kernel.c"
-    src.write_text(native.c_source(dynamics._Variant(obj.prox.coordinate_source,
-                                                     tuple(obj.prox.coordinate_params))))
+    src.write_text(_builtin_source(name))
     res = subprocess.run([native._compiler(), "-O0", "-c", "-Wall", "-Wextra", "-Werror",
                           "-o", str(tmp_path / "kernel.o"), str(src)],
                          stdin=subprocess.DEVNULL, capture_output=True, text=True)
@@ -424,21 +431,22 @@ def _abs_plus_quad_c_source():
 
 
 def test_every_source_refuses_wide_double_evaluation():
-    src = _abs_plus_quad_c_source()
-    guard = src.index("#if FLT_EVAL_METHOD != 0\n#error ")
-    assert src.index("#include <float.h>") < guard < src.index("static inline double power")
+    for src in (_abs_plus_quad_c_source(), csvio._SOURCE):
+        guard = src.index("#if FLT_EVAL_METHOD != 0\n#error ")
+        assert src.index("#include <float.h>") < guard < src.index("static ")
 
 
 @needs_cc
 @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="needs x86-64's x87")
 def test_x87_double_evaluation_fails_the_build(tmp_path):
     # gcc and clang on x86-64 take -mfpmath=387, and then FLT_EVAL_METHOD is 2
-    src = _abs_plus_quad_c_source()
     command = [native._compiler(), *native._FLAGS]
-    with pytest.raises(native._BuildFailed, match="FLT_EVAL_METHOD|IEEE binary64"):
-        native._build(str(tmp_path), "x87.so", src, [*command, "-mfpmath=387"])
-    assert native._build(str(tmp_path), "sse.so", src, command)
-    assert sorted(os.listdir(tmp_path)) == ["sse.so"]
+    for src in (_abs_plus_quad_c_source(), csvio._SOURCE):
+        with pytest.raises(native._BuildFailed, match="FLT_EVAL_METHOD|IEEE binary64"):
+            native._build(str(tmp_path), "x87.so", src, [*command, "-mfpmath=387"])
+        assert native._build(str(tmp_path), "sse.so", src, command)
+        assert sorted(os.listdir(tmp_path)) == ["sse.so"]
+        os.remove(tmp_path / "sse.so")
 
 
 def test_translator_keeps_python_order_and_choices():
