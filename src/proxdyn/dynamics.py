@@ -63,19 +63,18 @@ is registered with linecache under a name such as <proxdyn dp5 numpy>, or
 prox, so tracebacks that the traceback module formats (pytest, logging,
 traceback.print_exc) show its lines; _source returns it.
 
-Which kernel runs: a DP5 variant on float lanes also has a C form (the
-native module: the loop's skeleton written in C around this module's own
-first stage and step, _k0_src and _step_src, translated; built with cc on
-PATH and cached), which runs every call of the variant whenever it
-builds.  RK4, the numpy lane, a prox source that the translator refuses, a
-host without cc and a failed build (which warns) run the Python kernels,
-the tests' reference.
-Either gives the same bits: the same samples, step counts, KX and KY, and
-the same errors with the same messages, t_last and h (tests/test_native.py).
-There is no setting to choose between the two.  Every kernel reads only
-its inputs, made once per call of integrate or an rhs_* (_inputs): its
-numbers as doubles, its counts as ints, and the prox's parameters as
-doubles, so an int or a numpy scalar in a config runs as its double.
+Which kernel runs: a DP5 variant on float lanes also has a C form, its
+whole Python kernel text translated by the native module (built with cc on
+PATH and cached), which runs every call of the variant whenever it builds.
+RK4, the numpy lane, a prox source that the translator refuses, a host
+without cc and a failed build (which warns) run the Python kernels, the
+tests' reference.  Either gives the same bits: the same samples, step
+counts, KX and KY, and the same errors with the same messages, t_last and h
+(tests/test_native.py).  There is no setting to choose between the two.
+Every kernel reads only its inputs, made once per call of integrate or an
+rhs_* (_inputs): its numbers as doubles, its counts as ints, and the prox's
+parameters as doubles, so an int or a numpy scalar in a config runs as its
+double.
 
 The spliced expressions perform the same IEEE operations, in the same
 order, as the schedule's scalar forms fn.scalar, which use Python's ** (libm
@@ -97,8 +96,8 @@ numpy expressions in the templates' comments, and a scalar source equals the
 array prox bit for bit, so a trajectory equals that of the array formulation
 bit for bit (tests/trajectory_pins.json pins a set of them).  The error norm
 sums its 2 * dim squares left to right, x block first, at every dim and in
-every kind of lane (_sum_src); numpy's pairwise reduction would take that
-order only for fewer than 8 terms.  A step whose error norm is not finite
+every kind of lane; numpy's pairwise reduction would take that order only
+for fewer than 8 terms.  A step whose error norm is not finite
 raises DivergenceError naming t and h, and the divergence guard, spliced
 after every step, bounds the whole state (x, y), failing on a NaN anywhere;
 both errors, and StepSizeError, carry t_last and h.  An RK4 step that
@@ -249,22 +248,64 @@ def _split(v, lane: str):
 _DP5_TEMPLATE = """\
 def dp5(X, Y, numbers, counts, params):
     $prelude
-    nthreshold, sqrt, isfinite = -threshold, math.sqrt, math.isfinite
+    t, T = t0, horizon
+    nthreshold = -threshold
     $k0 t
-    u = (X$flat) + (Y$flat)
     $sample
-    accepted, rejected, nfev, n2 = 0, 0, 1, len(u)
+    accepted, rejected, nfev, n2 = 0, 0, 1, 2 * len(X$flat)
     h = min((T - t) / 100.0, 1.0, max_step)
     while t < T:
         if accepted + rejected >= max_steps:
             raise StepSizeError(f"step budget exhausted at t = {t:.6g}, h = {h:.3g}", t, h)
         if T - t < h:  # h = min(h, T - t)
             h = T - t
-        $step
+        t1 = t + $c1 * h
+        t2 = t + $c2 * h
+        t3 = t + $c3 * h
+        t4 = t + $c4 * h
+        t5 = t + $c5 * h
+        $consts t1 t2 t3 t4 t5
+        $lanes XN=xn YN=yn KXN=kx6 KYN=ky6 SX=sx SY=sy
+            x, y, kx0, ky0 = X[i], Y[i], KX[i], KY[i]
+            # u + h * (a10 * k0)
+            x1 = x + h * ($a10 * kx0)
+            y1 = y + h * ($a10 * ky0)
+            $deriv 1 x1 y1 kx1 ky1
+            # u + h * (a20 * k0 + a21 * k1)
+            x2 = x + h * ($a20 * kx0 + $a21 * kx1)
+            y2 = y + h * ($a20 * ky0 + $a21 * ky1)
+            $deriv 2 x2 y2 kx2 ky2
+            x3 = x + h * ($a30 * kx0 + $a31 * kx1 + $a32 * kx2)
+            y3 = y + h * ($a30 * ky0 + $a31 * ky1 + $a32 * ky2)
+            $deriv 3 x3 y3 kx3 ky3
+            x4 = x + h * ($a40 * kx0 + $a41 * kx1 + $a42 * kx2 + $a43 * kx3)
+            y4 = y + h * ($a40 * ky0 + $a41 * ky1 + $a42 * ky2 + $a43 * ky3)
+            $deriv 4 x4 y4 kx4 ky4
+            x5 = x + h * ($a50 * kx0 + $a51 * kx1 + $a52 * kx2 + $a53 * kx3 + $a54 * kx4)
+            y5 = y + h * ($a50 * ky0 + $a51 * ky1 + $a52 * ky2 + $a53 * ky3 + $a54 * ky4)
+            $deriv 5 x5 y5 kx5 ky5
+            # the fifth-order point; its stage k6 is the derivative there (FSAL)
+            xn = x + h * ($a60 * kx0 + $a62 * kx2 + $a63 * kx3 + $a64 * kx4 + $a65 * kx5)
+            yn = y + h * ($a60 * ky0 + $a62 * ky2 + $a63 * ky3 + $a64 * ky4 + $a65 * ky5)
+            $deriv 5 xn yn kx6 ky6
+            # err = h * (e0 * k0 + e2 * k2 + ... + e6 * k6)
+            # scale = atol + rtol * np.maximum(np.abs(u), np.abs(u_new)); on
+            # floats the larger is picked as max() picks it, which skips a NaN
+            # in u_new that np.maximum keeps; but when xn is NaN, so is
+            # k6 = g(u_new), and err_norm is NaN either way
+            ax, axn, ay, ayn = abs(x), abs(xn), abs(y), abs(yn)
+            qx = (h * ($e0 * kx0 + $e2 * kx2 + $e3 * kx3 + $e4 * kx4 + $e5 * kx5 + $e6 * kx6)
+                  / (atol + rtol * $maxx))
+            qy = (h * ($e0 * ky0 + $e2 * ky2 + $e3 * ky3 + $e4 * ky4 + $e5 * ky5 + $e6 * ky6)
+                  / (atol + rtol * $maxy))
+            sx = qx * qx
+            sy = qy * qy
         nfev += 6
         # err_norm = sqrt(mean((err / scale) ** 2)), the 2m squares summed
         # left to right, x block first
-        $sum total SX SY
+        total = 0.0
+        for q in (SX$flat) + (SY$flat):
+            total += q
         err_norm = sqrt(total / n2)
         if not isfinite(err_norm):
             raise DivergenceError(
@@ -294,6 +335,7 @@ def dp5(X, Y, numbers, counts, params):
 _RK4_TEMPLATE = """\
 def rk4(X, Y, numbers, counts, params):
     $prelude
+    t, T = t0, horizon
     nthreshold = -threshold
     $k0 t
     $sample
@@ -381,9 +423,9 @@ class _Variant:
         return "float" if self.prox_source else "numpy"
 
 
-# a kernel's numbers (_inputs), by the Python kernels' names, upper case in C:
-# nalpha is -alpha, and kc and ke the monomial of stage constant k, b, eps (e)
-# or lambda's term (l), which lambda's offset lo completes: lo + lc * t ** le
+# a kernel's numbers (_inputs), by the kernels' names: nalpha is -alpha, and kc
+# and ke the monomial of stage constant k, b, eps (e) or lambda's term (l),
+# which lambda's offset lo completes: lo + lc * t ** le
 _NUMBERS = ("t0", "horizon", "atol", "rtol", "max_step", "threshold", "nalpha", "beta",
             "lo", "bc", "be", "ec", "ee", "lc", "le", "fixed_step")
 _TERMS = ("b", "e", "l")
@@ -438,53 +480,6 @@ def _k0_src(v: _Variant, t: str) -> str:
             "    $deriv 0 x y kx0 ky0")
 
 
-def _step_src(v: _Variant) -> str:
-    """One DP5 step of size h from (t, X, Y, KX, KY): the stage times and
-    constants, then per lane XN, YN, their KXN, KYN, and the squared errors SX, SY."""
-    return """\
-t1 = t + $c1 * h
-t2 = t + $c2 * h
-t3 = t + $c3 * h
-t4 = t + $c4 * h
-t5 = t + $c5 * h
-$consts t1 t2 t3 t4 t5
-$lanes XN=xn YN=yn KXN=kx6 KYN=ky6 SX=sx SY=sy
-    x, y, kx0, ky0 = X[i], Y[i], KX[i], KY[i]
-    # u + h * (a10 * k0)
-    x1 = x + h * ($a10 * kx0)
-    y1 = y + h * ($a10 * ky0)
-    $deriv 1 x1 y1 kx1 ky1
-    # u + h * (a20 * k0 + a21 * k1)
-    x2 = x + h * ($a20 * kx0 + $a21 * kx1)
-    y2 = y + h * ($a20 * ky0 + $a21 * ky1)
-    $deriv 2 x2 y2 kx2 ky2
-    x3 = x + h * ($a30 * kx0 + $a31 * kx1 + $a32 * kx2)
-    y3 = y + h * ($a30 * ky0 + $a31 * ky1 + $a32 * ky2)
-    $deriv 3 x3 y3 kx3 ky3
-    x4 = x + h * ($a40 * kx0 + $a41 * kx1 + $a42 * kx2 + $a43 * kx3)
-    y4 = y + h * ($a40 * ky0 + $a41 * ky1 + $a42 * ky2 + $a43 * ky3)
-    $deriv 4 x4 y4 kx4 ky4
-    x5 = x + h * ($a50 * kx0 + $a51 * kx1 + $a52 * kx2 + $a53 * kx3 + $a54 * kx4)
-    y5 = y + h * ($a50 * ky0 + $a51 * ky1 + $a52 * ky2 + $a53 * ky3 + $a54 * ky4)
-    $deriv 5 x5 y5 kx5 ky5
-    # the fifth-order point; its stage k6 is the derivative there (FSAL)
-    xn = x + h * ($a60 * kx0 + $a62 * kx2 + $a63 * kx3 + $a64 * kx4 + $a65 * kx5)
-    yn = y + h * ($a60 * ky0 + $a62 * ky2 + $a63 * ky3 + $a64 * ky4 + $a65 * ky5)
-    $deriv 5 xn yn kx6 ky6
-    # err = h * (e0 * k0 + e2 * k2 + ... + e6 * k6)
-    # scale = atol + rtol * np.maximum(np.abs(u), np.abs(u_new)); on
-    # floats the larger is picked as max() picks it, which skips a NaN
-    # in u_new that np.maximum keeps; but when xn is NaN, so is
-    # k6 = g(u_new), and err_norm is NaN either way
-    ax, axn, ay, ayn = abs(x), abs(xn), abs(y), abs(yn)
-    qx = (h * ($e0 * kx0 + $e2 * kx2 + $e3 * kx3 + $e4 * kx4 + $e5 * kx5 + $e6 * kx6)
-          / (atol + rtol * $maxx))
-    qy = (h * ($e0 * ky0 + $e2 * ky2 + $e3 * ky3 + $e4 * ky4 + $e5 * ky5 + $e6 * ky6)
-          / (atol + rtol * $maxy))
-    sx = qx * qx
-    sy = qy * qy"""
-
-
 def _lanes_src(v: _Variant, *outputs: str) -> str:
     """The body run in every lane.  Each output NAME=local gathers local
     from every lane into the list NAME."""
@@ -494,24 +489,14 @@ def _lanes_src(v: _Variant, *outputs: str) -> str:
                       *(f"    {name}.append({local})" for name, local in pairs)])
 
 
-def _sum_src(v: _Variant, total: str, *gathered: str) -> str:
-    """total = 0.0 plus the lane values of each gathered name in turn, added
-    left to right."""
-    return (f"{total} = 0.0\n"
-            f"for q in {' + '.join(f'({name}$flat)' for name in gathered)}:\n"
-            f"    {total} += q")
-
-
 def _prelude_src(v: _Variant) -> str:
     """The empty sample buffers, the lanes and the kernel's inputs as
-    locals: the numbers by their names in _NUMBERS, t and T (the start and
-    the horizon), the counts max_steps and stride, and the prox's: the
-    array prox on the numpy lane, and on float lanes the values of its
-    source's parameters, as locals prox_<name>."""
+    locals: the numbers by their names in _NUMBERS, the counts max_steps and
+    stride, and the prox's: the array prox on the numpy lane, and on float
+    lanes the values of its source's parameters, as locals prox_<name>."""
     lines = ['ts, xs, ys, xdots = array("d"), array("d"), array("d"), array("d")',
              "lanes = range(len(X))",
              ", ".join(_NUMBERS) + " = numbers",
-             "t, T = t0, horizon",
              "max_steps, stride = counts"]
     if v.lane == "numpy":
         lines.append("prox, = params")
@@ -521,12 +506,11 @@ def _prelude_src(v: _Variant) -> str:
 
 
 def _guard_src(v: _Variant, t_last: str) -> str:
-    """u, the coordinates of the new state (X, Y), and the divergence guard
-    on them, which bounds the auxiliary y as well as x and fails on a NaN
-    anywhere, as the chained comparison is false for NaN; its error names
-    t_last (an expression without spaces) and h."""
-    return ("u = (X$flat) + (Y$flat)\n"
-            "for v in u:\n"
+    """The divergence guard on the coordinates of the new state (X, Y), which
+    bounds the auxiliary y as well as x and fails on a NaN anywhere, as the
+    chained comparison is false for NaN; its error names t_last (an
+    expression without spaces) and h."""
+    return ("for v in (X$flat) + (Y$flat):\n"
             "    if not nthreshold <= v <= threshold:\n"
             "        raise DivergenceError(\n"
             f'            f"state left the trust region after t = {{{t_last}:.6g}}", {t_last}, h)')
@@ -543,17 +527,8 @@ def _sample_src(v: _Variant) -> str:
                                          (("xs", "X"), ("ys", "Y"), ("xdots", "KX")))])
 
 
-_MACROS = {
-    "consts": _consts_src,
-    "deriv": _deriv_src,
-    "k0": _k0_src,
-    "step": _step_src,
-    "lanes": _lanes_src,
-    "sum": _sum_src,
-    "prelude": _prelude_src,
-    "sample": _sample_src,
-    "guard": _guard_src,
-}
+_MACROS = {"consts": _consts_src, "deriv": _deriv_src, "k0": _k0_src, "lanes": _lanes_src,
+           "prelude": _prelude_src, "sample": _sample_src, "guard": _guard_src}
 
 
 def _tokens(v: _Variant) -> dict:
@@ -619,7 +594,8 @@ def _python_kernel(kind: str, v: _Variant):
     filename = (f"<proxdyn {_TEMPLATES[kind][0]} {v.lane}"
                 f"{f' {zlib.crc32(src.encode()):08x}' if v.prox_source else ''}>")
     linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
-    namespace = {"array": array, "math": math, "maximum": np.maximum, "power": _power,
+    namespace = {"array": array, "math": math, "sqrt": math.sqrt, "isfinite": math.isfinite,
+                 "maximum": np.maximum, "power": _power,
                  "DivergenceError": DivergenceError, "StepSizeError": StepSizeError}
     exec(compile(src, filename, "exec"), namespace)
     return namespace[_TEMPLATES[kind][0]]

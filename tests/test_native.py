@@ -328,7 +328,7 @@ def test_numpy_scalars_in_the_schedule_integrate_like_floats(compiled, request):
 
 
 @pytest.mark.parametrize("source", [
-    "float(u)", "u ** 2.0", "u * 2", "u if u else lam", "u and lam", "-u if not u > 0.0 else u",
+    "float(u)", "u ** 2.0", "u * 2", "u if u else lam", "u and lam", "-u if not u else u",
     "max([u, lam])", "max(u, lam, key=abs)", "u[i]", "z[0]", "u + i", "h", "math.fabs(u)",
     "u if lam < u is not None else lam", "abs(u, lam)", "min(u)", "+u", "u % lam", "1e999 * u",
 ])
@@ -343,8 +343,16 @@ def test_translator_refuses_what_it_does_not_know(source):
 
 
 @pytest.mark.parametrize("source", [
-    "if x > 0.0:\n    g = x",
+    "if x:\n    g = x",
+    "while x > 0.0:\n    g = x\nelse:\n    g = x",
+    "while x > 0.0:\n    break",
+    "raise ValueError(f'{x}')",
     "g = x ** 2.0",
+    "g = x ** x if x > 0.0 else 5.0",
+    "g = x ** -0.2 if x >= 0.0 else 5.0",
+    "n = 0\nn = x",
+    "n = 0\nn += 1.0",
+    "g = x % x",
     "g = power(x, 2.0)",
     "for i in range(3):\n    g = x",
     "for j in lanes:\n    g = x",
@@ -361,8 +369,11 @@ def test_translator_refuses_what_it_does_not_know(source):
     "g = X[i]",
 ])
 def test_translator_refuses_statements_it_does_not_know(source):
-    # among them an if, ** outside the stage constants' try, a loop over
-    # anything but the lanes and an except of anything but OverflowError
+    # among them an if on a float, while with else, break, the raise of
+    # another exception, ** outside the stage constants' try on a base that
+    # may not be positive or to a power that is not a constant, a float in an
+    # int, % on floats, a loop over anything but the lanes or lists and an
+    # except of anything but OverflowError
     with pytest.raises(native._Refused):
         native._Translator({"x"}, frozenset({"X"}), frozenset({"A"})).block(ast.parse(source).body)
 
@@ -378,22 +389,52 @@ def test_translator_writes_the_lanes_and_the_overflow_branch():
     assert translate.locals == ["x", "y", "b"]
 
 
+def test_translator_writes_the_loop_the_branches_and_the_raises():
+    src = ("g = x\nn = 0\nwhile g < 1.0:\n    n += 1\n    if n % 2 == 0 or not g > 0.0:\n"
+           "        g *= 2.0\n    else:\n        raise StepSizeError(f'g = {g:.3g}', g, x)")
+    translate = native._Translator({"x"})
+    assert translate.block(ast.parse(src).body) == [
+        "g = x;", "n = 0;", "while (g < 1.0) {", "    n = (n + 1);",
+        "    if (((n % 2) == 0) || (!(g > 0.0))) {", "        g = (g * 2.0);", "    } else {",
+        "        if (zdiv)", "            return 1;", "        o->at[0] = g;",
+        "        o->at[1] = x;", "        return 2;", "    }", "    if (zdiv)", "        return 1;",
+        "}"]
+    assert translate.locals == ["g", "n"]
+    assert translate.kinds == {"x": float, "g": float, "n": int}
+    # failure k raises line k, the lambda of its exception over o->at
+    assert translate.raises == ["lambda: 1.0 / 0.0",
+                                "lambda g, x: StepSizeError(f'g = {g:.3g}', g, x)"]
+    exc = eval(translate.raises[1], dict(native._EXCEPTIONS))(0.5, 2.0)
+    assert (type(exc), str(exc), exc.t_last, exc.h) == (StepSizeError, "g = 0.5", 0.5, 2.0)
+
+
+# each a change of dynamics._DP5_TEMPLATE: one stage combination, then
+# numbers of the loop around the step
+MUTANTS = {
+    "stage": ("x1 = x + h * ($a10 * kx0)", "x1 = x + h * (($a10 * 1.01) * kx0)"),
+    "safety factor": ("factor = 0.9 * err_norm", "factor = 0.91 * err_norm"),
+    "growth cap": ("factor if factor < 5.0 else 5.0", "factor if factor < 4.0 else 4.0"),
+    "error exponent": ("err_norm ** -0.2", "err_norm ** -0.21"),
+    "accept test": ("if err_norm <= 1.0:", "if err_norm <= 0.9:"),
+    "first step": ("(T - t) / 100.0", "(T - t) / 90.0"),
+}
+
+
 @needs_cc
-def test_both_kernels_step_by_one_text(monkeypatch, private_cache):
-    # one stage combination of the Python kernel's text changed moves the
-    # compiled kernel by the same bits: its stages are that text, translated
+@pytest.mark.parametrize("mutant", list(MUTANTS))
+def test_both_kernels_step_by_one_text(mutant, monkeypatch, private_cache):
+    # a change to the Python kernel's text, in a stage or in the loop around
+    # the step, moves the compiled kernel by the same bits: the whole loop is
+    # that text, translated
     cfg, settings = make_cfg(l1_norm(3), 1.0), IntegratorSettings()
-    step = dynamics._step_src
-
-    def changed(v):
-        return step(v).replace("x1 = x + h * ($a10 * kx0)", "x1 = x + h * (($a10 * 1.01) * kx0)")
-
+    (name, template), (old, new) = dynamics._TEMPLATES["rk45_adaptive"], MUTANTS[mutant]
+    assert template.count(old) == 1
     dynamics._kernel.cache_clear()
     dynamics._python_kernel.cache_clear()
     try:
         before = both(cfg, settings)
-        monkeypatch.setattr(dynamics, "_step_src", changed)
-        monkeypatch.setitem(dynamics._MACROS, "step", changed)
+        monkeypatch.setitem(dynamics._TEMPLATES, "rk45_adaptive",
+                            (name, template.replace(old, new)))
         dynamics._kernel.cache_clear()
         dynamics._python_kernel.cache_clear()
         after = both(cfg, settings)
@@ -535,21 +576,27 @@ def test_kernels_are_cached_per_machine(monkeypatch, tmp_path):
     dynamics._kernel.cache_clear()
     try:
         kernel, _ = dynamics._variant_kernel("rk45_adaptive", cfg)
-        # one library, named by the SHA-256 of its source, compiler and platform
+        # one library, named by the SHA-256 of the Python kernel's text, the
+        # native module's, the compiler and the platform
         (name,) = os.listdir(cache)
         assert re.fullmatch("[0-9a-f]{64}[.]so", name)
         assert kernel.library == str(cache / name)
         assert stat.S_IMODE(os.stat(cache).st_mode) == 0o700
         want = integrate(cfg)
-        # a later process loads it and compiles nothing
+        # a later process loads it, and neither translates nor compiles
         dynamics._kernel.cache_clear()
 
         def no_compiler(*args, **kwargs):
             raise AssertionError("compiled again")
 
+        def no_translator(*args, **kwargs):
+            raise AssertionError("translated again")
+
         monkeypatch.setattr(subprocess, "run", no_compiler)
+        monkeypatch.setattr(native, "_Translator", no_translator)
         got = integrate(cfg)
         assert got.xs.tobytes() == want.xs.tobytes()
+        assert dynamics._variant_kernel("rk45_adaptive", cfg)[0].library == kernel.library
     finally:
         dynamics._kernel.cache_clear()
 
